@@ -1,9 +1,10 @@
 """A day in the life of a 25 kVA pole transformer.
 
 Walks the thermal model through one hot summer day: hourly ambient
-temperatures and a per-unit load shape go in, converged top-oil and
-hottest-spot temperatures come out, and the limits verdict says whether
-the day was survivable.
+temperatures and a per-unit load shape go in, the top-oil and
+hottest-spot temperatures of that day repeated forever (its periodic
+steady state, solved in closed form) come out, and the limits verdict says
+whether the day was survivable.
 """
 
 import math
@@ -39,7 +40,9 @@ load = tuple(0.9 + 1.3 * math.exp(-((h - 19) ** 2) / 10.0) for h in range(24))
 day = DayProfile(ambient=ambient, load_pu=load)
 trace = simulate_day(spec, day)
 
-print(f"converged after {trace.iterations} daily-cycle sweeps\n")
+# The day repeats, so hour 1 starts from hour 24's temperatures.
+print(f"hour 24 top-oil rise {trace.top_oil_rise[-1]:.2f} degC is the rise "
+      "hour 1 starts from\n")
 print(f"{'hour':>4} {'ambient':>8} {'load pu':>8} {'top oil':>8} {'hotspot':>8}")
 for h in range(24):
     print(f"{h:>4} {ambient[h]:>8.1f} {load[h]:>8.2f} "

@@ -18,9 +18,11 @@ from txrisk import (
     TransformerSpec,
     cluster_thresholds,
     default_schema,
+    life_loss_by_n,
     load_dataset,
     max_services_by_life,
     max_services_by_temperature,
+    service_grid,
     synth_dataset,
     train_model,
 )
@@ -47,26 +49,26 @@ for t in sorted(thresholds, key=lambda t: t.impact_rank):
 fleet_rule = min(t.max_peak_load_pu for t in thresholds)
 print(f"conservative fleet rule: keep daily peaks below {fleet_rule:.2f} p.u.\n")
 
+# Every cluster's day at every service count, simulated once as one batch;
+# both service caps below read this grid.
+grid = service_grid(spec, model, range(1, 41))
+
 # 2. Service cap by temperature.
-temp_study = max_services_by_temperature(spec, model, range(1, 41))
-print(f"max services before a temperature limit: "
-      f"{temp_study.max_services_by_temp}")
-n = temp_study.max_services_by_temp
-worst = max(temp_study.per_cluster_max_temps[(c.id, n)][0]
-            for c in model.clusters)
-worst_next = max(temp_study.per_cluster_max_temps[(c.id, n + 1)][0]
-                 for c in model.clusters)
+n = max_services_by_temperature(spec, grid)
+print(f"max services before a temperature limit: {n}")
+column = grid.n_values.index(n)
+worst = grid.max_top_oil[:, column].max()
+worst_next = grid.max_top_oil[:, column + 1].max()
 print(f"  at N={n} the worst cluster day peaks at {worst:.0f} degC; "
       f"N={n + 1} would reach {worst_next:.0f} degC (limit "
       f"{spec.top_oil_limit:g})\n")
 
 # 3. Service cap by life-loss budget.
 budget = 500.0
-life_study = max_services_by_life(spec, model, range(1, 41), budget, years=2.0)
-print(f"max services within a ${budget:g}/year loss budget: "
-      f"{life_study.max_services_by_life}")
-for n in range(life_study.max_services_by_life - 1,
-               life_study.max_services_by_life + 3):
-    el = life_study.economic_loss_by_n[n]
+cap = max_services_by_life(spec, grid, budget, years=2.0)
+print(f"max services within a ${budget:g}/year loss budget: {cap}")
+losses = life_loss_by_n(spec, grid, years=2.0)
+for n in range(cap - 1, cap + 3):
+    el = losses[n].economic_loss
     marker = " <= budget" if el <= budget else ""
     print(f"  N={n:>2}: ${el:>10.1f}/year{marker}")

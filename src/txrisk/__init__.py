@@ -52,13 +52,15 @@ from .features import (
 )
 from .ingest import Dataset, RawDayProfile, SynthConfig, load_dataset, synth_dataset
 from .riskassess import (
-    ServiceCountStudy,
+    ServiceGrid,
     ThresholdResult,
     cluster_thresholds,
+    life_loss_by_n,
     loading_threshold,
     max_services_by_life,
     max_services_by_temperature,
     rank_impact,
+    service_grid,
 )
 from .thermal import (
     DayProfile,
@@ -69,6 +71,7 @@ from .thermal import (
     exponential_step,
     load_transformer_spec,
     simulate_day,
+    simulate_days,
     ultimate_hotspot_rise,
     ultimate_top_oil_rise,
 )

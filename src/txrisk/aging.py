@@ -6,6 +6,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import KeyMismatchError
 
 # Reference hottest-spot temperature at which insulation ages at unit rate.
@@ -30,21 +32,32 @@ class AgingResult:
     economic_loss: float
 
 
-def aging_acceleration(hotspot_c: float) -> float:
+def aging_acceleration(hotspot_c):
     """Aging acceleration factor at a hottest-spot temperature in °C.
 
     Equals 1 at 110 °C and grows exponentially with temperature.
+    ``hotspot_c`` may be a float or an array; for an array ``exp`` is
+    taken elementwise through ``math``, so the factors do not depend on the
+    numpy build.
     """
-    return math.exp(AGING_RATE_CONSTANT / REFERENCE_HOTSPOT_K
-                    - AGING_RATE_CONSTANT / (hotspot_c + 273.0))
+    exponent = (AGING_RATE_CONSTANT / REFERENCE_HOTSPOT_K
+                - AGING_RATE_CONSTANT / (hotspot_c + 273.0))
+    if isinstance(exponent, np.ndarray):
+        return np.array([math.exp(v) for v in exponent.ravel().tolist()]
+                        ).reshape(exponent.shape)
+    return math.exp(exponent)
 
 
-def equivalent_aging(hourly_faa) -> float:
-    """Daily equivalent aging factor: the mean of the 24 hourly factors."""
+def equivalent_aging(hourly_faa):
+    """Daily equivalent aging factor: the mean of the 24 hourly factors.
+
+    ``hourly_faa`` holds the 24 hourly factors in hour order, each a float
+    or an array with one factor per day; they are summed in hour order.
+    """
     factors = list(hourly_faa)
     if len(factors) != 24:
         raise ValueError("equivalent_aging expects exactly 24 hourly factors")
-    if any(f <= 0 for f in factors):
+    if not all(np.all(f > 0) for f in factors):
         raise ValueError("hourly aging factors must be > 0")
     return sum(factors) / 24.0
 

@@ -15,7 +15,6 @@ import argparse
 import csv
 import datetime as dt
 import json
-import os
 import sys
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
@@ -33,7 +32,6 @@ exit codes:
   4   incomplete day with gap filling disabled
   5   no common weather/meter/calendar coverage
   6   more clusters requested than data points
-  7   thermal daily cycle did not converge
   8   no feasible loading scale (ambient above limit)
   9   strict mode: query far from all clusters
   10  per-cluster maps disagree on cluster ids
@@ -43,6 +41,8 @@ exit codes:
   14  zero services in energy conversion
   15  ordinal status order out of range
   16  centroid update over zero members
+  17  cluster profile with zero peak load (no loading threshold)
+  18  temperature or life loss fell as the service count rose
 """
 
 
@@ -60,8 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--seed", type=int, help="master random seed")
         p.add_argument("--out", help="output directory (default .)")
-        p.add_argument("--threads", type=int,
-                       help="parallelism bound (default: processor count)")
         p.add_argument("--strict", action="store_true", default=None,
                        help="error out on far-from-all-clusters queries")
 
@@ -113,7 +111,6 @@ class RunConfig:
     _DEFAULTS = {
         "seed": 42,
         "out": ".",
-        "threads": None,
         "strict": False,
         "services": 20,
         "days": 730,
@@ -174,14 +171,6 @@ class RunConfig:
         out = Path(self.get("out"))
         out.mkdir(parents=True, exist_ok=True)
         return out
-
-    def threads(self) -> int:
-        value = self.get("threads")
-        if value is None:
-            value = os.cpu_count() or 1
-        if value < 1:
-            raise ConfigError("--threads must be >= 1")
-        return value
 
     def schema(self) -> ft.FeatureSchema:
         items = self.get("features")
@@ -288,7 +277,6 @@ def cmd_assess(cfg: RunConfig) -> int:
     n_range = parse_span(cfg.get("n_range"), "--n-range")
     budget = float(cfg.get("budget"))
     years = float(cfg.get("years"))
-    threads = cfg.threads()
     out = cfg.out_dir()
 
     thresholds = riskassess.cluster_thresholds(
@@ -300,14 +288,11 @@ def cmd_assess(cfg: RunConfig) -> int:
     riskassess.write_month_matrix_csv(matrix, model, thresholds,
                                       out / "month_matrix.csv")
 
-    temp_study = riskassess.max_services_by_temperature(spec, model, n_range,
-                                                        threads=threads)
-    riskassess.write_temperature_grid_csv(temp_study, spec,
-                                          out / "temperature_grid.csv")
-
-    life_study = riskassess.max_services_by_life(spec, model, n_range, budget,
-                                                 years, threads=threads)
-    riskassess.write_life_loss_csv(life_study, spec, out / "life_loss.csv")
+    grid = riskassess.service_grid(spec, model, n_range)
+    riskassess.write_temperature_grid_csv(grid, out / "temperature_grid.csv")
+    riskassess.write_life_loss_csv(grid, spec, years, out / "life_loss.csv")
+    by_temp = riskassess.max_services_by_temperature(spec, grid)
+    by_life = riskassess.max_services_by_life(spec, grid, budget, years)
 
     if cfg.get("svg"):
         riskassess.write_month_distribution_svg(matrix, model, thresholds,
@@ -315,9 +300,8 @@ def cmd_assess(cfg: RunConfig) -> int:
 
     min_peak = min(t.max_peak_load_pu for t in thresholds)
     print(f"minimum allowed daily peak loading: {min_peak:.2f} p.u.")
-    print(f"max services by temperature limits: {temp_study.max_services_by_temp}")
-    print(f"max services by life-loss budget ${budget:g}/year: "
-          f"{life_study.max_services_by_life}")
+    print(f"max services by temperature limits: {by_temp}")
+    print(f"max services by life-loss budget ${budget:g}/year: {by_life}")
     for name in ("thresholds.csv", "month_matrix.csv", "temperature_grid.csv",
                  "life_loss.csv"):
         print(f"wrote {out / name}")

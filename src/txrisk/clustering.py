@@ -373,10 +373,15 @@ def month_cluster_matrix(model: ClusterModel) -> np.ndarray:
     follow cluster id order; each member (service-day) counts once, so
     column sums equal cluster member counts."""
     matrix = np.zeros((12, model.k), dtype=np.int64)
+    month_of = {}  # each distinct ISO date is parsed, and so checked, once
     for col, cluster in enumerate(model.clusters):
+        counts = [0] * 12
         for _service, iso_date in cluster.member_refs:
-            month = dt.date.fromisoformat(iso_date).month
-            matrix[month - 1, col] += 1
+            month = month_of.get(iso_date)
+            if month is None:
+                month = month_of[iso_date] = dt.date.fromisoformat(iso_date).month
+            counts[month - 1] += 1
+        matrix[:, col] = counts
     return matrix
 
 
@@ -469,6 +474,20 @@ def save_model(model: ClusterModel, path) -> None:
         fh.write("\n")
 
 
+def _checked_profile(cluster_id, doc) -> ClusterProfile:
+    """A stored profile: 24 finite hourly values each, loads >= 0."""
+    profile = ClusterProfile(
+        load_kva=tuple(float(v) for v in doc["load_kva"]),
+        ambient_c=tuple(float(v) for v in doc["ambient_c"]),
+    )
+    if (len(profile.load_kva) != 24 or len(profile.ambient_c) != 24
+            or not all(map(math.isfinite, profile.load_kva + profile.ambient_c))
+            or min(profile.load_kva) < 0):
+        raise ValueError(f"cluster {cluster_id} profile needs 24 finite hourly "
+                         "values each and no negative load")
+    return profile
+
+
 def load_model(path) -> ClusterModel:
     """Load a model saved by :func:`save_model`."""
     try:
@@ -491,10 +510,8 @@ def load_model(path) -> ClusterModel:
                 member_refs=tuple((s, d) for s, d in entry["members"]),
             ))
             if "profile" in entry:
-                profiles[int(entry["id"])] = ClusterProfile(
-                    load_kva=tuple(float(v) for v in entry["profile"]["load_kva"]),
-                    ambient_c=tuple(float(v) for v in entry["profile"]["ambient_c"]),
-                )
+                profiles[int(entry["id"])] = _checked_profile(
+                    entry["id"], entry["profile"])
         return ClusterModel(
             k=int(doc["k"]),
             clusters=tuple(clusters),

@@ -56,12 +56,6 @@ class TooFewPointsError(TxRiskError):
     exit_code = 6
 
 
-class NonConvergenceError(TxRiskError):
-    """Daily-cycle thermal iteration did not settle within the sweep cap."""
-
-    exit_code = 7
-
-
 class NoFeasibleScaleError(TxRiskError):
     """Even zero loading violates a temperature limit (ambient above limit)."""
 
@@ -114,6 +108,20 @@ class EmptyMembersError(TxRiskError):
     """Centroid update requires a nonempty member collection."""
 
     exit_code = 16
+
+
+class ZeroPeakProfileError(TxRiskError):
+    """A cluster profile has no load at any hour, so it has no loading
+    threshold."""
+
+    exit_code = 17
+
+
+class NonMonotoneError(TxRiskError):
+    """A simulated temperature or life loss fell as the service count rose
+    (a broken invariant of the thermal and aging models)."""
+
+    exit_code = 18
 
 
 class EmptyClusterWarning(UserWarning):

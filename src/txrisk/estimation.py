@@ -10,7 +10,7 @@ import datetime as dt
 import warnings
 from dataclasses import dataclass
 
-from . import aging, features as ft, thermal
+from . import features as ft, thermal
 from .clustering import ClusterModel
 from .errors import (
     FarFromAllClustersError,
@@ -19,6 +19,7 @@ from .errors import (
     ParseError,
     ZeroServicesError,
 )
+from .ingest import _parse_float
 from .riskassess import profile_to_day
 
 # Below this dissimilarity a query is treated as sitting exactly on the
@@ -134,19 +135,6 @@ def cluster_max_top_oil(model: ClusterModel, spec: thermal.TransformerSpec,
     return out
 
 
-def cluster_daily_life_loss(model: ClusterModel, spec: thermal.TransformerSpec,
-                            service_count: int) -> dict[int, float]:
-    """Per-cluster life loss (days per day) at ``service_count`` services."""
-    out = {}
-    for cluster in model.clusters:
-        day = profile_to_day(model.profiles[cluster.id], service_count,
-                             spec.rated_kva)
-        trace = thermal.simulate_day(spec, day)
-        out[cluster.id] = aging.equivalent_aging(
-            [aging.aging_acceleration(t) for t in trace.hotspot])
-    return out
-
-
 def estimate_day_temperature(day_features: ft.FeatureVector, model: ClusterModel,
                              service_count: int, spec: thermal.TransformerSpec,
                              per_cluster_temps: dict[int, float] | None = None,
@@ -181,13 +169,8 @@ def read_query_csv(path) -> list[ft.FeatureVector]:
             except ValueError:
                 raise ParseError(f"bad date {row[0]!r}", path=path, row=i,
                                  column="date") from None
-            numeric = {}
-            for j, name in enumerate(QUERY_HEADER[1:5], start=1):
-                try:
-                    numeric[name] = float(row[j])
-                except ValueError:
-                    raise ParseError(f"bad number {row[j]!r}", path=path,
-                                     row=i, column=name) from None
+            numeric = {name: _parse_float(row[j], path, i, name)
+                       for j, name in enumerate(QUERY_HEADER[1:5], start=1)}
             if row[5] not in ("Y", "N"):
                 raise ParseError(f"weekday must be Y or N, got {row[5]!r}",
                                  path=path, row=i, column="weekday")

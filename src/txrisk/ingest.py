@@ -73,11 +73,15 @@ def _parse_date(text, path, row):
 
 
 def _parse_float(text, path, row, column):
+    """A finite float; ``nan`` and ``inf`` are rejected like any bad number."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
         raise ParseError(f"bad number {text!r}", path=path, row=row,
-                         column=column) from None
+                         column=column)
+    return value
 
 
 def _parse_hour(text, path, row):
@@ -117,16 +121,17 @@ def _read_rows(path):
         yield from csv.reader(fh)
 
 
-def _fill_day(by_hour: dict[int, float], *, interpolate: bool, label: str):
-    """Complete one day's 24 hourly values per the gap policy.
+def _fill_day(hours: list, *, interpolate: bool, label: str):
+    """Complete one day's 24 hourly values (None where missing) per the gap
+    policy.
 
     Returns (values or None-if-dropped, interpolated flag). A 25th reading
     for an hour (DST fall-back) was already collapsed to the first one
     during parsing.
     """
-    missing = [h for h in range(24) if h not in by_hour]
+    missing = [h for h, v in enumerate(hours) if v is None]
     if not missing:
-        return [by_hour[h] for h in range(24)], False
+        return hours, False
     if not interpolate:
         raise GapError(f"{label}: {len(missing)} missing hourly readings "
                        "and gap filling is disabled")
@@ -134,8 +139,8 @@ def _fill_day(by_hour: dict[int, float], *, interpolate: bool, label: str):
         warnings.warn(f"{label}: {len(missing)} missing hours, day dropped",
                       DataGapWarning, stacklevel=3)
         return None, False
-    present = sorted(by_hour)
-    values = np.interp(range(24), present, [by_hour[h] for h in present])
+    present = [h for h, v in enumerate(hours) if v is not None]
+    values = np.interp(range(24), present, [hours[h] for h in present])
     warnings.warn(f"{label}: interpolated {len(missing)} missing hour(s)",
                   DataGapWarning, stacklevel=3)
     return [float(v) for v in values], True
@@ -145,7 +150,7 @@ def _load_weather(path, interpolate):
     """date -> (24 temps, interpolated flag)."""
     rows = _read_rows(path)
     _check_header(next(rows, None), [WEATHER_HEADER], path)
-    raw: dict[dt.date, dict[int, float]] = {}
+    raw: dict[dt.date, list] = {}
     dup_seen = set()
     dup_dates = set()
     for i, row in enumerate(rows, start=2):
@@ -157,8 +162,10 @@ def _load_weather(path, interpolate):
         if not TEMP_MIN_C <= temp <= TEMP_MAX_C:
             raise ParseError(f"temperature {temp} outside plausible range",
                              path=path, row=i, column="temp_c")
-        day = raw.setdefault(date, {})
-        if hour in day:
+        day = raw.get(date)
+        if day is None:
+            day = raw[date] = [None] * 24
+        if day[hour] is not None:
             key = (date, hour)
             if key in dup_seen:
                 raise ParseError(f"hour {hour} appears more than twice",
@@ -171,8 +178,8 @@ def _load_weather(path, interpolate):
             continue
         day[hour] = temp
     out = {}
-    for date, by_hour in raw.items():
-        values, interp = _fill_day(by_hour, interpolate=interpolate,
+    for date, hours in raw.items():
+        values, interp = _fill_day(hours, interpolate=interpolate,
                                    label=f"weather {date}")
         if values is not None:
             out[date] = (values, interp or date in dup_dates)
@@ -185,7 +192,9 @@ def _load_meter(path, interpolate):
     header = _check_header(next(rows, None),
                            [METER_HOURLY_HEADER, METER_ENERGY_HEADER], path)
     hourly_format = header == METER_HOURLY_HEADER
-    raw: dict[tuple[str, dt.date], dict[int, float]] = {}
+    # One 24-slot list per day, None until its hour is read: far smaller
+    # than a dict per day over tens of thousands of days.
+    raw: dict[tuple[str, dt.date], list] = {}
     energy: dict[tuple[str, dt.date], float] = {}
     dup_seen = set()
     for i, row in enumerate(rows, start=2):
@@ -200,8 +209,10 @@ def _load_meter(path, interpolate):
             if kw < 0:
                 raise ParseError(f"negative demand {kw}", path=path, row=i,
                                  column="kw")
-            day = raw.setdefault((service, date), {})
-            if hour in day:
+            day = raw.get((service, date))
+            if day is None:
+                day = raw[(service, date)] = [None] * 24
+            if day[hour] is not None:
                 key = (service, date, hour)
                 if key in dup_seen:
                     raise ParseError(f"hour {hour} appears more than twice",
@@ -224,8 +235,8 @@ def _load_meter(path, interpolate):
 
     out = {}
     if hourly_format:
-        for (service, date), by_hour in raw.items():
-            values, interp = _fill_day(by_hour, interpolate=interpolate,
+        for (service, date), hours in raw.items():
+            values, interp = _fill_day(hours, interpolate=interpolate,
                                        label=f"meter {service} {date}")
             if values is not None:
                 out[(service, date)] = {"hourly": values, "interpolated": interp}

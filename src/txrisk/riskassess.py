@@ -3,21 +3,33 @@ maximum service counts by temperature limit and by life-loss budget.
 
 Cluster 24-hour profiles (kVA per service) are scaled to a transformer
 load, simulated with the thermal model, and screened against the
-temperature limits or converted to aging figures.
+temperature limits or converted to aging figures. Both run in batches: the
+threshold search bisects every cluster at once, and one
+:class:`ServiceGrid` holds every cluster's simulated day at every service
+count for both service-count studies and their report tables.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import NamedTuple
+
+import numpy as np
 
 from . import aging, thermal
 from .clustering import ClusterModel, ClusterProfile
-from .errors import ConfigError, NoFeasibleScaleError
+from .errors import (
+    ConfigError,
+    NoFeasibleScaleError,
+    NonMonotoneError,
+    ZeroPeakProfileError,
+)
 
 SCALE_MAX_DEFAULT = 16.0  # p.u. peak, bisection upper bound
 SCALE_TOL_DEFAULT = 0.005  # p.u.
+# Slack for rounding when checking that grid values never fall with N.
+MONOTONE_SLACK = 1e-9
 
 MONTH_LABELS = ("Jan", "Feb", "Mar", "Apr", "May", "June", "July", "Aug",
                 "Sep", "Oct", "Nov", "Dec")
@@ -35,27 +47,29 @@ class ThresholdResult:
 
 
 @dataclass(frozen=True)
-class ServiceCountStudy:
-    """Per-(cluster, N) simulation results and the resulting service caps.
+class ServiceGrid:
+    """Every cluster's simulated day at every studied service count N.
 
-    ``per_cluster_max_temps`` maps (cluster_id, N) to (max top-oil °C,
-    max hotspot °C); ``per_cluster_daily_loss`` maps (cluster_id, N) to
-    life-loss days per day. Only the slice produced by the requesting
-    study is populated.
+    The arrays are indexed (cluster, N) in the order of ``cluster_ids`` and
+    ``n_values``: the day's maximum top-oil and hotspot temperatures (°C)
+    and its life loss in days per day (the daily equivalent aging factor).
+    ``member_day_counts`` maps each cluster id to its member days.
     """
 
     n_values: tuple[int, ...]
     cluster_ids: tuple[int, ...]
-    per_cluster_max_temps: dict | None = None
-    per_cluster_daily_loss: dict | None = None
-    max_services_by_temp: int | None = None
-    max_services_by_life: int | None = None
-    member_day_counts: dict | None = None
-    years: float | None = None
-    total_days_by_n: dict | None = None
-    annual_days_by_n: dict | None = None
-    economic_loss_by_n: dict | None = None
-    budget: float | None = None
+    member_day_counts: dict[int, int]
+    max_top_oil: np.ndarray
+    max_hotspot: np.ndarray
+    daily_loss: np.ndarray
+
+
+class LifeLoss(NamedTuple):
+    """Fleet life loss at one service count over the evaluation window."""
+
+    total_days: float
+    annual_days: float
+    economic_loss: float  # currency per year
 
 
 def profile_to_day(profile: ClusterProfile, n_services: float,
@@ -67,6 +81,73 @@ def profile_to_day(profile: ClusterProfile, n_services: float,
     )
 
 
+def _day_maxima(spec, ambient, load_pu):
+    """Maximum top-oil and hotspot temperature of each day in a batch."""
+    top = hot = None
+    for top_h, hot_h, _, _ in thermal.steady_state_hours(spec, ambient, load_pu):
+        top = top_h if top is None else np.maximum(top, top_h)
+        hot = hot_h if hot is None else np.maximum(hot, hot_h)
+    return top, hot
+
+
+def _thresholds(spec, profiles, cluster_ids, scale_max, tolerance):
+    """Bisect the loading thresholds of several profiles together.
+
+    Each profile gets exactly the halvings, and so the result, of a
+    bisection of its own: a profile stops halving once its interval is
+    within ``tolerance``, and errors are raised for the first failing
+    profile in the given order.
+    """
+    kva = np.array([p.load_kva for p in profiles], dtype=float)
+    ambient = np.array([p.ambient_c for p in profiles], dtype=float)
+    peak = kva.max(axis=1)
+    shape = kva / np.where(peak > 0, peak, 1.0)[:, None]
+
+    def within(scale):
+        top, hot = _day_maxima(spec, ambient, scale[:, None] * shape)
+        return (top <= spec.top_oil_limit) & (hot <= spec.hotspot_limit), top
+
+    lo = np.zeros(len(profiles))
+    hi = np.full(len(profiles), float(scale_max))
+    at_zero, _ = within(lo)
+    at_max, _ = within(hi)
+    for i, cid in enumerate(cluster_ids):
+        if not peak[i] > 0:
+            raise ZeroPeakProfileError(
+                f"cluster {cid}: profile has zero peak load, so no loading "
+                "threshold")
+        if not at_zero[i]:
+            raise NoFeasibleScaleError(
+                f"cluster {cid}: ambient profile violates a temperature "
+                "limit even at zero load")
+        if at_max[i]:
+            raise ConfigError(
+                f"cluster {cid}: limits not reached at scale_max="
+                f"{scale_max} p.u.; raise the threshold search bound")
+
+    active = hi - lo > tolerance
+    while active.any():
+        mid = 0.5 * (lo + hi)
+        ok, _ = within(mid)
+        lo = np.where(active & ok, mid, lo)
+        hi = np.where(active & ~ok, mid, hi)
+        active = hi - lo > tolerance
+
+    _, probe_top = within(lo + tolerance)
+    shape_sum = sum(shape[:, h] for h in range(thermal.HOURS))
+    avg = lo * shape_sum / 24.0
+    return [
+        ThresholdResult(
+            cluster_id=cid,
+            max_avg_load_pu=a,
+            max_peak_load_pu=peak_pu,
+            binding_limit="top_oil" if top > spec.top_oil_limit else "hotspot",
+        )
+        for cid, a, peak_pu, top in zip(cluster_ids, avg.tolist(), lo.tolist(),
+                                        probe_top.tolist())
+    ]
+
+
 def loading_threshold(spec: thermal.TransformerSpec, profile: ClusterProfile,
                       cluster_id: int = 0, *, scale_max: float = SCALE_MAX_DEFAULT,
                       tolerance: float = SCALE_TOL_DEFAULT) -> ThresholdResult:
@@ -75,54 +156,16 @@ def loading_threshold(spec: thermal.TransformerSpec, profile: ClusterProfile,
     The profile is reduced to its peak-normalized shape, so the bisection
     scale *is* the 24-hour peak per-unit load; the 24-hour average at the
     binding scale is reported alongside. Bisection is valid because the
-    converged temperatures are monotone in the load scale. The returned
+    steady-state temperatures are monotone in the load scale. The returned
     scale is certified: it passes the limits while ``scale + tolerance``
     violates at least one of them.
 
     Raises:
+        ZeroPeakProfileError: the profile has no load at any hour.
         NoFeasibleScaleError: ambient alone violates a limit (scale 0 fails).
         ConfigError: ``scale_max`` still passes the limits.
     """
-    peak_kva = max(profile.load_kva)
-    if peak_kva <= 0:
-        raise ValueError("cluster profile has zero peak load")
-    shape = tuple(v / peak_kva for v in profile.load_kva)
-
-    def passes(scale: float) -> bool:
-        day = thermal.DayProfile(ambient=profile.ambient_c,
-                                 load_pu=tuple(scale * s for s in shape))
-        verdict = thermal.check_limits(spec, thermal.simulate_day(spec, day))
-        return verdict.within_limits
-
-    if not passes(0.0):
-        raise NoFeasibleScaleError(
-            f"cluster {cluster_id}: ambient profile violates a temperature "
-            "limit even at zero load")
-    if passes(scale_max):
-        raise ConfigError(
-            f"cluster {cluster_id}: limits not reached at scale_max="
-            f"{scale_max} p.u.; raise the threshold search bound")
-
-    lo, hi = 0.0, scale_max
-    while hi - lo > tolerance:
-        mid = 0.5 * (lo + hi)
-        if passes(mid):
-            lo = mid
-        else:
-            hi = mid
-
-    probe = thermal.DayProfile(
-        ambient=profile.ambient_c,
-        load_pu=tuple((lo + tolerance) * s for s in shape))
-    verdict = thermal.check_limits(spec, thermal.simulate_day(spec, probe))
-    binding = "top_oil" if verdict.worst_top_oil > spec.top_oil_limit else "hotspot"
-
-    return ThresholdResult(
-        cluster_id=cluster_id,
-        max_avg_load_pu=lo * sum(shape) / 24.0,
-        max_peak_load_pu=lo,
-        binding_limit=binding,
-    )
+    return _thresholds(spec, [profile], [cluster_id], scale_max, tolerance)[0]
 
 
 def rank_impact(results) -> list[ThresholdResult]:
@@ -136,14 +179,13 @@ def rank_impact(results) -> list[ThresholdResult]:
 def cluster_thresholds(spec: thermal.TransformerSpec, model: ClusterModel,
                        *, scale_max: float = SCALE_MAX_DEFAULT,
                        tolerance: float = SCALE_TOL_DEFAULT) -> list[ThresholdResult]:
-    """Ranked loading thresholds for every cluster in the model."""
+    """Ranked loading thresholds for every cluster in the model, bisected
+    together; each equals :func:`loading_threshold` of its profile. The
+    first failing cluster in model order raises its error."""
     _require_profiles(model)
-    results = [
-        loading_threshold(spec, model.profiles[c.id], c.id,
-                          scale_max=scale_max, tolerance=tolerance)
-        for c in model.clusters
-    ]
-    return rank_impact(results)
+    return rank_impact(_thresholds(
+        spec, [model.profiles[c.id] for c in model.clusters],
+        [c.id for c in model.clusters], scale_max, tolerance))
 
 
 def _require_profiles(model: ClusterModel):
@@ -152,108 +194,97 @@ def _require_profiles(model: ClusterModel):
                           "retrain with profile extraction")
 
 
-def _simulate_grid(spec, model, n_values, threads=None):
-    """(cluster_id, N) -> (max top-oil, max hotspot, daily equivalent aging)."""
-    _require_profiles(model)
-
-    def one(args):
-        cid, n = args
-        day = profile_to_day(model.profiles[cid], n, spec.rated_kva)
-        trace = thermal.simulate_day(spec, day)
-        feqa = aging.equivalent_aging(
-            [aging.aging_acceleration(t) for t in trace.hotspot])
-        return (cid, n), (max(trace.top_oil), max(trace.hotspot), feqa)
-
-    jobs = [(c.id, n) for c in model.clusters for n in n_values]
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pairs = list(pool.map(one, jobs))
-    else:
-        pairs = [one(job) for job in jobs]
-    return dict(pairs)
+def _check_monotone(values, grid: ServiceGrid, what):
+    falls = values[:, 1:] < values[:, :-1] - MONOTONE_SLACK
+    for cid, fell in zip(grid.cluster_ids, falls.any(axis=1).tolist()):
+        if fell:
+            raise NonMonotoneError(
+                f"{what} not non-decreasing in N for cluster {cid}")
 
 
-def _check_monotone(study_values, cluster_ids, n_values, what):
-    for cid in cluster_ids:
-        series = [study_values[(cid, n)] for n in n_values]
-        for a, b in zip(series, series[1:]):
-            if b < a - 1e-9:
-                raise RuntimeError(
-                    f"{what} not non-decreasing in N for cluster {cid}")
+def service_grid(spec: thermal.TransformerSpec, model: ClusterModel,
+                 n_range) -> ServiceGrid:
+    """Simulate every cluster's day at every service count of ``n_range``.
 
+    The transformer load at N services is N times the cluster's
+    per-service profile over the rating. All (cluster, N) days are solved
+    as one batch, hour by hour, keeping only each day's maxima and its
+    hourly aging factors.
 
-def max_services_by_temperature(spec: thermal.TransformerSpec,
-                                model: ClusterModel, n_range,
-                                threads: int | None = None) -> ServiceCountStudy:
-    """Largest service count whose worst-cluster day stays within both
-    temperature limits; transformer load is the cluster per-service profile
-    times the service count."""
-    n_values = tuple(n_range)
-    if not n_values:
-        raise ConfigError("n_range is empty")
-    grid = _simulate_grid(spec, model, n_values, threads)
-    cluster_ids = tuple(c.id for c in model.clusters)
-
-    temps = {key: (oil, hot) for key, (oil, hot, _) in grid.items()}
-    _check_monotone({k: v[0] for k, v in temps.items()}, cluster_ids, n_values,
-                    "max top-oil temperature")
-    _check_monotone({k: v[1] for k, v in temps.items()}, cluster_ids, n_values,
-                    "max hotspot temperature")
-
-    best = None
-    for n in n_values:
-        worst_oil = max(temps[(cid, n)][0] for cid in cluster_ids)
-        worst_hot = max(temps[(cid, n)][1] for cid in cluster_ids)
-        if worst_oil <= spec.top_oil_limit and worst_hot <= spec.hotspot_limit:
-            best = n if best is None else max(best, n)
-    return ServiceCountStudy(
-        n_values=n_values,
-        cluster_ids=cluster_ids,
-        per_cluster_max_temps=temps,
-        max_services_by_temp=best,
-    )
-
-
-def max_services_by_life(spec: thermal.TransformerSpec, model: ClusterModel,
-                         n_range, annual_budget: float, years: float,
-                         threads: int | None = None) -> ServiceCountStudy:
-    """Largest service count whose yearly equivalent economic loss stays
-    within the budget.
-
-    Per-cluster daily life loss (days per day) is the daily equivalent
-    aging factor of the simulated day; totals weight it by member-day
-    counts, annualize over ``years``, and convert to currency.
+    Raises:
+        ConfigError: ``n_range`` is empty or the model has no profiles.
+        NonMonotoneError: a cluster's temperature or life loss falls as N
+            rises.
     """
     n_values = tuple(n_range)
     if not n_values:
         raise ConfigError("n_range is empty")
-    grid = _simulate_grid(spec, model, n_values, threads)
+    _require_profiles(model)
     cluster_ids = tuple(c.id for c in model.clusters)
-    counts = model.member_day_counts()
+    profiles = [model.profiles[cid] for cid in cluster_ids]
+    kva = np.array([p.load_kva for p in profiles], dtype=float)
+    ambient = np.array([p.ambient_c for p in profiles], dtype=float)
+    n = np.array(n_values, dtype=float)
+    load_pu = n[None, :, None] * kva[:, None, :] / spec.rated_kva
 
-    losses = {key: feqa for key, (_, _, feqa) in grid.items()}
-    _check_monotone(losses, cluster_ids, n_values, "daily life loss")
+    max_top_oil = max_hotspot = None
+    factors = []
+    for top_oil, hotspot, _, _ in thermal.steady_state_hours(
+            spec, ambient[:, None, :], load_pu):
+        max_top_oil = (top_oil if max_top_oil is None
+                       else np.maximum(max_top_oil, top_oil))
+        max_hotspot = (hotspot if max_hotspot is None
+                       else np.maximum(max_hotspot, hotspot))
+        factors.append(aging.aging_acceleration(hotspot))
 
-    totals, annuals, els = {}, {}, {}
-    for n in n_values:
-        per_cluster = {cid: losses[(cid, n)] for cid in cluster_ids}
-        total, annual = aging.accumulate_life_loss(per_cluster, counts, years)
-        totals[n] = total
-        annuals[n] = annual
-        els[n] = aging.economic_loss(annual, spec.replacement_cost)
-
-    return ServiceCountStudy(
+    grid = ServiceGrid(
         n_values=n_values,
         cluster_ids=cluster_ids,
-        per_cluster_daily_loss=losses,
-        max_services_by_life=select_max_services(els, annual_budget),
-        member_day_counts=counts,
-        years=years,
-        total_days_by_n=totals,
-        annual_days_by_n=annuals,
-        economic_loss_by_n=els,
-        budget=annual_budget,
+        member_day_counts=model.member_day_counts(),
+        max_top_oil=max_top_oil,
+        max_hotspot=max_hotspot,
+        daily_loss=aging.equivalent_aging(factors),
     )
+    _check_monotone(grid.max_top_oil, grid, "max top-oil temperature")
+    _check_monotone(grid.max_hotspot, grid, "max hotspot temperature")
+    _check_monotone(grid.daily_loss, grid, "daily life loss")
+    return grid
+
+
+def max_services_by_temperature(spec: thermal.TransformerSpec,
+                                grid: ServiceGrid) -> int | None:
+    """Largest service count whose worst-cluster day stays within both
+    temperature limits, or None."""
+    within = ((grid.max_top_oil.max(axis=0) <= spec.top_oil_limit)
+              & (grid.max_hotspot.max(axis=0) <= spec.hotspot_limit))
+    feasible = [n for n, ok in zip(grid.n_values, within.tolist()) if ok]
+    return max(feasible) if feasible else None
+
+
+def life_loss_by_n(spec: thermal.TransformerSpec, grid: ServiceGrid,
+                   years: float) -> dict[int, LifeLoss]:
+    """Fleet life loss per service count.
+
+    Per-cluster daily life loss is weighted by member-day counts, summed
+    over the window, annualized over ``years`` and converted to currency.
+    """
+    out = {}
+    for j, n in enumerate(grid.n_values):
+        per_cluster = dict(zip(grid.cluster_ids, grid.daily_loss[:, j].tolist()))
+        total, annual = aging.accumulate_life_loss(
+            per_cluster, grid.member_day_counts, years)
+        out[n] = LifeLoss(total, annual,
+                          aging.economic_loss(annual, spec.replacement_cost))
+    return out
+
+
+def max_services_by_life(spec: thermal.TransformerSpec, grid: ServiceGrid,
+                         annual_budget: float, years: float) -> int | None:
+    """Largest service count whose yearly equivalent economic loss stays
+    within the budget, or None."""
+    losses = life_loss_by_n(spec, grid, years)
+    return select_max_services(
+        {n: loss.economic_loss for n, loss in losses.items()}, annual_budget)
 
 
 def select_max_services(economic_loss_by_n: dict, budget: float) -> int | None:
@@ -303,43 +334,37 @@ def write_month_matrix_csv(matrix, model: ClusterModel, ranked_results, path) ->
                                    for cid in order])
 
 
-def write_temperature_grid_csv(study: ServiceCountStudy, spec, path) -> None:
+def write_temperature_grid_csv(grid: ServiceGrid, path) -> None:
     """Max top-oil temperature (°C, rounded) per cluster and service count,
     with a Max footer row over clusters."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cluster_id"] + [f"N={n}" for n in study.n_values])
-        for cid in study.cluster_ids:
-            writer.writerow([cid] + [
-                round(study.per_cluster_max_temps[(cid, n)][0])
-                for n in study.n_values])
-        writer.writerow(["Max"] + [
-            round(max(study.per_cluster_max_temps[(cid, n)][0]
-                      for cid in study.cluster_ids))
-            for n in study.n_values])
+        writer.writerow(["cluster_id"] + [f"N={n}" for n in grid.n_values])
+        for cid, row in zip(grid.cluster_ids, grid.max_top_oil.tolist()):
+            writer.writerow([cid] + [round(v) for v in row])
+        writer.writerow(["Max"] + [round(v) for v
+                                   in grid.max_top_oil.max(axis=0).tolist()])
 
 
-def write_life_loss_csv(study: ServiceCountStudy, spec, path) -> None:
+def write_life_loss_csv(grid: ServiceGrid, spec, years: float, path) -> None:
     """Life-loss grid with member-day counts and total/annual/economic
     footer rows."""
-    years_label = f"{study.years:g}-Year Total Loss of Life (Days)"
+    losses = list(life_loss_by_n(spec, grid, years).values())
+    years_label = f"{years:g}-Year Total Loss of Life (Days)"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cluster_id"] + [f"N={n}" for n in study.n_values]
+        writer.writerow(["cluster_id"] + [f"N={n}" for n in grid.n_values]
                         + ["num_days"])
-        for cid in study.cluster_ids:
-            writer.writerow([cid] + [
-                f"{study.per_cluster_daily_loss[(cid, n)]:.1f}"
-                for n in study.n_values]
-                + [study.member_day_counts[cid]])
-        writer.writerow([years_label] + [f"{study.total_days_by_n[n]:.1f}"
-                                         for n in study.n_values] + ["-"])
+        for cid, row in zip(grid.cluster_ids, grid.daily_loss.tolist()):
+            writer.writerow([cid] + [f"{v:.1f}" for v in row]
+                            + [grid.member_day_counts[cid]])
+        writer.writerow([years_label] + [f"{loss.total_days:.1f}"
+                                         for loss in losses] + ["-"])
         writer.writerow(["Average annual Loss of Life (Days)"]
-                        + [f"{study.annual_days_by_n[n]:.1f}"
-                           for n in study.n_values] + ["-"])
+                        + [f"{loss.annual_days:.1f}" for loss in losses] + ["-"])
         writer.writerow(["Economic Loss ($/year)"]
-                        + [f"{study.economic_loss_by_n[n]:.1f}"
-                           for n in study.n_values] + ["-"])
+                        + [f"{loss.economic_loss:.1f}" for loss in losses]
+                        + ["-"])
 
 
 _SVG_PALETTE = ("#4477aa", "#66ccee", "#228833", "#ccbb44", "#ee6677",

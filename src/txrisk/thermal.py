@@ -1,10 +1,23 @@
 """Oil-immersed transformer thermal model.
 
-Top-oil and winding hottest-spot temperatures for a 24-hour day are
-computed with the IEEE C57.91 exponential-response loading equations
-(ONAN exponents n = m = 0.8 by default) and a cyclic daily iteration:
-the last hour's rise feeds back into the first hour until the whole
-day reaches a steady repeating profile.
+Top-oil and winding hottest-spot temperatures for a 24-hour day follow the
+IEEE C57.91 exponential-response loading equations (ONAN exponents
+n = m = 0.8 by default). Each hour a rise x steps toward the ultimate rise
+u_h of that hour's load, x_h = b·x_{h-1} + a·u_h with a = 1 - e^(-1/tau)
+and b = 1 - a, and the day repeats: hour 1 starts from hour 24's rise. That
+periodic steady state has a closed form,
+
+    x_23 = a · sum_i b^(23-i) · u_i / (1 - b^24),
+
+evaluated, divided through by a, by Horner passes over the hours; one
+forward pass of the exponential step from x_23 then gives every hour. ``simulate_days`` solves
+a batch of days at once with numpy, and ``simulate_day`` is its one-day
+form.
+
+The results depend on the inputs alone, not on the numpy build: numpy does
+only elementwise IEEE arithmetic here, the powers in the ultimate rises go
+through Python's ``**`` (the C library's ``pow``) one element at a time, and
+every pass over the hours runs in hour order.
 """
 
 from __future__ import annotations
@@ -13,14 +26,11 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import NonConvergenceError, ParseError
+import numpy as np
+
+from .errors import ParseError
 
 HOURS = 24
-
-# Daily-cycle iteration controls: the sweep loop stops once no hourly rise
-# moves more than CONVERGENCE_TOL between consecutive sweeps.
-CONVERGENCE_TOL = 0.01  # °C
-MAX_SWEEPS = 200
 
 DEFAULT_EXPONENT_N = 0.8
 DEFAULT_EXPONENT_M = 0.8
@@ -97,11 +107,11 @@ class DayProfile:
 
 @dataclass(frozen=True)
 class ThermalTrace:
-    """Converged 24-hour temperature trace.
+    """Periodic steady-state 24-hour temperature trace of one day.
 
     ``top_oil[h] = ambient[h] + top_oil_rise[h]`` and
-    ``hotspot[h] = top_oil[h] + hotspot_rise[h]`` hold exactly;
-    ``iterations`` counts daily-cycle sweeps until convergence.
+    ``hotspot[h] = top_oil[h] + hotspot_rise[h]`` hold exactly.
+    ``iterations`` is always 1: the closed form takes a single pass.
     """
 
     top_oil: tuple[float, ...]
@@ -109,6 +119,17 @@ class ThermalTrace:
     top_oil_rise: tuple[float, ...]
     hotspot_rise: tuple[float, ...]
     iterations: int
+
+
+@dataclass(frozen=True)
+class DayTraces:
+    """Periodic steady state of a batch of days: arrays with the 24 hours
+    on the last axis and the identities of :class:`ThermalTrace`."""
+
+    top_oil: np.ndarray
+    hotspot: np.ndarray
+    top_oil_rise: np.ndarray
+    hotspot_rise: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -120,90 +141,113 @@ class LimitVerdict:
     worst_hotspot: float
 
 
-def ultimate_top_oil_rise(spec: TransformerSpec, k_u: float) -> float:
-    """Steady-state top-oil rise over ambient at load ratio ``k_u`` (p.u.)."""
+def _pow(x, exponent):
+    """``x ** exponent`` for a float, or elementwise for an array through
+    the same C library ``pow`` (numpy's own may round differently)."""
+    if isinstance(x, np.ndarray):
+        return np.array([v ** exponent for v in x.ravel().tolist()]).reshape(x.shape)
+    return x ** exponent
+
+
+def ultimate_top_oil_rise(spec: TransformerSpec, k_u):
+    """Steady-state top-oil rise over ambient at load ratio ``k_u`` (p.u.,
+    a float or an array)."""
     r = spec.loss_ratio
-    return spec.top_oil_rise_rated * ((k_u * k_u * r + 1.0) / (r + 1.0)) ** spec.exponent_n
+    return spec.top_oil_rise_rated * _pow((k_u * k_u * r + 1.0) / (r + 1.0),
+                                          spec.exponent_n)
 
 
-def ultimate_hotspot_rise(spec: TransformerSpec, k_u: float) -> float:
-    """Steady-state hottest-spot rise over top-oil at load ratio ``k_u``."""
-    return spec.hotspot_differential * k_u ** (2.0 * spec.exponent_m)
+def ultimate_hotspot_rise(spec: TransformerSpec, k_u):
+    """Steady-state hottest-spot rise over top-oil at load ratio ``k_u``
+    (a float or an array)."""
+    return spec.hotspot_differential * _pow(k_u, 2.0 * spec.exponent_m)
 
 
-def exponential_step(initial_rise: float, ultimate_rise: float,
-                     time_constant: float, dt: float = 1.0) -> float:
+def exponential_step(initial_rise, ultimate_rise, time_constant: float,
+                     dt: float = 1.0):
     """One exponential transient step from ``initial_rise`` toward ``ultimate_rise``.
 
     Shared by the top-oil and hottest-spot transients; ``dt`` and
-    ``time_constant`` are in hours.
+    ``time_constant`` are in hours. The rises may be floats or arrays.
     """
     return (ultimate_rise - initial_rise) * (1.0 - math.exp(-dt / time_constant)) + initial_rise
 
 
-def simulate_day(spec: TransformerSpec, profile: DayProfile,
-                 initial_top_oil_rise: float = 0.0,
-                 initial_hotspot_rise: float = 0.0) -> ThermalTrace:
-    """Simulate one daily cycle until the 24-hour profile repeats steadily.
+def _periodic_start(ultimate, time_constant):
+    """Hour-24 rise of the periodic steady state of one-hour steps.
 
-    Hour 1 starts from the given initial rises (0 °C by default); each
-    sweep chains the exponential step through hours 1..24 and feeds the
-    hour-24 rise back into hour 1. Sweeps repeat until no hourly rise
-    (oil or winding) changes by more than ``CONVERGENCE_TOL``.
+    Divided through by ``a``, the closed form is a weighted mean of the
+    hourly ultimate rises, ``x_23 = sum_i b^(23-i) u_i / sum_j b^j``, which
+    no cancellation spoils however long the time constant. Both sums are
+    Horner passes in hour order; ``b`` is one minus the step's own
+    coefficient.
+    """
+    b = 1.0 - (1.0 - math.exp(-1.0 / time_constant))
+    num = ultimate[0]
+    den = 1.0
+    for u in ultimate[1:]:
+        num = num * b + u
+        den = den * b + 1.0
+    return num / den
+
+
+def steady_state_hours(spec: TransformerSpec, ambient, load_pu):
+    """Periodic steady state of a batch of days, one hour at a time.
+
+    ``ambient`` (°C) and ``load_pu`` are arrays with the 24 hours on their
+    last axis; their other axes broadcast against each other, one day per
+    element. For hours 0..23 in order this yields the arrays
+    ``(top_oil, hotspot, top_oil_rise, hotspot_rise)`` of that hour.
+    Callers that need only a summary of each day (its maxima, its aging)
+    can reduce hour by hour instead of holding whole traces.
 
     Raises:
-        NonConvergenceError: tolerance not met within ``MAX_SWEEPS`` sweeps.
+        ValueError: an input lacks the 24-hour last axis, or a load is
+            negative or NaN.
     """
-    ult_oil = [ultimate_top_oil_rise(spec, k) for k in profile.load_pu]
-    ult_hot = [ultimate_hotspot_rise(spec, k) for k in profile.load_pu]
-    alpha_oil = 1.0 - math.exp(-1.0 / spec.oil_time_constant)
-    alpha_hot = 1.0 - math.exp(-1.0 / spec.winding_time_constant)
-
-    oil = [0.0] * HOURS
-    hot = [0.0] * HOURS
-    seed_oil = initial_top_oil_rise
-    seed_hot = initial_hotspot_rise
-
-    for sweep in range(1, MAX_SWEEPS + 1):
-        prev_oil = oil[:]
-        prev_hot = hot[:]
-        o, h = seed_oil, seed_hot
-        for i in range(HOURS):
-            o = o + (ult_oil[i] - o) * alpha_oil
-            h = h + (ult_hot[i] - h) * alpha_hot
-            oil[i] = o
-            hot[i] = h
-        seed_oil, seed_hot = oil[-1], hot[-1]
-
-        if sweep > 1:
-            delta = max(
-                max(abs(a - b) for a, b in zip(oil, prev_oil)),
-                max(abs(a - b) for a, b in zip(hot, prev_hot)),
-            )
-            if delta < CONVERGENCE_TOL:
-                return _assemble(profile, oil, hot, sweep)
-
-    raise NonConvergenceError(
-        f"daily cycle did not converge within {MAX_SWEEPS} sweeps "
-        f"(oil tau {spec.oil_time_constant} h, winding tau {spec.winding_time_constant} h)"
-    )
+    ambient = np.asarray(ambient, dtype=float)
+    load_pu = np.asarray(load_pu, dtype=float)
+    if ambient.shape[-1:] != (HOURS,) or load_pu.shape[-1:] != (HOURS,):
+        raise ValueError("ambient and load_pu need 24 hours on their last axis")
+    if not np.all(load_pu >= 0):
+        raise ValueError("load_pu entries must be >= 0")
+    ult_oil = [ultimate_top_oil_rise(spec, load_pu[..., h]) for h in range(HOURS)]
+    ult_hot = [ultimate_hotspot_rise(spec, load_pu[..., h]) for h in range(HOURS)]
+    oil = _periodic_start(ult_oil, spec.oil_time_constant)
+    hot = _periodic_start(ult_hot, spec.winding_time_constant)
+    for h in range(HOURS):
+        oil = exponential_step(oil, ult_oil[h], spec.oil_time_constant)
+        hot = exponential_step(hot, ult_hot[h], spec.winding_time_constant)
+        top_oil = ambient[..., h] + oil
+        yield top_oil, top_oil + hot, oil, hot
 
 
-def _assemble(profile: DayProfile, oil: list[float], hot: list[float],
-              sweeps: int) -> ThermalTrace:
-    top_oil = tuple(a + r for a, r in zip(profile.ambient, oil))
-    hotspot = tuple(t + r for t, r in zip(top_oil, hot))
+def simulate_days(spec: TransformerSpec, ambient, load_pu) -> DayTraces:
+    """Periodic steady-state traces of a batch of days.
+
+    ``ambient`` and ``load_pu`` are as for :func:`steady_state_hours`, for
+    example two ``(B, 24)`` arrays. Each day is solved on its own, so row
+    ``i`` of the result equals ``simulate_day`` on row ``i`` bit for bit.
+    """
+    hours = list(steady_state_hours(spec, ambient, load_pu))
+    return DayTraces(*(np.stack(column, axis=-1) for column in zip(*hours)))
+
+
+def simulate_day(spec: TransformerSpec, profile: DayProfile) -> ThermalTrace:
+    """Periodic steady state of one daily cycle: the trace whose hour-24
+    rises are the rises hour 1 starts from (``simulate_days`` for one day)."""
+    days = simulate_days(spec, [profile.ambient], [profile.load_pu])
     return ThermalTrace(
-        top_oil=top_oil,
-        hotspot=hotspot,
-        top_oil_rise=tuple(oil),
-        hotspot_rise=tuple(hot),
-        iterations=sweeps,
+        top_oil=tuple(days.top_oil[0].tolist()),
+        hotspot=tuple(days.hotspot[0].tolist()),
+        top_oil_rise=tuple(days.top_oil_rise[0].tolist()),
+        hotspot_rise=tuple(days.hotspot_rise[0].tolist()),
+        iterations=1,
     )
 
 
 def check_limits(spec: TransformerSpec, trace: ThermalTrace) -> LimitVerdict:
-    """Check a converged trace against the top-oil and hottest-spot limits.
+    """Check a trace against the top-oil and hottest-spot limits.
 
     Limits are inclusive: a trace exactly at a limit is within limits.
     """
@@ -232,6 +276,19 @@ _OPTIONAL_SPEC_FIELDS = {
 }
 
 
+def _spec_number(raw, key, path) -> float:
+    """A spec field as a finite float; anything else is a ParseError."""
+    value = raw[key]
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise ParseError(f"field {key!r} must be a finite number, got {value!r}",
+                         path=path)
+    return number
+
+
 def load_transformer_spec(path) -> TransformerSpec:
     """Load a TransformerSpec from its JSON file format."""
     try:
@@ -246,9 +303,9 @@ def load_transformer_spec(path) -> TransformerSpec:
     for key, attr in _REQUIRED_SPEC_FIELDS.items():
         if key not in raw:
             raise ParseError(f"missing required field {key!r}", path=path)
-        kwargs[attr] = float(raw[key])
+        kwargs[attr] = _spec_number(raw, key, path)
     for key, (attr, default) in _OPTIONAL_SPEC_FIELDS.items():
-        kwargs[attr] = float(raw.get(key, default))
+        kwargs[attr] = _spec_number(raw, key, path) if key in raw else default
     try:
         return TransformerSpec(**kwargs)
     except ValueError as exc:

@@ -110,6 +110,94 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "exit codes" in out
         assert "9" in out and "far from all clusters" in out
+        assert "17  cluster profile with zero peak load" in out
+        assert "18  temperature or life loss fell" in out
+        assert "converge" not in out
+
+
+class TestMalformedInputExitCodes:
+    """Bad values in the files assess, estimate and cluster read end in a
+    documented exit code, never in a traceback or a silent NaN."""
+
+    def assess(self, root, out, spec=None, model=None):
+        return cli.main(["assess", "--spec", str(spec or root / "spec.json"),
+                         "--model", str(model or root / "out" / "model.json"),
+                         "--n-range", "1..5", "--out", str(out)])
+
+    @pytest.mark.parametrize("value", ['"twenty-five"', "null", '"NaN"', "NaN",
+                                       "Infinity", "true"])
+    def test_spec_field_not_a_finite_number(self, golden_pipeline, tmp_path,
+                                            capsys, value):
+        root = golden_pipeline[0][0]
+        doc = (root / "spec.json").read_text()
+        bad = tmp_path / "spec.json"
+        bad.write_text(doc.replace('"loss_ratio": 4.0', f'"loss_ratio": {value}'))
+        assert bad.read_text() != doc
+        assert self.assess(root, tmp_path, spec=bad) == 3
+        assert "loss_ratio" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_meter_kw_not_finite(self, tmp_path, capsys, value):
+        data = tmp_path / "data"
+        assert cli.main(synth_args(data)) == 0
+        rows = (data / "meter.csv").read_text().splitlines()
+        fields = rows[5].split(",")
+        fields[3] = value
+        rows[5] = ",".join(fields)
+        (data / "meter.csv").write_text("\n".join(rows) + "\n")
+        assert cli.main(cluster_args(data, tmp_path / "run")) == 3
+        err = capsys.readouterr().err
+        assert "row 6" in err and "'kw'" in err
+
+    @pytest.mark.parametrize("column,value", [("t_max_c", "nan"),
+                                              ("l_avg_kva", "inf")])
+    def test_query_number_not_finite(self, golden_pipeline, tmp_path, capsys,
+                                     column, value):
+        root = golden_pipeline[0][0]
+        query = tmp_path / "query.csv"
+        header = "date,t_max_c,t_min_c,t_avg_c,l_avg_kva,weekday"
+        row = dict(zip(header.split(","), "2016-06-06,21.53,8.12,14.20,0.97,Y".split(",")))
+        row[column] = value
+        query.write_text(header + "\n" + ",".join(row.values()) + "\n")
+        code = cli.main(["estimate", "--spec", str(root / "spec.json"),
+                         "--model", str(root / "out" / "model.json"),
+                         "--query", str(query), "--services", "18",
+                         "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "row 2" in err and repr(column) in err
+
+    def test_zero_peak_cluster_profile(self, golden_pipeline, tmp_path, capsys):
+        root = golden_pipeline[0][0]
+        doc = json.loads((root / "out" / "model.json").read_text())
+        doc["clusters"][1]["profile"]["load_kva"] = [0.0] * 24
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        assert self.assess(root, tmp_path, model=model) == 17
+        cid = doc["clusters"][1]["id"]
+        assert f"cluster {cid}: profile has zero peak load" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [-0.5, float("nan")])
+    def test_bad_cluster_profile_value(self, golden_pipeline, tmp_path, capsys,
+                                       value):
+        root = golden_pipeline[0][0]
+        doc = json.loads((root / "out" / "model.json").read_text())
+        doc["clusters"][0]["profile"]["load_kva"][5] = value
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        assert self.assess(root, tmp_path, model=model) == 3
+        assert "profile needs 24 finite hourly values" in capsys.readouterr().err
+
+    def test_life_loss_falling_with_service_count(self, golden_pipeline,
+                                                  tmp_path, monkeypatch):
+        # The guard on a model invariant: with aging factors inverted, the
+        # daily life loss falls as services are added.
+        from txrisk import aging
+
+        factor = aging.aging_acceleration
+        monkeypatch.setattr(aging, "aging_acceleration",
+                            lambda hotspot: 1.0 / factor(hotspot))
+        assert self.assess(golden_pipeline[0][0], tmp_path) == 18
 
 
 class TestDeterminism:
@@ -165,23 +253,6 @@ class TestConfigFile:
 
 
 class TestPipelineConsistency:
-    def test_thread_count_does_not_change_outputs(self, golden_pipeline,
-                                                  tmp_path):
-        root = golden_pipeline[0][0]
-        spec = root / "spec.json"
-        model = root / "out" / "model.json"
-        outs = []
-        for threads in ("1", "4"):
-            out = tmp_path / f"t{threads}"
-            assert cli.main(["assess", "--spec", str(spec),
-                             "--model", str(model), "--n-range", "1..40",
-                             "--budget", "500", "--years", "2",
-                             "--threads", threads, "--out", str(out)]) == 0
-            outs.append(out)
-        for name in ("thresholds.csv", "month_matrix.csv",
-                     "temperature_grid.csv", "life_loss.csv"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-
     def test_reported_service_cap_matches_budget_rule(self, golden_pipeline):
         # The life-loss table's economic-loss footer must select the same
         # max service count the study reported.
@@ -198,9 +269,9 @@ class TestPipelineConsistency:
 
         spec = thermal.load_transformer_spec(root / "spec.json")
         model = cl.load_model(root / "out" / "model.json")
-        study = riskassess.max_services_by_life(spec, model, range(1, 41),
-                                                500.0, years=2.0)
-        assert study.max_services_by_life == from_table
+        grid = riskassess.service_grid(spec, model, range(1, 41))
+        assert riskassess.max_services_by_life(spec, grid, 500.0,
+                                               years=2.0) == from_table
 
 
 class TestCompositionReport:

@@ -18,17 +18,20 @@ import math
 import numpy as np
 import pytest
 
-from txrisk import thermal
+from txrisk import aging, thermal
 from txrisk.clustering import ClusterProfile
-from txrisk.errors import ConfigError, NoFeasibleScaleError
+from txrisk.errors import ConfigError, NoFeasibleScaleError, ZeroPeakProfileError
 from txrisk.riskassess import (
     ThresholdResult,
+    cluster_thresholds,
+    life_loss_by_n,
     loading_threshold,
     max_services_by_life,
     max_services_by_temperature,
     profile_to_day,
     rank_impact,
     select_max_services,
+    service_grid,
 )
 
 CLOSED_FORM = {0.0: 1.750604437143877, 10.0: 1.650156897845415,
@@ -124,6 +127,58 @@ class TestLoadingThreshold:
         assert result.binding_limit == "hotspot"
 
 
+def scalar_threshold(spec, profile, scale_max, tolerance):
+    """Reference: the one-cluster bisection loop over single simulated days."""
+    peak = max(profile.load_kva)
+    shape = [v / peak for v in profile.load_kva]
+
+    def verdict(scale):
+        day = thermal.DayProfile(ambient=profile.ambient_c,
+                                 load_pu=tuple(scale * s for s in shape))
+        return thermal.check_limits(spec, thermal.simulate_day(spec, day))
+
+    lo, hi = 0.0, scale_max
+    while hi - lo > tolerance:
+        mid = 0.5 * (lo + hi)
+        if verdict(mid).within_limits:
+            lo = mid
+        else:
+            hi = mid
+    probe = verdict(lo + tolerance)
+    binding = "top_oil" if probe.worst_top_oil > spec.top_oil_limit else "hotspot"
+    return lo * sum(shape) / 24.0, lo, binding
+
+
+class TestClusterThresholds:
+    @pytest.mark.parametrize("scale_max,tolerance", [(16.0, 0.005), (10.3, 0.0031)])
+    def test_batch_equals_scalar_bisection(self, default_spec, scale_max,
+                                           tolerance):
+        rng = np.random.default_rng(64)
+        model = make_model_with_profiles([
+            (ClusterProfile(load_kva=tuple(rng.uniform(0.2, 3.0, 24)),
+                            ambient_c=tuple(rng.uniform(-25, 30, 24))), 5)
+            for _ in range(7)])
+        results = cluster_thresholds(default_spec, model, scale_max=scale_max,
+                                     tolerance=tolerance)
+        for r in results:
+            expected = scalar_threshold(default_spec, model.profiles[r.cluster_id],
+                                        scale_max, tolerance)
+            assert (r.max_avg_load_pu, r.max_peak_load_pu,
+                    r.binding_limit) == expected
+        assert sorted(r.impact_rank for r in results) == list(range(1, 8))
+
+    def test_first_failing_cluster_in_model_order_raises(self, default_spec):
+        fine = (flat_profile(ambient=20.0), 3)
+        hot = (flat_profile(ambient=125.0), 3)
+        empty = (flat_profile(load_kva=0.0), 3)
+        with pytest.raises(NoFeasibleScaleError, match="cluster 2"):
+            cluster_thresholds(default_spec,
+                               make_model_with_profiles([fine, hot, empty]))
+        with pytest.raises(ZeroPeakProfileError, match="cluster 2"):
+            cluster_thresholds(default_spec,
+                               make_model_with_profiles([fine, empty, hot]))
+
+
 class TestRankImpact:
     def test_published_ordering(self):
         rows = [ThresholdResult(6, 1.62, 2.19, "top_oil"),
@@ -163,72 +218,77 @@ class TestMaxServicesByTemperature:
         per_service = 1.7
         model = make_model_with_profiles(
             [(flat_profile(load_kva=per_service, ambient=20.0), 10)])
-        study = max_services_by_temperature(default_spec, model, range(1, 41))
+        grid = service_grid(default_spec, model, range(1, 41))
         expected = math.floor(CLOSED_FORM[20.0] * 25.0 / per_service)
-        assert study.max_services_by_temp == expected
+        assert max_services_by_temperature(default_spec, grid) == expected
 
     def test_grid_monotone_and_max_row(self, default_spec):
         model = make_model_with_profiles([
             (flat_profile(load_kva=1.2, ambient=25.0), 5),
             (flat_profile(load_kva=2.0, ambient=-5.0), 7),
         ])
-        study = max_services_by_temperature(default_spec, model, range(5, 30))
-        for cid in study.cluster_ids:
-            oils = [study.per_cluster_max_temps[(cid, n)][0]
-                    for n in study.n_values]
+        grid = service_grid(default_spec, model, range(5, 30))
+        assert grid.n_values == tuple(range(5, 30))
+        assert grid.cluster_ids == (1, 2)
+        for oils in grid.max_top_oil.tolist():
             assert all(b >= a for a, b in zip(oils, oils[1:]))
-        for n in study.n_values:
-            column_max = max(study.per_cluster_max_temps[(cid, n)][0]
-                             for cid in study.cluster_ids)
-            assert column_max >= study.per_cluster_max_temps[(1, n)][0]
+        # Each cell is the maximum of that cluster's single simulated day.
+        for i, cid in enumerate(grid.cluster_ids):
+            for j, n in enumerate(grid.n_values):
+                day = profile_to_day(model.profiles[cid], n,
+                                     default_spec.rated_kva)
+                trace = thermal.simulate_day(default_spec, day)
+                assert grid.max_top_oil[i, j] == max(trace.top_oil)
+                assert grid.max_hotspot[i, j] == max(trace.hotspot)
+                assert grid.daily_loss[i, j] == aging.equivalent_aging(
+                    [aging.aging_acceleration(t) for t in trace.hotspot])
 
     def test_all_passing_range_returns_top(self, default_spec):
         model = make_model_with_profiles([(flat_profile(load_kva=0.5,
                                                         ambient=10.0), 3)])
-        study = max_services_by_temperature(default_spec, model, range(1, 6))
-        assert study.max_services_by_temp == 5
+        grid = service_grid(default_spec, model, range(1, 6))
+        assert max_services_by_temperature(default_spec, grid) == 5
 
     def test_none_feasible(self, default_spec):
         model = make_model_with_profiles([(flat_profile(load_kva=3.0,
                                                         ambient=30.0), 3)])
-        study = max_services_by_temperature(default_spec, model,
-                                            range(30, 41))
-        assert study.max_services_by_temp is None
+        grid = service_grid(default_spec, model, range(30, 41))
+        assert max_services_by_temperature(default_spec, grid) is None
 
     def test_empty_range_is_config_error(self, default_spec):
         model = make_model_with_profiles([(flat_profile(), 3)])
         with pytest.raises(ConfigError):
-            max_services_by_temperature(default_spec, model, range(5, 5))
+            service_grid(default_spec, model, range(5, 5))
 
 
 class TestMaxServicesByLife:
     def test_reference_hotspot_fixture_is_flat_in_n(self, default_spec):
         # Zero load with ambient chosen so the no-load oil rise lands the
         # hotspot exactly on 110 °C: daily loss is 1.0 for every service
-        # count (within the 0.01 °C convergence tolerance of the sweep).
+        # count.
         ambient = 110.0 - thermal.ultimate_top_oil_rise(default_spec, 0.0)
         model = make_model_with_profiles(
             [(ClusterProfile(load_kva=(0.0,) * 24,
                              ambient_c=(ambient,) * 24), 10)])
-        study = max_services_by_life(default_spec, model, range(1, 6),
-                                     annual_budget=1e9, years=1.0)
-        for n in study.n_values:
-            assert study.per_cluster_daily_loss[(1, n)] == pytest.approx(
-                1.0, abs=2e-3)
-        els = [study.economic_loss_by_n[n] for n in study.n_values]
+        grid = service_grid(default_spec, model, range(1, 6))
+        for loss in grid.daily_loss[0].tolist():
+            assert loss == pytest.approx(1.0, abs=1e-9)
+        els = [loss.economic_loss
+               for loss in life_loss_by_n(default_spec, grid, 1.0).values()]
         assert all(el == pytest.approx(els[0]) for el in els)
+        assert max_services_by_life(default_spec, grid, 1e9, 1.0) == 5
 
     def test_zero_peak_profile_rejected_by_threshold_search(self, default_spec):
         profile = ClusterProfile(load_kva=(0.0,) * 24, ambient_c=(20.0,) * 24)
-        with pytest.raises(ValueError):
+        with pytest.raises(ZeroPeakProfileError):
             loading_threshold(default_spec, profile)
 
     def test_zero_budget_gives_none(self, default_spec):
         model = make_model_with_profiles([(flat_profile(load_kva=1.5,
                                                         ambient=20.0), 10)])
-        study = max_services_by_life(default_spec, model, range(1, 10),
-                                     annual_budget=0.0, years=1.0)
-        assert study.max_services_by_life is None
+        grid = service_grid(default_spec, model, range(1, 10))
+        assert max_services_by_life(default_spec, grid, annual_budget=0.0,
+                                    years=1.0) is None
 
     def test_totals_follow_member_day_weights(self, default_spec):
         model = make_model_with_profiles([
@@ -236,14 +296,14 @@ class TestMaxServicesByLife:
             (flat_profile(load_kva=2.0, ambient=0.0), 50),
         ])
         years = 2.0
-        study = max_services_by_life(default_spec, model, range(10, 13),
-                                     annual_budget=500.0, years=years)
-        for n in study.n_values:
-            expected = (study.per_cluster_daily_loss[(1, n)] * 100
-                        + study.per_cluster_daily_loss[(2, n)] * 50)
-            assert study.total_days_by_n[n] == pytest.approx(expected)
-            assert study.annual_days_by_n[n] == pytest.approx(expected / years)
-            assert study.economic_loss_by_n[n] == pytest.approx(
+        grid = service_grid(default_spec, model, range(10, 13))
+        losses = life_loss_by_n(default_spec, grid, years)
+        for j, n in enumerate(grid.n_values):
+            expected = (grid.daily_loss[0, j] * 100
+                        + grid.daily_loss[1, j] * 50)
+            assert losses[n].total_days == pytest.approx(expected)
+            assert losses[n].annual_days == pytest.approx(expected / years)
+            assert losses[n].economic_loss == pytest.approx(
                 expected / years / 7500.0 * default_spec.replacement_cost)
 
     def test_published_budget_rule(self):
