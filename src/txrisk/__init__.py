@@ -28,7 +28,6 @@ from .clustering import (
     month_cluster_matrix,
     save_model,
     train_model,
-    update_centroid,
 )
 from .estimation import (
     EstimationResult,
@@ -38,7 +37,6 @@ from .estimation import (
     estimate_day_temperature,
 )
 from .features import (
-    EncodedVector,
     FeatureDef,
     FeatureSchema,
     FeatureVector,
@@ -48,7 +46,6 @@ from .features import (
     encode,
     encode_ordinal,
     fit_normalization,
-    normalize,
 )
 from .ingest import Dataset, RawDayProfile, SynthConfig, load_dataset, synth_dataset
 from .riskassess import (

@@ -15,6 +15,7 @@ import argparse
 import csv
 import datetime as dt
 import json
+import math
 import sys
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
@@ -40,7 +41,6 @@ exit codes:
   13  cluster member lacks a raw 24-hour profile
   14  zero services in energy conversion
   15  ordinal status order out of range
-  16  centroid update over zero members
   17  cluster profile with zero peak load (no loading threshold)
   18  temperature or life loss fell as the service count rose
 """
@@ -147,8 +147,33 @@ class RunConfig:
             unknown = set(file_cfg) - set(self._DEFAULTS)
             if unknown:
                 raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            for key, value in file_cfg.items():
+                self._check_kind(key, value)
         self._file = file_cfg
         self._args = vars(args)
+
+    @classmethod
+    def _check_kind(cls, key, value):
+        """A config-file value must be null or of its default's kind: an
+        integer (an integral float passes), a finite number, true/false,
+        or, for the paths and spans, a string. ``features`` and ``synth``
+        hold structures, which their readers take apart."""
+        default = cls._DEFAULTS[key]
+        if value is None or key in ("features", "synth"):
+            return
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if isinstance(default, bool):
+            kind, ok = "true or false", isinstance(value, bool)
+        elif isinstance(default, int):
+            kind = "an integer"
+            ok = number and (isinstance(value, int) or value.is_integer())
+        elif isinstance(default, float):
+            kind = "a finite number"
+            ok = number and (isinstance(value, int) or math.isfinite(value))
+        else:
+            kind, ok = "a string", isinstance(value, str)
+        if not ok:
+            raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
 
     def get(self, key):
         flag = self._args.get(key)

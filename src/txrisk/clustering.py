@@ -3,7 +3,8 @@ dataset, plus cluster composition, month distribution, and the per-cluster
 24-hour load/ambient profiles fed to the transformer simulation.
 
 Centroids are per-feature means for numeric/ordinal features and modal
-statuses for nominal features; dissimilarity is
+statuses for nominal features; records are encoded by
+:func:`txrisk.features.encode` and every dissimilarity is
 :func:`txrisk.features.distance`. Initialization samples k distinct data
 points with a seeded generator, so training is fully reproducible.
 """
@@ -16,13 +17,13 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from . import features as ft
 from .errors import (
     EmptyClusterWarning,
-    EmptyMembersError,
     MissingProfileError,
     ParseError,
     TooFewPointsError,
@@ -66,53 +67,24 @@ class ClusterModel:
     restarts: int = 1
     objective_trace: tuple[float, ...] | None = None
 
-    def centroid_vector(self, cluster: Cluster) -> ft.EncodedVector:
-        """Centroid as an encoded vector usable with features.distance."""
-        q = tuple(cluster.centroid_numeric[n] for n in self.schema.quantitative_names)
-        n = tuple(cluster.centroid_nominal[m] for m in self.schema.nominal_names)
-        return ft.EncodedVector(quantitative=q, nominal=n)
+    @cached_property
+    def centroids(self) -> tuple[np.ndarray, np.ndarray]:
+        """The centroids as one read-only array pair in the form of
+        :func:`txrisk.features.encode`; built on first use."""
+        statuses = [self.schema.feature(name).statuses
+                    for name in self.schema.nominal_names]
+        cent_q = np.array([[c.centroid_numeric[name]
+                            for name in self.schema.quantitative_names]
+                           for c in self.clusters], dtype=np.float64)
+        cent_n = np.array([[s.index(c.centroid_nominal[name])
+                            for name, s in zip(self.schema.nominal_names, statuses)]
+                           for c in self.clusters], dtype=np.int64)
+        cent_q.flags.writeable = cent_n.flags.writeable = False
+        return cent_q, cent_n
 
     def member_day_counts(self) -> dict[int, int]:
         """Member-day count per cluster (each member is one service-day)."""
         return {c.id: c.member_count for c in self.clusters}
-
-
-def _encode_arrays(records, schema: ft.FeatureSchema,
-                   params: ft.NormalizationParams):
-    """Vectorize records into a quantitative matrix and nominal code matrix."""
-    n = len(records)
-    q_names = schema.quantitative_names
-    n_names = schema.nominal_names
-    quant = np.empty((n, len(q_names)), dtype=np.float64)
-    nom = np.empty((n, len(n_names)), dtype=np.int64)
-    status_index = {
-        name: {s: i for i, s in enumerate(schema.feature(name).statuses)}
-        for name in n_names
-    }
-    for i, rec in enumerate(records):
-        enc = ft.encode(rec, schema, params)
-        quant[i, :] = enc.quantitative
-        for j, name in enumerate(n_names):
-            nom[i, j] = status_index[name][enc.nominal[j]]
-    return quant, nom
-
-
-def _point_centroid_distances(quant, nom, w_q, w_n, cent_q, cent_n):
-    """(n, k) weighted mixed dissimilarities of all points to all centroids.
-
-    Each entry is built by the same operations, in the same order, as
-    :func:`txrisk.features.distance`: ``(w * diff) * diff`` per
-    quantitative feature, then the weight of each mismatched nominal
-    feature, added one feature at a time in schema order. Only elementwise
-    arithmetic is used, so the result does not depend on the numpy build.
-    """
-    d = np.zeros((quant.shape[0], cent_q.shape[0]))
-    for j in range(quant.shape[1]):
-        diff = quant[:, j, None] - cent_q[None, :, j]
-        d += (w_q[j] * diff) * diff
-    for j in range(nom.shape[1]):
-        d += np.where(nom[:, j, None] != cent_n[None, :, j], w_n[j], 0.0)
-    return d
 
 
 def _column_means(rows) -> tuple[float, ...]:
@@ -137,7 +109,7 @@ def _linear_percentile(values, q: float) -> float:
     return xs[i] + frac * (xs[i + 1] - xs[i])
 
 
-def _update_centroids(quant, nom, labels, k, n_statuses, exact=False):
+def _update_centroids(quant, nom, labels, k, exact=False):
     """Per-cluster quantitative means and nominal modes.
 
     With ``exact``, each mean is :func:`_column_means` of the members;
@@ -157,36 +129,8 @@ def _update_centroids(quant, nom, labels, k, n_statuses, exact=False):
         else:
             cent_q[c] = quant[mask].mean(axis=0)
         for j in range(nom.shape[1]):
-            counts = np.bincount(nom[mask, j], minlength=n_statuses[j])
-            cent_n[c, j] = int(np.argmax(counts))
+            cent_n[c, j] = int(np.argmax(np.bincount(nom[mask, j])))
     return cent_q, cent_n
-
-
-def update_centroid(members, schema: ft.FeatureSchema):
-    """Centroid of a member collection of encoded vectors.
-
-    Returns (quantitative means dict, nominal modes dict); modal ties break
-    by status order in the schema.
-
-    Raises:
-        EmptyMembersError: no members supplied.
-    """
-    members = list(members)
-    if not members:
-        raise EmptyMembersError("cannot compute the centroid of zero members")
-    q_names = schema.quantitative_names
-    n_names = schema.nominal_names
-    means = {}
-    for j, name in enumerate(q_names):
-        means[name] = sum(m.quantitative[j] for m in members) / len(members)
-    modes = {}
-    for j, name in enumerate(n_names):
-        statuses = schema.feature(name).statuses
-        counts = {s: 0 for s in statuses}
-        for m in members:
-            counts[m.nominal[j]] += 1
-        modes[name] = max(statuses, key=counts.__getitem__)  # ties keep schema order
-    return means, modes
 
 
 def kmeans(dataset, k: int, schema: ft.FeatureSchema, seed: int,
@@ -202,8 +146,8 @@ def kmeans(dataset, k: int, schema: ft.FeatureSchema, seed: int,
     The returned floats are computed once, from the final memberships:
     each centroid component is ``math.fsum`` of the members' values divided
     by the member count (nominal components are the members' modes); each
-    member's distance to its centroid is summed feature by feature in
-    schema order, as in :func:`txrisk.features.distance`; ``objective`` is
+    member's distance to its centroid is :func:`txrisk.features.distance`,
+    summed feature by feature in schema order; ``objective`` is
     ``math.fsum`` of those distances and is also the last entry of
     ``objective_trace``; ``far_threshold`` is their
     ``FAR_GUARD_PERCENTILE``-th percentile by :func:`_linear_percentile`.
@@ -222,46 +166,35 @@ def kmeans(dataset, k: int, schema: ft.FeatureSchema, seed: int,
         raise TooFewPointsError(f"{n} records cannot form {k} clusters")
 
     params = ft.fit_normalization(records, schema)
-    quant, nom = _encode_arrays(records, schema, params)
-    w_q = np.asarray(schema.quantitative_weights(), dtype=np.float64)
-    w_n = np.asarray(schema.nominal_weights(), dtype=np.float64)
-    n_statuses = [len(schema.feature(name).statuses)
-                  for name in schema.nominal_names]
+    quant, nom = ft.encode(records, schema, params)
     rng = np.random.default_rng(seed)
 
     best = None
     for _ in range(restarts):
         init = rng.choice(n, size=k, replace=False)
-        result = _lloyd(quant, nom, w_q, w_n, n_statuses, init,
-                        max_iterations, track_objective)
+        result = _lloyd(quant, nom, schema, init, max_iterations,
+                        track_objective)
         if best is None or result[1] < best[1]:
             best = result
     labels, _, trace = best
 
-    cent_q, cent_n = _update_centroids(quant, nom, labels, k, n_statuses,
-                                       exact=True)
-    member_dists = _point_centroid_distances(
-        quant, nom, w_q, w_n, cent_q, cent_n)[np.arange(n), labels].tolist()
+    cent_q, cent_n = _update_centroids(quant, nom, labels, k, exact=True)
+    member_dists = ft.distance((quant, nom), (cent_q, cent_n),
+                               schema)[np.arange(n), labels].tolist()
     objective = math.fsum(member_dists)
     far_threshold = _linear_percentile(member_dists, FAR_GUARD_PERCENTILE)
 
     clusters = []
-    q_names = schema.quantitative_names
-    n_names = schema.nominal_names
     for c in range(k):
-        idx = np.flatnonzero(labels == c)
         refs = tuple((records[i].service_id, records[i].date.isoformat())
-                     for i in idx)
-        centroid_numeric = {name: float(cent_q[c, j])
-                            for j, name in enumerate(q_names)}
-        centroid_nominal = {
-            name: schema.feature(name).statuses[int(cent_n[c, j])]
-            for j, name in enumerate(n_names)
-        }
+                     for i in np.flatnonzero(labels == c))
         clusters.append(Cluster(
             id=c + 1,
-            centroid_numeric=centroid_numeric,
-            centroid_nominal=centroid_nominal,
+            centroid_numeric=dict(zip(schema.quantitative_names,
+                                      cent_q[c].tolist())),
+            centroid_nominal={name: schema.feature(name).statuses[code]
+                              for name, code in zip(schema.nominal_names,
+                                                    cent_n[c].tolist())},
             member_count=len(refs),
             member_refs=refs,
         ))
@@ -279,8 +212,7 @@ def kmeans(dataset, k: int, schema: ft.FeatureSchema, seed: int,
     )
 
 
-def _lloyd(quant, nom, w_q, w_n, n_statuses, init_idx, max_iterations,
-           track_objective):
+def _lloyd(quant, nom, schema, init_idx, max_iterations, track_objective):
     """One k-means run from the given initial data-point indices.
 
     Returns the final labels, the vectorized objective used to rank
@@ -292,19 +224,19 @@ def _lloyd(quant, nom, w_q, w_n, n_statuses, init_idx, max_iterations,
     cent_q = quant[init_idx].copy()
     cent_n = nom[init_idx].copy()
     trace = []
+    data = (quant, nom)
 
-    dists = _point_centroid_distances(quant, nom, w_q, w_n, cent_q, cent_n)
+    dists = ft.distance(data, (cent_q, cent_n), schema)
     labels = dists.argmin(axis=1)
     if track_objective:
         trace.append(float(dists[np.arange(n), labels].sum()))
 
     for _ in range(max_iterations):
-        cent_q, cent_n = _update_centroids(quant, nom, labels, k, n_statuses)
+        cent_q, cent_n = _update_centroids(quant, nom, labels, k)
         empties = [c for c in range(k) if np.isnan(cent_q[c]).any()]
         if empties:
-            cur = _point_centroid_distances(quant, nom, w_q, w_n,
-                                            np.nan_to_num(cent_q), cent_n)
-            own = cur[np.arange(n), labels].copy()
+            cur = ft.distance(data, (cent_q, cent_n), schema)
+            own = cur[np.arange(n), labels]
             for c in empties:
                 far = int(own.argmax())
                 warnings.warn(
@@ -315,10 +247,10 @@ def _lloyd(quant, nom, w_q, w_n, n_statuses, init_idx, max_iterations,
                 cent_n[c] = nom[far]
                 own[far] = -np.inf
         if track_objective:
-            d_upd = _point_centroid_distances(quant, nom, w_q, w_n, cent_q, cent_n)
+            d_upd = ft.distance(data, (cent_q, cent_n), schema)
             trace.append(float(d_upd[np.arange(n), labels].sum()))
 
-        dists = _point_centroid_distances(quant, nom, w_q, w_n, cent_q, cent_n)
+        dists = ft.distance(data, (cent_q, cent_n), schema)
         new_labels = dists.argmin(axis=1)
         if track_objective:
             trace.append(float(dists[np.arange(n), new_labels].sum()))
@@ -343,7 +275,7 @@ def _lloyd(quant, nom, w_q, w_n, n_statuses, init_idx, max_iterations,
         cent_q[c] = quant[far]
         cent_n[c] = nom[far]
         labels[far] = c
-        dists = _point_centroid_distances(quant, nom, w_q, w_n, cent_q, cent_n)
+        dists = ft.distance(data, (cent_q, cent_n), schema)
 
     return labels, float(dists[np.arange(n), labels].sum()), trace
 
@@ -488,8 +420,57 @@ def _checked_profile(cluster_id, doc) -> ClusterProfile:
     return profile
 
 
+def _finite(field: str, value) -> float:
+    """A stored number that must be finite; ``field`` names it on error."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{field} must be finite, got {value!r}")
+    return value
+
+
+def _checked_bounds(params: ft.NormalizationParams) -> ft.NormalizationParams:
+    """Stored normalization bounds: finite, with lo <= hi."""
+    for name, (lo, hi) in params.bounds.items():
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ValueError(f"normalization bounds of {name!r} must be finite "
+                             f"with lo <= hi, got [{lo!r}, {hi!r}]")
+    return params
+
+
+def _checked_cluster(entry, schema: ft.FeatureSchema) -> Cluster:
+    """A stored cluster whose centroid has every schema feature: finite
+    numeric/ordinal components and nominal labels among their statuses."""
+    cid = int(entry["id"])
+    numeric = {name: _finite(f"cluster {cid} centroid {name!r}", v)
+               for name, v in entry["centroid_normalized"].items()}
+    nominal = dict(entry["centroid_nominal"])
+    for names, part in ((schema.quantitative_names, numeric),
+                        (schema.nominal_names, nominal)):
+        for name in names:
+            if name not in part:
+                raise ValueError(f"cluster {cid} centroid lacks feature {name!r}")
+    for name in schema.nominal_names:
+        statuses = schema.feature(name).statuses
+        if nominal[name] not in statuses:
+            raise ValueError(f"cluster {cid} centroid {name!r} is "
+                             f"{nominal[name]!r}, not one of {list(statuses)}")
+    return Cluster(
+        id=cid,
+        centroid_numeric=numeric,
+        centroid_nominal=nominal,
+        member_count=int(entry["member_count"]),
+        member_refs=tuple((s, d) for s, d in entry["members"]),
+    )
+
+
 def load_model(path) -> ClusterModel:
-    """Load a model saved by :func:`save_model`."""
+    """Load a model saved by :func:`save_model`.
+
+    Raises:
+        ParseError: the file is unreadable or malformed, or holds a
+            non-finite number, a bound with lo > hi, a centroid lacking a
+            schema feature or with an unknown label, or a bad profile.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -497,18 +478,12 @@ def load_model(path) -> ClusterModel:
         raise ParseError(f"cannot read cluster model: {exc}", path=path) from exc
     try:
         schema = ft.FeatureSchema.from_jsonable(doc["schema"])
-        params = ft.NormalizationParams.from_jsonable(doc["normalization"])
+        params = _checked_bounds(
+            ft.NormalizationParams.from_jsonable(doc["normalization"]))
         clusters = []
         profiles = {}
         for entry in doc["clusters"]:
-            clusters.append(Cluster(
-                id=int(entry["id"]),
-                centroid_numeric={k: float(v) for k, v
-                                  in entry["centroid_normalized"].items()},
-                centroid_nominal=dict(entry["centroid_nominal"]),
-                member_count=int(entry["member_count"]),
-                member_refs=tuple((s, d) for s, d in entry["members"]),
-            ))
+            clusters.append(_checked_cluster(entry, schema))
             if "profile" in entry:
                 profiles[int(entry["id"])] = _checked_profile(
                     entry["id"], entry["profile"])
@@ -518,9 +493,9 @@ def load_model(path) -> ClusterModel:
             schema=schema,
             norm_params=params,
             seed=int(doc["seed"]),
-            objective=float(doc["objective"]),
+            objective=_finite("objective", doc["objective"]),
             profiles=profiles or None,
-            far_threshold=float(doc.get("far_threshold", 0.0)),
+            far_threshold=_finite("far_threshold", doc.get("far_threshold", 0.0)),
             restarts=int(doc.get("restarts", 1)),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -104,12 +104,6 @@ class OutOfRangeError(TxRiskError):
     exit_code = 15
 
 
-class EmptyMembersError(TxRiskError):
-    """Centroid update requires a nonempty member collection."""
-
-    exit_code = 16
-
-
 class ZeroPeakProfileError(TxRiskError):
     """A cluster profile has no load at any hour, so it has no loading
     threshold."""

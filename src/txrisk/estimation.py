@@ -1,7 +1,9 @@
 """Cross-area estimation: inverse-distance weighting over cluster
 centroids to estimate temperatures or life loss for transformers outside
 the clustered dataset, plus the energy-to-average-load conversion for
-areas with revenue (non-interval) meters."""
+areas with revenue (non-interval) meters. Queries go through the same
+:func:`txrisk.features.encode` and :func:`txrisk.features.distance` as
+k-means."""
 
 from __future__ import annotations
 
@@ -9,6 +11,8 @@ import csv
 import datetime as dt
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import features as ft, thermal
 from .clustering import ClusterModel
@@ -60,21 +64,18 @@ def estimate(feature_x: ft.FeatureVector, model: ClusterModel,
     if missing:
         raise KeyError(f"per_cluster_values missing clusters {missing}")
 
-    encoded = ft.encode(feature_x, model.schema, model.norm_params,
-                        allow_missing=True)
-    absent = [name for name, v in zip(model.schema.quantitative_names,
-                                      encoded.quantitative) if v != v]
-    absent += [name for name, v in zip(model.schema.nominal_names,
-                                       encoded.nominal) if v is None]
+    quant, nom = ft.encode([feature_x], model.schema, model.norm_params,
+                           allow_missing=True)
+    gaps = np.isnan(quant[0]).tolist() + (nom[0] < 0).tolist()
+    absent = [name for name, gap in zip(model.schema.quantitative_names
+                                        + model.schema.nominal_names, gaps) if gap]
     if absent:
         warnings.warn(
             f"query lacks features {absent}; distances use the remaining "
             "features only", MissingFeatureWarning, stacklevel=2)
 
-    dists = {
-        c.id: ft.distance(encoded, model.centroid_vector(c), model.schema)
-        for c in model.clusters
-    }
+    row = ft.distance((quant, nom), model.centroids, model.schema)[0].tolist()
+    dists = {c.id: d for c, d in zip(model.clusters, row)}
 
     far = model.far_threshold > 0 and min(dists.values()) > model.far_threshold
     if far:

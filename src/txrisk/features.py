@@ -1,10 +1,12 @@
-"""Per-service per-day feature vectors and the weighted mixed-type
-dissimilarity used for clustering and estimation.
+"""Per-service per-day feature vectors, their encoding, and the weighted
+mixed-type dissimilarity used for clustering and estimation.
 
 Numeric features are min-max normalized to [0,1]; orderly categorical
 features are mapped into (0,1) by their status order; unordered
 categorical features compare by match/mismatch. All three kinds carry a
-per-feature weight.
+per-feature weight. :func:`encode` turns a batch of records into the
+array pair that :func:`distance` (Huang's k-prototypes cost) compares,
+for k-means and for estimation alike.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import datetime as dt
 import math
 import warnings
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import (
     DegenerateFeatureWarning,
@@ -159,19 +163,6 @@ class NormalizationParams:
                            for name, (lo, hi) in doc.items()})
 
 
-@dataclass(frozen=True)
-class EncodedVector:
-    """Schema-aligned vector in normalized space.
-
-    ``quantitative`` follows schema numeric-then-ordinal order (NaN marks a
-    missing feature); ``nominal`` follows schema nominal order (None marks a
-    missing feature).
-    """
-
-    quantitative: tuple[float, ...]
-    nominal: tuple[str | None, ...]
-
-
 def encode_ordinal(status_order: int, status_count: int) -> float:
     """Map the i-th of N ordered statuses into (0,1): (i - 1/2) / N."""
     if status_count < 1:
@@ -211,21 +202,8 @@ def fit_normalization(dataset, schema: FeatureSchema) -> NormalizationParams:
     return NormalizationParams(bounds=bounds)
 
 
-def normalize(value: float, params: NormalizationParams, feature: str) -> float:
-    """Min-max normalize one raw value into [0,1], clamping out-of-range
-    values; a degenerate feature (Min == Max) maps to 0."""
-    try:
-        lo, hi = params.bounds[feature]
-    except KeyError:
-        raise SchemaMismatchError(f"no normalization params for {feature!r}") from None
-    if hi == lo:
-        return 0.0
-    x = (value - lo) / (hi - lo)
-    return min(1.0, max(0.0, x))
-
-
 def denormalize(value: float, params: NormalizationParams, feature: str) -> float:
-    """Inverse of :func:`normalize` (no clamping)."""
+    """Inverse of the min-max normalization in :func:`encode` (no clamping)."""
     try:
         lo, hi = params.bounds[feature]
     except KeyError:
@@ -233,67 +211,112 @@ def denormalize(value: float, params: NormalizationParams, feature: str) -> floa
     return lo + value * (hi - lo)
 
 
-def encode(record: FeatureVector, schema: FeatureSchema,
-           params: NormalizationParams, *, allow_missing: bool = False) -> EncodedVector:
-    """Encode a raw record into normalized schema-aligned form.
+def _column(records, kind: str, name: str, missing, allow_missing: bool) -> list:
+    """One feature's values across the records (``kind`` names the record
+    attribute: numeric, ordinal or nominal), ``missing`` where absent."""
+    if allow_missing:
+        return [getattr(rec, kind).get(name, missing) for rec in records]
+    try:
+        return [getattr(rec, kind)[name] for rec in records]
+    except KeyError:
+        raise SchemaMismatchError(f"record missing {kind} feature {name!r}") from None
 
-    With ``allow_missing``, absent features become NaN/None placeholders
-    (used by estimation queries that carry fewer features than the schema).
+
+def encode(records, schema: FeatureSchema, params: NormalizationParams, *,
+           allow_missing: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Encode raw records into the ``(quant, nom)`` array pair that
+    :func:`distance` reads.
+
+    ``quant`` is ``(n, q)`` floats in schema numeric-then-ordinal order:
+    numeric values min-max normalized by ``params`` and clamped into
+    [0, 1] (a constant feature maps to 0), ordinal values as given.
+    ``nom`` is ``(n, m)`` ints: each nominal label's index in its
+    feature's statuses. With ``allow_missing`` an absent feature becomes
+    NaN / -1 (estimation queries may carry fewer features than the
+    schema); otherwise it raises.
+
+    Raises:
+        SchemaMismatchError: a required feature is absent, a nominal label
+            is not among its statuses, or a numeric feature has no
+            normalization params.
     """
-    quantitative = []
-    for name in schema.numeric_names:
-        if name in record.numeric:
-            quantitative.append(normalize(record.numeric[name], params, name))
-        elif allow_missing:
-            quantitative.append(math.nan)
-        else:
-            raise SchemaMismatchError(f"record missing numeric feature {name!r}")
-    for name in schema.ordinal_names:
-        if name in record.ordinal:
-            quantitative.append(float(record.ordinal[name]))
-        elif allow_missing:
-            quantitative.append(math.nan)
-        else:
-            raise SchemaMismatchError(f"record missing ordinal feature {name!r}")
-    nominal = []
-    for name in schema.nominal_names:
-        if name in record.nominal:
-            label = record.nominal[name]
-            if label not in schema.feature(name).statuses:
-                raise SchemaMismatchError(
-                    f"unknown status {label!r} for nominal feature {name!r}")
-            nominal.append(label)
-        elif allow_missing:
-            nominal.append(None)
-        else:
-            raise SchemaMismatchError(f"record missing nominal feature {name!r}")
-    return EncodedVector(quantitative=tuple(quantitative), nominal=tuple(nominal))
+    n = len(records)
+    quant = np.empty((n, len(schema.quantitative_names)))
+    nom = np.empty((n, len(schema.nominal_names)), dtype=np.int64)
+    columns = ([("numeric", name) for name in schema.numeric_names]
+               + [("ordinal", name) for name in schema.ordinal_names])
+    for j, (kind, name) in enumerate(columns):
+        quant[:, j] = _column(records, kind, name, math.nan, allow_missing)
+
+    p = len(schema.numeric_names)
+    try:
+        bounds = np.array([params.bounds[name] for name in schema.numeric_names],
+                          dtype=np.float64).reshape(p, 2)
+    except KeyError as exc:
+        raise SchemaMismatchError(
+            f"no normalization params for {exc.args[0]!r}") from None
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    raw = quant[:, :p]
+    # A constant feature (Min == Max) is divided by inf, which maps it to 0.
+    x = (raw - lo) / np.where(hi == lo, np.inf, hi - lo)
+    # min(1, max(0, x)) as Python evaluates it, so -0.0 clamps to 0.0.
+    x = np.where(x > 0.0, np.minimum(x, 1.0), 0.0)
+    quant[:, :p] = np.where(np.isnan(raw), math.nan, x)
+
+    for j, name in enumerate(schema.nominal_names):
+        index = {s: i for i, s in enumerate(schema.feature(name).statuses)}
+        if allow_missing:
+            index[None] = -1
+        labels = _column(records, "nominal", name, None, allow_missing)
+        try:
+            nom[:, j] = [index[label] for label in labels]
+        except KeyError as exc:
+            raise SchemaMismatchError(f"unknown status {exc.args[0]!r} for "
+                                      f"nominal feature {name!r}") from None
+    return quant, nom
 
 
-def distance(x: EncodedVector, y: EncodedVector, schema: FeatureSchema) -> float:
-    """Weighted mixed-type dissimilarity between two encoded vectors.
+def distance(x, y, schema: FeatureSchema) -> np.ndarray:
+    """Weighted mixed-type dissimilarities between every row of ``x`` and
+    every row of ``y``, as a ``(len(x), len(y))`` array.
 
-    Numeric and ordinal features contribute weighted squared differences;
-    nominal features contribute their weight on mismatch and 0 on match.
-    Features marked missing (NaN/None) in either vector are skipped.
+    ``x`` and ``y`` are ``(quant, nom)`` array pairs in the form
+    :func:`encode` returns (a model's centroids have the same form).
+    Numeric and ordinal features contribute weighted squared differences,
+    ``(w * diff) * diff``; nominal features contribute their weight on
+    mismatch and 0 on match. Terms are added one feature at a time in
+    schema order, quantitative features first, and a feature missing
+    (NaN / -1) on either side adds nothing. Only elementwise arithmetic is
+    used, so each entry equals that sum taken pair by pair in Python
+    floats, whatever the numpy build.
+
+    Raises:
+        SchemaMismatchError: an array's width does not match the schema.
     """
-    q_names = schema.quantitative_names
-    n_names = schema.nominal_names
-    if len(x.quantitative) != len(q_names) or len(y.quantitative) != len(q_names):
-        raise SchemaMismatchError("quantitative components do not match schema")
-    if len(x.nominal) != len(n_names) or len(y.nominal) != len(n_names):
-        raise SchemaMismatchError("nominal components do not match schema")
+    (xq, xn), (yq, yn) = x, y
+    widths = (len(schema.quantitative_names), len(schema.nominal_names))
+    if (xq.shape[1], xn.shape[1]) != widths or (yq.shape[1], yn.shape[1]) != widths:
+        raise SchemaMismatchError("encoded widths do not match the schema")
 
-    weights = schema.weights
-    total = 0.0
-    for name, xv, yv in zip(q_names, x.quantitative, y.quantitative):
-        if math.isnan(xv) or math.isnan(yv):
-            continue
-        diff = xv - yv
-        total += weights[name] * diff * diff
-    for name, xl, yl in zip(n_names, x.nominal, y.nominal):
-        if xl is None or yl is None:
-            continue
-        if xl != yl:
-            total += weights[name]
-    return total
+    # A missing value zeroes the weight on its row (x) or column (y). Each
+    # side is scanned once, so without gaps, as inside k-means, the weight
+    # stays a scalar and no mask is built.
+    d = np.zeros((len(xq), len(yq)))
+    x_gaps, y_gaps = np.isnan(xq).any(), np.isnan(yq).any()
+    for j, w in enumerate(schema.quantitative_weights()):
+        a, b = xq[:, j, None], yq[None, :, j]
+        if x_gaps:
+            w, a = np.where(np.isnan(a), 0.0, w), np.where(np.isnan(a), 0.0, a)
+        if y_gaps:
+            w, b = np.where(np.isnan(b), 0.0, w), np.where(np.isnan(b), 0.0, b)
+        diff = a - b
+        d += (w * diff) * diff
+    x_gaps, y_gaps = (xn < 0).any(), (yn < 0).any()
+    for j, w in enumerate(schema.nominal_weights()):
+        a, b = xn[:, j, None], yn[None, :, j]
+        if x_gaps:
+            w = np.where(a < 0, 0.0, w)
+        if y_gaps:
+            w = np.where(b < 0, 0.0, w)
+        d += np.where(a != b, w, 0.0)
+    return d

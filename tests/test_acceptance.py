@@ -222,18 +222,20 @@ def test_criterion_07_mixed_distance_properties():
     ))
     rng = np.random.default_rng(707)
 
-    def vector():
-        return ft.EncodedVector(
-            quantitative=(float(rng.uniform(0, 1)), float(rng.uniform(0, 1)),
-                          ft.encode_ordinal(int(rng.integers(1, 4)), 3)),
-            nominal=(str(rng.choice(["Y", "N"])),))
+    def vectors(count=1):
+        """``count`` encoded rows, drawn one row at a time."""
+        rows = [((float(rng.uniform(0, 1)), float(rng.uniform(0, 1)),
+                  ft.encode_ordinal(int(rng.integers(1, 4)), 3)),
+                 (("Y", "N").index(str(rng.choice(["Y", "N"]))),))
+                for _ in range(count)]
+        return (np.array([q for q, _ in rows]), np.array([n for _, n in rows]))
 
     property_failures = 0
     for _ in range(1000):
-        x, y = vector(), vector()
-        d_xx = ft.distance(x, x, schema)
-        d_xy = ft.distance(x, y, schema)
-        d_yx = ft.distance(y, x, schema)
+        x, y = vectors(), vectors()
+        d_xx = ft.distance(x, x, schema)[0, 0]
+        d_xy = ft.distance(x, y, schema)[0, 0]
+        d_yx = ft.distance(y, x, schema)[0, 0]
         if d_xx != 0.0 or d_xy < 0.0 or abs(d_xy - d_yx) > 1e-12:
             property_failures += 1
 
@@ -243,12 +245,12 @@ def test_criterion_07_mixed_distance_properties():
                           weight=c * f.weight) for f in schema.features))
 
     argmin_failures = 0
-    centroids = [vector() for _ in range(6)]
+    centroids = vectors(6)
     for _ in range(100):
-        x = vector()
+        x = vectors()
         c = float(rng.uniform(0.1, 10.0))
-        d1 = [ft.distance(x, m, schema) for m in centroids]
-        d2 = [ft.distance(x, m, scaled_schema(c)) for m in centroids]
+        d1 = ft.distance(x, centroids, schema)[0]
+        d2 = ft.distance(x, centroids, scaled_schema(c))[0]
         if int(np.argmin(d1)) != int(np.argmin(d2)):
             argmin_failures += 1
 

@@ -113,6 +113,7 @@ class TestExitCodes:
         assert "17  cluster profile with zero peak load" in out
         assert "18  temperature or life loss fell" in out
         assert "converge" not in out
+        assert "\n  16  " not in out and "zero members" not in out
 
 
 class TestMalformedInputExitCodes:
@@ -188,6 +189,74 @@ class TestMalformedInputExitCodes:
         assert self.assess(root, tmp_path, model=model) == 3
         assert "profile needs 24 finite hourly values" in capsys.readouterr().err
 
+    def estimate(self, root, out, model):
+        return cli.main(["estimate", "--spec", str(root / "spec.json"),
+                         "--model", str(model), "--query", str(root / "query.csv"),
+                         "--services", "18", "--out", str(out)])
+
+    def bad_model(self, root, tmp_path, edit):
+        doc = json.loads((root / "out" / "model.json").read_text())
+        edit(doc)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        return model
+
+    @pytest.mark.parametrize("field", ["objective", "far_threshold", "bound",
+                                       "centroid"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_model_float_not_finite(self, golden_pipeline, tmp_path, capsys,
+                                    field, value):
+        def edit(doc):
+            if field == "bound":
+                doc["normalization"]["t_avg_c"][1] = value
+            elif field == "centroid":
+                doc["clusters"][2]["centroid_normalized"]["l_avg_kva"] = value
+            else:
+                doc[field] = value
+
+        root = golden_pipeline[0][0]
+        model = self.bad_model(root, tmp_path, edit)
+        assert self.estimate(root, tmp_path, model) == 3
+        err = capsys.readouterr().err
+        assert {"objective": "objective must be finite",
+                "far_threshold": "far_threshold must be finite",
+                "bound": "normalization bounds of 't_avg_c' must be finite",
+                "centroid": "cluster 3 centroid 'l_avg_kva' must be finite",
+                }[field] in err
+
+    def test_model_bound_lo_above_hi(self, golden_pipeline, tmp_path, capsys):
+        def edit(doc):
+            lo, hi = doc["normalization"]["t_max_c"]
+            doc["normalization"]["t_max_c"] = [hi, lo]
+
+        root = golden_pipeline[0][0]
+        assert self.estimate(root, tmp_path,
+                             self.bad_model(root, tmp_path, edit)) == 3
+        assert ("normalization bounds of 't_max_c' must be finite with lo <= hi"
+                in capsys.readouterr().err)
+
+    def test_model_centroid_label_not_a_status(self, golden_pipeline, tmp_path,
+                                               capsys):
+        def edit(doc):
+            doc["clusters"][0]["centroid_nominal"]["weekday"] = "Maybe"
+
+        root = golden_pipeline[0][0]
+        assert self.estimate(root, tmp_path,
+                             self.bad_model(root, tmp_path, edit)) == 3
+        assert "cluster 1 centroid 'weekday' is 'Maybe'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("part,name", [("centroid_normalized", "t_min_c"),
+                                           ("centroid_nominal", "weekday")])
+    def test_model_centroid_lacks_feature(self, golden_pipeline, tmp_path,
+                                          capsys, part, name):
+        def edit(doc):
+            del doc["clusters"][1][part][name]
+
+        root = golden_pipeline[0][0]
+        assert self.estimate(root, tmp_path,
+                             self.bad_model(root, tmp_path, edit)) == 3
+        assert f"cluster 2 centroid lacks feature {name!r}" in capsys.readouterr().err
+
     def test_life_loss_falling_with_service_count(self, golden_pipeline,
                                                   tmp_path, monkeypatch):
         # The guard on a model invariant: with aging factors inverted, the
@@ -241,6 +310,28 @@ class TestConfigFile:
         model = clustering.load_model(tmp_path / "run" / "model.json")
         assert model.schema.numeric_names == ("t_avg_c", "l_avg_kva")
         assert model.schema.weights["l_avg_kva"] == 2.0
+
+    @pytest.mark.parametrize("key,value", [
+        ("years", "two"), ("budget", [1]), ("scale_tol", float("nan")),
+        ("scale_max", True), ("k", 2.7), ("seed", True), ("restarts", "3"),
+        ("services", 1.5), ("days", {}), ("strict", 1),
+        ("svg", "yes"), ("n_range", 40), ("k_sweep", [1, 3]),
+        ("start_date", 20140101), ("out", 7), ("model", False)])
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert cli.main(["synth", "--config", str(cfg),
+                         "--out", str(tmp_path)]) == 2
+        assert repr(key) in capsys.readouterr().err
+
+    def test_config_values_of_the_right_kind(self, tmp_path):
+        # Integral floats pass for int keys, ints for float keys, null for any.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"services": 1, "days": 4.0, "budget": 500,
+                                   "strict": False, "k_sweep": None}))
+        out = tmp_path / "out"
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len((out / "calendar.csv").read_text().splitlines()) == 1 + 4
 
     def test_k_sweep_reports_objectives(self, tmp_path, capsys):
         data = tmp_path / "data"

@@ -17,16 +17,16 @@ from txrisk.clustering import (
     month_cluster_matrix,
     save_model,
     train_model,
-    update_centroid,
 )
 from txrisk.errors import (
     EmptyClusterWarning,
-    EmptyMembersError,
     MissingProfileError,
     TooFewPointsError,
 )
 from txrisk import ingest
 from txrisk.ingest import RawDayProfile
+
+from test_features import reference_distance
 
 
 def one_d_schema(name="x"):
@@ -100,43 +100,48 @@ class TestKmeansOracle:
 
 
 class TestUpdateCentroid:
-    SCHEMA = ft.FeatureSchema(features=(
-        ft.FeatureDef("x", ft.KIND_NUMERIC),
-        ft.FeatureDef("flag", ft.KIND_NOMINAL, statuses=("Y", "N")),
-    ))
+    """The stored-centroid rule: ``_update_centroids(..., exact=True)`` on
+    one x column and one Y/N flag column."""
+
+    @staticmethod
+    def update(rows, labels=None, k=1):
+        quant = np.array([[x] for x, _ in rows], dtype=np.float64).reshape(-1, 1)
+        nom = np.array([[flag] for _, flag in rows], dtype=np.int64).reshape(-1, 1)
+        labels = np.zeros(len(rows), dtype=np.int64) if labels is None else labels
+        return clustering._update_centroids(quant, nom, labels, k, exact=True)
 
     def test_numeric_mean(self):
-        members = [ft.EncodedVector((0.2,), ("Y",)),
-                   ft.EncodedVector((0.4,), ("Y",))]
-        means, modes = update_centroid(members, self.SCHEMA)
-        assert means["x"] == pytest.approx(0.3)
+        cent_q, _ = self.update([(0.2, 0), (0.4, 0)])
+        assert cent_q[0, 0] == pytest.approx(0.3)
+        assert cent_q[0, 0] == math.fsum([0.2, 0.4]) / 2
 
     def test_mode_minimizes_mismatch_sum(self):
-        members = [ft.EncodedVector((0.0,), ("Y",)),
-                   ft.EncodedVector((0.0,), ("Y",)),
-                   ft.EncodedVector((0.0,), ("N",))]
-        _, modes = update_centroid(members, self.SCHEMA)
+        rows = [(0.0, 0), (0.0, 0), (0.0, 1)]
+        _, cent_n = self.update(rows)
         # Enumerate both candidate modes and check the delta-sum directly.
-        cost = {status: sum(1 for m in members if m.nominal[0] != status)
-                for status in ("Y", "N")}
-        assert cost["Y"] < cost["N"]
-        assert modes["flag"] == "Y"
+        cost = {status: sum(1 for _, flag in rows if flag != status)
+                for status in (0, 1)}
+        assert cost[0] < cost[1]
+        assert cent_n[0, 0] == 0
 
     def test_single_member(self):
-        members = [ft.EncodedVector((0.7,), ("N",))]
-        means, modes = update_centroid(members, self.SCHEMA)
-        assert means["x"] == 0.7
-        assert modes["flag"] == "N"
+        cent_q, cent_n = self.update([(0.7, 1)])
+        assert cent_q[0, 0] == 0.7
+        assert cent_n[0, 0] == 1
 
     def test_tie_breaks_by_schema_status_order(self):
-        members = [ft.EncodedVector((0.0,), ("Y",)),
-                   ft.EncodedVector((0.0,), ("N",))]
-        _, modes = update_centroid(members, self.SCHEMA)
-        assert modes["flag"] == "Y"
+        _, cent_n = self.update([(0.0, 0), (0.0, 1)])
+        assert cent_n[0, 0] == 0
+        _, cent_n = self.update([(0.0, 1), (0.0, 0)])
+        assert cent_n[0, 0] == 0
 
     def test_empty_members(self):
-        with pytest.raises(EmptyMembersError):
-            update_centroid([], self.SCHEMA)
+        # A cluster with no members keeps NaN / -1 placeholders for Lloyd
+        # to repair; the others are unaffected.
+        cent_q, cent_n = self.update([(0.2, 1), (0.4, 1)],
+                                     labels=np.array([0, 0]), k=2)
+        assert cent_q[0, 0] == pytest.approx(0.3) and cent_n[0, 0] == 1
+        assert math.isnan(cent_q[1, 0]) and cent_n[1, 0] == -1
 
 
 class TestDeterminismAndObjective:
@@ -169,11 +174,10 @@ class TestDeterminismAndObjective:
         model = kmeans(records, 4, self.SCHEMA, seed=5)
         by_ref = {(r.service_id, r.date.isoformat()): r for r in records}
         total = 0.0
-        for cluster in model.clusters:
-            mu = model.centroid_vector(cluster)
-            for ref in cluster.member_refs:
-                enc = ft.encode(by_ref[ref], model.schema, model.norm_params)
-                total += ft.distance(enc, mu, model.schema)
+        for col, cluster in enumerate(model.clusters):
+            members = [by_ref[ref] for ref in cluster.member_refs]
+            enc = ft.encode(members, model.schema, model.norm_params)
+            total += sum(ft.distance(enc, model.centroids, model.schema)[:, col])
         assert model.objective == pytest.approx(total, rel=1e-9)
 
     def test_every_point_assigned_once_and_no_empty_clusters(self):
@@ -390,8 +394,9 @@ class TestModelFile:
     def test_stored_floats_recompute_bit_for_bit_from_members(self, tmp_path):
         # Every float in model.json is recomputed here from the member refs
         # and the raw inputs by the documented rules (fsum means, distances
-        # summed as in features.distance, fsum objective, linear-interpolated
-        # percentile) and must match to the last bit.
+        # summed pair by pair as in the reference loop of test_features, fsum
+        # objective, linear-interpolated percentile) and must match to the
+        # last bit.
         paths = ingest.synth_dataset(7, 4, dt.date(2015, 1, 1), 120,
                                      out_dir=tmp_path / "data")
         dataset = ingest.load_dataset(paths["weather"], paths["meter"],
@@ -407,21 +412,21 @@ class TestModelFile:
                   for r in dataset.records}
 
         member_dists = []
-        for entry, cluster in zip(doc["clusters"], loaded.clusters):
+        for entry in doc["clusters"]:
             refs = [tuple(ref) for ref in entry["members"]]
             count = entry["member_count"]
             assert count == len(refs)
-            encoded = [ft.encode(by_ref[ref], schema, params) for ref in refs]
+            quant, nom = ft.encode([by_ref[ref] for ref in refs], schema, params)
             for j, name in enumerate(schema.quantitative_names):
-                mean = math.fsum(e.quantitative[j] for e in encoded) / count
+                mean = math.fsum(quant[:, j].tolist()) / count
                 assert entry["centroid_normalized"][name] == mean
             for name in schema.numeric_names:
                 assert entry["centroid_raw"][name] == ft.denormalize(
                     entry["centroid_normalized"][name], params, name)
             for j, name in enumerate(schema.nominal_names):
                 statuses = schema.feature(name).statuses
-                votes = [sum(e.nominal[j] == s for e in encoded)
-                         for s in statuses]
+                votes = [int((nom[:, j] == code).sum())
+                         for code in range(len(statuses))]
                 mode = statuses[votes.index(max(votes))]
                 assert entry["centroid_nominal"][name] == mode
             for key in ("load_kva", "ambient_c"):
@@ -429,8 +434,13 @@ class TestModelFile:
                     mean = math.fsum(getattr(dataset.profiles[ref], key)[hour]
                                      for ref in refs) / count
                     assert entry["profile"][key][hour] == mean
-            centroid = loaded.centroid_vector(cluster)
-            member_dists += [ft.distance(e, centroid, schema) for e in encoded]
+            centroid = (
+                [entry["centroid_normalized"][name]
+                 for name in schema.quantitative_names],
+                [schema.feature(name).statuses.index(entry["centroid_nominal"][name])
+                 for name in schema.nominal_names])
+            member_dists += [reference_distance(member, centroid, schema)
+                             for member in zip(quant.tolist(), nom.tolist())]
 
         assert doc["objective"] == math.fsum(member_dists)
         assert clustering.FAR_GUARD_PERCENTILE == 95.0

@@ -55,6 +55,43 @@ class TestEncodeOrdinal:
             ft.encode_ordinal(4, 3)
 
 
+def normalized(value, bounds):
+    """One raw value of feature ``x`` through :func:`ft.encode`."""
+    schema = ft.FeatureSchema(features=(ft.FeatureDef("x", ft.KIND_NUMERIC),))
+    params = ft.NormalizationParams(bounds={"x": bounds})
+    quant, _ = ft.encode([record(x=value)], schema, params)
+    return float(quant[0, 0])
+
+
+def pair(quant, nom=None):
+    """An encoded ``(quant, nom)`` array pair from rows; -1 marks a missing
+    nominal label, NaN a missing quantitative value."""
+    quant = np.array(quant, dtype=np.float64).reshape(len(quant), -1)
+    nom = np.array(nom if nom is not None else [()] * len(quant),
+                   dtype=np.int64).reshape(len(quant), -1)
+    return quant, nom
+
+
+def reference_distance(x, y, schema):
+    """The dissimilarity of one pair, summed in Python floats: the
+    reference :func:`ft.distance` must equal bit for bit. ``x`` and ``y``
+    are one row each of the encoded arrays, as ``(quantitative values,
+    nominal codes)``."""
+    weights = schema.weights
+    total = 0.0
+    for name, xv, yv in zip(schema.quantitative_names, x[0], y[0]):
+        if math.isnan(xv) or math.isnan(yv):
+            continue
+        diff = xv - yv
+        total += weights[name] * diff * diff
+    for name, xl, yl in zip(schema.nominal_names, x[1], y[1]):
+        if xl < 0 or yl < 0:
+            continue
+        if xl != yl:
+            total += weights[name]
+    return total
+
+
 class TestNormalization:
     def test_fit_observes_min_max(self):
         schema = ft.FeatureSchema(features=(ft.FeatureDef("x", ft.KIND_NUMERIC),))
@@ -72,7 +109,7 @@ class TestNormalization:
         schema = ft.FeatureSchema(features=(ft.FeatureDef("x", ft.KIND_NUMERIC),))
         with pytest.warns(DegenerateFeatureWarning):
             params = ft.fit_normalization([record(x=7.0)] * 3, schema)
-        assert ft.normalize(7.0, params, "x") == 0.0
+        assert normalized(7.0, params.bounds["x"]) == 0.0
 
     def test_empty_dataset(self):
         schema = ft.FeatureSchema(features=(ft.FeatureDef("x", ft.KIND_NUMERIC),))
@@ -85,54 +122,53 @@ class TestNormalization:
             ft.fit_normalization([record(y=1.0)], schema)
 
     def test_normalize_boundaries_and_midpoint(self):
-        params = ft.NormalizationParams(bounds={"x": (10.0, 30.0)})
-        assert ft.normalize(10.0, params, "x") == 0.0
-        assert ft.normalize(30.0, params, "x") == 1.0
-        assert ft.normalize(20.0, params, "x") == 0.5
+        assert normalized(10.0, (10.0, 30.0)) == 0.0
+        assert normalized(30.0, (10.0, 30.0)) == 1.0
+        assert normalized(20.0, (10.0, 30.0)) == 0.5
 
     def test_normalize_clamps_out_of_range(self):
-        params = ft.NormalizationParams(bounds={"x": (0.0, 10.0)})
-        assert ft.normalize(-5.0, params, "x") == 0.0
-        assert ft.normalize(15.0, params, "x") == 1.0
+        assert normalized(-5.0, (0.0, 10.0)) == 0.0
+        assert normalized(15.0, (0.0, 10.0)) == 1.0
+        # As Python's min(1, max(0, x)) does, a negative zero clamps to +0.0,
+        # also below the bound of a constant feature.
+        for value, bounds in ((-0.0, (0.0, 10.0)), (-3.0, (2.0, 2.0))):
+            assert math.copysign(1.0, normalized(value, bounds)) == 1.0
 
     def test_denormalize_inverts(self):
         params = ft.NormalizationParams(bounds={"x": (-22.83, 24.92)})
         assert ft.denormalize(0.0, params, "x") == pytest.approx(-22.83)
         assert ft.denormalize(1.0, params, "x") == pytest.approx(24.92)
-        assert ft.denormalize(ft.normalize(3.7, params, "x"), params, "x") \
+        assert ft.denormalize(normalized(3.7, (-22.83, 24.92)), params, "x") \
             == pytest.approx(3.7)
 
 
 class TestDistance:
     def test_identity(self, mixed_schema):
-        x = ft.EncodedVector(quantitative=(0.2, 0.8, 0.5), nominal=("Y",))
-        assert ft.distance(x, x, mixed_schema) == 0.0
+        x = pair([(0.2, 0.8, 0.5)], [(0,)])
+        assert ft.distance(x, x, mixed_schema).tolist() == [[0.0]]
 
     def test_numeric_only_hand_value(self):
         schema = ft.FeatureSchema(features=(ft.FeatureDef("x", ft.KIND_NUMERIC),))
-        x = ft.EncodedVector(quantitative=(0.2,), nominal=())
-        y = ft.EncodedVector(quantitative=(0.5,), nominal=())
-        assert ft.distance(x, y, schema) == pytest.approx(0.09)
+        d = ft.distance(pair([(0.2,)]), pair([(0.5,)]), schema)
+        assert d.shape == (1, 1)
+        assert d[0, 0] == pytest.approx(0.09)
 
     def test_nominal_mismatch_adds_one(self):
         schema = ft.FeatureSchema(features=(
             ft.FeatureDef("x", ft.KIND_NUMERIC),
             ft.FeatureDef("flag", ft.KIND_NOMINAL, statuses=("Y", "N")),
         ))
-        x = ft.EncodedVector(quantitative=(0.2,), nominal=("Y",))
-        y = ft.EncodedVector(quantitative=(0.5,), nominal=("N",))
-        assert ft.distance(x, y, schema) == pytest.approx(1.09)
+        d = ft.distance(pair([(0.2,)], [(0,)]), pair([(0.5,)], [(1,)]), schema)
+        assert d[0, 0] == pytest.approx(1.09)
 
     def test_symmetry_and_nonnegativity(self, mixed_schema):
         rng = np.random.default_rng(5)
-        for _ in range(200):
-            x = ft.EncodedVector(quantitative=tuple(rng.uniform(0, 1, 3)),
-                                 nominal=(rng.choice(["Y", "N"]),))
-            y = ft.EncodedVector(quantitative=tuple(rng.uniform(0, 1, 3)),
-                                 nominal=(rng.choice(["Y", "N"]),))
-            d_xy = ft.distance(x, y, mixed_schema)
-            assert d_xy >= 0.0
-            assert d_xy == pytest.approx(ft.distance(y, x, mixed_schema))
+        x = pair(rng.uniform(0, 1, (200, 3)), rng.integers(0, 2, (200, 1)))
+        y = pair(rng.uniform(0, 1, (200, 3)), rng.integers(0, 2, (200, 1)))
+        d_xy = ft.distance(x, y, mixed_schema)
+        assert d_xy.shape == (200, 200)
+        assert (d_xy >= 0.0).all()
+        assert d_xy == pytest.approx(ft.distance(y, x, mixed_schema).T)
 
     def test_unit_weights_no_nominal_equals_squared_euclidean(self):
         schema = ft.FeatureSchema(features=(
@@ -141,12 +177,9 @@ class TestDistance:
             ft.FeatureDef("c", ft.KIND_NUMERIC),
         ))
         rng = np.random.default_rng(6)
-        for _ in range(50):
-            xv, yv = rng.uniform(0, 1, 3), rng.uniform(0, 1, 3)
-            x = ft.EncodedVector(quantitative=tuple(xv), nominal=())
-            y = ft.EncodedVector(quantitative=tuple(yv), nominal=())
-            assert ft.distance(x, y, schema) == pytest.approx(
-                float(((xv - yv) ** 2).sum()))
+        xv, yv = rng.uniform(0, 1, (50, 3)), rng.uniform(0, 1, (50, 3))
+        d = ft.distance(pair(xv), pair(yv), schema)
+        assert d == pytest.approx(((xv[:, None, :] - yv[None, :, :]) ** 2).sum(axis=2))
 
     def test_weight_scaling_scales_distance_and_keeps_argmin(self):
         rng = np.random.default_rng(7)
@@ -165,29 +198,59 @@ class TestDistance:
             ))
 
         base, scaled = schema_for(1.0), schema_for(c)
-        centroids = [
-            ft.EncodedVector(quantitative=tuple(rng.uniform(0, 1, 3)),
-                             nominal=(rng.choice(["Y", "N"]),))
-            for _ in range(5)
-        ]
-        for _ in range(50):
-            x = ft.EncodedVector(quantitative=tuple(rng.uniform(0, 1, 3)),
-                                 nominal=(rng.choice(["Y", "N"]),))
-            d1 = [ft.distance(x, m, base) for m in centroids]
-            d2 = [ft.distance(x, m, scaled) for m in centroids]
-            assert d2 == pytest.approx([c * d for d in d1])
-            assert int(np.argmin(d1)) == int(np.argmin(d2))
+        centroids = pair(rng.uniform(0, 1, (5, 3)), rng.integers(0, 2, (5, 1)))
+        x = pair(rng.uniform(0, 1, (50, 3)), rng.integers(0, 2, (50, 1)))
+        d1 = ft.distance(x, centroids, base)
+        d2 = ft.distance(x, centroids, scaled)
+        assert d2 == pytest.approx(c * d1)
+        assert (d1.argmin(axis=1) == d2.argmin(axis=1)).all()
 
     def test_schema_mismatch(self, mixed_schema):
-        x = ft.EncodedVector(quantitative=(0.2, 0.8), nominal=("Y",))
-        y = ft.EncodedVector(quantitative=(0.2, 0.8, 0.5), nominal=("Y",))
+        x = pair([(0.2, 0.8)], [(0,)])
+        y = pair([(0.2, 0.8, 0.5)], [(0,)])
         with pytest.raises(SchemaMismatchError):
             ft.distance(x, y, mixed_schema)
+        with pytest.raises(SchemaMismatchError):
+            ft.distance(y, pair([(0.2, 0.8, 0.5)]), mixed_schema)
 
     def test_missing_components_are_skipped(self, mixed_schema):
-        x = ft.EncodedVector(quantitative=(0.2, math.nan, 0.5), nominal=(None,))
-        y = ft.EncodedVector(quantitative=(0.5, 0.9, 0.5), nominal=("Y",))
-        assert ft.distance(x, y, mixed_schema) == pytest.approx(0.09)
+        x = pair([(0.2, math.nan, 0.5)], [(-1,)])
+        y = pair([(0.5, 0.9, 0.5)], [(0,)])
+        assert ft.distance(x, y, mixed_schema)[0, 0] == pytest.approx(0.09)
+        assert ft.distance(y, x, mixed_schema)[0, 0] == pytest.approx(0.09)
+
+    def test_matches_reference_loop_bit_for_bit(self):
+        # Random weights and data with NaN and -1 on either side; every
+        # entry must equal the per-pair loop exactly, not approximately.
+        rng = np.random.default_rng(9)
+        schema = ft.FeatureSchema(features=(
+            ft.FeatureDef("a", ft.KIND_NUMERIC, weight=float(rng.uniform(0, 3))),
+            ft.FeatureDef("grade", ft.KIND_ORDINAL, statuses=("lo", "hi"),
+                          weight=float(rng.uniform(0, 3))),
+            ft.FeatureDef("b", ft.KIND_NUMERIC, weight=float(rng.uniform(0, 3))),
+            ft.FeatureDef("flag", ft.KIND_NOMINAL, statuses=("Y", "N"),
+                          weight=float(rng.uniform(0, 3))),
+            ft.FeatureDef("kind", ft.KIND_NOMINAL, statuses=("p", "q", "r"),
+                          weight=float(rng.uniform(0, 3))),
+        ))
+
+        def sample(n):
+            quant = rng.uniform(-0.2, 1.2, (n, 3))
+            quant[rng.random((n, 3)) < 0.2] = np.nan
+            nom = np.stack([rng.integers(0, 2, n), rng.integers(0, 3, n)], axis=1)
+            nom[rng.random((n, 2)) < 0.2] = -1
+            return quant, nom
+
+        for x, y in ((sample(40), sample(7)), (sample(1), sample(10)),
+                     (sample(25), pair(np.full((3, 3), 0.5), [(0, 1)] * 3))):
+            d = ft.distance(x, y, schema)
+            assert d.shape == (len(x[0]), len(y[0]))
+            for i in range(len(x[0])):
+                for j in range(len(y[0])):
+                    expected = reference_distance(
+                        (x[0][i].tolist(), x[1][i].tolist()),
+                        (y[0][j].tolist(), y[1][j].tolist()), schema)
+                    assert d[i, j] == expected, (i, j)
 
 
 class TestEncode:
@@ -198,24 +261,31 @@ class TestEncode:
             numeric={"a": 5.0, "b": 1.0},
             ordinal={"grade": ft.encode_ordinal(2, 3)},
             nominal={"flag": "N"})
-        enc = ft.encode(rec, mixed_schema, params)
-        assert enc.quantitative == pytest.approx((0.5, 0.5, 0.5))
-        assert enc.nominal == ("N",)
+        other = ft.FeatureVector(
+            service_id="s", date=dt.date(2015, 1, 2),
+            numeric={"a": 12.0, "b": 0.5},
+            ordinal={"grade": ft.encode_ordinal(1, 3)},
+            nominal={"flag": "Y"})
+        quant, nom = ft.encode([rec, other], mixed_schema, params)
+        assert quant.shape == (2, 3) and nom.shape == (2, 1)
+        assert quant[0].tolist() == pytest.approx([0.5, 0.5, 0.5])
+        assert quant[1].tolist() == pytest.approx([1.0, 0.25, 1 / 6])
+        assert nom.tolist() == [[1], [0]]
 
     def test_missing_feature_raises(self, mixed_schema):
         params = ft.NormalizationParams(bounds={"a": (0.0, 10.0), "b": (0.0, 2.0)})
         rec = record(a=5.0)
         with pytest.raises(SchemaMismatchError):
-            ft.encode(rec, mixed_schema, params)
+            ft.encode([rec], mixed_schema, params)
 
     def test_allow_missing_marks_placeholders(self, mixed_schema):
         params = ft.NormalizationParams(bounds={"a": (0.0, 10.0), "b": (0.0, 2.0)})
         rec = record(a=5.0)
-        enc = ft.encode(rec, mixed_schema, params, allow_missing=True)
-        assert enc.quantitative[0] == 0.5
-        assert math.isnan(enc.quantitative[1])
-        assert math.isnan(enc.quantitative[2])
-        assert enc.nominal == (None,)
+        quant, nom = ft.encode([rec], mixed_schema, params, allow_missing=True)
+        assert quant[0, 0] == 0.5
+        assert math.isnan(quant[0, 1])
+        assert math.isnan(quant[0, 2])
+        assert nom.tolist() == [[-1]]
 
     def test_unknown_nominal_status(self, mixed_schema):
         params = ft.NormalizationParams(bounds={"a": (0.0, 10.0), "b": (0.0, 2.0)})
@@ -224,7 +294,9 @@ class TestEncode:
                                ordinal={"grade": 0.5},
                                nominal={"flag": "MAYBE"})
         with pytest.raises(SchemaMismatchError):
-            ft.encode(rec, mixed_schema, params)
+            ft.encode([rec], mixed_schema, params)
+        with pytest.raises(SchemaMismatchError):
+            ft.encode([rec], mixed_schema, params, allow_missing=True)
 
 
 class TestSchema:
