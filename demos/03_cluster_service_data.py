@@ -1,8 +1,8 @@
 """Grouping operating days with the mixed-type k-means.
 
 Generates two years of synthetic service data (heating-dominated climate,
-weekday/weekend behavior), builds per-service per-day feature vectors, and
-clusters them. The composition table shows what each cluster *is*: its
+weekday/weekend behavior), loads it as one per-service per-day record
+table, and clusters its days. The composition table shows what each cluster *is*: its
 typical temperatures, load level, and day type.
 """
 
@@ -26,10 +26,10 @@ print(f"synthetic dataset in {workdir}")
 
 dataset = load_dataset(paths["weather"], paths["meter"], paths["calendar"])
 print(f"{len(dataset.records)} records "
-      f"({len(dataset.services)} services x {len(dataset.dates)} days)\n")
+      f"({len(dataset.services)} services x {len(dataset.dates)} days), "
+      f"fields: {', '.join(dataset.records.dtype.names)}\n")
 
-model = train_model(dataset.records, dataset.profiles, k=6,
-                    schema=default_schema(), seed=7, restarts=3)
+model = train_model(dataset, k=6, schema=default_schema(), seed=7, restarts=3)
 print(f"k={model.k}, objective={model.objective:.1f}, "
       f"far guard at {model.far_threshold:.4f}\n")
 

@@ -36,8 +36,7 @@ workdir = Path(tempfile.mkdtemp(prefix="txrisk_demo_"))
 paths = synth_dataset(seed=42, services=10, start_date=dt.date(2014, 1, 1),
                       days=730, out_dir=workdir)
 dataset = load_dataset(paths["weather"], paths["meter"], paths["calendar"])
-model = train_model(dataset.records, dataset.profiles, k=6,
-                    schema=default_schema(), seed=7, restarts=3)
+model = train_model(dataset, k=6, schema=default_schema(), seed=7, restarts=3)
 
 # 1. Thresholds: scale each cluster's day shape until a limit binds.
 print("loading thresholds by cluster (impact 1 = most restrictive)")

@@ -2,7 +2,8 @@
 
 The target area only has revenue meters (daily energy reads), so no
 24-hour profiles exist there. Daily energy converts to an average service
-load, each day becomes a feature vector, and inverse-distance weighting
+load, each day becomes a row of a query table (the record table that
+``read_query_csv`` reads from a file), and inverse-distance weighting
 over the trained cluster centroids yields an estimated maximum top-oil
 temperature for that day. Days far from every cluster get flagged instead
 of silently extrapolated.
@@ -12,6 +13,8 @@ import datetime as dt
 import tempfile
 import warnings
 from pathlib import Path
+
+import numpy as np
 
 from txrisk import (
     TransformerSpec,
@@ -23,7 +26,7 @@ from txrisk import (
     synth_dataset,
     train_model,
 )
-from txrisk.features import FeatureVector
+from txrisk.estimation import QUERY_DTYPE
 
 spec = TransformerSpec(
     rated_kva=25.0, top_oil_rise_rated=55.0, hotspot_differential=25.0,
@@ -34,8 +37,7 @@ workdir = Path(tempfile.mkdtemp(prefix="txrisk_demo_"))
 paths = synth_dataset(seed=42, services=10, start_date=dt.date(2014, 1, 1),
                       days=730, out_dir=workdir)
 dataset = load_dataset(paths["weather"], paths["meter"], paths["calendar"])
-model = train_model(dataset.records, dataset.profiles, k=6,
-                    schema=default_schema(), seed=7, restarts=3)
+model = train_model(dataset, k=6, schema=default_schema(), seed=7, restarts=3)
 
 # Transformer X serves 18 homes in the new area. Its revenue meters
 # reported these daily energies (kWh) for one June day:
@@ -46,16 +48,17 @@ l_avg = avg_load_from_energy(energies, n_services)
 print(f"daily energy across {n_services} services -> "
       f"average load {l_avg:.2f} kVA/service")
 
-# Weather for the new area comes from its own station; one week of days:
-week = [
-    ("2016-06-06", 21.5, 8.1, 14.2, "Y"),
-    ("2016-06-07", 22.7, 12.6, 14.6, "Y"),
-    ("2016-06-08", 20.1, 9.4, 13.4, "Y"),
-    ("2016-06-09", 18.6, 10.8, 16.6, "Y"),
-    ("2016-06-10", 18.5, 11.8, 14.8, "Y"),
-    ("2016-06-11", 20.0, 11.3, 16.5, "N"),
-    ("2016-06-12", 21.7, 8.2, 17.6, "N"),
-]
+# Weather for the new area comes from its own station; one week of days
+# (date, t_max, t_min, t_avg, l_avg, weekday):
+week = np.array([
+    ("2016-06-06", 21.5, 8.1, 14.2, l_avg, "Y"),
+    ("2016-06-07", 22.7, 12.6, 14.6, l_avg, "Y"),
+    ("2016-06-08", 20.1, 9.4, 13.4, l_avg, "Y"),
+    ("2016-06-09", 18.6, 10.8, 16.6, l_avg, "Y"),
+    ("2016-06-10", 18.5, 11.8, 14.8, l_avg, "Y"),
+    ("2016-06-11", 20.0, 11.3, 16.5, l_avg, "N"),
+    ("2016-06-12", 21.7, 8.2, 17.6, l_avg, "N"),
+], dtype=QUERY_DTYPE)
 
 # The per-cluster temperatures at 18 services are computed once and reused.
 temps = cluster_max_top_oil(model, spec, n_services)
@@ -63,23 +66,16 @@ print(f"\nper-cluster max top-oil at N={n_services}: "
       + ", ".join(f"{cid}:{t:.0f}" for cid, t in sorted(temps.items())))
 
 print(f"\n{'day':>12} {'t_avg':>6} {'weekday':>8} {'est. top-oil':>13} {'far?':>5}")
-for iso, t_max, t_min, t_avg, weekday in week:
-    day = FeatureVector(
-        service_id="X", date=dt.date.fromisoformat(iso),
-        numeric={"t_max_c": t_max, "t_min_c": t_min, "t_avg_c": t_avg,
-                 "l_avg_kva": l_avg},
-        nominal={"weekday": weekday})
-    result = estimate_day_temperature(day, model, n_services, spec, temps)
+for i, (iso, _, _, t_avg, _, weekday) in enumerate(week.tolist()):
+    result = estimate_day_temperature(week[i:i + 1], model, n_services, spec,
+                                      temps)
     print(f"{iso:>12} {t_avg:>6.1f} {weekday:>8} "
           f"{result.estimate:>11.1f} C {'yes' if result.far_flag else 'no':>5}")
 
 # A tropical day does not belong to this model; lenient mode warns and
 # flags it, strict mode would refuse outright.
-tropical = FeatureVector(
-    service_id="X", date=dt.date(2016, 7, 1),
-    numeric={"t_max_c": 41.0, "t_min_c": 29.0, "t_avg_c": 35.0,
-             "l_avg_kva": 4.8},
-    nominal={"weekday": "Y"})
+tropical = np.array([("2016-07-01", 41.0, 29.0, 35.0, 4.8, "Y")],
+                    dtype=QUERY_DTYPE)
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
     result = estimate_day_temperature(tropical, model, n_services, spec, temps)

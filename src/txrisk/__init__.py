@@ -39,7 +39,6 @@ from .estimation import (
 from .features import (
     FeatureDef,
     FeatureSchema,
-    FeatureVector,
     NormalizationParams,
     default_schema,
     distance,
@@ -47,7 +46,7 @@ from .features import (
     encode_ordinal,
     fit_normalization,
 )
-from .ingest import Dataset, RawDayProfile, SynthConfig, load_dataset, synth_dataset
+from .ingest import Dataset, SynthConfig, load_dataset, synth_dataset
 from .riskassess import (
     ServiceGrid,
     ThresholdResult,

@@ -140,40 +140,19 @@ class RunConfig:
             try:
                 with open(args.config, encoding="utf-8") as fh:
                     file_cfg = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
+            except (OSError, ValueError) as exc:  # also JSON and UTF-8 decoding
                 raise ConfigError(f"cannot read config {args.config}: {exc}")
             if not isinstance(file_cfg, dict):
                 raise ConfigError("config file must hold a JSON object")
             unknown = set(file_cfg) - set(self._DEFAULTS)
             if unknown:
                 raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            # Their readers take the structures features and synth apart.
             for key, value in file_cfg.items():
-                self._check_kind(key, value)
+                if value is not None and key not in ("features", "synth"):
+                    _check_kind(key, value, self._DEFAULTS[key])
         self._file = file_cfg
         self._args = vars(args)
-
-    @classmethod
-    def _check_kind(cls, key, value):
-        """A config-file value must be null or of its default's kind: an
-        integer (an integral float passes), a finite number, true/false,
-        or, for the paths and spans, a string. ``features`` and ``synth``
-        hold structures, which their readers take apart."""
-        default = cls._DEFAULTS[key]
-        if value is None or key in ("features", "synth"):
-            return
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if isinstance(default, bool):
-            kind, ok = "true or false", isinstance(value, bool)
-        elif isinstance(default, int):
-            kind = "an integer"
-            ok = number and (isinstance(value, int) or value.is_integer())
-        elif isinstance(default, float):
-            kind = "a finite number"
-            ok = number and (isinstance(value, int) or math.isfinite(value))
-        else:
-            kind, ok = "a string", isinstance(value, str)
-        if not ok:
-            raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
 
     def get(self, key):
         flag = self._args.get(key)
@@ -207,16 +186,50 @@ class RunConfig:
             raise ConfigError(f"bad feature schema in config: {exc}")
 
     def synth_config(self) -> ingest.SynthConfig:
+        """The synthetic generator's knobs: each value in the config's
+        ``synth`` object must be of its :class:`ingest.SynthConfig`
+        default's kind, and ``holidays`` a list of [month, day] integers."""
         overrides = self.get("synth") or {}
-        known = {f.name for f in dataclass_fields(ingest.SynthConfig)}
-        unknown = set(overrides) - known
+        if not isinstance(overrides, dict):
+            raise ConfigError(f"config key 'synth' must be an object, "
+                              f"got {overrides!r}")
+        defaults = ingest.SynthConfig()
+        unknown = set(overrides) - {f.name for f in dataclass_fields(defaults)}
         if unknown:
             raise ConfigError(f"unknown synth config keys: {sorted(unknown)}")
-        if "holidays" in overrides:
-            overrides = dict(overrides)
-            overrides["holidays"] = tuple(
-                (int(m), int(d)) for m, d in overrides["holidays"])
-        return ingest.SynthConfig(**overrides)
+        values = dict(overrides)
+        for key, value in overrides.items():
+            if key != "holidays":
+                _check_kind(f"synth.{key}", value, getattr(defaults, key))
+                continue
+            try:
+                for pair in value:
+                    for part in pair:
+                        _check_kind("synth.holidays", part, 1)
+                values[key] = tuple((int(m), int(d)) for m, d in value)
+            except (TypeError, ValueError):
+                raise ConfigError("config key 'synth.holidays' must be a list "
+                                  f"of [month, day] integers, got {value!r}")
+        return ingest.SynthConfig(**values)
+
+
+def _check_kind(key, value, default):
+    """A config value must be of its default's kind: an integer (an
+    integral float passes), a finite number, true/false, or, for the paths
+    and spans, a string."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, bool):
+        kind, ok = "true or false", isinstance(value, bool)
+    elif isinstance(default, int):
+        kind = "an integer"
+        ok = number and (isinstance(value, int) or value.is_integer())
+    elif isinstance(default, float):
+        kind = "a finite number"
+        ok = number and (isinstance(value, int) or math.isfinite(value))
+    else:
+        kind, ok = "a string", isinstance(value, str)
+    if not ok:
+        raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
 
 
 def parse_span(text: str, label: str) -> range:
@@ -274,6 +287,8 @@ def cmd_cluster(cfg: RunConfig) -> int:
     schema = cfg.schema()
     seed = int(cfg.get("seed"))
     restarts = int(cfg.get("restarts"))
+    if int(cfg.get("k")) < 1 or restarts < 1:
+        raise ConfigError("--k and --restarts must be >= 1")
 
     sweep = cfg.get("k_sweep")
     if sweep:
@@ -283,8 +298,7 @@ def cmd_cluster(cfg: RunConfig) -> int:
             print(f"k={k} objective={model.objective:.6f}")
 
     k = int(cfg.get("k"))
-    model = clustering.train_model(dataset.records, dataset.profiles, k,
-                                   schema, seed, restarts=restarts)
+    model = clustering.train_model(dataset, k, schema, seed, restarts=restarts)
     out = cfg.out_dir()
     model_path = out / "model.json"
     clustering.save_model(model, model_path)
@@ -302,6 +316,8 @@ def cmd_assess(cfg: RunConfig) -> int:
     n_range = parse_span(cfg.get("n_range"), "--n-range")
     budget = float(cfg.get("budget"))
     years = float(cfg.get("years"))
+    if not min(years, float(cfg.get("scale_max")), float(cfg.get("scale_tol"))) > 0:
+        raise ConfigError("--years, scale_max and scale_tol must be > 0")
     out = cfg.out_dir()
 
     thresholds = riskassess.cluster_thresholds(
@@ -345,9 +361,10 @@ def cmd_estimate(cfg: RunConfig) -> int:
     strict = bool(cfg.get("strict"))
 
     temps = estimation.cluster_max_top_oil(model, spec, int(services))
-    results = [estimation.estimate_day_temperature(q, model, int(services),
-                                                   spec, temps, strict=strict)
-               for q in queries]
+    results = [estimation.estimate_day_temperature(
+                   queries[i:i + 1], model, int(services), spec, temps,
+                   strict=strict)
+               for i in range(len(queries))]
     out = cfg.out_dir()
     estimation.write_estimates_csv(queries, results, out / "estimates.csv")
     print(f"wrote {out / 'estimates.csv'} ({len(results)} days)")

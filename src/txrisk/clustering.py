@@ -15,7 +15,7 @@ import datetime as dt
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -50,6 +50,8 @@ class Cluster:
     centroid_nominal: dict[str, str]
     member_count: int
     member_refs: tuple[tuple[str, str], ...]  # (service_id, ISO date)
+    # The members' rows in the table kmeans read; None if read from a file.
+    member_rows: np.ndarray | None = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -87,11 +89,11 @@ class ClusterModel:
         return {c.id: c.member_count for c in self.clusters}
 
 
-def _column_means(rows) -> tuple[float, ...]:
-    """Column means of equal-length rows: each column's correctly rounded
-    sum (``math.fsum``) divided by the row count, so the result depends on
-    the values alone, not on their order or the summation hardware."""
-    return tuple(math.fsum(col) / len(rows) for col in zip(*rows))
+def _column_means(rows: np.ndarray) -> tuple[float, ...]:
+    """Column means of a 2-D array: each column's correctly rounded sum
+    (``math.fsum``) divided by the row count, so the result depends on the
+    values alone, not on their order or the summation hardware."""
+    return tuple(math.fsum(col) / len(rows) for col in rows.T.tolist())
 
 
 def _linear_percentile(values, q: float) -> float:
@@ -125,7 +127,7 @@ def _update_centroids(quant, nom, labels, k, exact=False):
         if not mask.any():
             continue
         if exact:
-            cent_q[c] = _column_means(quant[mask].tolist())
+            cent_q[c] = _column_means(quant[mask])
         else:
             cent_q[c] = quant[mask].mean(axis=0)
         for j in range(nom.shape[1]):
@@ -133,10 +135,11 @@ def _update_centroids(quant, nom, labels, k, exact=False):
     return cent_q, cent_n
 
 
-def kmeans(dataset, k: int, schema: ft.FeatureSchema, seed: int,
+def kmeans(records, k: int, schema: ft.FeatureSchema, seed: int,
            restarts: int = 1, max_iterations: int = MAX_ITERATIONS,
            track_objective: bool = False) -> ClusterModel:
-    """Train the mixed-type weighted k-means model.
+    """Train the mixed-type weighted k-means model on a record table with
+    ``service_id`` and ``date`` fields besides the schema's features.
 
     Alternates nearest-centroid assignment and centroid update until
     assignments stop changing (or ``max_iterations``). ``restarts`` reruns
@@ -156,7 +159,6 @@ def kmeans(dataset, k: int, schema: ft.FeatureSchema, seed: int,
     Raises:
         TooFewPointsError: fewer records than clusters.
     """
-    records = list(dataset)
     n = len(records)
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -186,8 +188,9 @@ def kmeans(dataset, k: int, schema: ft.FeatureSchema, seed: int,
 
     clusters = []
     for c in range(k):
-        refs = tuple((records[i].service_id, records[i].date.isoformat())
-                     for i in np.flatnonzero(labels == c))
+        rows = np.flatnonzero(labels == c)
+        refs = tuple(zip(records["service_id"][rows].tolist(),
+                         records["date"][rows].tolist()))
         clusters.append(Cluster(
             id=c + 1,
             centroid_numeric=dict(zip(schema.quantitative_names,
@@ -197,6 +200,7 @@ def kmeans(dataset, k: int, schema: ft.FeatureSchema, seed: int,
                                                     cent_n[c].tolist())},
             member_count=len(refs),
             member_refs=refs,
+            member_rows=rows,
         ))
 
     return ClusterModel(
@@ -317,48 +321,34 @@ def month_cluster_matrix(model: ClusterModel) -> np.ndarray:
     return matrix
 
 
-def extract_profiles(model: ClusterModel, raw_day_profiles) -> dict[int, ClusterProfile]:
-    """Hourwise mean member profiles per cluster.
+def extract_profiles(model: ClusterModel, records) -> dict[int, ClusterProfile]:
+    """Hourwise mean member profiles per cluster, from the ``load_kva`` and
+    ``ambient_c`` fields of the record table ``model`` was trained on.
 
     Each hour's mean is ``math.fsum`` of the members' values at that hour
     divided by the member count, so the stored profiles depend on the
     member profiles alone, not on their order or the numpy build.
 
-    Args:
-        raw_day_profiles: (service_id, ISO date) -> object with 24-entry
-            ``load_kva`` and ``ambient_c`` sequences.
-
     Raises:
-        MissingProfileError: a member has no stored raw profile.
+        MissingProfileError: the table has no hourly load profiles (an
+            energy meter file).
     """
-    out = {}
-    for cluster in model.clusters:
-        loads = []
-        ambients = []
-        for ref in cluster.member_refs:
-            try:
-                prof = raw_day_profiles[ref]
-            except KeyError:
-                raise MissingProfileError(
-                    f"no raw 24-hour profile for member {ref}") from None
-            if prof.load_kva is None:
-                raise MissingProfileError(
-                    f"member {ref} has energy-only metering, no hourly profile")
-            loads.append(prof.load_kva)
-            ambients.append(prof.ambient_c)
-        out[cluster.id] = ClusterProfile(
-            load_kva=_column_means(loads),
-            ambient_c=_column_means(ambients),
-        )
-    return out
+    if "load_kva" not in records.dtype.names:
+        raise MissingProfileError(
+            f"member {model.clusters[0].member_refs[0]} has energy-only "
+            "metering, no hourly profile")
+    return {cluster.id: ClusterProfile(
+                load_kva=_column_means(records["load_kva"][cluster.member_rows]),
+                ambient_c=_column_means(records["ambient_c"][cluster.member_rows]))
+            for cluster in model.clusters}
 
 
-def train_model(records, raw_day_profiles, k: int, schema: ft.FeatureSchema,
-                seed: int, restarts: int = 1) -> ClusterModel:
-    """Full training pipeline: k-means plus per-cluster profile extraction."""
-    model = kmeans(records, k, schema, seed, restarts=restarts)
-    profiles = extract_profiles(model, raw_day_profiles)
-    return replace(model, profiles=profiles)
+def train_model(dataset, k: int, schema: ft.FeatureSchema, seed: int,
+                restarts: int = 1) -> ClusterModel:
+    """Full training pipeline on a :class:`txrisk.ingest.Dataset`: k-means
+    plus per-cluster profile extraction."""
+    model = kmeans(dataset.records, k, schema, seed, restarts=restarts)
+    return replace(model, profiles=extract_profiles(model, dataset.records))
 
 
 def save_model(model: ClusterModel, path) -> None:
@@ -371,6 +361,9 @@ def save_model(model: ClusterModel, path) -> None:
     maps ``centroid_normalized`` back through
     :func:`txrisk.features.denormalize` in scalar Python. The file's bytes
     therefore depend on the inputs and the seed alone.
+
+    Raises:
+        ValueError: a stored float is NaN or infinite; nothing is written.
     """
     doc = {
         "k": model.k,
@@ -401,9 +394,9 @@ def save_model(model: ClusterModel, path) -> None:
                 "ambient_c": list(prof.ambient_c),
             }
         doc["clusters"].append(entry)
+    text = json.dumps(doc, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _checked_profile(cluster_id, doc) -> ClusterProfile:
@@ -438,9 +431,13 @@ def _checked_bounds(params: ft.NormalizationParams) -> ft.NormalizationParams:
 
 
 def _checked_cluster(entry, schema: ft.FeatureSchema) -> Cluster:
-    """A stored cluster whose centroid has every schema feature: finite
-    numeric/ordinal components and nominal labels among their statuses."""
+    """A stored cluster whose members are (service, ISO date) pairs and
+    whose centroid has every schema feature: finite numeric/ordinal
+    components and nominal labels among their statuses."""
     cid = int(entry["id"])
+    refs = tuple((s, d) for s, d in entry["members"])
+    for iso in {d for _, d in refs}:
+        dt.date.fromisoformat(iso)
     numeric = {name: _finite(f"cluster {cid} centroid {name!r}", v)
                for name, v in entry["centroid_normalized"].items()}
     nominal = dict(entry["centroid_nominal"])
@@ -459,7 +456,8 @@ def _checked_cluster(entry, schema: ft.FeatureSchema) -> Cluster:
         centroid_numeric=numeric,
         centroid_nominal=nominal,
         member_count=int(entry["member_count"]),
-        member_refs=tuple((s, d) for s, d in entry["members"]),
+        member_refs=refs,
+        member_rows=None,
     )
 
 
@@ -474,7 +472,7 @@ def load_model(path) -> ClusterModel:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # also JSON and UTF-8 decoding
         raise ParseError(f"cannot read cluster model: {exc}", path=path) from exc
     try:
         schema = ft.FeatureSchema.from_jsonable(doc["schema"])
@@ -487,6 +485,8 @@ def load_model(path) -> ClusterModel:
             if "profile" in entry:
                 profiles[int(entry["id"])] = _checked_profile(
                     entry["id"], entry["profile"])
+        if profiles and len(profiles) != len(clusters):
+            raise ValueError("some clusters have a profile and some not")
         return ClusterModel(
             k=int(doc["k"]),
             clusters=tuple(clusters),
@@ -498,5 +498,5 @@ def load_model(path) -> ClusterModel:
             far_threshold=_finite("far_threshold", doc.get("far_threshold", 0.0)),
             restarts=int(doc.get("restarts", 1)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed cluster model: {exc}", path=path) from exc

@@ -8,7 +8,6 @@ k-means."""
 from __future__ import annotations
 
 import csv
-import datetime as dt
 import warnings
 from dataclasses import dataclass
 
@@ -23,14 +22,19 @@ from .errors import (
     ParseError,
     ZeroServicesError,
 )
-from .ingest import _parse_float
-from .riskassess import profile_to_day
+from .ingest import (_check_header, _parse_date, _parse_flag, _parse_float,
+                     _read_rows)
+from .riskassess import _require_profiles, profile_to_day
 
 # Below this dissimilarity a query is treated as sitting exactly on the
 # centroid, sidestepping the 1/d blow-up.
 ZERO_DISTANCE_EPS = 1e-9
 
 QUERY_HEADER = ["date", "t_max_c", "t_min_c", "t_avg_c", "l_avg_kva", "weekday"]
+# The record table of query days: one field per column, the date in ISO.
+QUERY_DTYPE = np.dtype([("date", "U10")]
+                       + [(name, "f8") for name in QUERY_HEADER[1:5]]
+                       + [("weekday", "U1")])
 
 
 @dataclass(frozen=True)
@@ -43,10 +47,12 @@ class EstimationResult:
     far_flag: bool
 
 
-def estimate(feature_x: ft.FeatureVector, model: ClusterModel,
+def estimate(query, model: ClusterModel,
              per_cluster_values: dict[int, float], *,
              strict: bool = False) -> EstimationResult:
-    """Estimate a per-cluster quantity at a new feature vector.
+    """Estimate a per-cluster quantity for one query day: ``query`` is a
+    one-row slice of a record table, e.g. ``queries[i:i + 1]`` of
+    :func:`read_query_csv`.
 
     Weights are proportional to the inverse dissimilarity between the
     query and each cluster centroid (the model's own weighted mixed
@@ -64,7 +70,7 @@ def estimate(feature_x: ft.FeatureVector, model: ClusterModel,
     if missing:
         raise KeyError(f"per_cluster_values missing clusters {missing}")
 
-    quant, nom = ft.encode([feature_x], model.schema, model.norm_params,
+    quant, nom = ft.encode(query, model.schema, model.norm_params,
                            allow_missing=True)
     gaps = np.isnan(quant[0]).tolist() + (nom[0] < 0).tolist()
     absent = [name for name, gap in zip(model.schema.quantitative_names
@@ -128,6 +134,7 @@ def cluster_max_top_oil(model: ClusterModel, spec: thermal.TransformerSpec,
                         service_count: int) -> dict[int, float]:
     """Per-cluster maximum top-oil °C when each cluster profile supplies
     ``service_count`` services; computed once and reused across queries."""
+    _require_profiles(model)
     out = {}
     for cluster in model.clusters:
         day = profile_to_day(model.profiles[cluster.id], service_count,
@@ -136,52 +143,35 @@ def cluster_max_top_oil(model: ClusterModel, spec: thermal.TransformerSpec,
     return out
 
 
-def estimate_day_temperature(day_features: ft.FeatureVector, model: ClusterModel,
+def estimate_day_temperature(day, model: ClusterModel,
                              service_count: int, spec: thermal.TransformerSpec,
                              per_cluster_temps: dict[int, float] | None = None,
                              *, strict: bool = False) -> EstimationResult:
-    """Estimated maximum top-oil temperature for one day at a transformer
-    with ``service_count`` services, weighted across cluster centroids."""
+    """Estimated maximum top-oil temperature for one day (a one-row slice
+    of a record table) at a transformer with ``service_count`` services,
+    weighted across cluster centroids."""
     if per_cluster_temps is None:
         per_cluster_temps = cluster_max_top_oil(model, spec, service_count)
-    return estimate(day_features, model, per_cluster_temps, strict=strict)
+    return estimate(day, model, per_cluster_temps, strict=strict)
 
 
-def read_query_csv(path) -> list[ft.FeatureVector]:
-    """Read estimation query days: date, daily temperature summary, average
-    service load, and weekday flag."""
-    try:
-        fh = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise ParseError(f"cannot open file: {exc}", path=path) from exc
-    with fh:
-        rows = csv.reader(fh)
-        header = next(rows, None)
-        if header != QUERY_HEADER:
-            raise ParseError(f"unexpected header {header!r}; expected "
-                             f"{','.join(QUERY_HEADER)}", path=path, row=1)
-        out = []
-        for i, row in enumerate(rows, start=2):
-            if len(row) != len(QUERY_HEADER):
-                raise ParseError(f"expected {len(QUERY_HEADER)} columns, got "
-                                 f"{len(row)}", path=path, row=i)
-            try:
-                date = dt.date.fromisoformat(row[0])
-            except ValueError:
-                raise ParseError(f"bad date {row[0]!r}", path=path, row=i,
-                                 column="date") from None
-            numeric = {name: _parse_float(row[j], path, i, name)
-                       for j, name in enumerate(QUERY_HEADER[1:5], start=1)}
-            if row[5] not in ("Y", "N"):
-                raise ParseError(f"weekday must be Y or N, got {row[5]!r}",
-                                 path=path, row=i, column="weekday")
-            out.append(ft.FeatureVector(
-                service_id="query",
-                date=date,
-                numeric=numeric,
-                nominal={"weekday": row[5]},
-            ))
-        return out
+def read_query_csv(path) -> np.ndarray:
+    """Read estimation query days (date, daily temperature summary, average
+    service load, and weekday flag) into a record table of
+    ``QUERY_DTYPE``."""
+    rows = _read_rows(path)
+    _check_header(next(rows, None), [QUERY_HEADER], path)
+    out = []
+    for i, row in enumerate(rows, start=2):
+        if len(row) != len(QUERY_HEADER):
+            raise ParseError(f"expected {len(QUERY_HEADER)} columns, got "
+                             f"{len(row)}", path=path, row=i)
+        date = _parse_date(row[0], path, i).isoformat()
+        numbers = [_parse_float(row[j], path, i, name)
+                   for j, name in enumerate(QUERY_HEADER[1:5], start=1)]
+        _parse_flag(row[5], path, i, "weekday")
+        out.append((date, *numbers, row[5]))
+    return np.array(out, dtype=QUERY_DTYPE)
 
 
 def write_estimates_csv(queries, results, path) -> None:
@@ -189,14 +179,8 @@ def write_estimates_csv(queries, results, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(QUERY_HEADER + ["estimated_max_top_oil_c", "far_flag"])
-        for query, result in zip(queries, results):
-            writer.writerow([
-                query.date.isoformat(),
-                f"{query.numeric['t_max_c']:.2f}",
-                f"{query.numeric['t_min_c']:.2f}",
-                f"{query.numeric['t_avg_c']:.2f}",
-                f"{query.numeric['l_avg_kva']:.2f}",
-                query.nominal["weekday"],
-                f"{result.estimate:.1f}",
-                "Y" if result.far_flag else "N",
-            ])
+        for query, result in zip(queries[QUERY_HEADER].tolist(), results):
+            date, *numbers, weekday = query
+            writer.writerow([date, *(f"{v:.2f}" for v in numbers), weekday,
+                             f"{result.estimate:.1f}",
+                             "Y" if result.far_flag else "N"])

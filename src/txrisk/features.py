@@ -1,20 +1,22 @@
-"""Per-service per-day feature vectors, their encoding, and the weighted
+"""Per-service per-day features, their encoding, and the weighted
 mixed-type dissimilarity used for clustering and estimation.
 
+Records come as a record table, a numpy structured array (see
+:func:`txrisk.ingest.load_dataset`); a feature is the field of its name.
 Numeric features are min-max normalized to [0,1]; orderly categorical
 features are mapped into (0,1) by their status order; unordered
 categorical features compare by match/mismatch. All three kinds carry a
-per-feature weight. :func:`encode` turns a batch of records into the
-array pair that :func:`distance` (Huang's k-prototypes cost) compares,
-for k-means and for estimation alike.
+per-feature weight. :func:`encode` turns a record table into the array
+pair that :func:`distance` (Huang's k-prototypes cost) compares, for
+k-means and for estimation alike.
 """
 
 from __future__ import annotations
 
-import datetime as dt
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,8 +47,9 @@ class FeatureDef:
             raise ValueError(f"unknown feature kind {self.kind!r}")
         if self.kind in (KIND_ORDINAL, KIND_NOMINAL) and not self.statuses:
             raise ValueError(f"{self.kind} feature {self.name!r} needs a status list")
-        if self.weight < 0:
-            raise ValueError(f"feature {self.name!r} weight must be >= 0")
+        if not 0 <= self.weight < math.inf:
+            raise ValueError(f"feature {self.name!r} weight must be finite "
+                             "and >= 0")
         object.__setattr__(self, "statuses", tuple(self.statuses))
 
 
@@ -62,19 +65,19 @@ class FeatureSchema:
         if len(set(names)) != len(names):
             raise ValueError("feature names must be unique")
 
-    @property
+    @cached_property
     def numeric_names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.features if f.kind == KIND_NUMERIC)
 
-    @property
+    @cached_property
     def ordinal_names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.features if f.kind == KIND_ORDINAL)
 
-    @property
+    @cached_property
     def nominal_names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.features if f.kind == KIND_NOMINAL)
 
-    @property
+    @cached_property
     def quantitative_names(self) -> tuple[str, ...]:
         """Numeric then ordinal names: the squared-difference features."""
         return self.numeric_names + self.ordinal_names
@@ -134,21 +137,6 @@ def default_schema(weights: dict[str, float] | None = None) -> FeatureSchema:
 
 
 @dataclass(frozen=True)
-class FeatureVector:
-    """Raw per-service per-day record.
-
-    ``numeric`` holds raw values (°C, kVA), ``ordinal`` holds values already
-    encoded into (0,1), ``nominal`` holds status labels.
-    """
-
-    service_id: str
-    date: dt.date
-    numeric: dict[str, float] = field(default_factory=dict)
-    ordinal: dict[str, float] = field(default_factory=dict)
-    nominal: dict[str, str] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class NormalizationParams:
     """Observed per-feature Min/Max used for min-max normalization."""
 
@@ -173,7 +161,22 @@ def encode_ordinal(status_order: int, status_count: int) -> float:
     return (status_order - 0.5) / status_count
 
 
-def fit_normalization(dataset, schema: FeatureSchema) -> NormalizationParams:
+_QUANTITATIVE, _LABELS = "biuf", "U"  # dtype kinds of the feature fields
+
+
+def _field(records, name: str, kinds: str, allow_missing: bool):
+    """The field ``name`` of a record table: a one-value-per-row field whose
+    dtype kind is one of ``kinds``; None if there is none and
+    ``allow_missing``."""
+    field = (records.dtype.fields or {}).get(name)
+    if field is not None and field[0].kind in kinds and not field[0].shape:
+        return records[name]
+    if allow_missing:
+        return None
+    raise SchemaMismatchError(f"records lack feature {name!r}")
+
+
+def fit_normalization(records, schema: FeatureSchema) -> NormalizationParams:
     """Observe per-feature Min/Max for the schema's numeric features.
 
     Warns about degenerate (constant) features; their normalized value is
@@ -181,24 +184,20 @@ def fit_normalization(dataset, schema: FeatureSchema) -> NormalizationParams:
 
     Raises:
         EmptyDatasetError: no records supplied.
-        SchemaMismatchError: a record lacks a schema numeric feature.
+        SchemaMismatchError: the table lacks a schema numeric feature.
     """
-    records = list(dataset)
-    if not records:
+    if not len(records):
         raise EmptyDatasetError("cannot fit normalization on an empty dataset")
     bounds = {}
     for name in schema.numeric_names:
-        try:
-            values = [rec.numeric[name] for rec in records]
-        except KeyError:
-            raise SchemaMismatchError(
-                f"record missing numeric feature {name!r}") from None
-        lo, hi = min(values), max(values)
+        values = _field(records, name, _QUANTITATIVE, allow_missing=False)
+        # The first minimum and maximum, as Python's min and max pick them.
+        lo, hi = float(values[values.argmin()]), float(values[values.argmax()])
         if lo == hi:
             warnings.warn(
                 f"feature {name!r} is constant ({lo}); it will not contribute "
                 "to distances", DegenerateFeatureWarning, stacklevel=2)
-        bounds[name] = (float(lo), float(hi))
+        bounds[name] = (lo, hi)
     return NormalizationParams(bounds=bounds)
 
 
@@ -211,29 +210,19 @@ def denormalize(value: float, params: NormalizationParams, feature: str) -> floa
     return lo + value * (hi - lo)
 
 
-def _column(records, kind: str, name: str, missing, allow_missing: bool) -> list:
-    """One feature's values across the records (``kind`` names the record
-    attribute: numeric, ordinal or nominal), ``missing`` where absent."""
-    if allow_missing:
-        return [getattr(rec, kind).get(name, missing) for rec in records]
-    try:
-        return [getattr(rec, kind)[name] for rec in records]
-    except KeyError:
-        raise SchemaMismatchError(f"record missing {kind} feature {name!r}") from None
-
-
 def encode(records, schema: FeatureSchema, params: NormalizationParams, *,
            allow_missing: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Encode raw records into the ``(quant, nom)`` array pair that
+    """Encode a record table into the ``(quant, nom)`` array pair that
     :func:`distance` reads.
 
     ``quant`` is ``(n, q)`` floats in schema numeric-then-ordinal order:
-    numeric values min-max normalized by ``params`` and clamped into
-    [0, 1] (a constant feature maps to 0), ordinal values as given.
-    ``nom`` is ``(n, m)`` ints: each nominal label's index in its
-    feature's statuses. With ``allow_missing`` an absent feature becomes
-    NaN / -1 (estimation queries may carry fewer features than the
-    schema); otherwise it raises.
+    numeric fields min-max normalized by ``params`` and clamped into
+    [0, 1] (a constant feature maps to 0), ordinal fields (values already
+    in (0, 1), see :func:`encode_ordinal`) as given. ``nom`` is ``(n, m)``
+    ints: each nominal label's index in its feature's statuses. With
+    ``allow_missing`` a feature the table lacks becomes NaN / -1
+    (estimation queries may carry fewer features than the schema);
+    otherwise it raises.
 
     Raises:
         SchemaMismatchError: a required feature is absent, a nominal label
@@ -243,10 +232,9 @@ def encode(records, schema: FeatureSchema, params: NormalizationParams, *,
     n = len(records)
     quant = np.empty((n, len(schema.quantitative_names)))
     nom = np.empty((n, len(schema.nominal_names)), dtype=np.int64)
-    columns = ([("numeric", name) for name in schema.numeric_names]
-               + [("ordinal", name) for name in schema.ordinal_names])
-    for j, (kind, name) in enumerate(columns):
-        quant[:, j] = _column(records, kind, name, math.nan, allow_missing)
+    for j, name in enumerate(schema.quantitative_names):
+        values = _field(records, name, _QUANTITATIVE, allow_missing)
+        quant[:, j] = math.nan if values is None else values
 
     p = len(schema.numeric_names)
     try:
@@ -264,12 +252,13 @@ def encode(records, schema: FeatureSchema, params: NormalizationParams, *,
     quant[:, :p] = np.where(np.isnan(raw), math.nan, x)
 
     for j, name in enumerate(schema.nominal_names):
+        labels = _field(records, name, _LABELS, allow_missing)
+        if labels is None:
+            nom[:, j] = -1
+            continue
         index = {s: i for i, s in enumerate(schema.feature(name).statuses)}
-        if allow_missing:
-            index[None] = -1
-        labels = _column(records, "nominal", name, None, allow_missing)
         try:
-            nom[:, j] = [index[label] for label in labels]
+            nom[:, j] = [index[label] for label in labels.tolist()]
         except KeyError as exc:
             raise SchemaMismatchError(f"unknown status {exc.args[0]!r} for "
                                       f"nominal feature {name!r}") from None

@@ -8,7 +8,9 @@ File formats (UTF-8, comma separated, header row mandatory, ISO dates):
   ``service_id,date,energy_kwh`` (revenue meters, daily energy)
 * ``calendar.csv`` -- ``date,is_weekday,is_holiday`` with Y/N values
 
-Metered kW is treated as kVA at unity power factor.
+Metered kW is treated as kVA at unity power factor. :func:`load_dataset`
+returns the days as one record table: a numpy structured array with a row
+per (service, date) and a field per column.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .errors import (
     ParseError,
     ShortCoverageWarning,
 )
-from .features import FeatureVector
 
 WEATHER_HEADER = ["date", "hour", "temp_c"]
 METER_HOURLY_HEADER = ["service_id", "date", "hour", "kw"]
@@ -42,24 +43,11 @@ TEMP_MIN_C, TEMP_MAX_C = -60.0, 60.0
 MAX_INTERPOLATED_HOURS = 2
 
 
-@dataclass(frozen=True)
-class RawDayProfile:
-    """Stored raw 24-hour profile for one (service, date).
-
-    ``load_kva`` is None for energy-only metered days (no hourly profile).
-    """
-
-    load_kva: tuple[float, ...] | None
-    ambient_c: tuple[float, ...]
-    interpolated: bool = False
-
-
 @dataclass
 class Dataset:
-    """Assembled per-service per-day records plus their raw profiles."""
+    """The record table of :func:`load_dataset`, its services and dates."""
 
-    records: list[FeatureVector]
-    profiles: dict[tuple[str, str], RawDayProfile]
+    records: np.ndarray
     services: tuple[str, ...]
     dates: tuple[str, ...]
 
@@ -118,7 +106,10 @@ def _read_rows(path):
     except OSError as exc:
         raise ParseError(f"cannot open file: {exc}", path=path) from exc
     with fh:
-        yield from csv.reader(fh)
+        try:
+            yield from csv.reader(fh)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ParseError(f"unreadable CSV text: {exc}", path=path) from None
 
 
 def _fill_day(hours: list, *, interpolate: bool, label: str):
@@ -187,7 +178,8 @@ def _load_weather(path, interpolate):
 
 
 def _load_meter(path, interpolate):
-    """(service, date) -> dict with either 'hourly' list or 'energy' float."""
+    """Whether the file is hourly, and (service, date) -> (24 kW readings,
+    interpolated flag), or for an energy file -> daily kWh."""
     rows = _read_rows(path)
     header = _check_header(next(rows, None),
                            [METER_HOURLY_HEADER, METER_ENERGY_HEADER], path)
@@ -233,17 +225,15 @@ def _load_meter(path, interpolate):
                                  path=path, row=i)
             energy[(service, date)] = kwh
 
+    if not hourly_format:
+        return False, energy
     out = {}
-    if hourly_format:
-        for (service, date), hours in raw.items():
-            values, interp = _fill_day(hours, interpolate=interpolate,
-                                       label=f"meter {service} {date}")
-            if values is not None:
-                out[(service, date)] = {"hourly": values, "interpolated": interp}
-    else:
-        for key, kwh in energy.items():
-            out[key] = {"energy": kwh, "interpolated": False}
-    return out
+    for (service, date), hours in raw.items():
+        values, interp = _fill_day(hours, interpolate=interpolate,
+                                   label=f"meter {service} {date}")
+        if values is not None:
+            out[(service, date)] = (values, interp)
+    return True, out
 
 
 def _load_calendar(path):
@@ -268,15 +258,35 @@ def _load_calendar(path):
     return out
 
 
+def _day_stats(hours):
+    """Each row's sum, maximum and minimum as Python's ``sum``, ``max`` and
+    ``min`` take them over the day's list: the sum added hour by hour from
+    0.0 (numpy's pairwise ``sum`` rounds differently), the first maximum
+    and the first minimum (so a tie of 0.0 and -0.0 keeps its sign)."""
+    total = np.zeros(len(hours))
+    for column in hours.T:
+        total += column
+    rows = np.arange(len(hours))
+    return (total, hours[rows, hours.argmax(axis=1)],
+            hours[rows, hours.argmin(axis=1)])
+
+
 def load_dataset(weather_path, meter_path, calendar_path, *,
                  interpolate_gaps: bool = True) -> Dataset:
-    """Assemble the per-service per-day dataset from the three CSV files.
+    """Assemble the per-service per-day record table from the three CSV
+    files.
 
-    One record is produced per (service, date) in the intersection of
-    weather, meter, and calendar coverage. Temperature features come from
-    the weather day, load features from the meter day, and the weekday flag
-    from the calendar (statutory holidays count as non-weekdays). Raw
-    24-hour profiles are retained for cluster-profile extraction.
+    One row is produced per (service, date) in the intersection of
+    weather, meter, and calendar coverage, services sorted and then dates.
+    Its fields: ``service_id``; ``date`` (ISO); the daily features
+    ``t_max_c``, ``t_min_c``, ``t_avg_c`` from the weather day and
+    ``l_avg_kva``, ``l_max_kva``, ``l_min_kva`` from the meter day (each
+    mean is the day's sum over 24.0); ``weekday`` "Y"/"N" from the calendar
+    (statutory holidays count as non-weekdays); the raw 24-hour
+    ``load_kva`` and ``ambient_c`` profiles, for cluster-profile
+    extraction; and ``interpolated``. An energy meter file gives
+    ``l_avg_kva`` (daily kWh / 24) and no ``load_kva``, ``l_max_kva`` or
+    ``l_min_kva``.
 
     Raises:
         ParseError: malformed file content (row and column reported).
@@ -284,53 +294,48 @@ def load_dataset(weather_path, meter_path, calendar_path, *,
         EmptyIntersectionError: no common coverage at all.
     """
     weather = _load_weather(weather_path, interpolate_gaps)
-    meter = _load_meter(meter_path, interpolate_gaps)
+    hourly, meter = _load_meter(meter_path, interpolate_gaps)
     calendar = _load_calendar(calendar_path)
 
-    records = []
-    profiles = {}
-    by_service: dict[str, list[dt.date]] = {}
-    for service, date in meter:
-        by_service.setdefault(service, []).append(date)
-    services = sorted(by_service)
-    for service in services:
-        for date in sorted(by_service[service]):
-            if date not in weather or date not in calendar:
-                continue
-            temps, w_interp = weather[date]
-            entry = meter[(service, date)]
-            numeric = {
-                "t_max_c": max(temps),
-                "t_min_c": min(temps),
-                "t_avg_c": sum(temps) / 24.0,
-            }
-            if "hourly" in entry:
-                loads = entry["hourly"]
-                numeric["l_avg_kva"] = sum(loads) / 24.0
-                numeric["l_max_kva"] = max(loads)
-                numeric["l_min_kva"] = min(loads)
-                load_profile = tuple(loads)
-            else:
-                numeric["l_avg_kva"] = entry["energy"] / 24.0
-                load_profile = None
-            iso = date.isoformat()
-            records.append(FeatureVector(
-                service_id=service,
-                date=date,
-                numeric=numeric,
-                nominal={"weekday": "Y" if calendar[date] else "N"},
-            ))
-            profiles[(service, iso)] = RawDayProfile(
-                load_kva=load_profile,
-                ambient_c=tuple(temps),
-                interpolated=w_interp or entry["interpolated"],
-            )
-
-    if not records:
+    keys = sorted(key for key in meter
+                  if key[1] in weather and key[1] in calendar)
+    if not keys:
         raise EmptyIntersectionError(
             "weather, meter, and calendar files share no (service, date) coverage")
+    services, days = zip(*keys)
+    dates = sorted(set(days))
+    index = {date: i for i, date in enumerate(dates)}
+    day = np.array([index[date] for date in days])
 
-    dates = sorted({rec.date for rec in records})
+    ambient = np.array([weather[date][0] for date in dates])[day]
+    t_sum, t_max, t_min = _day_stats(ambient)
+    columns = {
+        "service_id": np.array(services),
+        "date": np.array([date.isoformat() for date in dates])[day],
+        "t_max_c": t_max,
+        "t_min_c": t_min,
+        "t_avg_c": t_sum / 24.0,
+    }
+    interpolated = np.array([weather[date][1] for date in dates])[day]
+    if hourly:
+        load = np.array([meter[key][0] for key in keys])
+        l_sum, l_max, l_min = _day_stats(load)
+        columns.update(l_avg_kva=l_sum / 24.0, l_max_kva=l_max, l_min_kva=l_min)
+        interpolated |= np.array([meter[key][1] for key in keys])
+    else:
+        columns["l_avg_kva"] = np.array([meter[key] for key in keys]) / 24.0
+    columns["weekday"] = np.where(
+        np.array([calendar[date] for date in dates])[day], "Y", "N")
+    if hourly:
+        columns["load_kva"] = load
+    columns["ambient_c"] = ambient
+    columns["interpolated"] = interpolated
+
+    records = np.empty(len(keys), [(name, column.dtype, column.shape[1:])
+                                   for name, column in columns.items()])
+    for name, column in columns.items():
+        records[name] = column
+
     span_days = (dates[-1] - dates[0]).days + 1
     if span_days < 730:
         warnings.warn(
@@ -338,8 +343,7 @@ def load_dataset(weather_path, meter_path, calendar_path, *,
             "are recommended", ShortCoverageWarning, stacklevel=2)
     return Dataset(
         records=records,
-        profiles=profiles,
-        services=tuple(services),
+        services=tuple(sorted({service for service, _ in meter})),
         dates=tuple(d.isoformat() for d in dates),
     )
 

@@ -128,6 +128,9 @@ def _thresholds(spec, profiles, cluster_ids, scale_max, tolerance):
     active = hi - lo > tolerance
     while active.any():
         mid = 0.5 * (lo + hi)
+        # Adjacent floats have no midpoint between them, however small
+        # the tolerance.
+        active &= (lo < mid) & (mid < hi)
         ok, _ = within(mid)
         lo = np.where(active & ok, mid, lo)
         hi = np.where(active & ~ok, mid, hi)

@@ -294,7 +294,7 @@ def load_transformer_spec(path) -> TransformerSpec:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # also JSON and UTF-8 decoding
         raise ParseError(f"cannot read transformer spec: {exc}", path=path) from exc
     if not isinstance(raw, dict):
         raise ParseError("transformer spec must be a JSON object", path=path)

@@ -4,6 +4,7 @@ and the end-to-end pipeline run used by the acceptance suite."""
 import datetime as dt
 import time
 
+import numpy as np
 import pytest
 
 from txrisk import cli, features as ft, thermal
@@ -78,6 +79,7 @@ def make_model(centroids, values_schema=None, *, nominal_modes=None,
             centroid_nominal=dict(modes),
             member_count=1,
             member_refs=((f"s{i}", "2015-01-01"),),
+            member_rows=None,
         ))
     return ClusterModel(
         k=len(clusters), clusters=tuple(clusters), schema=schema,
@@ -126,10 +128,24 @@ def golden_pipeline(tmp_path_factory):
     return runs
 
 
-def make_day(date=dt.date(2015, 7, 1), **numeric):
-    """Quick FeatureVector for estimation-style queries."""
-    nominal = {}
-    if "weekday" in numeric:
-        nominal["weekday"] = numeric.pop("weekday")
-    return ft.FeatureVector(service_id="q", date=date, numeric=numeric,
-                            nominal=nominal)
+def record_table(service_id="s", start=dt.date(2015, 1, 1), **columns):
+    """A record table (numpy structured array) with one field per column:
+    ``service_id`` on every row and ``date`` the consecutive ISO days from
+    ``start`` unless given as columns. A column of strings is a label
+    field; a column of 24-value rows is a profile field."""
+    n = len(next(iter(columns.values())))
+    columns.setdefault("date", [start + dt.timedelta(days=i) for i in range(n)])
+    fields = {"service_id": np.asarray(service_id if isinstance(service_id, list)
+                                       else [service_id] * n),
+              "date": np.array([str(d) for d in columns.pop("date")])}
+    fields.update((name, np.asarray(column)) for name, column in columns.items())
+    table = np.empty(n, [(name, column.dtype, column.shape[1:])
+                         for name, column in fields.items()])
+    for name, column in fields.items():
+        table[name] = column
+    return table
+
+
+def make_day(date=dt.date(2015, 7, 1), **values):
+    """A one-row record table for estimation-style queries."""
+    return record_table("q", date, **{name: [v] for name, v in values.items()})

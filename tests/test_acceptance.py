@@ -19,7 +19,7 @@ from txrisk import aging, clustering, estimation, features as ft, riskassess, th
 from txrisk.clustering import kmeans
 from txrisk.thermal import DayProfile, TransformerSpec, simulate_day
 
-from conftest import PIPELINE_FILES, make_day, make_model
+from conftest import PIPELINE_FILES, make_day, make_model, record_table
 
 GOLDEN_DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 
@@ -139,12 +139,8 @@ def _planted_blob_records(rng):
     centers = np.array([[0.1, 0.1], [0.5, 0.9], [0.9, 0.1]])
     labels = np.repeat([0, 1, 2], 30)
     points = centers[labels] + rng.normal(0, 0.01, size=(90, 2))
-    records = [
-        ft.FeatureVector(service_id="s",
-                         date=dt.date(2014, 1, 1) + dt.timedelta(days=i),
-                         numeric={"x": float(p[0]), "y": float(p[1])})
-        for i, p in enumerate(points)
-    ]
+    records = record_table(start=dt.date(2014, 1, 1), x=points[:, 0],
+                           y=points[:, 1])
     return records, labels
 
 
@@ -158,13 +154,9 @@ def test_criterion_06_kmeans_correctness():
     monotone_runs = 0
     for seed in range(100):
         rng = np.random.default_rng(10_000 + seed)
-        records = [
-            ft.FeatureVector(service_id="s",
-                             date=dt.date(2014, 1, 1) + dt.timedelta(days=i),
-                             numeric={"x": float(rng.uniform(0, 1)),
-                                      "y": float(rng.uniform(0, 1))})
-            for i in range(60)
-        ]
+        x, y = zip(*[(float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
+                     for _ in range(60)])
+        records = record_table(start=dt.date(2014, 1, 1), x=x, y=y)
         model = kmeans(records, 4, schema2, seed=seed, track_objective=True)
         trace = model.objective_trace
         if all(b <= a + 1e-9 for a, b in zip(trace, trace[1:])):
@@ -196,10 +188,7 @@ def test_criterion_06_kmeans_correctness():
                                         if (mask >> i & 1) == bit)
                               for bit in (0, 1)}
     schema1 = ft.FeatureSchema(features=(ft.FeatureDef("x", ft.KIND_NUMERIC),))
-    recs = [ft.FeatureVector(service_id="s",
-                             date=dt.date(2015, 1, 1) + dt.timedelta(days=i),
-                             numeric={"x": v}) for i, v in enumerate(values)]
-    model = kmeans(recs, 2, schema1, seed=0)
+    model = kmeans(record_table(x=values), 2, schema1, seed=0)
     day_idx = {(dt.date(2015, 1, 1) + dt.timedelta(days=i)).isoformat(): i
                for i in range(4)}
     oracle_match = ({frozenset(day_idx[ref[1]] for ref in c.member_refs)

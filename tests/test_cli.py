@@ -1,14 +1,14 @@
 """Command-line behavior: exit codes, determinism, file shapes."""
 
-import datetime as dt
 import json
 
+import numpy as np
 import pytest
 
 from txrisk import cli, clustering, features as ft, ingest
 from txrisk.clustering import train_model
 
-from conftest import write_spec_file
+from conftest import record_table, write_spec_file
 
 
 def synth_args(out, seed=5, services=2, days=8):
@@ -75,17 +75,13 @@ class TestExitCodes:
             ft.FeatureDef("l_avg_kva", ft.KIND_NUMERIC),
             ft.FeatureDef("weekday", ft.KIND_NOMINAL, statuses=("Y", "N")),
         ))
-        records, profiles = [], {}
-        for i in range(12):
-            date = dt.date(2015, 1, 1) + dt.timedelta(days=i)
-            records.append(ft.FeatureVector(
-                service_id="s", date=date,
-                numeric={"t_max_c": 10.0 + 0.1 * i, "t_min_c": 0.0 + 0.1 * i,
-                         "t_avg_c": 5.0 + 0.1 * i, "l_avg_kva": 1.0 + 0.01 * i},
-                nominal={"weekday": "Y"}))
-            profiles[("s", date.isoformat())] = ingest.RawDayProfile(
-                load_kva=(1.0,) * 24, ambient_c=(5.0,) * 24)
-        model = train_model(records, profiles, 2, schema, seed=1)
+        i = np.arange(12)
+        records = record_table(
+            t_max_c=10.0 + 0.1 * i, t_min_c=0.0 + 0.1 * i, t_avg_c=5.0 + 0.1 * i,
+            l_avg_kva=1.0 + 0.01 * i, weekday=["Y"] * 12,
+            load_kva=np.ones((12, 24)), ambient_c=np.full((12, 24), 5.0))
+        dataset = ingest.Dataset(records, ("s",), tuple(records["date"].tolist()))
+        model = train_model(dataset, 2, schema, seed=1)
         model_path = tmp_path / "model.json"
         clustering.save_model(model, model_path)
         spec = write_spec_file(tmp_path / "spec.json")
@@ -257,6 +253,60 @@ class TestMalformedInputExitCodes:
                              self.bad_model(root, tmp_path, edit)) == 3
         assert f"cluster 2 centroid lacks feature {name!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["clusters"][1].pop("profile"),
+         "some clusters have a profile and some not"),
+        (lambda doc: doc["clusters"][0]["members"][3].__setitem__(1, "x"),
+         "Invalid isoformat string: 'x'"),
+        (lambda doc: doc["schema"][0].__setitem__("weight", float("inf")),
+         "weight must be finite"),
+    ], ids=["partial_profiles", "member_date", "weight"])
+    def test_model_structure(self, golden_pipeline, tmp_path, capsys, edit,
+                             message):
+        root = golden_pipeline[0][0]
+        assert self.estimate(root, tmp_path,
+                             self.bad_model(root, tmp_path, edit)) == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,code", [("meter.csv", 3), ("query.csv", 3),
+                                           ("spec.json", 3), ("model.json", 3),
+                                           ("config.json", 2)])
+    def test_non_utf8_byte(self, golden_pipeline, tmp_path, capsys, name, code):
+        root = golden_pipeline[0][0]
+        files = {"meter.csv": root / "data" / "meter.csv",
+                 "query.csv": root / "query.csv", "spec.json": root / "spec.json",
+                 "model.json": root / "out" / "model.json"}
+        text = files[name].read_bytes()[:4000] if name in files else b'{"k": 2}'
+        bad = tmp_path / name
+        bad.write_bytes(text[:5] + b"\xff" + text[5:])
+        files[name] = bad
+        data = root / "data"
+        argv = {
+            "meter.csv": ["cluster", "--weather", str(data / "weather.csv"),
+                          "--meter", str(bad),
+                          "--calendar", str(data / "calendar.csv")],
+            "query.csv": ["estimate", "--spec", str(files["spec.json"]),
+                          "--model", str(files["model.json"]),
+                          "--query", str(bad), "--services", "18"],
+            "spec.json": ["assess", "--spec", str(bad),
+                          "--model", str(files["model.json"])],
+            "model.json": ["assess", "--spec", str(files["spec.json"]),
+                           "--model", str(bad)],
+            "config.json": ["synth", "--config", str(bad)],
+        }[name]
+        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == code
+        assert str(bad) in capsys.readouterr().err
+
+    def test_energy_only_meter_has_no_profiles(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert cli.main(synth_args(data, days=12)) == 0
+        (data / "meter.csv").write_text(
+            "service_id,date,energy_kwh\n"
+            + "".join(f"S00{s},2014-01-{d:02d},{20 + s + d}.0\n"
+                      for s in (1, 2) for d in range(1, 13)))
+        assert cli.main(cluster_args(data, tmp_path / "run")) == 13
+        assert "energy-only metering" in capsys.readouterr().err
+
     def test_life_loss_falling_with_service_count(self, golden_pipeline,
                                                   tmp_path, monkeypatch):
         # The guard on a model invariant: with aging factors inverted, the
@@ -323,6 +373,46 @@ class TestConfigFile:
         assert cli.main(["synth", "--config", str(cfg),
                          "--out", str(tmp_path)]) == 2
         assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("synth", [
+        {"holidays": 5}, {"base_load_kw": "x"}, {"holidays": [[1]]},
+        {"holidays": [[1, 1.5]]}, {"coldest_day_of_year": 1.5},
+        {"temp_noise_sd_c": None}, {"service_spread": float("inf")}, 7])
+    def test_synth_config_value_of_wrong_type(self, tmp_path, capsys, synth):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": synth}))
+        assert cli.main(["synth", "--config", str(cfg), "--services", "1",
+                         "--days", "2", "--out", str(tmp_path)]) == 2
+        assert "'synth" in capsys.readouterr().err
+
+    def test_synth_config_of_the_right_kind(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": {
+            "holidays": [[1, 2], [3.0, 4]], "coldest_day_of_year": 20.0,
+            "base_load_kw": 1}}))
+        out = tmp_path / "out"
+        assert cli.main(["synth", "--config", str(cfg), "--services", "1",
+                         "--days", "3", "--out", str(out)]) == 0
+        calendar = (out / "calendar.csv").read_text().splitlines()
+        assert calendar[2] == "2014-01-02,Y,Y"
+
+    @pytest.mark.parametrize("command,extra", [
+        ("cluster", ["--k", "0"]), ("cluster", ["--restarts", "0"]),
+        ("assess", ["--years", "0"]), ("assess", {"scale_tol": 0}),
+        ("assess", {"scale_max": -1.0})])
+    def test_count_or_scale_out_of_range(self, tmp_path, command, extra):
+        data = tmp_path / "data"
+        assert cli.main(synth_args(data)) == 0
+        assert cli.main(cluster_args(data, tmp_path / "run")) == 0
+        if isinstance(extra, dict):
+            (tmp_path / "cfg.json").write_text(json.dumps(extra))
+            extra = ["--config", str(tmp_path / "cfg.json")]
+        spec = write_spec_file(tmp_path / "spec.json")
+        argv = (cluster_args(data, tmp_path / "run") if command == "cluster"
+                else ["assess", "--spec", str(spec), "--model",
+                      str(tmp_path / "run" / "model.json"),
+                      "--out", str(tmp_path / "run")])
+        assert cli.main(argv + extra) == 2
 
     def test_config_values_of_the_right_kind(self, tmp_path):
         # Integral floats pass for int keys, ints for float keys, null for any.

@@ -5,6 +5,7 @@ import datetime as dt
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,8 +25,8 @@ from txrisk.errors import (
     TooFewPointsError,
 )
 from txrisk import ingest
-from txrisk.ingest import RawDayProfile
 
+from conftest import record_table
 from test_features import reference_distance
 
 
@@ -34,11 +35,14 @@ def one_d_schema(name="x"):
 
 
 def one_d_records(values, start=dt.date(2015, 1, 1), service="s"):
-    return [
-        ft.FeatureVector(service_id=service, date=start + dt.timedelta(days=i),
-                         numeric={"x": float(v)})
-        for i, v in enumerate(values)
-    ]
+    return record_table(service, start, x=[float(v) for v in values])
+
+
+def rows_of(records, refs):
+    """The row indices of the (service_id, ISO date) refs in a table."""
+    index = {ref: i for i, ref in enumerate(zip(records["service_id"].tolist(),
+                                                records["date"].tolist()))}
+    return [index[ref] for ref in refs]
 
 
 def brute_force_two_clusters(values):
@@ -64,7 +68,7 @@ class TestKmeansOracle:
         model = kmeans(records, 2, one_d_schema(), seed=3)
 
         # Raw values span [0,1] so normalization is the identity here.
-        by_date = {rec.date.isoformat(): idx for idx, rec in enumerate(records)}
+        by_date = {iso: idx for idx, iso in enumerate(records["date"].tolist())}
         partition = frozenset(
             frozenset(by_date[ref[1]] for ref in c.member_refs)
             for c in model.clusters)
@@ -84,11 +88,7 @@ class TestKmeansOracle:
             ft.FeatureDef("x", ft.KIND_NUMERIC),
             ft.FeatureDef("flag", ft.KIND_NOMINAL, statuses=("Y", "N")),
         ))
-        records = []
-        for i, (v, flag) in enumerate([(0.0, "Y"), (0.5, "Y"), (1.0, "N")]):
-            records.append(ft.FeatureVector(
-                service_id="s", date=dt.date(2015, 1, 1 + i),
-                numeric={"x": v}, nominal={"flag": flag}))
+        records = record_table(x=[0.0, 0.5, 1.0], flag=["Y", "Y", "N"])
         model = kmeans(records, 1, schema, seed=0)
         assert model.clusters[0].centroid_numeric["x"] == pytest.approx(0.5)
         assert model.clusters[0].centroid_nominal["flag"] == "Y"
@@ -146,14 +146,11 @@ class TestUpdateCentroid:
 
 class TestDeterminismAndObjective:
     def make_records(self, rng, n=80):
-        records = []
-        for i in range(n):
-            records.append(ft.FeatureVector(
-                service_id=f"s{i % 7}", date=dt.date(2014, 1, 1) + dt.timedelta(days=i),
-                numeric={"x": float(rng.uniform(0, 10)),
-                         "y": float(rng.uniform(-5, 5))},
-                nominal={"flag": "Y" if rng.random() < 0.5 else "N"}))
-        return records
+        x, y, flag = zip(*[(float(rng.uniform(0, 10)), float(rng.uniform(-5, 5)),
+                            "Y" if rng.random() < 0.5 else "N")
+                           for _ in range(n)])
+        return record_table([f"s{i % 7}" for i in range(n)], dt.date(2014, 1, 1),
+                            x=x, y=y, flag=flag)
 
     SCHEMA = ft.FeatureSchema(features=(
         ft.FeatureDef("x", ft.KIND_NUMERIC),
@@ -172,10 +169,9 @@ class TestDeterminismAndObjective:
     def test_objective_matches_scalar_recomputation(self):
         records = self.make_records(np.random.default_rng(12))
         model = kmeans(records, 4, self.SCHEMA, seed=5)
-        by_ref = {(r.service_id, r.date.isoformat()): r for r in records}
         total = 0.0
         for col, cluster in enumerate(model.clusters):
-            members = [by_ref[ref] for ref in cluster.member_refs]
+            members = records[rows_of(records, cluster.member_refs)]
             enc = ft.encode(members, model.schema, model.norm_params)
             total += sum(ft.distance(enc, model.centroids, model.schema)[:, col])
         assert model.objective == pytest.approx(total, rel=1e-9)
@@ -188,6 +184,9 @@ class TestDeterminismAndObjective:
         assert len(set(refs)) == len(records)
         assert all(c.member_count > 0 for c in model.clusters)
         assert sum(c.member_count for c in model.clusters) == len(records)
+        # The member rows are the rows of the member refs, in table order.
+        for c in model.clusters:
+            assert c.member_rows.tolist() == rows_of(records, c.member_refs)
 
     def test_objective_trace_non_increasing(self):
         records = self.make_records(np.random.default_rng(16))
@@ -237,11 +236,8 @@ class TestPlantedBlobs:
         centers = np.array([[0.1, 0.1], [0.5, 0.9], [0.9, 0.1]])
         labels = np.repeat([0, 1, 2], 30)
         points = centers[labels] + rng.normal(0, 0.01, size=(90, 2))
-        records = [
-            ft.FeatureVector(service_id="s", date=dt.date(2014, 1, 1) + dt.timedelta(days=i),
-                             numeric={"x": float(p[0]), "y": float(p[1])})
-            for i, p in enumerate(points)
-        ]
+        records = record_table(start=dt.date(2014, 1, 1), x=points[:, 0],
+                               y=points[:, 1])
         schema = ft.FeatureSchema(features=(
             ft.FeatureDef("x", ft.KIND_NUMERIC),
             ft.FeatureDef("y", ft.KIND_NUMERIC),
@@ -269,17 +265,14 @@ def two_cluster_fixture():
     dates = [dt.date(2015, 1, 10), dt.date(2015, 1, 11), dt.date(2015, 7, 10),
              dt.date(2015, 7, 11), dt.date(2015, 7, 12), dt.date(2015, 1, 12)]
     values = [1.0, 1.1, 5.0, 5.1, 5.2, 0.9]
-    records = one_d_records(values)
-    records = [
-        ft.FeatureVector(service_id="s", date=d, numeric={"l_avg_kva": v})
-        for d, v in zip(dates, values)
-    ]
-    profiles = {
-        ("s", d.isoformat()): RawDayProfile(
-            load_kva=(v,) * 24, ambient_c=(float(i),) * 24)
-        for i, (d, v) in enumerate(zip(dates, values))
-    }
-    return records, profiles, schema
+    records = record_table(date=dates, l_avg_kva=values,
+                           load_kva=[[v] * 24 for v in values],
+                           ambient_c=[[float(i)] * 24 for i in range(6)])
+    return records, schema
+
+
+def as_dataset(records):
+    return ingest.Dataset(records, ("s",), tuple(records["date"].tolist()))
 
 
 class TestCompositionAndMatrix:
@@ -293,7 +286,7 @@ class TestCompositionAndMatrix:
         assert values[-1] == pytest.approx(24.92)
 
     def test_composition_counts_match_membership(self):
-        records, profiles, schema = two_cluster_fixture()
+        records, schema = two_cluster_fixture()
         model = kmeans(records, 2, schema, seed=4)
         rows = {row["cluster_id"]: row for row in clustering.composition(model)}
         for cluster in model.clusters:
@@ -308,7 +301,7 @@ class TestCompositionAndMatrix:
         assert matrix[1:, 0].sum() == 0
 
     def test_month_matrix_column_sums_equal_member_counts(self):
-        records, profiles, schema = two_cluster_fixture()
+        records, schema = two_cluster_fixture()
         model = kmeans(records, 2, schema, seed=4)
         matrix = month_cluster_matrix(model)
         for col, cluster in enumerate(model.clusters):
@@ -317,7 +310,7 @@ class TestCompositionAndMatrix:
     def test_month_matrix_seasonal_concentration(self):
         # High-load days are planted in June..August; the high cluster's
         # member days must land in those rows.
-        records, profiles, schema = two_cluster_fixture()
+        records, schema = two_cluster_fixture()
         model = kmeans(records, 2, schema, seed=4)
         matrix = month_cluster_matrix(model)
         high = max(model.clusters,
@@ -328,49 +321,41 @@ class TestCompositionAndMatrix:
 
 class TestProfiles:
     def test_single_member_cluster_equals_raw_profile(self):
-        records, profiles, schema = two_cluster_fixture()
+        records, schema = two_cluster_fixture()
         model = kmeans(records[:1], 1, schema, seed=0)
-        out = extract_profiles(model, profiles)
-        assert out[1].load_kva == profiles[("s", "2015-01-10")].load_kva
-        assert out[1].ambient_c == profiles[("s", "2015-01-10")].ambient_c
+        out = extract_profiles(model, records[:1])
+        assert out[1].load_kva == tuple(records["load_kva"][0].tolist())
+        assert out[1].ambient_c == tuple(records["ambient_c"][0].tolist())
 
     def test_two_member_mean(self):
-        records, profiles, schema = two_cluster_fixture()
+        records, schema = two_cluster_fixture()
         model = kmeans(records, 2, schema, seed=4)
-        out = extract_profiles(model, profiles)
+        out = extract_profiles(model, records)
         for cluster in model.clusters:
             expected_load = np.zeros(24)
             expected_amb = np.zeros(24)
-            for ref in cluster.member_refs:
-                expected_load += np.array(profiles[ref].load_kva)
-                expected_amb += np.array(profiles[ref].ambient_c)
+            for row in rows_of(records, cluster.member_refs):
+                expected_load += records["load_kva"][row]
+                expected_amb += records["ambient_c"][row]
             expected_load /= cluster.member_count
             expected_amb /= cluster.member_count
             assert out[cluster.id].load_kva == pytest.approx(tuple(expected_load))
             assert out[cluster.id].ambient_c == pytest.approx(tuple(expected_amb))
 
-    def test_missing_profile_raises(self):
-        records, profiles, schema = two_cluster_fixture()
-        model = kmeans(records, 2, schema, seed=4)
-        incomplete = dict(profiles)
-        incomplete.pop(("s", "2015-07-10"))
-        with pytest.raises(MissingProfileError):
-            extract_profiles(model, incomplete)
-
     def test_energy_only_member_raises(self):
-        records, profiles, schema = two_cluster_fixture()
-        model = kmeans(records, 2, schema, seed=4)
-        degraded = dict(profiles)
-        degraded[("s", "2015-07-10")] = RawDayProfile(
-            load_kva=None, ambient_c=(0.0,) * 24)
-        with pytest.raises(MissingProfileError):
-            extract_profiles(model, degraded)
+        records, schema = two_cluster_fixture()
+        energy = record_table(date=records["date"].tolist(),
+                              l_avg_kva=records["l_avg_kva"],
+                              ambient_c=records["ambient_c"])
+        model = kmeans(energy, 2, schema, seed=4)
+        with pytest.raises(MissingProfileError, match="member .'s', '2015-"):
+            extract_profiles(model, energy)
 
 
 class TestModelFile:
     def test_roundtrip_preserves_model(self, tmp_path):
-        records, profiles, schema = two_cluster_fixture()
-        model = train_model(records, profiles, 2, schema, seed=4, restarts=2)
+        records, schema = two_cluster_fixture()
+        model = train_model(as_dataset(records), 2, schema, seed=4, restarts=2)
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
@@ -384,12 +369,21 @@ class TestModelFile:
         assert loaded.profiles == model.profiles
 
     def test_rewriting_loaded_model_is_byte_identical(self, tmp_path):
-        records, profiles, schema = two_cluster_fixture()
-        model = train_model(records, profiles, 2, schema, seed=4)
+        records, schema = two_cluster_fixture()
+        model = train_model(as_dataset(records), 2, schema, seed=4)
         p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
         save_model(model, p1)
         save_model(load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_float_refused_before_writing(self, tmp_path, value):
+        records, schema = two_cluster_fixture()
+        model = train_model(as_dataset(records), 2, schema, seed=4)
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_model(replace(model, far_threshold=value), path)
+        assert not path.exists()
 
     def test_stored_floats_recompute_bit_for_bit_from_members(self, tmp_path):
         # Every float in model.json is recomputed here from the member refs
@@ -402,21 +396,19 @@ class TestModelFile:
         dataset = ingest.load_dataset(paths["weather"], paths["meter"],
                                       paths["calendar"])
         schema = ft.default_schema()
-        model = train_model(dataset.records, dataset.profiles, 4, schema,
-                            seed=3, restarts=2)
+        model = train_model(dataset, 4, schema, seed=3, restarts=2)
         save_model(model, tmp_path / "model.json")
         doc = json.loads((tmp_path / "model.json").read_text())
         loaded = load_model(tmp_path / "model.json")
         params = loaded.norm_params
-        by_ref = {(r.service_id, r.date.isoformat()): r
-                  for r in dataset.records}
 
         member_dists = []
         for entry in doc["clusters"]:
             refs = [tuple(ref) for ref in entry["members"]]
             count = entry["member_count"]
             assert count == len(refs)
-            quant, nom = ft.encode([by_ref[ref] for ref in refs], schema, params)
+            rows = rows_of(dataset.records, refs)
+            quant, nom = ft.encode(dataset.records[rows], schema, params)
             for j, name in enumerate(schema.quantitative_names):
                 mean = math.fsum(quant[:, j].tolist()) / count
                 assert entry["centroid_normalized"][name] == mean
@@ -431,8 +423,8 @@ class TestModelFile:
                 assert entry["centroid_nominal"][name] == mode
             for key in ("load_kva", "ambient_c"):
                 for hour in range(24):
-                    mean = math.fsum(getattr(dataset.profiles[ref], key)[hour]
-                                     for ref in refs) / count
+                    mean = math.fsum(dataset.records[key][rows, hour].tolist()
+                                     ) / count
                     assert entry["profile"][key][hour] == mean
             centroid = (
                 [entry["centroid_normalized"][name]

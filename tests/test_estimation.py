@@ -1,6 +1,5 @@
 """Inverse-distance estimation tests."""
 
-import datetime as dt
 import math
 
 import numpy as np
@@ -206,10 +205,15 @@ class TestQueryFiles:
         path = tmp_path / "query.csv"
         path.write_text(self.CSV)
         queries = read_query_csv(path)
-        assert len(queries) == 2
-        assert queries[0].date == dt.date(2016, 6, 6)
-        assert queries[0].numeric["t_max_c"] == pytest.approx(21.53)
-        assert queries[1].nominal["weekday"] == "N"
+        assert queries.dtype == estimation.QUERY_DTYPE
+        assert queries["date"].tolist() == ["2016-06-06", "2016-06-07"]
+        assert queries["t_max_c"].tolist() == [21.53, 22.73]
+        assert queries["weekday"].tolist() == ["Y", "N"]
+
+    def test_header_only_is_an_empty_table(self, tmp_path):
+        path = tmp_path / "query.csv"
+        path.write_text(self.CSV.splitlines()[0] + "\n")
+        assert len(read_query_csv(path)) == 0
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "query.csv"

@@ -1,6 +1,5 @@
 """Feature schema, encoding, normalization, and mixed-distance tests."""
 
-import datetime as dt
 import math
 
 import numpy as np
@@ -14,12 +13,12 @@ from txrisk.errors import (
     SchemaMismatchError,
 )
 
+from conftest import record_table
+
 
 def record(**values):
-    nominal = {k: v for k, v in values.items() if isinstance(v, str)}
-    numeric = {k: v for k, v in values.items() if not isinstance(v, str)}
-    return ft.FeatureVector(service_id="s", date=dt.date(2015, 1, 1),
-                            numeric=numeric, nominal=nominal)
+    """A one-row record table."""
+    return record_table(**{name: [v] for name, v in values.items()})
 
 
 @pytest.fixture
@@ -59,7 +58,7 @@ def normalized(value, bounds):
     """One raw value of feature ``x`` through :func:`ft.encode`."""
     schema = ft.FeatureSchema(features=(ft.FeatureDef("x", ft.KIND_NUMERIC),))
     params = ft.NormalizationParams(bounds={"x": bounds})
-    quant, _ = ft.encode([record(x=value)], schema, params)
+    quant, _ = ft.encode(record(x=value), schema, params)
     return float(quant[0, 0])
 
 
@@ -95,20 +94,19 @@ def reference_distance(x, y, schema):
 class TestNormalization:
     def test_fit_observes_min_max(self):
         schema = ft.FeatureSchema(features=(ft.FeatureDef("x", ft.KIND_NUMERIC),))
-        params = ft.fit_normalization(
-            [record(x=0.0), record(x=5.0), record(x=10.0)], schema)
+        params = ft.fit_normalization(record_table(x=[0.0, 5.0, 10.0]), schema)
         assert params.bounds["x"] == (0.0, 10.0)
 
     def test_fit_table_style_range(self):
         schema = ft.FeatureSchema(features=(ft.FeatureDef("t", ft.KIND_NUMERIC),))
         params = ft.fit_normalization(
-            [record(t=v) for v in (-20.58, 5.14, 24.92, 11.0)], schema)
+            record_table(t=[-20.58, 5.14, 24.92, 11.0]), schema)
         assert params.bounds["t"] == (-20.58, 24.92)
 
     def test_constant_feature_warns(self):
         schema = ft.FeatureSchema(features=(ft.FeatureDef("x", ft.KIND_NUMERIC),))
         with pytest.warns(DegenerateFeatureWarning):
-            params = ft.fit_normalization([record(x=7.0)] * 3, schema)
+            params = ft.fit_normalization(record_table(x=[7.0] * 3), schema)
         assert normalized(7.0, params.bounds["x"]) == 0.0
 
     def test_empty_dataset(self):
@@ -119,7 +117,17 @@ class TestNormalization:
     def test_missing_feature(self):
         schema = ft.FeatureSchema(features=(ft.FeatureDef("x", ft.KIND_NUMERIC),))
         with pytest.raises(SchemaMismatchError):
-            ft.fit_normalization([record(y=1.0)], schema)
+            ft.fit_normalization(record(y=1.0), schema)
+
+    def test_bounds_are_the_first_min_and_max(self):
+        # As Python's min and max pick them: of equal 0.0 and -0.0 the
+        # first keeps its sign.
+        schema = ft.FeatureSchema(features=(ft.FeatureDef("x", ft.KIND_NUMERIC),))
+        for values in ([-0.0, 0.0], [0.0, -0.0]):
+            with pytest.warns(DegenerateFeatureWarning):
+                lo, hi = ft.fit_normalization(record_table(x=values),
+                                              schema).bounds["x"]
+            assert str(lo) == str(hi) == str(min(values)) == str(max(values))
 
     def test_normalize_boundaries_and_midpoint(self):
         assert normalized(10.0, (10.0, 30.0)) == 0.0
@@ -256,17 +264,10 @@ class TestDistance:
 class TestEncode:
     def test_encodes_in_schema_order(self, mixed_schema):
         params = ft.NormalizationParams(bounds={"a": (0.0, 10.0), "b": (0.0, 2.0)})
-        rec = ft.FeatureVector(
-            service_id="s", date=dt.date(2015, 1, 1),
-            numeric={"a": 5.0, "b": 1.0},
-            ordinal={"grade": ft.encode_ordinal(2, 3)},
-            nominal={"flag": "N"})
-        other = ft.FeatureVector(
-            service_id="s", date=dt.date(2015, 1, 2),
-            numeric={"a": 12.0, "b": 0.5},
-            ordinal={"grade": ft.encode_ordinal(1, 3)},
-            nominal={"flag": "Y"})
-        quant, nom = ft.encode([rec, other], mixed_schema, params)
+        records = record_table(
+            flag=["N", "Y"], b=[1.0, 0.5], a=[5.0, 12.0],
+            grade=[ft.encode_ordinal(2, 3), ft.encode_ordinal(1, 3)])
+        quant, nom = ft.encode(records, mixed_schema, params)
         assert quant.shape == (2, 3) and nom.shape == (2, 1)
         assert quant[0].tolist() == pytest.approx([0.5, 0.5, 0.5])
         assert quant[1].tolist() == pytest.approx([1.0, 0.25, 1 / 6])
@@ -274,14 +275,25 @@ class TestEncode:
 
     def test_missing_feature_raises(self, mixed_schema):
         params = ft.NormalizationParams(bounds={"a": (0.0, 10.0), "b": (0.0, 2.0)})
-        rec = record(a=5.0)
         with pytest.raises(SchemaMismatchError):
-            ft.encode([rec], mixed_schema, params)
+            ft.encode(record(a=5.0), mixed_schema, params)
+
+    @pytest.mark.parametrize("a", ["5.0", [5.0] * 24])
+    def test_field_of_another_kind_is_not_the_feature(self, mixed_schema, a):
+        # A label field or a 24-hour profile field cannot be numeric a.
+        params = ft.NormalizationParams(bounds={"a": (0.0, 10.0), "b": (0.0, 2.0)})
+        rec = record(a=a, b=1.0, grade=0.5, flag="Y")
+        with pytest.raises(SchemaMismatchError):
+            ft.encode(rec, mixed_schema, params)
+        quant, _ = ft.encode(rec, mixed_schema, params, allow_missing=True)
+        assert math.isnan(quant[0, 0])
+        with pytest.raises(SchemaMismatchError):
+            ft.fit_normalization(rec, mixed_schema)
 
     def test_allow_missing_marks_placeholders(self, mixed_schema):
         params = ft.NormalizationParams(bounds={"a": (0.0, 10.0), "b": (0.0, 2.0)})
-        rec = record(a=5.0)
-        quant, nom = ft.encode([rec], mixed_schema, params, allow_missing=True)
+        quant, nom = ft.encode(record(a=5.0), mixed_schema, params,
+                               allow_missing=True)
         assert quant[0, 0] == 0.5
         assert math.isnan(quant[0, 1])
         assert math.isnan(quant[0, 2])
@@ -289,14 +301,11 @@ class TestEncode:
 
     def test_unknown_nominal_status(self, mixed_schema):
         params = ft.NormalizationParams(bounds={"a": (0.0, 10.0), "b": (0.0, 2.0)})
-        rec = ft.FeatureVector(service_id="s", date=dt.date(2015, 1, 1),
-                               numeric={"a": 5.0, "b": 1.0},
-                               ordinal={"grade": 0.5},
-                               nominal={"flag": "MAYBE"})
+        rec = record(a=5.0, b=1.0, grade=0.5, flag="MAYBE")
+        with pytest.raises(SchemaMismatchError, match="'MAYBE'"):
+            ft.encode(rec, mixed_schema, params)
         with pytest.raises(SchemaMismatchError):
-            ft.encode([rec], mixed_schema, params)
-        with pytest.raises(SchemaMismatchError):
-            ft.encode([rec], mixed_schema, params, allow_missing=True)
+            ft.encode(rec, mixed_schema, params, allow_missing=True)
 
 
 class TestSchema:

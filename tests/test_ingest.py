@@ -1,8 +1,10 @@
 """Ingestion and synthetic-generator tests."""
 
+import csv
 import datetime as dt
 import warnings
 
+import numpy as np
 import pytest
 
 from txrisk import ingest
@@ -45,13 +47,10 @@ class TestSynth:
                              heating_coeff_kw_per_c=0.05)
         paths = gen(tmp_path, seed=3, services=2, days=365, config=config)
         ds = load_dataset(paths["weather"], paths["meter"], paths["calendar"])
-        winter, summer = [], []
-        for rec in ds.records:
-            if rec.date.month in (12, 1, 2):
-                winter.append(rec.numeric["l_avg_kva"])
-            elif rec.date.month in (6, 7, 8):
-                summer.append(rec.numeric["l_avg_kva"])
-        assert sum(winter) / len(winter) > sum(summer) / len(summer)
+        months = np.array([int(iso[5:7]) for iso in ds.records["date"].tolist()])
+        load = ds.records["l_avg_kva"]
+        assert load[np.isin(months, (12, 1, 2))].mean() \
+            > load[np.isin(months, (6, 7, 8))].mean()
 
     def test_flat_config_yields_constant_load(self, tmp_path):
         paths = gen(tmp_path, seed=5, services=1, days=3, config=FLAT)
@@ -71,23 +70,65 @@ class TestRoundTrip:
             warnings.simplefilter("ignore")  # short span warning expected
             ds = load_dataset(paths["weather"], paths["meter"],
                               paths["calendar"])
-        assert len(ds.records) == 3 * 15
-        assert len(ds.profiles) == 3 * 15
+        rec = ds.records
+        assert len(rec) == 3 * 15
+        assert rec.dtype.names == (
+            "service_id", "date", "t_max_c", "t_min_c", "t_avg_c", "l_avg_kva",
+            "l_max_kva", "l_min_kva", "weekday", "load_kva", "ambient_c",
+            "interpolated")
         assert ds.services == ("S001", "S002", "S003")
-        for rec in ds.records:
-            n = rec.numeric
-            assert n["t_min_c"] <= n["t_avg_c"] <= n["t_max_c"]
-            assert n["l_min_kva"] <= n["l_avg_kva"] <= n["l_max_kva"]
-            prof = ds.profiles[(rec.service_id, rec.date.isoformat())]
-            assert len(prof.load_kva) == 24
-            assert len(prof.ambient_c) == 24
-            assert not prof.interpolated
+        assert rec["service_id"].tolist() == [s for s in ds.services
+                                              for _ in range(15)]
+        assert rec["date"].tolist() == list(ds.dates) * 3
+        assert ds.dates[0] == "2015-01-01" and len(ds.dates) == 15
+        assert (rec["t_min_c"] <= rec["t_avg_c"]).all()
+        assert (rec["t_avg_c"] <= rec["t_max_c"]).all()
+        assert (rec["l_min_kva"] <= rec["l_avg_kva"]).all()
+        assert (rec["l_avg_kva"] <= rec["l_max_kva"]).all()
+        assert rec["load_kva"].shape == rec["ambient_c"].shape == (45, 24)
+        assert not rec["interpolated"].any()
 
     def test_deterministic_load(self, tmp_path):
         paths = gen(tmp_path, seed=2, services=2, days=5)
         a = load_dataset(paths["weather"], paths["meter"], paths["calendar"])
         b = load_dataset(paths["weather"], paths["meter"], paths["calendar"])
-        assert [r.numeric for r in a.records] == [r.numeric for r in b.records]
+        assert a.records.tobytes() == b.records.tobytes()
+
+    def test_day_features_follow_the_python_rule_bit_for_bit(self, tmp_path):
+        # Each mean is sum(day) / 24.0 with the day's values added in hour
+        # order, each extreme Python's max/min of the day (the first of
+        # tied 0.0 and -0.0): numpy's pairwise sum rounds differently.
+        paths = gen(tmp_path, seed=11, services=3, days=60)
+        lines = paths["weather"].read_text().splitlines()
+        for hour in range(24):  # 2015-01-02: a tie of 0.0 and -0.0
+            lines[1 + 24 + hour] = f"2015-01-02,{hour},{'-0.00' if hour % 3 else '0.00'}"
+        paths["weather"].write_text("\n".join(lines) + "\n")
+        ds = load_dataset(paths["weather"], paths["meter"], paths["calendar"])
+
+        def days(path, value_column):
+            out = {}
+            with open(path, newline="") as fh:
+                for row in csv.DictReader(fh):
+                    key = (row.get("service_id"), row["date"])
+                    out.setdefault(key, []).append(float(row[value_column]))
+            return out
+
+        temps = days(paths["weather"], "temp_c")
+        loads = days(paths["meter"], "kw")
+        expected = {name: [] for name in ("t_max_c", "t_min_c", "t_avg_c",
+                                          "l_avg_kva", "l_max_kva", "l_min_kva")}
+        for service, iso in zip(ds.records["service_id"].tolist(),
+                                ds.records["date"].tolist()):
+            t, kw = temps[(None, iso)], loads[(service, iso)]
+            for name, value in (("t_max_c", max(t)), ("t_min_c", min(t)),
+                                ("t_avg_c", sum(t) / 24.0),
+                                ("l_avg_kva", sum(kw) / 24.0),
+                                ("l_max_kva", max(kw)), ("l_min_kva", min(kw))):
+                expected[name].append(repr(value))
+        assert ds.records["date"][1] == "2015-01-02"
+        assert ds.records["t_max_c"][1] == ds.records["t_min_c"][1] == 0.0
+        for name, values in expected.items():
+            assert list(map(repr, ds.records[name].tolist())) == values, name
 
     def test_short_span_warns(self, tmp_path):
         paths = gen(tmp_path, seed=2, services=1, days=30)
@@ -98,10 +139,11 @@ class TestRoundTrip:
         # 2015-01-01 is a Thursday and a default holiday.
         paths = gen(tmp_path, seed=2, services=1, days=7)
         ds = load_dataset(paths["weather"], paths["meter"], paths["calendar"])
-        by_date = {r.date: r for r in ds.records}
-        assert by_date[dt.date(2015, 1, 1)].nominal["weekday"] == "N"
-        assert by_date[dt.date(2015, 1, 2)].nominal["weekday"] == "Y"
-        assert by_date[dt.date(2015, 1, 3)].nominal["weekday"] == "N"
+        weekday = dict(zip(ds.records["date"].tolist(),
+                           ds.records["weekday"].tolist()))
+        assert weekday["2015-01-01"] == "N"
+        assert weekday["2015-01-02"] == "Y"
+        assert weekday["2015-01-03"] == "N"
 
 
 def drop_lines(path, predicate):
@@ -117,9 +159,10 @@ class TestGapPolicy:
         with pytest.warns(DataGapWarning):
             ds = load_dataset(paths["weather"], paths["meter"],
                               paths["calendar"])
-        assert len(ds.records) == 3
-        assert ds.profiles[("S001", "2015-01-02")].interpolated
-        temps = ds.profiles[("S001", "2015-01-02")].ambient_c
+        assert ds.records["date"].tolist() == ["2015-01-01", "2015-01-02",
+                                               "2015-01-03"]
+        assert ds.records["interpolated"].tolist() == [False, True, False]
+        temps = ds.records["ambient_c"][1]
         assert min(temps[6], temps[8]) <= temps[7] <= max(temps[6], temps[8])
 
     def test_three_missing_hours_drops_day(self, tmp_path):
@@ -130,8 +173,7 @@ class TestGapPolicy:
         with pytest.warns(DataGapWarning):
             ds = load_dataset(paths["weather"], paths["meter"],
                               paths["calendar"])
-        assert len(ds.records) == 2
-        assert ("S001", "2015-01-02") not in ds.profiles
+        assert ds.records["date"].tolist() == ["2015-01-01", "2015-01-03"]
 
     def test_gap_error_when_interpolation_disabled(self, tmp_path):
         paths = gen(tmp_path, seed=4, services=1, days=3)
@@ -148,8 +190,8 @@ class TestGapPolicy:
         with pytest.warns(DataGapWarning):
             ds = load_dataset(paths["weather"], paths["meter"],
                               paths["calendar"])
-        assert ds.profiles[("S001", "2015-01-02")].interpolated
-        assert ds.profiles[("S001", "2015-01-02")].ambient_c[3] != 42.42
+        assert ds.records["interpolated"].tolist() == [False, True, False]
+        assert ds.records["ambient_c"][1, 3] != 42.42
 
     def test_triplicate_hour_is_parse_error(self, tmp_path):
         paths = gen(tmp_path, seed=4, services=1, days=3)
@@ -237,8 +279,8 @@ class TestCoverage:
         b = gen(tmp_path / "b", seed=7, services=2, days=6,
                 start=dt.date(2015, 1, 4))
         ds = load_dataset(a["weather"], b["meter"], a["calendar"])
-        assert {r.date for r in ds.records} == {
-            dt.date(2015, 1, 4), dt.date(2015, 1, 5), dt.date(2015, 1, 6)}
+        assert set(ds.records["date"].tolist()) == {
+            "2015-01-04", "2015-01-05", "2015-01-06"}
         assert len(ds.records) == 6  # 2 services x 3 overlapping days
 
 
@@ -250,8 +292,8 @@ class TestEnergyMeters:
                          "S001,2015-01-01,24.0\n"
                          "S001,2015-01-02,48.0\n")
         ds = load_dataset(paths["weather"], meter, paths["calendar"])
-        by_date = {r.date: r for r in ds.records}
-        assert by_date[dt.date(2015, 1, 1)].numeric["l_avg_kva"] == pytest.approx(1.0)
-        assert by_date[dt.date(2015, 1, 2)].numeric["l_avg_kva"] == pytest.approx(2.0)
-        assert "l_max_kva" not in by_date[dt.date(2015, 1, 1)].numeric
-        assert ds.profiles[("S001", "2015-01-01")].load_kva is None
+        assert ds.records["date"].tolist() == ["2015-01-01", "2015-01-02"]
+        assert ds.records["l_avg_kva"].tolist() == [1.0, 2.0]
+        for name in ("l_max_kva", "l_min_kva", "load_kva"):
+            assert name not in ds.records.dtype.names
+        assert ds.records["ambient_c"].shape == (2, 24)

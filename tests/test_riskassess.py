@@ -57,7 +57,7 @@ def make_model_with_profiles(profiles, default_spec=None):
                      for j in range(members))
         clusters.append(Cluster(
             id=i + 1, centroid_numeric={"x": 0.5}, centroid_nominal={},
-            member_count=members, member_refs=refs))
+            member_count=members, member_refs=refs, member_rows=None))
     return ClusterModel(
         k=len(clusters), clusters=tuple(clusters), schema=schema,
         norm_params=ft.NormalizationParams(bounds={"x": (0.0, 1.0)}),

@@ -3,11 +3,17 @@
 Its tracer wraps program functions by module and attribute name, so a
 renamed or deleted function crashes every traced benchmark run. The names
 are read from the harness source, not imported, so this test runs without
-the harness on the path.
+the harness on the path. Its counters read attributes of some return values
+(``len(dataset.records)``, ``trace.iterations``, ``result.far_flag``); the
+harness's child module is loaded from its file to apply them to real
+results.
 """
 
 import ast
+import datetime as dt
 import importlib
+import importlib.util
+import warnings
 from pathlib import Path
 
 CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
@@ -30,3 +36,46 @@ def test_every_traced_target_exists():
                if not callable(getattr(importlib.import_module(f"txrisk.{module}"),
                                        attr, None))]
     assert not missing, f"perfbench traces functions txrisk lacks: {missing}"
+
+
+def load_child():
+    """``perfbench/child.py`` loaded from its path as a module of its own."""
+    spec = importlib.util.spec_from_file_location("perfbench_child", CHILD)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_return_counter_reads_a_real_result(tmp_path, default_spec):
+    # Each counter the harness reads off a return value (records loaded,
+    # solver sweeps, far-flagged estimates) must still find its attribute.
+    from dataclasses import replace
+
+    from txrisk import clustering, estimation, ingest, thermal
+
+    from conftest import make_day, make_model
+
+    paths = ingest.synth_dataset(1, 2, dt.date(2015, 1, 1), 3, out_dir=tmp_path)
+    model = replace(make_model([{"l_avg_kva": 0.1}, {"l_avg_kva": 0.2}],
+                               far_threshold=1e-6),
+                    profiles={cid: clustering.ClusterProfile(
+                        load_kva=(1.0,) * 24, ambient_c=(10.0,) * 24)
+                        for cid in (1, 2)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        results = {
+            ("ingest", "load_dataset"): ingest.load_dataset(
+                paths["weather"], paths["meter"], paths["calendar"]),
+            ("thermal", "simulate_day"): thermal.simulate_day(
+                default_spec, thermal.DayProfile(ambient=(20.0,) * 24,
+                                                 load_pu=(1.0,) * 24)),
+            ("estimation", "estimate_day_temperature"):
+                estimation.estimate_day_temperature(
+                    make_day(l_avg_kva=0.9), model, 10, default_spec),
+        }
+    on_return = load_child().ON_RETURN
+    assert set(on_return) == set(results)
+    for key, callback in on_return.items():
+        counters = {}
+        callback(counters, results[key])
+        assert len(counters) == 1 and min(counters.values()) > 0, key
