@@ -5,9 +5,10 @@ doubles every 6-7 degC. A day spent above the reference temperature can
 burn through weeks of insulation life; a cool day barely registers.
 """
 
+import numpy as np
+
 from txrisk import (
     NORMAL_LIFE_DAYS,
-    DayProfile,
     TransformerSpec,
     aging_acceleration,
     economic_loss,
@@ -25,17 +26,18 @@ spec = TransformerSpec(
     loss_ratio=4.0, oil_time_constant=3.0, winding_time_constant=0.08,
     replacement_cost=5000.0)
 
-# Same summer day at two loading levels: nameplate and a 40% overload.
-ambient = (30.0,) * 24
-for label, level in (("rated load", 1.0), ("40% overload", 1.4)):
-    trace = simulate_day(spec, DayProfile(ambient=ambient,
-                                          load_pu=(level,) * 24))
-    factors = [aging_acceleration(t) for t in trace.hotspot]
+# Same summer day at two loading levels, nameplate and a 40% overload,
+# simulated together: one row of loads per level.
+levels = (("rated load", 1.0), ("40% overload", 1.4))
+load = np.array([[level] * 24 for _, level in levels])
+traces = simulate_day(spec, np.full(24, 30.0), load)
+for (label, _), hotspot in zip(levels, traces.hotspot):
+    factors = aging_acceleration(hotspot)
     feqa = equivalent_aging(factors)
     # One such day every day for a year:
     annual_days = feqa * 365.0
     cost = economic_loss(annual_days, spec.replacement_cost)
-    print(f"\n{label}: hotspot {max(trace.hotspot):.1f} degC, "
+    print(f"\n{label}: hotspot {max(hotspot):.1f} degC, "
           f"F_EQA {feqa:.3f} days/day")
     print(f"  a year of these days ages the unit {annual_days:.0f} days "
           f"({annual_days / NORMAL_LIFE_DAYS * 100:.1f}% of normal life, "

@@ -10,10 +10,8 @@ inverse-distance estimates for uninstrumented areas.
 
 from .aging import (
     NORMAL_LIFE_DAYS,
-    AgingResult,
     accumulate_life_loss,
     aging_acceleration,
-    day_aging,
     economic_loss,
     equivalent_aging,
 )
@@ -59,15 +57,11 @@ from .riskassess import (
     service_grid,
 )
 from .thermal import (
-    DayProfile,
-    LimitVerdict,
     ThermalTrace,
     TransformerSpec,
-    check_limits,
     exponential_step,
     load_transformer_spec,
     simulate_day,
-    simulate_days,
     ultimate_hotspot_rise,
     ultimate_top_oil_rise,
 )

@@ -4,7 +4,6 @@ accumulated life loss, and the equivalent yearly economic loss."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,21 +14,6 @@ REFERENCE_HOTSPOT_K = 383.0  # 110 °C
 AGING_RATE_CONSTANT = 15000.0
 # Normal insulation life required by the loading standard (20.55 years).
 NORMAL_LIFE_DAYS = 7500.0
-
-
-@dataclass(frozen=True)
-class AgingResult:
-    """Aging summary for one simulated day extended over a window.
-
-    ``daily_feqa`` is the effective aging in days per calendar day;
-    ``economic_loss`` is currency per year.
-    """
-
-    hourly_faa: tuple[float, ...]
-    daily_feqa: float
-    life_loss_days: float
-    annual_loss_days: float
-    economic_loss: float
 
 
 def aging_acceleration(hotspot_c):
@@ -101,23 +85,3 @@ def economic_loss(annual_loss_days: float, replacement_cost: float) -> float:
         raise ValueError("replacement_cost must be >= 0")
     return annual_loss_days / NORMAL_LIFE_DAYS * replacement_cost
 
-
-def day_aging(hotspot_trace, years: float = 1.0, day_count: float = 365.0,
-              replacement_cost: float = 0.0) -> AgingResult:
-    """Full aging summary for one simulated day applied over a window.
-
-    ``day_count`` days of operation under this profile are spread over
-    ``years`` years; life loss per operated day equals the daily
-    equivalent aging factor.
-    """
-    factors = tuple(aging_acceleration(t) for t in hotspot_trace)
-    feqa = equivalent_aging(factors)
-    total = feqa * day_count
-    annual = total / years
-    return AgingResult(
-        hourly_faa=factors,
-        daily_feqa=feqa,
-        life_loss_days=total,
-        annual_loss_days=annual,
-        economic_loss=economic_loss(annual, replacement_cost),
-    )

@@ -29,7 +29,7 @@ exit codes:
   0   success
   1   unexpected internal error
   2   usage or configuration error
-  3   input file parse error
+  3   input file parse error, or a model/spec load above the per-unit ceiling
   4   incomplete day with gap filling disabled
   5   no common weather/meter/calendar coverage
   6   more clusters requested than data points
@@ -320,16 +320,17 @@ def cmd_assess(cfg: RunConfig) -> int:
         raise ConfigError("--years, scale_max and scale_tol must be > 0")
     out = cfg.out_dir()
 
+    # Both searches run before any write: a refused input leaves no tables.
     thresholds = riskassess.cluster_thresholds(
         spec, model, scale_max=float(cfg.get("scale_max")),
         tolerance=float(cfg.get("scale_tol")))
+    grid = riskassess.service_grid(spec, model, n_range)
     riskassess.write_thresholds_csv(thresholds, out / "thresholds.csv")
 
     matrix = clustering.month_cluster_matrix(model)
     riskassess.write_month_matrix_csv(matrix, model, thresholds,
                                       out / "month_matrix.csv")
 
-    grid = riskassess.service_grid(spec, model, n_range)
     riskassess.write_temperature_grid_csv(grid, out / "temperature_grid.csv")
     riskassess.write_life_loss_csv(grid, spec, years, out / "life_loss.csv")
     by_temp = riskassess.max_services_by_temperature(spec, grid)

@@ -48,10 +48,13 @@ class Cluster:
     id: int
     centroid_numeric: dict[str, float]  # normalized space, numeric + ordinal
     centroid_nominal: dict[str, str]
-    member_count: int
     member_refs: tuple[tuple[str, str], ...]  # (service_id, ISO date)
     # The members' rows in the table kmeans read; None if read from a file.
     member_rows: np.ndarray | None = field(compare=False, repr=False)
+
+    @property
+    def member_count(self) -> int:
+        return len(self.member_refs)
 
 
 @dataclass(frozen=True)
@@ -198,7 +201,6 @@ def kmeans(records, k: int, schema: ft.FeatureSchema, seed: int,
             centroid_nominal={name: schema.feature(name).statuses[code]
                               for name, code in zip(schema.nominal_names,
                                                     cent_n[c].tolist())},
-            member_count=len(refs),
             member_refs=refs,
             member_rows=rows,
         ))
@@ -431,11 +433,15 @@ def _checked_bounds(params: ft.NormalizationParams) -> ft.NormalizationParams:
 
 
 def _checked_cluster(entry, schema: ft.FeatureSchema) -> Cluster:
-    """A stored cluster whose members are (service, ISO date) pairs and
-    whose centroid has every schema feature: finite numeric/ordinal
-    components and nominal labels among their statuses."""
+    """A stored cluster whose members are (service, ISO date) pairs, as
+    many as its ``member_count``, and whose centroid has every schema
+    feature: finite numeric/ordinal components and nominal labels among
+    their statuses."""
     cid = int(entry["id"])
     refs = tuple((s, d) for s, d in entry["members"])
+    if int(entry["member_count"]) != len(refs):
+        raise ValueError(f"cluster {cid} member_count {entry['member_count']!r}"
+                         f" differs from its {len(refs)} members")
     for iso in {d for _, d in refs}:
         dt.date.fromisoformat(iso)
     numeric = {name: _finite(f"cluster {cid} centroid {name!r}", v)
@@ -455,7 +461,6 @@ def _checked_cluster(entry, schema: ft.FeatureSchema) -> Cluster:
         id=cid,
         centroid_numeric=numeric,
         centroid_nominal=nominal,
-        member_count=int(entry["member_count"]),
         member_refs=refs,
         member_rows=None,
     )
@@ -467,7 +472,8 @@ def load_model(path) -> ClusterModel:
     Raises:
         ParseError: the file is unreadable or malformed, or holds a
             non-finite number, a bound with lo > hi, a centroid lacking a
-            schema feature or with an unknown label, or a bad profile.
+            schema feature or with an unknown label, a ``member_count``
+            other than the number of members, or a bad profile.
     """
     try:
         with open(path, encoding="utf-8") as fh:

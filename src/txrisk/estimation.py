@@ -24,7 +24,7 @@ from .errors import (
 )
 from .ingest import (_check_header, _parse_date, _parse_flag, _parse_float,
                      _read_rows)
-from .riskassess import _require_profiles, profile_to_day
+from .riskassess import _cluster_days
 
 # Below this dissimilarity a query is treated as sitting exactly on the
 # centroid, sidestepping the 1/d blow-up.
@@ -133,14 +133,18 @@ def avg_load_from_energy(daily_energy_kwh, service_count: int) -> float:
 def cluster_max_top_oil(model: ClusterModel, spec: thermal.TransformerSpec,
                         service_count: int) -> dict[int, float]:
     """Per-cluster maximum top-oil °C when each cluster profile supplies
-    ``service_count`` services; computed once and reused across queries."""
-    _require_profiles(model)
-    out = {}
-    for cluster in model.clusters:
-        day = profile_to_day(model.profiles[cluster.id], service_count,
-                             spec.rated_kva)
-        out[cluster.id] = max(thermal.simulate_day(spec, day).top_oil)
-    return out
+    ``service_count`` services, all clusters simulated as one batch;
+    computed once and reused across queries.
+
+    Raises:
+        ConfigError: the model has no profiles, or ``service_count``
+            services load a cluster above ``thermal.MAX_LOAD_PU``.
+        ParseError: one service alone loads a cluster above that ceiling.
+    """
+    ambient, load_pu = _cluster_days(spec, model, (service_count,))
+    trace = thermal.simulate_day(spec, ambient[:, 0], load_pu[:, 0])
+    return dict(zip((c.id for c in model.clusters),
+                    trace.top_oil.max(axis=1).tolist()))
 
 
 def estimate_day_temperature(day, model: ClusterModel,

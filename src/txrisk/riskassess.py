@@ -23,6 +23,7 @@ from .errors import (
     ConfigError,
     NoFeasibleScaleError,
     NonMonotoneError,
+    ParseError,
     ZeroPeakProfileError,
 )
 
@@ -72,15 +73,6 @@ class LifeLoss(NamedTuple):
     economic_loss: float  # currency per year
 
 
-def profile_to_day(profile: ClusterProfile, n_services: float,
-                   rated_kva: float) -> thermal.DayProfile:
-    """Scale a per-service cluster profile to a transformer day in per-unit."""
-    return thermal.DayProfile(
-        ambient=profile.ambient_c,
-        load_pu=tuple(n_services * kva / rated_kva for kva in profile.load_kva),
-    )
-
-
 def _day_maxima(spec, ambient, load_pu):
     """Maximum top-oil and hotspot temperature of each day in a batch."""
     top = hot = None
@@ -98,6 +90,9 @@ def _thresholds(spec, profiles, cluster_ids, scale_max, tolerance):
     within ``tolerance``, and errors are raised for the first failing
     profile in the given order.
     """
+    if not scale_max <= thermal.MAX_LOAD_PU:
+        raise ConfigError(f"scale_max={scale_max:g} p.u. is above the "
+                          f"{thermal.MAX_LOAD_PU:g} p.u. load ceiling")
     kva = np.array([p.load_kva for p in profiles], dtype=float)
     ambient = np.array([p.ambient_c for p in profiles], dtype=float)
     peak = kva.max(axis=1)
@@ -166,7 +161,8 @@ def loading_threshold(spec: thermal.TransformerSpec, profile: ClusterProfile,
     Raises:
         ZeroPeakProfileError: the profile has no load at any hour.
         NoFeasibleScaleError: ambient alone violates a limit (scale 0 fails).
-        ConfigError: ``scale_max`` still passes the limits.
+        ConfigError: ``scale_max`` still passes the limits, or is above
+            ``thermal.MAX_LOAD_PU``.
     """
     return _thresholds(spec, [profile], [cluster_id], scale_max, tolerance)[0]
 
@@ -205,6 +201,39 @@ def _check_monotone(values, grid: ServiceGrid, what):
                 f"{what} not non-decreasing in N for cluster {cid}")
 
 
+def _cluster_days(spec, model: ClusterModel, n_values):
+    """Ambient ``(k, 1, 24)`` and per-unit load ``(k, N, 24)`` arrays of
+    every cluster's day at every service count: N times the cluster's
+    per-service profile over the rating.
+
+    Raises:
+        ConfigError: the model has no profiles, or a service count loads a
+            cluster above ``thermal.MAX_LOAD_PU``.
+        ParseError: one service alone loads a cluster above that ceiling:
+            a profile's ``load_kva`` or the ``rated_kva`` is implausible.
+    """
+    _require_profiles(model)
+    profiles = [model.profiles[c.id] for c in model.clusters]
+    kva = np.array([p.load_kva for p in profiles], dtype=float)
+    ambient = np.array([p.ambient_c for p in profiles], dtype=float)
+    n = np.array(n_values, dtype=float)
+    with np.errstate(over="ignore"):  # an overflow is inf, refused below
+        one_service = kva.max(axis=1) / spec.rated_kva
+        load_pu = n[None, :, None] * kva[:, None, :] / spec.rated_kva
+    for cluster, pu in zip(model.clusters, one_service.tolist()):
+        if not pu <= thermal.MAX_LOAD_PU:
+            raise ParseError(
+                f"cluster {cluster.id}: one service's peak load is {pu:.3g} "
+                f"p.u. of rated_kva {spec.rated_kva:g}, above the "
+                f"{thermal.MAX_LOAD_PU:g} p.u. load ceiling")
+    for count, pu in zip(n_values, load_pu.max(axis=(0, 2)).tolist()):
+        if not pu <= thermal.MAX_LOAD_PU:
+            raise ConfigError(f"{count} services load a cluster to {pu:.3g} "
+                              f"p.u., above the {thermal.MAX_LOAD_PU:g} p.u. "
+                              "load ceiling")
+    return ambient[:, None, :], load_pu
+
+
 def service_grid(spec: thermal.TransformerSpec, model: ClusterModel,
                  n_range) -> ServiceGrid:
     """Simulate every cluster's day at every service count of ``n_range``.
@@ -215,25 +244,21 @@ def service_grid(spec: thermal.TransformerSpec, model: ClusterModel,
     hourly aging factors.
 
     Raises:
-        ConfigError: ``n_range`` is empty or the model has no profiles.
+        ConfigError: ``n_range`` is empty, the model has no profiles, or a
+            service count loads a cluster above ``thermal.MAX_LOAD_PU``.
+        ParseError: one service alone loads a cluster above that ceiling.
         NonMonotoneError: a cluster's temperature or life loss falls as N
             rises.
     """
     n_values = tuple(n_range)
     if not n_values:
         raise ConfigError("n_range is empty")
-    _require_profiles(model)
-    cluster_ids = tuple(c.id for c in model.clusters)
-    profiles = [model.profiles[cid] for cid in cluster_ids]
-    kva = np.array([p.load_kva for p in profiles], dtype=float)
-    ambient = np.array([p.ambient_c for p in profiles], dtype=float)
-    n = np.array(n_values, dtype=float)
-    load_pu = n[None, :, None] * kva[:, None, :] / spec.rated_kva
+    ambient, load_pu = _cluster_days(spec, model, n_values)
 
     max_top_oil = max_hotspot = None
     factors = []
     for top_oil, hotspot, _, _ in thermal.steady_state_hours(
-            spec, ambient[:, None, :], load_pu):
+            spec, ambient, load_pu):
         max_top_oil = (top_oil if max_top_oil is None
                        else np.maximum(max_top_oil, top_oil))
         max_hotspot = (hotspot if max_hotspot is None
@@ -242,7 +267,7 @@ def service_grid(spec: thermal.TransformerSpec, model: ClusterModel,
 
     grid = ServiceGrid(
         n_values=n_values,
-        cluster_ids=cluster_ids,
+        cluster_ids=tuple(c.id for c in model.clusters),
         member_day_counts=model.member_day_counts(),
         max_top_oil=max_top_oil,
         max_hotspot=max_hotspot,

@@ -10,9 +10,8 @@ periodic steady state has a closed form,
     x_23 = a · sum_i b^(23-i) · u_i / (1 - b^24),
 
 evaluated, divided through by a, by Horner passes over the hours; one
-forward pass of the exponential step from x_23 then gives every hour. ``simulate_days`` solves
-a batch of days at once with numpy, and ``simulate_day`` is its one-day
-form.
+forward pass of the exponential step from x_23 then gives every hour.
+``simulate_day`` solves one day or a whole batch of days at once with numpy.
 
 The results depend on the inputs alone, not on the numpy build: numpy does
 only elementwise IEEE arithmetic here, the powers in the ultimate rises go
@@ -36,6 +35,11 @@ DEFAULT_EXPONENT_N = 0.8
 DEFAULT_EXPONENT_M = 0.8
 DEFAULT_TOP_OIL_LIMIT = 120.0  # °C
 DEFAULT_HOTSPOT_LIMIT = 200.0  # °C
+# Per-unit load ceiling: a thousand times the rating, far past any
+# transformer day (a bolted fault draws some 10-25 times rated current).
+# Below it every power of the load in the thermal model is finite; a load
+# above it is an input error, refused before any ``**`` can overflow.
+MAX_LOAD_PU = 1000.0
 
 
 @dataclass(frozen=True)
@@ -88,64 +92,28 @@ class TransformerSpec:
 
 
 @dataclass(frozen=True)
-class DayProfile:
-    """Paired 24-hour ambient temperature (°C) and per-unit load sequences."""
-
-    ambient: tuple[float, ...]
-    load_pu: tuple[float, ...]
-
-    def __post_init__(self):
-        ambient = tuple(float(v) for v in self.ambient)
-        load_pu = tuple(float(v) for v in self.load_pu)
-        if len(ambient) != HOURS or len(load_pu) != HOURS:
-            raise ValueError("ambient and load_pu must each have 24 entries")
-        if any(k < 0 for k in load_pu):
-            raise ValueError("load_pu entries must be >= 0")
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "load_pu", load_pu)
-
-
-@dataclass(frozen=True)
 class ThermalTrace:
-    """Periodic steady-state 24-hour temperature trace of one day.
+    """Periodic steady-state temperatures of one day or a batch of days:
+    arrays with the 24 hours on the last axis.
 
-    ``top_oil[h] = ambient[h] + top_oil_rise[h]`` and
-    ``hotspot[h] = top_oil[h] + hotspot_rise[h]`` hold exactly.
-    ``iterations`` is always 1: the closed form takes a single pass.
+    ``top_oil = ambient + top_oil_rise`` and
+    ``hotspot = top_oil + hotspot_rise`` hold exactly.
     """
-
-    top_oil: tuple[float, ...]
-    hotspot: tuple[float, ...]
-    top_oil_rise: tuple[float, ...]
-    hotspot_rise: tuple[float, ...]
-    iterations: int
-
-
-@dataclass(frozen=True)
-class DayTraces:
-    """Periodic steady state of a batch of days: arrays with the 24 hours
-    on the last axis and the identities of :class:`ThermalTrace`."""
 
     top_oil: np.ndarray
     hotspot: np.ndarray
     top_oil_rise: np.ndarray
     hotspot_rise: np.ndarray
-
-
-@dataclass(frozen=True)
-class LimitVerdict:
-    """Outcome of checking a trace against the temperature limits."""
-
-    within_limits: bool
-    worst_top_oil: float
-    worst_hotspot: float
+    # Solver sweeps per day: always 1, as the closed form takes one pass.
+    iterations = 1
 
 
 def _pow(x, exponent):
-    """``x ** exponent`` for a float, or elementwise for an array through
-    the same C library ``pow`` (numpy's own may round differently)."""
-    if isinstance(x, np.ndarray):
-        return np.array([v ** exponent for v in x.ravel().tolist()]).reshape(x.shape)
+    """``x ** exponent`` for a float, or elementwise for a numpy array or
+    scalar through the C library ``pow`` (numpy's own may round differently)."""
+    if isinstance(x, (np.ndarray, np.generic)):
+        return np.array([v ** exponent for v in np.ravel(x).tolist()]
+                        ).reshape(np.shape(x))
     return x ** exponent
 
 
@@ -203,14 +171,14 @@ def steady_state_hours(spec: TransformerSpec, ambient, load_pu):
 
     Raises:
         ValueError: an input lacks the 24-hour last axis, or a load is
-            negative or NaN.
+            negative, NaN or above ``MAX_LOAD_PU``.
     """
     ambient = np.asarray(ambient, dtype=float)
     load_pu = np.asarray(load_pu, dtype=float)
     if ambient.shape[-1:] != (HOURS,) or load_pu.shape[-1:] != (HOURS,):
         raise ValueError("ambient and load_pu need 24 hours on their last axis")
-    if not np.all(load_pu >= 0):
-        raise ValueError("load_pu entries must be >= 0")
+    if not np.all((load_pu >= 0) & (load_pu <= MAX_LOAD_PU)):
+        raise ValueError(f"load_pu entries must lie in [0, {MAX_LOAD_PU:g}]")
     ult_oil = [ultimate_top_oil_rise(spec, load_pu[..., h]) for h in range(HOURS)]
     ult_hot = [ultimate_hotspot_rise(spec, load_pu[..., h]) for h in range(HOURS)]
     oil = _periodic_start(ult_oil, spec.oil_time_constant)
@@ -222,40 +190,17 @@ def steady_state_hours(spec: TransformerSpec, ambient, load_pu):
         yield top_oil, top_oil + hot, oil, hot
 
 
-def simulate_days(spec: TransformerSpec, ambient, load_pu) -> DayTraces:
-    """Periodic steady-state traces of a batch of days.
+def simulate_day(spec: TransformerSpec, ambient, load_pu) -> ThermalTrace:
+    """Periodic steady-state trace of each day: the trace whose hour-24
+    rises are the rises hour 1 starts from.
 
-    ``ambient`` and ``load_pu`` are as for :func:`steady_state_hours`, for
-    example two ``(B, 24)`` arrays. Each day is solved on its own, so row
-    ``i`` of the result equals ``simulate_day`` on row ``i`` bit for bit.
+    ``ambient`` and ``load_pu`` are as for :func:`steady_state_hours`: one
+    ``(24,)`` day, two ``(B, 24)`` batches, or any shapes that broadcast.
+    Each day is solved on its own, so row ``i`` of a batch equals the day
+    of row ``i`` solved alone, bit for bit.
     """
     hours = list(steady_state_hours(spec, ambient, load_pu))
-    return DayTraces(*(np.stack(column, axis=-1) for column in zip(*hours)))
-
-
-def simulate_day(spec: TransformerSpec, profile: DayProfile) -> ThermalTrace:
-    """Periodic steady state of one daily cycle: the trace whose hour-24
-    rises are the rises hour 1 starts from (``simulate_days`` for one day)."""
-    days = simulate_days(spec, [profile.ambient], [profile.load_pu])
-    return ThermalTrace(
-        top_oil=tuple(days.top_oil[0].tolist()),
-        hotspot=tuple(days.hotspot[0].tolist()),
-        top_oil_rise=tuple(days.top_oil_rise[0].tolist()),
-        hotspot_rise=tuple(days.hotspot_rise[0].tolist()),
-        iterations=1,
-    )
-
-
-def check_limits(spec: TransformerSpec, trace: ThermalTrace) -> LimitVerdict:
-    """Check a trace against the top-oil and hottest-spot limits.
-
-    Limits are inclusive: a trace exactly at a limit is within limits.
-    """
-    worst_oil = max(trace.top_oil)
-    worst_hot = max(trace.hotspot)
-    within = worst_oil <= spec.top_oil_limit and worst_hot <= spec.hotspot_limit
-    return LimitVerdict(within_limits=within, worst_top_oil=worst_oil,
-                        worst_hotspot=worst_hot)
+    return ThermalTrace(*(np.stack(column, axis=-1) for column in zip(*hours)))
 
 
 # JSON spec-file field names, fixed interchange format.

@@ -77,7 +77,6 @@ def make_model(centroids, values_schema=None, *, nominal_modes=None,
             id=i + 1,
             centroid_numeric=dict(centroid),
             centroid_nominal=dict(modes),
-            member_count=1,
             member_refs=((f"s{i}", "2015-01-01"),),
             member_rows=None,
         ))

@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from txrisk import aging, clustering, estimation, features as ft, riskassess, thermal
+from txrisk import aging, clustering, estimation, features as ft, riskassess
 from txrisk.clustering import kmeans
-from txrisk.thermal import DayProfile, TransformerSpec, simulate_day
+from txrisk.thermal import TransformerSpec, simulate_day
 
 from conftest import PIPELINE_FILES, make_day, make_model, record_table
 
@@ -58,12 +58,12 @@ def test_criterion_02_life_loss_table_arithmetic():
 
 
 def test_criterion_03_thermal_fixed_point_and_speed(default_spec):
-    day = DayProfile(ambient=(20.0,) * 24, load_pu=(1.0,) * 24)
-    trace = simulate_day(default_spec, day)
-    worst = max(abs(t - 75.0) for t in trace.top_oil)
+    ambient, load = np.full(24, 20.0), np.ones(24)
+    trace = simulate_day(default_spec, ambient, load)
+    worst = float(np.max(np.abs(trace.top_oil - 75.0)))
     start = time.perf_counter()
     for _ in range(100):
-        simulate_day(default_spec, day)
+        simulate_day(default_spec, ambient, load)
     per_run_ms = (time.perf_counter() - start) / 100 * 1000
     ok = worst <= 0.1 and trace.iterations <= 200 and per_run_ms < 10.0
     report(3, "thermal fixed point at rated load; < 10 ms per simulation",
@@ -85,15 +85,13 @@ def test_criterion_04_thermal_monotonicity():
             exponent_n=float(rng.uniform(0.6, 1.0)),
             exponent_m=float(rng.uniform(0.6, 1.0)),
         )
-        ambient = tuple(rng.uniform(-30, 35, 24))
+        ambient = rng.uniform(-30, 35, 24)
         load = rng.uniform(0.2, 2.5, 24)
         scale = float(rng.uniform(1.05, 2.0))
-        base = simulate_day(spec, DayProfile(ambient, tuple(load)))
-        more = simulate_day(spec, DayProfile(ambient, tuple(scale * load)))
-        for h in range(24):
-            if (more.top_oil[h] < base.top_oil[h] - 1e-9
-                    or more.hotspot[h] < base.hotspot[h] - 1e-9):
-                violations += 1
+        base = simulate_day(spec, ambient, load)
+        more = simulate_day(spec, ambient, scale * load)
+        violations += int(np.sum((more.top_oil < base.top_oil - 1e-9)
+                                 | (more.hotspot < base.hotspot - 1e-9)))
     report(4, "load scale-up never cools any hour (200 random pairs)",
            violations == 0, f"violations={violations}")
 
@@ -110,10 +108,10 @@ def test_criterion_05_threshold_certification(default_spec):
         shape = [v / peak for v in profile.load_kva]
 
         def within(scale):
-            day = DayProfile(ambient=profile.ambient_c,
-                             load_pu=tuple(scale * x for x in shape))
-            return thermal.check_limits(
-                default_spec, simulate_day(default_spec, day)).within_limits
+            trace = simulate_day(default_spec, profile.ambient_c,
+                                 [scale * x for x in shape])
+            return (trace.top_oil.max() <= default_spec.top_oil_limit
+                    and trace.hotspot.max() <= default_spec.hotspot_limit)
 
         if within(result.max_peak_load_pu) and \
                 not within(result.max_peak_load_pu + 0.005):

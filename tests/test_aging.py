@@ -8,6 +8,7 @@ Anchors frozen from independent 30-digit evaluation:
 
 import math
 
+import numpy as np
 import pytest
 
 from txrisk import aging
@@ -132,11 +133,14 @@ class TestEconomicLoss:
 
 class TestDayAging:
     def test_constant_reference_hotspot(self):
-        result = aging.day_aging([110.0] * 24, years=1.0, day_count=365.0,
-                                 replacement_cost=5000.0)
-        assert result.daily_feqa == pytest.approx(1.0)
-        assert result.life_loss_days == pytest.approx(365.0)
-        assert result.annual_loss_days == pytest.approx(365.0)
-        assert result.economic_loss == pytest.approx(365.0 / 7500.0 * 5000.0)
-        assert result.daily_feqa == pytest.approx(
-            math.fsum(result.hourly_faa) / 24.0)
+        # A year of days at the reference hotspot, through the same chain
+        # as the service grid and its life-loss table.
+        factors = aging.aging_acceleration(np.full(24, 110.0))
+        feqa = aging.equivalent_aging(factors.tolist())
+        total, annual = aging.accumulate_life_loss({1: feqa}, {1: 365}, 1.0)
+        assert feqa == pytest.approx(1.0)
+        assert total == pytest.approx(365.0)
+        assert annual == pytest.approx(365.0)
+        assert aging.economic_loss(annual, 5000.0) == pytest.approx(
+            365.0 / 7500.0 * 5000.0)
+        assert feqa == pytest.approx(math.fsum(factors) / 24.0)

@@ -260,13 +260,54 @@ class TestMalformedInputExitCodes:
          "Invalid isoformat string: 'x'"),
         (lambda doc: doc["schema"][0].__setitem__("weight", float("inf")),
          "weight must be finite"),
-    ], ids=["partial_profiles", "member_date", "weight"])
+        # A stored count is not trusted over the member list: the life-loss
+        # weights and the month matrix would disagree.
+        (lambda doc: doc["clusters"][0].__setitem__(
+            "member_count", doc["clusters"][0]["member_count"] + 1000),
+         "cluster 1 member_count"),
+    ], ids=["partial_profiles", "member_date", "weight", "member_count"])
     def test_model_structure(self, golden_pipeline, tmp_path, capsys, edit,
                              message):
         root = golden_pipeline[0][0]
         assert self.estimate(root, tmp_path,
                              self.bad_model(root, tmp_path, edit)) == 3
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case,code,message", [
+        ("profile_load_kva", 3, "cluster 2: one service's peak load is 4e+306"),
+        ("rated_kva", 3, "cluster 1: one service's peak load is"),
+        ("scale_max", 2, "scale_max=1e+308 p.u. is above the 1000 p.u. load "
+                         "ceiling"),
+    ], ids=["profile_load_kva", "rated_kva", "scale_max"])
+    def test_load_above_the_ceiling(self, golden_pipeline, tmp_path, capsys,
+                                    case, code, message):
+        # Each of these once overflowed Python's ``**`` in the thermal model
+        # (OverflowError, exit 1).
+        root = golden_pipeline[0][0]
+        spec, model, argv = root / "spec.json", root / "out" / "model.json", []
+        if case == "profile_load_kva":
+            model = self.bad_model(root, tmp_path, lambda doc: doc["clusters"][1]
+                                   ["profile"]["load_kva"].__setitem__(10, 1e308))
+        elif case == "rated_kva":
+            spec = tmp_path / "spec.json"
+            spec.write_text((root / "spec.json").read_text().replace(
+                '"rated_kva": 25.0', '"rated_kva": 1e-300'))
+        else:
+            config = tmp_path / "config.json"
+            config.write_text('{"scale_max": 1e308}')
+            argv = ["--config", str(config)]
+        assert cli.main(["assess", "--spec", str(spec), "--model", str(model),
+                         "--out", str(tmp_path / "run")] + argv) == code
+        err = capsys.readouterr().err
+        assert message in err
+        assert not list((tmp_path / "run").glob("*.csv"))
+        if code == 3:
+            assert "rated_kva" in err
+            assert cli.main(["estimate", "--spec", str(spec), "--model",
+                             str(model), "--query", str(root / "query.csv"),
+                             "--services", "18",
+                             "--out", str(tmp_path / "run")]) == code
+            assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("name,code", [("meter.csv", 3), ("query.csv", 3),
                                            ("spec.json", 3), ("model.json", 3),

@@ -21,6 +21,7 @@ import pytest
 from txrisk import aging, thermal
 from txrisk.clustering import ClusterProfile
 from txrisk.errors import ConfigError, NoFeasibleScaleError, ZeroPeakProfileError
+from txrisk.estimation import cluster_max_top_oil
 from txrisk.riskassess import (
     ThresholdResult,
     cluster_thresholds,
@@ -28,7 +29,6 @@ from txrisk.riskassess import (
     loading_threshold,
     max_services_by_life,
     max_services_by_temperature,
-    profile_to_day,
     rank_impact,
     select_max_services,
     service_grid,
@@ -57,7 +57,7 @@ def make_model_with_profiles(profiles, default_spec=None):
                      for j in range(members))
         clusters.append(Cluster(
             id=i + 1, centroid_numeric={"x": 0.5}, centroid_nominal={},
-            member_count=members, member_refs=refs, member_rows=None))
+            member_refs=refs, member_rows=None))
     return ClusterModel(
         k=len(clusters), clusters=tuple(clusters), schema=schema,
         norm_params=ft.NormalizationParams(bounds={"x": (0.0, 1.0)}),
@@ -85,15 +85,14 @@ class TestLoadingThreshold:
             shape = [v / peak for v in profile.load_kva]
             s = result.max_peak_load_pu
 
-            def verdict(scale):
-                day = thermal.DayProfile(
-                    ambient=profile.ambient_c,
-                    load_pu=tuple(scale * x for x in shape))
-                return thermal.check_limits(default_spec,
-                                            thermal.simulate_day(default_spec, day))
+            def within(scale):
+                trace = thermal.simulate_day(default_spec, profile.ambient_c,
+                                             [scale * x for x in shape])
+                return (trace.top_oil.max() <= default_spec.top_oil_limit
+                        and trace.hotspot.max() <= default_spec.hotspot_limit)
 
-            assert verdict(s).within_limits
-            assert not verdict(s + 0.005).within_limits
+            assert within(s)
+            assert not within(s + 0.005)
 
     def test_peak_is_at_least_average(self, default_spec):
         rng = np.random.default_rng(62)
@@ -132,20 +131,24 @@ def scalar_threshold(spec, profile, scale_max, tolerance):
     peak = max(profile.load_kva)
     shape = [v / peak for v in profile.load_kva]
 
-    def verdict(scale):
-        day = thermal.DayProfile(ambient=profile.ambient_c,
-                                 load_pu=tuple(scale * s for s in shape))
-        return thermal.check_limits(spec, thermal.simulate_day(spec, day))
+    def day(scale):
+        return thermal.simulate_day(spec, profile.ambient_c,
+                                    [scale * s for s in shape])
+
+    def within(scale):
+        trace = day(scale)
+        return (trace.top_oil.max() <= spec.top_oil_limit
+                and trace.hotspot.max() <= spec.hotspot_limit)
 
     lo, hi = 0.0, scale_max
     while hi - lo > tolerance:
         mid = 0.5 * (lo + hi)
-        if verdict(mid).within_limits:
+        if within(mid):
             lo = mid
         else:
             hi = mid
-    probe = verdict(lo + tolerance)
-    binding = "top_oil" if probe.worst_top_oil > spec.top_oil_limit else "hotspot"
+    probe = day(lo + tolerance)
+    binding = "top_oil" if probe.top_oil.max() > spec.top_oil_limit else "hotspot"
     return lo * sum(shape) / 24.0, lo, binding
 
 
@@ -234,14 +237,15 @@ class TestMaxServicesByTemperature:
             assert all(b >= a for a, b in zip(oils, oils[1:]))
         # Each cell is the maximum of that cluster's single simulated day.
         for i, cid in enumerate(grid.cluster_ids):
+            profile = model.profiles[cid]
             for j, n in enumerate(grid.n_values):
-                day = profile_to_day(model.profiles[cid], n,
-                                     default_spec.rated_kva)
-                trace = thermal.simulate_day(default_spec, day)
-                assert grid.max_top_oil[i, j] == max(trace.top_oil)
-                assert grid.max_hotspot[i, j] == max(trace.hotspot)
+                trace = thermal.simulate_day(
+                    default_spec, profile.ambient_c,
+                    [n * kva / default_spec.rated_kva for kva in profile.load_kva])
+                assert grid.max_top_oil[i, j] == trace.top_oil.max()
+                assert grid.max_hotspot[i, j] == trace.hotspot.max()
                 assert grid.daily_loss[i, j] == aging.equivalent_aging(
-                    [aging.aging_acceleration(t) for t in trace.hotspot])
+                    [aging.aging_acceleration(t) for t in trace.hotspot.tolist()])
 
     def test_all_passing_range_returns_top(self, default_spec):
         model = make_model_with_profiles([(flat_profile(load_kva=0.5,
@@ -315,7 +319,26 @@ class TestMaxServicesByLife:
 
 class TestProfileToDay:
     def test_per_unit_conversion(self, default_spec):
-        profile = flat_profile(load_kva=1.25, ambient=5.0)
-        day = profile_to_day(profile, 10, default_spec.rated_kva)
-        assert day.load_pu == (0.5,) * 24
-        assert day.ambient == (5.0,) * 24
+        # Ten 1.25 kVA services on a 25 kVA rating are a flat 0.5 p.u. day.
+        model = make_model_with_profiles([(flat_profile(load_kva=1.25,
+                                                        ambient=5.0), 3)])
+        expected = thermal.simulate_day(default_spec, np.full(24, 5.0),
+                                        np.full(24, 0.5))
+        grid = service_grid(default_spec, model, [10])
+        assert grid.max_top_oil[0, 0] == expected.top_oil.max()
+        assert grid.max_top_oil[0, 0] == pytest.approx(
+            5.0 + thermal.ultimate_top_oil_rise(default_spec, 0.5), abs=1e-9)
+        temps = cluster_max_top_oil(model, default_spec, 10)
+        assert temps == {1: grid.max_top_oil[0, 0]}
+
+
+class TestLoadCeiling:
+    def test_service_count_above_the_ceiling_is_config_error(self, default_spec):
+        # 1.5 kVA per service on 25 kVA: 0.06 p.u. each, so 16,666 services
+        # pass the ceiling and 16,668 do not.
+        model = make_model_with_profiles([(flat_profile(load_kva=1.5), 3)])
+        service_grid(default_spec, model, [16_666])
+        with pytest.raises(ConfigError, match="16668 services load a cluster"):
+            service_grid(default_spec, model, [1, 16_668])
+        with pytest.raises(ConfigError, match="16668 services"):
+            cluster_max_top_oil(model, default_spec, 16_668)

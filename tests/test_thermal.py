@@ -17,24 +17,23 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from txrisk import thermal
+from txrisk import aging, thermal
 from txrisk.errors import ParseError
+from txrisk.riskassess import ServiceGrid, max_services_by_temperature
 from txrisk.thermal import (
-    DayProfile,
     TransformerSpec,
-    check_limits,
     exponential_step,
     load_transformer_spec,
     save_transformer_spec,
     simulate_day,
-    simulate_days,
     ultimate_hotspot_rise,
     ultimate_top_oil_rise,
 )
 
 
 def flat_day(ambient=20.0, load=1.0):
-    return DayProfile(ambient=(ambient,) * 24, load_pu=(load,) * 24)
+    """Ambient and per-unit load arrays of a day held constant."""
+    return np.full(24, ambient), np.full(24, load)
 
 
 def decimal_steady_state(ultimate, time_constant):
@@ -93,7 +92,7 @@ class TestSimulateDay:
     @pytest.mark.parametrize("load", [0.5, 1.0, 1.5])
     def test_constant_load_reaches_ultimate_rise_fixed_point(self, default_spec,
                                                              load):
-        trace = simulate_day(default_spec, flat_day(ambient=20.0, load=load))
+        trace = simulate_day(default_spec, *flat_day(ambient=20.0, load=load))
         expected_oil = 20.0 + ultimate_top_oil_rise(default_spec, load)
         expected_hot = expected_oil + ultimate_hotspot_rise(default_spec, load)
         for h in range(24):
@@ -102,36 +101,34 @@ class TestSimulateDay:
         assert trace.iterations == 1
 
     def test_zero_load_hotspot_equals_top_oil(self, default_spec):
-        trace = simulate_day(default_spec, flat_day(ambient=20.0, load=0.0))
-        for h in range(24):
-            assert trace.hotspot[h] == pytest.approx(trace.top_oil[h])
+        trace = simulate_day(default_spec, *flat_day(ambient=20.0, load=0.0))
+        assert trace.hotspot == pytest.approx(trace.top_oil)
 
     def test_assembly_identities_hold_exactly(self, default_spec):
         rng = np.random.default_rng(11)
-        day = DayProfile(ambient=tuple(rng.uniform(-20, 30, 24)),
-                         load_pu=tuple(rng.uniform(0, 2.5, 24)))
-        trace = simulate_day(default_spec, day)
-        for h in range(24):
-            assert trace.top_oil[h] == day.ambient[h] + trace.top_oil_rise[h]
-            assert trace.hotspot[h] == trace.top_oil[h] + trace.hotspot_rise[h]
-            if day.load_pu[h] > 0:
-                assert trace.hotspot[h] >= trace.top_oil[h]
+        ambient = rng.uniform(-20, 30, 24)
+        load = rng.uniform(0, 2.5, 24)
+        trace = simulate_day(default_spec, ambient, load)
+        assert np.array_equal(trace.top_oil, ambient + trace.top_oil_rise)
+        assert np.array_equal(trace.hotspot, trace.top_oil + trace.hotspot_rise)
+        loaded = load > 0
+        assert np.all(trace.hotspot[loaded] >= trace.top_oil[loaded])
 
     def test_one_extra_sweep_reproduces_converged_trace(self, default_spec):
         # Independent re-derivation of one sweep from the converged state
         # using only the scalar transient operations.
         rng = np.random.default_rng(23)
-        day = DayProfile(ambient=tuple(rng.uniform(-10, 25, 24)),
-                         load_pu=tuple(rng.uniform(0.2, 2.0, 24)))
-        trace = simulate_day(default_spec, day)
-        prev_oil = trace.top_oil_rise[23]
-        prev_hot = trace.hotspot_rise[23]
-        for h in range(24):
+        ambient = rng.uniform(-10, 25, 24)
+        load = rng.uniform(0.2, 2.0, 24)
+        trace = simulate_day(default_spec, ambient, load)
+        prev_oil = float(trace.top_oil_rise[23])
+        prev_hot = float(trace.hotspot_rise[23])
+        for h, k in enumerate(load.tolist()):
             prev_oil = exponential_step(
-                prev_oil, ultimate_top_oil_rise(default_spec, day.load_pu[h]),
+                prev_oil, ultimate_top_oil_rise(default_spec, k),
                 default_spec.oil_time_constant)
             prev_hot = exponential_step(
-                prev_hot, ultimate_hotspot_rise(default_spec, day.load_pu[h]),
+                prev_hot, ultimate_hotspot_rise(default_spec, k),
                 default_spec.winding_time_constant)
             assert prev_oil == pytest.approx(trace.top_oil_rise[h], abs=1e-9)
             assert prev_hot == pytest.approx(trace.hotspot_rise[h], abs=1e-9)
@@ -140,18 +137,18 @@ class TestSimulateDay:
         # Repeating the day from a cold and from a warm start, with the
         # scalar step alone, settles on the closed-form trace either way.
         rng = np.random.default_rng(31)
-        day = DayProfile(ambient=tuple(rng.uniform(-10, 25, 24)),
-                         load_pu=tuple(rng.uniform(0.2, 2.0, 24)))
-        trace = simulate_day(default_spec, day)
+        ambient = rng.uniform(-10, 25, 24)
+        load = rng.uniform(0.2, 2.0, 24)
+        trace = simulate_day(default_spec, ambient, load)
         for seed_rise in (0.0, 50.0):
             oil = hot = seed_rise
             for _ in range(10):
-                for h in range(24):
+                for k in load.tolist():
                     oil = exponential_step(
-                        oil, ultimate_top_oil_rise(default_spec, day.load_pu[h]),
+                        oil, ultimate_top_oil_rise(default_spec, k),
                         default_spec.oil_time_constant)
                     hot = exponential_step(
-                        hot, ultimate_hotspot_rise(default_spec, day.load_pu[h]),
+                        hot, ultimate_hotspot_rise(default_spec, k),
                         default_spec.winding_time_constant)
             assert oil == pytest.approx(trace.top_oil_rise[23], abs=1e-9)
             assert hot == pytest.approx(trace.hotspot_rise[23], abs=1e-9)
@@ -159,23 +156,21 @@ class TestSimulateDay:
     def test_load_scale_up_never_cools_any_hour(self, default_spec):
         rng = np.random.default_rng(47)
         for _ in range(20):
-            ambient = tuple(rng.uniform(-25, 30, 24))
+            ambient = rng.uniform(-25, 30, 24)
             load = rng.uniform(0.2, 2.0, 24)
             scale = rng.uniform(1.1, 2.0)
-            base = simulate_day(default_spec, DayProfile(ambient, tuple(load)))
-            more = simulate_day(default_spec, DayProfile(ambient, tuple(scale * load)))
-            for h in range(24):
-                assert more.top_oil[h] >= base.top_oil[h] - 1e-9
-                assert more.hotspot[h] >= base.hotspot[h] - 1e-9
+            base = simulate_day(default_spec, ambient, load)
+            more = simulate_day(default_spec, ambient, scale * load)
+            assert np.all(more.top_oil >= base.top_oil - 1e-9)
+            assert np.all(more.hotspot >= base.hotspot - 1e-9)
 
     def test_absurd_oil_time_constant_still_solves_exactly(self):
         slow = TransformerSpec(
             rated_kva=25.0, top_oil_rise_rated=55.0, hotspot_differential=25.0,
             loss_ratio=4.0, oil_time_constant=2000.0, winding_time_constant=0.08)
-        trace = simulate_day(slow, flat_day(ambient=20.0, load=1.0))
-        for h in range(24):
-            assert trace.top_oil[h] == pytest.approx(75.0, abs=1e-9)
-            assert trace.hotspot[h] == pytest.approx(100.0, abs=1e-9)
+        trace = simulate_day(slow, *flat_day(ambient=20.0, load=1.0))
+        assert trace.top_oil == pytest.approx(np.full(24, 75.0), abs=1e-9)
+        assert trace.hotspot == pytest.approx(np.full(24, 100.0), abs=1e-9)
 
 
 class TestSimulateDays:
@@ -195,23 +190,22 @@ class TestSimulateDays:
             )
             ambient = rng.uniform(-30, 35, (5, 24))
             load = rng.uniform(0.0, 2.5, (5, 24))
-            days = simulate_days(spec, ambient, load)
+            days = simulate_day(spec, ambient, load)
             for i in range(5):
-                day = DayProfile(tuple(ambient[i]), tuple(load[i]))
-                single = simulate_day(spec, day)
-                assert tuple(days.top_oil[i].tolist()) == single.top_oil
-                assert tuple(days.hotspot[i].tolist()) == single.hotspot
-                assert tuple(days.top_oil_rise[i].tolist()) == single.top_oil_rise
-                assert tuple(days.hotspot_rise[i].tolist()) == single.hotspot_rise
+                single = simulate_day(spec, ambient[i], load[i])
+                assert np.array_equal(days.top_oil[i], single.top_oil)
+                assert np.array_equal(days.hotspot[i], single.hotspot)
+                assert np.array_equal(days.top_oil_rise[i], single.top_oil_rise)
+                assert np.array_equal(days.hotspot_rise[i], single.hotspot_rise)
 
                 oil = decimal_steady_state(
-                    [ultimate_top_oil_rise(spec, k) for k in day.load_pu],
+                    [ultimate_top_oil_rise(spec, k) for k in load[i].tolist()],
                     spec.oil_time_constant)
                 hot = decimal_steady_state(
-                    [ultimate_hotspot_rise(spec, k) for k in day.load_pu],
+                    [ultimate_hotspot_rise(spec, k) for k in load[i].tolist()],
                     spec.winding_time_constant)
                 for h in range(24):
-                    exact_top = Decimal(day.ambient[h]) + oil[h]
+                    exact_top = Decimal(ambient[i, h]) + oil[h]
                     assert abs(Decimal(single.top_oil[h]) - exact_top) <= Decimal("1e-9")
                     assert abs(Decimal(single.hotspot[h])
                                - (exact_top + hot[h])) <= Decimal("1e-9")
@@ -220,44 +214,59 @@ class TestSimulateDays:
         rng = np.random.default_rng(5)
         ambient = rng.uniform(-10, 30, (3, 1, 24))
         load = rng.uniform(0.0, 2.0, (3, 4, 24))
-        days = simulate_days(default_spec, ambient, load)
+        days = simulate_day(default_spec, ambient, load)
         assert days.top_oil.shape == (3, 4, 24)
-        flat = simulate_days(default_spec,
+        flat = simulate_day(default_spec,
                              np.broadcast_to(ambient, load.shape).reshape(12, 24),
                              load.reshape(12, 24))
         assert np.array_equal(days.hotspot.reshape(12, 24), flat.hotspot)
 
     def test_rejects_negative_load_and_wrong_hours(self, default_spec):
-        with pytest.raises(ValueError):
-            simulate_days(default_spec, np.zeros((1, 24)),
-                          np.full((1, 24), -0.1))
-        with pytest.raises(ValueError):
-            simulate_days(default_spec, np.zeros((1, 23)), np.ones((1, 23)))
+        bad_days = [
+            (np.zeros((1, 24)), np.full((1, 24), -0.1)),
+            (np.full(24, 20.0), np.full(24, np.nan)),
+            (np.zeros(24), np.full(24, 2.0 * thermal.MAX_LOAD_PU)),
+            (np.zeros((1, 23)), np.ones((1, 23))),
+        ]
+        for ambient, load in bad_days:
+            with pytest.raises(ValueError):
+                simulate_day(default_spec, ambient, load)
+
+    def test_load_at_the_ceiling_stays_finite(self):
+        # The steepest exponents the spec allows, at the highest load the
+        # model accepts: every temperature and aging factor is finite.
+        steep = TransformerSpec(
+            rated_kva=25.0, top_oil_rise_rated=65.0, hotspot_differential=35.0,
+            loss_ratio=8.0, oil_time_constant=3.0, winding_time_constant=0.08,
+            exponent_n=1.0, exponent_m=1.0)
+        trace = simulate_day(steep, np.full(24, 40.0),
+                             np.full(24, thermal.MAX_LOAD_PU))
+        assert np.all(np.isfinite(trace.hotspot))
+        assert np.all(np.isfinite(aging.aging_acceleration(trace.hotspot)))
+
+
+def one_cell_grid(max_top_oil, max_hotspot):
+    """A one-cluster, one-N service grid with the given day maxima."""
+    return ServiceGrid(n_values=(1,), cluster_ids=(1,), member_day_counts={1: 1},
+                       max_top_oil=np.array([[max_top_oil]]),
+                       max_hotspot=np.array([[max_hotspot]]),
+                       daily_loss=np.array([[1.0]]))
 
 
 class TestCheckLimits:
     def test_within_limits(self, default_spec):
-        trace = thermal.ThermalTrace(
-            top_oil=(116.0,) * 24, hotspot=(180.0,) * 24,
-            top_oil_rise=(0.0,) * 24, hotspot_rise=(0.0,) * 24, iterations=1)
-        verdict = check_limits(default_spec, trace)
-        assert verdict.within_limits
-        assert verdict.worst_top_oil == 116.0
-        assert verdict.worst_hotspot == 180.0
+        grid = one_cell_grid(116.0, 180.0)
+        assert max_services_by_temperature(default_spec, grid) == 1
 
     def test_top_oil_violation(self, default_spec):
-        trace = thermal.ThermalTrace(
-            top_oil=(125.0,) * 24, hotspot=(180.0,) * 24,
-            top_oil_rise=(0.0,) * 24, hotspot_rise=(0.0,) * 24, iterations=1)
-        verdict = check_limits(default_spec, trace)
-        assert not verdict.within_limits
-        assert verdict.worst_top_oil == 125.0
+        assert max_services_by_temperature(
+            default_spec, one_cell_grid(125.0, 180.0)) is None
+        assert max_services_by_temperature(
+            default_spec, one_cell_grid(116.0, 201.0)) is None
 
     def test_limits_are_inclusive(self, default_spec):
-        trace = thermal.ThermalTrace(
-            top_oil=(120.0,) * 24, hotspot=(200.0,) * 24,
-            top_oil_rise=(0.0,) * 24, hotspot_rise=(0.0,) * 24, iterations=1)
-        assert check_limits(default_spec, trace).within_limits
+        assert max_services_by_temperature(
+            default_spec, one_cell_grid(120.0, 200.0)) == 1
 
 
 class TestValidation:
@@ -281,13 +290,14 @@ class TestValidation:
                             oil_time_constant=3, winding_time_constant=0.08,
                             top_oil_limit=210.0)
 
-    def test_day_profile_needs_24_hours(self):
+    def test_day_profile_needs_24_hours(self, default_spec):
         with pytest.raises(ValueError):
-            DayProfile(ambient=(20.0,) * 23, load_pu=(1.0,) * 23)
+            simulate_day(default_spec, np.full(23, 20.0), np.ones(23))
 
-    def test_day_profile_rejects_negative_load(self):
+    def test_day_profile_rejects_negative_load(self, default_spec):
         with pytest.raises(ValueError):
-            DayProfile(ambient=(20.0,) * 24, load_pu=(-0.1,) + (1.0,) * 23)
+            simulate_day(default_spec, np.full(24, 20.0),
+                         np.array([-0.1] + [1.0] * 23))
 
 
 class TestSpecFile:

@@ -16,6 +16,8 @@ import importlib.util
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
 
 
@@ -67,8 +69,7 @@ def test_every_return_counter_reads_a_real_result(tmp_path, default_spec):
             ("ingest", "load_dataset"): ingest.load_dataset(
                 paths["weather"], paths["meter"], paths["calendar"]),
             ("thermal", "simulate_day"): thermal.simulate_day(
-                default_spec, thermal.DayProfile(ambient=(20.0,) * 24,
-                                                 load_pu=(1.0,) * 24)),
+                default_spec, np.full(24, 20.0), np.ones(24)),
             ("estimation", "estimate_day_temperature"):
                 estimation.estimate_day_temperature(
                     make_day(l_avg_kva=0.9), model, 10, default_spec),
@@ -79,3 +80,29 @@ def test_every_return_counter_reads_a_real_result(tmp_path, default_spec):
         counters = {}
         callback(counters, results[key])
         assert len(counters) == 1 and min(counters.values()) > 0, key
+
+
+def test_estimate_reaches_the_traced_thermal_day(golden_pipeline, tmp_path,
+                                                 monkeypatch):
+    # The harness counts thermal days from calls to the module attribute it
+    # patches, ``txrisk.thermal.simulate_day``; its estimate smoke run needs
+    # at least one. A golden estimate call must make one, with unchanged
+    # output.
+    from txrisk import cli, thermal
+
+    root, _ = golden_pipeline[0]
+    calls = []
+    solve = thermal.simulate_day
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(thermal, "simulate_day", counted)
+    assert cli.main(["estimate", "--spec", str(root / "spec.json"),
+                     "--model", str(root / "out" / "model.json"),
+                     "--query", str(root / "query.csv"), "--services", "18",
+                     "--out", str(tmp_path)]) == 0
+    assert len(calls) >= 1
+    assert ((tmp_path / "estimates.csv").read_bytes()
+            == (root / "out" / "estimates.csv").read_bytes())
