@@ -127,7 +127,8 @@ class DegenerateFeatureWarning(UserWarning):
 
 
 class DataGapWarning(UserWarning):
-    """A day with missing hourly readings was interpolated or dropped."""
+    """An hourly file had duplicate readings, or days interpolated or
+    dropped for missing readings: one warning per file and kind."""
 
 
 class FarQueryWarning(UserWarning):

@@ -19,11 +19,9 @@ from .errors import (
     FarFromAllClustersError,
     FarQueryWarning,
     MissingFeatureWarning,
-    ParseError,
     ZeroServicesError,
 )
-from .ingest import (_check_header, _parse_date, _parse_flag, _parse_float,
-                     _read_rows)
+from .ingest import _parse_date, _parse_flag, _parse_float, _read_table
 from .riskassess import _cluster_days
 
 # Below this dissimilarity a query is treated as sitting exactly on the
@@ -163,13 +161,10 @@ def read_query_csv(path) -> np.ndarray:
     """Read estimation query days (date, daily temperature summary, average
     service load, and weekday flag) into a record table of
     ``QUERY_DTYPE``."""
-    rows = _read_rows(path)
-    _check_header(next(rows, None), [QUERY_HEADER], path)
+    rows = _read_table(path, [QUERY_HEADER])
+    next(rows)
     out = []
-    for i, row in enumerate(rows, start=2):
-        if len(row) != len(QUERY_HEADER):
-            raise ParseError(f"expected {len(QUERY_HEADER)} columns, got "
-                             f"{len(row)}", path=path, row=i)
+    for i, row in rows:
         date = _parse_date(row[0], path, i).isoformat()
         numbers = [_parse_float(row[j], path, i, name)
                    for j, name in enumerate(QUERY_HEADER[1:5], start=1)]

@@ -19,6 +19,7 @@ import csv
 import datetime as dt
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,9 +73,14 @@ def _parse_float(text, path, row, column):
     return value
 
 
+_HOURS = {str(hour): hour for hour in range(24)}
+
+
 def _parse_hour(text, path, row):
+    """An hour 0..23: the plain spellings from a table, any other text
+    through ``int`` (so ``07`` is hour 7 and ``seven`` is refused)."""
     try:
-        hour = int(text)
+        hour = _HOURS[text] if text in _HOURS else int(text)
     except ValueError:
         raise ParseError(f"bad hour {text!r}", path=path, row=row,
                          column="hour") from None
@@ -91,167 +97,152 @@ def _parse_flag(text, path, row, column):
     return text == "Y"
 
 
-def _check_header(header, expected_variants, path):
-    for variant in expected_variants:
-        if header == variant:
-            return variant
-    raise ParseError(
-        f"unexpected header {header!r}; expected one of "
-        f"{[','.join(v) for v in expected_variants]}", path=path, row=1)
-
-
-def _read_rows(path):
+def _read_table(path, headers):
+    """The rows of a CSV file as ``(row number, fields)``: first its header,
+    which must be one of ``headers``, as row 1, then each data row, which
+    must have the header's column count."""
     try:
         fh = open(path, encoding="utf-8", newline="")
     except OSError as exc:
         raise ParseError(f"cannot open file: {exc}", path=path) from exc
     with fh:
         try:
-            yield from csv.reader(fh)
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header not in headers:
+                raise ParseError(
+                    f"unexpected header {header!r}; expected one of "
+                    f"{[','.join(h) for h in headers]}", path=path, row=1)
+            yield 1, header
+            for i, fields in enumerate(reader, start=2):
+                if len(fields) != len(header):
+                    raise ParseError(f"expected {len(header)} columns, got "
+                                     f"{len(fields)}", path=path, row=i)
+                yield i, fields
         except (UnicodeDecodeError, csv.Error) as exc:
             raise ParseError(f"unreadable CSV text: {exc}", path=path) from None
 
 
-def _fill_day(hours: list, *, interpolate: bool, label: str):
-    """Complete one day's 24 hourly values (None where missing) per the gap
-    policy.
+# Per reading column: the hourly file, the plausible range of a reading
+# and the complaint about one outside it.
+_HOURLY_FILES = {
+    "temp_c": ("weather", TEMP_MIN_C, TEMP_MAX_C,
+               "temperature {} outside plausible range"),
+    "kw": ("meter", 0.0, math.inf, "negative demand {}"),
+}
 
-    Returns (values or None-if-dropped, interpolated flag). A 25th reading
-    for an hour (DST fall-back) was already collapsed to the first one
-    during parsing.
+
+def _load_hourly(path, header, rows, interpolate):
+    """The data rows of an hourly file (weather or interval meter) as day
+    keys, a ``(days, 24)`` grid of readings and a per-day flag.
+
+    A day's key is ``(date,)`` for weather and ``(service, date)`` for a
+    meter; days keep their first-seen order. A second reading for an hour
+    (DST fall-back) is dropped and flags its day; a third is a ParseError.
+    Days missing at most ``MAX_INTERPOLATED_HOURS`` readings are linearly
+    interpolated and flagged, days missing more are dropped, and with
+    ``interpolate`` False any gap is a GapError. One DataGapWarning per
+    kind (duplicate readings, interpolated days, dropped days) gives the
+    count and the first day affected.
     """
-    missing = [h for h, v in enumerate(hours) if v is None]
-    if not missing:
-        return hours, False
-    if not interpolate:
-        raise GapError(f"{label}: {len(missing)} missing hourly readings "
-                       "and gap filling is disabled")
-    if len(missing) > MAX_INTERPOLATED_HOURS:
-        warnings.warn(f"{label}: {len(missing)} missing hours, day dropped",
-                      DataGapWarning, stacklevel=3)
-        return None, False
-    present = [h for h, v in enumerate(hours) if v is not None]
-    values = np.interp(range(24), present, [hours[h] for h in present])
-    warnings.warn(f"{label}: interpolated {len(missing)} missing hour(s)",
-                  DataGapWarning, stacklevel=3)
-    return [float(v) for v in values], True
-
-
-def _load_weather(path, interpolate):
-    """date -> (24 temps, interpolated flag)."""
-    rows = _read_rows(path)
-    _check_header(next(rows, None), [WEATHER_HEADER], path)
-    raw: dict[dt.date, list] = {}
-    dup_seen = set()
-    dup_dates = set()
-    for i, row in enumerate(rows, start=2):
-        if len(row) != 3:
-            raise ParseError(f"expected 3 columns, got {len(row)}", path=path, row=i)
-        date = _parse_date(row[0], path, i)
-        hour = _parse_hour(row[1], path, i)
-        temp = _parse_float(row[2], path, i, "temp_c")
-        if not TEMP_MIN_C <= temp <= TEMP_MAX_C:
-            raise ParseError(f"temperature {temp} outside plausible range",
-                             path=path, row=i, column="temp_c")
-        day = raw.get(date)
+    column = header[-1]
+    kind, lo, hi, complaint = _HOURLY_FILES[column]
+    index = {}        # day key -> grid row
+    seen = {}         # day text -> grid row, so each text is parsed once
+    hours_read = []   # grid row -> bitmask of the hours read
+    repeated = {}     # (grid row, hour) of each duplicate, in file order
+    grid = array("d")
+    for i, fields in rows:
+        text = (fields[0], fields[-3])  # (date, date) for weather
+        day = seen.get(text)
         if day is None:
-            day = raw[date] = [None] * 24
-        if day[hour] is not None:
-            key = (date, hour)
-            if key in dup_seen:
+            key = (*fields[:-3], _parse_date(fields[-3], path, i))
+            day = index.get(key)
+            if day is None:
+                day = index[key] = len(hours_read)
+                hours_read.append(0)
+                grid.extend([math.nan] * 24)
+            seen[text] = day
+        hour = _parse_hour(fields[-2], path, i)
+        value = _parse_float(fields[-1], path, i, column)
+        if not lo <= value <= hi:
+            raise ParseError(complaint.format(value), path=path, row=i,
+                             column=column)
+        if hours_read[day] >> hour & 1:
+            if (day, hour) in repeated:
                 raise ParseError(f"hour {hour} appears more than twice",
                                  path=path, row=i, column="hour")
-            dup_seen.add(key)
-            dup_dates.add(date)
-            warnings.warn(f"weather {date} hour {hour}: duplicate reading "
-                          "(DST fall-back?), keeping the first",
-                          DataGapWarning, stacklevel=2)
+            repeated[(day, hour)] = None
             continue
-        day[hour] = temp
-    out = {}
-    for date, hours in raw.items():
-        values, interp = _fill_day(hours, interpolate=interpolate,
-                                   label=f"weather {date}")
-        if values is not None:
-            out[date] = (values, interp or date in dup_dates)
-    return out
+        hours_read[day] |= 1 << hour
+        grid[24 * day + hour] = value
+
+    keys = list(index)
+    grid = np.array(grid).reshape(-1, 24)
+
+    def name(day):
+        return " ".join(map(str, keys[day]))
+
+    missing = np.isnan(grid)
+    counts = missing.sum(axis=1)
+    interpolated = []
+    for day in np.flatnonzero(counts).tolist():
+        if not interpolate:
+            raise GapError(f"{kind} {name(day)}: {counts[day]} missing hourly "
+                           "readings and gap filling is disabled")
+        if counts[day] <= MAX_INTERPOLATED_HOURS:
+            present = np.flatnonzero(~missing[day])
+            grid[day] = np.interp(np.arange(24), present, grid[day, present])
+            interpolated.append(day)
+    kept = counts <= MAX_INTERPOLATED_HOURS
+    duplicated = [day for day, _ in repeated]
+    for days, what in (
+            (duplicated, "duplicate hourly readings (DST fall-back?), the "
+             "first of each kept"),
+            (interpolated, f"days missing at most {MAX_INTERPOLATED_HOURS} "
+             "hours interpolated"),
+            (np.flatnonzero(~kept).tolist(), "days missing more than "
+             f"{MAX_INTERPOLATED_HOURS} hours dropped")):
+        if days:
+            warnings.warn(f"{kind}: {len(days)} {what}; first {name(days[0])}",
+                          DataGapWarning, stacklevel=3)
+    flagged = np.isin(np.arange(len(keys)), duplicated + interpolated)
+    return ([key for key, keep in zip(keys, kept) if keep], grid[kept],
+            flagged[kept])
 
 
-def _load_meter(path, interpolate):
-    """Whether the file is hourly, and (service, date) -> (24 kW readings,
-    interpolated flag), or for an energy file -> daily kWh."""
-    rows = _read_rows(path)
-    header = _check_header(next(rows, None),
-                           [METER_HOURLY_HEADER, METER_ENERGY_HEADER], path)
-    hourly_format = header == METER_HOURLY_HEADER
-    # One 24-slot list per day, None until its hour is read: far smaller
-    # than a dict per day over tens of thousands of days.
-    raw: dict[tuple[str, dt.date], list] = {}
-    energy: dict[tuple[str, dt.date], float] = {}
-    dup_seen = set()
-    for i, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise ParseError(f"expected {len(header)} columns, got {len(row)}",
+def _load_energy(path, rows):
+    """The data rows of a revenue-meter file as ``(service, date)`` day
+    keys, their daily kWh and an all-False per-day flag."""
+    energy = {}
+    for i, (service, date, kwh) in rows:
+        date = _parse_date(date, path, i)
+        kwh = _parse_float(kwh, path, i, "energy_kwh")
+        if kwh < 0:
+            raise ParseError(f"negative energy {kwh}", path=path, row=i,
+                             column="energy_kwh")
+        if (service, date) in energy:
+            raise ParseError(f"duplicate energy reading for {service} {date}",
                              path=path, row=i)
-        service = row[0]
-        date = _parse_date(row[1], path, i)
-        if hourly_format:
-            hour = _parse_hour(row[2], path, i)
-            kw = _parse_float(row[3], path, i, "kw")
-            if kw < 0:
-                raise ParseError(f"negative demand {kw}", path=path, row=i,
-                                 column="kw")
-            day = raw.get((service, date))
-            if day is None:
-                day = raw[(service, date)] = [None] * 24
-            if day[hour] is not None:
-                key = (service, date, hour)
-                if key in dup_seen:
-                    raise ParseError(f"hour {hour} appears more than twice",
-                                     path=path, row=i, column="hour")
-                dup_seen.add(key)
-                warnings.warn(f"meter {service} {date} hour {hour}: duplicate "
-                              "reading, keeping the first",
-                              DataGapWarning, stacklevel=2)
-                continue
-            day[hour] = kw
-        else:
-            kwh = _parse_float(row[2], path, i, "energy_kwh")
-            if kwh < 0:
-                raise ParseError(f"negative energy {kwh}", path=path, row=i,
-                                 column="energy_kwh")
-            if (service, date) in energy:
-                raise ParseError(f"duplicate energy reading for {service} {date}",
-                                 path=path, row=i)
-            energy[(service, date)] = kwh
-
-    if not hourly_format:
-        return False, energy
-    out = {}
-    for (service, date), hours in raw.items():
-        values, interp = _fill_day(hours, interpolate=interpolate,
-                                   label=f"meter {service} {date}")
-        if values is not None:
-            out[(service, date)] = (values, interp)
-    return True, out
+        energy[(service, date)] = kwh
+    return (list(energy), np.array(list(energy.values())),
+            np.zeros(len(energy), bool))
 
 
 def _load_calendar(path):
     """date -> effective weekday flag (holidays count as non-weekdays)."""
-    rows = _read_rows(path)
-    _check_header(next(rows, None), [CALENDAR_HEADER], path)
+    rows = _read_table(path, [CALENDAR_HEADER])
+    next(rows)
     out = {}
-    for i, row in enumerate(rows, start=2):
-        if len(row) != 3:
-            raise ParseError(f"expected 3 columns, got {len(row)}", path=path, row=i)
-        date = _parse_date(row[0], path, i)
-        is_weekday = _parse_flag(row[1], path, i, "is_weekday")
-        is_holiday = _parse_flag(row[2], path, i, "is_holiday")
+    for i, (text, weekday, holiday) in rows:
+        date = _parse_date(text, path, i)
+        is_weekday = _parse_flag(weekday, path, i, "is_weekday")
+        is_holiday = _parse_flag(holiday, path, i, "is_holiday")
         if date in out:
             raise ParseError(f"duplicate calendar entry for {date}", path=path, row=i)
         if not is_holiday and is_weekday != (date.weekday() < 5):
             raise ParseError(
-                f"is_weekday={row[1]} inconsistent with {date} "
+                f"is_weekday={weekday} inconsistent with {date} "
                 f"({date.strftime('%A')}) and no holiday override",
                 path=path, row=i, column="is_weekday")
         out[date] = is_weekday and not is_holiday
@@ -284,7 +275,8 @@ def load_dataset(weather_path, meter_path, calendar_path, *,
     mean is the day's sum over 24.0); ``weekday`` "Y"/"N" from the calendar
     (statutory holidays count as non-weekdays); the raw 24-hour
     ``load_kva`` and ``ambient_c`` profiles, for cluster-profile
-    extraction; and ``interpolated``. An energy meter file gives
+    extraction; and ``interpolated``, set where the weather or meter day
+    had a gap filled or a duplicate reading. An energy meter file gives
     ``l_avg_kva`` (daily kWh / 24) and no ``load_kva``, ``l_max_kva`` or
     ``l_min_kva``.
 
@@ -293,43 +285,49 @@ def load_dataset(weather_path, meter_path, calendar_path, *,
         GapError: incomplete day while ``interpolate_gaps`` is False.
         EmptyIntersectionError: no common coverage at all.
     """
-    weather = _load_weather(weather_path, interpolate_gaps)
-    hourly, meter = _load_meter(meter_path, interpolate_gaps)
+    rows = _read_table(weather_path, [WEATHER_HEADER])
+    weather_keys, ambient_days, weather_flags = _load_hourly(
+        weather_path, next(rows)[1], rows, interpolate_gaps)
+    rows = _read_table(meter_path, [METER_HOURLY_HEADER, METER_ENERGY_HEADER])
+    _, header = next(rows)
+    hourly = header == METER_HOURLY_HEADER
+    meter_keys, meter_values, meter_flags = (
+        _load_hourly(meter_path, header, rows, interpolate_gaps) if hourly
+        else _load_energy(meter_path, rows))
     calendar = _load_calendar(calendar_path)
 
-    keys = sorted(key for key in meter
-                  if key[1] in weather and key[1] in calendar)
-    if not keys:
+    weather_row = {date: row for row, (date,) in enumerate(weather_keys)}
+    joined = sorted((key, row) for row, key in enumerate(meter_keys)
+                    if key[1] in weather_row and key[1] in calendar)
+    if not joined:
         raise EmptyIntersectionError(
             "weather, meter, and calendar files share no (service, date) coverage")
+    keys, meter_rows = zip(*joined)
     services, days = zip(*keys)
+    meter_rows = np.array(meter_rows)
+    weather_rows = [weather_row[date] for date in days]
     dates = sorted(set(days))
-    index = {date: i for i, date in enumerate(dates)}
-    day = np.array([index[date] for date in days])
 
-    ambient = np.array([weather[date][0] for date in dates])[day]
+    ambient = ambient_days[weather_rows]
     t_sum, t_max, t_min = _day_stats(ambient)
     columns = {
         "service_id": np.array(services),
-        "date": np.array([date.isoformat() for date in dates])[day],
+        "date": np.array([date.isoformat() for date in days]),
         "t_max_c": t_max,
         "t_min_c": t_min,
         "t_avg_c": t_sum / 24.0,
     }
-    interpolated = np.array([weather[date][1] for date in dates])[day]
     if hourly:
-        load = np.array([meter[key][0] for key in keys])
+        load = meter_values[meter_rows]
         l_sum, l_max, l_min = _day_stats(load)
         columns.update(l_avg_kva=l_sum / 24.0, l_max_kva=l_max, l_min_kva=l_min)
-        interpolated |= np.array([meter[key][1] for key in keys])
     else:
-        columns["l_avg_kva"] = np.array([meter[key] for key in keys]) / 24.0
-    columns["weekday"] = np.where(
-        np.array([calendar[date] for date in dates])[day], "Y", "N")
+        columns["l_avg_kva"] = meter_values[meter_rows] / 24.0
+    columns["weekday"] = np.where([calendar[date] for date in days], "Y", "N")
     if hourly:
         columns["load_kva"] = load
     columns["ambient_c"] = ambient
-    columns["interpolated"] = interpolated
+    columns["interpolated"] = weather_flags[weather_rows] | meter_flags[meter_rows]
 
     records = np.empty(len(keys), [(name, column.dtype, column.shape[1:])
                                    for name, column in columns.items()])
@@ -343,7 +341,7 @@ def load_dataset(weather_path, meter_path, calendar_path, *,
             "are recommended", ShortCoverageWarning, stacklevel=2)
     return Dataset(
         records=records,
-        services=tuple(sorted({service for service, _ in meter})),
+        services=tuple(sorted({service for service, _ in meter_keys})),
         dates=tuple(d.isoformat() for d in dates),
     )
 

@@ -40,6 +40,12 @@ DEFAULT_HOTSPOT_LIMIT = 200.0  # °C
 # Below it every power of the load in the thermal model is finite; a load
 # above it is an input error, refused before any ``**`` can overflow.
 MAX_LOAD_PU = 1000.0
+# Ceilings on the rated rises (°C) and the loss ratio, far past any real
+# transformer (rises of some 40-80 °C, loss ratios of 2-20). At them and
+# at MAX_LOAD_PU every power in the thermal model stays finite (no ultimate
+# rise exceeds 1e9 °C); a spec above them is an input error.
+MAX_RATED_RISE_C = 1000.0
+MAX_LOSS_RATIO = 1000.0
 
 
 @dataclass(frozen=True)
@@ -75,12 +81,11 @@ class TransformerSpec:
     def __post_init__(self):
         if self.rated_kva <= 0:
             raise ValueError("rated_kva must be > 0")
-        if self.top_oil_rise_rated <= 0:
-            raise ValueError("top_oil_rise_rated must be > 0")
-        if self.hotspot_differential <= 0:
-            raise ValueError("hotspot_differential must be > 0")
-        if self.loss_ratio <= 0:
-            raise ValueError("loss_ratio must be > 0")
+        for name, ceiling in (("top_oil_rise_rated", MAX_RATED_RISE_C),
+                              ("hotspot_differential", MAX_RATED_RISE_C),
+                              ("loss_ratio", MAX_LOSS_RATIO)):
+            if not 0 < getattr(self, name) <= ceiling:
+                raise ValueError(f"{name} must lie in (0, {ceiling:g}]")
         if self.oil_time_constant <= 0 or self.winding_time_constant <= 0:
             raise ValueError("time constants must be > 0")
         if not 0 < self.exponent_n <= 1 or not 0 < self.exponent_m <= 1:

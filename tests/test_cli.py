@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from txrisk import cli, clustering, features as ft, ingest
+from txrisk import cli, clustering, features as ft, ingest, thermal
 from txrisk.clustering import train_model
 
 from conftest import record_table, write_spec_file
@@ -132,6 +132,41 @@ class TestMalformedInputExitCodes:
         assert bad.read_text() != doc
         assert self.assess(root, tmp_path, spec=bad) == 3
         assert "loss_ratio" in capsys.readouterr().err
+
+    def with_spec(self, command, root, out, **fields):
+        """``command`` on the golden model with spec fields replaced."""
+        spec = out / "spec.json"
+        doc = json.loads((root / "spec.json").read_text())
+        spec.write_text(json.dumps(dict(doc, **fields)))
+        if command == "assess":
+            return self.assess(root, out, spec=spec)
+        return cli.main(["estimate", "--spec", str(spec),
+                         "--model", str(root / "out" / "model.json"),
+                         "--query", str(root / "query.csv"),
+                         "--services", "18", "--out", str(out)])
+
+    @pytest.mark.parametrize("command", ["assess", "estimate"])
+    @pytest.mark.parametrize("field", ["top_oil_rise_rated_c",
+                                       "hotspot_differential_c", "loss_ratio"])
+    def test_spec_field_above_its_ceiling(self, golden_pipeline, tmp_path,
+                                          capsys, command, field):
+        assert self.with_spec(command, golden_pipeline[0][0], tmp_path,
+                              **{field: 1e308}) == 3
+        assert f"{field.removesuffix('_c')} must lie in" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["assess", "estimate"])
+    def test_spec_at_its_ceilings_stays_finite(self, golden_pipeline, tmp_path,
+                                               command):
+        assert self.with_spec(
+            command, golden_pipeline[0][0], tmp_path,
+            top_oil_rise_rated_c=thermal.MAX_RATED_RISE_C,
+            hotspot_differential_c=thermal.MAX_RATED_RISE_C,
+            loss_ratio=thermal.MAX_LOSS_RATIO) == 0
+        tables = sorted(tmp_path.glob("*.csv"))
+        assert tables
+        for table in tables:
+            cells = table.read_text().replace("\n", ",").split(",")
+            assert not {"nan", "inf", "-inf"} & set(cells), table.name
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_meter_kw_not_finite(self, tmp_path, capsys, value):

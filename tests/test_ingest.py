@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from txrisk import ingest
+from txrisk.estimation import read_query_csv
 from txrisk.errors import (
     DataGapWarning,
     EmptyIntersectionError,
@@ -15,6 +16,8 @@ from txrisk.errors import (
     ParseError,
 )
 from txrisk.ingest import SynthConfig, load_dataset, synth_dataset
+
+from conftest import QUERY_CSV
 
 QUIET = SynthConfig(temp_noise_sd_c=0.0, load_noise_sd_kw=0.0,
                     service_spread=0.0)
@@ -153,23 +156,32 @@ def drop_lines(path, predicate):
 
 
 class TestGapPolicy:
+    """One gap and duplicate rule for both hourly files: these cases run on
+    the weather file here and on the meter file in TestMeterGapPolicy."""
+
+    # The file under test, the fields before the date in its rows and the
+    # record field that holds that file's 24 hours.
+    FILE, SERVICE, FIELD = "weather", "", "ambient_c"
+
+    def row(self, date, hour):
+        return f"{self.SERVICE}{date},{hour},"
+
     def test_one_missing_hour_interpolated_and_flagged(self, tmp_path):
         paths = gen(tmp_path, seed=4, services=1, days=3)
-        drop_lines(paths["weather"], lambda ln: ln.startswith("2015-01-02,7,"))
+        drop_lines(paths[self.FILE], lambda ln: ln.startswith(self.row("2015-01-02", 7)))
         with pytest.warns(DataGapWarning):
             ds = load_dataset(paths["weather"], paths["meter"],
                               paths["calendar"])
         assert ds.records["date"].tolist() == ["2015-01-01", "2015-01-02",
                                                "2015-01-03"]
         assert ds.records["interpolated"].tolist() == [False, True, False]
-        temps = ds.records["ambient_c"][1]
-        assert min(temps[6], temps[8]) <= temps[7] <= max(temps[6], temps[8])
+        hours = ds.records[self.FIELD][1]
+        assert min(hours[6], hours[8]) <= hours[7] <= max(hours[6], hours[8])
 
     def test_three_missing_hours_drops_day(self, tmp_path):
         paths = gen(tmp_path, seed=4, services=1, days=3)
-        drop_lines(paths["weather"],
-                   lambda ln: ln.startswith(("2015-01-02,7,", "2015-01-02,8,",
-                                             "2015-01-02,9,")))
+        drop_lines(paths[self.FILE], lambda ln: ln.startswith(
+            tuple(self.row("2015-01-02", hour) for hour in (7, 8, 9))))
         with pytest.warns(DataGapWarning):
             ds = load_dataset(paths["weather"], paths["meter"],
                               paths["calendar"])
@@ -177,30 +189,57 @@ class TestGapPolicy:
 
     def test_gap_error_when_interpolation_disabled(self, tmp_path):
         paths = gen(tmp_path, seed=4, services=1, days=3)
-        drop_lines(paths["weather"], lambda ln: ln.startswith("2015-01-02,7,"))
+        drop_lines(paths[self.FILE], lambda ln: ln.startswith(self.row("2015-01-02", 7)))
         with pytest.raises(GapError):
             load_dataset(paths["weather"], paths["meter"], paths["calendar"],
                          interpolate_gaps=False)
 
     def test_duplicate_hour_keeps_first_and_flags(self, tmp_path):
         paths = gen(tmp_path, seed=4, services=1, days=3)
-        lines = paths["weather"].read_text().splitlines()
-        lines.append("2015-01-02,3,42.42")
-        paths["weather"].write_text("\n".join(lines) + "\n")
+        lines = paths[self.FILE].read_text().splitlines()
+        lines.append(self.row("2015-01-02", 3) + "42.42")
+        paths[self.FILE].write_text("\n".join(lines) + "\n")
         with pytest.warns(DataGapWarning):
             ds = load_dataset(paths["weather"], paths["meter"],
                               paths["calendar"])
         assert ds.records["interpolated"].tolist() == [False, True, False]
-        assert ds.records["ambient_c"][1, 3] != 42.42
+        assert ds.records[self.FIELD][1, 3] != 42.42
 
     def test_triplicate_hour_is_parse_error(self, tmp_path):
         paths = gen(tmp_path, seed=4, services=1, days=3)
-        lines = paths["weather"].read_text().splitlines()
-        lines += ["2015-01-02,3,42.42", "2015-01-02,3,41.41"]
-        paths["weather"].write_text("\n".join(lines) + "\n")
+        lines = paths[self.FILE].read_text().splitlines()
+        lines += [self.row("2015-01-02", 3) + "42.42", self.row("2015-01-02", 3) + "41.41"]
+        paths[self.FILE].write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError), warnings.catch_warnings():
             warnings.simplefilter("ignore")
             load_dataset(paths["weather"], paths["meter"], paths["calendar"])
+
+    def test_one_warning_per_kind_gives_count_and_first_day(self, tmp_path):
+        paths = gen(tmp_path, seed=4, services=1, days=6)
+        gone = {self.row("2015-01-04", 5), self.row("2015-01-02", 7),
+                *(self.row("2015-01-03", hour) for hour in (7, 8, 9)),
+                *(self.row("2015-01-05", hour) for hour in (0, 1, 2))}
+        drop_lines(paths[self.FILE], lambda ln: ln.startswith(tuple(gone)))
+        lines = paths[self.FILE].read_text().splitlines()
+        lines += [self.row("2015-01-06", 3) + "1.5",
+                  self.row("2015-01-01", 4) + "1.5"]
+        paths[self.FILE].write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            load_dataset(paths["weather"], paths["meter"], paths["calendar"])
+        day = self.SERVICE.replace(",", " ")
+        assert [str(w.message) for w in caught
+                if w.category is DataGapWarning] == [
+            f"{self.FILE}: 2 duplicate hourly readings (DST fall-back?), the "
+            f"first of each kept; first {day}2015-01-06",
+            f"{self.FILE}: 2 days missing at most 2 hours interpolated; "
+            f"first {day}2015-01-02",
+            f"{self.FILE}: 2 days missing more than 2 hours dropped; "
+            f"first {day}2015-01-03"]
+
+
+class TestMeterGapPolicy(TestGapPolicy):
+    FILE, SERVICE, FIELD = "meter", "S001,", "load_kva"
 
 
 class TestParseErrors:
@@ -262,6 +301,31 @@ class TestParseErrors:
         paths["calendar"].write_text("\n".join(body) + "\n")
         with pytest.raises(ParseError):
             load_dataset(paths["weather"], paths["meter"], paths["calendar"])
+
+
+class TestErrorOrder:
+    """Each file is checked row by row: of two faults, the one on the
+    earlier row is reported, whatever their columns."""
+
+    @pytest.mark.parametrize("name,column,bad", [
+        ("weather", "temp_c", "x"), ("meter", "kw", "x"),
+        ("calendar", "is_weekday", "x"), ("query", "l_avg_kva", "x")])
+    def test_earlier_row_reported_first(self, tmp_path, name, column, bad):
+        paths = gen(tmp_path, seed=6, services=1, days=5)
+        paths["query"] = tmp_path / "query.csv"
+        paths["query"].write_text(QUERY_CSV)
+        lines = [line.split(",") for line in
+                 paths[name].read_text().splitlines()]
+        lines[2][lines[0].index(column)] = bad
+        lines[4][lines[0].index("date")] = "2015-02-30"
+        paths[name].write_text("\n".join(map(",".join, lines)) + "\n")
+        with pytest.raises(ParseError) as err:
+            if name == "query":
+                read_query_csv(paths["query"])
+            else:
+                load_dataset(paths["weather"], paths["meter"],
+                             paths["calendar"])
+        assert (err.value.row, err.value.column) == (3, column)
 
 
 class TestCoverage:

@@ -244,6 +244,22 @@ class TestSimulateDays:
         assert np.all(np.isfinite(trace.hotspot))
         assert np.all(np.isfinite(aging.aging_acceleration(trace.hotspot)))
 
+    def test_spec_at_its_ceilings_stays_finite(self):
+        # Rated rises and loss ratio at their ceilings, with the steepest
+        # exponents and the highest load: nothing overflows.
+        extreme = TransformerSpec(
+            rated_kva=25.0, top_oil_rise_rated=thermal.MAX_RATED_RISE_C,
+            hotspot_differential=thermal.MAX_RATED_RISE_C,
+            loss_ratio=thermal.MAX_LOSS_RATIO, oil_time_constant=3.0,
+            winding_time_constant=0.08, exponent_n=1.0, exponent_m=1.0)
+        trace = simulate_day(extreme, np.full(24, 40.0),
+                             np.full(24, thermal.MAX_LOAD_PU))
+        assert np.all(np.isfinite(trace.hotspot))
+        assert np.all(np.isfinite(aging.aging_acceleration(trace.hotspot)))
+        for name in ("top_oil_rise_rated", "hotspot_differential", "loss_ratio"):
+            with pytest.raises(ValueError, match=name):
+                TransformerSpec(**dict(vars(extreme), **{name: 1e308}))
+
 
 def one_cell_grid(max_top_oil, max_hotspot):
     """A one-cluster, one-N service grid with the given day maxima."""
