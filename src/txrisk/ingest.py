@@ -73,14 +73,9 @@ def _parse_float(text, path, row, column):
     return value
 
 
-_HOURS = {str(hour): hour for hour in range(24)}
-
-
 def _parse_hour(text, path, row):
-    """An hour 0..23: the plain spellings from a table, any other text
-    through ``int`` (so ``07`` is hour 7 and ``seven`` is refused)."""
     try:
-        hour = _HOURS[text] if text in _HOURS else int(text)
+        hour = int(text)
     except ValueError:
         raise ParseError(f"bad hour {text!r}", path=path, row=row,
                          column="hour") from None
@@ -148,34 +143,27 @@ def _load_hourly(path, header, rows, interpolate):
     column = header[-1]
     kind, lo, hi, complaint = _HOURLY_FILES[column]
     index = {}        # day key -> grid row
-    seen = {}         # day text -> grid row, so each text is parsed once
-    hours_read = []   # grid row -> bitmask of the hours read
     repeated = {}     # (grid row, hour) of each duplicate, in file order
-    grid = array("d")
+    grid = array("d")  # NaN until its hour is read: readings are finite
     for i, fields in rows:
-        text = (fields[0], fields[-3])  # (date, date) for weather
-        day = seen.get(text)
+        key = (*fields[:-3], _parse_date(fields[-3], path, i))
+        day = index.get(key)
         if day is None:
-            key = (*fields[:-3], _parse_date(fields[-3], path, i))
-            day = index.get(key)
-            if day is None:
-                day = index[key] = len(hours_read)
-                hours_read.append(0)
-                grid.extend([math.nan] * 24)
-            seen[text] = day
+            day = index[key] = len(index)
+            grid.extend([math.nan] * 24)
         hour = _parse_hour(fields[-2], path, i)
         value = _parse_float(fields[-1], path, i, column)
         if not lo <= value <= hi:
             raise ParseError(complaint.format(value), path=path, row=i,
                              column=column)
-        if hours_read[day] >> hour & 1:
+        cell = 24 * day + hour
+        if not math.isnan(grid[cell]):
             if (day, hour) in repeated:
                 raise ParseError(f"hour {hour} appears more than twice",
                                  path=path, row=i, column="hour")
             repeated[(day, hour)] = None
             continue
-        hours_read[day] |= 1 << hour
-        grid[24 * day + hour] = value
+        grid[cell] = value
 
     keys = list(index)
     grid = np.array(grid).reshape(-1, 24)
