@@ -52,8 +52,9 @@ for m, label in enumerate(months):
     print(f"{label:>4} " + "".join(f"{matrix[m, j]:>6}"
                                    for j in range(model.k)))
 
-# The per-cluster mean 24-hour profiles are what feed the thermal model.
-hot = max(model.clusters, key=lambda c: sum(
-    model.profiles[c.id].ambient_c))
-print(f"\ncluster {hot.id} (warmest) mean profile, kVA/service:")
-print("  " + " ".join(f"{v:.2f}" for v in model.profiles[hot.id].load_kva))
+# The per-cluster mean 24-hour profiles are what feed the thermal model:
+# two (k, 24) arrays, cluster c + 1 in row c.
+load_kva, ambient_c = model.profiles
+hot = int(ambient_c.sum(axis=1).argmax())
+print(f"\ncluster {hot + 1} (warmest) mean profile, kVA/service:")
+print("  " + " ".join(f"{v:.2f}" for v in load_kva[hot]))

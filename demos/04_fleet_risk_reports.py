@@ -64,10 +64,10 @@ print(f"  at N={n} the worst cluster day peaks at {worst:.0f} degC; "
 
 # 3. Service cap by life-loss budget.
 budget = 500.0
-cap = max_services_by_life(spec, grid, budget, years=2.0)
+losses = life_loss_by_n(spec, grid, years=2.0)  # arrays over grid.n_values
+cap = max_services_by_life(grid.n_values, losses.economic_loss, budget)
 print(f"max services within a ${budget:g}/year loss budget: {cap}")
-losses = life_loss_by_n(spec, grid, years=2.0)
 for n in range(cap - 1, cap + 3):
-    el = losses[n].economic_loss
+    el = losses.economic_loss[grid.n_values.index(n)]
     marker = " <= budget" if el <= budget else ""
     print(f"  N={n:>2}: ${el:>10.1f}/year{marker}")

@@ -18,7 +18,6 @@ from .aging import (
 from .clustering import (
     Cluster,
     ClusterModel,
-    ClusterProfile,
     composition,
     extract_profiles,
     kmeans,
@@ -50,7 +49,6 @@ from .riskassess import (
     ThresholdResult,
     cluster_thresholds,
     life_loss_by_n,
-    loading_threshold,
     max_services_by_life,
     max_services_by_temperature,
     rank_impact,

@@ -7,8 +7,6 @@ import math
 
 import numpy as np
 
-from .errors import KeyMismatchError
-
 # Reference hottest-spot temperature at which insulation ages at unit rate.
 REFERENCE_HOTSPOT_K = 383.0  # 110 °C
 AGING_RATE_CONSTANT = 15000.0
@@ -46,42 +44,45 @@ def equivalent_aging(hourly_faa):
     return sum(factors) / 24.0
 
 
-def accumulate_life_loss(per_cluster_daily_loss: dict, member_day_counts: dict,
-                         years: float) -> tuple[float, float]:
+def accumulate_life_loss(daily_loss, member_counts, years: float):
     """Accumulate per-cluster daily life loss over an evaluation window.
 
     Args:
-        per_cluster_daily_loss: cluster id -> life loss in days per day.
-        member_day_counts: cluster id -> number of member days in the window.
+        daily_loss: life loss in days per day of each cluster, a ``(k,)``
+            array, or ``(k, M)`` for M cases at once.
+        member_counts: the ``(k,)`` member days of each cluster in the
+            window.
         years: window length in years.
 
     Returns:
-        (total life loss in days, average annual life loss in days/year).
+        (total life loss in days, average annual life loss in days/year),
+        floats or ``(M,)`` arrays. The total adds cluster by cluster in
+        row order.
 
     Raises:
-        KeyMismatchError: the two maps disagree on their cluster ids.
+        ValueError: ``years`` is not positive, or the arrays cover
+            different numbers of clusters.
     """
     if years <= 0:
         raise ValueError("years must be > 0")
-    if set(per_cluster_daily_loss) != set(member_day_counts):
-        raise KeyMismatchError(
-            "daily-loss and day-count maps cover different clusters: "
-            f"{sorted(per_cluster_daily_loss)} vs {sorted(member_day_counts)}"
-        )
-    total = sum(per_cluster_daily_loss[c] * member_day_counts[c]
-                for c in per_cluster_daily_loss)
+    daily_loss = np.asarray(daily_loss, dtype=float)
+    if len(daily_loss) != len(member_counts):
+        raise ValueError(f"daily loss of {len(daily_loss)} clusters against "
+                         f"member days of {len(member_counts)}")
+    total = sum(loss * count for loss, count
+                in zip(daily_loss, np.asarray(member_counts).tolist()))
     return total, total / years
 
 
-def economic_loss(annual_loss_days: float, replacement_cost: float) -> float:
-    """Equivalent economic loss in currency per year.
+def economic_loss(annual_loss_days, replacement_cost: float):
+    """Equivalent economic loss in currency per year, for a float or an
+    array of annual life losses.
 
     One full normal life (``NORMAL_LIFE_DAYS``) consumed per year costs
     one replacement transformer per year.
     """
-    if annual_loss_days < 0:
+    if np.any(annual_loss_days < 0):
         raise ValueError("annual_loss_days must be >= 0")
     if replacement_cost < 0:
         raise ValueError("replacement_cost must be >= 0")
     return annual_loss_days / NORMAL_LIFE_DAYS * replacement_cost
-

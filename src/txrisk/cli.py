@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import datetime as dt
 import json
 import math
 import sys
@@ -35,7 +34,6 @@ exit codes:
   6   more clusters requested than data points
   8   no feasible loading scale (ambient above limit)
   9   strict mode: query far from all clusters
-  10  per-cluster maps disagree on cluster ids
   11  vector does not match the feature schema
   12  empty dataset
   13  cluster member lacks a raw 24-hour profile
@@ -246,7 +244,7 @@ def parse_span(text: str, label: str) -> range:
 
 def cmd_synth(cfg: RunConfig) -> int:
     try:
-        start = dt.date.fromisoformat(str(cfg.get("start_date")))
+        start = ingest.iso_date(str(cfg.get("start_date")))
     except ValueError:
         raise ConfigError(f"bad start date {cfg.get('start_date')!r}")
     services = int(cfg.get("services"))
@@ -325,19 +323,20 @@ def cmd_assess(cfg: RunConfig) -> int:
         spec, model, scale_max=float(cfg.get("scale_max")),
         tolerance=float(cfg.get("scale_tol")))
     grid = riskassess.service_grid(spec, model, n_range)
+    losses = riskassess.life_loss_by_n(spec, grid, years)
     riskassess.write_thresholds_csv(thresholds, out / "thresholds.csv")
 
     matrix = clustering.month_cluster_matrix(model)
-    riskassess.write_month_matrix_csv(matrix, model, thresholds,
-                                      out / "month_matrix.csv")
+    riskassess.write_month_matrix_csv(matrix, thresholds, out / "month_matrix.csv")
 
     riskassess.write_temperature_grid_csv(grid, out / "temperature_grid.csv")
-    riskassess.write_life_loss_csv(grid, spec, years, out / "life_loss.csv")
+    riskassess.write_life_loss_csv(grid, losses, years, out / "life_loss.csv")
     by_temp = riskassess.max_services_by_temperature(spec, grid)
-    by_life = riskassess.max_services_by_life(spec, grid, budget, years)
+    by_life = riskassess.max_services_by_life(grid.n_values,
+                                              losses.economic_loss, budget)
 
     if cfg.get("svg"):
-        riskassess.write_month_distribution_svg(matrix, model, thresholds,
+        riskassess.write_month_distribution_svg(matrix, thresholds,
                                                 out / "month_distribution.svg")
 
     min_peak = min(t.max_peak_load_pu for t in thresholds)

@@ -11,13 +11,11 @@ points with a seeded generator, so training is fully reproducible.
 
 from __future__ import annotations
 
-import datetime as dt
 import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -28,68 +26,53 @@ from .errors import (
     ParseError,
     TooFewPointsError,
 )
+from .ingest import iso_date
 
 MAX_ITERATIONS = 300
 FAR_GUARD_PERCENTILE = 95.0
 
 
 @dataclass(frozen=True)
-class ClusterProfile:
-    """Mean 24-hour member load (kVA per service) and ambient (°C) profiles."""
-
-    load_kva: tuple[float, ...]
-    ambient_c: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class Cluster:
-    """One trained cluster: centroid, members, and size."""
+    """One trained cluster: its id and its members."""
 
     id: int
-    centroid_numeric: dict[str, float]  # normalized space, numeric + ordinal
-    centroid_nominal: dict[str, str]
     member_refs: tuple[tuple[str, str], ...]  # (service_id, ISO date)
     # The members' rows in the table kmeans read; None if read from a file.
     member_rows: np.ndarray | None = field(compare=False, repr=False)
 
-    @property
-    def member_count(self) -> int:
-        return len(self.member_refs)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterModel:
-    """A trained clustering model plus everything needed to reuse it."""
+    """A trained clustering model plus everything needed to reuse it.
 
-    k: int
+    Per-cluster data are read-only arrays with cluster ``c + 1`` at row
+    ``c``: ``centroids`` is the ``(quant (k, q), nom (k, m))`` pair in the
+    form of :func:`txrisk.features.encode`, ``member_counts`` the ``(k,)``
+    member-day counts, and ``profiles`` the ``(load_kva, ambient_c)`` pair
+    of ``(k, 24)`` mean member profiles (kVA per service, °C), or None.
+    """
+
     clusters: tuple[Cluster, ...]
+    centroids: tuple[np.ndarray, np.ndarray]
+    member_counts: np.ndarray
     schema: ft.FeatureSchema
     norm_params: ft.NormalizationParams
     seed: int
     objective: float
-    profiles: dict[int, ClusterProfile] | None = None
+    profiles: tuple[np.ndarray, np.ndarray] | None = None
     far_threshold: float = 0.0
     restarts: int = 1
     objective_trace: tuple[float, ...] | None = None
 
-    @cached_property
-    def centroids(self) -> tuple[np.ndarray, np.ndarray]:
-        """The centroids as one read-only array pair in the form of
-        :func:`txrisk.features.encode`; built on first use."""
-        statuses = [self.schema.feature(name).statuses
-                    for name in self.schema.nominal_names]
-        cent_q = np.array([[c.centroid_numeric[name]
-                            for name in self.schema.quantitative_names]
-                           for c in self.clusters], dtype=np.float64)
-        cent_n = np.array([[s.index(c.centroid_nominal[name])
-                            for name, s in zip(self.schema.nominal_names, statuses)]
-                           for c in self.clusters], dtype=np.int64)
-        cent_q.flags.writeable = cent_n.flags.writeable = False
-        return cent_q, cent_n
+    @property
+    def k(self) -> int:
+        return len(self.clusters)
 
-    def member_day_counts(self) -> dict[int, int]:
-        """Member-day count per cluster (each member is one service-day)."""
-        return {c.id: c.member_count for c in self.clusters}
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def _column_means(rows: np.ndarray) -> tuple[float, ...]:
@@ -194,20 +177,12 @@ def kmeans(records, k: int, schema: ft.FeatureSchema, seed: int,
         rows = np.flatnonzero(labels == c)
         refs = tuple(zip(records["service_id"][rows].tolist(),
                          records["date"][rows].tolist()))
-        clusters.append(Cluster(
-            id=c + 1,
-            centroid_numeric=dict(zip(schema.quantitative_names,
-                                      cent_q[c].tolist())),
-            centroid_nominal={name: schema.feature(name).statuses[code]
-                              for name, code in zip(schema.nominal_names,
-                                                    cent_n[c].tolist())},
-            member_refs=refs,
-            member_rows=rows,
-        ))
+        clusters.append(Cluster(id=c + 1, member_refs=refs, member_rows=rows))
 
     return ClusterModel(
-        k=k,
         clusters=tuple(clusters),
+        centroids=(_read_only(cent_q), _read_only(cent_n)),
+        member_counts=_read_only(np.bincount(labels, minlength=k)),
         schema=schema,
         norm_params=params,
         seed=seed,
@@ -287,21 +262,24 @@ def _lloyd(quant, nom, schema, init_idx, max_iterations, track_objective):
 
 
 def composition(model: ClusterModel) -> list[dict]:
-    """Per-cluster composition rows in raw units.
+    """Per-cluster composition rows in raw units, by feature name.
 
     Numeric centroid components are mapped back through the inverse of the
-    min-max normalization; ordinal components stay in their encoded scale.
+    min-max normalization; ordinal components stay in their encoded scale;
+    nominal components are status labels.
     """
+    schema = model.schema
+    cent_q, cent_n = model.centroids
     rows = []
-    for cluster in model.clusters:
-        row = {"cluster_id": cluster.id, "member_count": cluster.member_count}
-        for name in model.schema.numeric_names:
-            row[name] = ft.denormalize(cluster.centroid_numeric[name],
-                                       model.norm_params, name)
-        for name in model.schema.ordinal_names:
-            row[name] = cluster.centroid_numeric[name]
-        for name in model.schema.nominal_names:
-            row[name] = cluster.centroid_nominal[name]
+    for c, (quant, codes) in enumerate(zip(cent_q.tolist(), cent_n.tolist())):
+        named = dict(zip(schema.quantitative_names, quant))
+        row = {"cluster_id": c + 1, "member_count": int(model.member_counts[c])}
+        for name in schema.numeric_names:
+            row[name] = ft.denormalize(named[name], model.norm_params, name)
+        for name in schema.ordinal_names:
+            row[name] = named[name]
+        for name, code in zip(schema.nominal_names, codes):
+            row[name] = schema.feature(name).statuses[code]
         rows.append(row)
     return rows
 
@@ -314,18 +292,19 @@ def month_cluster_matrix(model: ClusterModel) -> np.ndarray:
     month_of = {}  # each distinct ISO date is parsed, and so checked, once
     for col, cluster in enumerate(model.clusters):
         counts = [0] * 12
-        for _service, iso_date in cluster.member_refs:
-            month = month_of.get(iso_date)
+        for _service, text in cluster.member_refs:
+            month = month_of.get(text)
             if month is None:
-                month = month_of[iso_date] = dt.date.fromisoformat(iso_date).month
+                month = month_of[text] = iso_date(text).month
             counts[month - 1] += 1
         matrix[:, col] = counts
     return matrix
 
 
-def extract_profiles(model: ClusterModel, records) -> dict[int, ClusterProfile]:
+def extract_profiles(model: ClusterModel, records) -> tuple[np.ndarray, np.ndarray]:
     """Hourwise mean member profiles per cluster, from the ``load_kva`` and
-    ``ambient_c`` fields of the record table ``model`` was trained on.
+    ``ambient_c`` fields of the record table ``model`` was trained on: the
+    ``(load_kva, ambient_c)`` pair of ``(k, 24)`` arrays.
 
     Each hour's mean is ``math.fsum`` of the members' values at that hour
     divided by the member count, so the stored profiles depend on the
@@ -339,10 +318,9 @@ def extract_profiles(model: ClusterModel, records) -> dict[int, ClusterProfile]:
         raise MissingProfileError(
             f"member {model.clusters[0].member_refs[0]} has energy-only "
             "metering, no hourly profile")
-    return {cluster.id: ClusterProfile(
-                load_kva=_column_means(records["load_kva"][cluster.member_rows]),
-                ambient_c=_column_means(records["ambient_c"][cluster.member_rows]))
-            for cluster in model.clusters}
+    return tuple(_read_only(np.array([_column_means(records[name][c.member_rows])
+                                      for c in model.clusters]))
+                 for name in ("load_kva", "ambient_c"))
 
 
 def train_model(dataset, k: int, schema: ft.FeatureSchema, seed: int,
@@ -367,52 +345,47 @@ def save_model(model: ClusterModel, path) -> None:
     Raises:
         ValueError: a stored float is NaN or infinite; nothing is written.
     """
+    schema = model.schema
     doc = {
         "k": model.k,
         "seed": model.seed,
         "restarts": model.restarts,
         "objective": model.objective,
         "far_threshold": model.far_threshold,
-        "schema": model.schema.to_jsonable(),
+        "schema": schema.to_jsonable(),
         "normalization": model.norm_params.to_jsonable(),
         "clusters": [],
     }
-    raw_rows = {row["cluster_id"]: row for row in composition(model)}
-    for cluster in model.clusters:
-        raw = raw_rows[cluster.id]
+    for c, (cluster, raw, quant) in enumerate(zip(
+            model.clusters, composition(model), model.centroids[0].tolist())):
         entry = {
             "id": cluster.id,
-            "member_count": cluster.member_count,
-            "centroid_normalized": dict(cluster.centroid_numeric),
-            "centroid_raw": {name: raw[name]
-                             for name in model.schema.numeric_names},
-            "centroid_nominal": dict(cluster.centroid_nominal),
+            "member_count": raw["member_count"],
+            "centroid_normalized": dict(zip(schema.quantitative_names, quant)),
+            "centroid_raw": {name: raw[name] for name in schema.numeric_names},
+            "centroid_nominal": {name: raw[name] for name in schema.nominal_names},
             "members": [list(ref) for ref in cluster.member_refs],
         }
         if model.profiles is not None:
-            prof = model.profiles[cluster.id]
-            entry["profile"] = {
-                "load_kva": list(prof.load_kva),
-                "ambient_c": list(prof.ambient_c),
-            }
+            load, ambient = model.profiles
+            entry["profile"] = {"load_kva": load[c].tolist(),
+                                "ambient_c": ambient[c].tolist()}
         doc["clusters"].append(entry)
     text = json.dumps(doc, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
 
 
-def _checked_profile(cluster_id, doc) -> ClusterProfile:
-    """A stored profile: 24 finite hourly values each, loads >= 0."""
-    profile = ClusterProfile(
-        load_kva=tuple(float(v) for v in doc["load_kva"]),
-        ambient_c=tuple(float(v) for v in doc["ambient_c"]),
-    )
-    if (len(profile.load_kva) != 24 or len(profile.ambient_c) != 24
-            or not all(map(math.isfinite, profile.load_kva + profile.ambient_c))
-            or min(profile.load_kva) < 0):
+def _checked_profile(cluster_id, doc):
+    """A stored profile's ``(load_kva, ambient_c)`` lists: 24 finite hourly
+    values each, loads >= 0."""
+    load = [float(v) for v in doc["load_kva"]]
+    ambient = [float(v) for v in doc["ambient_c"]]
+    if (len(load) != 24 or len(ambient) != 24
+            or not all(map(math.isfinite, load + ambient)) or min(load) < 0):
         raise ValueError(f"cluster {cluster_id} profile needs 24 finite hourly "
                          "values each and no negative load")
-    return profile
+    return load, ambient
 
 
 def _finite(field: str, value) -> float:
@@ -432,18 +405,21 @@ def _checked_bounds(params: ft.NormalizationParams) -> ft.NormalizationParams:
     return params
 
 
-def _checked_cluster(entry, schema: ft.FeatureSchema) -> Cluster:
-    """A stored cluster whose members are (service, ISO date) pairs, as
-    many as its ``member_count``, and whose centroid has every schema
-    feature: finite numeric/ordinal components and nominal labels among
-    their statuses."""
-    cid = int(entry["id"])
+def _checked_cluster(cid, entry, schema: ft.FeatureSchema):
+    """A stored cluster with id ``cid`` whose members are (service,
+    YYYY-MM-DD) pairs, as many as its ``member_count``, and whose centroid
+    has every schema feature: finite numeric/ordinal components and
+    nominal labels among their statuses. Returns the cluster and its
+    centroid as a row of each :func:`txrisk.features.encode` array."""
+    if entry["id"] != cid:
+        raise ValueError(f"cluster {cid} has id {entry['id']!r}; ids must run "
+                         "1..k in file order")
     refs = tuple((s, d) for s, d in entry["members"])
-    if int(entry["member_count"]) != len(refs):
+    if entry["member_count"] != len(refs):
         raise ValueError(f"cluster {cid} member_count {entry['member_count']!r}"
                          f" differs from its {len(refs)} members")
-    for iso in {d for _, d in refs}:
-        dt.date.fromisoformat(iso)
+    for text in {d for _, d in refs}:
+        iso_date(text)
     numeric = {name: _finite(f"cluster {cid} centroid {name!r}", v)
                for name, v in entry["centroid_normalized"].items()}
     nominal = dict(entry["centroid_nominal"])
@@ -452,18 +428,15 @@ def _checked_cluster(entry, schema: ft.FeatureSchema) -> Cluster:
         for name in names:
             if name not in part:
                 raise ValueError(f"cluster {cid} centroid lacks feature {name!r}")
+    quant = [numeric[name] for name in schema.quantitative_names]
+    codes = []
     for name in schema.nominal_names:
         statuses = schema.feature(name).statuses
         if nominal[name] not in statuses:
             raise ValueError(f"cluster {cid} centroid {name!r} is "
                              f"{nominal[name]!r}, not one of {list(statuses)}")
-    return Cluster(
-        id=cid,
-        centroid_numeric=numeric,
-        centroid_nominal=nominal,
-        member_refs=refs,
-        member_rows=None,
-    )
+        codes.append(statuses.index(nominal[name]))
+    return Cluster(id=cid, member_refs=refs, member_rows=None), quant, codes
 
 
 def load_model(path) -> ClusterModel:
@@ -471,9 +444,11 @@ def load_model(path) -> ClusterModel:
 
     Raises:
         ParseError: the file is unreadable or malformed, or holds a
-            non-finite number, a bound with lo > hi, a centroid lacking a
-            schema feature or with an unknown label, a ``member_count``
-            other than the number of members, or a bad profile.
+            non-finite number, a bound with lo > hi, a ``k`` other than the
+            number of clusters, cluster ids other than 1..k in file order,
+            a centroid lacking a schema feature or with an unknown label, a
+            ``member_count`` other than the number of members, a member
+            date not spelled YYYY-MM-DD, or a bad profile.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -484,23 +459,31 @@ def load_model(path) -> ClusterModel:
         schema = ft.FeatureSchema.from_jsonable(doc["schema"])
         params = _checked_bounds(
             ft.NormalizationParams.from_jsonable(doc["normalization"]))
-        clusters = []
-        profiles = {}
-        for entry in doc["clusters"]:
-            clusters.append(_checked_cluster(entry, schema))
-            if "profile" in entry:
-                profiles[int(entry["id"])] = _checked_profile(
-                    entry["id"], entry["profile"])
-        if profiles and len(profiles) != len(clusters):
+        entries = doc["clusters"]
+        if doc["k"] != len(entries):
+            raise ValueError(f"k {doc['k']!r} differs from the {len(entries)} "
+                             "clusters stored")
+        if not entries:
+            raise ValueError("the model stores no clusters")
+        clusters, quant, codes = zip(*(
+            _checked_cluster(c + 1, entry, schema)
+            for c, entry in enumerate(entries)))
+        profiles = [_checked_profile(c + 1, entry["profile"])
+                    for c, entry in enumerate(entries) if "profile" in entry]
+        if profiles and len(profiles) != len(entries):
             raise ValueError("some clusters have a profile and some not")
         return ClusterModel(
-            k=int(doc["k"]),
-            clusters=tuple(clusters),
+            clusters=clusters,
+            centroids=(_read_only(np.array(quant, dtype=np.float64)),
+                       _read_only(np.array(codes, dtype=np.int64))),
+            member_counts=_read_only(np.array([len(c.member_refs)
+                                               for c in clusters])),
             schema=schema,
             norm_params=params,
             seed=int(doc["seed"]),
             objective=_finite("objective", doc["objective"]),
-            profiles=profiles or None,
+            profiles=(tuple(_read_only(np.array(part)) for part in zip(*profiles))
+                      if profiles else None),
             far_threshold=_finite("far_threshold", doc.get("far_threshold", 0.0)),
             restarts=int(doc.get("restarts", 1)),
         )

@@ -68,12 +68,6 @@ class FarFromAllClustersError(TxRiskError):
     exit_code = 9
 
 
-class KeyMismatchError(TxRiskError):
-    """Two per-cluster maps disagree on their cluster keys."""
-
-    exit_code = 10
-
-
 class SchemaMismatchError(TxRiskError):
     """A vector does not line up with the feature schema it is used under."""
 

@@ -53,9 +53,21 @@ class Dataset:
     dates: tuple[str, ...]
 
 
+def iso_date(text: str) -> dt.date:
+    """The date spelled ``YYYY-MM-DD``, and only that spelling: Python
+    3.11's ``date.fromisoformat`` also takes ``20150103`` and ``2015-W02-1``.
+
+    Raises:
+        ValueError: any other text.
+    """
+    if len(text) != 10 or text[4] != "-" or text[7] != "-":
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return dt.date.fromisoformat(text)
+
+
 def _parse_date(text, path, row):
     try:
-        return dt.date.fromisoformat(text)
+        return iso_date(text)
     except ValueError:
         raise ParseError(f"bad date {text!r}", path=path, row=row,
                          column="date") from None
@@ -83,6 +95,13 @@ def _parse_hour(text, path, row):
         raise ParseError(f"hour {hour} outside 0..23", path=path, row=row,
                          column="hour")
     return hour
+
+
+def _check_service(text, path, row):
+    """A service id: any text but an empty or all-blank one."""
+    if not text.strip():
+        raise ParseError(f"blank service id {text!r}", path=path, row=row,
+                         column="service_id")
 
 
 def _parse_flag(text, path, row, column):
@@ -149,6 +168,8 @@ def _load_hourly(path, header, rows, interpolate):
         key = (*fields[:-3], _parse_date(fields[-3], path, i))
         day = index.get(key)
         if day is None:
+            if len(key) == 2:  # (service, date): checked once per day
+                _check_service(key[0], path, i)
             day = index[key] = len(index)
             grid.extend([math.nan] * 24)
         hour = _parse_hour(fields[-2], path, i)
@@ -204,6 +225,7 @@ def _load_energy(path, rows):
     keys, their daily kWh and an all-False per-day flag."""
     energy = {}
     for i, (service, date, kwh) in rows:
+        _check_service(service, path, i)
         date = _parse_date(date, path, i)
         kwh = _parse_float(kwh, path, i, "energy_kwh")
         if kwh < 0:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import aging, thermal
-from .clustering import ClusterModel, ClusterProfile
+from .clustering import ClusterModel
 from .errors import (
     ConfigError,
     NoFeasibleScaleError,
@@ -54,70 +54,95 @@ class ServiceGrid:
     The arrays are indexed (cluster, N) in the order of ``cluster_ids`` and
     ``n_values``: the day's maximum top-oil and hotspot temperatures (°C)
     and its life loss in days per day (the daily equivalent aging factor).
-    ``member_day_counts`` maps each cluster id to its member days.
+    ``member_counts`` holds each cluster's member days.
     """
 
     n_values: tuple[int, ...]
     cluster_ids: tuple[int, ...]
-    member_day_counts: dict[int, int]
+    member_counts: np.ndarray
     max_top_oil: np.ndarray
     max_hotspot: np.ndarray
     daily_loss: np.ndarray
 
 
 class LifeLoss(NamedTuple):
-    """Fleet life loss at one service count over the evaluation window."""
+    """Fleet life loss at each studied service count over the evaluation
+    window, as arrays in the order of the grid's ``n_values``."""
 
-    total_days: float
-    annual_days: float
-    economic_loss: float  # currency per year
+    total_days: np.ndarray
+    annual_days: np.ndarray
+    economic_loss: np.ndarray  # currency per year
 
 
 def _day_maxima(spec, ambient, load_pu):
-    """Maximum top-oil and hotspot temperature of each day in a batch."""
+    """Maximum top-oil and hotspot temperature of each day in a batch, and
+    the list of its 24 hourly hotspot temperatures."""
     top = hot = None
+    hotspots = []
     for top_h, hot_h, _, _ in thermal.steady_state_hours(spec, ambient, load_pu):
         top = top_h if top is None else np.maximum(top, top_h)
         hot = hot_h if hot is None else np.maximum(hot, hot_h)
-    return top, hot
+        hotspots.append(hot_h)
+    return top, hot, hotspots
 
 
-def _thresholds(spec, profiles, cluster_ids, scale_max, tolerance):
-    """Bisect the loading thresholds of several profiles together.
+def rank_impact(results) -> list[ThresholdResult]:
+    """Fill impact ranks: 1 = lowest tolerable peak loading (most
+    restrictive), ties broken by cluster id. Returned in cluster-id order."""
+    by_peak = sorted(results, key=lambda r: (r.max_peak_load_pu, r.cluster_id))
+    ranked = [replace(r, impact_rank=i + 1) for i, r in enumerate(by_peak)]
+    return sorted(ranked, key=lambda r: r.cluster_id)
 
-    Each profile gets exactly the halvings, and so the result, of a
-    bisection of its own: a profile stops halving once its interval is
-    within ``tolerance``, and errors are raised for the first failing
-    profile in the given order.
+
+def cluster_thresholds(spec: thermal.TransformerSpec, model: ClusterModel,
+                       *, scale_max: float = SCALE_MAX_DEFAULT,
+                       tolerance: float = SCALE_TOL_DEFAULT) -> list[ThresholdResult]:
+    """Largest peak loading (p.u.) of each cluster's day shape whose
+    simulated day stays within limits, with impact ranks.
+
+    Each profile is reduced to its peak-normalized shape, so the bisection
+    scale *is* the 24-hour peak per-unit load; the 24-hour average at the
+    binding scale is reported alongside. Bisection is valid because the
+    steady-state temperatures are monotone in the load scale. Every
+    cluster is bisected at once, yet gets exactly the halvings, and so the
+    result, of a bisection of its own: it stops halving once its interval
+    is within ``tolerance``. Each returned scale is certified: it passes
+    the limits while ``scale + tolerance`` violates at least one of them.
+
+    Raises (for the first failing cluster in model order):
+        ConfigError: the model has no profiles, ``scale_max`` still passes
+            the limits or is above ``thermal.MAX_LOAD_PU``.
+        ZeroPeakProfileError: a profile has no load at any hour.
+        NoFeasibleScaleError: ambient alone violates a limit (scale 0 fails).
     """
+    _require_profiles(model)
     if not scale_max <= thermal.MAX_LOAD_PU:
         raise ConfigError(f"scale_max={scale_max:g} p.u. is above the "
                           f"{thermal.MAX_LOAD_PU:g} p.u. load ceiling")
-    kva = np.array([p.load_kva for p in profiles], dtype=float)
-    ambient = np.array([p.ambient_c for p in profiles], dtype=float)
+    kva, ambient = model.profiles
     peak = kva.max(axis=1)
     shape = kva / np.where(peak > 0, peak, 1.0)[:, None]
 
     def within(scale):
-        top, hot = _day_maxima(spec, ambient, scale[:, None] * shape)
+        top, hot, _ = _day_maxima(spec, ambient, scale[:, None] * shape)
         return (top <= spec.top_oil_limit) & (hot <= spec.hotspot_limit), top
 
-    lo = np.zeros(len(profiles))
-    hi = np.full(len(profiles), float(scale_max))
+    lo = np.zeros(model.k)
+    hi = np.full(model.k, float(scale_max))
     at_zero, _ = within(lo)
     at_max, _ = within(hi)
-    for i, cid in enumerate(cluster_ids):
+    for i in range(model.k):
         if not peak[i] > 0:
             raise ZeroPeakProfileError(
-                f"cluster {cid}: profile has zero peak load, so no loading "
+                f"cluster {i + 1}: profile has zero peak load, so no loading "
                 "threshold")
         if not at_zero[i]:
             raise NoFeasibleScaleError(
-                f"cluster {cid}: ambient profile violates a temperature "
+                f"cluster {i + 1}: ambient profile violates a temperature "
                 "limit even at zero load")
         if at_max[i]:
             raise ConfigError(
-                f"cluster {cid}: limits not reached at scale_max="
+                f"cluster {i + 1}: limits not reached at scale_max="
                 f"{scale_max} p.u.; raise the threshold search bound")
 
     active = hi - lo > tolerance
@@ -134,61 +159,19 @@ def _thresholds(spec, profiles, cluster_ids, scale_max, tolerance):
     _, probe_top = within(lo + tolerance)
     shape_sum = sum(shape[:, h] for h in range(thermal.HOURS))
     avg = lo * shape_sum / 24.0
-    return [
+    return rank_impact(
         ThresholdResult(
             cluster_id=cid,
             max_avg_load_pu=a,
             max_peak_load_pu=peak_pu,
             binding_limit="top_oil" if top > spec.top_oil_limit else "hotspot",
         )
-        for cid, a, peak_pu, top in zip(cluster_ids, avg.tolist(), lo.tolist(),
-                                        probe_top.tolist())
-    ]
-
-
-def loading_threshold(spec: thermal.TransformerSpec, profile: ClusterProfile,
-                      cluster_id: int = 0, *, scale_max: float = SCALE_MAX_DEFAULT,
-                      tolerance: float = SCALE_TOL_DEFAULT) -> ThresholdResult:
-    """Largest peak loading (p.u.) whose simulated day stays within limits.
-
-    The profile is reduced to its peak-normalized shape, so the bisection
-    scale *is* the 24-hour peak per-unit load; the 24-hour average at the
-    binding scale is reported alongside. Bisection is valid because the
-    steady-state temperatures are monotone in the load scale. The returned
-    scale is certified: it passes the limits while ``scale + tolerance``
-    violates at least one of them.
-
-    Raises:
-        ZeroPeakProfileError: the profile has no load at any hour.
-        NoFeasibleScaleError: ambient alone violates a limit (scale 0 fails).
-        ConfigError: ``scale_max`` still passes the limits, or is above
-            ``thermal.MAX_LOAD_PU``.
-    """
-    return _thresholds(spec, [profile], [cluster_id], scale_max, tolerance)[0]
-
-
-def rank_impact(results) -> list[ThresholdResult]:
-    """Fill impact ranks: 1 = lowest tolerable peak loading (most
-    restrictive), ties broken by cluster id. Returned in cluster-id order."""
-    by_peak = sorted(results, key=lambda r: (r.max_peak_load_pu, r.cluster_id))
-    ranked = [replace(r, impact_rank=i + 1) for i, r in enumerate(by_peak)]
-    return sorted(ranked, key=lambda r: r.cluster_id)
-
-
-def cluster_thresholds(spec: thermal.TransformerSpec, model: ClusterModel,
-                       *, scale_max: float = SCALE_MAX_DEFAULT,
-                       tolerance: float = SCALE_TOL_DEFAULT) -> list[ThresholdResult]:
-    """Ranked loading thresholds for every cluster in the model, bisected
-    together; each equals :func:`loading_threshold` of its profile. The
-    first failing cluster in model order raises its error."""
-    _require_profiles(model)
-    return rank_impact(_thresholds(
-        spec, [model.profiles[c.id] for c in model.clusters],
-        [c.id for c in model.clusters], scale_max, tolerance))
+        for cid, a, peak_pu, top in zip(range(1, model.k + 1), avg.tolist(),
+                                        lo.tolist(), probe_top.tolist()))
 
 
 def _require_profiles(model: ClusterModel):
-    if not model.profiles:
+    if model.profiles is None:
         raise ConfigError("cluster model carries no 24-hour profiles; "
                           "retrain with profile extraction")
 
@@ -213,17 +196,15 @@ def _cluster_days(spec, model: ClusterModel, n_values):
             a profile's ``load_kva`` or the ``rated_kva`` is implausible.
     """
     _require_profiles(model)
-    profiles = [model.profiles[c.id] for c in model.clusters]
-    kva = np.array([p.load_kva for p in profiles], dtype=float)
-    ambient = np.array([p.ambient_c for p in profiles], dtype=float)
+    kva, ambient = model.profiles
     n = np.array(n_values, dtype=float)
     with np.errstate(over="ignore"):  # an overflow is inf, refused below
         one_service = kva.max(axis=1) / spec.rated_kva
         load_pu = n[None, :, None] * kva[:, None, :] / spec.rated_kva
-    for cluster, pu in zip(model.clusters, one_service.tolist()):
+    for cid, pu in enumerate(one_service.tolist(), start=1):
         if not pu <= thermal.MAX_LOAD_PU:
             raise ParseError(
-                f"cluster {cluster.id}: one service's peak load is {pu:.3g} "
+                f"cluster {cid}: one service's peak load is {pu:.3g} "
                 f"p.u. of rated_kva {spec.rated_kva:g}, above the "
                 f"{thermal.MAX_LOAD_PU:g} p.u. load ceiling")
     for count, pu in zip(n_values, load_pu.max(axis=(0, 2)).tolist()):
@@ -241,7 +222,7 @@ def service_grid(spec: thermal.TransformerSpec, model: ClusterModel,
     The transformer load at N services is N times the cluster's
     per-service profile over the rating. All (cluster, N) days are solved
     as one batch, hour by hour, keeping only each day's maxima and its
-    hourly aging factors.
+    hourly hotspots for the aging factors.
 
     Raises:
         ConfigError: ``n_range`` is empty, the model has no profiles, or a
@@ -254,24 +235,15 @@ def service_grid(spec: thermal.TransformerSpec, model: ClusterModel,
     if not n_values:
         raise ConfigError("n_range is empty")
     ambient, load_pu = _cluster_days(spec, model, n_values)
-
-    max_top_oil = max_hotspot = None
-    factors = []
-    for top_oil, hotspot, _, _ in thermal.steady_state_hours(
-            spec, ambient, load_pu):
-        max_top_oil = (top_oil if max_top_oil is None
-                       else np.maximum(max_top_oil, top_oil))
-        max_hotspot = (hotspot if max_hotspot is None
-                       else np.maximum(max_hotspot, hotspot))
-        factors.append(aging.aging_acceleration(hotspot))
-
+    max_top_oil, max_hotspot, hotspots = _day_maxima(spec, ambient, load_pu)
     grid = ServiceGrid(
         n_values=n_values,
         cluster_ids=tuple(c.id for c in model.clusters),
-        member_day_counts=model.member_day_counts(),
+        member_counts=model.member_counts,
         max_top_oil=max_top_oil,
         max_hotspot=max_hotspot,
-        daily_loss=aging.equivalent_aging(factors),
+        daily_loss=aging.equivalent_aging(
+            aging.aging_acceleration(hotspot) for hotspot in hotspots),
     )
     _check_monotone(grid.max_top_oil, grid, "max top-oil temperature")
     _check_monotone(grid.max_hotspot, grid, "max hotspot temperature")
@@ -279,46 +251,40 @@ def service_grid(spec: thermal.TransformerSpec, model: ClusterModel,
     return grid
 
 
+def _largest(n_values, feasible) -> int | None:
+    """The largest service count whose ``feasible`` entry is true, or None."""
+    counts = [n for n, ok in zip(n_values, feasible.tolist()) if ok]
+    return max(counts) if counts else None
+
+
 def max_services_by_temperature(spec: thermal.TransformerSpec,
                                 grid: ServiceGrid) -> int | None:
     """Largest service count whose worst-cluster day stays within both
     temperature limits, or None."""
-    within = ((grid.max_top_oil.max(axis=0) <= spec.top_oil_limit)
-              & (grid.max_hotspot.max(axis=0) <= spec.hotspot_limit))
-    feasible = [n for n, ok in zip(grid.n_values, within.tolist()) if ok]
-    return max(feasible) if feasible else None
+    return _largest(grid.n_values,
+                    (grid.max_top_oil.max(axis=0) <= spec.top_oil_limit)
+                    & (grid.max_hotspot.max(axis=0) <= spec.hotspot_limit))
 
 
 def life_loss_by_n(spec: thermal.TransformerSpec, grid: ServiceGrid,
-                   years: float) -> dict[int, LifeLoss]:
-    """Fleet life loss per service count.
+                   years: float) -> LifeLoss:
+    """Fleet life loss at each service count of the grid.
 
     Per-cluster daily life loss is weighted by member-day counts, summed
-    over the window, annualized over ``years`` and converted to currency.
+    over the window cluster by cluster, annualized over ``years`` and
+    converted to currency.
     """
-    out = {}
-    for j, n in enumerate(grid.n_values):
-        per_cluster = dict(zip(grid.cluster_ids, grid.daily_loss[:, j].tolist()))
-        total, annual = aging.accumulate_life_loss(
-            per_cluster, grid.member_day_counts, years)
-        out[n] = LifeLoss(total, annual,
-                          aging.economic_loss(annual, spec.replacement_cost))
-    return out
+    total, annual = aging.accumulate_life_loss(grid.daily_loss,
+                                               grid.member_counts, years)
+    return LifeLoss(total, annual,
+                    aging.economic_loss(annual, spec.replacement_cost))
 
 
-def max_services_by_life(spec: thermal.TransformerSpec, grid: ServiceGrid,
-                         annual_budget: float, years: float) -> int | None:
-    """Largest service count whose yearly equivalent economic loss stays
-    within the budget, or None."""
-    losses = life_loss_by_n(spec, grid, years)
-    return select_max_services(
-        {n: loss.economic_loss for n, loss in losses.items()}, annual_budget)
-
-
-def select_max_services(economic_loss_by_n: dict, budget: float) -> int | None:
-    """Largest N whose yearly economic loss is within the budget."""
-    feasible = [n for n, el in economic_loss_by_n.items() if el <= budget]
-    return max(feasible) if feasible else None
+def max_services_by_life(n_values, economic_loss, annual_budget: float) -> int | None:
+    """Largest of the service counts ``n_values`` whose yearly economic
+    loss (the matching entry of ``economic_loss``, e.g.
+    :attr:`LifeLoss.economic_loss`) stays within the budget, or None."""
+    return _largest(n_values, np.asarray(economic_loss) <= annual_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -343,23 +309,21 @@ def _rank_order(ranked_results):
                                          key=lambda r: r.impact_rank)]
 
 
-def write_month_matrix_csv(matrix, model: ClusterModel, ranked_results, path) -> None:
+def write_month_matrix_csv(matrix, ranked_results, path) -> None:
     """Month-by-cluster member-day counts, columns ordered by impact rank.
 
     The first data row maps each impact column back to its cluster id; the
     footer row sums each column (equal to the cluster member counts).
     """
     order = _rank_order(ranked_results)
-    col_of = {c.id: i for i, c in enumerate(model.clusters)}
+    by_rank = matrix[:, [cid - 1 for cid in order]].tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["month"] + [f"imp_{i + 1}" for i in range(len(order))])
-        writer.writerow(["cluster_id"] + [cid for cid in order])
-        for m, label in enumerate(MONTH_LABELS):
-            writer.writerow([label] + [int(matrix[m, col_of[cid]])
-                                       for cid in order])
-        writer.writerow(["Sum"] + [int(matrix[:, col_of[cid]].sum())
-                                   for cid in order])
+        writer.writerow(["cluster_id"] + order)
+        for label, row in zip(MONTH_LABELS, by_rank):
+            writer.writerow([label] + row)
+        writer.writerow(["Sum"] + [sum(col) for col in zip(*by_rank)])
 
 
 def write_temperature_grid_csv(grid: ServiceGrid, path) -> None:
@@ -374,39 +338,37 @@ def write_temperature_grid_csv(grid: ServiceGrid, path) -> None:
                                    in grid.max_top_oil.max(axis=0).tolist()])
 
 
-def write_life_loss_csv(grid: ServiceGrid, spec, years: float, path) -> None:
+def write_life_loss_csv(grid: ServiceGrid, losses: LifeLoss, years: float,
+                        path) -> None:
     """Life-loss grid with member-day counts and total/annual/economic
-    footer rows."""
-    losses = list(life_loss_by_n(spec, grid, years).values())
+    footer rows; ``losses`` is :func:`life_loss_by_n` of the grid over
+    ``years``."""
     years_label = f"{years:g}-Year Total Loss of Life (Days)"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["cluster_id"] + [f"N={n}" for n in grid.n_values]
                         + ["num_days"])
-        for cid, row in zip(grid.cluster_ids, grid.daily_loss.tolist()):
-            writer.writerow([cid] + [f"{v:.1f}" for v in row]
-                            + [grid.member_day_counts[cid]])
-        writer.writerow([years_label] + [f"{loss.total_days:.1f}"
-                                         for loss in losses] + ["-"])
-        writer.writerow(["Average annual Loss of Life (Days)"]
-                        + [f"{loss.annual_days:.1f}" for loss in losses] + ["-"])
-        writer.writerow(["Economic Loss ($/year)"]
-                        + [f"{loss.economic_loss:.1f}" for loss in losses]
-                        + ["-"])
+        for cid, row, count in zip(grid.cluster_ids, grid.daily_loss.tolist(),
+                                   grid.member_counts.tolist()):
+            writer.writerow([cid] + [f"{v:.1f}" for v in row] + [count])
+        for label, values in ((years_label, losses.total_days),
+                              ("Average annual Loss of Life (Days)",
+                               losses.annual_days),
+                              ("Economic Loss ($/year)", losses.economic_loss)):
+            writer.writerow([label] + [f"{v:.1f}" for v in values.tolist()]
+                            + ["-"])
 
 
 _SVG_PALETTE = ("#4477aa", "#66ccee", "#228833", "#ccbb44", "#ee6677",
                 "#aa3377", "#bbbbbb", "#222255", "#225555", "#552200")
 
 
-def write_month_distribution_svg(matrix, model: ClusterModel, ranked_results,
-                                 path) -> None:
+def write_month_distribution_svg(matrix, ranked_results, path) -> None:
     """Grouped bar chart of member days per month per cluster (impact order).
 
     Hand-rolled SVG so repeated runs are byte-identical.
     """
     order = _rank_order(ranked_results)
-    col_of = {c.id: i for i, c in enumerate(model.clusters)}
     k = len(order)
     top = max(1, int(matrix.max()))
 
@@ -439,7 +401,7 @@ def write_month_distribution_svg(matrix, model: ClusterModel, ranked_results,
                      f'y="{upper + plot_h + 16:.1f}" font-size="11" '
                      f'text-anchor="middle" font-family="sans-serif">{label}</text>')
         for j, cid in enumerate(order):
-            count = int(matrix[m, col_of[cid]])
+            count = int(matrix[m, cid - 1])
             h = plot_h * count / top
             x = gx + (j + 0.5) * bar_w
             y = upper + plot_h - h

@@ -59,8 +59,7 @@ def write_spec_file(path):
     return path
 
 
-def make_model(centroids, values_schema=None, *, nominal_modes=None,
-               far_threshold=0.0):
+def make_model(centroids, values_schema=None, *, far_threshold=0.0):
     """Hand-built 1-D (or n-D) cluster model for estimation tests.
 
     ``centroids`` is a list of dicts of normalized quantitative values.
@@ -70,20 +69,39 @@ def make_model(centroids, values_schema=None, *, nominal_modes=None,
         ft.FeatureDef(name, ft.KIND_NUMERIC) for name in sorted(centroids[0])))
     params = ft.NormalizationParams(
         bounds={name: (0.0, 1.0) for name in schema.numeric_names})
-    clusters = []
-    for i, centroid in enumerate(centroids):
-        modes = (nominal_modes or {}).get(i, {})
-        clusters.append(Cluster(
-            id=i + 1,
-            centroid_numeric=dict(centroid),
-            centroid_nominal=dict(modes),
-            member_refs=((f"s{i}", "2015-01-01"),),
-            member_rows=None,
-        ))
+    k = len(centroids)
     return ClusterModel(
-        k=len(clusters), clusters=tuple(clusters), schema=schema,
-        norm_params=params, seed=0, objective=0.0,
+        clusters=tuple(Cluster(id=i + 1, member_refs=((f"s{i}", "2015-01-01"),),
+                               member_rows=None) for i in range(k)),
+        centroids=(np.array([[c[name] for name in schema.quantitative_names]
+                             for c in centroids], dtype=float).reshape(k, -1),
+                   np.zeros((k, 0), dtype=np.int64)),
+        member_counts=np.ones(k, dtype=np.int64),
+        schema=schema, norm_params=params, seed=0, objective=0.0,
         far_threshold=far_threshold)
+
+
+def make_model_with_profiles(profiles):
+    """Minimal trained-model stand-in for the risk studies: one cluster
+    per ``((load_kva, ambient_c), member days)`` entry, its members on
+    consecutive days from 2015-01-01 plus 30 days per cluster."""
+    schema = ft.FeatureSchema(features=(ft.FeatureDef("x", ft.KIND_NUMERIC),))
+    clusters = []
+    for i, (_, members) in enumerate(profiles):
+        refs = tuple(("s", (dt.date(2015, 1, 1)
+                            + dt.timedelta(days=30 * i + j)).isoformat())
+                     for j in range(members))
+        clusters.append(Cluster(id=i + 1, member_refs=refs, member_rows=None))
+    k = len(clusters)
+    return ClusterModel(
+        clusters=tuple(clusters),
+        centroids=(np.full((k, 1), 0.5), np.zeros((k, 0), dtype=np.int64)),
+        member_counts=np.array([members for _, members in profiles]),
+        schema=schema,
+        norm_params=ft.NormalizationParams(bounds={"x": (0.0, 1.0)}),
+        seed=0, objective=0.0,
+        profiles=tuple(np.array(part, dtype=float).reshape(k, 24)
+                       for part in zip(*(p for p, _ in profiles))))
 
 
 def run_pipeline(root):

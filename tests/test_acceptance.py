@@ -15,11 +15,17 @@ from pathlib import Path
 
 import numpy as np
 
-from txrisk import aging, clustering, estimation, features as ft, riskassess
+from txrisk import aging, estimation, features as ft, riskassess
 from txrisk.clustering import kmeans
 from txrisk.thermal import TransformerSpec, simulate_day
 
-from conftest import PIPELINE_FILES, make_day, make_model, record_table
+from conftest import (
+    PIPELINE_FILES,
+    make_day,
+    make_model,
+    make_model_with_profiles,
+    record_table,
+)
 
 GOLDEN_DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 
@@ -40,15 +46,14 @@ def test_criterion_01_aging_anchors():
 
 
 def test_criterion_02_life_loss_table_arithmetic():
-    counts = {1: 139, 2: 138, 3: 176, 4: 58, 5: 46, 6: 168, 7: 107, 8: 155,
-              9: 23, 10: 87}
-    loss_n23 = {1: 3.7, 2: 0.7, 3: 0.2, 4: 31.0, 5: 56.0, 6: 12.2, 7: 2.5,
-                8: 0.4, 9: 125.0, 10: 16.8}
+    # Clusters 1..10 in order.
+    counts = [139, 138, 176, 58, 46, 168, 107, 155, 23, 87]
+    loss_n23 = [3.7, 0.7, 0.2, 31.0, 56.0, 12.2, 2.5, 0.4, 125.0, 16.8]
     total, annual = aging.accumulate_life_loss(loss_n23, counts, 3)
     el23 = aging.economic_loss(annual, 5000.0)
     el21 = aging.economic_loss(684.0, 5000.0)
-    published_els = {19: 47.4, 20: 126.0, 21: 456.0, 22: 1086.9, 23: 2608.0}
-    chosen = riskassess.select_max_services(published_els, 500.0)
+    chosen = riskassess.max_services_by_life(
+        (19, 20, 21, 22, 23), (47.4, 126.0, 456.0, 1086.9, 2608.0), 500.0)
     ok = (abs(total - 11735.8) <= 0.5 and abs(annual - 3911.9) <= 0.2
           and abs(el23 - 2608.0) <= 1.0 and abs(el21 - 456.0) <= 1.0
           and chosen == 21)
@@ -98,17 +103,17 @@ def test_criterion_04_thermal_monotonicity():
 
 def test_criterion_05_threshold_certification(default_spec):
     rng = np.random.default_rng(505)
+    profiles = [((tuple(rng.uniform(0.5, 3.0, 24)),
+                  tuple(rng.uniform(-25, 30, 24))), 1) for _ in range(50)]
+    results = riskassess.cluster_thresholds(
+        default_spec, make_model_with_profiles(profiles))
     certified = 0
-    for _ in range(50):
-        profile = clustering.ClusterProfile(
-            load_kva=tuple(rng.uniform(0.5, 3.0, 24)),
-            ambient_c=tuple(rng.uniform(-25, 30, 24)))
-        result = riskassess.loading_threshold(default_spec, profile)
-        peak = max(profile.load_kva)
-        shape = [v / peak for v in profile.load_kva]
+    for ((load_kva, ambient_c), _), result in zip(profiles, results):
+        peak = max(load_kva)
+        shape = [v / peak for v in load_kva]
 
         def within(scale):
-            trace = simulate_day(default_spec, profile.ambient_c,
+            trace = simulate_day(default_spec, ambient_c,
                                  [scale * x for x in shape])
             return (trace.top_oil.max() <= default_spec.top_oil_limit
                     and trace.hotspot.max() <= default_spec.hotspot_limit)
@@ -120,12 +125,10 @@ def test_criterion_05_threshold_certification(default_spec):
     # Closed-form inversion of the steady-state rise at constant profiles.
     closed_form = {0.0: 1.750604437143877, 10.0: 1.650156897845415,
                    20.0: 1.545672956497188}
-    worst_gap = 0.0
-    for ambient, expected in closed_form.items():
-        profile = clustering.ClusterProfile(load_kva=(1.5,) * 24,
-                                            ambient_c=(ambient,) * 24)
-        result = riskassess.loading_threshold(default_spec, profile)
-        worst_gap = max(worst_gap, abs(result.max_peak_load_pu - expected))
+    results = riskassess.cluster_thresholds(default_spec, make_model_with_profiles(
+        [(((1.5,) * 24, (ambient,) * 24), 1) for ambient in closed_form]))
+    worst_gap = max(abs(result.max_peak_load_pu - expected)
+                    for result, expected in zip(results, closed_form.values()))
 
     ok = certified == 50 and worst_gap <= 0.01
     report(5, "bisection certified on 50 profiles; closed-form match",

@@ -12,18 +12,14 @@ import numpy as np
 import pytest
 
 from txrisk import aging
-from txrisk.errors import KeyMismatchError
 
 # Published life-loss grid for the 25 kVA case study (per-cluster daily
-# losses by service count, and member-day counts per cluster).
-DAY_COUNTS = {1: 139, 2: 138, 3: 176, 4: 58, 5: 46, 6: 168, 7: 107, 8: 155,
-              9: 23, 10: 87}
-LOSS_N23 = {1: 3.7, 2: 0.7, 3: 0.2, 4: 31.0, 5: 56.0, 6: 12.2, 7: 2.5,
-            8: 0.4, 9: 125.0, 10: 16.8}
-LOSS_N22 = {1: 1.6, 2: 0.4, 3: 0.1, 4: 11.8, 5: 22.3, 6: 6.5, 7: 1.1,
-            8: 0.2, 9: 45.8, 10: 6.8}
-LOSS_N21 = {1: 0.7, 2: 0.2, 3: 0.1, 4: 4.3, 5: 8.7, 6: 3.5, 7: 0.5,
-            8: 0.1, 9: 16.3, 10: 2.7}
+# losses by service count, and member-day counts per cluster, clusters
+# 1..10 in order).
+DAY_COUNTS = np.array([139, 138, 176, 58, 46, 168, 107, 155, 23, 87])
+LOSS_N23 = [3.7, 0.7, 0.2, 31.0, 56.0, 12.2, 2.5, 0.4, 125.0, 16.8]
+LOSS_N22 = [1.6, 0.4, 0.1, 11.8, 22.3, 6.5, 1.1, 0.2, 45.8, 6.8]
+LOSS_N21 = [0.7, 0.2, 0.1, 4.3, 8.7, 3.5, 0.5, 0.1, 16.3, 2.7]
 
 
 class TestAgingAcceleration:
@@ -95,17 +91,29 @@ class TestAccumulateLifeLoss:
         assert annual == pytest.approx(686.3, abs=1e-9)
 
     def test_single_cluster_normal_aging(self):
-        total, annual = aging.accumulate_life_loss({1: 1.0}, {1: 365}, 1)
+        total, annual = aging.accumulate_life_loss([1.0], [365], 1)
         assert total == 365.0
         assert annual == 365.0
 
     def test_key_mismatch(self):
-        with pytest.raises(KeyMismatchError):
-            aging.accumulate_life_loss({1: 1.0}, {2: 365}, 1)
+        # Daily losses and member days must cover the same clusters.
+        with pytest.raises(ValueError, match="2 clusters"):
+            aging.accumulate_life_loss([1.0, 2.0], [365], 1)
 
     def test_rejects_nonpositive_years(self):
         with pytest.raises(ValueError):
-            aging.accumulate_life_loss({1: 1.0}, {1: 365}, 0)
+            aging.accumulate_life_loss([1.0], [365], 0)
+
+    def test_columns_equal_cluster_ordered_sums(self):
+        # A (k, M) grid gives M totals, each the cluster-by-cluster sum of
+        # its column, bit for bit.
+        grid = np.array([LOSS_N21, LOSS_N22, LOSS_N23]).T
+        total, annual = aging.accumulate_life_loss(grid, DAY_COUNTS, 3)
+        for j, column in enumerate((LOSS_N21, LOSS_N22, LOSS_N23)):
+            expected = sum(loss * int(count)
+                           for loss, count in zip(column, DAY_COUNTS))
+            assert total[j] == expected
+            assert annual[j] == expected / 3
 
 
 class TestEconomicLoss:
@@ -128,6 +136,8 @@ class TestEconomicLoss:
         with pytest.raises(ValueError):
             aging.economic_loss(-1.0, 5000.0)
         with pytest.raises(ValueError):
+            aging.economic_loss(np.array([1.0, -1.0]), 5000.0)
+        with pytest.raises(ValueError):
             aging.economic_loss(1.0, -5000.0)
 
 
@@ -137,7 +147,7 @@ class TestDayAging:
         # as the service grid and its life-loss table.
         factors = aging.aging_acceleration(np.full(24, 110.0))
         feqa = aging.equivalent_aging(factors.tolist())
-        total, annual = aging.accumulate_life_loss({1: feqa}, {1: 365}, 1.0)
+        total, annual = aging.accumulate_life_loss([feqa], [365], 1.0)
         assert feqa == pytest.approx(1.0)
         assert total == pytest.approx(365.0)
         assert annual == pytest.approx(365.0)

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, determinism, file shapes."""
 
+import datetime as dt
 import json
 
 import numpy as np
@@ -110,6 +111,7 @@ class TestExitCodes:
         assert "18  temperature or life loss fell" in out
         assert "converge" not in out
         assert "\n  16  " not in out and "zero members" not in out
+        assert "\n  10  " not in out and "maps disagree" not in out
 
 
 class TestMalformedInputExitCodes:
@@ -307,6 +309,54 @@ class TestMalformedInputExitCodes:
         assert self.estimate(root, tmp_path,
                              self.bad_model(root, tmp_path, edit)) == 3
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc.__setitem__("k", 2), "k 2 differs from the 6 clusters"),
+        (lambda doc: doc.__setitem__("k", 1e30), "k 1e+30 differs from the 6"),
+        (lambda doc: doc.__setitem__("k", 9), "k 9 differs from the 6 clusters"),
+        (lambda doc: doc["clusters"][2].__setitem__("id", 2),
+         "cluster 3 has id 2; ids must run 1..k in file order"),
+        (lambda doc: doc["clusters"].reverse(), "cluster 1 has id 6"),
+    ], ids=["k_below", "k_huge", "k_above", "shared_id", "ids_out_of_order"])
+    def test_model_cluster_count_and_ids(self, golden_pipeline, tmp_path,
+                                         capsys, edit, message):
+        # The stored k must be the cluster count and the ids 1..k in file
+        # order, as kmeans writes them: cluster c + 1 is row c of the
+        # model's arrays.
+        root = golden_pipeline[0][0]
+        assert self.assess(root, tmp_path,
+                           model=self.bad_model(root, tmp_path, edit)) == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spelling", ["basic", "week"])
+    def test_date_not_spelled_yyyy_mm_dd(self, golden_pipeline, tmp_path,
+                                         capsys, spelling):
+        # Python 3.11's date.fromisoformat also takes 20140101 and
+        # 2014-W01-3; the file formats take YYYY-MM-DD alone.
+        def respell(text):
+            year, week, day = dt.date.fromisoformat(text).isocalendar()
+            return (text.replace("-", "") if spelling == "basic"
+                    else f"{year}-W{week:02d}-{day}")
+
+        data = tmp_path / "data"
+        assert cli.main(synth_args(data)) == 0
+        rows = (data / "meter.csv").read_text().splitlines()
+        fields = rows[5].split(",")
+        fields[1] = respell(fields[1])
+        rows[5] = ",".join(fields)
+        (data / "meter.csv").write_text("\n".join(rows) + "\n")
+        assert cli.main(cluster_args(data, tmp_path / "run")) == 3
+        err = capsys.readouterr().err
+        assert "row 6" in err and "'date'" in err
+
+        def edit(doc):
+            member = doc["clusters"][0]["members"][3]
+            member[1] = respell(member[1])
+
+        root = golden_pipeline[0][0]
+        assert self.assess(root, tmp_path,
+                           model=self.bad_model(root, tmp_path, edit)) == 3
+        assert "Invalid isoformat string" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case,code,message", [
         ("profile_load_kva", 3, "cluster 2: one service's peak load is 4e+306"),
@@ -521,14 +571,15 @@ class TestPipelineConsistency:
         with open(root / "out" / "life_loss.csv", newline="") as fh:
             rows = list(csv_mod.reader(fh))
         el_row = next(r for r in rows if r[0] == "Economic Loss ($/year)")
-        els = {n: float(v) for n, v in zip(range(1, 41), el_row[1:41])}
-        from_table = riskassess.select_max_services(els, 500.0)
+        els = [float(v) for v in el_row[1:41]]
+        from_table = riskassess.max_services_by_life(range(1, 41), els, 500.0)
 
         spec = thermal.load_transformer_spec(root / "spec.json")
         model = cl.load_model(root / "out" / "model.json")
         grid = riskassess.service_grid(spec, model, range(1, 41))
-        assert riskassess.max_services_by_life(spec, grid, 500.0,
-                                               years=2.0) == from_table
+        losses = riskassess.life_loss_by_n(spec, grid, years=2.0)
+        assert riskassess.max_services_by_life(
+            grid.n_values, losses.economic_loss, 500.0) == from_table
 
 
 class TestCompositionReport:

@@ -74,13 +74,13 @@ class TestKmeansOracle:
             for c in model.clusters)
         assert partition == oracle_partition
         assert model.objective == pytest.approx(oracle_cost)
-        centroids = sorted(c.centroid_numeric["x"] for c in model.clusters)
+        centroids = sorted(model.centroids[0][:, 0].tolist())
         assert centroids == pytest.approx([0.05, 0.95])
 
     def test_k_equals_dataset_size(self):
         records = one_d_records([0.0, 0.3, 0.7, 1.0])
         model = kmeans(records, 4, one_d_schema(), seed=1)
-        assert all(c.member_count == 1 for c in model.clusters)
+        assert model.member_counts.tolist() == [1, 1, 1, 1]
         assert model.objective == pytest.approx(0.0, abs=1e-12)
 
     def test_k_one_centroid_is_mean(self):
@@ -90,9 +90,10 @@ class TestKmeansOracle:
         ))
         records = record_table(x=[0.0, 0.5, 1.0], flag=["Y", "Y", "N"])
         model = kmeans(records, 1, schema, seed=0)
-        assert model.clusters[0].centroid_numeric["x"] == pytest.approx(0.5)
-        assert model.clusters[0].centroid_nominal["flag"] == "Y"
-        assert model.clusters[0].member_count == 3
+        cent_q, cent_n = model.centroids
+        assert cent_q[0, 0] == pytest.approx(0.5)
+        assert schema.feature("flag").statuses[cent_n[0, 0]] == "Y"
+        assert model.member_counts.tolist() == [3]
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPointsError):
@@ -182,11 +183,14 @@ class TestDeterminismAndObjective:
         refs = [ref for c in model.clusters for ref in c.member_refs]
         assert len(refs) == len(records)
         assert len(set(refs)) == len(records)
-        assert all(c.member_count > 0 for c in model.clusters)
-        assert sum(c.member_count for c in model.clusters) == len(records)
-        # The member rows are the rows of the member refs, in table order.
-        for c in model.clusters:
+        assert all(model.member_counts > 0)
+        assert model.member_counts.sum() == len(records)
+        # The member rows are the rows of the member refs, in table order,
+        # and cluster c + 1 is row c of the per-cluster arrays.
+        for row, c in enumerate(model.clusters):
+            assert c.id == row + 1
             assert c.member_rows.tolist() == rows_of(records, c.member_refs)
+            assert model.member_counts[row] == len(c.member_refs)
 
     def test_objective_trace_non_increasing(self):
         records = self.make_records(np.random.default_rng(16))
@@ -225,8 +229,8 @@ class TestDeterminismAndObjective:
                 model = kmeans(records, 2, one_d_schema(), seed=seed)
             saw_warning |= any(issubclass(w.category, EmptyClusterWarning)
                                for w in caught)
-            assert all(c.member_count > 0 for c in model.clusters)
-            assert sum(c.member_count for c in model.clusters) == 5
+            assert all(model.member_counts > 0)
+            assert model.member_counts.sum() == 5
         assert saw_warning
 
 
@@ -290,8 +294,8 @@ class TestCompositionAndMatrix:
         model = kmeans(records, 2, schema, seed=4)
         rows = {row["cluster_id"]: row for row in clustering.composition(model)}
         for cluster in model.clusters:
-            assert rows[cluster.id]["member_count"] == cluster.member_count
-        assert sorted(c.member_count for c in model.clusters) == [3, 3]
+            assert rows[cluster.id]["member_count"] == len(cluster.member_refs)
+        assert model.member_counts.tolist() == [3, 3]
 
     def test_month_matrix_single_cluster_january(self):
         records = one_d_records([0.1, 0.2, 0.3], start=dt.date(2015, 1, 5))
@@ -304,8 +308,7 @@ class TestCompositionAndMatrix:
         records, schema = two_cluster_fixture()
         model = kmeans(records, 2, schema, seed=4)
         matrix = month_cluster_matrix(model)
-        for col, cluster in enumerate(model.clusters):
-            assert matrix[:, col].sum() == cluster.member_count
+        assert matrix.sum(axis=0).tolist() == model.member_counts.tolist()
 
     def test_month_matrix_seasonal_concentration(self):
         # High-load days are planted in June..August; the high cluster's
@@ -313,34 +316,32 @@ class TestCompositionAndMatrix:
         records, schema = two_cluster_fixture()
         model = kmeans(records, 2, schema, seed=4)
         matrix = month_cluster_matrix(model)
-        high = max(model.clusters,
-                   key=lambda c: c.centroid_numeric["l_avg_kva"])
-        col = [c.id for c in model.clusters].index(high.id)
-        assert matrix[5:8, col].sum() == high.member_count
+        col = int(model.centroids[0][:, 0].argmax())
+        assert matrix[5:8, col].sum() == model.member_counts[col]
 
 
 class TestProfiles:
     def test_single_member_cluster_equals_raw_profile(self):
         records, schema = two_cluster_fixture()
         model = kmeans(records[:1], 1, schema, seed=0)
-        out = extract_profiles(model, records[:1])
-        assert out[1].load_kva == tuple(records["load_kva"][0].tolist())
-        assert out[1].ambient_c == tuple(records["ambient_c"][0].tolist())
+        load_kva, ambient_c = extract_profiles(model, records[:1])
+        assert load_kva.tolist() == [records["load_kva"][0].tolist()]
+        assert ambient_c.tolist() == [records["ambient_c"][0].tolist()]
 
     def test_two_member_mean(self):
         records, schema = two_cluster_fixture()
         model = kmeans(records, 2, schema, seed=4)
-        out = extract_profiles(model, records)
-        for cluster in model.clusters:
+        load_kva, ambient_c = extract_profiles(model, records)
+        for c, cluster in enumerate(model.clusters):
             expected_load = np.zeros(24)
             expected_amb = np.zeros(24)
             for row in rows_of(records, cluster.member_refs):
                 expected_load += records["load_kva"][row]
                 expected_amb += records["ambient_c"][row]
-            expected_load /= cluster.member_count
-            expected_amb /= cluster.member_count
-            assert out[cluster.id].load_kva == pytest.approx(tuple(expected_load))
-            assert out[cluster.id].ambient_c == pytest.approx(tuple(expected_amb))
+            expected_load /= len(cluster.member_refs)
+            expected_amb /= len(cluster.member_refs)
+            assert load_kva[c] == pytest.approx(expected_load)
+            assert ambient_c[c] == pytest.approx(expected_amb)
 
     def test_energy_only_member_raises(self):
         records, schema = two_cluster_fixture()
@@ -366,7 +367,11 @@ class TestModelFile:
         assert loaded.schema == model.schema
         assert loaded.norm_params == model.norm_params
         assert loaded.clusters == model.clusters
-        assert loaded.profiles == model.profiles
+        for name in ("centroids", "profiles"):
+            for got, want in zip(getattr(loaded, name), getattr(model, name)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert loaded.member_counts.tolist() == model.member_counts.tolist()
+        assert not loaded.centroids[0].flags.writeable
 
     def test_rewriting_loaded_model_is_byte_identical(self, tmp_path):
         records, schema = two_cluster_fixture()

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from txrisk import estimation, features as ft
-from txrisk.clustering import ClusterProfile
 from txrisk.errors import (
     FarFromAllClustersError,
     FarQueryWarning,
@@ -153,10 +152,7 @@ def seasonal_model(default_spec):
         ft.FeatureDef("l_avg_kva", ft.KIND_NUMERIC),))
     model = make_model([{"l_avg_kva": 0.2}, {"l_avg_kva": 0.8}],
                        values_schema=schema)
-    profiles = {
-        1: ClusterProfile(load_kva=(0.8,) * 24, ambient_c=(10.0,) * 24),
-        2: ClusterProfile(load_kva=(2.4,) * 24, ambient_c=(10.0,) * 24),
-    }
+    profiles = (np.array([[0.8] * 24, [2.4] * 24]), np.full((2, 24), 10.0))
     return replace(model, profiles=profiles)
 
 

@@ -293,6 +293,21 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             load_dataset(paths["weather"], paths["meter"], paths["calendar"])
 
+    @pytest.mark.parametrize("service", ["", "  "])
+    def test_blank_service_id(self, tmp_path, service):
+        paths = gen(tmp_path, seed=6, services=1, days=2)
+        body = paths["meter"].read_text().splitlines()
+        body[30] = service + body[30][len("S001"):]
+        paths["meter"].write_text("\n".join(body) + "\n")
+        energy = tmp_path / "energy.csv"
+        energy.write_text("service_id,date,energy_kwh\n"
+                          " S001 ,2015-01-01,24.0\n"
+                          f"{service},2015-01-02,48.0\n")
+        for meter, row in ((paths["meter"], 31), (energy, 3)):
+            with pytest.raises(ParseError) as err:
+                load_dataset(paths["weather"], meter, paths["calendar"])
+            assert (err.value.row, err.value.column) == (row, "service_id")
+
     def test_inconsistent_weekday_without_holiday(self, tmp_path):
         paths = gen(tmp_path, seed=6, services=1, days=6)
         body = paths["calendar"].read_text().splitlines()

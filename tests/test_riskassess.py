@@ -19,56 +19,43 @@ import numpy as np
 import pytest
 
 from txrisk import aging, thermal
-from txrisk.clustering import ClusterProfile
 from txrisk.errors import ConfigError, NoFeasibleScaleError, ZeroPeakProfileError
 from txrisk.estimation import cluster_max_top_oil
 from txrisk.riskassess import (
     ThresholdResult,
     cluster_thresholds,
     life_loss_by_n,
-    loading_threshold,
     max_services_by_life,
     max_services_by_temperature,
     rank_impact,
-    select_max_services,
     service_grid,
 )
+
+from conftest import make_model_with_profiles
 
 CLOSED_FORM = {0.0: 1.750604437143877, 10.0: 1.650156897845415,
                20.0: 1.545672956497188}
 
 
 def flat_profile(load_kva=1.5, ambient=20.0):
-    return ClusterProfile(load_kva=(load_kva,) * 24, ambient_c=(ambient,) * 24)
+    """A ``(load_kva, ambient_c)`` profile constant over the day."""
+    return (load_kva,) * 24, (ambient,) * 24
 
 
-def make_model_with_profiles(profiles, default_spec=None):
-    """Minimal trained-model stand-in for the grid studies."""
-    import datetime as dt
+def random_profile(rng, load=(0.5, 3.0), ambient=(-25, 30)):
+    return tuple(rng.uniform(*load, 24)), tuple(rng.uniform(*ambient, 24))
 
-    from txrisk import features as ft
-    from txrisk.clustering import Cluster, ClusterModel
 
-    schema = ft.FeatureSchema(features=(ft.FeatureDef("x", ft.KIND_NUMERIC),))
-    clusters = []
-    for i, (profile, members) in enumerate(profiles):
-        refs = tuple(("s", (dt.date(2015, 1, 1)
-                            + dt.timedelta(days=30 * i + j)).isoformat())
-                     for j in range(members))
-        clusters.append(Cluster(
-            id=i + 1, centroid_numeric={"x": 0.5}, centroid_nominal={},
-            member_refs=refs, member_rows=None))
-    return ClusterModel(
-        k=len(clusters), clusters=tuple(clusters), schema=schema,
-        norm_params=ft.NormalizationParams(bounds={"x": (0.0, 1.0)}),
-        seed=0, objective=0.0,
-        profiles={i + 1: p for i, (p, _) in enumerate(profiles)})
+def single_threshold(spec, profile, **options):
+    """The threshold of ``profile`` as the one cluster of a model."""
+    return cluster_thresholds(spec, make_model_with_profiles([(profile, 1)]),
+                              **options)[0]
 
 
 class TestLoadingThreshold:
     @pytest.mark.parametrize("ambient", [0.0, 10.0, 20.0])
     def test_constant_profile_matches_closed_form(self, default_spec, ambient):
-        result = loading_threshold(default_spec, flat_profile(ambient=ambient))
+        result = single_threshold(default_spec, flat_profile(ambient=ambient))
         assert result.max_peak_load_pu == pytest.approx(CLOSED_FORM[ambient],
                                                         abs=0.01)
         # Constant shape: the 24-h average equals the peak.
@@ -78,15 +65,14 @@ class TestLoadingThreshold:
     def test_certification(self, default_spec):
         rng = np.random.default_rng(61)
         for _ in range(10):
-            profile = ClusterProfile(load_kva=tuple(rng.uniform(0.5, 3.0, 24)),
-                                     ambient_c=tuple(rng.uniform(-25, 30, 24)))
-            result = loading_threshold(default_spec, profile)
-            peak = max(profile.load_kva)
-            shape = [v / peak for v in profile.load_kva]
+            load_kva, ambient_c = random_profile(rng)
+            result = single_threshold(default_spec, (load_kva, ambient_c))
+            peak = max(load_kva)
+            shape = [v / peak for v in load_kva]
             s = result.max_peak_load_pu
 
             def within(scale):
-                trace = thermal.simulate_day(default_spec, profile.ambient_c,
+                trace = thermal.simulate_day(default_spec, ambient_c,
                                              [scale * x for x in shape])
                 return (trace.top_oil.max() <= default_spec.top_oil_limit
                         and trace.hotspot.max() <= default_spec.hotspot_limit)
@@ -96,24 +82,23 @@ class TestLoadingThreshold:
 
     def test_peak_is_at_least_average(self, default_spec):
         rng = np.random.default_rng(62)
-        profile = ClusterProfile(load_kva=tuple(rng.uniform(0.5, 3.0, 24)),
-                                 ambient_c=tuple(rng.uniform(-10, 25, 24)))
-        result = loading_threshold(default_spec, profile)
+        result = single_threshold(default_spec,
+                                  random_profile(rng, ambient=(-10, 25)))
         assert result.max_peak_load_pu >= result.max_avg_load_pu
 
     def test_cooler_ambient_raises_threshold(self, default_spec):
-        warm = loading_threshold(default_spec, flat_profile(ambient=20.0))
-        cool = loading_threshold(default_spec, flat_profile(ambient=10.0))
+        warm = single_threshold(default_spec, flat_profile(ambient=20.0))
+        cool = single_threshold(default_spec, flat_profile(ambient=10.0))
         assert cool.max_peak_load_pu > warm.max_peak_load_pu
 
     def test_ambient_above_limit_is_infeasible(self, default_spec):
         with pytest.raises(NoFeasibleScaleError):
-            loading_threshold(default_spec, flat_profile(ambient=125.0))
+            single_threshold(default_spec, flat_profile(ambient=125.0))
 
     def test_unreachable_limit_within_bound_is_config_error(self, default_spec):
         with pytest.raises(ConfigError):
-            loading_threshold(default_spec, flat_profile(ambient=20.0),
-                              scale_max=0.5)
+            single_threshold(default_spec, flat_profile(ambient=20.0),
+                             scale_max=0.5)
 
     def test_hotspot_can_bind(self):
         # Enormous hotspot differential with a tight hotspot limit makes the
@@ -122,17 +107,17 @@ class TestLoadingThreshold:
             rated_kva=25.0, top_oil_rise_rated=30.0, hotspot_differential=60.0,
             loss_ratio=4.0, oil_time_constant=3.0, winding_time_constant=0.08,
             top_oil_limit=120.0, hotspot_limit=150.0)
-        result = loading_threshold(spec, flat_profile(ambient=20.0))
+        result = single_threshold(spec, flat_profile(ambient=20.0))
         assert result.binding_limit == "hotspot"
 
 
-def scalar_threshold(spec, profile, scale_max, tolerance):
+def scalar_threshold(spec, load_kva, ambient_c, scale_max, tolerance):
     """Reference: the one-cluster bisection loop over single simulated days."""
-    peak = max(profile.load_kva)
-    shape = [v / peak for v in profile.load_kva]
+    peak = max(load_kva)
+    shape = [v / peak for v in load_kva]
 
     def day(scale):
-        return thermal.simulate_day(spec, profile.ambient_c,
+        return thermal.simulate_day(spec, ambient_c,
                                     [scale * s for s in shape])
 
     def within(scale):
@@ -158,14 +143,15 @@ class TestClusterThresholds:
                                            tolerance):
         rng = np.random.default_rng(64)
         model = make_model_with_profiles([
-            (ClusterProfile(load_kva=tuple(rng.uniform(0.2, 3.0, 24)),
-                            ambient_c=tuple(rng.uniform(-25, 30, 24))), 5)
-            for _ in range(7)])
+            (random_profile(rng, load=(0.2, 3.0)), 5) for _ in range(7)])
         results = cluster_thresholds(default_spec, model, scale_max=scale_max,
                                      tolerance=tolerance)
+        load_kva, ambient_c = model.profiles
         for r in results:
-            expected = scalar_threshold(default_spec, model.profiles[r.cluster_id],
-                                        scale_max, tolerance)
+            row = r.cluster_id - 1
+            expected = scalar_threshold(default_spec, load_kva[row].tolist(),
+                                        ambient_c[row].tolist(), scale_max,
+                                        tolerance)
             assert (r.max_avg_load_pu, r.max_peak_load_pu,
                     r.binding_limit) == expected
         assert sorted(r.impact_rank for r in results) == list(range(1, 8))
@@ -236,12 +222,11 @@ class TestMaxServicesByTemperature:
         for oils in grid.max_top_oil.tolist():
             assert all(b >= a for a, b in zip(oils, oils[1:]))
         # Each cell is the maximum of that cluster's single simulated day.
-        for i, cid in enumerate(grid.cluster_ids):
-            profile = model.profiles[cid]
+        for i, (load_kva, ambient_c) in enumerate(zip(*model.profiles)):
             for j, n in enumerate(grid.n_values):
                 trace = thermal.simulate_day(
-                    default_spec, profile.ambient_c,
-                    [n * kva / default_spec.rated_kva for kva in profile.load_kva])
+                    default_spec, ambient_c,
+                    [n * kva / default_spec.rated_kva for kva in load_kva.tolist()])
                 assert grid.max_top_oil[i, j] == trace.top_oil.max()
                 assert grid.max_hotspot[i, j] == trace.hotspot.max()
                 assert grid.daily_loss[i, j] == aging.equivalent_aging(
@@ -272,27 +257,25 @@ class TestMaxServicesByLife:
         # count.
         ambient = 110.0 - thermal.ultimate_top_oil_rise(default_spec, 0.0)
         model = make_model_with_profiles(
-            [(ClusterProfile(load_kva=(0.0,) * 24,
-                             ambient_c=(ambient,) * 24), 10)])
+            [(flat_profile(load_kva=0.0, ambient=ambient), 10)])
         grid = service_grid(default_spec, model, range(1, 6))
         for loss in grid.daily_loss[0].tolist():
             assert loss == pytest.approx(1.0, abs=1e-9)
-        els = [loss.economic_loss
-               for loss in life_loss_by_n(default_spec, grid, 1.0).values()]
+        els = life_loss_by_n(default_spec, grid, 1.0).economic_loss.tolist()
         assert all(el == pytest.approx(els[0]) for el in els)
-        assert max_services_by_life(default_spec, grid, 1e9, 1.0) == 5
+        assert max_services_by_life(grid.n_values, els, 1e9) == 5
 
     def test_zero_peak_profile_rejected_by_threshold_search(self, default_spec):
-        profile = ClusterProfile(load_kva=(0.0,) * 24, ambient_c=(20.0,) * 24)
         with pytest.raises(ZeroPeakProfileError):
-            loading_threshold(default_spec, profile)
+            single_threshold(default_spec, flat_profile(load_kva=0.0))
 
     def test_zero_budget_gives_none(self, default_spec):
         model = make_model_with_profiles([(flat_profile(load_kva=1.5,
                                                         ambient=20.0), 10)])
         grid = service_grid(default_spec, model, range(1, 10))
-        assert max_services_by_life(default_spec, grid, annual_budget=0.0,
-                                    years=1.0) is None
+        losses = life_loss_by_n(default_spec, grid, years=1.0)
+        assert max_services_by_life(grid.n_values, losses.economic_loss,
+                                    annual_budget=0.0) is None
 
     def test_totals_follow_member_day_weights(self, default_spec):
         model = make_model_with_profiles([
@@ -302,19 +285,20 @@ class TestMaxServicesByLife:
         years = 2.0
         grid = service_grid(default_spec, model, range(10, 13))
         losses = life_loss_by_n(default_spec, grid, years)
-        for j, n in enumerate(grid.n_values):
+        for j in range(len(grid.n_values)):
             expected = (grid.daily_loss[0, j] * 100
                         + grid.daily_loss[1, j] * 50)
-            assert losses[n].total_days == pytest.approx(expected)
-            assert losses[n].annual_days == pytest.approx(expected / years)
-            assert losses[n].economic_loss == pytest.approx(
+            assert losses.total_days[j] == pytest.approx(expected)
+            assert losses.annual_days[j] == pytest.approx(expected / years)
+            assert losses.economic_loss[j] == pytest.approx(
                 expected / years / 7500.0 * default_spec.replacement_cost)
 
     def test_published_budget_rule(self):
-        els = {19: 47.4, 20: 126.0, 21: 456.0, 22: 1086.9, 23: 2608.0}
-        assert select_max_services(els, 500.0) == 21
-        assert select_max_services(els, 100.0) == 19
-        assert select_max_services(els, 10.0) is None
+        n_values = (19, 20, 21, 22, 23)
+        els = (47.4, 126.0, 456.0, 1086.9, 2608.0)
+        assert max_services_by_life(n_values, els, 500.0) == 21
+        assert max_services_by_life(n_values, els, 100.0) == 19
+        assert max_services_by_life(n_values, els, 10.0) is None
 
 
 class TestProfileToDay:

@@ -53,16 +53,14 @@ def test_every_return_counter_reads_a_real_result(tmp_path, default_spec):
     # solver sweeps, far-flagged estimates) must still find its attribute.
     from dataclasses import replace
 
-    from txrisk import clustering, estimation, ingest, thermal
+    from txrisk import estimation, ingest, thermal
 
     from conftest import make_day, make_model
 
     paths = ingest.synth_dataset(1, 2, dt.date(2015, 1, 1), 3, out_dir=tmp_path)
     model = replace(make_model([{"l_avg_kva": 0.1}, {"l_avg_kva": 0.2}],
                                far_threshold=1e-6),
-                    profiles={cid: clustering.ClusterProfile(
-                        load_kva=(1.0,) * 24, ambient_c=(10.0,) * 24)
-                        for cid in (1, 2)})
+                    profiles=(np.ones((2, 24)), np.full((2, 24), 10.0)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         results = {
@@ -106,3 +104,19 @@ def test_estimate_reaches_the_traced_thermal_day(golden_pipeline, tmp_path,
     assert len(calls) >= 1
     assert ((tmp_path / "estimates.csv").read_bytes()
             == (root / "out" / "estimates.csv").read_bytes())
+
+
+def test_cluster_max_top_oil_on_a_loaded_model(golden_pipeline):
+    # The estimate workload's output check calls
+    # ``estimation.cluster_max_top_oil(model, spec, n).values()`` on a
+    # ``clustering.load_model`` result: a dict of every cluster id to a
+    # finite temperature.
+    from txrisk import clustering, estimation, thermal
+
+    root, _ = golden_pipeline[0]
+    model = clustering.load_model(root / "out" / "model.json")
+    spec = thermal.load_transformer_spec(root / "spec.json")
+    temps = estimation.cluster_max_top_oil(model, spec, 18)
+    assert isinstance(temps, dict)
+    assert sorted(temps) == [c.id for c in model.clusters]
+    assert all(isinstance(t, float) and np.isfinite(t) for t in temps.values())
