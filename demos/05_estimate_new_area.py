@@ -3,10 +3,10 @@
 The target area only has revenue meters (daily energy reads), so no
 24-hour profiles exist there. Daily energy converts to an average service
 load, each day becomes a row of a query table (the record table that
-``read_query_csv`` reads from a file), and inverse-distance weighting
-over the trained cluster centroids yields an estimated maximum top-oil
-temperature for that day. Days far from every cluster get flagged instead
-of silently extrapolated.
+``read_query_csv`` reads from a file), and one ``estimate`` call weights
+the trained cluster centroids by inverse distance for every day at once,
+yielding an estimated maximum top-oil temperature per day. Days far from
+every cluster get flagged instead of silently extrapolated.
 """
 
 import datetime as dt
@@ -21,6 +21,7 @@ from txrisk import (
     avg_load_from_energy,
     cluster_max_top_oil,
     default_schema,
+    estimate,
     estimate_day_temperature,
     load_dataset,
     synth_dataset,
@@ -65,15 +66,18 @@ temps = cluster_max_top_oil(model, spec, n_services)
 print(f"\nper-cluster max top-oil at N={n_services}: "
       + ", ".join(f"{cid}:{t:.0f}" for cid, t in sorted(temps.items())))
 
+# The whole week is one table: one encode, one (7, k) distance matrix and
+# one inverse-distance pass.
+result = estimate(week, model, temps)
 print(f"\n{'day':>12} {'t_avg':>6} {'weekday':>8} {'est. top-oil':>13} {'far?':>5}")
-for i, (iso, _, _, t_avg, _, weekday) in enumerate(week.tolist()):
-    result = estimate_day_temperature(week[i:i + 1], model, n_services, spec,
-                                      temps)
+for (iso, _, _, t_avg, _, weekday), value, far in zip(
+        week.tolist(), result.estimate.tolist(), result.far_flag.tolist()):
     print(f"{iso:>12} {t_avg:>6.1f} {weekday:>8} "
-          f"{result.estimate:>11.1f} C {'yes' if result.far_flag else 'no':>5}")
+          f"{value:>11.1f} C {'yes' if far else 'no':>5}")
 
 # A tropical day does not belong to this model; lenient mode warns and
-# flags it, strict mode would refuse outright.
+# flags it, strict mode would refuse outright. One day at a time goes
+# through estimate_day_temperature, which returns plain scalars.
 tropical = np.array([("2016-07-01", 41.0, 29.0, 35.0, 4.8, "Y")],
                     dtype=QUERY_DTYPE)
 with warnings.catch_warnings(record=True) as caught:

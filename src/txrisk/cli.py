@@ -361,13 +361,10 @@ def cmd_estimate(cfg: RunConfig) -> int:
     strict = bool(cfg.get("strict"))
 
     temps = estimation.cluster_max_top_oil(model, spec, int(services))
-    results = [estimation.estimate_day_temperature(
-                   queries[i:i + 1], model, int(services), spec, temps,
-                   strict=strict)
-               for i in range(len(queries))]
+    result = estimation.estimate(queries, model, temps, strict=strict)
     out = cfg.out_dir()
-    estimation.write_estimates_csv(queries, results, out / "estimates.csv")
-    print(f"wrote {out / 'estimates.csv'} ({len(results)} days)")
+    estimation.write_estimates_csv(queries, result, out / "estimates.csv")
+    print(f"wrote {out / 'estimates.csv'} ({len(queries)} days)")
     return 0
 
 

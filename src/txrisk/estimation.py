@@ -1,9 +1,16 @@
 """Cross-area estimation: inverse-distance weighting over cluster
 centroids to estimate temperatures or life loss for transformers outside
 the clustered dataset, plus the energy-to-average-load conversion for
-areas with revenue (non-interval) meters. Queries go through the same
-:func:`txrisk.features.encode` and :func:`txrisk.features.distance` as
-k-means."""
+areas with revenue (non-interval) meters.
+
+:func:`estimate` scores a whole query table at once: one
+:func:`txrisk.features.encode`, one ``(n, k)``
+:func:`txrisk.features.distance` against the model's centroids (the same
+dissimilarity as k-means) and one inverse-distance pass, with arrays over
+the queries in the result. It warns at most once per kind: one
+``MissingFeatureWarning`` naming the absent features and counting the
+queries that lack them, one ``FarQueryWarning`` counting the far queries.
+:func:`estimate_day_temperature` is the one-day form."""
 
 from __future__ import annotations
 
@@ -37,81 +44,90 @@ QUERY_DTYPE = np.dtype([("date", "U10")]
 
 @dataclass(frozen=True)
 class EstimationResult:
-    """Inverse-distance-weighted estimate and its diagnostics."""
+    """Inverse-distance-weighted estimates and their diagnostics: row ``i``
+    is query ``i`` and column ``c`` is cluster ``c + 1``.
+    :func:`estimate_day_temperature` returns a single row: a ``float``, a
+    ``bool`` and two ``(k,)`` arrays."""
 
-    estimate: float
-    per_cluster_distances: dict[int, float]
-    weights: dict[int, float]
-    far_flag: bool
+    estimate: np.ndarray   # (n,)
+    far_flag: np.ndarray   # (n,) bool
+    distances: np.ndarray  # (n, k)
+    weights: np.ndarray    # (n, k); one-hot on an exact hit
 
 
-def estimate(query, model: ClusterModel,
+def estimate(queries, model: ClusterModel,
              per_cluster_values: dict[int, float], *,
              strict: bool = False) -> EstimationResult:
-    """Estimate a per-cluster quantity for one query day: ``query`` is a
-    one-row slice of a record table, e.g. ``queries[i:i + 1]`` of
-    :func:`read_query_csv`.
+    """Estimate a per-cluster quantity for every row of ``queries``, a
+    record table such as :func:`read_query_csv` returns.
 
-    Weights are proportional to the inverse dissimilarity between the
-    query and each cluster centroid (the model's own weighted mixed
-    dissimilarity), so the estimate is a convex combination of the
-    per-cluster values; a query on a centroid returns that cluster's value
-    exactly. Queries farther from every centroid than the model's far
-    guard are flagged; in strict mode they are refused.
+    Weights are proportional to the inverse dissimilarity between a query
+    and each cluster centroid (the model's own weighted mixed
+    dissimilarity), so each estimate is a convex combination of the
+    per-cluster values; the inverses and the weighted values are added one
+    cluster at a time in cluster order. A query within
+    ``ZERO_DISTANCE_EPS`` of a centroid takes the value of the first such
+    cluster exactly. Queries farther from every centroid than the model's
+    far guard are flagged; in strict mode they are refused. Every row is
+    computed as it would be alone.
 
     Raises:
-        FarFromAllClustersError: strict mode and the query is outside the
-            model's support.
+        FarFromAllClustersError: strict mode and a query is outside the
+            model's support; the message names the first one.
         KeyError: ``per_cluster_values`` does not cover every cluster.
     """
-    missing = [c.id for c in model.clusters if c.id not in per_cluster_values]
+    ids = [c.id for c in model.clusters]
+    missing = [cid for cid in ids if cid not in per_cluster_values]
     if missing:
         raise KeyError(f"per_cluster_values missing clusters {missing}")
+    values = np.array([per_cluster_values[cid] for cid in ids], dtype=float)
+    n = len(queries)
 
-    quant, nom = ft.encode(query, model.schema, model.norm_params,
+    quant, nom = ft.encode(queries, model.schema, model.norm_params,
                            allow_missing=True)
-    gaps = np.isnan(quant[0]).tolist() + (nom[0] < 0).tolist()
-    absent = [name for name, gap in zip(model.schema.quantitative_names
-                                        + model.schema.nominal_names, gaps) if gap]
-    if absent:
+    gaps = np.concatenate([np.isnan(quant), nom < 0], axis=1)
+    if gaps.any():
+        names = model.schema.quantitative_names + model.schema.nominal_names
+        absent = [name for name, gap in zip(names, gaps.any(axis=0)) if gap]
         warnings.warn(
-            f"query lacks features {absent}; distances use the remaining "
-            "features only", MissingFeatureWarning, stacklevel=2)
+            f"{int(gaps.any(axis=1).sum())} of {n} queries lack features "
+            f"{absent}; their distances use the remaining features only",
+            MissingFeatureWarning, stacklevel=2)
 
-    row = ft.distance((quant, nom), model.centroids, model.schema)[0].tolist()
-    dists = {c.id: d for c, d in zip(model.clusters, row)}
+    d = ft.distance((quant, nom), model.centroids, model.schema)
 
-    far = model.far_threshold > 0 and min(dists.values()) > model.far_threshold
-    if far:
+    far = (d.min(axis=1) > model.far_threshold if model.far_threshold > 0
+           else np.zeros(n, dtype=bool))
+    if far.any():
+        count, first = int(far.sum()), int(far.argmax())
         if strict:
             raise FarFromAllClustersError(
-                "query is farther than the far-guard threshold "
-                f"({model.far_threshold:.6g}) from every cluster centroid")
+                f"{count} of {n} queries are farther than the far-guard "
+                f"threshold ({model.far_threshold:.6g}) from every cluster "
+                f"centroid; the first is query {first}"
+                + (f" ({queries['date'][first]})"
+                   if "date" in (queries.dtype.names or ()) else ""))
         warnings.warn(
-            "query is far from all cluster centroids; the estimate is "
-            "unreliable", FarQueryWarning, stacklevel=2)
+            f"{count} of {n} queries are far from all cluster centroids; "
+            "their estimates are unreliable", FarQueryWarning, stacklevel=2)
 
-    exact = [cid for cid, d in sorted(dists.items()) if d < ZERO_DISTANCE_EPS]
-    if exact:
-        hit = exact[0]
-        weights = {cid: (1.0 if cid == hit else 0.0) for cid in dists}
-        return EstimationResult(
-            estimate=float(per_cluster_values[hit]),
-            per_cluster_distances=dists,
-            weights=weights,
-            far_flag=far,
-        )
+    exact = d < ZERO_DISTANCE_EPS
+    hit_rows = exact.any(axis=1)
+    # Exact-hit rows divide by 1 here and are overwritten below.
+    inv = 1.0 / np.where(hit_rows[:, None], 1.0, d)
+    total = np.zeros(n)
+    for c in range(len(ids)):
+        total += inv[:, c]
+    weights = inv / total[:, None]
+    value = np.zeros(n)
+    for c in range(len(ids)):
+        value += weights[:, c] * values[c]
 
-    inv = {cid: 1.0 / d for cid, d in dists.items()}
-    total = sum(inv.values())
-    weights = {cid: v / total for cid, v in inv.items()}
-    value = sum(weights[cid] * per_cluster_values[cid] for cid in weights)
-    return EstimationResult(
-        estimate=float(value),
-        per_cluster_distances=dists,
-        weights=weights,
-        far_flag=far,
-    )
+    hit = exact.argmax(axis=1)[hit_rows]
+    weights[hit_rows] = np.eye(len(ids))[hit]
+    value[hit_rows] = values[hit]
+    return EstimationResult(estimate=value, far_flag=far, distances=d,
+                            weights=weights)
 
 
 def avg_load_from_energy(daily_energy_kwh, service_count: int) -> float:
@@ -149,12 +165,20 @@ def estimate_day_temperature(day, model: ClusterModel,
                              service_count: int, spec: thermal.TransformerSpec,
                              per_cluster_temps: dict[int, float] | None = None,
                              *, strict: bool = False) -> EstimationResult:
-    """Estimated maximum top-oil temperature for one day (a one-row slice
-    of a record table) at a transformer with ``service_count`` services,
-    weighted across cluster centroids."""
+    """Estimated maximum top-oil temperature for one day (a one-row record
+    table) at a transformer with ``service_count`` services, weighted
+    across cluster centroids: the only row of :func:`estimate`, with a
+    ``float`` estimate, a ``bool`` far flag and ``(k,)`` distances and
+    weights."""
+    if len(day) != 1:
+        raise ValueError(f"expected a one-row table, got {len(day)} rows")
     if per_cluster_temps is None:
         per_cluster_temps = cluster_max_top_oil(model, spec, service_count)
-    return estimate(day, model, per_cluster_temps, strict=strict)
+    result = estimate(day, model, per_cluster_temps, strict=strict)
+    return EstimationResult(estimate=float(result.estimate[0]),
+                            far_flag=bool(result.far_flag[0]),
+                            distances=result.distances[0],
+                            weights=result.weights[0])
 
 
 def read_query_csv(path) -> np.ndarray:
@@ -173,13 +197,14 @@ def read_query_csv(path) -> np.ndarray:
     return np.array(out, dtype=QUERY_DTYPE)
 
 
-def write_estimates_csv(queries, results, path) -> None:
-    """One output row per query day with the estimate and far flag."""
+def write_estimates_csv(queries, result: EstimationResult, path) -> None:
+    """One output row per query day with its estimate and far flag."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(QUERY_HEADER + ["estimated_max_top_oil_c", "far_flag"])
-        for query, result in zip(queries[QUERY_HEADER].tolist(), results):
+        for query, value, far in zip(queries[QUERY_HEADER].tolist(),
+                                     result.estimate.tolist(),
+                                     result.far_flag.tolist()):
             date, *numbers, weekday = query
             writer.writerow([date, *(f"{v:.2f}" for v in numbers), weekday,
-                             f"{result.estimate:.1f}",
-                             "Y" if result.far_flag else "N"])
+                             f"{value:.1f}", "Y" if far else "N"])

@@ -21,7 +21,6 @@ from txrisk.thermal import TransformerSpec, simulate_day
 
 from conftest import (
     PIPELINE_FILES,
-    make_day,
     make_model,
     make_model_with_profiles,
     record_table,
@@ -251,33 +250,33 @@ def test_criterion_07_mixed_distance_properties():
 
 
 def test_criterion_08_estimation_convexity():
+    # 500 random models, each scoring 500 random queries as one table and
+    # then its own centroids as another.
     rng = np.random.default_rng(808)
     weight_failures = 0
     bound_failures = 0
-    for _ in range(500):
-        k = int(rng.integers(2, 7))
-        model = make_model([{"x": float(rng.uniform(0, 1)),
-                             "y": float(rng.uniform(0, 1))} for _ in range(k)])
-        values = {i + 1: float(rng.uniform(-40, 160)) for i in range(k)}
-        query = make_day(x=float(rng.uniform(0, 1)), y=float(rng.uniform(0, 1)))
-        result = estimation.estimate(query, model, values)
-        if abs(sum(result.weights.values()) - 1.0) > 1e-9:
-            weight_failures += 1
-        if not (min(values.values()) - 1e-9 <= result.estimate
-                <= max(values.values()) + 1e-9):
-            bound_failures += 1
-
     centroid_failures = 0
-    for _ in range(50):
+    for _ in range(500):
         k = int(rng.integers(2, 7))
         centroids = [{"x": float(rng.uniform(0, 1)),
                       "y": float(rng.uniform(0, 1))} for _ in range(k)]
         model = make_model(centroids)
         values = {i + 1: float(rng.uniform(-40, 160)) for i in range(k)}
-        for i, centroid in enumerate(centroids):
-            result = estimation.estimate(make_day(**centroid), model, values)
-            if result.estimate != values[i + 1]:
-                centroid_failures += 1
+        queries = record_table(x=rng.uniform(0, 1, 500),
+                               y=rng.uniform(0, 1, 500))
+        result = estimation.estimate(queries, model, values)
+        weight_failures += int(
+            (np.abs(result.weights.sum(axis=1) - 1.0) > 1e-9).sum())
+        bound_failures += int(
+            ((result.estimate < min(values.values()) - 1e-9)
+             | (result.estimate > max(values.values()) + 1e-9)).sum())
+
+        on_centroids = record_table(x=[c["x"] for c in centroids],
+                                    y=[c["y"] for c in centroids])
+        result = estimation.estimate(on_centroids, model, values)
+        centroid_failures += sum(
+            value != values[i + 1]
+            for i, value in enumerate(result.estimate.tolist()))
 
     ok = weight_failures == 0 and bound_failures == 0 and centroid_failures == 0
     report(8, "estimation: weights sum to 1, convex bounds, centroid exactness",

@@ -2,12 +2,14 @@
 
 import datetime as dt
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from txrisk import cli, clustering, features as ft, ingest, thermal
 from txrisk.clustering import train_model
+from txrisk.errors import FarQueryWarning
 
 from conftest import record_table, write_spec_file
 
@@ -67,8 +69,10 @@ class TestExitCodes:
         assert cli.main(["synth", "--config", str(cfg),
                          "--out", str(tmp_path)]) == 2
 
-    def test_strict_far_query_exit_code(self, tmp_path):
-        # Hand-built tightly packed model: any distant query trips the guard.
+    @staticmethod
+    def tight_model(tmp_path):
+        """A hand-built tightly packed model, saved with a spec file: any
+        distant query trips its far guard."""
         schema = ft.FeatureSchema(features=(
             ft.FeatureDef("t_max_c", ft.KIND_NUMERIC),
             ft.FeatureDef("t_min_c", ft.KIND_NUMERIC),
@@ -85,21 +89,89 @@ class TestExitCodes:
         model = train_model(dataset, 2, schema, seed=1)
         model_path = tmp_path / "model.json"
         clustering.save_model(model, model_path)
-        spec = write_spec_file(tmp_path / "spec.json")
+        return model_path, write_spec_file(tmp_path / "spec.json")
+
+    @staticmethod
+    def estimate_args(spec, model, query, out, *extra):
+        return ["estimate", "--spec", str(spec), "--model", str(model),
+                "--query", str(query), "--services", "10", "--out", str(out),
+                *extra]
+
+    def test_strict_far_query_exit_code(self, tmp_path):
+        model_path, spec = self.tight_model(tmp_path)
         query = tmp_path / "query.csv"
         query.write_text("date,t_max_c,t_min_c,t_avg_c,l_avg_kva,weekday\n"
                          "2016-06-06,59.0,40.0,50.0,9.9,N\n")
-        code = cli.main(["estimate", "--spec", str(spec),
-                         "--model", str(model_path), "--query", str(query),
-                         "--services", "10", "--strict",
-                         "--out", str(tmp_path)])
+        code = cli.main(self.estimate_args(spec, model_path, query, tmp_path,
+                                           "--strict"))
         assert code == 9
-        lenient = cli.main(["estimate", "--spec", str(spec),
-                            "--model", str(model_path), "--query", str(query),
-                            "--services", "10", "--out", str(tmp_path)])
+        lenient = cli.main(self.estimate_args(spec, model_path, query, tmp_path))
         assert lenient == 0
         lines = (tmp_path / "estimates.csv").read_text().splitlines()
         assert lines[1].endswith(",Y")  # far_flag raised
+
+    def test_far_queries_counted_and_the_first_named(self, tmp_path, capsys):
+        # One near day, then two far ones: strict mode names the first far
+        # day; lenient mode warns once with the count.
+        model_path, spec = self.tight_model(tmp_path)
+        query = tmp_path / "query.csv"
+        query.write_text("date,t_max_c,t_min_c,t_avg_c,l_avg_kva,weekday\n"
+                         "2016-06-05,10.5,0.5,5.5,1.05,Y\n"
+                         "2016-06-06,59.0,40.0,50.0,9.9,N\n"
+                         "2016-06-07,58.0,41.0,49.0,9.8,N\n")
+        code = cli.main(self.estimate_args(spec, model_path, query, tmp_path,
+                                           "--strict"))
+        assert code == 9
+        err = capsys.readouterr().err
+        assert "2016-06-06" in err and "2016-06-07" not in err
+        assert "2 of 3" in err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(self.estimate_args(spec, model_path, query,
+                                               tmp_path)) == 0
+        far = [w for w in caught if issubclass(w.category, FarQueryWarning)]
+        assert len(far) == 1 and "2 of 3" in str(far[0].message)
+        flags = [line.rsplit(",", 1)[1] for line in
+                 (tmp_path / "estimates.csv").read_text().splitlines()[1:]]
+        assert flags == ["N", "Y", "Y"]
+
+    def test_header_only_query_file(self, golden_pipeline, tmp_path, capsys):
+        root = golden_pipeline[0][0]
+        header = "date,t_max_c,t_min_c,t_avg_c,l_avg_kva,weekday"
+        query = tmp_path / "query.csv"
+        query.write_text(header + "\n")
+        assert cli.main(["estimate", "--spec", str(root / "spec.json"),
+                         "--model", str(root / "out" / "model.json"),
+                         "--query", str(query), "--services", "18",
+                         "--out", str(tmp_path)]) == 0
+        assert "(0 days)" in capsys.readouterr().out
+        assert (tmp_path / "estimates.csv").read_text() == (
+            header + ",estimated_max_top_oil_c,far_flag\n")
+
+    def test_estimate_encodes_and_measures_once(self, golden_pipeline,
+                                                tmp_path, monkeypatch):
+        # The whole query table goes through one encode and one (n, k)
+        # distance, with the golden output unchanged.
+        root = golden_pipeline[0][0]
+        calls = {"encode": 0, "distance": 0}
+
+        def counted(name):
+            original = getattr(ft, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(ft, name, counted(name))
+        assert cli.main(["estimate", "--spec", str(root / "spec.json"),
+                         "--model", str(root / "out" / "model.json"),
+                         "--query", str(root / "query.csv"), "--services", "18",
+                         "--out", str(tmp_path)]) == 0
+        assert calls == {"encode": 1, "distance": 1}
+        assert ((tmp_path / "estimates.csv").read_bytes()
+                == (root / "out" / "estimates.csv").read_bytes())
 
     def test_help_documents_exit_codes(self, capsys):
         with pytest.raises(SystemExit):

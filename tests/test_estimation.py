@@ -1,6 +1,9 @@
 """Inverse-distance estimation tests."""
 
+import datetime as dt
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,23 +24,23 @@ from txrisk.estimation import (
     write_estimates_csv,
 )
 
-from conftest import make_day, make_model
+from conftest import make_day, make_model, record_table
 
 
 class TestEstimate:
     def test_query_on_centroid_returns_exact_value(self):
         model = make_model([{"x": 0.2}, {"x": 0.8}])
         result = estimate(make_day(x=0.2), model, {1: 100.0, 2: 200.0})
-        assert result.estimate == 100.0
-        assert result.weights == {1: 1.0, 2: 0.0}
-        assert not result.far_flag
+        assert result.estimate[0] == 100.0
+        assert result.weights[0].tolist() == [1.0, 0.0]
+        assert not result.far_flag[0]
 
     def test_equidistant_two_clusters(self):
         model = make_model([{"x": 0.2}, {"x": 0.8}])
         result = estimate(make_day(x=0.5), model, {1: 100.0, 2: 120.0})
-        assert result.estimate == pytest.approx(110.0)
-        assert result.weights[1] == pytest.approx(0.5)
-        assert result.weights[2] == pytest.approx(0.5)
+        assert result.estimate[0] == pytest.approx(110.0)
+        assert result.weights[0, 0] == pytest.approx(0.5)
+        assert result.weights[0, 1] == pytest.approx(0.5)
 
     def test_hand_weighted_three_clusters(self):
         # Feature weight 25 turns the in-[0,1] geometry into dissimilarities
@@ -49,10 +52,10 @@ class TestEstimate:
                            values_schema=schema)
         result = estimate(make_day(x=0.7), model,
                           {1: 100.0, 2: 110.0, 3: 120.0})
-        assert result.per_cluster_distances[1] == pytest.approx(1.0)
-        assert result.per_cluster_distances[2] == pytest.approx(2.0)
-        assert result.per_cluster_distances[3] == pytest.approx(2.0)
-        assert result.estimate == pytest.approx(107.5)
+        assert result.distances[0, 0] == pytest.approx(1.0)
+        assert result.distances[0, 1] == pytest.approx(2.0)
+        assert result.distances[0, 2] == pytest.approx(2.0)
+        assert result.estimate[0] == pytest.approx(107.5)
 
     def test_weights_sum_to_one_and_estimate_bounded(self):
         rng = np.random.default_rng(77)
@@ -65,8 +68,8 @@ class TestEstimate:
             query = make_day(x=float(rng.uniform(0, 1)),
                              y=float(rng.uniform(0, 1)))
             result = estimate(query, model, values)
-            assert sum(result.weights.values()) == pytest.approx(1.0, abs=1e-9)
-            assert min(values.values()) - 1e-9 <= result.estimate \
+            assert result.weights.sum(axis=1)[0] == pytest.approx(1.0, abs=1e-9)
+            assert min(values.values()) - 1e-9 <= result.estimate[0] \
                 <= max(values.values()) + 1e-9
 
     def test_missing_cluster_value_raises(self):
@@ -78,20 +81,20 @@ class TestEstimate:
         model = make_model([{"x": 0.2}, {"x": 0.8}])
         result = estimate(make_day(x=0.2 + 1e-6), model, {1: 100.0, 2: 200.0})
         # (1e-6)^2 = 1e-12 < the shortcut epsilon: exact cluster-1 value.
-        assert result.estimate == 100.0
-        assert result.weights == {1: 1.0, 2: 0.0}
+        assert result.estimate[0] == 100.0
+        assert result.weights[0].tolist() == [1.0, 0.0]
 
     def test_coincident_centroids_pick_lowest_id(self):
         model = make_model([{"x": 0.5}, {"x": 0.5}])
         result = estimate(make_day(x=0.5), model, {1: 100.0, 2: 200.0})
-        assert result.estimate == 100.0
+        assert result.estimate[0] == 100.0
 
     def test_missing_query_feature_warns_and_uses_subset(self):
         model = make_model([{"x": 0.2, "y": 0.9}, {"x": 0.8, "y": 0.9}])
         with pytest.warns(MissingFeatureWarning):
             result = estimate(make_day(x=0.2), model, {1: 100.0, 2: 200.0})
         # Distance falls back to the x axis alone: exact hit on cluster 1.
-        assert result.estimate == 100.0
+        assert result.estimate[0] == 100.0
 
 
 class TestFarGuard:
@@ -99,7 +102,7 @@ class TestFarGuard:
         model = make_model([{"x": 0.1}, {"x": 0.2}], far_threshold=0.01)
         with pytest.warns(FarQueryWarning):
             result = estimate(make_day(x=0.9), model, {1: 10.0, 2: 20.0})
-        assert result.far_flag
+        assert result.far_flag[0]
 
     def test_far_query_strict_raises(self):
         model = make_model([{"x": 0.1}, {"x": 0.2}], far_threshold=0.01)
@@ -109,12 +112,12 @@ class TestFarGuard:
     def test_near_query_not_flagged(self):
         model = make_model([{"x": 0.1}, {"x": 0.2}], far_threshold=0.01)
         result = estimate(make_day(x=0.15), model, {1: 10.0, 2: 20.0})
-        assert not result.far_flag
+        assert not result.far_flag[0]
 
     def test_zero_threshold_disables_guard(self):
         model = make_model([{"x": 0.1}, {"x": 0.2}], far_threshold=0.0)
         result = estimate(make_day(x=0.9), model, {1: 10.0, 2: 20.0})
-        assert not result.far_flag
+        assert not result.far_flag[0]
 
 
 class TestAvgLoadFromEnergy:
@@ -146,8 +149,6 @@ class TestAvgLoadFromEnergy:
 
 def seasonal_model(default_spec):
     """Two clusters whose higher-load profile yields higher temperatures."""
-    from dataclasses import replace
-
     schema = ft.FeatureSchema(features=(
         ft.FeatureDef("l_avg_kva", ft.KIND_NUMERIC),))
     model = make_model([{"l_avg_kva": 0.2}, {"l_avg_kva": 0.8}],
@@ -229,14 +230,152 @@ class TestQueryFiles:
         path = tmp_path / "query.csv"
         path.write_text(self.CSV)
         queries = read_query_csv(path)
-        results = [
-            estimation.EstimationResult(87.4, {1: 0.1}, {1: 1.0}, False),
-            estimation.EstimationResult(88.4, {1: 0.2}, {1: 1.0}, True),
-        ]
+        result = estimation.EstimationResult(
+            estimate=np.array([87.4, 88.4]), far_flag=np.array([False, True]),
+            distances=np.array([[0.1], [0.2]]), weights=np.ones((2, 1)))
         out = tmp_path / "estimates.csv"
-        write_estimates_csv(queries, results, out)
+        write_estimates_csv(queries, result, out)
         lines = out.read_text().splitlines()
         assert lines[0] == ("date,t_max_c,t_min_c,t_avg_c,l_avg_kva,weekday,"
                             "estimated_max_top_oil_c,far_flag")
         assert lines[1].endswith("87.4,N")
         assert lines[2].endswith("88.4,Y")
+
+
+def random_case(rng):
+    """A seeded model over x, y and a weekday label, its per-cluster values,
+    and a query table around it: centroids hit exactly and 1e-6 off,
+    random days, and rows with x missing; y is absent from some tables."""
+    k = int(rng.integers(2, 7))
+    schema = ft.FeatureSchema(features=(
+        ft.FeatureDef("x", ft.KIND_NUMERIC),
+        ft.FeatureDef("y", ft.KIND_NUMERIC, weight=2.0),
+        ft.FeatureDef("weekday", ft.KIND_NOMINAL, statuses=("Y", "N"),
+                      weight=0.5)))
+    quant = rng.uniform(0, 1, (k, 2))
+    if rng.random() < 0.5:
+        quant[1] = quant[0]  # coincident centroids
+    far_threshold = float(rng.choice([0.0, 0.05]))
+    model = make_model([{"x": x, "y": y} for x, y in quant.tolist()],
+                       values_schema=schema, far_threshold=far_threshold)
+    labels = rng.integers(0, 2, (k, 1))
+    model = replace(model, centroids=(model.centroids[0], labels))
+    values = {i + 1: float(rng.uniform(-40, 160)) for i in range(k)}
+
+    picks = rng.integers(0, k, 12)
+    x = np.concatenate([quant[picks, 0], rng.uniform(0, 1, 8)])
+    y = np.concatenate([quant[picks, 1], rng.uniform(0, 1, 8)])
+    x[6:12] += 1e-6
+    x[rng.random(len(x)) < 0.15] = np.nan
+    weekday = np.concatenate([np.array(["Y", "N"])[labels[picks, 0]],
+                              rng.choice(["Y", "N"], 8)])
+    columns = {"x": x, "y": y, "weekday": weekday}
+    if rng.random() < 0.3:
+        del columns["y"]
+    return model, values, record_table(**columns)
+
+
+class TestBatch:
+    def test_batch_equals_rows_bit_for_bit(self):
+        rng = np.random.default_rng(909)
+        for _ in range(60):
+            model, values, table = random_case(rng)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                warnings.simplefilter("ignore", FarQueryWarning)
+                warnings.simplefilter("ignore", MissingFeatureWarning)
+                batch = estimate(table, model, values)
+                rows = [estimate(table[i:i + 1], model, values)
+                        for i in range(len(table))]
+            for field in ("estimate", "far_flag", "distances", "weights"):
+                stacked = np.concatenate([getattr(r, field) for r in rows])
+                got = getattr(batch, field)
+                assert got.shape == stacked.shape, field
+                if field == "far_flag":
+                    assert got.dtype == bool and (got == stacked).all()
+                else:
+                    assert (got.view(np.int64) == stacked.view(np.int64)).all(), \
+                        field
+
+    def test_weights_follow_the_python_float_rule(self):
+        # Each row's weights and estimate equal the rule taken in Python
+        # floats from its distances: the first cluster within the epsilon
+        # takes its value, else 1/d weights summed in cluster order.
+        rng = np.random.default_rng(909)
+        for _ in range(60):
+            model, values, table = random_case(rng)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                result = estimate(table, model, values)
+            value_list = list(values.values())
+            for row, d in enumerate(result.distances.tolist()):
+                exact = [c for c, dc in enumerate(d)
+                         if dc < estimation.ZERO_DISTANCE_EPS]
+                if exact:
+                    weights = [float(c == exact[0]) for c in range(len(d))]
+                    expected = value_list[exact[0]]
+                else:
+                    inv = [1.0 / dc for dc in d]
+                    total = sum(inv)
+                    weights = [v / total for v in inv]
+                    expected = sum(w * v for w, v in zip(weights, value_list))
+                assert result.weights[row].tolist() == weights
+                assert result.estimate[row] == expected
+
+    def test_cases_cover_hits_gaps_and_far_queries(self):
+        # The seeded cases of the test above reach every branch.
+        rng = np.random.default_rng(909)
+        hits = near = gaps = absent = far = 0
+        for _ in range(60):
+            model, values, table = random_case(rng)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                result = estimate(table, model, values)
+            one_hot = (result.weights == 1.0).sum(axis=1) == 1
+            hits += int((one_hot & (result.distances.min(axis=1) == 0)).sum())
+            near += int((one_hot & (result.distances.min(axis=1) > 0)).sum())
+            gaps += int(np.isnan(table["x"]).sum())
+            absent += "y" not in table.dtype.names
+            far += int(result.far_flag.sum())
+        assert min(hits, near, gaps, absent, far) > 0
+
+    def test_one_warning_per_kind_with_counts(self):
+        model = make_model([{"x": 0.1, "y": 0.1}, {"x": 0.2, "y": 0.1}],
+                           far_threshold=0.01)
+        table = record_table(x=[0.15, 0.9, 0.8])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = estimate(table, model, {1: 10.0, 2: 20.0})
+        assert [w.category for w in caught] == [MissingFeatureWarning,
+                                                FarQueryWarning]
+        assert "3 of 3" in str(caught[0].message)
+        assert "'y'" in str(caught[0].message)
+        assert "2 of 3" in str(caught[1].message)
+        assert result.far_flag.tolist() == [False, True, True]
+
+    def test_strict_error_names_the_first_far_query(self):
+        model = make_model([{"x": 0.1}, {"x": 0.2}], far_threshold=0.01)
+        table = record_table(x=[0.15, 0.9, 0.8], start=dt.date(2016, 6, 5))
+        with pytest.raises(FarFromAllClustersError,
+                           match=r"2 of 3 .* query 1 \(2016-06-06\)"):
+            estimate(table, model, {1: 10.0, 2: 20.0}, strict=True)
+
+    def test_empty_table(self):
+        model = make_model([{"x": 0.1}, {"x": 0.2}], far_threshold=0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = estimate(record_table(x=np.empty(0)), model,
+                              {1: 10.0, 2: 20.0})
+        assert result.estimate.shape == result.far_flag.shape == (0,)
+        assert result.distances.shape == result.weights.shape == (0, 2)
+
+    def test_one_day_wrapper_returns_plain_scalars(self, default_spec):
+        model = seasonal_model(default_spec)
+        result = estimate_day_temperature(make_day(l_avg_kva=0.4), model, 10,
+                                          default_spec)
+        assert type(result.estimate) is float
+        assert type(result.far_flag) is bool
+        assert result.weights.shape == (2,)
+        with pytest.raises(ValueError):
+            estimate_day_temperature(record_table(l_avg_kva=[0.4, 0.5]),
+                                     model, 10, default_spec)
