@@ -3,6 +3,7 @@
 import csv
 import datetime as dt
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from txrisk.errors import (
 from txrisk.ingest import SynthConfig, load_dataset, synth_dataset
 
 from conftest import QUERY_CSV
+from test_mutation import SEED, _csv_mutation
 
 QUIET = SynthConfig(temp_noise_sd_c=0.0, load_noise_sd_kw=0.0,
                     service_spread=0.0)
@@ -228,8 +230,9 @@ class TestGapPolicy:
             warnings.simplefilter("always")
             load_dataset(paths["weather"], paths["meter"], paths["calendar"])
         day = self.SERVICE.replace(",", " ")
-        assert [str(w.message) for w in caught
-                if w.category is DataGapWarning] == [
+        gaps = [w for w in caught if w.category is DataGapWarning]
+        assert {w.filename for w in gaps} == {__file__}
+        assert [str(w.message) for w in gaps] == [
             f"{self.FILE}: 2 duplicate hourly readings (DST fall-back?), the "
             f"first of each kept; first {day}2015-01-06",
             f"{self.FILE}: 2 days missing at most 2 hours interpolated; "
@@ -376,3 +379,208 @@ class TestEnergyMeters:
         for name in ("l_max_kva", "l_min_kva", "load_kva"):
             assert name not in ds.records.dtype.names
         assert ds.records["ambient_c"].shape == (2, 24)
+
+
+HOURLY_HEADERS = {"weather": ingest.WEATHER_HEADER,
+                  "meter": ingest.METER_HOURLY_HEADER}
+
+
+def hourly_outcome(load, path, header, interpolate):
+    """What ``load(path, header, interpolate)`` gives: the kept keys, grid,
+    flags and DataGapWarning texts, or the error's type, text, row and
+    column."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            keys, grid, flags = load(path, header, interpolate)
+        except (ParseError, GapError) as exc:
+            return {"error": (type(exc), str(exc), getattr(exc, "row", None),
+                              getattr(exc, "column", None))}
+    return {"keys": keys, "grid": grid, "flags": flags.tolist(),
+            "warnings": [str(w.message) for w in caught
+                         if w.category is DataGapWarning]}
+
+
+def both_paths(path, header, interpolate=True):
+    """``_load_hourly`` on a file, the per-row loop and the gap rule on the
+    same file, and whether ``_load_hourly`` fell back to the per-row loop;
+    asserts that the two outcomes agree, bit for bit."""
+    row_loop = ingest._hourly_rows
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return row_loop(*args)
+
+    def rows_then_gap_rule(path, header, interpolate):
+        kind = ingest._HOURLY_FILES[header[-1]][0]
+        return ingest._hourly_days(kind, *row_loop(path, header), interpolate)
+
+    with mock.patch.object(ingest, "_hourly_rows", spy):
+        bulk = hourly_outcome(ingest._load_hourly, path, header, interpolate)
+    rows = hourly_outcome(rows_then_gap_rule, path, header, interpolate)
+    assert bulk.keys() == rows.keys(), (bulk.get("error"), rows.get("error"))
+    if "error" in rows:
+        assert bulk["error"] == rows["error"]
+    else:
+        assert bulk["keys"] == rows["keys"]
+        assert bulk["grid"].shape == rows["grid"].shape
+        assert np.array_equal(bulk["grid"].view(np.int64),
+                              rows["grid"].view(np.int64))
+        assert (bulk["flags"], bulk["warnings"]) == (rows["flags"],
+                                                    rows["warnings"])
+    return bulk, bool(calls)
+
+
+class TestBulkScan:
+    """Hourly files are read a block of lines at a time, with the per-row
+    loop as the fallback that reports every fault: each case here loads a
+    file both ways and asserts the same outcome."""
+
+    @pytest.mark.parametrize("name", ["weather", "meter"])
+    def test_golden_fixture_takes_the_bulk_path(self, golden_pipeline, name):
+        path = golden_pipeline[0][0] / "data" / f"{name}.csv"
+        outcome, fell_back = both_paths(path, HOURLY_HEADERS[name])
+        assert not fell_back and len(outcome["keys"]) >= 730
+
+    @pytest.mark.parametrize("name", ["weather", "meter"])
+    @pytest.mark.parametrize("case,loads", [
+        ("interpolated", True), ("dropped", True), ("gap error", True),
+        ("duplicate", True), ("mixed", True), ("triplicate", False),
+        ("lone CR line ends", False), ("no final newline", True),
+        ("CRLF line ends", True), ("quoted field", False),
+        ("lone CR in a field", False)])
+    def test_gap_fixtures_bulk_equals_rows(self, tmp_path, name, case, loads):
+        paths = gen(tmp_path, seed=4, services=1, days=6)
+        prefix = "S001," if name == "meter" else ""
+
+        def row(date, hour):
+            return f"{prefix}{date},{hour},"
+
+        gone = {"interpolated": [row("2015-01-02", 7)],
+                "gap error": [row("2015-01-02", 7)],
+                "dropped": [row("2015-01-02", h) for h in (7, 8, 9)],
+                "mixed": [row("2015-01-04", 5), row("2015-01-02", 7),
+                          *(row("2015-01-03", h) for h in (7, 8, 9))]}
+        added = {"duplicate": [row("2015-01-02", 3) + "0.5"],
+                 "triplicate": [row("2015-01-02", 3) + "0.5",
+                                row("2015-01-02", 3) + "0.25"],
+                 "mixed": [row("2015-01-06", 3) + "1.5",
+                           row("2015-01-01", 4) + "1.5"]}
+        drop_lines(paths[name], lambda ln: ln.startswith(tuple(gone.get(case, ()))))
+        text = paths[name].read_text() + "".join(
+            line + "\n" for line in added.get(case, ()))
+        lines = text.split("\n")
+        first, rest = lines[5].split(",", 1)
+        last = rest.rsplit(",", 1)
+        # csv reads '"S001"' as S001, and a lone CR as a line end.
+        lines[5] = {"quoted field": f'"{first}",{rest}',
+                    "lone CR in a field": f"{first},{last[0]},\r{last[1]}",
+                    }.get(case, lines[5])
+        text = "\n".join(lines)
+        text = {"lone CR line ends": text.replace("\n", "\r"),
+                "CRLF line ends": text.replace("\n", "\r\n"),
+                "no final newline": text[:-1]}.get(case, text)
+        paths[name].write_bytes(text.encode())
+        outcome, fell_back = both_paths(paths[name], HOURLY_HEADERS[name],
+                                        interpolate=case != "gap error")
+        assert fell_back != loads
+        assert ("error" in outcome) == (case in (
+            "gap error", "triplicate", "lone CR in a field"))
+
+    @pytest.mark.parametrize("name", ["weather", "meter"])
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_repeated_hour_in_a_later_block(self, tmp_path, name, copies):
+        paths = gen(tmp_path, seed=4, services=1, days=365)
+        lines = paths[name].read_text().split("\n")
+        lines[-1:] = [lines[27]] * copies + [""]  # 2015-01-02 hour 2
+        text = "\n".join(lines)
+        assert len(text) > 2 * ingest._BLOCK_CHARS
+        paths[name].write_text(text)
+        outcome, fell_back = both_paths(paths[name], HOURLY_HEADERS[name])
+        assert fell_back == ("error" in outcome) == (copies == 2)
+
+    @pytest.mark.parametrize("name", ["weather", "meter"])
+    def test_seeded_mutations_bulk_equals_rows(self, tmp_path, name):
+        paths = gen(tmp_path, seed=4, services=2, days=12)
+        text = paths[name].read_text()
+        rng = np.random.default_rng([SEED, list(HOURLY_HEADERS).index(name)])
+        fell_back = []
+        for case in range(200):
+            _, damaged = _csv_mutation(rng, text)
+            path = tmp_path / f"{case}_{name}.csv"
+            path.write_bytes(damaged)
+            fell_back.append(both_paths(path, HOURLY_HEADERS[name])[1])
+        assert 0 < sum(fell_back) < len(fell_back)
+
+    def test_crlf_and_unterminated_golden_copies_load_bit_identically(
+            self, golden_pipeline, tmp_path, monkeypatch):
+        data = golden_pipeline[0][0] / "data"
+        calls = []
+        monkeypatch.setattr(ingest, "_hourly_rows",
+                            lambda *args: calls.append(args))
+
+        def load(weather, meter):
+            return load_dataset(weather, meter, data / "calendar.csv")
+
+        reference = load(data / "weather.csv", data / "meter.csv")
+        for copy, change in (("crlf", lambda raw: raw.replace(b"\n", b"\r\n")),
+                             ("unterminated", lambda raw: raw[:-1])):
+            for name in ("weather", "meter"):
+                raw = (data / f"{name}.csv").read_bytes()
+                (tmp_path / f"{copy}_{name}.csv").write_bytes(change(raw))
+            ds = load(tmp_path / f"{copy}_weather.csv",
+                      tmp_path / f"{copy}_meter.csv")
+            assert ds.records.tobytes() == reference.records.tobytes()
+            assert ds.records.dtype == reference.records.dtype
+            assert (ds.services, ds.dates) == (reference.services,
+                                               reference.dates)
+        assert not calls
+
+    @pytest.mark.parametrize("text", [
+        "1_0", " 1.5 ", "\t-2.5\n", "\xa01.5", "1.5 ", "١٢", "１",
+        "1e400", "nan", "Infinity", "+.5", "-0", "", "x"])
+    def test_bulk_numbers_read_as_float_or_refused(self, tmp_path, text):
+        # np.array(texts, dtype=float) must give float()'s value or refuse
+        # the text where float() reads a number the row loop refuses.
+        def usable(convert):
+            try:
+                value = convert(text)
+            except (ValueError, OverflowError):
+                return None
+            return np.float64(value).tobytes() if np.isfinite(value) else None
+
+        bulk = usable(lambda t: np.array([t], dtype=float)[0])
+        assert bulk is None or bulk == usable(float)
+        paths = gen(tmp_path, seed=6, services=1, days=2)
+        for name in ("weather", "meter"):
+            lines = paths[name].read_text().split("\n")
+            lines[6] = lines[6].rsplit(",", 1)[0] + "," + text
+            paths[name].write_text("\n".join(lines))
+            both_paths(paths[name], HOURLY_HEADERS[name])
+
+    @pytest.mark.parametrize("name", ["weather", "meter"])
+    def test_field_over_the_csv_limit_takes_the_row_loop(self, tmp_path, name):
+        # csv refuses a field longer than its limit; split would not.
+        paths = gen(tmp_path, seed=6, services=1, days=2)
+        lines = paths[name].read_text().split("\n")
+        fields = lines[6].split(",")
+        fields[0 if name == "meter" else -1] = "0" * csv.field_size_limit() + "1"
+        lines[6] = ",".join(fields)
+        paths[name].write_text("\n".join(lines))
+        outcome, fell_back = both_paths(paths[name], HOURLY_HEADERS[name])
+        assert fell_back and "field larger than field limit" in outcome["error"][1]
+
+    @pytest.mark.parametrize("name", ["weather", "meter"])
+    @pytest.mark.parametrize("hour", ["05", " 5", "+5", "5.0", "١"])
+    def test_hour_spellings_outside_the_table_take_the_row_loop(
+            self, tmp_path, name, hour):
+        paths = gen(tmp_path, seed=6, services=1, days=2)
+        lines = paths[name].read_text().split("\n")
+        fields = lines[6].split(",")
+        fields[-2] = hour
+        lines[6] = ",".join(fields)
+        paths[name].write_text("\n".join(lines))
+        outcome, fell_back = both_paths(paths[name], HOURLY_HEADERS[name])
+        assert fell_back
+        assert ("error" in outcome) == (hour == "5.0")
