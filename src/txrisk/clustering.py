@@ -97,27 +97,43 @@ def _linear_percentile(values, q: float) -> float:
     return xs[i] + frac * (xs[i + 1] - xs[i])
 
 
-def _update_centroids(quant, nom, labels, k, exact=False):
-    """Per-cluster quantitative means and nominal modes.
+def _member_rows(labels, counts) -> list[np.ndarray]:
+    """Each cluster's rows in ascending order: one stable sort of the
+    labels, split by the ``(k,)`` member counts."""
+    return np.split(np.argsort(labels, kind="stable"), np.cumsum(counts)[:-1])
 
-    With ``exact``, each mean is :func:`_column_means` of the members;
-    otherwise numpy's vectorized mean, whose last bits may vary with the
-    numpy build (fine inside Lloyd, never stored). Modal ties break toward
-    the lowest status index, i.e. schema order. Empty clusters keep
-    NaN/-1 placeholders for the caller to repair.
+
+def _update_centroids(quant, nom, labels, counts, members=None):
+    """Per-cluster quantitative means and nominal modes, for the clusters
+    that ``labels`` assigns and their ``(k,)`` member ``counts``.
+
+    Inside Lloyd (no ``members``) each mean is
+    ``np.bincount(labels, weights=column) / count``: the members' values
+    added in row order in plain doubles, then divided once, so it equals
+    the left-to-right float sum over the members divided by the count
+    whatever the numpy build. For the stored centroids ``members`` holds
+    each cluster's rows (:func:`_member_rows`) and each mean is
+    :func:`_column_means` of them, correctly rounded. Each mode is the
+    most frequent status, ties going to the lowest status index, i.e.
+    schema order. Empty clusters keep NaN/-1 placeholders for the caller
+    to repair.
     """
-    cent_q = np.full((k, quant.shape[1]), np.nan)
-    cent_n = np.full((k, nom.shape[1]), -1, dtype=np.int64)
-    for c in range(k):
-        mask = labels == c
-        if not mask.any():
-            continue
-        if exact:
-            cent_q[c] = _column_means(quant[mask])
-        else:
-            cent_q[c] = quant[mask].mean(axis=0)
-        for j in range(nom.shape[1]):
-            cent_n[c, j] = int(np.argmax(np.bincount(nom[mask, j])))
+    k = len(counts)
+    if members is None:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cent_q = np.stack([np.bincount(labels, weights=col, minlength=k)
+                               for col in quant.T], axis=1) / counts[:, None]
+    else:
+        cent_q = np.full((k, quant.shape[1]), np.nan)
+        for c, rows in enumerate(members):
+            if len(rows):
+                cent_q[c] = _column_means(quant[rows])
+    cent_n = np.empty((k, nom.shape[1]), dtype=np.int64)
+    for j, codes in enumerate(nom.T):
+        statuses = int(codes.max(initial=0)) + 1
+        tally = np.bincount(labels * statuses + codes, minlength=k * statuses)
+        cent_n[:, j] = tally.reshape(k, statuses).argmax(axis=1)
+    cent_n[counts == 0] = -1
     return cent_q, cent_n
 
 
@@ -131,6 +147,9 @@ def kmeans(records, k: int, schema: ft.FeatureSchema, seed: int,
     assignments stop changing (or ``max_iterations``). ``restarts`` reruns
     the whole procedure with fresh seeded initial centroids and keeps the
     lowest-objective result. Output is deterministic for a fixed seed.
+    Inside Lloyd each centroid mean is a row-order float sum divided by the
+    member count (see :func:`_update_centroids`) and every dissimilarity
+    is elementwise, so the labels, too, do not depend on the numpy build.
 
     The returned floats are computed once, from the final memberships:
     each centroid component is ``math.fsum`` of the members' values divided
@@ -166,23 +185,25 @@ def kmeans(records, k: int, schema: ft.FeatureSchema, seed: int,
             best = result
     labels, _, trace = best
 
-    cent_q, cent_n = _update_centroids(quant, nom, labels, k, exact=True)
+    counts = np.bincount(labels, minlength=k)
+    members = _member_rows(labels, counts)
+    cent_q, cent_n = _update_centroids(quant, nom, labels, counts, members)
     member_dists = ft.distance((quant, nom), (cent_q, cent_n),
                                schema)[np.arange(n), labels].tolist()
     objective = math.fsum(member_dists)
     far_threshold = _linear_percentile(member_dists, FAR_GUARD_PERCENTILE)
 
-    clusters = []
-    for c in range(k):
-        rows = np.flatnonzero(labels == c)
-        refs = tuple(zip(records["service_id"][rows].tolist(),
-                         records["date"][rows].tolist()))
-        clusters.append(Cluster(id=c + 1, member_refs=refs, member_rows=rows))
+    service_ids, dates = records["service_id"], records["date"]
+    clusters = tuple(
+        Cluster(id=c + 1, member_rows=rows,
+                member_refs=tuple(zip(service_ids[rows].tolist(),
+                                      dates[rows].tolist())))
+        for c, rows in enumerate(members))
 
     return ClusterModel(
-        clusters=tuple(clusters),
+        clusters=clusters,
         centroids=(_read_only(cent_q), _read_only(cent_n)),
-        member_counts=_read_only(np.bincount(labels, minlength=k)),
+        member_counts=_read_only(counts),
         schema=schema,
         norm_params=params,
         seed=seed,
@@ -213,12 +234,13 @@ def _lloyd(quant, nom, schema, init_idx, max_iterations, track_objective):
         trace.append(float(dists[np.arange(n), labels].sum()))
 
     for _ in range(max_iterations):
-        cent_q, cent_n = _update_centroids(quant, nom, labels, k)
-        empties = [c for c in range(k) if np.isnan(cent_q[c]).any()]
-        if empties:
+        counts = np.bincount(labels, minlength=k)
+        cent_q, cent_n = _update_centroids(quant, nom, labels, counts)
+        empties = np.flatnonzero(counts == 0)
+        if len(empties):
             cur = ft.distance(data, (cent_q, cent_n), schema)
             own = cur[np.arange(n), labels]
-            for c in empties:
+            for c in empties.tolist():
                 far = int(own.argmax())
                 warnings.warn(
                     f"cluster {c + 1} became empty; centroid reseeded to the "
@@ -242,11 +264,9 @@ def _lloyd(quant, nom, schema, init_idx, max_iterations, track_objective):
     # Tie-degenerate data (duplicate points) can leave a cluster empty at
     # convergence; hand the farthest point of a multi-member cluster over so
     # the returned model never contains an empty cluster.
-    for c in range(k):
-        if (labels == c).any():
-            continue
+    counts = np.bincount(labels, minlength=k)
+    for c in np.flatnonzero(counts == 0).tolist():
         own = dists[np.arange(n), labels].copy()
-        counts = np.bincount(labels, minlength=k)
         own[counts[labels] <= 1] = -np.inf
         far = int(own.argmax())
         warnings.warn(
@@ -255,6 +275,8 @@ def _lloyd(quant, nom, schema, init_idx, max_iterations, track_objective):
             EmptyClusterWarning, stacklevel=3)
         cent_q[c] = quant[far]
         cent_n[c] = nom[far]
+        counts[labels[far]] -= 1
+        counts[c] += 1
         labels[far] = c
         dists = ft.distance(data, (cent_q, cent_n), schema)
 

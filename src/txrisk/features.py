@@ -219,7 +219,8 @@ def encode(records, schema: FeatureSchema, params: NormalizationParams, *,
     numeric fields min-max normalized by ``params`` and clamped into
     [0, 1] (a constant feature maps to 0), ordinal fields (values already
     in (0, 1), see :func:`encode_ordinal`) as given. ``nom`` is ``(n, m)``
-    ints: each nominal label's index in its feature's statuses. With
+    ints: each nominal label's index in its feature's statuses. Both are
+    column-major, so each feature is one contiguous column. With
     ``allow_missing`` a feature the table lacks becomes NaN / -1
     (estimation queries may carry fewer features than the schema);
     otherwise it raises.
@@ -230,8 +231,8 @@ def encode(records, schema: FeatureSchema, params: NormalizationParams, *,
             normalization params.
     """
     n = len(records)
-    quant = np.empty((n, len(schema.quantitative_names)))
-    nom = np.empty((n, len(schema.nominal_names)), dtype=np.int64)
+    quant = np.empty((n, len(schema.quantitative_names)), order="F")
+    nom = np.empty((n, len(schema.nominal_names)), dtype=np.int64, order="F")
     for j, name in enumerate(schema.quantitative_names):
         values = _field(records, name, _QUANTITATIVE, allow_missing)
         quant[:, j] = math.nan if values is None else values
@@ -277,7 +278,12 @@ def distance(x, y, schema: FeatureSchema) -> np.ndarray:
     schema order, quantitative features first, and a feature missing
     (NaN / -1) on either side adds nothing. Only elementwise arithmetic is
     used, so each entry equals that sum taken pair by pair in Python
-    floats, whatever the numpy build.
+    floats, whatever the numpy build or the arrays' memory order.
+
+    The work is one pass per row of ``y`` (the centroids, in k-means and
+    estimation) over contiguous feature columns of ``x``, which is what
+    the column-major arrays of :func:`encode` give without a copy; the
+    result is column-major too, one contiguous column per row of ``y``.
 
     Raises:
         SchemaMismatchError: an array's width does not match the schema.
@@ -287,25 +293,26 @@ def distance(x, y, schema: FeatureSchema) -> np.ndarray:
     if (xq.shape[1], xn.shape[1]) != widths or (yq.shape[1], yn.shape[1]) != widths:
         raise SchemaMismatchError("encoded widths do not match the schema")
 
-    # A missing value zeroes the weight on its row (x) or column (y). Each
-    # side is scanned once, so without gaps, as inside k-means, the weight
-    # stays a scalar and no mask is built.
-    d = np.zeros((len(xq), len(yq)))
-    x_gaps, y_gaps = np.isnan(xq).any(), np.isnan(yq).any()
-    for j, w in enumerate(schema.quantitative_weights()):
-        a, b = xq[:, j, None], yq[None, :, j]
-        if x_gaps:
-            w, a = np.where(np.isnan(a), 0.0, w), np.where(np.isnan(a), 0.0, a)
-        if y_gaps:
-            w, b = np.where(np.isnan(b), 0.0, w), np.where(np.isnan(b), 0.0, b)
-        diff = a - b
-        d += (w * diff) * diff
-    x_gaps, y_gaps = (xn < 0).any(), (yn < 0).any()
-    for j, w in enumerate(schema.nominal_weights()):
-        a, b = xn[:, j, None], yn[None, :, j]
-        if x_gaps:
-            w = np.where(a < 0, 0.0, w)
-        if y_gaps:
-            w = np.where(b < 0, 0.0, w)
-        d += np.where(a != b, w, 0.0)
-    return d
+    # Feature-major x: one contiguous row of n values per feature.
+    xq, xn = np.ascontiguousarray(xq.T), np.ascontiguousarray(xn.T)
+    # Each side is scanned for gaps once. A gap in x leaves its entries
+    # out of the feature's sum (the mask is True where x has no gaps); a
+    # gap in a row of y skips the feature for that row.
+    q_gaps, n_gaps = np.isnan(xq), xn < 0
+    q_keep = ~q_gaps if q_gaps.any() else (True,) * len(xq)
+    n_keep = ~n_gaps if n_gaps.any() else (True,) * len(xn)
+    q_weights, n_weights = schema.quantitative_weights(), schema.nominal_weights()
+    n = xq.shape[1]
+    d = np.zeros((len(yq), n))
+    diff, term = np.empty(n), np.empty(n)
+    for row, y_quant, y_codes in zip(d, yq.tolist(), yn.tolist()):
+        for col, keep, w, v in zip(xq, q_keep, q_weights, y_quant):
+            if not math.isnan(v):
+                np.subtract(col, v, out=diff)
+                np.multiply(diff, w, out=term)
+                term *= diff
+                np.add(row, term, out=row, where=keep)
+        for col, keep, w, v in zip(xn, n_keep, n_weights, y_codes):
+            if v >= 0:
+                np.add(row, w, out=row, where=(col != v) & keep)
+    return d.T

@@ -10,10 +10,15 @@ import csv
 import datetime as dt
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import pytest
+from numpy._core import _multiarray_umath as umath
 
 from txrisk import aging, estimation, features as ft, riskassess
 from txrisk.clustering import kmeans
@@ -308,6 +313,78 @@ def test_criterion_09_end_to_end_determinism(golden_pipeline):
 def _read_csv(path):
     with open(path, encoding="utf-8", newline="") as fh:
         return list(csv.reader(fh))
+
+
+# The golden pipeline in a fresh interpreter. The last line printed is a
+# JSON report: the numpy dispatch targets enabled there and the digest of
+# every pipeline file.
+_DIGEST_CHILD = """
+import hashlib, json, sys
+from pathlib import Path
+from numpy._core import _multiarray_umath as umath
+from conftest import PIPELINE_FILES, run_pipeline
+root = run_pipeline(Path(sys.argv[1]))
+print(json.dumps({
+    "dispatch": [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__[t]],
+    "digests": {rel: hashlib.sha256((root / rel).read_bytes()).hexdigest()
+                for rel in PIPELINE_FILES}}))
+"""
+
+
+def _machine_dispatch():
+    """The numpy SIMD dispatch targets this machine runs: those this
+    interpreter uses and those it was started with turned off."""
+    off = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").replace(",", " ").split()
+    return [t for t in umath.__cpu_dispatch__
+            if umath.__cpu_features__[t] or t in off]
+
+
+@pytest.fixture(scope="module")
+def dispatch_runs(tmp_path_factory):
+    """The golden pipeline in two fresh interpreters side by side:
+    ``narrowed`` with every dispatch target of this machine turned off through
+    ``NPY_DISABLE_CPU_FEATURES`` under ``PYTHONHASHSEED=1``, ``full`` with
+    full dispatch under ``PYTHONHASHSEED=2``. Returns each run's report."""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests),
+                                         os.environ.get("PYTHONPATH")]))
+    base = {key: value for key, value in os.environ.items()
+            if key != "NPY_DISABLE_CPU_FEATURES"}
+    envs = {"narrowed": dict(base, PYTHONPATH=path, PYTHONHASHSEED="1",
+                             NPY_DISABLE_CPU_FEATURES=",".join(_machine_dispatch())),
+            "full": dict(base, PYTHONPATH=path, PYTHONHASHSEED="2")}
+    procs = {}
+    try:
+        for name, env in envs.items():
+            root = tmp_path_factory.mktemp(f"dispatch_{name}")
+            procs[name] = subprocess.Popen(
+                [sys.executable, "-c", _DIGEST_CHILD, str(root)], cwd=root,
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True)
+        reports = {}
+        for name, proc in procs.items():
+            out, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err[-2000:]
+            reports[name] = json.loads(out.splitlines()[-1])
+        return reports
+    finally:
+        for proc in procs.values():
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+
+
+@pytest.mark.parametrize("run", ["narrowed", "full"])
+def test_golden_digests_across_numpy_dispatch(dispatch_runs, run):
+    # The outputs' bytes depend on the inputs and the seed alone: numpy's
+    # SIMD kernels and Python's hash seed do not move a digest.
+    report, full = dispatch_runs[run], dispatch_runs["full"]["dispatch"]
+    if run == "narrowed" and report["dispatch"] == full:
+        pytest.skip("NPY_DISABLE_CPU_FEATURES has no effect on this machine "
+                    f"(dispatch targets in use: {full or 'none'})")
+    golden = json.loads(GOLDEN_DIGESTS.read_text())
+    moved = [rel for rel in PIPELINE_FILES if report["digests"][rel] != golden[rel]]
+    assert not moved, f"{run} dispatch moved the digests of {moved}"
 
 
 def test_criterion_10_table_shapes(golden_pipeline):

@@ -101,15 +101,18 @@ class TestKmeansOracle:
 
 
 class TestUpdateCentroid:
-    """The stored-centroid rule: ``_update_centroids(..., exact=True)`` on
-    one x column and one Y/N flag column."""
+    """The centroid rules on one x column and one Y/N flag column: the
+    stored one (``_update_centroids`` given the member rows, ``fsum``
+    means) and Lloyd's (no member rows, ``bincount`` means)."""
 
     @staticmethod
-    def update(rows, labels=None, k=1):
+    def update(rows, labels=None, k=1, exact=True):
         quant = np.array([[x] for x, _ in rows], dtype=np.float64).reshape(-1, 1)
         nom = np.array([[flag] for _, flag in rows], dtype=np.int64).reshape(-1, 1)
         labels = np.zeros(len(rows), dtype=np.int64) if labels is None else labels
-        return clustering._update_centroids(quant, nom, labels, k, exact=True)
+        counts = np.bincount(labels, minlength=k)
+        members = clustering._member_rows(labels, counts) if exact else None
+        return clustering._update_centroids(quant, nom, labels, counts, members)
 
     def test_numeric_mean(self):
         cent_q, _ = self.update([(0.2, 0), (0.4, 0)])
@@ -143,6 +146,42 @@ class TestUpdateCentroid:
                                      labels=np.array([0, 0]), k=2)
         assert cent_q[0, 0] == pytest.approx(0.3) and cent_n[0, 0] == 1
         assert math.isnan(cent_q[1, 0]) and cent_n[1, 0] == -1
+
+
+    def test_lloyd_mean_is_the_row_order_float_sum(self):
+        # Values spread over many magnitudes, so that the order of the
+        # additions shows in the last bits: each Lloyd mean is the members'
+        # values added left to right in plain doubles, divided by the count.
+        rng = np.random.default_rng(3)
+        xs = (rng.normal(size=300) * 10.0 ** rng.integers(-8, 9, 300)).tolist()
+        labels = rng.integers(0, 3, 300)
+        cent_q, _ = self.update([(x, 0) for x in xs], labels, k=3, exact=False)
+        rounding_shows = False
+        for c in range(3):
+            members = [x for x, label in zip(xs, labels.tolist()) if label == c]
+            total = 0.0
+            for x in members:
+                total += x
+            assert cent_q[c, 0] == total / len(members)
+            rounding_shows |= total / len(members) != math.fsum(members) / len(members)
+        assert rounding_shows
+
+    def test_lloyd_mode_ties_go_to_the_lowest_status(self):
+        rows = [(0.0, 2), (0.0, 1), (0.0, 2), (0.0, 1), (0.0, 0)]
+        _, cent_n = self.update(rows, exact=False)
+        assert cent_n[0, 0] == 1
+        _, cent_n = self.update(rows[:3], exact=False)
+        assert cent_n[0, 0] == 2
+
+    def test_lloyd_empty_cluster_keeps_placeholders(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cent_q, cent_n = self.update([(0.2, 1), (0.4, 1)],
+                                         labels=np.array([1, 1]), k=3,
+                                         exact=False)
+        assert cent_q[1, 0] == (0.2 + 0.4) / 2 and cent_n[1, 0] == 1
+        for c in (0, 2):
+            assert math.isnan(cent_q[c, 0]) and cent_n[c, 0] == -1
 
 
 class TestDeterminismAndObjective:

@@ -261,6 +261,64 @@ class TestDistance:
                     assert d[i, j] == expected, (i, j)
 
 
+    @pytest.mark.parametrize(
+        "n, k, x_gaps, y_gaps, zero_weight, order",
+        [(60, 6, False, False, False, "F"),
+         (60, 6, True, False, False, "F"),
+         (60, 6, False, True, False, "F"),
+         (60, 6, True, True, False, "F"),
+         (60, 6, True, True, True, "F"),
+         (60, 1, True, True, False, "F"),
+         (1, 6, True, True, False, "F"),
+         (60, 6, True, True, False, "C"),
+         (60, 6, False, False, False, "C")],
+        ids=["no-gaps", "x-gaps", "y-gaps", "both-gaps", "zero-weight",
+             "k1", "n1", "c-order-gaps", "c-order"])
+    def test_kernel_equals_python_sum_bit_for_bit(self, n, k, x_gaps, y_gaps,
+                                                  zero_weight, order):
+        # Every entry, compared with ==, is the pair's sum in Python floats
+        # in schema order: quantitative features, then nominal mismatches.
+        rng = np.random.default_rng([n, k, x_gaps, y_gaps, zero_weight])
+        weights = rng.uniform(0, 3, 5)
+        if zero_weight:
+            weights[1] = 0.0
+        schema = ft.FeatureSchema(features=(
+            ft.FeatureDef("a", ft.KIND_NUMERIC, weight=float(weights[0])),
+            ft.FeatureDef("grade", ft.KIND_ORDINAL, statuses=("lo", "hi"),
+                          weight=float(weights[1])),
+            ft.FeatureDef("flag", ft.KIND_NOMINAL, statuses=("Y", "N"),
+                          weight=float(weights[2])),
+            ft.FeatureDef("b", ft.KIND_NUMERIC, weight=float(weights[3])),
+            ft.FeatureDef("kind", ft.KIND_NOMINAL, statuses=("p", "q", "r"),
+                          weight=float(weights[4])),
+        ))
+
+        def sample(rows, gaps):
+            quant = rng.uniform(-0.2, 1.2, (rows, 3))
+            nom = np.stack([rng.integers(0, 2, rows), rng.integers(0, 3, rows)],
+                           axis=1)
+            if gaps:
+                quant[rng.random((rows, 3)) < 0.2] = np.nan
+                nom[rng.random((rows, 2)) < 0.2] = -1
+                quant[0, 0], nom[-1, 1] = np.nan, -1
+            return quant, nom
+
+        (xq, xn), y = sample(n, x_gaps), sample(k, y_gaps)
+        if order == "F":
+            xq, xn = np.asfortranarray(xq), np.asfortranarray(xn)
+        else:
+            xq, xn = np.ascontiguousarray(xq), np.ascontiguousarray(xn)
+        assert xq.flags[f"{order}_CONTIGUOUS"]
+
+        d = ft.distance((xq, xn), y, schema)
+        assert d.shape == (n, k)
+        expected = [[reference_distance((xq[i].tolist(), xn[i].tolist()),
+                                        (y[0][j].tolist(), y[1][j].tolist()),
+                                        schema)
+                     for j in range(k)] for i in range(n)]
+        assert d.tolist() == expected
+
+
 class TestEncode:
     def test_encodes_in_schema_order(self, mixed_schema):
         params = ft.NormalizationParams(bounds={"a": (0.0, 10.0), "b": (0.0, 2.0)})
