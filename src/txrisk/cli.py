@@ -36,7 +36,7 @@ exit codes:
   9   strict mode: query far from all clusters
   11  vector does not match the feature schema
   12  empty dataset
-  13  cluster member lacks a raw 24-hour profile
+  13  meter file holds daily energy only, no 24-hour profiles
   14  zero services in energy conversion
   15  ordinal status order out of range
   17  cluster profile with zero peak load (no loading threshold)
@@ -56,19 +56,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--seed", type=int, help="master random seed")
         p.add_argument("--out", help="output directory (default .)")
-        p.add_argument("--strict", action="store_true", default=None,
-                       help="error out on far-from-all-clusters queries")
+
+    def seeded(p):
+        common(p)
+        p.add_argument("--seed", type=int, help="master random seed")
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
-    common(p_synth)
+    seeded(p_synth)
     p_synth.add_argument("--services", type=int, help="number of services")
     p_synth.add_argument("--days", type=int, help="number of days")
     p_synth.add_argument("--start-date", help="first date, ISO format")
 
     p_cluster = sub.add_parser("cluster", help="train the cluster model")
-    common(p_cluster)
+    seeded(p_cluster)
     p_cluster.add_argument("--weather", help="weather.csv path")
     p_cluster.add_argument("--meter", help="meter.csv path")
     p_cluster.add_argument("--calendar", help="calendar.csv path")
@@ -100,6 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_estimate.add_argument("--query", help="query CSV path")
     p_estimate.add_argument("--services", type=int,
                             help="service count at the target transformer")
+    p_estimate.add_argument("--strict", action="store_true", default=None,
+                            help="error out on far-from-all-clusters queries")
     return parser
 
 
@@ -279,23 +282,23 @@ def _write_composition_csv(model, path):
 
 
 def cmd_cluster(cfg: RunConfig) -> int:
+    schema = cfg.schema()
+    seed = int(cfg.get("seed"))
+    k = int(cfg.get("k"))
+    restarts = int(cfg.get("restarts"))
+    if k < 1 or restarts < 1:
+        raise ConfigError("--k and --restarts must be >= 1")
+    sweep = cfg.get("k_sweep")
+    sweep_ks = parse_span(sweep, "--k-sweep") if sweep else ()
     dataset = ingest.load_dataset(cfg.require_path("weather"),
                                   cfg.require_path("meter"),
                                   cfg.require_path("calendar"))
-    schema = cfg.schema()
-    seed = int(cfg.get("seed"))
-    restarts = int(cfg.get("restarts"))
-    if int(cfg.get("k")) < 1 or restarts < 1:
-        raise ConfigError("--k and --restarts must be >= 1")
 
-    sweep = cfg.get("k_sweep")
-    if sweep:
-        for k in parse_span(sweep, "--k-sweep"):
-            model = clustering.kmeans(dataset.records, k, schema, seed,
-                                      restarts=restarts)
-            print(f"k={k} objective={model.objective:.6f}")
+    for sweep_k in sweep_ks:
+        model = clustering.kmeans(dataset.records, sweep_k, schema, seed,
+                                  restarts=restarts)
+        print(f"k={sweep_k} objective={model.objective:.6f}")
 
-    k = int(cfg.get("k"))
     model = clustering.train_model(dataset, k, schema, seed, restarts=restarts)
     out = cfg.out_dir()
     model_path = out / "model.json"
@@ -309,13 +312,13 @@ def cmd_cluster(cfg: RunConfig) -> int:
 
 
 def cmd_assess(cfg: RunConfig) -> int:
-    spec = thermal.load_transformer_spec(cfg.require_path("spec"))
-    model = clustering.load_model(cfg.require_path("model"))
     n_range = parse_span(cfg.get("n_range"), "--n-range")
     budget = float(cfg.get("budget"))
     years = float(cfg.get("years"))
     if not min(years, float(cfg.get("scale_max")), float(cfg.get("scale_tol"))) > 0:
         raise ConfigError("--years, scale_max and scale_tol must be > 0")
+    spec = thermal.load_transformer_spec(cfg.require_path("spec"))
+    model = clustering.load_model(cfg.require_path("model"))
     out = cfg.out_dir()
 
     # Both searches run before any write: a refused input leaves no tables.
@@ -352,13 +355,13 @@ def cmd_assess(cfg: RunConfig) -> int:
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
-    spec = thermal.load_transformer_spec(cfg.require_path("spec"))
-    model = clustering.load_model(cfg.require_path("model"))
-    queries = estimation.read_query_csv(cfg.require_path("query"))
     services = cfg.get("services")
     if services is None or int(services) < 1:
         raise ConfigError("--services must be >= 1")
     strict = bool(cfg.get("strict"))
+    spec = thermal.load_transformer_spec(cfg.require_path("spec"))
+    model = clustering.load_model(cfg.require_path("model"))
+    queries = estimation.read_query_csv(cfg.require_path("query"))
 
     temps = estimation.cluster_max_top_oil(model, spec, int(services))
     result = estimation.estimate(queries, model, temps, strict=strict)

@@ -22,7 +22,6 @@ import numpy as np
 from . import features as ft
 from .errors import (
     EmptyClusterWarning,
-    MissingProfileError,
     ParseError,
     TooFewPointsError,
 )
@@ -331,15 +330,7 @@ def extract_profiles(model: ClusterModel, records) -> tuple[np.ndarray, np.ndarr
     Each hour's mean is ``math.fsum`` of the members' values at that hour
     divided by the member count, so the stored profiles depend on the
     member profiles alone, not on their order or the numpy build.
-
-    Raises:
-        MissingProfileError: the table has no hourly load profiles (an
-            energy meter file).
     """
-    if "load_kva" not in records.dtype.names:
-        raise MissingProfileError(
-            f"member {model.clusters[0].member_refs[0]} has energy-only "
-            "metering, no hourly profile")
     return tuple(_read_only(np.array([_column_means(records[name][c.member_rows])
                                       for c in model.clusters]))
                  for name in ("load_kva", "ambient_c"))

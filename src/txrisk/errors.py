@@ -81,7 +81,7 @@ class EmptyDatasetError(TxRiskError):
 
 
 class MissingProfileError(TxRiskError):
-    """A cluster member has no stored raw 24-hour profile."""
+    """The meter file holds daily energy only, no 24-hour profiles."""
 
     exit_code = 13
 

@@ -4,8 +4,7 @@ synthetic generator for desk-scale studies.
 File formats (UTF-8, comma separated, header row mandatory, ISO dates):
 
 * ``weather.csv``  -- ``date,hour,temp_c`` with hour 0..23
-* ``meter.csv``    -- ``service_id,date,hour,kw`` (interval meters) or
-  ``service_id,date,energy_kwh`` (revenue meters, daily energy)
+* ``meter.csv``    -- ``service_id,date,hour,kw`` (interval meters)
 * ``calendar.csv`` -- ``date,is_weekday,is_holiday`` with Y/N values
 
 Metered kW is treated as kVA at unity power factor. :func:`load_dataset`
@@ -17,8 +16,8 @@ at commas once, and its dates, hours and readings are converted a column
 at a time. A file goes to the per-row loop instead when it holds a quote,
 a carriage return not before a line feed, a NUL, or a row without the
 header's column count, or when any check fails; that loop reports every
-fault with the same message, row and column as before. Calendar, energy
-meter and query files are read row by row.
+fault with the same message, row and column as before. Calendar and
+query files are read row by row.
 """
 
 from __future__ import annotations
@@ -38,12 +37,14 @@ from .errors import (
     DataGapWarning,
     EmptyIntersectionError,
     GapError,
+    MissingProfileError,
     ParseError,
     ShortCoverageWarning,
 )
 
 WEATHER_HEADER = ["date", "hour", "temp_c"]
 METER_HOURLY_HEADER = ["service_id", "date", "hour", "kw"]
+# A revenue meter's daily energy, refused: clustering needs 24-hour profiles.
 METER_ENERGY_HEADER = ["service_id", "date", "energy_kwh"]
 CALENDAR_HEADER = ["date", "is_weekday", "is_holiday"]
 
@@ -399,25 +400,6 @@ def _hourly_days(kind, keys, grid, duplicated, interpolate):
             flagged[kept])
 
 
-def _load_energy(path, rows):
-    """The data rows of a revenue-meter file as ``(service, date)`` day
-    keys, their daily kWh and an all-False per-day flag."""
-    energy = {}
-    for i, (service, date, kwh) in rows:
-        _check_service(service, path, i)
-        date = _parse_date(date, path, i)
-        kwh = _parse_float(kwh, path, i, "energy_kwh")
-        if kwh < 0:
-            raise ParseError(f"negative energy {kwh}", path=path, row=i,
-                             column="energy_kwh")
-        if (service, date) in energy:
-            raise ParseError(f"duplicate energy reading for {service} {date}",
-                             path=path, row=i)
-        energy[(service, date)] = kwh
-    return (list(energy), np.array(list(energy.values())),
-            np.zeros(len(energy), bool))
-
-
 def _load_calendar(path):
     """date -> effective weekday flag (holidays count as non-weekdays)."""
     rows = _read_table(path, [CALENDAR_HEADER])
@@ -465,25 +447,27 @@ def load_dataset(weather_path, meter_path, calendar_path, *,
     (statutory holidays count as non-weekdays); the raw 24-hour
     ``load_kva`` and ``ambient_c`` profiles, for cluster-profile
     extraction; and ``interpolated``, set where the weather or meter day
-    had a gap filled or a duplicate reading. An energy meter file gives
-    ``l_avg_kva`` (daily kWh / 24) and no ``load_kva``, ``l_max_kva`` or
-    ``l_min_kva``.
+    had a gap filled or a duplicate reading.
 
     Raises:
+        MissingProfileError: the meter file holds daily energy only
+            (``service_id,date,energy_kwh``), refused on its header before
+            any row is parsed.
         ParseError: malformed file content (row and column reported).
         GapError: incomplete day while ``interpolate_gaps`` is False.
         EmptyIntersectionError: no common coverage at all.
     """
-    weather_keys, ambient_days, weather_flags = _load_hourly(
-        weather_path, WEATHER_HEADER, interpolate_gaps)
     rows = _read_table(meter_path, [METER_HOURLY_HEADER, METER_ENERGY_HEADER])
     _, header = next(rows)
-    hourly = header == METER_HOURLY_HEADER
-    if hourly:
-        rows.close()
-    meter_keys, meter_values, meter_flags = (
-        _load_hourly(meter_path, header, interpolate_gaps) if hourly
-        else _load_energy(meter_path, rows))
+    rows.close()
+    if header == METER_ENERGY_HEADER:
+        raise MissingProfileError(
+            f"{meter_path} has energy-only metering: the meter file holds "
+            "daily energy only, no 24-hour profiles to cluster")
+    weather_keys, ambient_days, weather_flags = _load_hourly(
+        weather_path, WEATHER_HEADER, interpolate_gaps)
+    meter_keys, load_days, meter_flags = _load_hourly(
+        meter_path, METER_HOURLY_HEADER, interpolate_gaps)
     calendar = _load_calendar(calendar_path)
 
     weather_row = {date: row for row, (date,) in enumerate(weather_keys)}
@@ -499,26 +483,23 @@ def load_dataset(weather_path, meter_path, calendar_path, *,
     dates = sorted(set(days))
 
     ambient = ambient_days[weather_rows]
+    load = load_days[meter_rows]
     t_sum, t_max, t_min = _day_stats(ambient)
+    l_sum, l_max, l_min = _day_stats(load)
     columns = {
         "service_id": np.array(services),
         "date": np.array([date.isoformat() for date in days]),
         "t_max_c": t_max,
         "t_min_c": t_min,
         "t_avg_c": t_sum / 24.0,
+        "l_avg_kva": l_sum / 24.0,
+        "l_max_kva": l_max,
+        "l_min_kva": l_min,
+        "weekday": np.where([calendar[date] for date in days], "Y", "N"),
+        "load_kva": load,
+        "ambient_c": ambient,
+        "interpolated": weather_flags[weather_rows] | meter_flags[meter_rows],
     }
-    if hourly:
-        load = meter_values[meter_rows]
-        l_sum, l_max, l_min = _day_stats(load)
-        columns.update(l_avg_kva=l_sum / 24.0, l_max_kva=l_max, l_min_kva=l_min)
-    else:
-        columns["l_avg_kva"] = meter_values[meter_rows] / 24.0
-    columns["weekday"] = np.where([calendar[date] for date in days], "Y", "N")
-    if hourly:
-        columns["load_kva"] = load
-    columns["ambient_c"] = ambient
-    columns["interpolated"] = weather_flags[weather_rows] | meter_flags[meter_rows]
-
     records = np.empty(len(keys), [(name, column.dtype, column.shape[1:])
                                    for name, column in columns.items()])
     for name, column in columns.items():
@@ -531,7 +512,7 @@ def load_dataset(weather_path, meter_path, calendar_path, *,
             "are recommended", ShortCoverageWarning, stacklevel=2)
     return Dataset(
         records=records,
-        services=tuple(sorted({service for service, _ in meter_keys})),
+        services=tuple(sorted(set(services))),
         dates=tuple(d.isoformat() for d in dates),
     )
 

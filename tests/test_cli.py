@@ -42,6 +42,34 @@ class TestExitCodes:
     def test_missing_path_is_usage_error(self, tmp_path):
         assert cli.main(["cluster", "--k", "3", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command,bad", [
+        ("cluster", ["--k", "0"]), ("cluster", ["--restarts", "0"]),
+        ("cluster", ["--k-sweep", "3..1"]), ("assess", ["--n-range", "5..3"]),
+        ("assess", ["--years", "0"]), ("estimate", ["--services", "0"])])
+    def test_options_checked_before_inputs_are_read(self, tmp_path, command,
+                                                    bad):
+        # Every input file is malformed (exit 3 once read); the bad option
+        # is reported first.
+        files = {}
+        for name in ("weather", "meter", "calendar", "spec", "model", "query"):
+            files[name] = tmp_path / f"{name}.in"
+            files[name].write_text("not,a,valid\nfile\n")
+        inputs = {"cluster": ("weather", "meter", "calendar"),
+                  "assess": ("spec", "model"),
+                  "estimate": ("spec", "model", "query")}[command]
+        argv = [command, "--out", str(tmp_path / "out")]
+        for name in inputs:
+            argv += [f"--{name}", str(files[name])]
+        assert cli.main(argv + bad) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--strict"], ["cluster", "--strict"], ["assess", "--strict"],
+        ["assess", "--seed", "1"], ["estimate", "--seed", "1"]])
+    def test_flag_the_command_does_not_read_is_refused(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+
     def test_empty_n_range_is_usage_error(self, tmp_path):
         data = tmp_path / "data"
         assert cli.main(synth_args(data)) == 0
@@ -496,13 +524,21 @@ class TestMalformedInputExitCodes:
         assert str(bad) in capsys.readouterr().err
 
     def test_energy_only_meter_has_no_profiles(self, tmp_path, capsys):
+        # Refused on the meter header: no k-means runs, not even the sweep,
+        # and no file is parsed, not even an unreadable weather file.
         data = tmp_path / "data"
         assert cli.main(synth_args(data, days=12)) == 0
         (data / "meter.csv").write_text(
             "service_id,date,energy_kwh\n"
             + "".join(f"S00{s},2014-01-{d:02d},{20 + s + d}.0\n"
                       for s in (1, 2) for d in range(1, 13)))
-        assert cli.main(cluster_args(data, tmp_path / "run")) == 13
+        argv = cluster_args(data, tmp_path / "run")
+        assert cli.main(argv + ["--k-sweep", "2..3"]) == 13
+        captured = capsys.readouterr()
+        assert "energy-only metering" in captured.err
+        assert "objective=" not in captured.out
+        (data / "weather.csv").write_text("date,hour,temp_c\nnot,a,number\n")
+        assert cli.main(argv) == 13
         assert "energy-only metering" in capsys.readouterr().err
 
     def test_life_loss_falling_with_service_count(self, golden_pipeline,

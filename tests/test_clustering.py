@@ -21,7 +21,6 @@ from txrisk.clustering import (
 )
 from txrisk.errors import (
     EmptyClusterWarning,
-    MissingProfileError,
     TooFewPointsError,
 )
 from txrisk import ingest
@@ -381,15 +380,6 @@ class TestProfiles:
             expected_amb /= len(cluster.member_refs)
             assert load_kva[c] == pytest.approx(expected_load)
             assert ambient_c[c] == pytest.approx(expected_amb)
-
-    def test_energy_only_member_raises(self):
-        records, schema = two_cluster_fixture()
-        energy = record_table(date=records["date"].tolist(),
-                              l_avg_kva=records["l_avg_kva"],
-                              ambient_c=records["ambient_c"])
-        model = kmeans(energy, 2, schema, seed=4)
-        with pytest.raises(MissingProfileError, match="member .'s', '2015-"):
-            extract_profiles(model, energy)
 
 
 class TestModelFile:

@@ -302,14 +302,9 @@ class TestParseErrors:
         body = paths["meter"].read_text().splitlines()
         body[30] = service + body[30][len("S001"):]
         paths["meter"].write_text("\n".join(body) + "\n")
-        energy = tmp_path / "energy.csv"
-        energy.write_text("service_id,date,energy_kwh\n"
-                          " S001 ,2015-01-01,24.0\n"
-                          f"{service},2015-01-02,48.0\n")
-        for meter, row in ((paths["meter"], 31), (energy, 3)):
-            with pytest.raises(ParseError) as err:
-                load_dataset(paths["weather"], meter, paths["calendar"])
-            assert (err.value.row, err.value.column) == (row, "service_id")
+        with pytest.raises(ParseError) as err:
+            load_dataset(paths["weather"], paths["meter"], paths["calendar"])
+        assert (err.value.row, err.value.column) == (31, "service_id")
 
     def test_inconsistent_weekday_without_holiday(self, tmp_path):
         paths = gen(tmp_path, seed=6, services=1, days=6)
@@ -365,20 +360,15 @@ class TestCoverage:
             "2015-01-04", "2015-01-05", "2015-01-06"}
         assert len(ds.records) == 6  # 2 services x 3 overlapping days
 
-
-class TestEnergyMeters:
-    def test_energy_rows_give_l_avg_only_and_no_profile(self, tmp_path):
-        paths = gen(tmp_path, seed=8, services=1, days=2)
-        meter = tmp_path / "energy.csv"
-        meter.write_text("service_id,date,energy_kwh\n"
-                         "S001,2015-01-01,24.0\n"
-                         "S001,2015-01-02,48.0\n")
-        ds = load_dataset(paths["weather"], meter, paths["calendar"])
-        assert ds.records["date"].tolist() == ["2015-01-01", "2015-01-02"]
-        assert ds.records["l_avg_kva"].tolist() == [1.0, 2.0]
-        for name in ("l_max_kva", "l_min_kva", "load_kva"):
-            assert name not in ds.records.dtype.names
-        assert ds.records["ambient_c"].shape == (2, 24)
+    def test_services_are_those_with_records(self, tmp_path):
+        # S900's only day lies outside the weather and calendar coverage.
+        paths = gen(tmp_path, seed=7, services=2, days=4)
+        with open(paths["meter"], "a", encoding="utf-8") as fh:
+            fh.writelines(f"S900,2020-01-01,{hour},1.000\n"
+                          for hour in range(24))
+        ds = load_dataset(paths["weather"], paths["meter"], paths["calendar"])
+        assert set(ds.records["service_id"].tolist()) == {"S001", "S002"}
+        assert ds.services == ("S001", "S002")
 
 
 HOURLY_HEADERS = {"weather": ingest.WEATHER_HEADER,
