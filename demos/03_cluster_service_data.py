@@ -47,7 +47,7 @@ matrix = month_cluster_matrix(model)
 months = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug",
           "Sep", "Oct", "Nov", "Dec")
 print("\nmember days per month (columns = cluster ids)")
-print(" " * 5 + "".join(f"{c.id:>6}" for c in model.clusters))
+print(" " * 5 + "".join(f"{cid:>6}" for cid in range(1, model.k + 1)))
 for m, label in enumerate(months):
     print(f"{label:>4} " + "".join(f"{matrix[m, j]:>6}"
                                    for j in range(model.k)))

@@ -16,7 +16,6 @@ from .aging import (
     equivalent_aging,
 )
 from .clustering import (
-    Cluster,
     ClusterModel,
     composition,
     extract_profiles,

@@ -174,7 +174,10 @@ class RunConfig:
 
     def out_dir(self) -> Path:
         out = Path(self.get("out"))
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory: {exc}") from exc
         return out
 
     def schema(self) -> ft.FeatureSchema:

@@ -14,8 +14,10 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -31,16 +33,6 @@ MAX_ITERATIONS = 300
 FAR_GUARD_PERCENTILE = 95.0
 
 
-@dataclass(frozen=True)
-class Cluster:
-    """One trained cluster: its id and its members."""
-
-    id: int
-    member_refs: tuple[tuple[str, str], ...]  # (service_id, ISO date)
-    # The members' rows in the table kmeans read; None if read from a file.
-    member_rows: np.ndarray | None = field(compare=False, repr=False)
-
-
 @dataclass(frozen=True, eq=False)
 class ClusterModel:
     """A trained clustering model plus everything needed to reuse it.
@@ -50,9 +42,13 @@ class ClusterModel:
     form of :func:`txrisk.features.encode`, ``member_counts`` the ``(k,)``
     member-day counts, and ``profiles`` the ``(load_kva, ambient_c)`` pair
     of ``(k, 24)`` mean member profiles (kVA per service, °C), or None.
+    ``members`` lists every member day as a ``(service_id, ISO date)``
+    pair, cluster 1's first, each cluster's in table order, so
+    ``member_counts`` splits it; ``member_rows`` are their rows in the
+    table :func:`kmeans` read (None for a model read from a file).
     """
 
-    clusters: tuple[Cluster, ...]
+    members: tuple[tuple[str, str], ...]
     centroids: tuple[np.ndarray, np.ndarray]
     member_counts: np.ndarray
     schema: ft.FeatureSchema
@@ -63,22 +59,16 @@ class ClusterModel:
     far_threshold: float = 0.0
     restarts: int = 1
     objective_trace: tuple[float, ...] | None = None
+    member_rows: np.ndarray | None = None
 
     @property
     def k(self) -> int:
-        return len(self.clusters)
+        return len(self.member_counts)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
-
-
-def _column_means(rows: np.ndarray) -> tuple[float, ...]:
-    """Column means of a 2-D array: each column's correctly rounded sum
-    (``math.fsum``) divided by the row count, so the result depends on the
-    values alone, not on their order or the summation hardware."""
-    return tuple(math.fsum(col) / len(rows) for col in rows.T.tolist())
 
 
 def _linear_percentile(values, q: float) -> float:
@@ -96,37 +86,39 @@ def _linear_percentile(values, q: float) -> float:
     return xs[i] + frac * (xs[i + 1] - xs[i])
 
 
-def _member_rows(labels, counts) -> list[np.ndarray]:
-    """Each cluster's rows in ascending order: one stable sort of the
-    labels, split by the ``(k,)`` member counts."""
-    return np.split(np.argsort(labels, kind="stable"), np.cumsum(counts)[:-1])
+def _member_means(values, member_rows, counts) -> np.ndarray:
+    """``(k, d)`` means of ``values[member_rows]`` split by the ``(k,)``
+    ``counts``, NaN for an empty cluster: each column's correctly rounded
+    sum (``math.fsum``) over the count, whatever the order or hardware."""
+    means = np.full((len(counts), values.shape[1]), np.nan)
+    for c, rows in enumerate(np.split(member_rows, np.cumsum(counts)[:-1])):
+        if len(rows):
+            means[c] = [math.fsum(col) / len(rows)
+                        for col in values[rows].T.tolist()]
+    return means
 
 
-def _update_centroids(quant, nom, labels, counts, members=None):
+def _update_centroids(quant, nom, labels, counts, member_rows=None):
     """Per-cluster quantitative means and nominal modes, for the clusters
     that ``labels`` assigns and their ``(k,)`` member ``counts``.
 
-    Inside Lloyd (no ``members``) each mean is
+    Inside Lloyd (no ``member_rows``) each mean is
     ``np.bincount(labels, weights=column) / count``: the members' values
     added in row order in plain doubles, then divided once, so it equals
     the left-to-right float sum over the members divided by the count
-    whatever the numpy build. For the stored centroids ``members`` holds
-    each cluster's rows (:func:`_member_rows`) and each mean is
-    :func:`_column_means` of them, correctly rounded. Each mode is the
-    most frequent status, ties going to the lowest status index, i.e.
-    schema order. Empty clusters keep NaN/-1 placeholders for the caller
-    to repair.
+    whatever the numpy build. For the stored centroids ``member_rows`` is
+    the stable argsort of ``labels`` and the means are correctly rounded
+    (:func:`_member_means`). Each mode is the most frequent status, ties
+    going to the lowest status index, i.e. schema order. Empty clusters
+    keep NaN/-1 placeholders for the caller to repair.
     """
     k = len(counts)
-    if members is None:
+    if member_rows is None:
         with np.errstate(divide="ignore", invalid="ignore"):
             cent_q = np.stack([np.bincount(labels, weights=col, minlength=k)
                                for col in quant.T], axis=1) / counts[:, None]
     else:
-        cent_q = np.full((k, quant.shape[1]), np.nan)
-        for c, rows in enumerate(members):
-            if len(rows):
-                cent_q[c] = _column_means(quant[rows])
+        cent_q = _member_means(quant, member_rows, counts)
     cent_n = np.empty((k, nom.shape[1]), dtype=np.int64)
     for j, codes in enumerate(nom.T):
         statuses = int(codes.max(initial=0)) + 1
@@ -185,22 +177,16 @@ def kmeans(records, k: int, schema: ft.FeatureSchema, seed: int,
     labels, _, trace = best
 
     counts = np.bincount(labels, minlength=k)
-    members = _member_rows(labels, counts)
-    cent_q, cent_n = _update_centroids(quant, nom, labels, counts, members)
+    member_rows = np.argsort(labels, kind="stable")
+    cent_q, cent_n = _update_centroids(quant, nom, labels, counts, member_rows)
     member_dists = ft.distance((quant, nom), (cent_q, cent_n),
                                schema)[np.arange(n), labels].tolist()
     objective = math.fsum(member_dists)
     far_threshold = _linear_percentile(member_dists, FAR_GUARD_PERCENTILE)
 
-    service_ids, dates = records["service_id"], records["date"]
-    clusters = tuple(
-        Cluster(id=c + 1, member_rows=rows,
-                member_refs=tuple(zip(service_ids[rows].tolist(),
-                                      dates[rows].tolist())))
-        for c, rows in enumerate(members))
-
     return ClusterModel(
-        clusters=clusters,
+        members=tuple(zip(records["service_id"][member_rows].tolist(),
+                          records["date"][member_rows].tolist())),
         centroids=(_read_only(cent_q), _read_only(cent_n)),
         member_counts=_read_only(counts),
         schema=schema,
@@ -210,6 +196,7 @@ def kmeans(records, k: int, schema: ft.FeatureSchema, seed: int,
         far_threshold=far_threshold,
         restarts=restarts,
         objective_trace=(*trace, objective) if track_objective else None,
+        member_rows=_read_only(member_rows),
     )
 
 
@@ -309,17 +296,12 @@ def month_cluster_matrix(model: ClusterModel) -> np.ndarray:
     """12 x k member-day counts: rows are calendar months Jan..Dec, columns
     follow cluster id order; each member (service-day) counts once, so
     column sums equal cluster member counts."""
-    matrix = np.zeros((12, model.k), dtype=np.int64)
-    month_of = {}  # each distinct ISO date is parsed, and so checked, once
-    for col, cluster in enumerate(model.clusters):
-        counts = [0] * 12
-        for _service, text in cluster.member_refs:
-            month = month_of.get(text)
-            if month is None:
-                month = month_of[text] = iso_date(text).month
-            counts[month - 1] += 1
-        matrix[:, col] = counts
-    return matrix
+    dates = [text for _service, text in model.members]
+    # Each distinct ISO date is parsed, and so checked, once.
+    month_of = {text: iso_date(text).month - 1 for text in dict.fromkeys(dates)}
+    months = np.fromiter(map(month_of.__getitem__, dates), np.int64, len(dates))
+    cells = np.repeat(np.arange(model.k), model.member_counts) * 12 + months
+    return np.bincount(cells, minlength=12 * model.k).reshape(model.k, 12).T
 
 
 def extract_profiles(model: ClusterModel, records) -> tuple[np.ndarray, np.ndarray]:
@@ -331,8 +313,8 @@ def extract_profiles(model: ClusterModel, records) -> tuple[np.ndarray, np.ndarr
     divided by the member count, so the stored profiles depend on the
     member profiles alone, not on their order or the numpy build.
     """
-    return tuple(_read_only(np.array([_column_means(records[name][c.member_rows])
-                                      for c in model.clusters]))
+    return tuple(_read_only(_member_means(records[name], model.member_rows,
+                                          model.member_counts))
                  for name in ("load_kva", "ambient_c"))
 
 
@@ -369,15 +351,16 @@ def save_model(model: ClusterModel, path) -> None:
         "normalization": model.norm_params.to_jsonable(),
         "clusters": [],
     }
-    for c, (cluster, raw, quant) in enumerate(zip(
-            model.clusters, composition(model), model.centroids[0].tolist())):
+    bounds = [0, *np.cumsum(model.member_counts).tolist()]
+    for c, (raw, quant) in enumerate(zip(composition(model),
+                                         model.centroids[0].tolist())):
         entry = {
-            "id": cluster.id,
+            "id": c + 1,
             "member_count": raw["member_count"],
             "centroid_normalized": dict(zip(schema.quantitative_names, quant)),
             "centroid_raw": {name: raw[name] for name in schema.numeric_names},
             "centroid_nominal": {name: raw[name] for name in schema.nominal_names},
-            "members": [list(ref) for ref in cluster.member_refs],
+            "members": [list(m) for m in model.members[bounds[c]:bounds[c + 1]]],
         }
         if model.profiles is not None:
             load, ambient = model.profiles
@@ -420,10 +403,11 @@ def _checked_bounds(params: ft.NormalizationParams) -> ft.NormalizationParams:
 
 def _checked_cluster(cid, entry, schema: ft.FeatureSchema):
     """A stored cluster with id ``cid`` whose members are (service,
-    YYYY-MM-DD) pairs, as many as its ``member_count``, and whose centroid
-    has every schema feature: finite numeric/ordinal components and
-    nominal labels among their statuses. Returns the cluster and its
-    centroid as a row of each :func:`txrisk.features.encode` array."""
+    YYYY-MM-DD) pairs with non-blank service ids, as many as its
+    ``member_count``, and whose centroid has every schema feature: finite
+    numeric/ordinal components and nominal labels among their statuses.
+    Returns the members and the centroid as a row of each
+    :func:`txrisk.features.encode` array."""
     if entry["id"] != cid:
         raise ValueError(f"cluster {cid} has id {entry['id']!r}; ids must run "
                          "1..k in file order")
@@ -431,6 +415,10 @@ def _checked_cluster(cid, entry, schema: ft.FeatureSchema):
     if entry["member_count"] != len(refs):
         raise ValueError(f"cluster {cid} member_count {entry['member_count']!r}"
                          f" differs from its {len(refs)} members")
+    for service in {s for s, _ in refs}:
+        if not isinstance(service, str) or not service.strip():
+            raise ValueError(f"cluster {cid} member service id {service!r} is "
+                             "not a non-blank string")
     for text in {d for _, d in refs}:
         iso_date(text)
     numeric = {name: _finite(f"cluster {cid} centroid {name!r}", v)
@@ -449,7 +437,7 @@ def _checked_cluster(cid, entry, schema: ft.FeatureSchema):
             raise ValueError(f"cluster {cid} centroid {name!r} is "
                              f"{nominal[name]!r}, not one of {list(statuses)}")
         codes.append(statuses.index(nominal[name]))
-    return Cluster(id=cid, member_refs=refs, member_rows=None), quant, codes
+    return refs, quant, codes
 
 
 def load_model(path) -> ClusterModel:
@@ -461,7 +449,8 @@ def load_model(path) -> ClusterModel:
             number of clusters, cluster ids other than 1..k in file order,
             a centroid lacking a schema feature or with an unknown label, a
             ``member_count`` other than the number of members, a member
-            date not spelled YYYY-MM-DD, or a bad profile.
+            with a blank or non-text service id or a date not spelled
+            YYYY-MM-DD, a member listed twice, or a bad profile.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -478,19 +467,22 @@ def load_model(path) -> ClusterModel:
                              "clusters stored")
         if not entries:
             raise ValueError("the model stores no clusters")
-        clusters, quant, codes = zip(*(
+        refs, quant, codes = zip(*(
             _checked_cluster(c + 1, entry, schema)
             for c, entry in enumerate(entries)))
+        members = tuple(chain.from_iterable(refs))
+        if len(set(members)) != len(members):
+            twice = next(m for m, n in Counter(members).items() if n > 1)
+            raise ValueError(f"member {list(twice)} is listed more than once")
         profiles = [_checked_profile(c + 1, entry["profile"])
                     for c, entry in enumerate(entries) if "profile" in entry]
         if profiles and len(profiles) != len(entries):
             raise ValueError("some clusters have a profile and some not")
         return ClusterModel(
-            clusters=clusters,
+            members=members,
             centroids=(_read_only(np.array(quant, dtype=np.float64)),
                        _read_only(np.array(codes, dtype=np.int64))),
-            member_counts=_read_only(np.array([len(c.member_refs)
-                                               for c in clusters])),
+            member_counts=_read_only(np.array([len(r) for r in refs])),
             schema=schema,
             norm_params=params,
             seed=int(doc["seed"]),

@@ -26,6 +26,7 @@ from .errors import (
     FarFromAllClustersError,
     FarQueryWarning,
     MissingFeatureWarning,
+    SchemaMismatchError,
     ZeroServicesError,
 )
 from .ingest import _parse_date, _parse_flag, _parse_float, _read_table
@@ -72,11 +73,12 @@ def estimate(queries, model: ClusterModel,
     computed as it would be alone.
 
     Raises:
+        SchemaMismatchError: a query has none of the model's features.
         FarFromAllClustersError: strict mode and a query is outside the
             model's support; the message names the first one.
         KeyError: ``per_cluster_values`` does not cover every cluster.
     """
-    ids = [c.id for c in model.clusters]
+    ids = range(1, model.k + 1)
     missing = [cid for cid in ids if cid not in per_cluster_values]
     if missing:
         raise KeyError(f"per_cluster_values missing clusters {missing}")
@@ -86,8 +88,12 @@ def estimate(queries, model: ClusterModel,
     quant, nom = ft.encode(queries, model.schema, model.norm_params,
                            allow_missing=True)
     gaps = np.concatenate([np.isnan(quant), nom < 0], axis=1)
+    names = model.schema.quantitative_names + model.schema.nominal_names
+    blind = int(gaps.all(axis=1).sum())
+    if blind:
+        raise SchemaMismatchError(f"{blind} of {n} queries lack every model "
+                                  f"feature {list(names)}")
     if gaps.any():
-        names = model.schema.quantitative_names + model.schema.nominal_names
         absent = [name for name, gap in zip(names, gaps.any(axis=0)) if gap]
         warnings.warn(
             f"{int(gaps.any(axis=1).sum())} of {n} queries lack features "
@@ -157,8 +163,7 @@ def cluster_max_top_oil(model: ClusterModel, spec: thermal.TransformerSpec,
     """
     ambient, load_pu = _cluster_days(spec, model, (service_count,))
     trace = thermal.simulate_day(spec, ambient[:, 0], load_pu[:, 0])
-    return dict(zip((c.id for c in model.clusters),
-                    trace.top_oil.max(axis=1).tolist()))
+    return dict(zip(range(1, model.k + 1), trace.top_oil.max(axis=1).tolist()))
 
 
 def estimate_day_temperature(day, model: ClusterModel,

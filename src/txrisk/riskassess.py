@@ -51,14 +51,13 @@ class ThresholdResult:
 class ServiceGrid:
     """Every cluster's simulated day at every studied service count N.
 
-    The arrays are indexed (cluster, N) in the order of ``cluster_ids`` and
+    The arrays are indexed (cluster, N) in cluster-id order and that of
     ``n_values``: the day's maximum top-oil and hotspot temperatures (°C)
     and its life loss in days per day (the daily equivalent aging factor).
     ``member_counts`` holds each cluster's member days.
     """
 
     n_values: tuple[int, ...]
-    cluster_ids: tuple[int, ...]
     member_counts: np.ndarray
     max_top_oil: np.ndarray
     max_hotspot: np.ndarray
@@ -176,9 +175,9 @@ def _require_profiles(model: ClusterModel):
                           "retrain with profile extraction")
 
 
-def _check_monotone(values, grid: ServiceGrid, what):
+def _check_monotone(values, what):
     falls = values[:, 1:] < values[:, :-1] - MONOTONE_SLACK
-    for cid, fell in zip(grid.cluster_ids, falls.any(axis=1).tolist()):
+    for cid, fell in enumerate(falls.any(axis=1).tolist(), start=1):
         if fell:
             raise NonMonotoneError(
                 f"{what} not non-decreasing in N for cluster {cid}")
@@ -238,16 +237,15 @@ def service_grid(spec: thermal.TransformerSpec, model: ClusterModel,
     max_top_oil, max_hotspot, hotspots = _day_maxima(spec, ambient, load_pu)
     grid = ServiceGrid(
         n_values=n_values,
-        cluster_ids=tuple(c.id for c in model.clusters),
         member_counts=model.member_counts,
         max_top_oil=max_top_oil,
         max_hotspot=max_hotspot,
         daily_loss=aging.equivalent_aging(
             aging.aging_acceleration(hotspot) for hotspot in hotspots),
     )
-    _check_monotone(grid.max_top_oil, grid, "max top-oil temperature")
-    _check_monotone(grid.max_hotspot, grid, "max hotspot temperature")
-    _check_monotone(grid.daily_loss, grid, "daily life loss")
+    _check_monotone(grid.max_top_oil, "max top-oil temperature")
+    _check_monotone(grid.max_hotspot, "max hotspot temperature")
+    _check_monotone(grid.daily_loss, "daily life loss")
     return grid
 
 
@@ -332,7 +330,7 @@ def write_temperature_grid_csv(grid: ServiceGrid, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["cluster_id"] + [f"N={n}" for n in grid.n_values])
-        for cid, row in zip(grid.cluster_ids, grid.max_top_oil.tolist()):
+        for cid, row in enumerate(grid.max_top_oil.tolist(), start=1):
             writer.writerow([cid] + [round(v) for v in row])
         writer.writerow(["Max"] + [round(v) for v
                                    in grid.max_top_oil.max(axis=0).tolist()])
@@ -348,8 +346,8 @@ def write_life_loss_csv(grid: ServiceGrid, losses: LifeLoss, years: float,
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["cluster_id"] + [f"N={n}" for n in grid.n_values]
                         + ["num_days"])
-        for cid, row, count in zip(grid.cluster_ids, grid.daily_loss.tolist(),
-                                   grid.member_counts.tolist()):
+        for cid, (row, count) in enumerate(zip(grid.daily_loss.tolist(),
+                                               grid.member_counts.tolist()), 1):
             writer.writerow([cid] + [f"{v:.1f}" for v in row] + [count])
         for label, values in ((years_label, losses.total_days),
                               ("Average annual Loss of Life (Days)",

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from txrisk import cli, features as ft, thermal
-from txrisk.clustering import Cluster, ClusterModel
+from txrisk.clustering import ClusterModel
 
 QUERY_CSV = """\
 date,t_max_c,t_min_c,t_avg_c,l_avg_kva,weekday
@@ -71,8 +71,7 @@ def make_model(centroids, values_schema=None, *, far_threshold=0.0):
         bounds={name: (0.0, 1.0) for name in schema.numeric_names})
     k = len(centroids)
     return ClusterModel(
-        clusters=tuple(Cluster(id=i + 1, member_refs=((f"s{i}", "2015-01-01"),),
-                               member_rows=None) for i in range(k)),
+        members=tuple((f"s{i}", "2015-01-01") for i in range(k)),
         centroids=(np.array([[c[name] for name in schema.quantitative_names]
                              for c in centroids], dtype=float).reshape(k, -1),
                    np.zeros((k, 0), dtype=np.int64)),
@@ -86,15 +85,12 @@ def make_model_with_profiles(profiles):
     per ``((load_kva, ambient_c), member days)`` entry, its members on
     consecutive days from 2015-01-01 plus 30 days per cluster."""
     schema = ft.FeatureSchema(features=(ft.FeatureDef("x", ft.KIND_NUMERIC),))
-    clusters = []
-    for i, (_, members) in enumerate(profiles):
-        refs = tuple(("s", (dt.date(2015, 1, 1)
-                            + dt.timedelta(days=30 * i + j)).isoformat())
-                     for j in range(members))
-        clusters.append(Cluster(id=i + 1, member_refs=refs, member_rows=None))
-    k = len(clusters)
+    k = len(profiles)
     return ClusterModel(
-        clusters=tuple(clusters),
+        members=tuple(("s", (dt.date(2015, 1, 1)
+                             + dt.timedelta(days=30 * i + j)).isoformat())
+                      for i, (_, members) in enumerate(profiles)
+                      for j in range(members)),
         centroids=(np.full((k, 1), 0.5), np.zeros((k, 0), dtype=np.int64)),
         member_counts=np.array([members for _, members in profiles]),
         schema=schema,
@@ -102,6 +98,13 @@ def make_model_with_profiles(profiles):
         seed=0, objective=0.0,
         profiles=tuple(np.array(part, dtype=float).reshape(k, 24)
                        for part in zip(*(p for p, _ in profiles))))
+
+
+def clusters_of(model):
+    """Each cluster's members: ``model.members`` split by
+    ``member_counts``, cluster 1's first."""
+    bounds = [0, *np.cumsum(model.member_counts).tolist()]
+    return [model.members[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def run_pipeline(root):

@@ -26,6 +26,7 @@ from txrisk.thermal import TransformerSpec, simulate_day
 
 from conftest import (
     PIPELINE_FILES,
+    clusters_of,
     make_model,
     make_model_with_profiles,
     record_table,
@@ -176,8 +177,8 @@ def test_criterion_06_kmeans_correctness():
     recovered = 0
     for seed in range(100):
         model = kmeans(records, 3, schema2, seed=seed, restarts=25)
-        found = {frozenset(by_date[ref[1]] for ref in c.member_refs)
-                 for c in model.clusters}
+        found = {frozenset(by_date[date] for _, date in refs)
+                 for refs in clusters_of(model)}
         recovered += found == planted
 
     # Brute-force oracle on the 4-point 1-D instance.
@@ -196,8 +197,8 @@ def test_criterion_06_kmeans_correctness():
     model = kmeans(record_table(x=values), 2, schema1, seed=0)
     day_idx = {(dt.date(2015, 1, 1) + dt.timedelta(days=i)).isoformat(): i
                for i in range(4)}
-    oracle_match = ({frozenset(day_idx[ref[1]] for ref in c.member_refs)
-                     for c in model.clusters} == best_partition
+    oracle_match = ({frozenset(day_idx[date] for _, date in refs)
+                     for refs in clusters_of(model)} == best_partition
                     and abs(model.objective - best_cost) < 1e-12)
 
     ok = monotone_runs == 100 and recovered >= 95 and oracle_match

@@ -70,6 +70,20 @@ class TestExitCodes:
             cli.main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["synth", "assess"])
+    def test_out_naming_a_file_is_usage_error(self, golden_pipeline, tmp_path,
+                                              capsys, command):
+        root = golden_pipeline[0][0]
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        argv = {"synth": synth_args(taken),
+                "assess": ["assess", "--spec", str(root / "spec.json"),
+                           "--model", str(root / "out" / "model.json"),
+                           "--n-range", "1..5", "--out", str(taken)]}[command]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "cannot create output directory" in err and str(taken) in err
+
     def test_empty_n_range_is_usage_error(self, tmp_path):
         data = tmp_path / "data"
         assert cli.main(synth_args(data)) == 0
@@ -162,6 +176,30 @@ class TestExitCodes:
         flags = [line.rsplit(",", 1)[1] for line in
                  (tmp_path / "estimates.csv").read_text().splitlines()[1:]]
         assert flags == ["N", "Y", "Y"]
+
+    def test_query_sharing_no_model_feature(self, tmp_path, capsys):
+        # A model over the daily load extremes alone: no query column is
+        # one of its features, so no query has a distance to any cluster.
+        data = tmp_path / "data"
+        assert cli.main(synth_args(data, days=40)) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"features": [
+            {"name": "l_max_kva", "kind": "numeric"},
+            {"name": "l_min_kva", "kind": "numeric"}]}))
+        assert cli.main(cluster_args(data, tmp_path / "run", k=3)
+                        + ["--config", str(cfg)]) == 0
+        query = tmp_path / "query.csv"
+        query.write_text("date,t_max_c,t_min_c,t_avg_c,l_avg_kva,weekday\n"
+                         "2016-07-06,31.0,18.0,24.0,1.9,Y\n"
+                         "2016-01-06,-8.0,-19.0,-13.0,1.4,Y\n")
+        spec = write_spec_file(tmp_path / "spec.json")
+        model = tmp_path / "run" / "model.json"
+        for extra in ((), ("--strict",)):
+            assert cli.main(self.estimate_args(spec, model, query,
+                                               tmp_path / "out", *extra)) == 11
+            assert ("2 of 2 queries lack every model feature"
+                    in capsys.readouterr().err)
+        assert not (tmp_path / "out" / "estimates.csv").exists()
 
     def test_header_only_query_file(self, golden_pipeline, tmp_path, capsys):
         root = golden_pipeline[0][0]
@@ -402,7 +440,20 @@ class TestMalformedInputExitCodes:
         (lambda doc: doc["clusters"][0].__setitem__(
             "member_count", doc["clusters"][0]["member_count"] + 1000),
          "cluster 1 member_count"),
-    ], ids=["partial_profiles", "member_date", "weight", "member_count"])
+        # Ingest refuses a blank service id; so does the model file.
+        (lambda doc: doc["clusters"][0]["members"][3].__setitem__(0, 5),
+         "cluster 1 member service id 5 is not a non-blank string"),
+        (lambda doc: doc["clusters"][1]["members"][0].__setitem__(0, " "),
+         "cluster 2 member service id ' ' is not a non-blank string"),
+        # A member in two clusters would count twice in the month matrix
+        # and in the life-loss weights.
+        (lambda doc: doc["clusters"][1].update(
+            members=doc["clusters"][1]["members"]
+            + doc["clusters"][0]["members"][:1],
+            member_count=doc["clusters"][1]["member_count"] + 1),
+         "is listed more than once"),
+    ], ids=["partial_profiles", "member_date", "weight", "member_count",
+            "member_service_number", "member_service_blank", "member_twice"])
     def test_model_structure(self, golden_pipeline, tmp_path, capsys, edit,
                              message):
         root = golden_pipeline[0][0]

@@ -25,7 +25,7 @@ from txrisk.errors import (
 )
 from txrisk import ingest
 
-from conftest import record_table
+from conftest import clusters_of, record_table
 from test_features import reference_distance
 
 
@@ -69,8 +69,8 @@ class TestKmeansOracle:
         # Raw values span [0,1] so normalization is the identity here.
         by_date = {iso: idx for idx, iso in enumerate(records["date"].tolist())}
         partition = frozenset(
-            frozenset(by_date[ref[1]] for ref in c.member_refs)
-            for c in model.clusters)
+            frozenset(by_date[date] for _, date in refs)
+            for refs in clusters_of(model))
         assert partition == oracle_partition
         assert model.objective == pytest.approx(oracle_cost)
         centroids = sorted(model.centroids[0][:, 0].tolist())
@@ -101,8 +101,9 @@ class TestKmeansOracle:
 
 class TestUpdateCentroid:
     """The centroid rules on one x column and one Y/N flag column: the
-    stored one (``_update_centroids`` given the member rows, ``fsum``
-    means) and Lloyd's (no member rows, ``bincount`` means)."""
+    stored one (``_update_centroids`` given the stable argsort of the
+    labels as member rows, ``fsum`` means) and Lloyd's (no member rows,
+    ``bincount`` means)."""
 
     @staticmethod
     def update(rows, labels=None, k=1, exact=True):
@@ -110,8 +111,9 @@ class TestUpdateCentroid:
         nom = np.array([[flag] for _, flag in rows], dtype=np.int64).reshape(-1, 1)
         labels = np.zeros(len(rows), dtype=np.int64) if labels is None else labels
         counts = np.bincount(labels, minlength=k)
-        members = clustering._member_rows(labels, counts) if exact else None
-        return clustering._update_centroids(quant, nom, labels, counts, members)
+        member_rows = np.argsort(labels, kind="stable") if exact else None
+        return clustering._update_centroids(quant, nom, labels, counts,
+                                            member_rows)
 
     def test_numeric_mean(self):
         cent_q, _ = self.update([(0.2, 0), (0.4, 0)])
@@ -209,8 +211,8 @@ class TestDeterminismAndObjective:
         records = self.make_records(np.random.default_rng(12))
         model = kmeans(records, 4, self.SCHEMA, seed=5)
         total = 0.0
-        for col, cluster in enumerate(model.clusters):
-            members = records[rows_of(records, cluster.member_refs)]
+        for col, refs in enumerate(clusters_of(model)):
+            members = records[rows_of(records, refs)]
             enc = ft.encode(members, model.schema, model.norm_params)
             total += sum(ft.distance(enc, model.centroids, model.schema)[:, col])
         assert model.objective == pytest.approx(total, rel=1e-9)
@@ -218,17 +220,20 @@ class TestDeterminismAndObjective:
     def test_every_point_assigned_once_and_no_empty_clusters(self):
         records = self.make_records(np.random.default_rng(14))
         model = kmeans(records, 6, self.SCHEMA, seed=8)
-        refs = [ref for c in model.clusters for ref in c.member_refs]
-        assert len(refs) == len(records)
-        assert len(set(refs)) == len(records)
+        assert len(model.members) == len(records)
+        assert len(set(model.members)) == len(records)
         assert all(model.member_counts > 0)
         assert model.member_counts.sum() == len(records)
-        # The member rows are the rows of the member refs, in table order,
-        # and cluster c + 1 is row c of the per-cluster arrays.
-        for row, c in enumerate(model.clusters):
-            assert c.id == row + 1
-            assert c.member_rows.tolist() == rows_of(records, c.member_refs)
-            assert model.member_counts[row] == len(c.member_refs)
+        # The member rows are the rows of the members, each cluster's in
+        # table order, and cluster c + 1 is row c of the per-cluster
+        # arrays: its members are nearest to centroid c.
+        assert model.member_rows.tolist() == rows_of(records, model.members)
+        enc = ft.encode(records, model.schema, model.norm_params)
+        nearest = ft.distance(enc, model.centroids, model.schema).argmin(axis=1)
+        for c, refs in enumerate(clusters_of(model)):
+            rows = rows_of(records, refs)
+            assert rows == sorted(rows)
+            assert nearest[rows].tolist() == [c] * len(rows)
 
     def test_objective_trace_non_increasing(self):
         records = self.make_records(np.random.default_rng(16))
@@ -251,8 +256,7 @@ class TestDeterminismAndObjective:
 
         a = kmeans(records, 4, schema_scaled(1.0), seed=21)
         b = kmeans(records, 4, schema_scaled(3.0), seed=21)
-        assert [c.member_refs for c in a.clusters] == \
-            [c.member_refs for c in b.clusters]
+        assert clusters_of(a) == clusters_of(b)
         assert b.objective == pytest.approx(3.0 * a.objective, rel=1e-9)
 
     def test_empty_cluster_recovery_warns_and_repairs(self):
@@ -294,8 +298,8 @@ class TestPlantedBlobs:
             by_date = {(dt.date(2014, 1, 1) + dt.timedelta(days=i)).isoformat(): i
                        for i in range(90)}
             found = {
-                frozenset(by_date[ref[1]] for ref in c.member_refs)
-                for c in model.clusters
+                frozenset(by_date[date] for _, date in refs)
+                for refs in clusters_of(model)
             }
             recovered += found == planted
         assert recovered == 10
@@ -330,10 +334,10 @@ class TestCompositionAndMatrix:
     def test_composition_counts_match_membership(self):
         records, schema = two_cluster_fixture()
         model = kmeans(records, 2, schema, seed=4)
-        rows = {row["cluster_id"]: row for row in clustering.composition(model)}
-        for cluster in model.clusters:
-            assert rows[cluster.id]["member_count"] == len(cluster.member_refs)
-        assert model.member_counts.tolist() == [3, 3]
+        rows = clustering.composition(model)
+        assert [row["cluster_id"] for row in rows] == [1, 2]
+        assert [row["member_count"] for row in rows] == \
+            [len(refs) for refs in clusters_of(model)] == [3, 3]
 
     def test_month_matrix_single_cluster_january(self):
         records = one_d_records([0.1, 0.2, 0.3], start=dt.date(2015, 1, 5))
@@ -370,14 +374,14 @@ class TestProfiles:
         records, schema = two_cluster_fixture()
         model = kmeans(records, 2, schema, seed=4)
         load_kva, ambient_c = extract_profiles(model, records)
-        for c, cluster in enumerate(model.clusters):
+        for c, refs in enumerate(clusters_of(model)):
             expected_load = np.zeros(24)
             expected_amb = np.zeros(24)
-            for row in rows_of(records, cluster.member_refs):
+            for row in rows_of(records, refs):
                 expected_load += records["load_kva"][row]
                 expected_amb += records["ambient_c"][row]
-            expected_load /= len(cluster.member_refs)
-            expected_amb /= len(cluster.member_refs)
+            expected_load /= len(refs)
+            expected_amb /= len(refs)
             assert load_kva[c] == pytest.approx(expected_load)
             assert ambient_c[c] == pytest.approx(expected_amb)
 
@@ -395,12 +399,29 @@ class TestModelFile:
         assert loaded.far_threshold == model.far_threshold
         assert loaded.schema == model.schema
         assert loaded.norm_params == model.norm_params
-        assert loaded.clusters == model.clusters
+        assert loaded.members == model.members
+        assert loaded.member_rows is None
         for name in ("centroids", "profiles"):
             for got, want in zip(getattr(loaded, name), getattr(model, name)):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
         assert loaded.member_counts.tolist() == model.member_counts.tolist()
         assert not loaded.centroids[0].flags.writeable
+
+    def test_loaded_members_are_the_file_lists_in_order(self, golden_pipeline):
+        # ``members`` is every cluster's member list of model.json, cluster
+        # 1's first, and the month matrix counts each member's month once.
+        path = golden_pipeline[0][0] / "out" / "model.json"
+        doc = json.loads(path.read_text())
+        model = load_model(path)
+        assert model.members == tuple(tuple(ref) for entry in doc["clusters"]
+                                      for ref in entry["members"])
+        expected = np.zeros((12, model.k), dtype=np.int64)
+        for c, entry in enumerate(doc["clusters"]):
+            for _, date in entry["members"]:
+                expected[int(date[5:7]) - 1, c] += 1
+        matrix = month_cluster_matrix(model)
+        assert matrix.dtype == expected.dtype
+        assert matrix.tolist() == expected.tolist()
 
     def test_rewriting_loaded_model_is_byte_identical(self, tmp_path):
         records, schema = two_cluster_fixture()

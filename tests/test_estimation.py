@@ -13,6 +13,7 @@ from txrisk.errors import (
     FarFromAllClustersError,
     FarQueryWarning,
     MissingFeatureWarning,
+    SchemaMismatchError,
     ZeroServicesError,
 )
 from txrisk.estimation import (
@@ -95,6 +96,18 @@ class TestEstimate:
             result = estimate(make_day(x=0.2), model, {1: 100.0, 2: 200.0})
         # Distance falls back to the x axis alone: exact hit on cluster 1.
         assert result.estimate[0] == 100.0
+
+    def test_query_with_no_model_feature_is_refused(self):
+        # With every feature missing, each distance would be 0: an exact hit
+        # on cluster 1 that no far guard can flag.
+        model = make_model([{"x": 0.2, "y": 0.9}, {"x": 0.8, "y": 0.9}],
+                           far_threshold=0.01)
+        table = record_table(x=[0.2, math.nan, math.nan],
+                             y=[math.nan, math.nan, math.nan])
+        for strict in (False, True):
+            with pytest.raises(SchemaMismatchError,
+                               match=r"2 of 3 queries lack every model feature"):
+                estimate(table, model, {1: 100.0, 2: 200.0}, strict=strict)
 
 
 class TestFarGuard:

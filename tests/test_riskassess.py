@@ -218,7 +218,7 @@ class TestMaxServicesByTemperature:
         ])
         grid = service_grid(default_spec, model, range(5, 30))
         assert grid.n_values == tuple(range(5, 30))
-        assert grid.cluster_ids == (1, 2)
+        assert grid.max_top_oil.shape == (2, len(grid.n_values))
         for oils in grid.max_top_oil.tolist():
             assert all(b >= a for a, b in zip(oils, oils[1:]))
         # Each cell is the maximum of that cluster's single simulated day.

@@ -263,7 +263,7 @@ class TestSimulateDays:
 
 def one_cell_grid(max_top_oil, max_hotspot):
     """A one-cluster, one-N service grid with the given day maxima."""
-    return ServiceGrid(n_values=(1,), cluster_ids=(1,), member_counts=np.ones(1),
+    return ServiceGrid(n_values=(1,), member_counts=np.ones(1),
                        max_top_oil=np.array([[max_top_oil]]),
                        max_hotspot=np.array([[max_hotspot]]),
                        daily_loss=np.array([[1.0]]))
