@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
@@ -27,7 +28,7 @@ _EXIT_CODE_DOC = """\
 exit codes:
   0   success
   1   unexpected internal error
-  2   usage or configuration error
+  2   usage or configuration error, or an output that cannot be written
   3   input file parse error, or a model/spec load above the per-unit ceiling
   4   incomplete day with gap filling disabled
   5   no common weather/meter/calendar coverage
@@ -236,6 +237,18 @@ def _check_kind(key, value, default):
         raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
 
 
+@contextmanager
+def _writing(out):
+    """An OSError while writing the outputs under ``out`` raised as a
+    ConfigError (exit 2) that names the file, or ``out`` where the error
+    names none."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {exc.filename or out}: "
+                          f"{exc.strerror or exc}") from exc
+
+
 def parse_span(text: str, label: str) -> range:
     """Parse an inclusive integer span like ``1..40``."""
     parts = str(text).split("..")
@@ -257,8 +270,11 @@ def cmd_synth(cfg: RunConfig) -> int:
     days = int(cfg.get("days"))
     if services < 1 or days < 1:
         raise ConfigError("--services and --days must be >= 1")
-    paths = ingest.synth_dataset(int(cfg.get("seed")), services, start, days,
-                                 cfg.synth_config(), cfg.out_dir())
+    config = cfg.synth_config()
+    out = cfg.out_dir()
+    with _writing(out):
+        paths = ingest.synth_dataset(int(cfg.get("seed")), services, start,
+                                     days, config, out)
     for name in ("weather", "meter", "calendar"):
         print(f"wrote {paths[name]}")
     return 0
@@ -305,8 +321,9 @@ def cmd_cluster(cfg: RunConfig) -> int:
     model = clustering.train_model(dataset, k, schema, seed, restarts=restarts)
     out = cfg.out_dir()
     model_path = out / "model.json"
-    clustering.save_model(model, model_path)
-    _write_composition_csv(model, out / "composition.csv")
+    with _writing(out):
+        clustering.save_model(model, model_path)
+        _write_composition_csv(model, out / "composition.csv")
     print(f"trained k={k} on {len(dataset.records)} records, "
           f"objective={model.objective:.6f}")
     print(f"wrote {model_path}")
@@ -330,20 +347,24 @@ def cmd_assess(cfg: RunConfig) -> int:
         tolerance=float(cfg.get("scale_tol")))
     grid = riskassess.service_grid(spec, model, n_range)
     losses = riskassess.life_loss_by_n(spec, grid, years)
-    riskassess.write_thresholds_csv(thresholds, out / "thresholds.csv")
+    with _writing(out):
+        riskassess.write_thresholds_csv(thresholds, out / "thresholds.csv")
 
-    matrix = clustering.month_cluster_matrix(model)
-    riskassess.write_month_matrix_csv(matrix, thresholds, out / "month_matrix.csv")
+        matrix = clustering.month_cluster_matrix(model)
+        riskassess.write_month_matrix_csv(matrix, thresholds,
+                                          out / "month_matrix.csv")
 
-    riskassess.write_temperature_grid_csv(grid, out / "temperature_grid.csv")
-    riskassess.write_life_loss_csv(grid, losses, years, out / "life_loss.csv")
-    by_temp = riskassess.max_services_by_temperature(spec, grid)
-    by_life = riskassess.max_services_by_life(grid.n_values,
-                                              losses.economic_loss, budget)
+        riskassess.write_temperature_grid_csv(grid,
+                                              out / "temperature_grid.csv")
+        riskassess.write_life_loss_csv(grid, losses, years,
+                                       out / "life_loss.csv")
+        by_temp = riskassess.max_services_by_temperature(spec, grid)
+        by_life = riskassess.max_services_by_life(grid.n_values,
+                                                  losses.economic_loss, budget)
 
-    if cfg.get("svg"):
-        riskassess.write_month_distribution_svg(matrix, thresholds,
-                                                out / "month_distribution.svg")
+        if cfg.get("svg"):
+            riskassess.write_month_distribution_svg(
+                matrix, thresholds, out / "month_distribution.svg")
 
     min_peak = min(t.max_peak_load_pu for t in thresholds)
     print(f"minimum allowed daily peak loading: {min_peak:.2f} p.u.")
@@ -369,7 +390,8 @@ def cmd_estimate(cfg: RunConfig) -> int:
     temps = estimation.cluster_max_top_oil(model, spec, int(services))
     result = estimation.estimate(queries, model, temps, strict=strict)
     out = cfg.out_dir()
-    estimation.write_estimates_csv(queries, result, out / "estimates.csv")
+    with _writing(out):
+        estimation.write_estimates_csv(queries, result, out / "estimates.csv")
     print(f"wrote {out / 'estimates.csv'} ({len(queries)} days)")
     return 0
 

@@ -10,11 +10,19 @@ dissimilarity as k-means) and one inverse-distance pass, with arrays over
 the queries in the result. It warns at most once per kind: one
 ``MissingFeatureWarning`` naming the absent features and counting the
 queries that lack them, one ``FarQueryWarning`` counting the far queries.
-:func:`estimate_day_temperature` is the one-day form."""
+:func:`estimate_day_temperature` is the one-day form.
+
+:func:`read_query_csv` reads ``query.csv`` through the column-block scan
+that :mod:`txrisk.ingest` uses for hourly files: each distinct date
+spelling is parsed once, and the four numbers a column at a time. A file
+with a quote, a carriage return not before a line feed, a NUL, a row
+without six fields, or any value the per-row loop would refuse is read by
+that loop instead, which reports the fault with its row and column.
+:func:`write_estimates_csv` formats ``estimates.csv`` 2,048 rows per
+write."""
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -29,7 +37,14 @@ from .errors import (
     SchemaMismatchError,
     ZeroServicesError,
 )
-from .ingest import _parse_date, _parse_flag, _parse_float, _read_table
+from .ingest import (
+    _column_blocks,
+    _parse_date,
+    _parse_flag,
+    _parse_float,
+    _read_table,
+    iso_date,
+)
 from .riskassess import _cluster_days
 
 # Below this dissimilarity a query is treated as sitting exactly on the
@@ -189,7 +204,20 @@ def estimate_day_temperature(day, model: ClusterModel,
 def read_query_csv(path) -> np.ndarray:
     """Read estimation query days (date, daily temperature summary, average
     service load, and weekday flag) into a record table of
-    ``QUERY_DTYPE``."""
+    ``QUERY_DTYPE``: by :func:`_scan_queries`, or by the per-row loop
+    where the scan declines the file.
+
+    Raises:
+        ParseError: malformed file content, from the per-row loop (row and
+            column reported).
+    """
+    table = _scan_queries(path)
+    return _query_rows(path) if table is None else table
+
+
+def _query_rows(path):
+    """The per-row reading of a query file: the one place that reports a
+    malformed row."""
     rows = _read_table(path, [QUERY_HEADER])
     next(rows)
     out = []
@@ -202,14 +230,57 @@ def read_query_csv(path) -> np.ndarray:
     return np.array(out, dtype=QUERY_DTYPE)
 
 
+def _scan_queries(path):
+    """:func:`_query_rows` read a block of lines at a time, a column at a
+    time, or None when the file needs the per-row loop: a file that
+    :func:`txrisk.ingest._column_blocks` declines, a bad date, a number
+    ``float`` refuses or one not finite, or a weekday other than ``Y`` or
+    ``N``. Numbers go through ``float`` as in the per-row loop. It raises
+    nothing for the file's content."""
+    isoformats = {}  # date text -> ISO date
+    parts = []
+    for columns in _column_blocks(path, QUERY_HEADER):
+        if columns is None:
+            return None
+        date_texts, *number_texts, weekdays = columns
+        if not set(weekdays) <= {"Y", "N"}:
+            return None
+        for text in set(date_texts) - isoformats.keys():
+            try:
+                isoformats[text] = iso_date(text).isoformat()
+            except ValueError:
+                return None
+        n = len(weekdays)
+        part = np.empty(n, QUERY_DTYPE)
+        for name, texts in zip(QUERY_HEADER[1:5], number_texts):
+            try:
+                part[name] = np.fromiter(map(float, texts), float, n)
+            except ValueError:
+                return None
+            if not np.isfinite(part[name]).all():
+                return None
+        part["date"] = list(map(isoformats.__getitem__, date_texts))
+        part["weekday"] = weekdays
+        parts.append(part)
+    return np.concatenate(parts) if parts else np.empty(0, QUERY_DTYPE)
+
+
+# An estimates.csv row. A query table's dates and flags hold no comma,
+# quote or line end, so no field needs the csv module's quoting.
+_ESTIMATE_ROW = "%s,%.2f,%.2f,%.2f,%.2f,%s,%.1f,%s\n".__mod__
+# Rows formatted per write: only one slice's text is held at a time.
+_WRITE_ROWS = 2048
+
+
 def write_estimates_csv(queries, result: EstimationResult, path) -> None:
-    """One output row per query day with its estimate and far flag."""
+    """One output row per query day with its estimate and far flag, in the
+    bytes ``csv.writer`` gives for a table of :func:`read_query_csv`."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(QUERY_HEADER + ["estimated_max_top_oil_c", "far_flag"])
-        for query, value, far in zip(queries[QUERY_HEADER].tolist(),
-                                     result.estimate.tolist(),
-                                     result.far_flag.tolist()):
-            date, *numbers, weekday = query
-            writer.writerow([date, *(f"{v:.2f}" for v in numbers), weekday,
-                             f"{value:.1f}", "Y" if far else "N"])
+        fh.write(",".join(QUERY_HEADER + ["estimated_max_top_oil_c",
+                                          "far_flag"]) + "\n")
+        for start in range(0, len(queries), _WRITE_ROWS):
+            rows = slice(start, start + _WRITE_ROWS)
+            columns = [queries[name][rows].tolist() for name in QUERY_HEADER]
+            far = map(("N", "Y").__getitem__, result.far_flag[rows].tolist())
+            fh.write("".join(map(_ESTIMATE_ROW, zip(
+                *columns, result.estimate[rows].tolist(), far))))

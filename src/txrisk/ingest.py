@@ -11,13 +11,14 @@ Metered kW is treated as kVA at unity power factor. :func:`load_dataset`
 returns the days as one record table: a numpy structured array with a row
 per (service, date) and a field per column.
 
-The two hourly files are read as column blocks: a block of lines is split
-at commas once, and its dates, hours and readings are converted a column
-at a time. A file goes to the per-row loop instead when it holds a quote,
-a carriage return not before a line feed, a NUL, or a row without the
-header's column count, or when any check fails; that loop reports every
-fault with the same message, row and column as before. Calendar and
-query files are read row by row.
+The two hourly files are read as column blocks (:func:`_column_blocks`,
+which :func:`txrisk.estimation.read_query_csv` shares): a block of lines
+is split at commas once, and its dates, hours and readings are converted
+a column at a time. A file goes to the per-row loop instead when it holds
+a quote, a carriage return not before a line feed, a NUL, or a row
+without the header's column count, or when any check fails; that loop
+reports every fault with the same message, row and column as before.
+Calendar files are read row by row.
 """
 
 from __future__ import annotations
@@ -154,14 +155,16 @@ _HOURLY_FILES = {
                "temperature {} outside plausible range"),
     "kw": ("meter", 0.0, math.inf, "negative demand {}"),
 }
-# The bulk scan reads an hourly file this many characters at a time, cut
-# at a line end. On a 17 MB meter file, 64 KiB blocks scanned faster than
+# The block scan reads a file this many characters at a time, cut at a
+# line end. On a 17 MB meter file, 64 KiB blocks scanned faster than
 # 512 KiB ones and peaked 10 MB lower: a block's field strings stay in
 # memory that the next block reuses.
 _BLOCK_CHARS = 1 << 16
-# The hour spellings the bulk scan reads; any other (``05``, `` 5``, ``+5``)
-# goes to the per-row loop, which takes what ``int`` takes.
-_HOURS = {str(hour): hour for hour in range(24)}
+# The hour spellings the bulk scan reads, ``0``..``23`` and ``00``..``09``;
+# any other (``005``, `` 5``, ``+5``) goes to the per-row loop, which takes
+# what ``int`` takes.
+_HOURS = {spelling: hour for hour in range(24)
+          for spelling in (str(hour), f"{hour:02d}")}
 
 
 def _hourly_rows(path, header):
@@ -243,19 +246,41 @@ def _block_columns(block, width):
     return [fields[j::width] for j in range(width)]
 
 
-def _scan_hourly(path, header):
-    """:func:`_hourly_rows` read a block of lines at a time, a column at a
-    time, or None when the file needs the per-row loop: a header line
-    other than ``header``, text that :func:`_block_columns` refuses or
-    that does not decode, and any value the loop would refuse or might
-    read otherwise (a bad date, a blank service id, an hour not spelled
-    ``0``..``23``, a number ``float`` refuses, one not finite or out of
-    range, a third reading of an hour). It raises nothing for the file's
-    content: the per-row loop reports the fault.
+def _column_blocks(path, header):
+    """The data lines of a CSV file as column blocks: for each block of
+    :func:`_line_blocks`, its columns as :func:`_block_columns` gives them.
+    A None in place of a block means the file needs the per-row loop and
+    ends the blocks: a header line other than ``header``, a block that
+    :func:`_block_columns` refuses, text that does not decode, or a file
+    that cannot be read. It raises nothing for the file's content.
     """
     width = len(header)
-    _, lo, hi, _ = _HOURLY_FILES[header[-1]]
     header_line = ",".join(header)
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            if fh.readline() not in (header_line, header_line + "\n",
+                                     header_line + "\r\n"):
+                yield None
+                return
+            for block in _line_blocks(fh):
+                columns = _block_columns(block, width)
+                yield columns
+                if columns is None:
+                    return
+    except (OSError, UnicodeDecodeError):
+        yield None
+
+
+def _scan_hourly(path, header):
+    """:func:`_hourly_rows` read a block of lines at a time, a column at a
+    time, or None when the file needs the per-row loop: a file that
+    :func:`_column_blocks` declines, and any value the loop would refuse
+    or might read otherwise (a bad date, a blank service id, an hour not
+    spelled as in ``_HOURS``, a number ``float`` refuses, one not finite or
+    out of range, a third reading of an hour). It raises nothing for the
+    file's content: the per-row loop reports the fault.
+    """
+    _, lo, hi, _ = _HOURLY_FILES[header[-1]]
     services = {}   # service id -> code (meter only)
     spellings = {}  # date text -> date code
     dates = {}      # date -> date code
@@ -265,74 +290,63 @@ def _scan_hourly(path, header):
     # view made per block, as a buffer cannot grow while it is viewed.
     grid = array("d")
     reads = bytearray()  # readings seen per cell, 0..2
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            if fh.readline() not in (header_line, header_line + "\n",
-                                     header_line + "\r\n"):
+    for columns in _column_blocks(path, header):
+        if columns is None:
+            return None
+        *service_texts, date_texts, hour_texts, value_texts = columns
+        n = len(date_texts)
+        try:
+            hours = np.fromiter(map(_HOURS.__getitem__, hour_texts),
+                                np.int64, n)
+            values = np.array(value_texts, dtype=float)
+        except (KeyError, ValueError, OverflowError):
+            return None
+        if not (np.isfinite(values) & (lo <= values) & (values <= hi)).all():
+            return None
+        for text in set(date_texts) - spellings.keys():
+            try:
+                date = iso_date(text)
+            except ValueError:
                 return None
-            for block in _line_blocks(fh):
-                columns = _block_columns(block, width)
-                if columns is None:
+            spellings[text] = dates.setdefault(date, len(dates))
+        days = np.fromiter(map(spellings.__getitem__, date_texts), np.int64, n)
+        if service_texts:
+            for text in set(service_texts[0]) - services.keys():
+                if not text.strip():
                     return None
-                *service_texts, date_texts, hour_texts, value_texts = columns
-                n = len(date_texts)
-                try:
-                    hours = np.fromiter(map(_HOURS.__getitem__, hour_texts),
-                                        np.int64, n)
-                    values = np.array(value_texts, dtype=float)
-                except (KeyError, ValueError, OverflowError):
-                    return None
-                if not (np.isfinite(values) & (lo <= values)
-                        & (values <= hi)).all():
-                    return None
-                for text in set(date_texts) - spellings.keys():
-                    try:
-                        date = iso_date(text)
-                    except ValueError:
-                        return None
-                    spellings[text] = dates.setdefault(date, len(dates))
-                days = np.fromiter(map(spellings.__getitem__, date_texts),
-                                   np.int64, n)
-                if service_texts:
-                    for text in set(service_texts[0]) - services.keys():
-                        if not text.strip():
-                            return None
-                        services[text] = len(services)
-                    days |= np.fromiter(
-                        map(services.__getitem__, service_texts[0]),
-                        np.int64, n) << 32
-                # Day codes to grid rows, new days numbered in the order
-                # they first appear.
-                codes, first, inverse = np.unique(
-                    days, return_index=True, return_inverse=True)
-                order = np.argsort(first)
-                rows = np.empty(len(codes), np.int64)
-                rows[order] = [index.setdefault(code, len(index))
-                               for code in codes[order].tolist()]
-                days = rows[inverse]
-                more = 24 * len(index) - len(grid)
-                grid.extend(array("d", [math.nan]) * more)
-                reads.extend(bytes(more))
-                seen = np.frombuffer(reads, np.uint8)
-                # Each row's reading number in its cell, from 0: 0 for a
-                # cell's first row in the block, 1 for any later one, plus
-                # the cell's readings in earlier blocks.
-                cells = 24 * days + hours
-                _, first, counts = np.unique(cells, return_index=True,
-                                             return_counts=True)
-                numbers = seen[cells] + 1
-                numbers[first] -= 1
-                if counts.max() > 2 or numbers.max() > 1:
-                    return None
-                kept = cells[numbers == 0]
-                np.frombuffer(grid)[kept] = values[numbers == 0]
-                seen[kept] = 1
-                again = np.flatnonzero(numbers == 1)
-                seen[cells[again]] = 2
-                del seen
-                duplicated += days[again].tolist()
-    except (OSError, UnicodeDecodeError):
-        return None
+                services[text] = len(services)
+            days |= np.fromiter(map(services.__getitem__, service_texts[0]),
+                                np.int64, n) << 32
+        # Day codes to grid rows, new days numbered in the order they
+        # first appear.
+        codes, first, inverse = np.unique(days, return_index=True,
+                                          return_inverse=True)
+        order = np.argsort(first)
+        rows = np.empty(len(codes), np.int64)
+        rows[order] = [index.setdefault(code, len(index))
+                       for code in codes[order].tolist()]
+        days = rows[inverse]
+        more = 24 * len(index) - len(grid)
+        grid.extend(array("d", [math.nan]) * more)
+        reads.extend(bytes(more))
+        seen = np.frombuffer(reads, np.uint8)
+        # Each row's reading number in its cell, from 0: 0 for a cell's
+        # first row in the block, 1 for any later one, plus the cell's
+        # readings in earlier blocks.
+        cells = 24 * days + hours
+        _, first, counts = np.unique(cells, return_index=True,
+                                     return_counts=True)
+        numbers = seen[cells] + 1
+        numbers[first] -= 1
+        if counts.max() > 2 or numbers.max() > 1:
+            return None
+        kept = cells[numbers == 0]
+        np.frombuffer(grid)[kept] = values[numbers == 0]
+        seen[kept] = 1
+        again = np.flatnonzero(numbers == 1)
+        seen[cells[again]] = 2
+        del seen
+        duplicated += days[again].tolist()
     day_dates = list(dates)
     if services:
         names = list(services)

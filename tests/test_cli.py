@@ -84,6 +84,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "cannot create output directory" in err and str(taken) in err
 
+    @pytest.mark.parametrize("command,output", [
+        ("synth", "weather.csv"), ("cluster", "model.json"),
+        ("assess", "thresholds.csv"), ("estimate", "estimates.csv")])
+    def test_output_that_cannot_be_written_is_usage_error(
+            self, golden_pipeline, tmp_path, capsys, command, output):
+        root = golden_pipeline[0][0]
+        data = tmp_path / "data"
+        assert cli.main(synth_args(data)) == 0
+        out = tmp_path / "out"
+        (out / output).mkdir(parents=True)  # in the way of the output file
+        model = ["--spec", str(root / "spec.json"),
+                 "--model", str(root / "out" / "model.json")]
+        argv = {"synth": synth_args(out),
+                "cluster": cluster_args(data, out),
+                "assess": ["assess", *model, "--n-range", "1..5"],
+                "estimate": ["estimate", *model, "--query",
+                             str(root / "query.csv"), "--services", "18"],
+                }[command] + ["--out", str(out)]
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "cannot write output" in err and str(out / output) in err
+
     def test_empty_n_range_is_usage_error(self, tmp_path):
         data = tmp_path / "data"
         assert cli.main(synth_args(data)) == 0

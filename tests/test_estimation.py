@@ -1,22 +1,27 @@
 """Inverse-distance estimation tests."""
 
+import csv
 import datetime as dt
+import io
 import math
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from txrisk import estimation, features as ft
+from txrisk import estimation, features as ft, ingest
 from txrisk.errors import (
     FarFromAllClustersError,
     FarQueryWarning,
     MissingFeatureWarning,
+    ParseError,
     SchemaMismatchError,
     ZeroServicesError,
 )
 from txrisk.estimation import (
+    QUERY_HEADER,
     avg_load_from_energy,
     cluster_max_top_oil,
     estimate,
@@ -25,7 +30,8 @@ from txrisk.estimation import (
     write_estimates_csv,
 )
 
-from conftest import make_day, make_model, record_table
+from conftest import QUERY_CSV, make_day, make_model, record_table
+from test_mutation import SEED, _csv_mutation
 
 
 class TestEstimate:
@@ -253,6 +259,160 @@ class TestQueryFiles:
                             "estimated_max_top_oil_c,far_flag")
         assert lines[1].endswith("87.4,N")
         assert lines[2].endswith("88.4,Y")
+
+
+def query_outcome(read, path):
+    """What ``read(path)`` gives: the table's bytes, dtype and shape, or the
+    ParseError's text, row and column."""
+    try:
+        table = read(path)
+    except ParseError as exc:
+        return {"error": (str(exc), exc.row, exc.column)}
+    return {"bytes": table.tobytes(), "dtype": table.dtype,
+            "shape": table.shape}
+
+
+def both_query_paths(path):
+    """``read_query_csv`` and the per-row loop on one file, asserted to
+    agree bit for bit; also whether ``read_query_csv`` fell back to the
+    per-row loop."""
+    row_loop = estimation._query_rows
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return row_loop(*args)
+
+    with mock.patch.object(estimation, "_query_rows", spy):
+        bulk = query_outcome(read_query_csv, path)
+    assert bulk == query_outcome(row_loop, path)
+    return bulk, bool(calls)
+
+
+def damaged_query(lines, row, column, text):
+    """The query file text with field ``column`` of ``lines[row]`` (file
+    row ``row + 1``) replaced by ``text``."""
+    lines = list(lines)
+    fields = lines[row].split(",")
+    fields[column] = text
+    lines[row] = ",".join(fields)
+    return "\n".join(lines)
+
+
+class TestQueryScan:
+    """Query files are read a block of lines at a time, with the per-row
+    loop as the fallback that reports every fault: each case reads a file
+    both ways and asserts the same outcome."""
+
+    def test_golden_query_takes_the_bulk_path(self, golden_pipeline):
+        outcome, fell_back = both_query_paths(golden_pipeline[0][0]
+                                              / "query.csv")
+        assert not fell_back and outcome["shape"] == (7,)
+
+    @pytest.mark.parametrize("case,loads,falls_back", [
+        ("CRLF line ends", True, False), ("no final newline", True, False),
+        ("quoted field", True, True), ("lone CR in a field", False, True),
+        ("field over the csv limit", False, True),
+        ("bad date", False, True), ("nan", False, True),
+        ("1e400", False, True), ("arabic-indic digits", True, False),
+        ("weekday y", False, True), ("blank weekday", False, True)])
+    def test_damaged_file_bulk_equals_rows(self, tmp_path, case, loads,
+                                           falls_back):
+        lines = QUERY_CSV.split("\n")
+        date, rest = lines[3].split(",", 1)
+        text = {
+            "CRLF line ends": QUERY_CSV.replace("\n", "\r\n"),
+            "no final newline": QUERY_CSV[:-1],
+            "quoted field": QUERY_CSV.replace(date, f'"{date}"'),
+            "lone CR in a field": damaged_query(lines, 3, 2, "8\r12"),
+            "field over the csv limit": damaged_query(
+                lines, 3, 1, "0" * csv.field_size_limit() + "1"),
+            "bad date": damaged_query(lines, 3, 0, "2016-02-30"),
+            "nan": damaged_query(lines, 3, 2, "nan"),
+            "1e400": damaged_query(lines, 3, 3, "1e400"),
+            # float() reads Unicode digits, in both paths: 12.0.
+            "arabic-indic digits": damaged_query(lines, 3, 4, "١٢"),
+            "weekday y": damaged_query(lines, 3, 5, "y"),
+            "blank weekday": damaged_query(lines, 3, 5, ""),
+        }[case]
+        path = tmp_path / "query.csv"
+        path.write_bytes(text.encode())
+        outcome, fell_back = both_query_paths(path)
+        assert ("error" not in outcome) == loads
+        assert fell_back == falls_back
+        if not loads:
+            assert outcome["error"][1] == (
+                None if case == "field over the csv limit" else 4)
+
+    @pytest.mark.parametrize("column,fault", [
+        (None, None), (1, "nan"), (0, "2016-13-01")])
+    def test_fault_in_a_later_block(self, tmp_path, column, fault):
+        header, *rows = QUERY_CSV.splitlines()
+        lines = [header] + rows * 700 + [""]  # 4,900 rows
+        text = ("\n".join(lines) if fault is None
+                else damaged_query(lines, 4899, column, fault))
+        assert len(text) > 2 * ingest._BLOCK_CHARS
+        path = tmp_path / "query.csv"
+        path.write_text(text)
+        outcome, fell_back = both_query_paths(path)
+        assert fell_back == (fault is not None)
+        if fault is None:
+            assert outcome["shape"] == (4900,)
+        else:
+            assert outcome["error"][1:] == (4900, QUERY_HEADER[column])
+
+    def test_header_only_takes_the_bulk_path(self, tmp_path):
+        path = tmp_path / "query.csv"
+        path.write_text(QUERY_CSV.splitlines()[0] + "\n")
+        outcome, fell_back = both_query_paths(path)
+        assert not fell_back and outcome["shape"] == (0,)
+
+    def test_seeded_mutations_bulk_equals_rows(self, tmp_path):
+        rng = np.random.default_rng([SEED, 2])
+        fell_back = []
+        for case in range(200):
+            _, damaged = _csv_mutation(rng, QUERY_CSV)
+            path = tmp_path / f"{case}_query.csv"
+            path.write_bytes(damaged)
+            fell_back.append(both_query_paths(path)[1])
+        assert 0 < sum(fell_back) < len(fell_back)
+
+
+def csv_writer_estimates(queries, result):
+    """estimates.csv text as ``csv.writer`` writes it, a row at a time."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(QUERY_HEADER + ["estimated_max_top_oil_c", "far_flag"])
+    for query, value, far in zip(queries[QUERY_HEADER].tolist(),
+                                 result.estimate.tolist(),
+                                 result.far_flag.tolist()):
+        date, *numbers, weekday = query
+        writer.writerow([date, *(f"{v:.2f}" for v in numbers), weekday,
+                         f"{value:.1f}", "Y" if far else "N"])
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("n", [0, 3, 5000])
+def test_estimates_csv_equals_the_csv_writer_bytes(tmp_path, n):
+    # 5,000 rows cross two slice boundaries of the writer.
+    rng = np.random.default_rng(n)
+    queries = np.empty(n, estimation.QUERY_DTYPE)
+    queries["date"] = [f"2016-{m:02d}-{d:02d}" for m, d in
+                       zip(rng.integers(1, 13, n), rng.integers(1, 29, n))]
+    for name in QUERY_HEADER[1:5]:
+        queries[name] = rng.normal(0.0, 30.0, n).round(int(rng.integers(4)))
+    queries["weekday"] = rng.choice(["Y", "N"], n)
+    values = rng.uniform(-40.0, 160.0, n)
+    if n:
+        queries["t_max_c"][0] = -0.0
+        queries["l_avg_kva"][-1] = 1e20
+        values[:2] = [-0.0, 1e20]
+    result = estimation.EstimationResult(
+        estimate=values, far_flag=np.arange(n) % 3 == 1,
+        distances=np.zeros((n, 1)), weights=np.ones((n, 1)))
+    path = tmp_path / "estimates.csv"
+    write_estimates_csv(queries, result, path)
+    assert path.read_bytes() == csv_writer_estimates(queries, result).encode()
 
 
 def random_case(rng):

@@ -2,6 +2,7 @@
 
 import csv
 import datetime as dt
+import re
 import warnings
 from unittest import mock
 
@@ -439,7 +440,7 @@ class TestBulkScan:
         ("duplicate", True), ("mixed", True), ("triplicate", False),
         ("lone CR line ends", False), ("no final newline", True),
         ("CRLF line ends", True), ("quoted field", False),
-        ("lone CR in a field", False)])
+        ("lone CR in a field", False), ("zero-padded hours", True)])
     def test_gap_fixtures_bulk_equals_rows(self, tmp_path, name, case, loads):
         paths = gen(tmp_path, seed=4, services=1, days=6)
         prefix = "S001," if name == "meter" else ""
@@ -467,6 +468,10 @@ class TestBulkScan:
         lines[5] = {"quoted field": f'"{first}",{rest}',
                     "lone CR in a field": f"{first},{last[0]},\r{last[1]}",
                     }.get(case, lines[5])
+        if case == "zero-padded hours":  # 00..09, as the per-row int reads
+            lines[1:] = [re.sub(r",(\d),([^,]*)$", r",0\1,\2", line)
+                         for line in lines[1:]]
+            assert ",00," in lines[1] and ",09," in lines[10]
         text = "\n".join(lines)
         text = {"lone CR line ends": text.replace("\n", "\r"),
                 "CRLF line ends": text.replace("\n", "\r\n"),
@@ -562,7 +567,7 @@ class TestBulkScan:
         assert fell_back and "field larger than field limit" in outcome["error"][1]
 
     @pytest.mark.parametrize("name", ["weather", "meter"])
-    @pytest.mark.parametrize("hour", ["05", " 5", "+5", "5.0", "١"])
+    @pytest.mark.parametrize("hour", ["005", " 5", "+5", "5.0", "١"])
     def test_hour_spellings_outside_the_table_take_the_row_loop(
             self, tmp_path, name, hour):
         paths = gen(tmp_path, seed=6, services=1, days=2)
