@@ -15,7 +15,10 @@ import argparse
 import csv
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
 from contextlib import contextmanager
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
@@ -239,14 +242,30 @@ def _check_kind(key, value, default):
 
 @contextmanager
 def _writing(out):
-    """An OSError while writing the outputs under ``out`` raised as a
-    ConfigError (exit 2) that names the file, or ``out`` where the error
-    names none."""
+    """A new directory under ``out`` for a command's outputs, each written
+    there under its own name. When the block ends, every file in it is
+    moved into ``out``; a run that fails, in the block or in a move, leaves
+    none of its outputs and nothing temporary. An OSError is raised as a
+    ConfigError (exit 2) that names the output file, or ``out`` where the
+    error names none."""
+    staging, moved = None, []
     try:
-        yield
+        staging = Path(tempfile.mkdtemp(prefix=".txrisk-", dir=out))
+        yield staging
+        for path in sorted(staging.iterdir()):
+            os.replace(path, out / path.name)
+            moved.append(out / path.name)
     except OSError as exc:
-        raise ConfigError(f"cannot write output {exc.filename or out}: "
+        for path in moved:
+            path.unlink()
+        name = staging and (exc.filename2 or exc.filename)
+        if name and Path(name).parent == staging:
+            name = out / Path(name).name
+        raise ConfigError(f"cannot write output {name or out}: "
                           f"{exc.strerror or exc}") from exc
+    finally:
+        if staging:
+            shutil.rmtree(staging, ignore_errors=True)
 
 
 def parse_span(text: str, label: str) -> range:
@@ -272,11 +291,11 @@ def cmd_synth(cfg: RunConfig) -> int:
         raise ConfigError("--services and --days must be >= 1")
     config = cfg.synth_config()
     out = cfg.out_dir()
-    with _writing(out):
+    with _writing(out) as staging:
         paths = ingest.synth_dataset(int(cfg.get("seed")), services, start,
-                                     days, config, out)
+                                     days, config, staging)
     for name in ("weather", "meter", "calendar"):
-        print(f"wrote {paths[name]}")
+        print(f"wrote {out / paths[name].name}")
     return 0
 
 
@@ -321,9 +340,9 @@ def cmd_cluster(cfg: RunConfig) -> int:
     model = clustering.train_model(dataset, k, schema, seed, restarts=restarts)
     out = cfg.out_dir()
     model_path = out / "model.json"
-    with _writing(out):
-        clustering.save_model(model, model_path)
-        _write_composition_csv(model, out / "composition.csv")
+    with _writing(out) as staging:
+        clustering.save_model(model, staging / "model.json")
+        _write_composition_csv(model, staging / "composition.csv")
     print(f"trained k={k} on {len(dataset.records)} records, "
           f"objective={model.objective:.6f}")
     print(f"wrote {model_path}")
@@ -347,24 +366,25 @@ def cmd_assess(cfg: RunConfig) -> int:
         tolerance=float(cfg.get("scale_tol")))
     grid = riskassess.service_grid(spec, model, n_range)
     losses = riskassess.life_loss_by_n(spec, grid, years)
-    with _writing(out):
-        riskassess.write_thresholds_csv(thresholds, out / "thresholds.csv")
+    with _writing(out) as staging:
+        riskassess.write_thresholds_csv(thresholds,
+                                        staging / "thresholds.csv")
 
         matrix = clustering.month_cluster_matrix(model)
         riskassess.write_month_matrix_csv(matrix, thresholds,
-                                          out / "month_matrix.csv")
+                                          staging / "month_matrix.csv")
 
-        riskassess.write_temperature_grid_csv(grid,
-                                              out / "temperature_grid.csv")
+        riskassess.write_temperature_grid_csv(
+            grid, staging / "temperature_grid.csv")
         riskassess.write_life_loss_csv(grid, losses, years,
-                                       out / "life_loss.csv")
+                                       staging / "life_loss.csv")
         by_temp = riskassess.max_services_by_temperature(spec, grid)
         by_life = riskassess.max_services_by_life(grid.n_values,
                                                   losses.economic_loss, budget)
 
         if cfg.get("svg"):
             riskassess.write_month_distribution_svg(
-                matrix, thresholds, out / "month_distribution.svg")
+                matrix, thresholds, staging / "month_distribution.svg")
 
     min_peak = min(t.max_peak_load_pu for t in thresholds)
     print(f"minimum allowed daily peak loading: {min_peak:.2f} p.u.")
@@ -390,8 +410,9 @@ def cmd_estimate(cfg: RunConfig) -> int:
     temps = estimation.cluster_max_top_oil(model, spec, int(services))
     result = estimation.estimate(queries, model, temps, strict=strict)
     out = cfg.out_dir()
-    with _writing(out):
-        estimation.write_estimates_csv(queries, result, out / "estimates.csv")
+    with _writing(out) as staging:
+        estimation.write_estimates_csv(queries, result,
+                                       staging / "estimates.csv")
     print(f"wrote {out / 'estimates.csv'} ({len(queries)} days)")
     return 0
 

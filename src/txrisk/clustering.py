@@ -215,7 +215,7 @@ def _lloyd(quant, nom, schema, init_idx, max_iterations, track_objective):
     data = (quant, nom)
 
     dists = ft.distance(data, (cent_q, cent_n), schema)
-    labels = dists.argmin(axis=1)
+    labels = _nearest(dists)
     if track_objective:
         trace.append(float(dists[np.arange(n), labels].sum()))
 
@@ -240,7 +240,7 @@ def _lloyd(quant, nom, schema, init_idx, max_iterations, track_objective):
             trace.append(float(d_upd[np.arange(n), labels].sum()))
 
         dists = ft.distance(data, (cent_q, cent_n), schema)
-        new_labels = dists.argmin(axis=1)
+        new_labels = _nearest(dists)
         if track_objective:
             trace.append(float(dists[np.arange(n), new_labels].sum()))
         if np.array_equal(new_labels, labels):
@@ -267,6 +267,22 @@ def _lloyd(quant, nom, schema, init_idx, max_iterations, track_objective):
         dists = ft.distance(data, (cent_q, cent_n), schema)
 
     return labels, float(dists[np.arange(n), labels].sum()), trace
+
+
+def _nearest(dists):
+    """Each row's nearest cluster in an ``(n, k)`` distance matrix, the
+    first of equal minima as ``dists.argmin(axis=1)`` gives it: a running
+    minimum over the contiguous columns of ``distance``'s column-major
+    result, where only a strictly smaller distance moves a row to a later
+    cluster. Lloyd's distances are never NaN, as ``distance`` skips a gap
+    on either side, so no NaN rule is needed."""
+    columns = dists.T
+    best = columns[0].copy()
+    labels = np.zeros(len(best), np.intp)
+    for c in range(1, len(columns)):
+        np.putmask(labels, columns[c] < best, c)
+        np.minimum(best, columns[c], out=best)
+    return labels
 
 
 def composition(model: ClusterModel) -> list[dict]:
@@ -360,16 +376,40 @@ def save_model(model: ClusterModel, path) -> None:
             "centroid_normalized": dict(zip(schema.quantitative_names, quant)),
             "centroid_raw": {name: raw[name] for name in schema.numeric_names},
             "centroid_nominal": {name: raw[name] for name in schema.nominal_names},
-            "members": [list(m) for m in model.members[bounds[c]:bounds[c + 1]]],
+            "members": "\0",  # the slot of _members_json's text
         }
         if model.profiles is not None:
             load, ambient = model.profiles
             entry["profile"] = {"load_kva": load[c].tolist(),
                                 "ambient_c": ambient[c].tolist()}
         doc["clusters"].append(entry)
-    text = json.dumps(doc, indent=2, allow_nan=False)
+    parts = json.dumps(doc, indent=2, allow_nan=False).split(_MEMBERS_SLOT)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+        fh.write(parts[0])
+        for c, part in enumerate(parts[1:]):
+            fh.write(_MEMBERS_KEY + _members_json(
+                model.members[bounds[c]:bounds[c + 1]]) + part)
+        fh.write("\n")
+
+
+# A cluster's "members" key in model.json. json.dumps with an indent runs
+# the pure-Python encoder, which spent most of a model write on the member
+# pairs, so save_model dumps "\0" in their place and writes each list in
+# the bytes json.dumps gives it. No other key sits at this indent with
+# that value.
+_MEMBERS_KEY = '\n      "members": '
+_MEMBERS_SLOT = _MEMBERS_KEY + '"\\u0000"'
+_MEMBER_JSON = "        [\n          %s,\n          %s\n        ]".__mod__
+
+
+def _members_json(members):
+    """A cluster's member pairs as ``json.dumps(indent=2)`` writes them at
+    a cluster entry's indent."""
+    if not members:
+        return "[]"
+    quote = json.encoder.encode_basestring_ascii
+    return "[\n" + ",\n".join([_MEMBER_JSON((quote(service), quote(date)))
+                               for service, date in members]) + "\n      ]"
 
 
 def _checked_profile(cluster_id, doc):

@@ -12,12 +12,13 @@ the queries in the result. It warns at most once per kind: one
 queries that lack them, one ``FarQueryWarning`` counting the far queries.
 :func:`estimate_day_temperature` is the one-day form.
 
-:func:`read_query_csv` reads ``query.csv`` through the column-block scan
-that :mod:`txrisk.ingest` uses for hourly files: each distinct date
-spelling is parsed once, and the four numbers a column at a time. A file
-with a quote, a carriage return not before a line feed, a NUL, a row
-without six fields, or any value the per-row loop would refuse is read by
-that loop instead, which reports the fault with its row and column.
+:func:`read_query_csv` reads ``query.csv`` through the byte-level block
+scan and column rules that :mod:`txrisk.ingest` uses for hourly files:
+each run of equal date spellings is looked up once, and the four numbers
+are converted a column at a time. A file with a quote, a carriage return
+not before a line feed, a NUL, a byte outside ASCII, a row without six
+fields, or any value the per-row loop would refuse is read by that loop
+instead, which reports the fault with its row and column.
 :func:`write_estimates_csv` formats ``estimates.csv`` 2,048 rows per
 write."""
 
@@ -38,7 +39,10 @@ from .errors import (
     ZeroServicesError,
 )
 from .ingest import (
-    _column_blocks,
+    _codes,
+    _field_blocks,
+    _flags,
+    _numbers,
     _parse_date,
     _parse_flag,
     _parse_float,
@@ -231,36 +235,39 @@ def _query_rows(path):
 
 
 def _scan_queries(path):
-    """:func:`_query_rows` read a block of lines at a time, a column at a
+    """:func:`_query_rows` read a block of bytes at a time, a column at a
     time, or None when the file needs the per-row loop: a file that
-    :func:`txrisk.ingest._column_blocks` declines, a bad date, a number
+    :func:`txrisk.ingest._field_blocks` declines, a bad date, a number
     ``float`` refuses or one not finite, or a weekday other than ``Y`` or
     ``N``. Numbers go through ``float`` as in the per-row loop. It raises
     nothing for the file's content."""
-    isoformats = {}  # date text -> ISO date
+    spellings = {}   # date bytes -> code
+    isoformats = []  # code -> ISO date
+
+    def new_date(text):
+        try:
+            isoformats.append(iso_date(text.decode()).isoformat())
+        except ValueError:
+            return None
+        return len(isoformats) - 1
+
     parts = []
-    for columns in _column_blocks(path, QUERY_HEADER):
-        if columns is None:
+    for fields in _field_blocks(path, QUERY_HEADER):
+        if fields is None:
             return None
-        date_texts, *number_texts, weekdays = columns
-        if not set(weekdays) <= {"Y", "N"}:
+        buf, starts, lens = fields
+        weekdays = _flags(buf, starts[5], lens[5])
+        days = _codes(buf, starts[0], lens[0], spellings, new_date)
+        if weekdays is None or days is None:
             return None
-        for text in set(date_texts) - isoformats.keys():
-            try:
-                isoformats[text] = iso_date(text).isoformat()
-            except ValueError:
+        part = np.empty(len(days), QUERY_DTYPE)
+        for j, name in enumerate(QUERY_HEADER[1:5], start=1):
+            values = _numbers(buf, starts[j], lens[j])
+            if values is None or not np.isfinite(values).all():
                 return None
-        n = len(weekdays)
-        part = np.empty(n, QUERY_DTYPE)
-        for name, texts in zip(QUERY_HEADER[1:5], number_texts):
-            try:
-                part[name] = np.fromiter(map(float, texts), float, n)
-            except ValueError:
-                return None
-            if not np.isfinite(part[name]).all():
-                return None
-        part["date"] = list(map(isoformats.__getitem__, date_texts))
-        part["weekday"] = weekdays
+            part[name] = values
+        part["date"] = np.array(isoformats)[days]
+        part["weekday"] = np.where(weekdays, "Y", "N")
         parts.append(part)
     return np.concatenate(parts) if parts else np.empty(0, QUERY_DTYPE)
 

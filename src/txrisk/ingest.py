@@ -11,14 +11,17 @@ Metered kW is treated as kVA at unity power factor. :func:`load_dataset`
 returns the days as one record table: a numpy structured array with a row
 per (service, date) and a field per column.
 
-The two hourly files are read as column blocks (:func:`_column_blocks`,
-which :func:`txrisk.estimation.read_query_csv` shares): a block of lines
-is split at commas once, and its dates, hours and readings are converted
-a column at a time. A file goes to the per-row loop instead when it holds
-a quote, a carriage return not before a line feed, a NUL, or a row
-without the header's column count, or when any check fails; that loop
-reports every fault with the same message, row and column as before.
-Calendar files are read row by row.
+The two hourly files are read as bytes, 64 KiB of whole lines at a time
+(:func:`_field_blocks`, which :func:`txrisk.estimation.read_query_csv`
+shares): a block's fields are found from the positions of its commas and
+line feeds, and each column is converted whole by one rule per kind of
+field (:func:`_hours`, :func:`_numbers`, :func:`_codes` for dates and
+service ids, :func:`_flags`). A file goes to the per-row loop instead when
+it holds a quote, a carriage return not before a line feed, a NUL, a byte
+outside ASCII, or a line without the header's column count or longer than
+the csv field limit, or when any rule declines a field; that loop reports
+every fault with the same message, row and column as before. Calendar
+files are read row by row.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -155,16 +157,10 @@ _HOURLY_FILES = {
                "temperature {} outside plausible range"),
     "kw": ("meter", 0.0, math.inf, "negative demand {}"),
 }
-# The block scan reads a file this many characters at a time, cut at a
-# line end. On a 17 MB meter file, 64 KiB blocks scanned faster than
-# 512 KiB ones and peaked 10 MB lower: a block's field strings stay in
-# memory that the next block reuses.
-_BLOCK_CHARS = 1 << 16
-# The hour spellings the bulk scan reads, ``0``..``23`` and ``00``..``09``;
-# any other (``005``, `` 5``, ``+5``) goes to the per-row loop, which takes
-# what ``int`` takes.
-_HOURS = {spelling: hour for hour in range(24)
-          for spelling in (str(hour), f"{hour:02d}")}
+# The block scan reads a file this many bytes at a time, cut at a line
+# end. On a 17 MB meter file, 1 MiB blocks raised the peak memory of
+# load_dataset from 72 to 77 MB.
+_BLOCK_BYTES = 1 << 16
 
 
 def _hourly_rows(path, header):
@@ -209,80 +205,177 @@ def _hourly_rows(path, header):
             [day for day, _ in repeated])
 
 
-def _line_blocks(fh):
-    """The rest of ``fh`` in blocks of whole lines, each block ending in a
-    line feed; a last line without one is given one."""
-    carry = ""
-    while chunk := fh.read(_BLOCK_CHARS):
-        text = carry + chunk
-        cut = text.rfind("\n") + 1
+def _byte_blocks(fh):
+    """The rest of the binary file ``fh`` in blocks of whole lines, each
+    block ending in a line feed; a last line without one is given one."""
+    carry = b""
+    while chunk := fh.read(_BLOCK_BYTES):
+        data = carry + chunk
+        cut = data.rfind(b"\n") + 1
         if cut:
-            yield text[:cut]
-        carry = text[cut:]
+            yield data[:cut]
+        carry = data[cut:]
     if carry:
-        yield carry + "\n"
+        yield carry + b"\n"
 
 
-def _block_columns(block, width):
-    """The columns of a block of lines as lists of strings, split at
-    commas, or None unless the csv module would read each line as that
-    split: the block holds a quote, a NUL (csv before Python 3.11 refuses
-    it) or a carriage return not before a line feed, or a line without
+def _block_fields(block, width):
+    """A block of lines as a ``uint8`` array of its bytes and the start and
+    length of each field, two ``(width, lines)`` arrays, or None unless the
+    csv module would read each line as its split at commas: the block holds
+    a quote, a NUL (csv before Python 3.11 refuses it), a byte outside ASCII
+    or a carriage return not before a line feed, or a line without
     ``width`` fields or longer than the csv field limit. Carriage returns
     before line feeds are dropped."""
-    if '"' in block or "\0" in block:
+    if b'"' in block or b"\0" in block or not block.isascii():
         return None
-    if "\r" in block:
-        if block.count("\r") != block.count("\r\n"):
+    if b"\r" in block:
+        if block.count(b"\r") != block.count(b"\r\n"):
             return None
-        block = block.replace("\r\n", "\n")
-    lines = block.split("\n")
-    lines.pop()  # the empty text after the last line feed
-    if (set(map(str.count, lines, repeat(","))) != {width - 1}
-            or max(map(len, lines)) > csv.field_size_limit()):
+        block = block.replace(b"\r\n", b"\n")
+    buf = np.frombuffer(block, np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    commas = np.flatnonzero(buf == ord(","))
+    n = len(ends)
+    if len(commas) != (width - 1) * n:
         return None
-    del lines
-    fields = block[:-1].replace("\n", ",").split(",")
-    return [fields[j::width] for j in range(width)]
+    commas = commas.reshape(n, width - 1)
+    starts = np.empty((width, n), np.int64)
+    starts[0, 0] = 0
+    starts[0, 1:] = ends[:-1] + 1
+    # Both positions are sorted, so with the count right, a line with its
+    # first comma after its start and its last before its end has exactly
+    # width - 1 of them.
+    if ((commas[:, 0] < starts[0]).any() or (commas[:, -1] > ends).any()
+            or (ends - starts[0]).max() > csv.field_size_limit()):
+        return None
+    starts[1:] = commas.T + 1
+    lens = np.empty_like(starts)
+    lens[:-1] = commas.T - starts[:-1]
+    lens[-1] = ends - starts[-1]
+    return buf, starts, lens
 
 
-def _column_blocks(path, header):
-    """The data lines of a CSV file as column blocks: for each block of
-    :func:`_line_blocks`, its columns as :func:`_block_columns` gives them.
+def _field_blocks(path, header):
+    """The data lines of a CSV file as field blocks: for each block of
+    :func:`_byte_blocks`, its fields as :func:`_block_fields` gives them.
     A None in place of a block means the file needs the per-row loop and
     ends the blocks: a header line other than ``header``, a block that
-    :func:`_block_columns` refuses, text that does not decode, or a file
-    that cannot be read. It raises nothing for the file's content.
+    :func:`_block_fields` refuses, or a file that cannot be read. It raises
+    nothing for the file's content.
     """
     width = len(header)
-    header_line = ",".join(header)
+    header_line = ",".join(header).encode()
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            if fh.readline() not in (header_line, header_line + "\n",
-                                     header_line + "\r\n"):
+        with open(path, "rb") as fh:
+            if fh.readline() not in (header_line, header_line + b"\n",
+                                     header_line + b"\r\n"):
                 yield None
                 return
-            for block in _line_blocks(fh):
-                columns = _block_columns(block, width)
-                yield columns
-                if columns is None:
+            for block in _byte_blocks(fh):
+                fields = _block_fields(block, width)
+                yield fields
+                if fields is None:
                     return
-    except (OSError, UnicodeDecodeError):
+    except OSError:
         yield None
 
 
+# Column rules of the block scan. Each takes a block's bytes and one
+# column's field starts and lengths, and gives the column's values, or None
+# where the per-row loop might read a field otherwise or refuse it.
+def _fixed(buf, starts, length):
+    """The ``length``-byte fields at ``starts`` as an ``S{length}`` array."""
+    return np.ndarray((len(buf) - length + 1,), f"S{length}", buf, 0,
+                      (1,))[starts]
+
+
+def _by_length(lens):
+    """``(length, rows)`` for each field length in ``lens``. (``np.unique``
+    would import ``numpy.ma`` on its first call, 15 ms.)"""
+    if lens.min() == lens.max():
+        return [(int(lens[0]), slice(None))]
+    return [(length, np.flatnonzero(lens == length))
+            for length in np.flatnonzero(np.bincount(lens)).tolist()]
+
+
+def _hours(buf, starts, lens):
+    """Hours spelled with one or two ASCII digits, 0..23: ``0``..``23``
+    and ``00``..``09``. Any other spelling (``005``, `` 5``, ``+5``) takes
+    the per-row loop, which reads what ``int`` reads."""
+    two = lens == 2
+    if not (two | (lens == 1)).all():
+        return None
+    # Bytes below "0" wrap above 9.
+    first = buf[starts] - ord("0")
+    second = buf[starts + 1] - ord("0")
+    if (first > 9).any() or (two & (second > 9)).any():
+        return None
+    hours = np.where(two, 10 * first.astype(np.int64) + second, first)
+    return None if (hours > 23).any() else hours
+
+
+def _numbers(buf, starts, lens):
+    """Each field's value as ``float`` reads it, which is what an
+    ``S``-array's ``astype`` calls; None where one is not a number."""
+    if not lens.all():
+        return None
+    values = np.empty(len(starts))
+    try:
+        for length, rows in _by_length(lens):
+            values[rows] = _fixed(buf, starts[rows], length).astype(np.float64)
+    except ValueError:
+        return None
+    return values
+
+
+def _codes(buf, starts, lens, table, new):
+    """Each field's code in ``table`` (field bytes -> code), or None where
+    ``new`` declines a field: ``new(text)`` gives the code of a text not yet
+    in ``table``, or None. A run of equal fields is looked up once."""
+    if not lens.all():
+        return None
+    codes = np.empty(len(starts), np.int64)
+    for length, rows in _by_length(lens):
+        texts = _fixed(buf, starts[rows], length)
+        heads = np.flatnonzero(np.concatenate(([True],
+                                               texts[1:] != texts[:-1])))
+        runs = texts[heads].tolist()
+        run_codes = list(map(table.get, runs))
+        if None in run_codes:  # texts not seen before
+            for i, text in enumerate(runs):
+                if run_codes[i] is None:
+                    if text not in table:
+                        code = new(text)
+                        if code is None:
+                            return None
+                        table[text] = code
+                    run_codes[i] = table[text]
+        codes[rows] = np.repeat(run_codes, np.diff(heads, append=len(texts)))
+    return codes
+
+
+def _flags(buf, starts, lens):
+    """``Y`` or ``N`` flags as a boolean column (``Y`` true)."""
+    codes = buf[starts]
+    if not ((lens == 1).all() and ((codes == ord("Y"))
+                                   | (codes == ord("N"))).all()):
+        return None
+    return codes == ord("Y")
+
+
 def _scan_hourly(path, header):
-    """:func:`_hourly_rows` read a block of lines at a time, a column at a
+    """:func:`_hourly_rows` read a block of bytes at a time, a column at a
     time, or None when the file needs the per-row loop: a file that
-    :func:`_column_blocks` declines, and any value the loop would refuse
-    or might read otherwise (a bad date, a blank service id, an hour not
-    spelled as in ``_HOURS``, a number ``float`` refuses, one not finite or
-    out of range, a third reading of an hour). It raises nothing for the
-    file's content: the per-row loop reports the fault.
+    :func:`_field_blocks` declines, and any value that a column rule
+    declines or the loop would refuse (a bad date, a blank service id, an
+    hour not spelled as :func:`_hours` reads it, a number ``float`` refuses,
+    one not finite or out of range, a third reading of an hour). It raises
+    nothing for the file's content: the per-row loop reports the fault.
     """
     _, lo, hi, _ = _HOURLY_FILES[header[-1]]
-    services = {}   # service id -> code (meter only)
-    spellings = {}  # date text -> date code
+    services = {}   # service id bytes -> code (meter only)
+    spellings = {}  # date bytes -> date code
     dates = {}      # date -> date code
     index = {}      # day code (service code << 32 | date code) -> grid row
     duplicated = []
@@ -290,33 +383,34 @@ def _scan_hourly(path, header):
     # view made per block, as a buffer cannot grow while it is viewed.
     grid = array("d")
     reads = bytearray()  # readings seen per cell, 0..2
-    for columns in _column_blocks(path, header):
-        if columns is None:
-            return None
-        *service_texts, date_texts, hour_texts, value_texts = columns
-        n = len(date_texts)
+
+    def new_date(text):
         try:
-            hours = np.fromiter(map(_HOURS.__getitem__, hour_texts),
-                                np.int64, n)
-            values = np.array(value_texts, dtype=float)
-        except (KeyError, ValueError, OverflowError):
+            return dates.setdefault(iso_date(text.decode()), len(dates))
+        except ValueError:
             return None
-        if not (np.isfinite(values) & (lo <= values) & (values <= hi)).all():
+
+    def new_service(text):
+        # As the per-row loop's str.strip, which also strips \x1c..\x1f.
+        return len(services) if text.decode().strip() else None
+
+    for fields in _field_blocks(path, header):
+        if fields is None:
             return None
-        for text in set(date_texts) - spellings.keys():
-            try:
-                date = iso_date(text)
-            except ValueError:
+        buf, starts, lens = fields
+        hours = _hours(buf, starts[-2], lens[-2])
+        values = _numbers(buf, starts[-1], lens[-1])
+        if hours is None or values is None or not (
+                np.isfinite(values) & (lo <= values) & (values <= hi)).all():
+            return None
+        days = _codes(buf, starts[-3], lens[-3], spellings, new_date)
+        if days is None:
+            return None
+        if len(header) == 4:
+            ids = _codes(buf, starts[0], lens[0], services, new_service)
+            if ids is None:
                 return None
-            spellings[text] = dates.setdefault(date, len(dates))
-        days = np.fromiter(map(spellings.__getitem__, date_texts), np.int64, n)
-        if service_texts:
-            for text in set(service_texts[0]) - services.keys():
-                if not text.strip():
-                    return None
-                services[text] = len(services)
-            days |= np.fromiter(map(services.__getitem__, service_texts[0]),
-                                np.int64, n) << 32
+            days |= ids << 32
         # Day codes to grid rows, new days numbered in the order they
         # first appear.
         codes, first, inverse = np.unique(days, return_index=True,
@@ -349,7 +443,7 @@ def _scan_hourly(path, header):
         duplicated += days[again].tolist()
     day_dates = list(dates)
     if services:
-        names = list(services)
+        names = [text.decode() for text in services]
         keys = [(names[code >> 32], day_dates[code & 0xFFFFFFFF])
                 for code in index]
     else:

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from txrisk import cli, features as ft, thermal
+from txrisk import cli, features as ft, ingest, thermal
 from txrisk.clustering import ClusterModel
 
 QUERY_CSV = """\
@@ -105,6 +105,24 @@ def clusters_of(model):
     ``member_counts``, cluster 1's first."""
     bounds = [0, *np.cumsum(model.member_counts).tolist()]
     return [model.members[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def field_end_at_block_cut(text, separator, row=1, column=-1):
+    """The CSV file ``text`` with a number, field ``column`` of line
+    ``row``, padded with leading zeros so that a field ends exactly where
+    the block scan makes its first cut: the byte after the cut is
+    ``separator``."""
+    cut = text.index("\n") + 1 + ingest._BLOCK_BYTES
+    lines = text.split("\n")
+    fields = lines[row].split(",")
+    number = fields[column]
+    sign = "-" if number.startswith("-") else ""
+    zeros = "0" * (cut - text.rindex(separator, 0, cut + 1))
+    fields[column] = sign + zeros + number[len(sign):]
+    lines[row] = ",".join(fields)
+    padded = "\n".join(lines)
+    assert padded[cut] == separator and padded.isascii()
+    return padded
 
 
 def run_pipeline(root):

@@ -86,7 +86,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command,output", [
         ("synth", "weather.csv"), ("cluster", "model.json"),
-        ("assess", "thresholds.csv"), ("estimate", "estimates.csv")])
+        ("assess", "thresholds.csv"), ("estimate", "estimates.csv"),
+        ("synth", "meter.csv"), ("cluster", "composition.csv"),
+        ("assess", "month_matrix.csv")])
     def test_output_that_cannot_be_written_is_usage_error(
             self, golden_pipeline, tmp_path, capsys, command, output):
         root = golden_pipeline[0][0]
@@ -106,6 +108,9 @@ class TestExitCodes:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert "cannot write output" in err and str(out / output) in err
+        # No output of the failed run, and nothing temporary, is left.
+        assert list(out.iterdir()) == [out / output]
+        assert not any((out / output).iterdir())
 
     def test_empty_n_range_is_usage_error(self, tmp_path):
         data = tmp_path / "data"

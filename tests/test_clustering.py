@@ -99,6 +99,20 @@ class TestKmeansOracle:
             kmeans(one_d_records([0.0, 1.0]), 3, one_d_schema(), seed=0)
 
 
+@pytest.mark.parametrize("k", [1, 2, 6])
+def test_nearest_is_argmin(k):
+    # Lloyd's labels: the first of equal minima, as argmin gives it, on
+    # distinct and on tied distances in distance's column-major layout.
+    rng = np.random.default_rng(k)
+    for dists in (rng.random((5000, k)),
+                  rng.integers(0, 3, (5000, k)).astype(float),
+                  np.zeros((7, k))):
+        dists = np.asfortranarray(dists)
+        labels = clustering._nearest(dists)
+        assert labels.dtype == np.intp
+        assert labels.tolist() == dists.argmin(axis=1).tolist()
+
+
 class TestUpdateCentroid:
     """The centroid rules on one x column and one Y/N flag column: the
     stored one (``_update_centroids`` given the stable argsort of the
@@ -430,6 +444,22 @@ class TestModelFile:
         save_model(model, p1)
         save_model(load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_file_is_the_json_dumps_text(self, tmp_path):
+        # The member lists are written outside json.dumps, in its bytes:
+        # non-ASCII ids as \uXXXX escapes, quotes and backslashes escaped.
+        records, schema = two_cluster_fixture()
+        model = train_model(as_dataset(records), 2, schema, seed=4)
+        ids = ["S\u00e9", 'q"uote', "back\\slash", "\u2603 \x1f"]
+        members = tuple((ids[i % len(ids)], date)
+                        for i, (_, date) in enumerate(model.members))
+        path = tmp_path / "model.json"
+        save_model(replace(model, members=members), path)
+        text = path.read_text(encoding="utf-8")
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=2) + "\n"
+        assert tuple(tuple(ref) for entry in doc["clusters"]
+                     for ref in entry["members"]) == members
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_float_refused_before_writing(self, tmp_path, value):

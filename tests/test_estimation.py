@@ -30,7 +30,13 @@ from txrisk.estimation import (
     write_estimates_csv,
 )
 
-from conftest import QUERY_CSV, make_day, make_model, record_table
+from conftest import (
+    QUERY_CSV,
+    field_end_at_block_cut,
+    make_day,
+    make_model,
+    record_table,
+)
 from test_mutation import SEED, _csv_mutation
 
 
@@ -314,8 +320,12 @@ class TestQueryScan:
         ("quoted field", True, True), ("lone CR in a field", False, True),
         ("field over the csv limit", False, True),
         ("bad date", False, True), ("nan", False, True),
-        ("1e400", False, True), ("arabic-indic digits", True, False),
-        ("weekday y", False, True), ("blank weekday", False, True)])
+        ("1e400", False, True), ("arabic-indic digits", True, True),
+        ("weekday y", False, True), ("blank weekday", False, True),
+        ("blank line", False, True), ("whitespace-only line", False, True),
+        ("2015-02-29", False, True), ("2015-13-01", False, True),
+        ("-0.0", True, False), (".5", True, False), ("5.", True, False),
+        ("1e3", True, False), ("1_0", True, False), (" 1.5", True, False)])
     def test_damaged_file_bulk_equals_rows(self, tmp_path, case, loads,
                                            falls_back):
         lines = QUERY_CSV.split("\n")
@@ -330,11 +340,16 @@ class TestQueryScan:
             "bad date": damaged_query(lines, 3, 0, "2016-02-30"),
             "nan": damaged_query(lines, 3, 2, "nan"),
             "1e400": damaged_query(lines, 3, 3, "1e400"),
-            # float() reads Unicode digits, in both paths: 12.0.
+            # float() reads Unicode digits as 12.0; the scan reads ASCII
+            # only, so the per-row loop reads the file.
             "arabic-indic digits": damaged_query(lines, 3, 4, "١٢"),
             "weekday y": damaged_query(lines, 3, 5, "y"),
             "blank weekday": damaged_query(lines, 3, 5, ""),
-        }[case]
+            "blank line": "\n".join(lines[:3] + [""] + lines[3:]),
+            "whitespace-only line": "\n".join(lines[:3] + [" "] + lines[3:]),
+            # Any other case is the text of a date or of a t_avg_c.
+        }.get(case) or damaged_query(lines, 3, 0 if case[:4] == "2015" else 3,
+                                     case)
         path = tmp_path / "query.csv"
         path.write_bytes(text.encode())
         outcome, fell_back = both_query_paths(path)
@@ -351,7 +366,7 @@ class TestQueryScan:
         lines = [header] + rows * 700 + [""]  # 4,900 rows
         text = ("\n".join(lines) if fault is None
                 else damaged_query(lines, 4899, column, fault))
-        assert len(text) > 2 * ingest._BLOCK_CHARS
+        assert len(text) > 2 * ingest._BLOCK_BYTES
         path = tmp_path / "query.csv"
         path.write_text(text)
         outcome, fell_back = both_query_paths(path)
@@ -360,6 +375,15 @@ class TestQueryScan:
             assert outcome["shape"] == (4900,)
         else:
             assert outcome["error"][1:] == (4900, QUERY_HEADER[column])
+
+    @pytest.mark.parametrize("separator", ["\n", ","])
+    def test_field_ending_at_a_block_cut(self, tmp_path, separator):
+        header, *rows = QUERY_CSV.splitlines()
+        path = tmp_path / "query.csv"
+        path.write_text(field_end_at_block_cut(
+            "\n".join([header] + rows * 700 + [""]), separator, column=1))
+        outcome, fell_back = both_query_paths(path)
+        assert not fell_back and outcome["shape"] == (4900,)
 
     def test_header_only_takes_the_bulk_path(self, tmp_path):
         path = tmp_path / "query.csv"

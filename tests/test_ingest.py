@@ -19,7 +19,7 @@ from txrisk.errors import (
 )
 from txrisk.ingest import SynthConfig, load_dataset, synth_dataset
 
-from conftest import QUERY_CSV
+from conftest import QUERY_CSV, field_end_at_block_cut
 from test_mutation import SEED, _csv_mutation
 
 QUIET = SynthConfig(temp_noise_sd_c=0.0, load_noise_sd_kw=0.0,
@@ -490,7 +490,7 @@ class TestBulkScan:
         lines = paths[name].read_text().split("\n")
         lines[-1:] = [lines[27]] * copies + [""]  # 2015-01-02 hour 2
         text = "\n".join(lines)
-        assert len(text) > 2 * ingest._BLOCK_CHARS
+        assert len(text) > 2 * ingest._BLOCK_BYTES
         paths[name].write_text(text)
         outcome, fell_back = both_paths(paths[name], HOURLY_HEADERS[name])
         assert fell_back == ("error" in outcome) == (copies == 2)
@@ -533,10 +533,11 @@ class TestBulkScan:
         assert not calls
 
     @pytest.mark.parametrize("text", [
-        "1_0", " 1.5 ", "\t-2.5\n", "\xa01.5", "1.5 ", "١٢", "１",
-        "1e400", "nan", "Infinity", "+.5", "-0", "", "x"])
+        "1_0", " 1.5 ", "\t-2.5\n", "\xa01.5", "1.5\u2028", "١٢", "１",
+        "1e400", "nan", "Infinity", "+.5", "-0", "", "x",
+        "-0.0", ".5", "5.", "1e3", " 1.5"])
     def test_bulk_numbers_read_as_float_or_refused(self, tmp_path, text):
-        # np.array(texts, dtype=float) must give float()'s value or refuse
+        # The scan's S-array conversion must give float()'s value or refuse
         # the text where float() reads a number the row loop refuses.
         def usable(convert):
             try:
@@ -545,14 +546,26 @@ class TestBulkScan:
                 return None
             return np.float64(value).tobytes() if np.isfinite(value) else None
 
-        bulk = usable(lambda t: np.array([t], dtype=float)[0])
+        def scan(text):
+            raw = text.encode()
+            values = ingest._numbers(np.frombuffer(raw + b"\n", np.uint8),
+                                     np.array([0]), np.array([len(raw)]))
+            if values is None:
+                raise ValueError(text)
+            return values[0]
+
+        bulk = usable(scan)
         assert bulk is None or bulk == usable(float)
         paths = gen(tmp_path, seed=6, services=1, days=2)
         for name in ("weather", "meter"):
             lines = paths[name].read_text().split("\n")
             lines[6] = lines[6].rsplit(",", 1)[0] + "," + text
             paths[name].write_text("\n".join(lines))
-            both_paths(paths[name], HOURLY_HEADERS[name])
+            outcome, fell_back = both_paths(paths[name], HOURLY_HEADERS[name])
+            if text.isascii() and "\n" not in text:
+                _, lo, hi, _ = ingest._HOURLY_FILES[HOURLY_HEADERS[name][-1]]
+                assert fell_back == (bulk is None
+                                     or not lo <= float(text) <= hi)
 
     @pytest.mark.parametrize("name", ["weather", "meter"])
     def test_field_over_the_csv_limit_takes_the_row_loop(self, tmp_path, name):
@@ -579,3 +592,97 @@ class TestBulkScan:
         outcome, fell_back = both_paths(paths[name], HOURLY_HEADERS[name])
         assert fell_back
         assert ("error" in outcome) == (hour == "5.0")
+
+    @pytest.mark.parametrize("name", ["weather", "meter"])
+    @pytest.mark.parametrize("hour,bulk", [
+        ("0", True), ("00", True), ("23", True), ("24", False), ("99", False),
+        ("0:", False)])
+    def test_hour_bounds_of_the_scan(self, tmp_path, name, hour, bulk):
+        paths = gen(tmp_path, seed=6, services=1, days=2)
+        lines = paths[name].read_text().split("\n")
+        fields = lines[6].split(",")
+        fields[-2] = hour
+        lines[6] = ",".join(fields)
+        paths[name].write_text("\n".join(lines))
+        outcome, fell_back = both_paths(paths[name], HOURLY_HEADERS[name])
+        assert fell_back != bulk
+        assert ("error" in outcome) != bulk
+
+    @pytest.mark.parametrize("name", ["weather", "meter"])
+    @pytest.mark.parametrize("case", [
+        "2015-02-29", "2015-13-01", "blank line", "whitespace-only line"])
+    def test_bad_dates_and_lines_take_the_row_loop(self, tmp_path, name,
+                                                   case):
+        paths = gen(tmp_path, seed=6, services=1, days=2)
+        lines = paths[name].read_text().split("\n")
+        if case.startswith("2015"):
+            lines[6] = re.sub(r"2015-01-01", case, lines[6])
+            assert case in lines[6]
+        else:
+            lines.insert(6, {"blank line": "", "whitespace-only line": " "}[case])
+        paths[name].write_text("\n".join(lines))
+        outcome, fell_back = both_paths(paths[name], HOURLY_HEADERS[name])
+        assert fell_back and outcome["error"][2] == 7
+
+    @pytest.mark.parametrize("case,bulk,loads", [
+        ("variable-length ids", True, True), ("non-ASCII id", False, True),
+        ("all-blank id", False, False), ("separator-only id", False, False)])
+    def test_service_ids(self, tmp_path, case, bulk, loads):
+        paths = gen(tmp_path, seed=6, services=3, days=4)
+        header, *rows = paths["meter"].read_text().split("\n")[:-1]
+        spelled = {"variable-length ids": ("S1", "S10", "S100"),
+                   "non-ASCII id": ("S001", "Sé02", "S003"),
+                   "all-blank id": ("S001", "   ", "S003"),
+                   # str.strip, which the per-row loop uses, strips \x1f.
+                   "separator-only id": ("S001", "\x1f", "S003")}[case]
+        for old, new in zip(("S001", "S002", "S003"), spelled):
+            rows = [new + row[4:] if row.startswith(old) else row
+                    for row in rows]
+        # Rows of every id in one block, in no order.
+        rows = np.random.default_rng(SEED).permutation(rows).tolist()
+        paths["meter"].write_bytes("\n".join([header, *rows, ""]).encode())
+        outcome, fell_back = both_paths(paths["meter"], HOURLY_HEADERS["meter"])
+        assert fell_back != bulk
+        assert ("error" not in outcome) == loads
+        if loads:
+            assert {key[0] for key in outcome["keys"]} == set(spelled)
+
+    @pytest.mark.parametrize("name", ["weather", "meter"])
+    @pytest.mark.parametrize("separator", ["\n", ","])
+    def test_field_ending_at_a_block_cut(self, tmp_path, name, separator):
+        paths = gen(tmp_path, seed=4, services=1, days=365)
+        paths[name].write_text(field_end_at_block_cut(
+            paths[name].read_text(), separator))
+        outcome, fell_back = both_paths(paths[name], HOURLY_HEADERS[name])
+        assert not fell_back and len(outcome["keys"]) == 365
+
+    @pytest.mark.parametrize("name", ["weather", "meter"])
+    @pytest.mark.parametrize("moved", ["to the next line", "from the next line"])
+    def test_comma_moved_between_lines(self, tmp_path, name, moved):
+        # The comma count of the block is right, but one line has a field
+        # too many and its neighbour one too few.
+        paths = gen(tmp_path, seed=6, services=1, days=2)
+        lines = paths[name].read_text().split("\n")
+        short, extra = (6, 7) if moved == "to the next line" else (7, 6)
+        lines[short] = lines[short].replace(",", "", 1)
+        lines[extra] += ",1"
+        paths[name].write_text("\n".join(lines))
+        outcome, fell_back = both_paths(paths[name], HOURLY_HEADERS[name])
+        assert fell_back and outcome["error"][2] == 7
+
+    @pytest.mark.parametrize("block,lines", [
+        (b"a,bc,\n,d,e\n", [[b"a", b"bc", b""], [b"", b"d", b"e"]]),
+        (b"a,b,c\r\nd,e,f\n", [[b"a", b"b", b"c"], [b"d", b"e", b"f"]]),
+        (b"a,b,c,d\ne,f\n", None), (b"a,b\nc,d,e,f\n", None),
+        (b"a,b,c\rd,e,f\n", None), (b'a,"b",c\n', None),
+        (b"a,b,\xc3\xa9\n", None), (b"a,b,\0\n", None)])
+    def test_block_fields_split_lines_as_csv_or_refuse(self, block, lines):
+        # The comma count alone is right in the two blocks whose lines have
+        # four and two fields.
+        fields = ingest._block_fields(block, 3)
+        if lines is None:
+            assert fields is None
+        else:
+            buf, starts, lens = fields
+            assert [[buf[s:s + n].tobytes() for s, n in zip(*line)]
+                    for line in zip(starts.T, lens.T)] == lines
