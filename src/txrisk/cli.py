@@ -12,7 +12,7 @@ Every error class maps to a distinct exit code (see ``txrisk --help``).
 from __future__ import annotations
 
 import argparse
-import csv
+import datetime as dt
 import json
 import math
 import os
@@ -167,6 +167,13 @@ class RunConfig:
             return self._file[key]
         return self._DEFAULTS[key]
 
+    def count(self, key, minimum) -> int:
+        """The integer option ``key``; below ``minimum`` it is refused."""
+        value = int(self.get(key))
+        if value < minimum:
+            raise ConfigError(f"--{key} must be >= {minimum}, got {value}")
+        return value
+
     def require_path(self, key) -> Path:
         value = self.get(key)
         if not value:
@@ -281,51 +288,43 @@ def parse_span(text: str, label: str) -> range:
 
 
 def cmd_synth(cfg: RunConfig) -> int:
+    seed = cfg.count("seed", 0)
     try:
         start = ingest.iso_date(str(cfg.get("start_date")))
     except ValueError:
         raise ConfigError(f"bad start date {cfg.get('start_date')!r}")
-    services = int(cfg.get("services"))
-    days = int(cfg.get("days"))
-    if services < 1 or days < 1:
-        raise ConfigError("--services and --days must be >= 1")
+    services = cfg.count("services", 1)
+    days = cfg.count("days", 1)
+    if days > (dt.date.max - start).days + 1:
+        raise ConfigError(f"{days} days from --start-date {start} run past "
+                          f"{dt.date.max}")
     config = cfg.synth_config()
     out = cfg.out_dir()
     with _writing(out) as staging:
-        paths = ingest.synth_dataset(int(cfg.get("seed")), services, start,
-                                     days, config, staging)
+        paths = ingest.synth_dataset(seed, services, start, days, config,
+                                     staging)
     for name in ("weather", "meter", "calendar"):
         print(f"wrote {out / paths[name].name}")
     return 0
 
 
 def _write_composition_csv(model, path):
-    rows = clustering.composition(model)
-    header = (["cluster_id", "member_count"]
-              + list(model.schema.numeric_names)
-              + list(model.schema.ordinal_names)
-              + list(model.schema.nominal_names))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            out = [row["cluster_id"], row["member_count"]]
-            for name in model.schema.numeric_names:
-                out.append(f"{row[name]:.2f}")
-            for name in model.schema.ordinal_names:
-                out.append(f"{row[name]:.4f}")
-            for name in model.schema.nominal_names:
-                out.append(row[name])
-            writer.writerow(out)
+    schema = model.schema
+    row = ("%s,%s" + ",%.2f" * len(schema.numeric_names)
+           + ",%.4f" * len(schema.ordinal_names)
+           + ",%s" * len(schema.nominal_names) + "\n")
+    names = ["cluster_id", "member_count", *schema.numeric_names,
+             *schema.ordinal_names, *schema.nominal_names]
+    ingest.write_table(path, names, ["".join(
+        row % tuple(map(values.__getitem__, names))
+        for values in clustering.composition(model))])
 
 
 def cmd_cluster(cfg: RunConfig) -> int:
     schema = cfg.schema()
-    seed = int(cfg.get("seed"))
-    k = int(cfg.get("k"))
-    restarts = int(cfg.get("restarts"))
-    if k < 1 or restarts < 1:
-        raise ConfigError("--k and --restarts must be >= 1")
+    seed = cfg.count("seed", 0)
+    k = cfg.count("k", 1)
+    restarts = cfg.count("restarts", 1)
     sweep = cfg.get("k_sweep")
     sweep_ks = parse_span(sweep, "--k-sweep") if sweep else ()
     dataset = ingest.load_dataset(cfg.require_path("weather"),
@@ -399,15 +398,13 @@ def cmd_assess(cfg: RunConfig) -> int:
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
-    services = cfg.get("services")
-    if services is None or int(services) < 1:
-        raise ConfigError("--services must be >= 1")
+    services = cfg.count("services", 1)
     strict = bool(cfg.get("strict"))
     spec = thermal.load_transformer_spec(cfg.require_path("spec"))
     model = clustering.load_model(cfg.require_path("model"))
     queries = estimation.read_query_csv(cfg.require_path("query"))
 
-    temps = estimation.cluster_max_top_oil(model, spec, int(services))
+    temps = estimation.cluster_max_top_oil(model, spec, services)
     result = estimation.estimate(queries, model, temps, strict=strict)
     out = cfg.out_dir()
     with _writing(out) as staging:

@@ -20,7 +20,7 @@ not before a line feed, a NUL, a byte outside ASCII, a row without six
 fields, or any value the per-row loop would refuse is read by that loop
 instead, which reports the fault with its row and column.
 :func:`write_estimates_csv` formats ``estimates.csv`` 2,048 rows per
-write."""
+chunk of :func:`txrisk.ingest.write_table`."""
 
 from __future__ import annotations
 
@@ -48,6 +48,7 @@ from .ingest import (
     _parse_float,
     _read_table,
     iso_date,
+    write_table,
 )
 from .riskassess import _cluster_days
 
@@ -280,14 +281,12 @@ _WRITE_ROWS = 2048
 
 
 def write_estimates_csv(queries, result: EstimationResult, path) -> None:
-    """One output row per query day with its estimate and far flag, in the
-    bytes ``csv.writer`` gives for a table of :func:`read_query_csv`."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(QUERY_HEADER + ["estimated_max_top_oil_c",
-                                          "far_flag"]) + "\n")
-        for start in range(0, len(queries), _WRITE_ROWS):
-            rows = slice(start, start + _WRITE_ROWS)
-            columns = [queries[name][rows].tolist() for name in QUERY_HEADER]
-            far = map(("N", "Y").__getitem__, result.far_flag[rows].tolist())
-            fh.write("".join(map(_ESTIMATE_ROW, zip(
-                *columns, result.estimate[rows].tolist(), far))))
+    """One output row per query day with its estimate and far flag."""
+    parts = (slice(start, start + _WRITE_ROWS)
+             for start in range(0, len(queries), _WRITE_ROWS))
+    write_table(path, QUERY_HEADER + ["estimated_max_top_oil_c", "far_flag"], (
+        "".join(map(_ESTIMATE_ROW, zip(
+            *(queries[name][rows].tolist() for name in QUERY_HEADER),
+            result.estimate[rows].tolist(),
+            map(("N", "Y").__getitem__, result.far_flag[rows].tolist()))))
+        for rows in parts))

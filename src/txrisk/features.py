@@ -51,6 +51,10 @@ class FeatureDef:
             raise ValueError(f"feature {self.name!r} weight must be finite "
                              "and >= 0")
         object.__setattr__(self, "statuses", tuple(self.statuses))
+        for text in (self.name, *self.statuses):
+            if any(char in str(text) for char in ',"\r\n'):
+                raise ValueError(f"feature {self.name!r}: a name or label may "
+                                 f"not hold a comma, a quote or a line end: {text!r}")
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,10 @@ outside ASCII, or a line without the header's column count or longer than
 the csv field limit, or when any rule declines a field; that loop reports
 every fault with the same message, row and column as before. Calendar
 files are read row by row.
+
+Every CSV table the package writes goes through :func:`write_table`, as
+rows formatted by %-format templates; :func:`synth_dataset` formats all of
+a service's ``meter.csv`` rows with one template and one ``%``.
 """
 
 from __future__ import annotations
@@ -148,6 +152,16 @@ def _read_table(path, headers):
                 yield i, fields
         except (UnicodeDecodeError, csv.Error) as exc:
             raise ParseError(f"unreadable CSV text: {exc}", path=path) from None
+
+
+def write_table(path, header, chunks) -> None:
+    """Write a CSV table: its ``header`` fields joined by commas, then each
+    text of ``chunks``, whole rows, with one write. No field holds a comma,
+    a quote or a line end (names and labels are refused with them)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 # Per reading column: the hourly file, the plausible range of a reading
@@ -646,14 +660,6 @@ class SynthConfig:
     holidays: tuple[tuple[int, int], ...] = ((1, 1), (7, 1), (12, 25))
 
 
-def _diurnal_shape(hours):
-    """Relative residential demand shape: morning bump, evening peak."""
-    h = np.asarray(hours, dtype=np.float64)
-    evening = np.exp(-((h - 19.0) ** 2) / 8.0)
-    morning = np.exp(-((h - 7.5) ** 2) / 5.0)
-    return 0.6 * evening + 0.4 * morning
-
-
 def synth_dataset(seed: int, services: int, start_date: dt.date, days: int,
                   config: SynthConfig | None = None, out_dir=".") -> dict[str, Path]:
     """Generate weather/meter/calendar CSVs for a synthetic study area.
@@ -683,11 +689,12 @@ def synth_dataset(seed: int, services: int, start_date: dt.date, days: int,
         if cfg.temp_noise_sd_c > 0 else 0.0
     temps = np.clip(temps, TEMP_MIN_C, TEMP_MAX_C)
 
-    service_ids = [f"S{i + 1:03d}" for i in range(services)]
     multipliers = (np.exp(rng.normal(0.0, cfg.service_spread, size=services))
                    if cfg.service_spread > 0 else np.ones(services))
 
-    shape = cfg.diurnal_load_amp * _diurnal_shape(hours)
+    # Relative residential demand shape: evening peak, morning bump.
+    shape = cfg.diurnal_load_amp * (0.6 * np.exp(-((hours - 19.0) ** 2) / 8.0)
+                                    + 0.4 * np.exp(-((hours - 7.5) ** 2) / 5.0))
     heating = cfg.heating_coeff_kw_per_c * np.maximum(0.0, cfg.heating_ref_c - temps)
     cooling = cfg.cooling_coeff_kw_per_c * np.maximum(0.0, temps - cfg.cooling_ref_c)
     offday = np.array(
@@ -700,34 +707,29 @@ def synth_dataset(seed: int, services: int, start_date: dt.date, days: int,
         loads = loads + rng.normal(0.0, cfg.load_noise_sd_kw, size=loads.shape)
     loads = np.maximum(loads, 0.0)
 
-    weather_path = out_dir / "weather.csv"
-    with open(weather_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(WEATHER_HEADER)
-        for di, date in enumerate(dates):
-            iso = date.isoformat()
-            for h in range(24):
-                writer.writerow([iso, h, f"{temps[di, h]:.2f}"])
+    return _write_synth(out_dir, dates, temps, loads, cfg.holidays)
 
-    meter_path = out_dir / "meter.csv"
-    with open(meter_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(METER_HOURLY_HEADER)
-        for si, service in enumerate(service_ids):
-            for di, date in enumerate(dates):
-                iso = date.isoformat()
-                for h in range(24):
-                    writer.writerow([service, iso, h, f"{loads[si, di, h]:.3f}"])
 
-    calendar_path = out_dir / "calendar.csv"
-    with open(calendar_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CALENDAR_HEADER)
-        for date in dates:
-            holiday = (date.month, date.day) in cfg.holidays
-            writer.writerow([date.isoformat(),
-                             "Y" if date.weekday() < 5 else "N",
-                             "Y" if holiday else "N"])
+def _write_synth(out_dir, dates, temps, loads, holidays) -> dict[str, Path]:
+    """Write the files of :func:`synth_dataset` to ``out_dir``: the
+    ``(days, 24)`` temperatures ``temps`` and the ``(services, days, 24)``
+    loads ``loads`` of the days ``dates``, ``holidays`` month-day pairs."""
+    isos = [date.isoformat() for date in dates]
+    paths = {name: out_dir / f"{name}.csv"
+             for name in ("weather", "meter", "calendar")}
 
-    return {"weather": weather_path, "meter": meter_path,
-            "calendar": calendar_path}
+    def hour_rows(prefix, number):  # a %-format template, 24 rows per date
+        return "".join(f"{prefix}{iso},{hour},{number}\n"
+                       for iso in isos for hour in range(24))
+
+    write_table(paths["weather"], WEATHER_HEADER, [
+        hour_rows("", "%.2f") % tuple(temps.ravel().tolist())])
+    service_rows = hour_rows("\0,", "%.3f")  # NUL: the service id
+    write_table(paths["meter"], METER_HOURLY_HEADER, (
+        service_rows.replace("\0", f"S{si + 1:03d}")
+        % tuple(loads[si].ravel().tolist()) for si in range(len(loads))))
+    write_table(paths["calendar"], CALENDAR_HEADER, ["".join(
+        "%s,%s,%s\n" % (iso, "Y" if date.weekday() < 5 else "N",
+                        "Y" if (date.month, date.day) in holidays else "N")
+        for iso, date in zip(isos, dates))])
+    return paths

@@ -11,8 +11,8 @@ count for both service-count studies and their report tables.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +26,7 @@ from .errors import (
     ParseError,
     ZeroPeakProfileError,
 )
+from .ingest import write_table
 
 SCALE_MAX_DEFAULT = 16.0  # p.u. peak, bisection upper bound
 SCALE_TOL_DEFAULT = 0.005  # p.u.
@@ -291,20 +292,23 @@ def max_services_by_life(n_values, economic_loss, annual_budget: float) -> int |
 
 def write_thresholds_csv(results, path) -> None:
     """Threshold and impact-ranking table, one row per cluster."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cluster_id", "max_avg_load_pu", "max_peak_load_pu",
-                         "binding_limit", "impact_rank"])
-        for r in sorted(results, key=lambda r: r.cluster_id):
-            writer.writerow([r.cluster_id, f"{r.max_avg_load_pu:.2f}",
-                             f"{r.max_peak_load_pu:.2f}", r.binding_limit,
-                             r.impact_rank])
+    write_table(path, ["cluster_id", "max_avg_load_pu", "max_peak_load_pu",
+                       "binding_limit", "impact_rank"], ["".join(
+        "%s,%.2f,%.2f,%s,%s\n" % (r.cluster_id, r.max_avg_load_pu,
+                                  r.max_peak_load_pu, r.binding_limit,
+                                  r.impact_rank)
+        for r in sorted(results, key=lambda r: r.cluster_id))])
 
 
 def _rank_order(ranked_results):
     """Cluster ids ordered by impact rank 1..k."""
     return [r.cluster_id for r in sorted(ranked_results,
                                          key=lambda r: r.impact_rank)]
+
+
+def _table_rows(row, labels, rows):
+    """The text of ``row % (label, *values)`` per label and its ``rows`` entry."""
+    return "".join(row % (label, *values) for label, values in zip(labels, rows))
 
 
 def write_month_matrix_csv(matrix, ranked_results, path) -> None:
@@ -314,26 +318,23 @@ def write_month_matrix_csv(matrix, ranked_results, path) -> None:
     footer row sums each column (equal to the cluster member counts).
     """
     order = _rank_order(ranked_results)
-    by_rank = matrix[:, [cid - 1 for cid in order]].tolist()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["month"] + [f"imp_{i + 1}" for i in range(len(order))])
-        writer.writerow(["cluster_id"] + order)
-        for label, row in zip(MONTH_LABELS, by_rank):
-            writer.writerow([label] + row)
-        writer.writerow(["Sum"] + [sum(col) for col in zip(*by_rank)])
+    by_rank = matrix[:, [cid - 1 for cid in order]]
+    write_table(path, ["month"] + [f"imp_{i + 1}" for i in range(len(order))],
+                [_table_rows("%s" + ",%d" * len(order) + "\n",
+                             ("cluster_id", *MONTH_LABELS, "Sum"),
+                             [order, *by_rank.tolist(),
+                              by_rank.sum(axis=0).tolist()])])
 
 
 def write_temperature_grid_csv(grid: ServiceGrid, path) -> None:
     """Max top-oil temperature (°C, rounded) per cluster and service count,
     with a Max footer row over clusters."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cluster_id"] + [f"N={n}" for n in grid.n_values])
-        for cid, row in enumerate(grid.max_top_oil.tolist(), start=1):
-            writer.writerow([cid] + [round(v) for v in row])
-        writer.writerow(["Max"] + [round(v) for v
-                                   in grid.max_top_oil.max(axis=0).tolist()])
+    top = grid.max_top_oil
+    write_table(path, ["cluster_id"] + [f"N={n}" for n in grid.n_values],
+                [_table_rows("%s" + ",%d" * len(grid.n_values) + "\n",
+                             [*range(1, len(top) + 1), "Max"],
+                             [list(map(round, row)) for row
+                              in [*top.tolist(), top.max(axis=0).tolist()]])])
 
 
 def write_life_loss_csv(grid: ServiceGrid, losses: LifeLoss, years: float,
@@ -341,20 +342,17 @@ def write_life_loss_csv(grid: ServiceGrid, losses: LifeLoss, years: float,
     """Life-loss grid with member-day counts and total/annual/economic
     footer rows; ``losses`` is :func:`life_loss_by_n` of the grid over
     ``years``."""
-    years_label = f"{years:g}-Year Total Loss of Life (Days)"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cluster_id"] + [f"N={n}" for n in grid.n_values]
-                        + ["num_days"])
-        for cid, (row, count) in enumerate(zip(grid.daily_loss.tolist(),
-                                               grid.member_counts.tolist()), 1):
-            writer.writerow([cid] + [f"{v:.1f}" for v in row] + [count])
-        for label, values in ((years_label, losses.total_days),
-                              ("Average annual Loss of Life (Days)",
-                               losses.annual_days),
-                              ("Economic Loss ($/year)", losses.economic_loss)):
-            writer.writerow([label] + [f"{v:.1f}" for v in values.tolist()]
-                            + ["-"])
+    footers = {f"{years:g}-Year Total Loss of Life (Days)": losses.total_days,
+               "Average annual Loss of Life (Days)": losses.annual_days,
+               "Economic Loss ($/year)": losses.economic_loss}
+    rows = [[*row, count] for row, count in zip(grid.daily_loss.tolist(),
+                                                grid.member_counts.tolist())]
+    rows += [[*values.tolist(), "-"] for values in footers.values()]
+    write_table(path, ["cluster_id"] + [f"N={n}" for n in grid.n_values]
+                + ["num_days"],
+                [_table_rows("%s" + ",%.1f" * len(grid.n_values) + ",%s\n",
+                             [*range(1, len(grid.member_counts) + 1), *footers],
+                             rows)])
 
 
 _SVG_PALETTE = ("#4477aa", "#66ccee", "#228833", "#ccbb44", "#ee6677",
@@ -417,6 +415,5 @@ def write_month_distribution_svg(matrix, ranked_results, path) -> None:
                  'font-family="sans-serif">Member days per month by cluster '
                  'impact level</text>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts))
-        fh.write("\n")
+    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8",
+                          newline="\n")

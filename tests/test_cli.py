@@ -133,6 +133,49 @@ class TestExitCodes:
                          "--out", str(tmp_path / "run")])
         assert code == 3
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_for_synth_is_usage_error(self, tmp_path, capsys,
+                                                    source):
+        argv = synth_args(tmp_path / "out", seed=-1)
+        if source == "config":
+            (tmp_path / "cfg.json").write_text('{"seed": -1}')
+            argv = argv[:1] + argv[3:] + ["--config", str(tmp_path / "cfg.json")]
+        assert cli.main(argv) == 2
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_for_cluster_is_usage_error(self, tmp_path, capsys,
+                                                      source):
+        # The inputs are malformed (exit 3 once read): the seed is refused
+        # first.
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("weather", "meter", "calendar"):
+            (data / f"{name}.csv").write_text("not,a,valid\nfile\n")
+        argv = cluster_args(data, tmp_path / "out", seed=-3)
+        if source == "config":
+            (tmp_path / "cfg.json").write_text('{"seed": -3}')
+            argv = argv[:-4] + argv[-2:] + ["--config",
+                                            str(tmp_path / "cfg.json")]
+        assert cli.main(argv) == 2
+        assert "--seed must be >= 0, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_synth_span_past_the_last_date_is_usage_error(self, tmp_path,
+                                                          capsys):
+        out = tmp_path / "out"
+        assert cli.main(synth_args(out, days=5)
+                        + ["--start-date", "9999-12-30"]) == 2
+        err = capsys.readouterr().err
+        assert "5 days from --start-date 9999-12-30" in err
+        assert not out.exists()
+        # The span that ends on the last date is written.
+        assert cli.main(synth_args(out, services=1, days=2)
+                        + ["--start-date", "9999-12-30"]) == 0
+        assert (out / "calendar.csv").read_text().splitlines()[-1] == \
+            "9999-12-31,Y,N"
+
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"bogus": 1}')
@@ -463,6 +506,9 @@ class TestMalformedInputExitCodes:
          "Invalid isoformat string: 'x'"),
         (lambda doc: doc["schema"][0].__setitem__("weight", float("inf")),
          "weight must be finite"),
+        # composition.csv writes labels unquoted (test_writers.py).
+        (lambda doc: doc["schema"][-1]["statuses"].append("a,b"),
+         "may not hold a comma"),
         # A stored count is not trusted over the member list: the life-loss
         # weights and the month matrix would disagree.
         (lambda doc: doc["clusters"][0].__setitem__(
@@ -480,7 +526,8 @@ class TestMalformedInputExitCodes:
             + doc["clusters"][0]["members"][:1],
             member_count=doc["clusters"][1]["member_count"] + 1),
          "is listed more than once"),
-    ], ids=["partial_profiles", "member_date", "weight", "member_count",
+    ], ids=["partial_profiles", "member_date", "weight", "label_comma",
+            "member_count",
             "member_service_number", "member_service_blank", "member_twice"])
     def test_model_structure(self, golden_pipeline, tmp_path, capsys, edit,
                              message):

@@ -430,7 +430,9 @@ def test_estimates_csv_equals_the_csv_writer_bytes(tmp_path, n):
     if n:
         queries["t_max_c"][0] = -0.0
         queries["l_avg_kva"][-1] = 1e20
-        values[:2] = [-0.0, 1e20]
+        # Binary halves and the nearest doubles to decimal ties.
+        queries["t_min_c"][:3] = [0.125, 0.005, 2.675]
+        values[:3] = [-0.0, 1e20, 0.25]
     result = estimation.EstimationResult(
         estimate=values, far_flag=np.arange(n) % 3 == 1,
         distances=np.zeros((n, 1)), weights=np.ones((n, 1)))

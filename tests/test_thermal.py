@@ -53,6 +53,64 @@ def decimal_steady_state(ultimate, time_constant):
         return out
 
 
+def bits(values):
+    """The IEEE bit patterns of ``values``, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestScalarLibm:
+    """``thermal._pow`` and ``aging.aging_acceleration`` give, for every
+    element, the bits of scalar Python: ``x ** e`` and ``math.exp``, which
+    call the C library's ``pow`` and ``exp`` once per value.
+
+    ``np.power`` and ``np.exp`` are avoided because their results depend
+    on the numpy build and on the SIMD kernels it dispatches to on the CPU
+    at hand, and differ from the C library in the last bit: on a 2-CPU
+    Xeon with numpy 2.4.6, ``np.power(x, 0.8)`` differed on 2,692 and
+    ``np.exp`` on 2,404 of 50,000 uniform inputs. Such bits reach the
+    thresholds, the temperature and life-loss tables and their golden
+    digests, which must not move with the machine
+    (``test_golden_digests_across_numpy_dispatch``).
+    """
+
+    EXPONENTS = (0.8, 1.6, 0.9, 2.0)
+
+    @pytest.fixture
+    def values(self):
+        # (k, 24) profiles of per-unit load ratios, as the threshold search
+        # and the service grid pass them.
+        return np.random.default_rng(2024).uniform(0.0, 3.0, (10, 24))
+
+    @pytest.mark.parametrize("exponent", EXPONENTS)
+    def test_pow_is_scalar_pow(self, values, exponent):
+        out = thermal._pow(values, exponent)
+        assert out.shape == values.shape
+        assert (bits(out) == bits([[v ** exponent for v in row]
+                                   for row in values.tolist()])).all()
+        for x in values[0, :4].tolist():
+            zero_d = thermal._pow(np.array(x), exponent)
+            assert zero_d.shape == ()
+            assert bits(zero_d) == bits(x ** exponent)
+            assert thermal._pow(x, exponent) == x ** exponent
+            assert type(thermal._pow(x, exponent)) is float
+
+    def test_aging_acceleration_is_math_exp(self, values):
+        hotspot = 60.0 * values - 30.0  # -30..150 °C
+
+        def scalar(t):
+            return math.exp(aging.AGING_RATE_CONSTANT / aging.REFERENCE_HOTSPOT_K
+                            - aging.AGING_RATE_CONSTANT / (t + 273.0))
+
+        out = aging.aging_acceleration(hotspot)
+        assert out.shape == hotspot.shape
+        assert (bits(out) == bits([[scalar(t) for t in row]
+                                   for row in hotspot.tolist()])).all()
+        for t in hotspot[0, :4].tolist():
+            assert bits(aging.aging_acceleration(np.array(t))) == bits(scalar(t))
+            assert bits(aging.aging_acceleration(t)) == bits(scalar(t))
+            assert type(aging.aging_acceleration(t)) is float
+
+
 class TestUltimateRises:
     def test_top_oil_at_rated_load_is_rated_rise(self, default_spec):
         assert ultimate_top_oil_rise(default_spec, 1.0) == pytest.approx(55.0)

@@ -1,0 +1,302 @@
+"""Every table writer against a ``csv.writer`` reference: the same bytes on
+the golden fixture and on edge tables, and the quoting rule that lets
+:func:`txrisk.ingest.write_table` write its text unquoted."""
+
+import csv
+import datetime as dt
+import io
+import json
+
+import numpy as np
+import pytest
+
+from txrisk import cli, clustering, estimation, ingest, riskassess, thermal
+from txrisk import features as ft
+from txrisk.clustering import ClusterModel
+
+from test_estimation import csv_writer_estimates
+
+
+def csv_text(rows):
+    """The text ``csv.writer`` writes for ``rows``, one row at a time."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer, lineterminator="\n")
+    for row in rows:
+        writer.writerow(row)
+    return buffer.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# csv.writer references: each moved writer's rows as it built them before.
+
+
+def reference_synth(dates, temps, loads, holidays):
+    weather = [ingest.WEATHER_HEADER]
+    for di, date in enumerate(dates):
+        for h in range(24):
+            weather.append([date.isoformat(), h, f"{temps[di, h]:.2f}"])
+    meter = [ingest.METER_HOURLY_HEADER]
+    for si in range(len(loads)):
+        for di, date in enumerate(dates):
+            for h in range(24):
+                meter.append([f"S{si + 1:03d}", date.isoformat(), h,
+                              f"{loads[si, di, h]:.3f}"])
+    calendar = [ingest.CALENDAR_HEADER]
+    for date in dates:
+        calendar.append([date.isoformat(),
+                         "Y" if date.weekday() < 5 else "N",
+                         "Y" if (date.month, date.day) in holidays else "N"])
+    return {"weather": csv_text(weather), "meter": csv_text(meter),
+            "calendar": csv_text(calendar)}
+
+
+def reference_composition(model):
+    schema = model.schema
+    rows = [["cluster_id", "member_count", *schema.numeric_names,
+             *schema.ordinal_names, *schema.nominal_names]]
+    for row in clustering.composition(model):
+        rows.append([row["cluster_id"], row["member_count"],
+                     *(f"{row[name]:.2f}" for name in schema.numeric_names),
+                     *(f"{row[name]:.4f}" for name in schema.ordinal_names),
+                     *(row[name] for name in schema.nominal_names)])
+    return csv_text(rows)
+
+
+def reference_thresholds(results):
+    return csv_text([["cluster_id", "max_avg_load_pu", "max_peak_load_pu",
+                      "binding_limit", "impact_rank"]]
+                    + [[r.cluster_id, f"{r.max_avg_load_pu:.2f}",
+                        f"{r.max_peak_load_pu:.2f}", r.binding_limit,
+                        r.impact_rank]
+                       for r in sorted(results, key=lambda r: r.cluster_id)])
+
+
+def reference_month_matrix(matrix, ranked_results):
+    order = riskassess._rank_order(ranked_results)
+    by_rank = matrix[:, [cid - 1 for cid in order]].tolist()
+    return csv_text([["month"] + [f"imp_{i + 1}" for i in range(len(order))],
+                     ["cluster_id"] + order,
+                     *([label] + row for label, row
+                       in zip(riskassess.MONTH_LABELS, by_rank)),
+                     ["Sum"] + [sum(col) for col in zip(*by_rank)]])
+
+
+def reference_temperature_grid(grid):
+    return csv_text([["cluster_id"] + [f"N={n}" for n in grid.n_values],
+                     *([cid] + [round(v) for v in row] for cid, row
+                       in enumerate(grid.max_top_oil.tolist(), start=1)),
+                     ["Max"] + [round(v) for v
+                                in grid.max_top_oil.max(axis=0).tolist()]])
+
+
+def reference_life_loss(grid, losses, years):
+    rows = [["cluster_id"] + [f"N={n}" for n in grid.n_values] + ["num_days"]]
+    for cid, (row, count) in enumerate(zip(grid.daily_loss.tolist(),
+                                           grid.member_counts.tolist()), 1):
+        rows.append([cid] + [f"{v:.1f}" for v in row] + [count])
+    for label, values in ((f"{years:g}-Year Total Loss of Life (Days)",
+                           losses.total_days),
+                          ("Average annual Loss of Life (Days)",
+                           losses.annual_days),
+                          ("Economic Loss ($/year)", losses.economic_loss)):
+        rows.append([label] + [f"{v:.1f}" for v in values.tolist()] + ["-"])
+    return csv_text(rows)
+
+
+def assert_risk_tables(tmp_path, thresholds, matrix, grid, losses, years):
+    """The four risk tables written by riskassess equal the references."""
+    cases = {
+        "thresholds.csv": (riskassess.write_thresholds_csv, (thresholds,),
+                           reference_thresholds(thresholds)),
+        "month_matrix.csv": (riskassess.write_month_matrix_csv,
+                             (matrix, thresholds),
+                             reference_month_matrix(matrix, thresholds)),
+        "temperature_grid.csv": (riskassess.write_temperature_grid_csv,
+                                 (grid,), reference_temperature_grid(grid)),
+        "life_loss.csv": (riskassess.write_life_loss_csv,
+                          (grid, losses, years),
+                          reference_life_loss(grid, losses, years)),
+    }
+    for name, (write, args, expected) in cases.items():
+        write(*args, tmp_path / name)
+        assert (tmp_path / name).read_bytes() == expected.encode(), name
+
+
+# ---------------------------------------------------------------------------
+# The golden fixture
+
+
+def test_synth_files_equal_the_reference(golden_pipeline, tmp_path,
+                                         monkeypatch):
+    # The golden run's synth arguments (conftest.run_pipeline); the arrays
+    # are taken where synth_dataset hands them to its writer.
+    seen = []
+
+    def spy(out_dir, dates, temps, loads, holidays):
+        seen.append((dates, temps, loads, holidays))
+        return write(out_dir, dates, temps, loads, holidays)
+
+    write = ingest._write_synth
+    monkeypatch.setattr(ingest, "_write_synth", spy)
+    paths = ingest.synth_dataset(42, 20, dt.date(2014, 1, 1), 730,
+                                 out_dir=tmp_path)
+    expected = reference_synth(*seen[0])
+    golden = golden_pipeline[0][0] / "data"
+    for name, path in paths.items():
+        assert path.read_bytes() == expected[name].encode(), name
+        assert (golden / path.name).read_bytes() == path.read_bytes(), name
+
+
+def test_composition_and_risk_tables_equal_the_reference(golden_pipeline,
+                                                         tmp_path):
+    root = golden_pipeline[0][0]
+    spec = thermal.load_transformer_spec(root / "spec.json")
+    model = clustering.load_model(root / "out" / "model.json")
+    cli._write_composition_csv(model, tmp_path / "composition.csv")
+    assert (tmp_path / "composition.csv").read_bytes() == \
+        reference_composition(model).encode()
+    assert (root / "out" / "composition.csv").read_bytes() == \
+        (tmp_path / "composition.csv").read_bytes()
+
+    thresholds = riskassess.cluster_thresholds(spec, model)
+    grid = riskassess.service_grid(spec, model, range(1, 41))
+    losses = riskassess.life_loss_by_n(spec, grid, 2.0)
+    matrix = clustering.month_cluster_matrix(model)
+    assert_risk_tables(tmp_path, thresholds, matrix, grid, losses, 2.0)
+    for name in ("thresholds.csv", "month_matrix.csv", "temperature_grid.csv",
+                 "life_loss.csv"):
+        assert (root / "out" / name).read_bytes() == \
+            (tmp_path / name).read_bytes(), name
+
+
+def test_estimates_equal_the_reference(golden_pipeline, tmp_path):
+    root = golden_pipeline[0][0]
+    spec = thermal.load_transformer_spec(root / "spec.json")
+    model = clustering.load_model(root / "out" / "model.json")
+    queries = estimation.read_query_csv(root / "query.csv")
+    result = estimation.estimate(
+        queries, model, estimation.cluster_max_top_oil(model, spec, 18))
+    estimation.write_estimates_csv(queries, result, tmp_path / "estimates.csv")
+    assert (tmp_path / "estimates.csv").read_bytes() == \
+        csv_writer_estimates(queries, result).encode() == \
+        (root / "out" / "estimates.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Edge tables: signed zeros, halves and ties, one cluster
+
+
+# Values whose formatting is easy to get wrong: signed zeros, exact binary
+# halves at each written precision (rounded half to even), the nearest
+# doubles to decimal ties, and large magnitudes.
+EDGE_VALUES = [-0.0, 0.0, 0.5, 1.5, 2.5, -0.5, -1.5, 0.125, 0.0625, 0.005,
+               0.0005, 0.015, 1.0005, 2.675, -0.004, -0.0004, 59.995, 1e6,
+               123456.78949999999]
+
+
+def edge_rows(shape, seed):
+    """An array of ``shape`` holding the edge values, then seeded values
+    rounded to 1..4 decimals."""
+    rng = np.random.default_rng(seed)
+    size = int(np.prod(shape))
+    values = np.array([round(v, d) for v, d in zip(
+        rng.normal(0.0, 20.0, size).tolist(), rng.integers(1, 5, size).tolist())])
+    values[:len(EDGE_VALUES)] = EDGE_VALUES
+    return values.reshape(shape)
+
+
+def test_synth_writer_on_edge_values(tmp_path):
+    dates = [dt.date(9999, 12, 29) + dt.timedelta(days=i) for i in range(3)]
+    temps = edge_rows((3, 24), 1)
+    loads = np.abs(edge_rows((2, 3, 24), 2))
+    loads[1, 0, :3] = [-0.0, 0.0005, 0.0015]
+    holidays = ((12, 30),)
+    paths = ingest._write_synth(tmp_path, dates, temps, loads, holidays)
+    expected = reference_synth(dates, temps, loads, holidays)
+    for name, path in paths.items():
+        assert path.read_bytes() == expected[name].encode(), name
+    assert "S002,9999-12-29,0,-0.000\n" in expected["meter"]
+
+
+def one_cluster_model(schema, quant, nom):
+    return ClusterModel(
+        members=(("s", "2015-02-01"),), centroids=(quant, nom),
+        member_counts=np.array([1]), schema=schema,
+        norm_params=ft.NormalizationParams(bounds={"x": (-1.0, 1.0)}),
+        seed=0, objective=0.0)
+
+
+def test_composition_of_a_one_cluster_model(tmp_path):
+    # Labels with a space, a semicolon, a tab and non-ASCII text, and
+    # numbers at the ties of two and four decimals.
+    schema = ft.FeatureSchema(features=(
+        ft.FeatureDef("x", ft.KIND_NUMERIC),
+        ft.FeatureDef("grade", ft.KIND_ORDINAL, statuses=("lo", "hi")),
+        ft.FeatureDef("kind", ft.KIND_NOMINAL,
+                      statuses=("p", "zone 1; é\tü")),
+    ))
+    for x, grade, code in ((0.5, 0.00005, 1), (0.5025, -0.0, 0),
+                           (0.0, 0.123456, 1)):
+        model = one_cluster_model(schema, np.array([[x, grade]]),
+                                  np.array([[code]]))
+        cli._write_composition_csv(model, tmp_path / "composition.csv")
+        assert (tmp_path / "composition.csv").read_bytes() == \
+            reference_composition(model).encode()
+
+
+def test_risk_tables_of_a_one_cluster_grid(tmp_path):
+    n_values = tuple(range(1, 25))
+    top = edge_rows((1, 24), 3)
+    top[0, :6] = [0.5, 1.5, 2.5, -0.5, -0.4, -2.5]
+    grid = riskassess.ServiceGrid(
+        n_values=n_values, member_counts=np.array([365]), max_top_oil=top,
+        max_hotspot=top + 10.0, daily_loss=np.abs(edge_rows((1, 24), 4)))
+    losses = riskassess.LifeLoss(*edge_rows((3, 24), 5))
+    thresholds = [riskassess.ThresholdResult(1, 0.005, -0.0, "top_oil", 1)]
+    matrix = np.arange(12).reshape(12, 1)
+    assert_risk_tables(tmp_path, thresholds, matrix, grid, losses, 2.5)
+
+
+# ---------------------------------------------------------------------------
+# The quoting rule
+
+
+def test_csv_writer_quotes_only_the_refused_characters():
+    # write_table writes fields unquoted; that is csv.writer's text unless
+    # a field holds a character that the schema refuses in a name or label.
+    # (Python 3.11's csv.writer leaves a lone carriage return unquoted;
+    # later versions quote it. Either way it is refused.)
+    for char in [chr(c) for c in range(1, 128)] + ["é", "\x85", "\u2028"]:
+        field = f"a{char}b"
+        plain = f"{field},y\n"
+        if char in ',"\n':
+            assert csv_text([[field, "y"]]) != plain, repr(char)
+        elif char != "\r":
+            assert csv_text([[field, "y"]]) == plain, repr(char)
+        for make in (lambda: ft.FeatureDef(field, ft.KIND_NUMERIC),
+                     lambda: ft.FeatureDef("kind", ft.KIND_NOMINAL,
+                                           statuses=("p", field))):
+            if char in ',"\r\n':
+                with pytest.raises(ValueError, match="may not hold a comma"):
+                    make()
+            else:
+                make()
+
+
+@pytest.mark.parametrize("label", ["a,b", 'say "hi"', "two\nlines", "cr\r"])
+def test_schema_label_needing_quotes_is_a_usage_error(tmp_path, capsys,
+                                                      label):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"features": [
+        {"name": "t_avg_c", "kind": "numeric"},
+        {"name": "weekday", "kind": "nominal", "statuses": ["Y", "N", label]},
+    ]}))
+    files = {}
+    for name in ("weather", "meter", "calendar"):
+        files[name] = tmp_path / f"{name}.csv"
+        files[name].write_text("not,a,valid\nfile\n")
+    assert cli.main(["cluster", "--config", str(cfg), "--out",
+                     str(tmp_path / "out"),
+                     *(f"--{name}={path}" for name, path in files.items())]) == 2
+    assert "may not hold a comma" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
