@@ -19,29 +19,38 @@ def aging_acceleration(hotspot_c):
 
     Equals 1 at 110 °C and grows exponentially with temperature.
     ``hotspot_c`` may be a float or an array; for an array ``exp`` is
-    taken elementwise through ``math``, so the factors do not depend on the
-    numpy build.
+    taken elementwise through ``math``, streamed into the result, so the
+    factors do not depend on the numpy build.
     """
     exponent = (AGING_RATE_CONSTANT / REFERENCE_HOTSPOT_K
                 - AGING_RATE_CONSTANT / (hotspot_c + 273.0))
     if isinstance(exponent, np.ndarray):
-        return np.array([math.exp(v) for v in exponent.ravel().tolist()]
-                        ).reshape(exponent.shape)
+        flat = exponent.ravel()
+        return np.fromiter(map(math.exp, memoryview(flat)), float,
+                           flat.size).reshape(exponent.shape)
     return math.exp(exponent)
 
 
 def equivalent_aging(hourly_faa):
     """Daily equivalent aging factor: the mean of the 24 hourly factors.
 
-    ``hourly_faa`` holds the 24 hourly factors in hour order, each a float
-    or an array with one factor per day; they are summed in hour order.
+    ``hourly_faa`` is an array with the 24 hourly factors of each day on
+    its last axis; the result has one factor per day, the hours added in
+    hour order from hour 0.
+
+    Raises:
+        ValueError: the last axis is not 24 hours long, or a factor is not
+            positive.
     """
-    factors = list(hourly_faa)
-    if len(factors) != 24:
-        raise ValueError("equivalent_aging expects exactly 24 hourly factors")
-    if not all(np.all(f > 0) for f in factors):
+    faa = np.asarray(hourly_faa, dtype=float)
+    if faa.shape[-1:] != (24,):
+        raise ValueError("equivalent_aging expects 24 hourly factors per day")
+    if not np.all(faa > 0):
         raise ValueError("hourly aging factors must be > 0")
-    return sum(factors) / 24.0
+    total = faa[..., 0]
+    for h in range(1, 24):
+        total = total + faa[..., h]
+    return total / 24.0
 
 
 def accumulate_life_loss(daily_loss, member_counts, years: float):

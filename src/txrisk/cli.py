@@ -104,7 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_estimate.add_argument("--model", help="trained cluster model JSON path")
     p_estimate.add_argument("--query", help="query CSV path")
     p_estimate.add_argument("--services", type=int,
-                            help="service count at the target transformer")
+                            help="service count at the target transformer "
+                                 "(required)")
     p_estimate.add_argument("--strict", action="store_true", default=None,
                             help="error out on far-from-all-clusters queries")
     return parser
@@ -167,8 +168,11 @@ class RunConfig:
             return self._file[key]
         return self._DEFAULTS[key]
 
-    def count(self, key, minimum) -> int:
-        """The integer option ``key``; below ``minimum`` it is refused."""
+    def count(self, key, minimum, *, required=False) -> int:
+        """The integer option ``key``; below ``minimum``, or ``required``
+        and given by neither flag nor config file, it is refused."""
+        if required and self._args.get(key) is None and self._file.get(key) is None:
+            raise ConfigError(f"missing required option: --{key}")
         value = int(self.get(key))
         if value < minimum:
             raise ConfigError(f"--{key} must be >= {minimum}, got {value}")
@@ -398,7 +402,7 @@ def cmd_assess(cfg: RunConfig) -> int:
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
-    services = cfg.count("services", 1)
+    services = cfg.count("services", 1, required=True)
     strict = bool(cfg.get("strict"))
     spec = thermal.load_transformer_spec(cfg.require_path("spec"))
     model = clustering.load_model(cfg.require_path("model"))

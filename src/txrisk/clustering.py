@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
     TooFewPointsError,
 )
-from .ingest import iso_date
+from .ingest import TEMP_MAX_C, TEMP_MIN_C, iso_date
 
 MAX_ITERATIONS = 300
 FAR_GUARD_PERCENTILE = 95.0
@@ -414,13 +414,16 @@ def _members_json(members):
 
 def _checked_profile(cluster_id, doc):
     """A stored profile's ``(load_kva, ambient_c)`` lists: 24 finite hourly
-    values each, loads >= 0."""
+    values each, loads >= 0 and ambients within the range a weather reading
+    may take (a mean of readings stays within it)."""
     load = [float(v) for v in doc["load_kva"]]
     ambient = [float(v) for v in doc["ambient_c"]]
     if (len(load) != 24 or len(ambient) != 24
-            or not all(map(math.isfinite, load + ambient)) or min(load) < 0):
+            or not all(map(math.isfinite, load + ambient)) or min(load) < 0
+            or not TEMP_MIN_C <= min(ambient) <= max(ambient) <= TEMP_MAX_C):
         raise ValueError(f"cluster {cluster_id} profile needs 24 finite hourly "
-                         "values each and no negative load")
+                         "values each, no negative load and ambients within "
+                         f"[{TEMP_MIN_C:g}, {TEMP_MAX_C:g}] °C")
     return load, ambient
 
 

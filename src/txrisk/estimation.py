@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import features as ft, thermal
+from . import features as ft, riskassess, thermal
 from .clustering import ClusterModel
 from .errors import (
     FarFromAllClustersError,
@@ -50,7 +50,6 @@ from .ingest import (
     iso_date,
     write_table,
 )
-from .riskassess import _cluster_days
 
 # Below this dissimilarity a query is treated as sitting exactly on the
 # centroid, sidestepping the 1/d blow-up.
@@ -173,17 +172,17 @@ def avg_load_from_energy(daily_energy_kwh, service_count: int) -> float:
 def cluster_max_top_oil(model: ClusterModel, spec: thermal.TransformerSpec,
                         service_count: int) -> dict[int, float]:
     """Per-cluster maximum top-oil °C when each cluster profile supplies
-    ``service_count`` services, all clusters simulated as one batch;
-    computed once and reused across queries.
+    ``service_count`` services: the one column of
+    :func:`txrisk.riskassess.service_grid` at that count, all clusters
+    simulated as one batch; computed once and reused across queries.
 
     Raises:
         ConfigError: the model has no profiles, or ``service_count``
             services load a cluster above ``thermal.MAX_LOAD_PU``.
         ParseError: one service alone loads a cluster above that ceiling.
     """
-    ambient, load_pu = _cluster_days(spec, model, (service_count,))
-    trace = thermal.simulate_day(spec, ambient[:, 0], load_pu[:, 0])
-    return dict(zip(range(1, model.k + 1), trace.top_oil.max(axis=1).tolist()))
+    grid = riskassess.service_grid(spec, model, (service_count,))
+    return dict(zip(range(1, model.k + 1), grid.max_top_oil[:, 0].tolist()))
 
 
 def estimate_day_temperature(day, model: ClusterModel,

@@ -3,10 +3,12 @@ maximum service counts by temperature limit and by life-loss budget.
 
 Cluster 24-hour profiles (kVA per service) are scaled to a transformer
 load, simulated with the thermal model, and screened against the
-temperature limits or converted to aging figures. Both run in batches: the
-threshold search bisects every cluster at once, and one
-:class:`ServiceGrid` holds every cluster's simulated day at every service
-count for both service-count studies and their report tables.
+temperature limits or converted to aging figures. Both run in batches,
+each one :func:`txrisk.thermal.simulate_day` call over a whole
+``(…, 24)`` array: each step of the threshold search bisects every
+cluster at once, and one :class:`ServiceGrid` holds every cluster's
+simulated day at every service count for both service-count studies and
+their report tables.
 """
 
 from __future__ import annotations
@@ -74,18 +76,6 @@ class LifeLoss(NamedTuple):
     economic_loss: np.ndarray  # currency per year
 
 
-def _day_maxima(spec, ambient, load_pu):
-    """Maximum top-oil and hotspot temperature of each day in a batch, and
-    the list of its 24 hourly hotspot temperatures."""
-    top = hot = None
-    hotspots = []
-    for top_h, hot_h, _, _ in thermal.steady_state_hours(spec, ambient, load_pu):
-        top = top_h if top is None else np.maximum(top, top_h)
-        hot = hot_h if hot is None else np.maximum(hot, hot_h)
-        hotspots.append(hot_h)
-    return top, hot, hotspots
-
-
 def rank_impact(results) -> list[ThresholdResult]:
     """Fill impact ranks: 1 = lowest tolerable peak loading (most
     restrictive), ties broken by cluster id. Returned in cluster-id order."""
@@ -124,8 +114,10 @@ def cluster_thresholds(spec: thermal.TransformerSpec, model: ClusterModel,
     shape = kva / np.where(peak > 0, peak, 1.0)[:, None]
 
     def within(scale):
-        top, hot, _ = _day_maxima(spec, ambient, scale[:, None] * shape)
-        return (top <= spec.top_oil_limit) & (hot <= spec.hotspot_limit), top
+        trace = thermal.simulate_day(spec, ambient, scale[:, None] * shape)
+        top = trace.top_oil.max(axis=-1)
+        return ((top <= spec.top_oil_limit)
+                & (trace.hotspot.max(axis=-1) <= spec.hotspot_limit)), top
 
     lo = np.zeros(model.k)
     hi = np.full(model.k, float(scale_max))
@@ -184,65 +176,56 @@ def _check_monotone(values, what):
                 f"{what} not non-decreasing in N for cluster {cid}")
 
 
-def _cluster_days(spec, model: ClusterModel, n_values):
-    """Ambient ``(k, 1, 24)`` and per-unit load ``(k, N, 24)`` arrays of
-    every cluster's day at every service count: N times the cluster's
-    per-service profile over the rating.
-
-    Raises:
-        ConfigError: the model has no profiles, or a service count loads a
-            cluster above ``thermal.MAX_LOAD_PU``.
-        ParseError: one service alone loads a cluster above that ceiling:
-            a profile's ``load_kva`` or the ``rated_kva`` is implausible.
-    """
-    _require_profiles(model)
-    kva, ambient = model.profiles
-    n = np.array(n_values, dtype=float)
-    with np.errstate(over="ignore"):  # an overflow is inf, refused below
-        one_service = kva.max(axis=1) / spec.rated_kva
-        load_pu = n[None, :, None] * kva[:, None, :] / spec.rated_kva
-    for cid, pu in enumerate(one_service.tolist(), start=1):
-        if not pu <= thermal.MAX_LOAD_PU:
-            raise ParseError(
-                f"cluster {cid}: one service's peak load is {pu:.3g} "
-                f"p.u. of rated_kva {spec.rated_kva:g}, above the "
-                f"{thermal.MAX_LOAD_PU:g} p.u. load ceiling")
-    for count, pu in zip(n_values, load_pu.max(axis=(0, 2)).tolist()):
-        if not pu <= thermal.MAX_LOAD_PU:
-            raise ConfigError(f"{count} services load a cluster to {pu:.3g} "
-                              f"p.u., above the {thermal.MAX_LOAD_PU:g} p.u. "
-                              "load ceiling")
-    return ambient[:, None, :], load_pu
-
-
 def service_grid(spec: thermal.TransformerSpec, model: ClusterModel,
                  n_range) -> ServiceGrid:
     """Simulate every cluster's day at every service count of ``n_range``.
 
     The transformer load at N services is N times the cluster's
     per-service profile over the rating. All (cluster, N) days are solved
-    as one batch, hour by hour, keeping only each day's maxima and its
-    hourly hotspots for the aging factors.
+    as one batch, per-unit loads ``(k, N, 24)`` against ambients
+    ``(k, 1, 24)``; the grid keeps each day's maxima and its daily
+    equivalent aging.
 
     Raises:
         ConfigError: ``n_range`` is empty, the model has no profiles, or a
             service count loads a cluster above ``thermal.MAX_LOAD_PU``.
-        ParseError: one service alone loads a cluster above that ceiling.
+        ParseError: one service alone loads a cluster above that ceiling:
+            a profile's ``load_kva`` or the ``rated_kva`` is implausible.
         NonMonotoneError: a cluster's temperature or life loss falls as N
             rises.
     """
     n_values = tuple(n_range)
     if not n_values:
         raise ConfigError("n_range is empty")
-    ambient, load_pu = _cluster_days(spec, model, n_values)
-    max_top_oil, max_hotspot, hotspots = _day_maxima(spec, ambient, load_pu)
+    _require_profiles(model)
+    kva, ambient = model.profiles
+    n = np.array(n_values, dtype=float)
+    peak_kva = kva.max(axis=1)
+    with np.errstate(over="ignore"):  # an overflow is inf, refused below
+        one_service = peak_kva / spec.rated_kva
+        # Rounding is monotone, so these are the peaks of the loads below.
+        peak_pu = n[:, None] * peak_kva / spec.rated_kva
+    for cid, pu in enumerate(one_service.tolist(), start=1):
+        if not pu <= thermal.MAX_LOAD_PU:
+            raise ParseError(
+                f"cluster {cid}: one service's peak load is {pu:.3g} "
+                f"p.u. of rated_kva {spec.rated_kva:g}, above the "
+                f"{thermal.MAX_LOAD_PU:g} p.u. load ceiling")
+    for count, pu in zip(n_values, peak_pu.max(axis=1).tolist()):
+        if not pu <= thermal.MAX_LOAD_PU:
+            raise ConfigError(f"{count} services load a cluster to {pu:.3g} "
+                              f"p.u., above the {thermal.MAX_LOAD_PU:g} p.u. "
+                              "load ceiling")
+    trace = thermal.simulate_day(
+        spec, ambient[:, None, :],
+        n[None, :, None] * kva[:, None, :] / spec.rated_kva)
     grid = ServiceGrid(
         n_values=n_values,
         member_counts=model.member_counts,
-        max_top_oil=max_top_oil,
-        max_hotspot=max_hotspot,
+        max_top_oil=trace.top_oil.max(axis=-1),
+        max_hotspot=trace.hotspot.max(axis=-1),
         daily_loss=aging.equivalent_aging(
-            aging.aging_acceleration(hotspot) for hotspot in hotspots),
+            aging.aging_acceleration(trace.hotspot)),
     )
     _check_monotone(grid.max_top_oil, "max top-oil temperature")
     _check_monotone(grid.max_hotspot, "max hotspot temperature")

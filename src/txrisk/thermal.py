@@ -11,12 +11,14 @@ periodic steady state has a closed form,
 
 evaluated, divided through by a, by Horner passes over the hours; one
 forward pass of the exponential step from x_23 then gives every hour.
-``simulate_day`` solves one day or a whole batch of days at once with numpy.
+``simulate_day`` solves one day or a whole batch of days at once: the
+ultimate rises of every hour of every day in one pass over the load
+array, then each pass of the closed form over the hours of all days.
 
 The results depend on the inputs alone, not on the numpy build: numpy does
 only elementwise IEEE arithmetic here, the powers in the ultimate rises go
-through Python's ``**`` (the C library's ``pow``) one element at a time, and
-every pass over the hours runs in hour order.
+through the C library's ``pow`` one element at a time, and every pass over
+the hours runs in hour order.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -115,10 +118,12 @@ class ThermalTrace:
 
 def _pow(x, exponent):
     """``x ** exponent`` for a float, or elementwise for a numpy array or
-    scalar through the C library ``pow`` (numpy's own may round differently)."""
+    scalar through the C library ``pow`` (numpy's own may round differently),
+    streamed into the result with no list of the elements."""
     if isinstance(x, (np.ndarray, np.generic)):
-        return np.array([v ** exponent for v in np.ravel(x).tolist()]
-                        ).reshape(np.shape(x))
+        flat = np.ascontiguousarray(x, dtype=float).ravel()
+        return np.fromiter(map(pow, memoryview(flat), repeat(exponent)),
+                           float, flat.size).reshape(np.shape(x))
     return x ** exponent
 
 
@@ -146,33 +151,40 @@ def exponential_step(initial_rise, ultimate_rise, time_constant: float,
     return (ultimate_rise - initial_rise) * (1.0 - math.exp(-dt / time_constant)) + initial_rise
 
 
-def _periodic_start(ultimate, time_constant):
-    """Hour-24 rise of the periodic steady state of one-hour steps.
+def _periodic_rises(ultimate, time_constant):
+    """Rises of every hour of the periodic steady state of one-hour steps
+    toward the ultimate rises ``ultimate`` (24 hours on the last axis).
 
-    Divided through by ``a``, the closed form is a weighted mean of the
-    hourly ultimate rises, ``x_23 = sum_i b^(23-i) u_i / sum_j b^j``, which
-    no cancellation spoils however long the time constant. Both sums are
-    Horner passes in hour order; ``b`` is one minus the step's own
-    coefficient.
+    Divided through by ``a``, the closed form of the hour-24 rise is a
+    weighted mean of the hourly ultimate rises,
+    ``x_23 = sum_i b^(23-i) u_i / sum_j b^j``, which no cancellation spoils
+    however long the time constant. Both sums are Horner passes in hour
+    order; ``b`` is one minus the step's own coefficient. A forward pass of
+    :func:`exponential_step` from ``x_23`` then fills hours 0..23.
     """
     b = 1.0 - (1.0 - math.exp(-1.0 / time_constant))
-    num = ultimate[0]
+    num = ultimate[..., 0]
     den = 1.0
-    for u in ultimate[1:]:
-        num = num * b + u
+    for h in range(1, HOURS):
+        num = num * b + ultimate[..., h]
         den = den * b + 1.0
-    return num / den
+    rise = num / den
+    rises = np.empty_like(ultimate)
+    for h in range(HOURS):
+        rise = exponential_step(rise, ultimate[..., h], time_constant)
+        rises[..., h] = rise
+    return rises
 
 
-def steady_state_hours(spec: TransformerSpec, ambient, load_pu):
-    """Periodic steady state of a batch of days, one hour at a time.
+def simulate_day(spec: TransformerSpec, ambient, load_pu) -> ThermalTrace:
+    """Periodic steady-state trace of each day: the trace whose hour-24
+    rises are the rises hour 1 starts from.
 
     ``ambient`` (°C) and ``load_pu`` are arrays with the 24 hours on their
-    last axis; their other axes broadcast against each other, one day per
-    element. For hours 0..23 in order this yields the arrays
-    ``(top_oil, hotspot, top_oil_rise, hotspot_rise)`` of that hour.
-    Callers that need only a summary of each day (its maxima, its aging)
-    can reduce hour by hour instead of holding whole traces.
+    last axis: one ``(24,)`` day, two ``(B, 24)`` batches, or any shapes
+    whose other axes broadcast against each other, one day per element.
+    Each day is solved on its own, so row ``i`` of a batch equals the day
+    of row ``i`` solved alone, bit for bit.
 
     Raises:
         ValueError: an input lacks the 24-hour last axis, or a load is
@@ -184,28 +196,12 @@ def steady_state_hours(spec: TransformerSpec, ambient, load_pu):
         raise ValueError("ambient and load_pu need 24 hours on their last axis")
     if not np.all((load_pu >= 0) & (load_pu <= MAX_LOAD_PU)):
         raise ValueError(f"load_pu entries must lie in [0, {MAX_LOAD_PU:g}]")
-    ult_oil = [ultimate_top_oil_rise(spec, load_pu[..., h]) for h in range(HOURS)]
-    ult_hot = [ultimate_hotspot_rise(spec, load_pu[..., h]) for h in range(HOURS)]
-    oil = _periodic_start(ult_oil, spec.oil_time_constant)
-    hot = _periodic_start(ult_hot, spec.winding_time_constant)
-    for h in range(HOURS):
-        oil = exponential_step(oil, ult_oil[h], spec.oil_time_constant)
-        hot = exponential_step(hot, ult_hot[h], spec.winding_time_constant)
-        top_oil = ambient[..., h] + oil
-        yield top_oil, top_oil + hot, oil, hot
-
-
-def simulate_day(spec: TransformerSpec, ambient, load_pu) -> ThermalTrace:
-    """Periodic steady-state trace of each day: the trace whose hour-24
-    rises are the rises hour 1 starts from.
-
-    ``ambient`` and ``load_pu`` are as for :func:`steady_state_hours`: one
-    ``(24,)`` day, two ``(B, 24)`` batches, or any shapes that broadcast.
-    Each day is solved on its own, so row ``i`` of a batch equals the day
-    of row ``i`` solved alone, bit for bit.
-    """
-    hours = list(steady_state_hours(spec, ambient, load_pu))
-    return ThermalTrace(*(np.stack(column, axis=-1) for column in zip(*hours)))
+    oil = _periodic_rises(ultimate_top_oil_rise(spec, load_pu),
+                          spec.oil_time_constant)
+    hot = _periodic_rises(ultimate_hotspot_rise(spec, load_pu),
+                          spec.winding_time_constant)
+    top_oil = ambient + oil
+    return ThermalTrace(top_oil, top_oil + hot, oil, hot)
 
 
 # JSON spec-file field names, fixed interchange format.

@@ -42,31 +42,48 @@ class TestAgingAcceleration:
 
 class TestEquivalentAging:
     def test_normal_operation_is_one(self):
-        assert aging.equivalent_aging([1.0] * 24) == 1.0
+        assert aging.equivalent_aging(np.ones(24)) == 1.0
 
     def test_double_speed_aging(self):
-        assert aging.equivalent_aging([2.0] * 24) == pytest.approx(2.0)
+        assert aging.equivalent_aging(np.full(24, 2.0)) == pytest.approx(2.0)
 
     def test_mean_symmetry(self):
-        assert aging.equivalent_aging([0.5] * 12 + [1.5] * 12) == pytest.approx(1.0)
+        factors = np.repeat([0.5, 1.5], 12)
+        assert aging.equivalent_aging(factors) == pytest.approx(1.0)
 
     def test_permutation_invariance(self):
-        factors = [0.2 * i + 0.1 for i in range(24)]
+        factors = 0.2 * np.arange(24) + 0.1
         assert aging.equivalent_aging(factors) == pytest.approx(
-            aging.equivalent_aging(list(reversed(factors))))
+            aging.equivalent_aging(factors[::-1]))
 
     def test_linearity(self):
-        factors = [0.2 * i + 0.1 for i in range(24)]
-        assert aging.equivalent_aging([3 * f for f in factors]) == pytest.approx(
+        factors = 0.2 * np.arange(24) + 0.1
+        assert aging.equivalent_aging(3 * factors) == pytest.approx(
             3 * aging.equivalent_aging(factors))
 
+    def test_batch_rows_equal_hour_order_sums(self):
+        # One factor per day of a (B, 24) batch: each the hour-order sum
+        # of its row over 24, bit for bit, as for a single day.
+        factors = np.random.default_rng(3).uniform(0.01, 50.0, (7, 24))
+        feqa = aging.equivalent_aging(factors)
+        assert feqa.shape == (7,)
+        for row, value in zip(factors.tolist(), feqa.tolist()):
+            assert value == sum(row) / 24.0
+        grid = aging.equivalent_aging(factors.reshape(7, 1, 24))
+        assert grid.shape == (7, 1)
+        assert np.array_equal(grid[:, 0], feqa)
+
     def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            aging.equivalent_aging([1.0] * 23)
+        for shape in ((23,), (3, 23), (24, 3)):
+            with pytest.raises(ValueError, match="24 hourly factors"):
+                aging.equivalent_aging(np.ones(shape))
 
     def test_rejects_nonpositive_factor(self):
-        with pytest.raises(ValueError):
-            aging.equivalent_aging([1.0] * 23 + [0.0])
+        for bad in (0.0, -1.0, float("nan")):
+            factors = np.ones((3, 24))
+            factors[1, 23] = bad
+            with pytest.raises(ValueError, match="> 0"):
+                aging.equivalent_aging(factors)
 
 
 class TestAccumulateLifeLoss:
@@ -146,7 +163,7 @@ class TestDayAging:
         # A year of days at the reference hotspot, through the same chain
         # as the service grid and its life-loss table.
         factors = aging.aging_acceleration(np.full(24, 110.0))
-        feqa = aging.equivalent_aging(factors.tolist())
+        feqa = aging.equivalent_aging(factors)
         total, annual = aging.accumulate_life_loss([feqa], [365], 1.0)
         assert feqa == pytest.approx(1.0)
         assert total == pytest.approx(365.0)

@@ -45,11 +45,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,bad", [
         ("cluster", ["--k", "0"]), ("cluster", ["--restarts", "0"]),
         ("cluster", ["--k-sweep", "3..1"]), ("assess", ["--n-range", "5..3"]),
-        ("assess", ["--years", "0"]), ("estimate", ["--services", "0"])])
-    def test_options_checked_before_inputs_are_read(self, tmp_path, command,
-                                                    bad):
-        # Every input file is malformed (exit 3 once read); the bad option
-        # is reported first.
+        ("assess", ["--years", "0"]), ("estimate", ["--services", "0"]),
+        ("estimate", [])])
+    def test_options_checked_before_inputs_are_read(self, tmp_path, capsys,
+                                                    command, bad):
+        # Every input file is malformed (exit 3 once read); the bad option,
+        # or estimate's missing --services, is reported first.
         files = {}
         for name in ("weather", "meter", "calendar", "spec", "model", "query"):
             files[name] = tmp_path / f"{name}.in"
@@ -61,6 +62,7 @@ class TestExitCodes:
         for name in inputs:
             argv += [f"--{name}", str(files[name])]
         assert cli.main(argv + bad) == 2
+        assert (bad or ["--services"])[0] in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["synth", "--strict"], ["cluster", "--strict"], ["assess", "--strict"],
@@ -431,6 +433,20 @@ class TestMalformedInputExitCodes:
         assert self.assess(root, tmp_path, model=model) == 3
         assert "profile needs 24 finite hourly values" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["assess", "estimate"])
+    @pytest.mark.parametrize("ambient", [-280.0, 61.0])
+    def test_cluster_profile_ambient_outside_weather_range(
+            self, golden_pipeline, tmp_path, capsys, command, ambient):
+        # A profile's ambient is a mean of weather readings, so it lies in
+        # their plausible range; one below absolute zero would underflow the
+        # aging factors of the service grid that both commands read.
+        root = golden_pipeline[0][0]
+        model = self.bad_model(root, tmp_path, lambda doc: doc["clusters"][0]
+                               ["profile"]["ambient_c"].__setitem__(5, ambient))
+        run = self.assess if command == "assess" else self.estimate
+        assert run(root, tmp_path, model=model) == 3
+        assert "ambients within [-60, 60]" in capsys.readouterr().err
+
     def estimate(self, root, out, model):
         return cli.main(["estimate", "--spec", str(root / "spec.json"),
                          "--model", str(model), "--query", str(root / "query.csv"),
@@ -704,6 +720,19 @@ class TestConfigFile:
         days2 = len((out2 / "calendar.csv").read_text().splitlines()) - 1
         assert days1 == 4
         assert days2 == 6
+
+    def test_estimate_takes_services_from_config(self, golden_pipeline,
+                                                 tmp_path):
+        root = golden_pipeline[0][0]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"services": 18}))
+        assert cli.main(["estimate", "--config", str(cfg),
+                         "--spec", str(root / "spec.json"),
+                         "--model", str(root / "out" / "model.json"),
+                         "--query", str(root / "query.csv"),
+                         "--out", str(tmp_path)]) == 0
+        assert ((tmp_path / "estimates.csv").read_bytes()
+                == (root / "out" / "estimates.csv").read_bytes())
 
     def test_schema_from_config(self, tmp_path):
         data = tmp_path / "data"

@@ -12,6 +12,7 @@ closed form:
 """
 
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -81,6 +82,50 @@ class TestScalarLibm:
         # and the service grid pass them.
         return np.random.default_rng(2024).uniform(0.0, 3.0, (10, 24))
 
+    @staticmethod
+    def scalar_faa(t):
+        """The aging factor at ``t`` °C by ``math.exp`` of a float."""
+        return math.exp(aging.AGING_RATE_CONSTANT / aging.REFERENCE_HOTSPOT_K
+                        - aging.AGING_RATE_CONSTANT / (t + 273.0))
+
+    @staticmethod
+    def layouts(values):
+        """``values`` and views of it that are not C-contiguous: a strided
+        slice, the transpose, and a broadcast of one row."""
+        return (values, values[:, ::2], values.T,
+                np.broadcast_to(values[:1], (3, 24)))
+
+    @pytest.mark.parametrize("exponent", EXPONENTS)
+    def test_pow_is_scalar_pow_on_any_layout(self, values, exponent):
+        for view in self.layouts(values):
+            out = thermal._pow(view, exponent)
+            assert out.shape == view.shape
+            assert (bits(out) == bits([[v ** exponent for v in row]
+                                       for row in view.tolist()])).all()
+
+    def test_aging_acceleration_is_math_exp_on_any_layout(self, values):
+        for view in self.layouts(60.0 * values - 30.0):
+            out = aging.aging_acceleration(view)
+            assert out.shape == view.shape
+            assert (bits(out) == bits([[self.scalar_faa(t) for t in row]
+                                       for row in view.tolist()])).all()
+
+    def test_peak_allocation_is_a_few_copies_of_the_input(self):
+        # A (cluster, N) grid of days as the service grid passes it: neither
+        # function may build a Python list of the elements, which costs
+        # some 8-10 times the array's bytes.
+        grid = np.random.default_rng(7).uniform(0.0, 3.0, (10, 150, 24))
+        hotspot = 60.0 * grid - 30.0
+        for solve in (lambda: thermal._pow(grid, 0.8),
+                      lambda: aging.aging_acceleration(hotspot)):
+            tracemalloc.start()
+            try:
+                solve()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * grid.nbytes
+
     @pytest.mark.parametrize("exponent", EXPONENTS)
     def test_pow_is_scalar_pow(self, values, exponent):
         out = thermal._pow(values, exponent)
@@ -96,10 +141,7 @@ class TestScalarLibm:
 
     def test_aging_acceleration_is_math_exp(self, values):
         hotspot = 60.0 * values - 30.0  # -30..150 °C
-
-        def scalar(t):
-            return math.exp(aging.AGING_RATE_CONSTANT / aging.REFERENCE_HOTSPOT_K
-                            - aging.AGING_RATE_CONSTANT / (t + 273.0))
+        scalar = self.scalar_faa
 
         out = aging.aging_acceleration(hotspot)
         assert out.shape == hotspot.shape
@@ -234,6 +276,7 @@ class TestSimulateDay:
 class TestSimulateDays:
     def test_batch_rows_match_single_days_and_decimal_closed_form(self):
         rng = np.random.default_rng(97)
+        grid_rng = np.random.default_rng(98)
         for _ in range(40):
             spec = TransformerSpec(
                 rated_kva=25.0,
@@ -267,6 +310,19 @@ class TestSimulateDays:
                     assert abs(Decimal(single.top_oil[h]) - exact_top) <= Decimal("1e-9")
                     assert abs(Decimal(single.hotspot[h])
                                - (exact_top + hot[h])) <= Decimal("1e-9")
+
+            # A (cluster, N) grid as the service grid solves it: (k, N, 24)
+            # loads against (k, 1, 24) ambients.
+            grid_ambient = ambient[:2, None, :]
+            grid_load = grid_rng.uniform(0.0, 2.5, (2, 3, 24))
+            grid = simulate_day(spec, grid_ambient, grid_load)
+            assert grid.top_oil.shape == (2, 3, 24)
+            for i, j in np.ndindex(2, 3):
+                single = simulate_day(spec, grid_ambient[i, 0], grid_load[i, j])
+                for field in ("top_oil", "hotspot", "top_oil_rise",
+                              "hotspot_rise"):
+                    assert (bits(getattr(grid, field)[i, j])
+                            == bits(getattr(single, field))).all()
 
     def test_broadcasts_ambient_over_a_load_grid(self, default_spec):
         rng = np.random.default_rng(5)

@@ -80,15 +80,11 @@ def test_every_return_counter_reads_a_real_result(tmp_path, default_spec):
         assert len(counters) == 1 and min(counters.values()) > 0, key
 
 
-def test_estimate_reaches_the_traced_thermal_day(golden_pipeline, tmp_path,
-                                                 monkeypatch):
-    # The harness counts thermal days from calls to the module attribute it
-    # patches, ``txrisk.thermal.simulate_day``; its estimate smoke run needs
-    # at least one. A golden estimate call must make one, with unchanged
-    # output.
-    from txrisk import cli, thermal
+def count_thermal_days(monkeypatch):
+    """The list of calls made through the module attribute the harness
+    patches to count thermal days, ``txrisk.thermal.simulate_day``."""
+    from txrisk import thermal
 
-    root, _ = golden_pipeline[0]
     calls = []
     solve = thermal.simulate_day
 
@@ -97,6 +93,17 @@ def test_estimate_reaches_the_traced_thermal_day(golden_pipeline, tmp_path,
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(thermal, "simulate_day", counted)
+    return calls
+
+
+def test_estimate_reaches_the_traced_thermal_day(golden_pipeline, tmp_path,
+                                                 monkeypatch):
+    # The harness's estimate smoke run needs at least one thermal day. A
+    # golden estimate call must make one, with unchanged output.
+    from txrisk import cli
+
+    root, _ = golden_pipeline[0]
+    calls = count_thermal_days(monkeypatch)
     assert cli.main(["estimate", "--spec", str(root / "spec.json"),
                      "--model", str(root / "out" / "model.json"),
                      "--query", str(root / "query.csv"), "--services", "18",
@@ -104,6 +111,26 @@ def test_estimate_reaches_the_traced_thermal_day(golden_pipeline, tmp_path,
     assert len(calls) >= 1
     assert ((tmp_path / "estimates.csv").read_bytes()
             == (root / "out" / "estimates.csv").read_bytes())
+
+
+def test_assess_reaches_the_traced_thermal_day(golden_pipeline, tmp_path,
+                                               monkeypatch):
+    # The harness's screen smoke run counts the thermal days of ``assess``
+    # the same way: the threshold search and the service grid solve
+    # through the patched attribute, with unchanged outputs.
+    from txrisk import cli
+
+    root, _ = golden_pipeline[0]
+    calls = count_thermal_days(monkeypatch)
+    assert cli.main(["assess", "--spec", str(root / "spec.json"),
+                     "--model", str(root / "out" / "model.json"),
+                     "--n-range", "1..40", "--budget", "500", "--years", "2",
+                     "--svg", "--out", str(tmp_path)]) == 0
+    assert len(calls) >= 1
+    for name in ("thresholds.csv", "month_matrix.csv", "temperature_grid.csv",
+                 "life_loss.csv", "month_distribution.svg"):
+        assert ((tmp_path / name).read_bytes()
+                == (root / "out" / name).read_bytes()), name
 
 
 def test_cluster_max_top_oil_on_a_loaded_model(golden_pipeline):
