@@ -7,7 +7,6 @@ typical temperatures, load level, and day type.
 """
 
 import tempfile
-from pathlib import Path
 
 from txrisk import (
     composition,
@@ -19,12 +18,12 @@ from txrisk import (
 )
 import datetime as dt
 
-workdir = Path(tempfile.mkdtemp(prefix="txrisk_demo_"))
-paths = synth_dataset(seed=42, services=10, start_date=dt.date(2014, 1, 1),
-                      days=730, out_dir=workdir)
-print(f"synthetic dataset in {workdir}")
-
-dataset = load_dataset(paths["weather"], paths["meter"], paths["calendar"])
+# The CSV files live only until they are loaded.
+with tempfile.TemporaryDirectory(prefix="txrisk_demo_") as workdir:
+    paths = synth_dataset(seed=42, services=10, start_date=dt.date(2014, 1, 1),
+                          days=730, out_dir=workdir)
+    print(f"synthetic dataset in {workdir}")
+    dataset = load_dataset(paths["weather"], paths["meter"], paths["calendar"])
 print(f"{len(dataset.records)} records "
       f"({len(dataset.services)} services x {len(dataset.dates)} days), "
       f"fields: {', '.join(dataset.records.dtype.names)}\n")

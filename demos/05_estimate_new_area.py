@@ -12,7 +12,6 @@ every cluster get flagged instead of silently extrapolated.
 import datetime as dt
 import tempfile
 import warnings
-from pathlib import Path
 
 import numpy as np
 
@@ -34,10 +33,10 @@ spec = TransformerSpec(
     loss_ratio=4.0, oil_time_constant=3.0, winding_time_constant=0.08,
     replacement_cost=5000.0)
 
-workdir = Path(tempfile.mkdtemp(prefix="txrisk_demo_"))
-paths = synth_dataset(seed=42, services=10, start_date=dt.date(2014, 1, 1),
-                      days=730, out_dir=workdir)
-dataset = load_dataset(paths["weather"], paths["meter"], paths["calendar"])
+with tempfile.TemporaryDirectory(prefix="txrisk_demo_") as workdir:
+    paths = synth_dataset(seed=42, services=10, start_date=dt.date(2014, 1, 1),
+                          days=730, out_dir=workdir)
+    dataset = load_dataset(paths["weather"], paths["meter"], paths["calendar"])
 model = train_model(dataset, k=6, schema=default_schema(), seed=7, restarts=3)
 
 # Transformer X serves 18 homes in the new area. Its revenue meters

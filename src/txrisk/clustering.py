@@ -46,6 +46,11 @@ class ClusterModel:
     pair, cluster 1's first, each cluster's in table order, so
     ``member_counts`` splits it; ``member_rows`` are their rows in the
     table :func:`kmeans` read (None for a model read from a file).
+
+    Raises:
+        ValueError: ``profiles`` are not two ``(k, 24)`` arrays of finite
+            values, loads >= 0 and ambients within the weather range (as a
+            mean of readings is); the message names the first bad cluster.
     """
 
     members: tuple[tuple[str, str], ...]
@@ -60,6 +65,18 @@ class ClusterModel:
     restarts: int = 1
     objective_trace: tuple[float, ...] | None = None
     member_rows: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.profiles is None:
+            return
+        load, ambient = self.profiles
+        if np.shape(load) != (self.k, 24) or np.shape(ambient) != (self.k, 24):
+            raise ValueError(f"profiles need two ({self.k}, 24) arrays, got "
+                             f"{np.shape(load)} and {np.shape(ambient)}")
+        good = (np.isfinite(load) & np.isfinite(ambient) & (load >= 0)
+                & (TEMP_MIN_C <= ambient) & (ambient <= TEMP_MAX_C))
+        if not good.all():
+            raise _profile_error(int(good.all(axis=1).argmin()) + 1)
 
     @property
     def k(self) -> int:
@@ -129,13 +146,12 @@ def _update_centroids(quant, nom, labels, counts, member_rows=None):
 
 
 def kmeans(records, k: int, schema: ft.FeatureSchema, seed: int,
-           restarts: int = 1, max_iterations: int = MAX_ITERATIONS,
-           track_objective: bool = False) -> ClusterModel:
+           restarts: int = 1, track_objective: bool = False) -> ClusterModel:
     """Train the mixed-type weighted k-means model on a record table with
     ``service_id`` and ``date`` fields besides the schema's features.
 
     Alternates nearest-centroid assignment and centroid update until
-    assignments stop changing (or ``max_iterations``). ``restarts`` reruns
+    assignments stop changing (or ``MAX_ITERATIONS``). ``restarts`` reruns
     the whole procedure with fresh seeded initial centroids and keeps the
     lowest-objective result. Output is deterministic for a fixed seed.
     Inside Lloyd each centroid mean is a row-order float sum divided by the
@@ -170,8 +186,7 @@ def kmeans(records, k: int, schema: ft.FeatureSchema, seed: int,
     best = None
     for _ in range(restarts):
         init = rng.choice(n, size=k, replace=False)
-        result = _lloyd(quant, nom, schema, init, max_iterations,
-                        track_objective)
+        result = _lloyd(quant, nom, schema, init, track_objective)
         if best is None or result[1] < best[1]:
             best = result
     labels, _, trace = best
@@ -200,7 +215,7 @@ def kmeans(records, k: int, schema: ft.FeatureSchema, seed: int,
     )
 
 
-def _lloyd(quant, nom, schema, init_idx, max_iterations, track_objective):
+def _lloyd(quant, nom, schema, init_idx, track_objective):
     """One k-means run from the given initial data-point indices.
 
     Returns the final labels, the vectorized objective used to rank
@@ -219,7 +234,7 @@ def _lloyd(quant, nom, schema, init_idx, max_iterations, track_objective):
     if track_objective:
         trace.append(float(dists[np.arange(n), labels].sum()))
 
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         counts = np.bincount(labels, minlength=k)
         cent_q, cent_n = _update_centroids(quant, nom, labels, counts)
         empties = np.flatnonzero(counts == 0)
@@ -412,18 +427,19 @@ def _members_json(members):
                                for service, date in members]) + "\n      ]"
 
 
-def _checked_profile(cluster_id, doc):
-    """A stored profile's ``(load_kva, ambient_c)`` lists: 24 finite hourly
-    values each, loads >= 0 and ambients within the range a weather reading
-    may take (a mean of readings stays within it)."""
+def _profile_error(cluster_id):
+    return ValueError(f"cluster {cluster_id} profile needs 24 finite hourly "
+                      "values each, no negative load and ambients within "
+                      f"[{TEMP_MIN_C:g}, {TEMP_MAX_C:g}] °C")
+
+
+def _profile_lists(cluster_id, doc):
+    """A stored profile's ``(load_kva, ambient_c)`` lists of 24 numbers
+    each; :class:`ClusterModel` checks their values."""
     load = [float(v) for v in doc["load_kva"]]
     ambient = [float(v) for v in doc["ambient_c"]]
-    if (len(load) != 24 or len(ambient) != 24
-            or not all(map(math.isfinite, load + ambient)) or min(load) < 0
-            or not TEMP_MIN_C <= min(ambient) <= max(ambient) <= TEMP_MAX_C):
-        raise ValueError(f"cluster {cluster_id} profile needs 24 finite hourly "
-                         "values each, no negative load and ambients within "
-                         f"[{TEMP_MIN_C:g}, {TEMP_MAX_C:g}] °C")
+    if len(load) != 24 or len(ambient) != 24:
+        raise _profile_error(cluster_id)
     return load, ambient
 
 
@@ -517,7 +533,7 @@ def load_model(path) -> ClusterModel:
         if len(set(members)) != len(members):
             twice = next(m for m, n in Counter(members).items() if n > 1)
             raise ValueError(f"member {list(twice)} is listed more than once")
-        profiles = [_checked_profile(c + 1, entry["profile"])
+        profiles = [_profile_lists(c + 1, entry["profile"])
                     for c, entry in enumerate(entries) if "profile" in entry]
         if profiles and len(profiles) != len(entries):
             raise ValueError("some clusters have a profile and some not")

@@ -12,13 +12,8 @@ the queries in the result. It warns at most once per kind: one
 queries that lack them, one ``FarQueryWarning`` counting the far queries.
 :func:`estimate_day_temperature` is the one-day form.
 
-:func:`read_query_csv` reads ``query.csv`` through the byte-level block
-scan and column rules that :mod:`txrisk.ingest` uses for hourly files:
-each run of equal date spellings is looked up once, and the four numbers
-are converted a column at a time. A file with a quote, a carriage return
-not before a line feed, a NUL, a byte outside ASCII, a row without six
-fields, or any value the per-row loop would refuse is read by that loop
-instead, which reports the fault with its row and column.
+:func:`read_query_csv` reads ``query.csv`` through
+:func:`txrisk.ingest.read_columns`, the one reader of every input table.
 :func:`write_estimates_csv` formats ``estimates.csv`` 2,048 rows per
 chunk of :func:`txrisk.ingest.write_table`."""
 
@@ -38,18 +33,7 @@ from .errors import (
     SchemaMismatchError,
     ZeroServicesError,
 )
-from .ingest import (
-    _codes,
-    _field_blocks,
-    _flags,
-    _numbers,
-    _parse_date,
-    _parse_flag,
-    _parse_float,
-    _read_table,
-    iso_date,
-    write_table,
-)
+from .ingest import FLAG_RULE, date_rule, number_rule, read_columns, write_table
 
 # Below this dissimilarity a query is treated as sitting exactly on the
 # centroid, sidestepping the 1/d blow-up.
@@ -60,6 +44,8 @@ QUERY_HEADER = ["date", "t_max_c", "t_min_c", "t_avg_c", "l_avg_kva", "weekday"]
 QUERY_DTYPE = np.dtype([("date", "U10")]
                        + [(name, "f8") for name in QUERY_HEADER[1:5]]
                        + [("weekday", "U1")])
+# The rule of a query number: any finite value.
+_FINITE = number_rule()
 
 
 @dataclass(frozen=True)
@@ -208,68 +194,29 @@ def estimate_day_temperature(day, model: ClusterModel,
 def read_query_csv(path) -> np.ndarray:
     """Read estimation query days (date, daily temperature summary, average
     service load, and weekday flag) into a record table of
-    ``QUERY_DTYPE``: by :func:`_scan_queries`, or by the per-row loop
-    where the scan declines the file.
+    ``QUERY_DTYPE``, through :func:`txrisk.ingest.read_columns`.
 
     Raises:
-        ParseError: malformed file content, from the per-row loop (row and
-            column reported).
+        ParseError: malformed file content (row and column reported).
     """
-    table = _scan_queries(path)
-    return _query_rows(path) if table is None else table
-
-
-def _query_rows(path):
-    """The per-row reading of a query file: the one place that reports a
-    malformed row."""
-    rows = _read_table(path, [QUERY_HEADER])
-    next(rows)
-    out = []
-    for i, row in rows:
-        date = _parse_date(row[0], path, i).isoformat()
-        numbers = [_parse_float(row[j], path, i, name)
-                   for j, name in enumerate(QUERY_HEADER[1:5], start=1)]
-        _parse_flag(row[5], path, i, "weekday")
-        out.append((date, *numbers, row[5]))
-    return np.array(out, dtype=QUERY_DTYPE)
-
-
-def _scan_queries(path):
-    """:func:`_query_rows` read a block of bytes at a time, a column at a
-    time, or None when the file needs the per-row loop: a file that
-    :func:`txrisk.ingest._field_blocks` declines, a bad date, a number
-    ``float`` refuses or one not finite, or a weekday other than ``Y`` or
-    ``N``. Numbers go through ``float`` as in the per-row loop. It raises
-    nothing for the file's content."""
-    spellings = {}   # date bytes -> code
-    isoformats = []  # code -> ISO date
-
-    def new_date(text):
-        try:
-            isoformats.append(iso_date(text.decode()).isoformat())
-        except ValueError:
-            return None
-        return len(isoformats) - 1
-
-    parts = []
-    for fields in _field_blocks(path, QUERY_HEADER):
-        if fields is None:
-            return None
-        buf, starts, lens = fields
-        weekdays = _flags(buf, starts[5], lens[5])
-        days = _codes(buf, starts[0], lens[0], spellings, new_date)
-        if weekdays is None or days is None:
-            return None
-        part = np.empty(len(days), QUERY_DTYPE)
-        for j, name in enumerate(QUERY_HEADER[1:5], start=1):
-            values = _numbers(buf, starts[j], lens[j])
-            if values is None or not np.isfinite(values).all():
-                return None
+    dates = {}  # date -> code
+    rules = [date_rule(dates), *[_FINITE] * 4, FLAG_RULE]
+    parts, days = [], []
+    for _, (codes, *numbers, weekdays) in read_columns(path, QUERY_HEADER,
+                                                       rules):
+        part = np.empty(len(codes), QUERY_DTYPE)
+        for name, values in zip(QUERY_HEADER[1:5], numbers):
             part[name] = values
-        part["date"] = np.array(isoformats)[days]
         part["weekday"] = np.where(weekdays, "Y", "N")
         parts.append(part)
-    return np.concatenate(parts) if parts else np.empty(0, QUERY_DTYPE)
+        days.append(codes)
+    if not parts:
+        return np.empty(0, QUERY_DTYPE)
+    table = np.concatenate(parts)
+    # Each date's ISO text is built once.
+    table["date"] = np.array([date.isoformat() for date in dates])[
+        np.concatenate(days)]
+    return table
 
 
 # An estimates.csv row. A query table's dates and flags hold no comma,

@@ -11,17 +11,18 @@ Metered kW is treated as kVA at unity power factor. :func:`load_dataset`
 returns the days as one record table: a numpy structured array with a row
 per (service, date) and a field per column.
 
-The two hourly files are read as bytes, 64 KiB of whole lines at a time
-(:func:`_field_blocks`, which :func:`txrisk.estimation.read_query_csv`
-shares): a block's fields are found from the positions of its commas and
-line feeds, and each column is converted whole by one rule per kind of
-field (:func:`_hours`, :func:`_numbers`, :func:`_codes` for dates and
-service ids, :func:`_flags`). A file goes to the per-row loop instead when
-it holds a quote, a carriage return not before a line feed, a NUL, a byte
-outside ASCII, or a line without the header's column count or longer than
-the csv field limit, or when any rule declines a field; that loop reports
-every fault with the same message, row and column as before. Calendar
-files are read row by row.
+Every input table (these three files and the query file of
+:func:`txrisk.estimation.read_query_csv`) is read by :func:`read_columns`,
+with one ``(scan, parse)`` rule per kind of column: date codes, service-id
+codes, hours, numbers within a range and Y/N flags. It reads 64 KiB of
+whole lines at a time, finds the fields from the positions of commas and
+line feeds, and converts each column whole by its rule's scan. From the
+first block that holds a quote, a carriage return not before a line feed,
+a NUL, a byte outside ASCII, a line without the header's column count or
+longer than the csv field limit, or a field that a scan declines, the
+per-row code reads the rest and reports every fault with its row and
+column. Checks across rows (a third reading of an hour, a calendar date
+listed twice) run over whole columns.
 
 Every CSV table the package writes goes through :func:`write_table`, as
 rows formatted by %-format templates; :func:`synth_dataset` formats all of
@@ -82,43 +83,16 @@ def iso_date(text: str) -> dt.date:
     return dt.date.fromisoformat(text)
 
 
-def _parse_date(text, path, row):
-    try:
-        return iso_date(text)
-    except ValueError:
-        raise ParseError(f"bad date {text!r}", path=path, row=row,
-                         column="date") from None
-
-
-def _parse_float(text, path, row, column):
-    """A finite float; ``nan`` and ``inf`` are rejected like any bad number."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ParseError(f"bad number {text!r}", path=path, row=row,
-                         column=column)
-    return value
-
-
-def _parse_hour(text, path, row):
+def _parse_hour(text, path, row, column):
     try:
         hour = int(text)
     except ValueError:
         raise ParseError(f"bad hour {text!r}", path=path, row=row,
-                         column="hour") from None
+                         column=column) from None
     if not 0 <= hour <= 23:
         raise ParseError(f"hour {hour} outside 0..23", path=path, row=row,
-                         column="hour")
+                         column=column)
     return hour
-
-
-def _check_service(text, path, row):
-    """A service id: any text but an empty or all-blank one."""
-    if not text.strip():
-        raise ParseError(f"blank service id {text!r}", path=path, row=row,
-                         column="service_id")
 
 
 def _parse_flag(text, path, row, column):
@@ -164,59 +138,12 @@ def write_table(path, header, chunks) -> None:
             fh.write(chunk)
 
 
-# Per reading column: the hourly file, the plausible range of a reading
-# and the complaint about one outside it.
-_HOURLY_FILES = {
-    "temp_c": ("weather", TEMP_MIN_C, TEMP_MAX_C,
-               "temperature {} outside plausible range"),
-    "kw": ("meter", 0.0, math.inf, "negative demand {}"),
-}
 # The block scan reads a file this many bytes at a time, cut at a line
 # end. On a 17 MB meter file, 1 MiB blocks raised the peak memory of
 # load_dataset from 72 to 77 MB.
 _BLOCK_BYTES = 1 << 16
-
-
-def _hourly_rows(path, header):
-    """The per-row reading of an hourly file (weather or interval meter)
-    with header ``header``: its day keys in first-seen order, a
-    ``(days, 24)`` grid of readings (NaN where an hour was not read) and,
-    in file order, the day of each second reading of an hour.
-
-    A day's key is ``(date,)`` for weather and ``(service, date)`` for a
-    meter. The first reading of an hour is kept; a third is a ParseError,
-    as is any malformed row, reported with its row and column.
-    """
-    column = header[-1]
-    _, lo, hi, complaint = _HOURLY_FILES[column]
-    rows = _read_table(path, [header])
-    next(rows)
-    index = {}        # day key -> grid row
-    repeated = {}     # (grid row, hour) of each duplicate, in file order
-    grid = array("d")  # NaN until its hour is read: readings are finite
-    for i, fields in rows:
-        key = (*fields[:-3], _parse_date(fields[-3], path, i))
-        day = index.get(key)
-        if day is None:
-            if len(key) == 2:  # (service, date): checked once per day
-                _check_service(key[0], path, i)
-            day = index[key] = len(index)
-            grid.extend([math.nan] * 24)
-        hour = _parse_hour(fields[-2], path, i)
-        value = _parse_float(fields[-1], path, i, column)
-        if not lo <= value <= hi:
-            raise ParseError(complaint.format(value), path=path, row=i,
-                             column=column)
-        cell = 24 * day + hour
-        if not math.isnan(grid[cell]):
-            if (day, hour) in repeated:
-                raise ParseError(f"hour {hour} appears more than twice",
-                                 path=path, row=i, column="hour")
-            repeated[(day, hour)] = None
-            continue
-        grid[cell] = value
-    return (list(index), np.array(grid).reshape(-1, 24),
-            [day for day, _ in repeated])
+# The per-row code hands its rows on in chunks of this many.
+_ROW_CHUNK = 4096
 
 
 def _byte_blocks(fh):
@@ -273,7 +200,7 @@ def _block_fields(block, width):
 def _field_blocks(path, header):
     """The data lines of a CSV file as field blocks: for each block of
     :func:`_byte_blocks`, its fields as :func:`_block_fields` gives them.
-    A None in place of a block means the file needs the per-row loop and
+    A None in place of a block means the file needs the per-row code and
     ends the blocks: a header line other than ``header``, a block that
     :func:`_block_fields` refuses, or a file that cannot be read. It raises
     nothing for the file's content.
@@ -295,9 +222,9 @@ def _field_blocks(path, header):
         yield None
 
 
-# Column rules of the block scan. Each takes a block's bytes and one
+# Column scans of the block scan. Each takes a block's bytes and one
 # column's field starts and lengths, and gives the column's values, or None
-# where the per-row loop might read a field otherwise or refuse it.
+# where the per-row code might read a field otherwise or refuse it.
 def _fixed(buf, starts, length):
     """The ``length``-byte fields at ``starts`` as an ``S{length}`` array."""
     return np.ndarray((len(buf) - length + 1,), f"S{length}", buf, 0,
@@ -316,7 +243,7 @@ def _by_length(lens):
 def _hours(buf, starts, lens):
     """Hours spelled with one or two ASCII digits, 0..23: ``0``..``23``
     and ``00``..``09``. Any other spelling (``005``, `` 5``, ``+5``) takes
-    the per-row loop, which reads what ``int`` reads."""
+    the per-row code, which reads what ``int`` reads."""
     two = lens == 2
     if not (two | (lens == 1)).all():
         return None
@@ -343,28 +270,24 @@ def _numbers(buf, starts, lens):
     return values
 
 
-def _codes(buf, starts, lens, table, new):
-    """Each field's code in ``table`` (field bytes -> code), or None where
-    ``new`` declines a field: ``new(text)`` gives the code of a text not yet
-    in ``table``, or None. A run of equal fields is looked up once."""
+def _codes(buf, starts, lens, table, code):
+    """Each field's code, or None where ``code`` declines a field:
+    ``code(text)`` gives the code of field bytes ``text`` or None, and
+    ``table`` (field bytes -> code) those of the texts seen before. A run of
+    equal fields is looked up once."""
     if not lens.all():
         return None
     codes = np.empty(len(starts), np.int64)
     for length, rows in _by_length(lens):
         texts = _fixed(buf, starts[rows], length)
-        heads = np.flatnonzero(np.concatenate(([True],
-                                               texts[1:] != texts[:-1])))
+        heads = _run_heads(texts)
         runs = texts[heads].tolist()
         run_codes = list(map(table.get, runs))
-        if None in run_codes:  # texts not seen before
-            for i, text in enumerate(runs):
-                if run_codes[i] is None:
-                    if text not in table:
-                        code = new(text)
-                        if code is None:
-                            return None
-                        table[text] = code
-                    run_codes[i] = table[text]
+        if None in run_codes:  # texts not seen before, or refused
+            run_codes = [code(text) if value is None else value
+                         for text, value in zip(runs, run_codes)]
+            if None in run_codes:
+                return None
         codes[rows] = np.repeat(run_codes, np.diff(heads, append=len(texts)))
     return codes
 
@@ -378,119 +301,223 @@ def _flags(buf, starts, lens):
     return codes == ord("Y")
 
 
-def _scan_hourly(path, header):
-    """:func:`_hourly_rows` read a block of bytes at a time, a column at a
-    time, or None when the file needs the per-row loop: a file that
-    :func:`_field_blocks` declines, and any value that a column rule
-    declines or the loop would refuse (a bad date, a blank service id, an
-    hour not spelled as :func:`_hours` reads it, a number ``float`` refuses,
-    one not finite or out of range, a third reading of an hour). It raises
-    nothing for the file's content: the per-row loop reports the fault.
-    """
-    _, lo, hi, _ = _HOURLY_FILES[header[-1]]
-    services = {}   # service id bytes -> code (meter only)
-    spellings = {}  # date bytes -> date code
-    dates = {}      # date -> date code
-    index = {}      # day code (service code << 32 | date code) -> grid row
-    duplicated = []
-    # Grown in place like the per-row loop's grid; numpy writes through a
-    # view made per block, as a buffer cannot grow while it is viewed.
-    grid = array("d")
-    reads = bytearray()  # readings seen per cell, 0..2
+def _run_heads(values):
+    """The index of the first value of each run of equal values in the
+    non-empty 1-D array ``values``."""
+    return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
 
-    def new_date(text):
+
+def _ranks(keys):
+    """Each key's count of equal keys before it in the non-empty 1-D array
+    ``keys``: its rank in a stable sort, less its run's first rank."""
+    order = np.argsort(keys, kind="stable")
+    heads = _run_heads(keys[order])
+    ranks = np.empty(len(keys), np.int64)
+    ranks[order] = np.arange(len(keys)) - np.repeat(
+        heads, np.diff(heads, append=len(keys)))
+    return ranks
+
+
+# Column rules: per kind of field, a ``(scan, parse)`` pair. ``scan`` is a
+# column scan as above; ``parse(text, path, row, column)`` reads one field
+# of the per-row code or raises the ParseError that reports it.
+def _code_rule(new, complaint):
+    """The rule of a column of codes: ``new(text)`` gives the code of field
+    bytes ``text`` not seen before, or None for a field refused with the
+    ParseError ``complaint`` (formatted with the field's text)."""
+    table = {}  # field bytes -> code
+
+    def code(text):
+        if text not in table:
+            table[text] = new(text)
+        return table[text]
+
+    def parse(text, path, row, column):
+        value = code(text.encode())
+        if value is None:
+            raise ParseError(complaint.format(text), path=path, row=row,
+                             column=column)
+        return value
+
+    def scan(buf, starts, lens):
+        return _codes(buf, starts, lens, table, code)
+
+    return scan, parse
+
+
+def date_rule(dates):
+    """The rule of a date column: each field's code in ``dates``, a dict of
+    ``datetime.date`` -> code that new dates join in the order read, so
+    ``list(dates)`` gives the dates by code. Each spelling is read once."""
+    def new(text):
         try:
             return dates.setdefault(iso_date(text.decode()), len(dates))
         except ValueError:
             return None
 
-    def new_service(text):
-        # As the per-row loop's str.strip, which also strips \x1c..\x1f.
-        return len(services) if text.decode().strip() else None
+    return _code_rule(new, "bad date {!r}")
 
-    for fields in _field_blocks(path, header):
-        if fields is None:
+
+def _service_rule(names):
+    """The rule of a service-id column, codes in ``names`` as
+    :func:`date_rule` gives them: any text but an empty or all-blank one
+    (by ``str.strip``, which also strips ``\\x1c``..``\\x1f``)."""
+    def new(text):
+        name = text.decode()
+        return names.setdefault(name, len(names)) if name.strip() else None
+
+    return _code_rule(new, "blank service id {!r}")
+
+
+def number_rule(lo=-math.inf, hi=math.inf, complaint=""):
+    """The rule of a column of finite numbers, read as ``float`` reads
+    them, within ``[lo, hi]``; ``complaint`` (formatted with the value)
+    reports one outside."""
+    def scan(buf, starts, lens):
+        values = _numbers(buf, starts, lens)
+        if values is None or not (np.isfinite(values) & (lo <= values)
+                                  & (values <= hi)).all():
             return None
-        buf, starts, lens = fields
-        hours = _hours(buf, starts[-2], lens[-2])
-        values = _numbers(buf, starts[-1], lens[-1])
-        if hours is None or values is None or not (
-                np.isfinite(values) & (lo <= values) & (values <= hi)).all():
-            return None
-        days = _codes(buf, starts[-3], lens[-3], spellings, new_date)
-        if days is None:
-            return None
-        if len(header) == 4:
-            ids = _codes(buf, starts[0], lens[0], services, new_service)
-            if ids is None:
-                return None
-            days |= ids << 32
-        # Day codes to grid rows, new days numbered in the order they
-        # first appear.
-        codes, first, inverse = np.unique(days, return_index=True,
-                                          return_inverse=True)
-        order = np.argsort(first)
-        rows = np.empty(len(codes), np.int64)
-        rows[order] = [index.setdefault(code, len(index))
-                       for code in codes[order].tolist()]
-        days = rows[inverse]
-        more = 24 * len(index) - len(grid)
-        grid.extend(array("d", [math.nan]) * more)
-        reads.extend(bytes(more))
-        seen = np.frombuffer(reads, np.uint8)
-        # Each row's reading number in its cell, from 0: 0 for a cell's
-        # first row in the block, 1 for any later one, plus the cell's
-        # readings in earlier blocks.
-        cells = 24 * days + hours
-        _, first, counts = np.unique(cells, return_index=True,
-                                     return_counts=True)
-        numbers = seen[cells] + 1
-        numbers[first] -= 1
-        if counts.max() > 2 or numbers.max() > 1:
-            return None
-        kept = cells[numbers == 0]
-        np.frombuffer(grid)[kept] = values[numbers == 0]
-        seen[kept] = 1
-        again = np.flatnonzero(numbers == 1)
-        seen[cells[again]] = 2
-        del seen
-        duplicated += days[again].tolist()
-    day_dates = list(dates)
-    if services:
-        names = [text.decode() for text in services]
-        keys = [(names[code >> 32], day_dates[code & 0xFFFFFFFF])
-                for code in index]
-    else:
-        keys = [(day_dates[code],) for code in index]
-    return keys, np.frombuffer(grid).reshape(-1, 24), duplicated
+        return values
+
+    def parse(text, path, row, column):
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):  # nan and inf are bad numbers too
+            raise ParseError(f"bad number {text!r}", path=path, row=row,
+                             column=column)
+        if not lo <= value <= hi:
+            raise ParseError(complaint.format(value), path=path, row=row,
+                             column=column)
+        return value
+
+    return scan, parse
+
+
+_HOUR_RULE = (_hours, _parse_hour)
+FLAG_RULE = (_flags, _parse_flag)
+
+
+def read_columns(path, header, rules):
+    """The data rows of the CSV file ``path`` with header ``header`` as
+    ``(first_row, columns)`` chunks of consecutive rows, one array per
+    column as its entry of ``rules`` reads it.
+
+    Each block of :func:`_field_blocks` is a chunk, scanned a column at a
+    time. From the first block that is declined, the per-row code reads the
+    rest of the file: each row's date first, then its other fields in
+    header order, ``_ROW_CHUNK`` rows per chunk. It is the one reporter of
+    a malformed field; at one it yields the rows before it, then raises, so
+    that a caller's check across rows reports an earlier row first.
+    """
+    first = 2
+    blocks = _field_blocks(path, header)
+    for fields in blocks:
+        if fields is not None:
+            buf, starts, lens = fields
+            columns = [scan(buf, column_starts, column_lens)
+                       for (scan, _), column_starts, column_lens
+                       in zip(rules, starts, lens)]
+            if all(column is not None for column in columns):
+                yield first, columns
+                first += len(columns[0])
+                continue
+        blocks.close()
+        yield from _row_columns(path, header, rules, first)
+        return
+
+
+def _row_columns(path, header, rules, first):
+    """The per-row code of :func:`read_columns`, from file row ``first``."""
+    parses = [(j, rules[j][1], header[j]) for j in sorted(
+        range(len(header)), key=lambda j: header[j] != "date")]
+    rows, fault = [], None
+    try:
+        for i, fields in _read_table(path, [header]):
+            if i < first:
+                continue
+            for j, parse, column in parses:
+                fields[j] = parse(fields[j], path, i, column)
+            rows.append(fields)
+            if len(rows) == _ROW_CHUNK:
+                yield first, list(map(np.array, zip(*rows)))
+                first, rows = first + len(rows), []
+    except ParseError as exc:
+        fault = exc
+    if rows:
+        yield first, list(map(np.array, zip(*rows)))
+    if fault is not None:
+        raise fault
+
+
+# Per reading column: the hourly file, the plausible range of a reading
+# and the complaint about one outside it.
+_HOURLY_FILES = {
+    "temp_c": ("weather", TEMP_MIN_C, TEMP_MAX_C,
+               "temperature {} outside plausible range"),
+    "kw": ("meter", 0.0, math.inf, "negative demand {}"),
+}
 
 
 def _load_hourly(path, header, interpolate):
     """An hourly file (weather or interval meter) with header ``header`` as
     day keys, a ``(days, 24)`` grid of readings and a per-day flag.
 
-    The file is read by :func:`_scan_hourly`, or by :func:`_hourly_rows`
-    where the scan declines it, with the same result, so the per-row loop
-    is the one place that reports a malformed row. A day's key is
-    ``(date,)`` for weather and ``(service, date)`` for a meter; days keep
-    their first-seen order. A second reading for an hour (DST fall-back) is
-    dropped and flags its day; a third is a ParseError. Days missing at
-    most ``MAX_INTERPOLATED_HOURS`` readings are linearly interpolated and
-    flagged, days missing more are dropped, and with ``interpolate`` False
-    any gap is a GapError. One DataGapWarning per kind (duplicate readings,
-    interpolated days, dropped days) gives the count and the first day
-    affected.
+    A day's key is ``(date,)`` for weather and ``(service, date)`` for a
+    meter; days keep their first-seen order. A second reading for an hour
+    (DST fall-back) is dropped and flags its day; a third is a ParseError.
+    Days missing at most ``MAX_INTERPOLATED_HOURS`` readings are linearly
+    interpolated and flagged, days missing more are dropped, and with
+    ``interpolate`` False any gap is a GapError. One DataGapWarning per
+    kind (duplicate readings, interpolated days, dropped days) gives the
+    count and the first day affected.
     """
-    parsed = _scan_hourly(path, header)
-    if parsed is None:
-        parsed = _hourly_rows(path, header)
-    return _hourly_days(_HOURLY_FILES[header[-1]][0], *parsed, interpolate)
-
-
-def _hourly_days(kind, keys, grid, duplicated, interpolate):
-    """The gap rule of :func:`_load_hourly` on a parsed ``kind`` file: its
-    kept keys, their filled grid rows and their flags. Warnings name the
-    caller of :func:`load_dataset`."""
+    kind, lo, hi, complaint = _HOURLY_FILES[header[-1]]
+    names = {}  # service id -> code (meter only)
+    dates = {}  # date -> code
+    rules = [date_rule(dates), _HOUR_RULE, number_rule(lo, hi, complaint)]
+    if len(header) == 4:
+        rules.insert(0, _service_rule(names))
+    index = {}  # day code (service code << 32 | date code) -> grid row
+    duplicated = []  # the day of each second reading, in file order
+    # Grown in place, NaN until its hour is read (readings are finite);
+    # numpy writes through a view made per chunk, as a buffer cannot grow
+    # while it is viewed.
+    grid = array("d")
+    reads = bytearray()  # readings seen per cell, 0..2
+    for first, columns in read_columns(path, header, rules):
+        *ids, days, hours, values = columns
+        if ids:
+            days = days | ids[0] << 32
+        # Day codes to grid rows, new days numbered as they first appear.
+        heads = _run_heads(days)
+        days = np.repeat([index.setdefault(code, len(index))
+                          for code in days[heads].tolist()],
+                         np.diff(heads, append=len(days)))
+        more = 24 * len(index) - len(grid)
+        grid.extend(array("d", [math.nan]) * more)
+        reads.extend(bytes(more))
+        seen = np.frombuffer(reads, np.uint8)
+        # Each row's reading number in its cell, from 0.
+        cells = 24 * days + hours
+        numbers = seen[cells] + _ranks(cells)
+        third = np.flatnonzero(numbers > 1)
+        if len(third):
+            row = int(third[0])
+            raise ParseError(f"hour {hours[row]} appears more than twice",
+                             path=path, row=first + row, column="hour")
+        kept, again = numbers == 0, numbers == 1
+        np.frombuffer(grid)[cells[kept]] = values[kept]
+        seen[cells[kept]] = 1
+        seen[cells[again]] = 2
+        del seen
+        duplicated += days[again].tolist()
+    day_dates, ids = list(dates), list(names)
+    keys = [(ids[code >> 32], day_dates[code & 0xFFFFFFFF]) if ids
+            else (day_dates[code],) for code in index]
+    grid = np.frombuffer(grid).reshape(-1, 24)
 
     def name(day):
         return " ".join(map(str, keys[day]))
@@ -515,8 +542,9 @@ def _hourly_days(kind, keys, grid, duplicated, interpolate):
             (np.flatnonzero(~kept).tolist(), "days missing more than "
              f"{MAX_INTERPOLATED_HOURS} hours dropped")):
         if days:
-            warnings.warn(f"{kind}: {len(days)} {what}; first {name(days[0])}",
-                          DataGapWarning, stacklevel=4)
+            warnings.warn(  # attributed to the caller of load_dataset
+                f"{kind}: {len(days)} {what}; first {name(days[0])}",
+                DataGapWarning, stacklevel=3)
     flagged = np.isin(np.arange(len(keys)), duplicated + interpolated)
     return ([key for key, keep in zip(keys, kept) if keep], grid[kept],
             flagged[kept])
@@ -524,21 +552,29 @@ def _hourly_days(kind, keys, grid, duplicated, interpolate):
 
 def _load_calendar(path):
     """date -> effective weekday flag (holidays count as non-weekdays)."""
-    rows = _read_table(path, [CALENDAR_HEADER])
-    next(rows)
+    dates = {}  # date -> code
+    seen = np.zeros(0, bool)  # per date code
     out = {}
-    for i, (text, weekday, holiday) in rows:
-        date = _parse_date(text, path, i)
-        is_weekday = _parse_flag(weekday, path, i, "is_weekday")
-        is_holiday = _parse_flag(holiday, path, i, "is_holiday")
-        if date in out:
-            raise ParseError(f"duplicate calendar entry for {date}", path=path, row=i)
-        if not is_holiday and is_weekday != (date.weekday() < 5):
+    for first, (codes, weekday, holiday) in read_columns(
+            path, CALENDAR_HEADER, [date_rule(dates), FLAG_RULE, FLAG_RULE]):
+        days = list(dates)
+        seen = np.concatenate([seen, np.zeros(len(days) - len(seen), bool)])
+        repeated = seen[codes] | (_ranks(codes) > 0)
+        workday = np.array([day.weekday() < 5 for day in days])[codes]
+        bad = repeated | (~holiday & (weekday != workday))
+        if bad.any():
+            row = int(bad.argmax())
+            date = days[codes[row]]
+            if repeated[row]:
+                raise ParseError(f"duplicate calendar entry for {date}",
+                                 path=path, row=first + row)
             raise ParseError(
-                f"is_weekday={weekday} inconsistent with {date} "
-                f"({date.strftime('%A')}) and no holiday override",
-                path=path, row=i, column="is_weekday")
-        out[date] = is_weekday and not is_holiday
+                f"is_weekday={'Y' if weekday[row] else 'N'} inconsistent "
+                f"with {date} ({date.strftime('%A')}) and no holiday override",
+                path=path, row=first + row, column="is_weekday")
+        seen[codes] = True
+        out.update(zip(map(days.__getitem__, codes.tolist()),
+                       (weekday & ~holiday).tolist()))
     return out
 
 

@@ -141,14 +141,14 @@ def ultimate_hotspot_rise(spec: TransformerSpec, k_u):
     return spec.hotspot_differential * _pow(k_u, 2.0 * spec.exponent_m)
 
 
-def exponential_step(initial_rise, ultimate_rise, time_constant: float,
-                     dt: float = 1.0):
-    """One exponential transient step from ``initial_rise`` toward ``ultimate_rise``.
+def exponential_step(initial_rise, ultimate_rise, time_constant: float):
+    """One hour's exponential transient step from ``initial_rise`` toward
+    ``ultimate_rise``.
 
-    Shared by the top-oil and hottest-spot transients; ``dt`` and
-    ``time_constant`` are in hours. The rises may be floats or arrays.
+    Shared by the top-oil and hottest-spot transients; ``time_constant`` is
+    in hours. The rises may be floats or arrays.
     """
-    return (ultimate_rise - initial_rise) * (1.0 - math.exp(-dt / time_constant)) + initial_rise
+    return (ultimate_rise - initial_rise) * (1.0 - math.exp(-1.0 / time_constant)) + initial_rise
 
 
 def _periodic_rises(ultimate, time_constant):

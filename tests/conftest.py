@@ -1,8 +1,10 @@
 """Shared fixtures: the reference transformer, small hand-built models,
 and the end-to-end pipeline run used by the acceptance suite."""
 
+import contextlib
 import datetime as dt
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -123,6 +125,27 @@ def field_end_at_block_cut(text, separator, row=1, column=-1):
     padded = "\n".join(lines)
     assert padded[cut] == separator and padded.isascii()
     return padded
+
+
+def refuse_blocks(path, header):
+    """A stand-in for ``ingest._field_blocks`` that declines every file, so
+    that ``ingest.read_columns`` reads it all with the per-row code."""
+    yield None
+
+
+@contextlib.contextmanager
+def per_row_reads():
+    """The calls of ``ingest._read_table`` made inside the ``with`` block:
+    one per read that falls back to the per-row code."""
+    calls = []
+    read_table = ingest._read_table
+
+    def spy(*args):
+        calls.append(args)
+        return read_table(*args)
+
+    with mock.patch.object(ingest, "_read_table", spy):
+        yield calls
 
 
 def run_pipeline(root):

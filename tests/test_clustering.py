@@ -25,7 +25,7 @@ from txrisk.errors import (
 )
 from txrisk import ingest
 
-from conftest import clusters_of, record_table
+from conftest import clusters_of, make_model_with_profiles, record_table
 from test_features import reference_distance
 
 
@@ -398,6 +398,27 @@ class TestProfiles:
             expected_amb /= len(refs)
             assert load_kva[c] == pytest.approx(expected_load)
             assert ambient_c[c] == pytest.approx(expected_amb)
+
+    @pytest.mark.parametrize("load,ambient", [
+        (1.0, -300.0), (1.0, 61.0), (-0.5, 20.0), (math.nan, 20.0),
+        (1.0, math.inf)])
+    @pytest.mark.parametrize("bad", [1, 2])
+    def test_profile_out_of_range_refused_at_construction(self, load,
+                                                          ambient, bad):
+        # Built in Python, not read from a file: below absolute zero the
+        # service grid's aging factors would underflow.
+        good = ([1.0] * 24, [20.0] * 24)
+        hours = ([1.0] * 23 + [load], [20.0] * 23 + [ambient])
+        with pytest.raises(ValueError, match=rf"^cluster {bad} profile needs "
+                           r"24 finite hourly values each.*\[-60, 60\]"):
+            make_model_with_profiles([(hours, 3)] if bad == 1
+                                     else [(good, 3), (hours, 3)])
+
+    def test_profiles_of_the_wrong_shape_refused(self):
+        model = make_model_with_profiles([(([1.0] * 24, [20.0] * 24), 3)])
+        with pytest.raises(ValueError, match=r"\(1, 24\) arrays"):
+            replace(model, profiles=(np.ones((1, 23)), np.zeros((1, 23))))
+        assert replace(model, profiles=None).profiles is None
 
 
 class TestModelFile:

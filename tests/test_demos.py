@@ -2,7 +2,7 @@
 
 The demos import the public API, so a renamed or deleted name breaks
 them; each runs in its own interpreter with ``src`` on the path and its
-temporary files under the test's own directory.
+temporary files in a directory of its own, which it must leave empty.
 """
 
 import os
@@ -24,7 +24,10 @@ def test_demos_found():
 def test_demo_runs(demo, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, TMPDIR=str(tmp_path))
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    env = dict(os.environ, PYTHONPATH=path, TMPDIR=str(temp))
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert not list(temp.iterdir())

@@ -35,7 +35,9 @@ from conftest import (
     field_end_at_block_cut,
     make_day,
     make_model,
+    per_row_reads,
     record_table,
+    refuse_blocks,
 )
 from test_mutation import SEED, _csv_mutation
 
@@ -279,19 +281,14 @@ def query_outcome(read, path):
 
 
 def both_query_paths(path):
-    """``read_query_csv`` and the per-row loop on one file, asserted to
-    agree bit for bit; also whether ``read_query_csv`` fell back to the
-    per-row loop."""
-    row_loop = estimation._query_rows
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return row_loop(*args)
-
-    with mock.patch.object(estimation, "_query_rows", spy):
+    """``read_query_csv`` on one file, as it is and with the block scan
+    refused so that the per-row code reads the whole file, asserted to
+    agree bit for bit; also whether the first fell back to the per-row
+    code."""
+    with per_row_reads() as calls:
         bulk = query_outcome(read_query_csv, path)
-    assert bulk == query_outcome(row_loop, path)
+    with mock.patch.object(ingest, "_field_blocks", refuse_blocks):
+        assert bulk == query_outcome(read_query_csv, path)
     return bulk, bool(calls)
 
 
@@ -307,7 +304,7 @@ def damaged_query(lines, row, column, text):
 
 class TestQueryScan:
     """Query files are read a block of lines at a time, with the per-row
-    loop as the fallback that reports every fault: each case reads a file
+    code as the fallback that reports every fault: each case reads a file
     both ways and asserts the same outcome."""
 
     def test_golden_query_takes_the_bulk_path(self, golden_pipeline):

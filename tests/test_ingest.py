@@ -19,7 +19,13 @@ from txrisk.errors import (
 )
 from txrisk.ingest import SynthConfig, load_dataset, synth_dataset
 
-from conftest import QUERY_CSV, field_end_at_block_cut
+from conftest import (
+    QUERY_CSV,
+    field_end_at_block_cut,
+    per_row_reads,
+    refuse_blocks,
+)
+from test_estimation import both_query_paths
 from test_mutation import SEED, _csv_mutation
 
 QUIET = SynthConfig(temp_noise_sd_c=0.0, load_noise_sd_kw=0.0,
@@ -307,6 +313,15 @@ class TestParseErrors:
             load_dataset(paths["weather"], paths["meter"], paths["calendar"])
         assert (err.value.row, err.value.column) == (31, "service_id")
 
+    def test_date_is_read_before_the_other_fields(self, tmp_path):
+        paths = gen(tmp_path, seed=6, services=1, days=2)
+        body = paths["meter"].read_text().splitlines()
+        body[30] = " ,2015-02-30,x,-1"
+        paths["meter"].write_text("\n".join(body) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_dataset(paths["weather"], paths["meter"], paths["calendar"])
+        assert (err.value.row, err.value.column) == (31, "date")
+
     def test_inconsistent_weekday_without_holiday(self, tmp_path):
         paths = gen(tmp_path, seed=6, services=1, days=6)
         body = paths["calendar"].read_text().splitlines()
@@ -321,16 +336,16 @@ class TestErrorOrder:
     """Each file is checked row by row: of two faults, the one on the
     earlier row is reported, whatever their columns."""
 
-    @pytest.mark.parametrize("name,column,bad", [
-        ("weather", "temp_c", "x"), ("meter", "kw", "x"),
-        ("calendar", "is_weekday", "x"), ("query", "l_avg_kva", "x")])
-    def test_earlier_row_reported_first(self, tmp_path, name, column, bad):
+    def first_error(self, tmp_path, name, edit):
+        """The row and column of the ParseError that reading the ``name``
+        file gives, with ``edit`` applied to its lines (lists of fields)
+        and a bad date on row 5."""
         paths = gen(tmp_path, seed=6, services=1, days=5)
         paths["query"] = tmp_path / "query.csv"
         paths["query"].write_text(QUERY_CSV)
         lines = [line.split(",") for line in
                  paths[name].read_text().splitlines()]
-        lines[2][lines[0].index(column)] = bad
+        edit(lines)
         lines[4][lines[0].index("date")] = "2015-02-30"
         paths[name].write_text("\n".join(map(",".join, lines)) + "\n")
         with pytest.raises(ParseError) as err:
@@ -339,7 +354,33 @@ class TestErrorOrder:
             else:
                 load_dataset(paths["weather"], paths["meter"],
                              paths["calendar"])
-        assert (err.value.row, err.value.column) == (3, column)
+        return err.value.row, err.value.column
+
+    @pytest.mark.parametrize("name,column,bad", [
+        ("weather", "temp_c", "x"), ("meter", "kw", "x"),
+        ("calendar", "is_weekday", "x"), ("query", "l_avg_kva", "x")])
+    def test_earlier_row_reported_first(self, tmp_path, name, column, bad):
+        def edit(lines):
+            lines[2][lines[0].index(column)] = bad
+
+        assert self.first_error(tmp_path, name, edit) == (3, column)
+
+    @pytest.mark.parametrize("per_row", [False, True], ids=["bulk", "per-row"])
+    @pytest.mark.parametrize("name", ["weather", "meter", "calendar"])
+    def test_check_across_rows_before_a_later_bad_field(
+            self, tmp_path, monkeypatch, name, per_row):
+        # Rows 2, 3 and 4 read one hour, so the third reading is on row 4;
+        # row 3 lists row 2's calendar date again. The bad date on row 5,
+        # in the same block, sends the block to the per-row code.
+        copies = 1 if name == "calendar" else 2
+
+        def edit(lines):
+            lines[2:2 + copies] = [list(lines[1]) for _ in range(copies)]
+
+        if per_row:
+            monkeypatch.setattr(ingest, "_field_blocks", refuse_blocks)
+        assert self.first_error(tmp_path, name, edit) == (
+            (3, None) if name == "calendar" else (4, "hour"))
 
 
 class TestCoverage:
@@ -393,23 +434,14 @@ def hourly_outcome(load, path, header, interpolate):
 
 
 def both_paths(path, header, interpolate=True):
-    """``_load_hourly`` on a file, the per-row loop and the gap rule on the
-    same file, and whether ``_load_hourly`` fell back to the per-row loop;
-    asserts that the two outcomes agree, bit for bit."""
-    row_loop = ingest._hourly_rows
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return row_loop(*args)
-
-    def rows_then_gap_rule(path, header, interpolate):
-        kind = ingest._HOURLY_FILES[header[-1]][0]
-        return ingest._hourly_days(kind, *row_loop(path, header), interpolate)
-
-    with mock.patch.object(ingest, "_hourly_rows", spy):
+    """``_load_hourly`` on a file, as it is and with the block scan refused
+    so that the per-row code reads the whole file, and whether the first
+    fell back to the per-row code; asserts that the two outcomes agree,
+    bit for bit."""
+    with per_row_reads() as calls:
         bulk = hourly_outcome(ingest._load_hourly, path, header, interpolate)
-    rows = hourly_outcome(rows_then_gap_rule, path, header, interpolate)
+    with mock.patch.object(ingest, "_field_blocks", refuse_blocks):
+        rows = hourly_outcome(ingest._load_hourly, path, header, interpolate)
     assert bulk.keys() == rows.keys(), (bulk.get("error"), rows.get("error"))
     if "error" in rows:
         assert bulk["error"] == rows["error"]
@@ -425,8 +457,8 @@ def both_paths(path, header, interpolate=True):
 
 class TestBulkScan:
     """Hourly files are read a block of lines at a time, with the per-row
-    loop as the fallback that reports every fault: each case here loads a
-    file both ways and asserts the same outcome."""
+    code as the fallback that reports every malformed field: each case here
+    loads a file both ways and asserts the same outcome."""
 
     @pytest.mark.parametrize("name", ["weather", "meter"])
     def test_golden_fixture_takes_the_bulk_path(self, golden_pipeline, name):
@@ -437,7 +469,7 @@ class TestBulkScan:
     @pytest.mark.parametrize("name", ["weather", "meter"])
     @pytest.mark.parametrize("case,loads", [
         ("interpolated", True), ("dropped", True), ("gap error", True),
-        ("duplicate", True), ("mixed", True), ("triplicate", False),
+        ("duplicate", True), ("mixed", True), ("triplicate", True),
         ("lone CR line ends", False), ("no final newline", True),
         ("CRLF line ends", True), ("quoted field", False),
         ("lone CR in a field", False), ("zero-padded hours", True)])
@@ -493,7 +525,7 @@ class TestBulkScan:
         assert len(text) > 2 * ingest._BLOCK_BYTES
         paths[name].write_text(text)
         outcome, fell_back = both_paths(paths[name], HOURLY_HEADERS[name])
-        assert fell_back == ("error" in outcome) == (copies == 2)
+        assert not fell_back and ("error" in outcome) == (copies == 2)
 
     @pytest.mark.parametrize("name", ["weather", "meter"])
     def test_seeded_mutations_bulk_equals_rows(self, tmp_path, name):
@@ -509,28 +541,29 @@ class TestBulkScan:
         assert 0 < sum(fell_back) < len(fell_back)
 
     def test_crlf_and_unterminated_golden_copies_load_bit_identically(
-            self, golden_pipeline, tmp_path, monkeypatch):
+            self, golden_pipeline, tmp_path):
         data = golden_pipeline[0][0] / "data"
-        calls = []
-        monkeypatch.setattr(ingest, "_hourly_rows",
-                            lambda *args: calls.append(args))
 
         def load(weather, meter):
             return load_dataset(weather, meter, data / "calendar.csv")
 
-        reference = load(data / "weather.csv", data / "meter.csv")
-        for copy, change in (("crlf", lambda raw: raw.replace(b"\n", b"\r\n")),
-                             ("unterminated", lambda raw: raw[:-1])):
-            for name in ("weather", "meter"):
-                raw = (data / f"{name}.csv").read_bytes()
-                (tmp_path / f"{copy}_{name}.csv").write_bytes(change(raw))
-            ds = load(tmp_path / f"{copy}_weather.csv",
-                      tmp_path / f"{copy}_meter.csv")
-            assert ds.records.tobytes() == reference.records.tobytes()
-            assert ds.records.dtype == reference.records.dtype
-            assert (ds.services, ds.dates) == (reference.services,
-                                               reference.dates)
-        assert not calls
+        with per_row_reads() as calls:
+            reference = load(data / "weather.csv", data / "meter.csv")
+            for copy, change in (
+                    ("crlf", lambda raw: raw.replace(b"\n", b"\r\n")),
+                    ("unterminated", lambda raw: raw[:-1])):
+                for name in ("weather", "meter"):
+                    raw = (data / f"{name}.csv").read_bytes()
+                    (tmp_path / f"{copy}_{name}.csv").write_bytes(change(raw))
+                ds = load(tmp_path / f"{copy}_weather.csv",
+                          tmp_path / f"{copy}_meter.csv")
+                assert ds.records.tobytes() == reference.records.tobytes()
+                assert ds.records.dtype == reference.records.dtype
+                assert (ds.services, ds.dates) == (reference.services,
+                                                   reference.dates)
+        # Only load_dataset's look at the meter header, once per load.
+        assert [headers for _, headers in calls] == [
+            [ingest.METER_HOURLY_HEADER, ingest.METER_ENERGY_HEADER]] * 3
 
     @pytest.mark.parametrize("text", [
         "1_0", " 1.5 ", "\t-2.5\n", "\xa01.5", "1.5\u2028", "١٢", "１",
@@ -624,6 +657,45 @@ class TestBulkScan:
         outcome, fell_back = both_paths(paths[name], HOURLY_HEADERS[name])
         assert fell_back and outcome["error"][2] == 7
 
+    @pytest.mark.parametrize("name", ["weather", "meter", "query"])
+    def test_declined_middle_block_goes_per_row_from_its_first_row(
+            self, tmp_path, name):
+        # A quoted field, which csv reads, in the second of three or more
+        # blocks: the first block is scanned, the rest read per row.
+        paths = gen(tmp_path, seed=4, services=1, days=365)
+        header, *rows = QUERY_CSV.splitlines()
+        paths["query"] = tmp_path / "query.csv"
+        paths["query"].write_text("\n".join([header] + rows * 700 + [""]))
+        path = paths[name]
+        with open(path, "rb") as fh:
+            header = fh.readline().decode().rstrip("\n").split(",")
+            second = 2 + next(ingest._byte_blocks(fh)).count(b"\n")
+        lines = path.read_text().split("\n")
+        fields = lines[second + 9].split(",")  # file row second + 10
+        fields[-1] = f'"{fields[-1]}"'
+        lines[second + 9] = ",".join(fields)
+        path.write_text("\n".join(lines))
+        assert path.stat().st_size > 2 * ingest._BLOCK_BYTES
+        rules = {"date": ingest.date_rule({}), "hour": ingest._HOUR_RULE,
+                 "service_id": ingest._service_rule({}),
+                 "weekday": ingest.FLAG_RULE}
+        with per_row_reads() as calls:
+            chunks = list(ingest.read_columns(path, header, [
+                rules.get(column) or ingest.number_rule()
+                for column in header]))
+        rows = len(lines) - 2
+        assert len(calls) == 1
+        assert [first for first, _ in chunks] == [2, *range(
+            second, rows + 2, ingest._ROW_CHUNK)]
+        assert sum(len(columns[0]) for _, columns in chunks) == rows
+        if name == "query":
+            outcome, fell_back = both_query_paths(path)
+            assert outcome["shape"] == (rows,)
+        else:
+            outcome, fell_back = both_paths(path, HOURLY_HEADERS[name])
+            assert len(outcome["keys"]) == 365
+        assert fell_back
+
     @pytest.mark.parametrize("case,bulk,loads", [
         ("variable-length ids", True, True), ("non-ASCII id", False, True),
         ("all-blank id", False, False), ("separator-only id", False, False)])
@@ -686,3 +758,117 @@ class TestBulkScan:
             buf, starts, lens = fields
             assert [[buf[s:s + n].tobytes() for s, n in zip(*line)]
                     for line in zip(starts.T, lens.T)] == lines
+
+
+def calendar_outcome(path):
+    """What ``_load_calendar(path)`` gives: its entries in order, or the
+    ParseError's text, row and column."""
+    try:
+        return {"entries": list(ingest._load_calendar(path).items())}
+    except ParseError as exc:
+        return {"error": (str(exc), exc.row, exc.column)}
+
+
+def both_calendar_paths(path):
+    """``_load_calendar`` on a file, as it is and with the block scan
+    refused, asserted to agree; also whether the first fell back to the
+    per-row code."""
+    with per_row_reads() as calls:
+        bulk = calendar_outcome(path)
+    with mock.patch.object(ingest, "_field_blocks", refuse_blocks):
+        assert bulk == calendar_outcome(path)
+    return bulk, bool(calls)
+
+
+class TestCalendarScan:
+    """Calendar files are read by the same block scan as the other tables,
+    with the duplicate and weekday checks over whole columns: each case
+    reads a file both ways and asserts the same outcome."""
+
+    def test_golden_calendar_takes_the_bulk_path(self, golden_pipeline):
+        outcome, fell_back = both_calendar_paths(
+            golden_pipeline[0][0] / "data" / "calendar.csv")
+        assert not fell_back and len(outcome["entries"]) == 730
+
+    # 2015-01-01 is a Thursday and a holiday; 2015-01-03 a Saturday.
+    @pytest.mark.parametrize("case,loads,falls_back,row", [
+        ("plain", True, False, None), ("CRLF line ends", True, False, None),
+        ("no final newline", True, False, None),
+        ("quoted field", True, True, None),
+        ("holiday on a Saturday", True, False, None),
+        ("duplicate date", False, False, 4),
+        ("duplicate date, other flags", False, False, 6),
+        ("weekday on a Saturday", False, False, 4),
+        ("lower-case flag", False, True, 3), ("bad date", False, True, 3),
+        ("blank line", False, True, 3), ("extra column", False, True, 3),
+        ("duplicate before a bad flag", False, True, 4)])
+    def test_damaged_file_bulk_equals_rows(self, tmp_path, case, loads,
+                                           falls_back, row):
+        path = gen(tmp_path, seed=6, services=1, days=10)["calendar"]
+        lines = path.read_text().split("\n")
+        text = {
+            "CRLF line ends": "\r\n".join(lines),
+            "no final newline": "\n".join(lines)[:-1],
+            "quoted field": "\n".join(lines).replace(",Y,N", ',"Y",N', 1),
+            "holiday on a Saturday": "\n".join(lines).replace(
+                "2015-01-03,N,N", "2015-01-03,Y,Y"),
+            "duplicate date": "\n".join(lines[:3] + lines[1:2] + lines[3:]),
+            "duplicate date, other flags": "\n".join(
+                lines[:5] + [lines[2].replace(",Y,N", ",N,Y")] + lines[5:]),
+            "weekday on a Saturday": "\n".join(lines).replace(
+                "2015-01-03,N,N", "2015-01-03,Y,N"),
+            "lower-case flag": "\n".join(lines).replace(",Y,N", ",y,N", 1),
+            "bad date": "\n".join(lines).replace("2015-01-02", "2015-02-30"),
+            "blank line": "\n".join(lines[:2] + [""] + lines[2:]),
+            "extra column": "\n".join(lines[:2] + [lines[2] + ",N"]
+                                      + lines[3:]),
+            "duplicate before a bad flag": "\n".join(
+                lines[:3] + lines[1:2] + [lines[3].replace(",N", ",x", 1)]
+                + lines[4:]),
+        }.get(case, "\n".join(lines))
+        path.write_bytes(text.encode())
+        outcome, fell_back = both_calendar_paths(path)
+        assert ("error" not in outcome) == loads
+        assert fell_back == falls_back
+        if loads:
+            entries = dict(outcome["entries"])
+            assert len(entries) == 10
+            assert not entries[dt.date(2015, 1, 1)]
+        else:
+            assert outcome["error"][1] == row
+
+    @pytest.mark.parametrize("fault", [None, "duplicate", "bad flag"])
+    def test_fault_in_a_later_block(self, tmp_path, fault):
+        path = gen(tmp_path, seed=6, services=1, days=1)["calendar"]
+        days = [dt.date(1990, 1, 1) + dt.timedelta(days=i)
+                for i in range(9000)]
+        lines = [",".join(ingest.CALENDAR_HEADER)] + [
+            f"{day},{'Y' if day.weekday() < 5 else 'N'},N" for day in days]
+        if fault == "duplicate":
+            lines[8999] = lines[7]
+        elif fault == "bad flag":
+            lines[8999] = lines[8999][:-1] + "x"
+        path.write_text("\n".join(lines) + "\n")
+        assert path.stat().st_size > 2 * ingest._BLOCK_BYTES
+        outcome, fell_back = both_calendar_paths(path)
+        assert fell_back == (fault == "bad flag")
+        if fault is None:
+            assert len(outcome["entries"]) == 9000
+        else:
+            assert outcome["error"][1] == 9000
+
+    def test_header_only_takes_the_bulk_path(self, tmp_path):
+        path = tmp_path / "calendar.csv"
+        path.write_text(",".join(ingest.CALENDAR_HEADER) + "\n")
+        assert both_calendar_paths(path) == ({"entries": []}, False)
+
+    def test_seeded_mutations_bulk_equals_rows(self, tmp_path):
+        text = gen(tmp_path, seed=4, services=1, days=40)["calendar"].read_text()
+        rng = np.random.default_rng([SEED, 3])
+        fell_back = []
+        for case in range(200):
+            _, damaged = _csv_mutation(rng, text)
+            path = tmp_path / f"{case}_calendar.csv"
+            path.write_bytes(damaged)
+            fell_back.append(both_calendar_paths(path)[1])
+        assert 0 < sum(fell_back) < len(fell_back)

@@ -14,6 +14,7 @@ Frozen 30-digit evaluations for rise_rated=55, R=4, n=0.8, limit=120:
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -92,8 +93,10 @@ class TestLoadingThreshold:
         assert cool.max_peak_load_pu > warm.max_peak_load_pu
 
     def test_ambient_above_limit_is_infeasible(self, default_spec):
+        # A profile's ambient lies within the weather range, -60..60 °C.
+        spec = replace(default_spec, top_oil_limit=50.0)
         with pytest.raises(NoFeasibleScaleError):
-            single_threshold(default_spec, flat_profile(ambient=125.0))
+            single_threshold(spec, flat_profile(ambient=55.0))
 
     def test_unreachable_limit_within_bound_is_config_error(self, default_spec):
         with pytest.raises(ConfigError):
@@ -157,14 +160,15 @@ class TestClusterThresholds:
         assert sorted(r.impact_rank for r in results) == list(range(1, 8))
 
     def test_first_failing_cluster_in_model_order_raises(self, default_spec):
+        spec = replace(default_spec, top_oil_limit=50.0)
         fine = (flat_profile(ambient=20.0), 3)
-        hot = (flat_profile(ambient=125.0), 3)
+        hot = (flat_profile(ambient=55.0), 3)
         empty = (flat_profile(load_kva=0.0), 3)
         with pytest.raises(NoFeasibleScaleError, match="cluster 2"):
-            cluster_thresholds(default_spec,
+            cluster_thresholds(spec,
                                make_model_with_profiles([fine, hot, empty]))
         with pytest.raises(ZeroPeakProfileError, match="cluster 2"):
-            cluster_thresholds(default_spec,
+            cluster_thresholds(spec,
                                make_model_with_profiles([fine, empty, hot]))
 
 
@@ -254,14 +258,17 @@ class TestMaxServicesByLife:
     def test_reference_hotspot_fixture_is_flat_in_n(self, default_spec):
         # Zero load with ambient chosen so the no-load oil rise lands the
         # hotspot exactly on 110 °C: daily loss is 1.0 for every service
-        # count.
-        ambient = 110.0 - thermal.ultimate_top_oil_rise(default_spec, 0.0)
+        # count. The rated rise is raised so that the ambient lies within
+        # the weather range.
+        spec = replace(default_spec, top_oil_rise_rated=200.0)
+        ambient = 110.0 - thermal.ultimate_top_oil_rise(spec, 0.0)
+        assert 50.0 < ambient < 60.0
         model = make_model_with_profiles(
             [(flat_profile(load_kva=0.0, ambient=ambient), 10)])
-        grid = service_grid(default_spec, model, range(1, 6))
+        grid = service_grid(spec, model, range(1, 6))
         for loss in grid.daily_loss[0].tolist():
             assert loss == pytest.approx(1.0, abs=1e-9)
-        els = life_loss_by_n(default_spec, grid, 1.0).economic_loss.tolist()
+        els = life_loss_by_n(spec, grid, 1.0).economic_loss.tolist()
         assert all(el == pytest.approx(els[0]) for el in els)
         assert max_services_by_life(grid.n_values, els, 1e9) == 5
 

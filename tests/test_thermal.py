@@ -178,14 +178,14 @@ class TestUltimateRises:
 
 class TestExponentialStep:
     def test_fixed_point_when_initial_equals_ultimate(self):
-        assert exponential_step(55.0, 55.0, 3.0, 1.0) == pytest.approx(55.0)
+        assert exponential_step(55.0, 55.0, 3.0) == pytest.approx(55.0)
 
     def test_rise_from_cold(self):
-        assert exponential_step(0.0, 55.0, 3.0, 1.0) == pytest.approx(
+        assert exponential_step(0.0, 55.0, 3.0) == pytest.approx(
             15.590777918441591, abs=1e-9)
 
     def test_huge_time_constant_freezes_state(self):
-        assert exponential_step(0.0, 55.0, 1e12, 1.0) == pytest.approx(0.0, abs=1e-6)
+        assert exponential_step(0.0, 55.0, 1e12) == pytest.approx(0.0, abs=1e-6)
 
 
 class TestSimulateDay:

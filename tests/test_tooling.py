@@ -6,7 +6,7 @@ are read from the harness source, not imported, so this test runs without
 the harness on the path. Its counters read attributes of some return values
 (``len(dataset.records)``, ``trace.iterations``, ``result.far_flag``); the
 harness's child module is loaded from its file to apply them to real
-results.
+results. One more guard walks the package's own imports.
 """
 
 import ast
@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
+ROOT = Path(__file__).resolve().parent.parent
+CHILD = ROOT / "perfbench" / "child.py"
 
 
 def traced_targets():
@@ -147,3 +148,17 @@ def test_cluster_max_top_oil_on_a_loaded_model(golden_pipeline):
     assert isinstance(temps, dict)
     assert list(temps) == list(range(1, model.k + 1))
     assert all(isinstance(t, float) and np.isfinite(t) for t in temps.values())
+
+
+def test_no_module_imports_private_names():
+    # An underscore name belongs to its module, which may change it freely;
+    # another module reaches it only through a public name.
+    found = []
+    for path in sorted((ROOT / "src" / "txrisk").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("txrisk")):
+                found += [f"{path.name}: {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")
+                          and not alias.name.endswith("__")]
+    assert not found, f"private names imported across modules: {found}"
