@@ -33,7 +33,6 @@ exit codes:
   1   unexpected internal error
   2   usage or configuration error, or an output that cannot be written
   3   input file parse error, or a model/spec load above the per-unit ceiling
-  4   incomplete day with gap filling disabled
   5   no common weather/meter/calendar coverage
   6   more clusters requested than data points
   8   no feasible loading scale (ambient above limit)
@@ -176,6 +175,15 @@ class RunConfig:
         value = int(self.get(key))
         if value < minimum:
             raise ConfigError(f"--{key} must be >= {minimum}, got {value}")
+        return value
+
+    def number(self, key, *, positive=True) -> float:
+        """The number option ``key``: finite, and > 0 (>= 0 if not ``positive``)."""
+        value = float(self.get(key))
+        if not (math.isfinite(value) and (value > 0 or value == 0 and not positive)):
+            name = f"--{key}" if key in self._args else key
+            raise ConfigError(f"{name} must be a finite number "
+                              f"{'>' if positive else '>='} 0, got {value!r}")
         return value
 
     def require_path(self, key) -> Path:
@@ -355,18 +363,15 @@ def cmd_cluster(cfg: RunConfig) -> int:
 
 def cmd_assess(cfg: RunConfig) -> int:
     n_range = parse_span(cfg.get("n_range"), "--n-range")
-    budget = float(cfg.get("budget"))
-    years = float(cfg.get("years"))
-    if not min(years, float(cfg.get("scale_max")), float(cfg.get("scale_tol"))) > 0:
-        raise ConfigError("--years, scale_max and scale_tol must be > 0")
+    budget, years = cfg.number("budget", positive=False), cfg.number("years")
+    scale_max, scale_tol = cfg.number("scale_max"), cfg.number("scale_tol")
     spec = thermal.load_transformer_spec(cfg.require_path("spec"))
     model = clustering.load_model(cfg.require_path("model"))
     out = cfg.out_dir()
 
     # Both searches run before any write: a refused input leaves no tables.
     thresholds = riskassess.cluster_thresholds(
-        spec, model, scale_max=float(cfg.get("scale_max")),
-        tolerance=float(cfg.get("scale_tol")))
+        spec, model, scale_max=scale_max, tolerance=scale_tol)
     grid = riskassess.service_grid(spec, model, n_range)
     losses = riskassess.life_loss_by_n(spec, grid, years)
     with _writing(out) as staging:

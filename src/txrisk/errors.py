@@ -38,12 +38,6 @@ class ParseError(TxRiskError):
         self.column = column
 
 
-class GapError(TxRiskError):
-    """A day has incomplete hourly coverage and gap filling is disabled."""
-
-    exit_code = 4
-
-
 class EmptyIntersectionError(TxRiskError):
     """Weather, meter, and calendar files share no common coverage."""
 

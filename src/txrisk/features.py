@@ -126,17 +126,13 @@ class FeatureSchema:
         return cls(features=tuple(defs))
 
 
-def default_schema(weights: dict[str, float] | None = None) -> FeatureSchema:
-    """Default clustering schema: daily temperature extremes/mean, mean
-    service load, and the weekday flag."""
-    w = weights or {}
+def default_schema() -> FeatureSchema:
+    """Default clustering schema, each feature of weight 1: daily
+    temperature extremes/mean, mean service load, and the weekday flag."""
     return FeatureSchema(features=(
-        FeatureDef("t_max_c", KIND_NUMERIC, weight=w.get("t_max_c", 1.0)),
-        FeatureDef("t_min_c", KIND_NUMERIC, weight=w.get("t_min_c", 1.0)),
-        FeatureDef("t_avg_c", KIND_NUMERIC, weight=w.get("t_avg_c", 1.0)),
-        FeatureDef("l_avg_kva", KIND_NUMERIC, weight=w.get("l_avg_kva", 1.0)),
-        FeatureDef("weekday", KIND_NOMINAL, statuses=("Y", "N"),
-                   weight=w.get("weekday", 1.0)),
+        *(FeatureDef(name, KIND_NUMERIC)
+          for name in ("t_max_c", "t_min_c", "t_avg_c", "l_avg_kva")),
+        FeatureDef("weekday", KIND_NOMINAL, statuses=("Y", "N")),
     ))
 
 

@@ -14,15 +14,17 @@ per (service, date) and a field per column.
 Every input table (these three files and the query file of
 :func:`txrisk.estimation.read_query_csv`) is read by :func:`read_columns`,
 with one ``(scan, parse)`` rule per kind of column: date codes, service-id
-codes, hours, numbers within a range and Y/N flags. It reads 64 KiB of
-whole lines at a time, finds the fields from the positions of commas and
-line feeds, and converts each column whole by its rule's scan. From the
-first block that holds a quote, a carriage return not before a line feed,
-a NUL, a byte outside ASCII, a line without the header's column count or
-longer than the csv field limit, or a field that a scan declines, the
-per-row code reads the rest and reports every fault with its row and
-column. Checks across rows (a third reading of an hour, a calendar date
-listed twice) run over whole columns.
+codes, hours, numbers within a range and Y/N flags. It reads a file once,
+as bytes, 64 KiB of whole lines at a time, finds the fields of a block
+from the positions of commas and line feeds, and converts each column
+whole by its rule's scan. A block that holds a quote, a carriage return
+not before a line feed, a NUL, a byte outside ASCII, a line without the
+header's column count or longer than the csv field limit, or a field that
+a scan declines goes to the per-row code, as does a header line not
+spelled exactly. That code reads the block's rows with the csv module and
+reports every fault with its row and column; the scan takes over again at
+the first block end where a row ends. Checks across rows (a third reading
+of an hour, a calendar date listed twice) run over whole columns.
 
 Every CSV table the package writes goes through :func:`write_table`, as
 rows formatted by %-format templates; :func:`synth_dataset` formats all of
@@ -37,6 +39,7 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +47,6 @@ import numpy as np
 from .errors import (
     DataGapWarning,
     EmptyIntersectionError,
-    GapError,
     MissingProfileError,
     ParseError,
     ShortCoverageWarning,
@@ -102,32 +104,6 @@ def _parse_flag(text, path, row, column):
     return text == "Y"
 
 
-def _read_table(path, headers):
-    """The rows of a CSV file as ``(row number, fields)``: first its header,
-    which must be one of ``headers``, as row 1, then each data row, which
-    must have the header's column count."""
-    try:
-        fh = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise ParseError(f"cannot open file: {exc}", path=path) from exc
-    with fh:
-        try:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header not in headers:
-                raise ParseError(
-                    f"unexpected header {header!r}; expected one of "
-                    f"{[','.join(h) for h in headers]}", path=path, row=1)
-            yield 1, header
-            for i, fields in enumerate(reader, start=2):
-                if len(fields) != len(header):
-                    raise ParseError(f"expected {len(header)} columns, got "
-                                     f"{len(fields)}", path=path, row=i)
-                yield i, fields
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise ParseError(f"unreadable CSV text: {exc}", path=path) from None
-
-
 def write_table(path, header, chunks) -> None:
     """Write a CSV table: its ``header`` fields joined by commas, then each
     text of ``chunks``, whole rows, with one write. No field holds a comma,
@@ -142,22 +118,31 @@ def write_table(path, header, chunks) -> None:
 # end. On a 17 MB meter file, 1 MiB blocks raised the peak memory of
 # load_dataset from 72 to 77 MB.
 _BLOCK_BYTES = 1 << 16
-# The per-row code hands its rows on in chunks of this many.
-_ROW_CHUNK = 4096
+
+
+def _open(path):
+    """The file ``path`` opened to read bytes."""
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise ParseError(f"cannot open file: {exc}", path=path) from exc
 
 
 def _byte_blocks(fh):
     """The rest of the binary file ``fh`` in blocks of whole lines, each
-    block ending in a line feed; a last line without one is given one."""
+    block ending in a line feed, or a carriage return not before one, but
+    the last, which ends where the file does."""
     carry = b""
     while chunk := fh.read(_BLOCK_BYTES):
         data = carry + chunk
-        cut = data.rfind(b"\n") + 1
+        lf = data.rfind(b"\n")
+        # A last byte \r may be the first of a \r\n.
+        cut = max(lf, data.rfind(b"\r", lf + 1, -1)) + 1
         if cut:
             yield data[:cut]
         carry = data[cut:]
     if carry:
-        yield carry + b"\n"
+        yield carry
 
 
 def _block_fields(block, width):
@@ -166,10 +151,12 @@ def _block_fields(block, width):
     csv module would read each line as its split at commas: the block holds
     a quote, a NUL (csv before Python 3.11 refuses it), a byte outside ASCII
     or a carriage return not before a line feed, or a line without
-    ``width`` fields or longer than the csv field limit. Carriage returns
-    before line feeds are dropped."""
+    ``width`` fields or longer than the csv field limit. A line feed ends
+    the last line too; carriage returns before line feeds are dropped."""
     if b'"' in block or b"\0" in block or not block.isascii():
         return None
+    if not block.endswith(b"\n"):
+        block += b"\n"
     if b"\r" in block:
         if block.count(b"\r") != block.count(b"\r\n"):
             return None
@@ -197,29 +184,40 @@ def _block_fields(block, width):
     return buf, starts, lens
 
 
-def _field_blocks(path, header):
-    """The data lines of a CSV file as field blocks: for each block of
-    :func:`_byte_blocks`, its fields as :func:`_block_fields` gives them.
-    A None in place of a block means the file needs the per-row code and
-    ends the blocks: a header line other than ``header``, a block that
-    :func:`_block_fields` refuses, or a file that cannot be read. It raises
-    nothing for the file's content.
-    """
-    width = len(header)
-    header_line = ",".join(header).encode()
+def _records(path, data, blocks, first):
+    """The csv records of ``data``, whole lines of the file ``path`` from
+    its row ``first``, as ``(row, fields)``: to the end of ``data`` or, while
+    a record is open there (a quoted line feed), of each next block of
+    ``blocks``. Each line is decoded when the csv reader reaches it; text
+    that is not UTF-8, or that csv refuses, is a ParseError naming its row."""
+    end = 0  # the lines handed to the csv reader so far
+
+    def text():
+        nonlocal end
+        for block in chain((data,), blocks):
+            lines = block.splitlines(keepends=True)
+            end += len(lines)
+            yield from map(bytes.decode, lines)
+
+    reader = csv.reader(text())
+    row = first - 1  # the last row read
     try:
-        with open(path, "rb") as fh:
-            if fh.readline() not in (header_line, header_line + b"\n",
-                                     header_line + b"\r\n"):
-                yield None
+        for row, fields in enumerate(reader, first):
+            yield row, fields
+            if reader.line_num == end:
                 return
-            for block in _byte_blocks(fh):
-                fields = _block_fields(block, width)
-                yield fields
-                if fields is None:
-                    return
-    except OSError:
-        yield None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"unreadable CSV text: {exc}", path=path,
+                         row=row + 1) from None
+
+
+def _header(records, headers, path):
+    """The first of ``records``, a header, which must be one of ``headers``."""
+    _, header = next(records, (1, None))
+    if header not in headers:
+        raise ParseError(f"unexpected header {header!r}; expected one of "
+                         f"{[','.join(h) for h in headers]}", path=path, row=1)
+    return header
 
 
 # Column scans of the block scan. Each takes a block's bytes and one
@@ -405,51 +403,60 @@ def read_columns(path, header, rules):
     ``(first_row, columns)`` chunks of consecutive rows, one array per
     column as its entry of ``rules`` reads it.
 
-    Each block of :func:`_field_blocks` is a chunk, scanned a column at a
-    time. From the first block that is declined, the per-row code reads the
-    rest of the file: each row's date first, then its other fields in
-    header order, ``_ROW_CHUNK`` rows per chunk. It is the one reporter of
-    a malformed field; at one it yields the rows before it, then raises, so
-    that a caller's check across rows reports an earlier row first.
+    The file is read once, a block of :func:`_byte_blocks` at a time. A
+    block whose fields :func:`_block_fields` finds and each column's scan
+    accepts is a chunk; any other, and a header line not spelled exactly,
+    goes to the per-row code, :func:`_row_columns`.
     """
-    first = 2
-    blocks = _field_blocks(path, header)
-    for fields in blocks:
-        if fields is not None:
-            buf, starts, lens = fields
-            columns = [scan(buf, column_starts, column_lens)
-                       for (scan, _), column_starts, column_lens
-                       in zip(rules, starts, lens)]
-            if all(column is not None for column in columns):
+    spelled = ",".join(header).encode()
+    with _open(path) as fh:
+        line = fh.readline(len(spelled) + 2)
+        blocks = _byte_blocks(fh)
+        first = 2
+        if line not in (spelled, spelled + b"\n", spelled + b"\r\n"):
+            first = yield from _row_columns(path, header, rules, 1, line
+                                            + next(blocks, b""), blocks)
+        for block in blocks:
+            fields = _block_fields(block, len(header))
+            columns = fields and [scan(fields[0], starts, lens) for (scan, _),
+                                  starts, lens in zip(rules, *fields[1:])]
+            if columns and all(column is not None for column in columns):
                 yield first, columns
                 first += len(columns[0])
                 continue
-        blocks.close()
-        yield from _row_columns(path, header, rules, first)
-        return
+            first = yield from _row_columns(path, header, rules, first, block,
+                                            blocks)
 
 
-def _row_columns(path, header, rules, first):
-    """The per-row code of :func:`read_columns`, from file row ``first``."""
+def _row_columns(path, header, rules, first, data, blocks):
+    """The per-row code of :func:`read_columns`: the rows that
+    :func:`_records` reads from ``data``, file row ``first`` (1: the header)
+    on, as one chunk, each row's date read before its other fields. It alone
+    reports a malformed field; at one it yields the rows before it, then
+    raises, so that a caller's check across rows reports an earlier row
+    first. Returns the number of the next row."""
     parses = [(j, rules[j][1], header[j]) for j in sorted(
         range(len(header)), key=lambda j: header[j] != "date")]
+    records = _records(path, data, blocks, first)
+    if first == 1:
+        _header(records, [header], path)
+        first = 2
     rows, fault = [], None
     try:
-        for i, fields in _read_table(path, [header]):
-            if i < first:
-                continue
+        for i, fields in records:
+            if len(fields) != len(header):
+                raise ParseError(f"expected {len(header)} columns, got "
+                                 f"{len(fields)}", path=path, row=i)
             for j, parse, column in parses:
                 fields[j] = parse(fields[j], path, i, column)
             rows.append(fields)
-            if len(rows) == _ROW_CHUNK:
-                yield first, list(map(np.array, zip(*rows)))
-                first, rows = first + len(rows), []
     except ParseError as exc:
         fault = exc
     if rows:
         yield first, list(map(np.array, zip(*rows)))
     if fault is not None:
         raise fault
+    return first + len(rows)
 
 
 # Per reading column: the hourly file, the plausible range of a reading
@@ -461,7 +468,7 @@ _HOURLY_FILES = {
 }
 
 
-def _load_hourly(path, header, interpolate):
+def _load_hourly(path, header):
     """An hourly file (weather or interval meter) with header ``header`` as
     day keys, a ``(days, 24)`` grid of readings and a per-day flag.
 
@@ -469,10 +476,9 @@ def _load_hourly(path, header, interpolate):
     meter; days keep their first-seen order. A second reading for an hour
     (DST fall-back) is dropped and flags its day; a third is a ParseError.
     Days missing at most ``MAX_INTERPOLATED_HOURS`` readings are linearly
-    interpolated and flagged, days missing more are dropped, and with
-    ``interpolate`` False any gap is a GapError. One DataGapWarning per
-    kind (duplicate readings, interpolated days, dropped days) gives the
-    count and the first day affected.
+    interpolated and flagged, and days missing more are dropped. One
+    DataGapWarning per kind (duplicate readings, interpolated days, dropped
+    days) gives the count and the first day affected.
     """
     kind, lo, hi, complaint = _HOURLY_FILES[header[-1]]
     names = {}  # service id -> code (meter only)
@@ -518,22 +524,13 @@ def _load_hourly(path, header, interpolate):
     keys = [(ids[code >> 32], day_dates[code & 0xFFFFFFFF]) if ids
             else (day_dates[code],) for code in index]
     grid = np.frombuffer(grid).reshape(-1, 24)
-
-    def name(day):
-        return " ".join(map(str, keys[day]))
-
     missing = np.isnan(grid)
     counts = missing.sum(axis=1)
-    interpolated = []
-    for day in np.flatnonzero(counts).tolist():
-        if not interpolate:
-            raise GapError(f"{kind} {name(day)}: {counts[day]} missing hourly "
-                           "readings and gap filling is disabled")
-        if counts[day] <= MAX_INTERPOLATED_HOURS:
-            present = np.flatnonzero(~missing[day])
-            grid[day] = np.interp(np.arange(24), present, grid[day, present])
-            interpolated.append(day)
     kept = counts <= MAX_INTERPOLATED_HOURS
+    interpolated = np.flatnonzero(kept & (counts > 0)).tolist()
+    for day in interpolated:
+        present = np.flatnonzero(~missing[day])
+        grid[day] = np.interp(np.arange(24), present, grid[day, present])
     for days, what in (
             (duplicated, "duplicate hourly readings (DST fall-back?), the "
              "first of each kept"),
@@ -543,7 +540,8 @@ def _load_hourly(path, header, interpolate):
              f"{MAX_INTERPOLATED_HOURS} hours dropped")):
         if days:
             warnings.warn(  # attributed to the caller of load_dataset
-                f"{kind}: {len(days)} {what}; first {name(days[0])}",
+                f"{kind}: {len(days)} {what}; first "
+                f"{' '.join(map(str, keys[days[0]]))}",
                 DataGapWarning, stacklevel=3)
     flagged = np.isin(np.arange(len(keys)), duplicated + interpolated)
     return ([key for key, keep in zip(keys, kept) if keep], grid[kept],
@@ -591,8 +589,7 @@ def _day_stats(hours):
             hours[rows, hours.argmin(axis=1)])
 
 
-def load_dataset(weather_path, meter_path, calendar_path, *,
-                 interpolate_gaps: bool = True) -> Dataset:
+def load_dataset(weather_path, meter_path, calendar_path) -> Dataset:
     """Assemble the per-service per-day record table from the three CSV
     files.
 
@@ -612,20 +609,19 @@ def load_dataset(weather_path, meter_path, calendar_path, *,
             (``service_id,date,energy_kwh``), refused on its header before
             any row is parsed.
         ParseError: malformed file content (row and column reported).
-        GapError: incomplete day while ``interpolate_gaps`` is False.
         EmptyIntersectionError: no common coverage at all.
     """
-    rows = _read_table(meter_path, [METER_HOURLY_HEADER, METER_ENERGY_HEADER])
-    _, header = next(rows)
-    rows.close()
+    with _open(meter_path) as fh:
+        header = _header(_records(meter_path, b"", _byte_blocks(fh), 1), [
+            METER_HOURLY_HEADER, METER_ENERGY_HEADER], meter_path)
     if header == METER_ENERGY_HEADER:
         raise MissingProfileError(
             f"{meter_path} has energy-only metering: the meter file holds "
             "daily energy only, no 24-hour profiles to cluster")
     weather_keys, ambient_days, weather_flags = _load_hourly(
-        weather_path, WEATHER_HEADER, interpolate_gaps)
+        weather_path, WEATHER_HEADER)
     meter_keys, load_days, meter_flags = _load_hourly(
-        meter_path, METER_HOURLY_HEADER, interpolate_gaps)
+        meter_path, METER_HOURLY_HEADER)
     calendar = _load_calendar(calendar_path)
 
     weather_row = {date: row for row, (date,) in enumerate(weather_keys)}

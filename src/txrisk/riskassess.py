@@ -13,6 +13,8 @@ their report tables.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -178,13 +180,15 @@ def _check_monotone(values, what):
 
 def service_grid(spec: thermal.TransformerSpec, model: ClusterModel,
                  n_range) -> ServiceGrid:
-    """Simulate every cluster's day at every service count of ``n_range``.
+    """Simulate every cluster's day at every service count of ``n_range``,
+    a sequence of ascending counts.
 
     The transformer load at N services is N times the cluster's
     per-service profile over the rating. All (cluster, N) days are solved
     as one batch, per-unit loads ``(k, N, 24)`` against ambients
     ``(k, 1, 24)``; the grid keeps each day's maxima and its daily
-    equivalent aging.
+    equivalent aging. The first count over the load ceiling is found by
+    bisection before any per-count array is made.
 
     Raises:
         ConfigError: ``n_range`` is empty, the model has no profiles, or a
@@ -194,31 +198,35 @@ def service_grid(spec: thermal.TransformerSpec, model: ClusterModel,
         NonMonotoneError: a cluster's temperature or life loss falls as N
             rises.
     """
-    n_values = tuple(n_range)
-    if not n_values:
+    if not n_range:
         raise ConfigError("n_range is empty")
     _require_profiles(model)
     kva, ambient = model.profiles
-    n = np.array(n_values, dtype=float)
-    peak_kva = kva.max(axis=1)
     with np.errstate(over="ignore"):  # an overflow is inf, refused below
-        one_service = peak_kva / spec.rated_kva
-        # Rounding is monotone, so these are the peaks of the loads below.
-        peak_pu = n[:, None] * peak_kva / spec.rated_kva
+        one_service = kva.max(axis=1) / spec.rated_kva
     for cid, pu in enumerate(one_service.tolist(), start=1):
         if not pu <= thermal.MAX_LOAD_PU:
             raise ParseError(
                 f"cluster {cid}: one service's peak load is {pu:.3g} "
                 f"p.u. of rated_kva {spec.rated_kva:g}, above the "
                 f"{thermal.MAX_LOAD_PU:g} p.u. load ceiling")
-    for count, pu in zip(n_values, peak_pu.max(axis=1).tolist()):
-        if not pu <= thermal.MAX_LOAD_PU:
-            raise ConfigError(f"{count} services load a cluster to {pu:.3g} "
-                              f"p.u., above the {thermal.MAX_LOAD_PU:g} p.u. "
-                              "load ceiling")
-    trace = thermal.simulate_day(
-        spec, ambient[:, None, :],
-        n[None, :, None] * kva[:, None, :] / spec.rated_kva)
+    peak_kva = float(kva.max())
+
+    def peak_pu(count):  # the most loaded cluster's, as rounding is monotone
+        try:
+            return float(count) * peak_kva / spec.rated_kva
+        except OverflowError:  # a count past any float
+            return math.inf
+
+    over = bisect.bisect_left(n_range, True, key=lambda count: not peak_pu(
+        count) <= thermal.MAX_LOAD_PU)
+    if over < len(n_range):
+        raise ConfigError(f"{n_range[over]} services load a cluster to "
+                          f"{peak_pu(n_range[over]):.3g} p.u., above the "
+                          f"{thermal.MAX_LOAD_PU:g} p.u. load ceiling")
+    n_values = tuple(n_range)
+    trace = thermal.simulate_day(spec, ambient[:, None, :], np.array(
+        n_values, float)[None, :, None] * kva[:, None, :] / spec.rated_kva)
     grid = ServiceGrid(
         n_values=n_values,
         member_counts=model.member_counts,

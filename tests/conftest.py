@@ -127,24 +127,24 @@ def field_end_at_block_cut(text, separator, row=1, column=-1):
     return padded
 
 
-def refuse_blocks(path, header):
-    """A stand-in for ``ingest._field_blocks`` that declines every file, so
-    that ``ingest.read_columns`` reads it all with the per-row code."""
-    yield None
+def refuse_blocks(block, width):
+    """A stand-in for ``ingest._block_fields`` that declines every block, so
+    that ``ingest.read_columns`` reads each with the per-row code."""
+    return None
 
 
 @contextlib.contextmanager
 def per_row_reads():
-    """The calls of ``ingest._read_table`` made inside the ``with`` block:
-    one per read that falls back to the per-row code."""
+    """The calls of ``ingest._row_columns`` made inside the ``with`` block:
+    one per run of the per-row code."""
     calls = []
-    read_table = ingest._read_table
+    row_columns = ingest._row_columns
 
     def spy(*args):
         calls.append(args)
-        return read_table(*args)
+        return row_columns(*args)
 
-    with mock.patch.object(ingest, "_read_table", spy):
+    with mock.patch.object(ingest, "_row_columns", spy):
         yield calls
 
 

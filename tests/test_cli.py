@@ -2,6 +2,7 @@
 
 import datetime as dt
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -323,6 +324,7 @@ class TestExitCodes:
         assert "converge" not in out
         assert "\n  16  " not in out and "zero members" not in out
         assert "\n  10  " not in out and "maps disagree" not in out
+        assert "\n  4   " not in out and "gap filling" not in out
 
 
 class TestMalformedInputExitCodes:
@@ -635,6 +637,55 @@ class TestMalformedInputExitCodes:
                              "--services", "18",
                              "--out", str(tmp_path / "run")]) == code
             assert message in capsys.readouterr().err
+
+    def test_wide_n_range_refused_before_it_is_built(self, golden_pipeline,
+                                                     tmp_path, capsys):
+        # The first count over the load ceiling is found by bisection on the
+        # span, so a trillion counts are refused as cheaply as 20,000, with
+        # the same message. Built in full, a million counts once took 137 MB.
+        root = golden_pipeline[0][0]
+        errors = []
+        for span in ("1..20000", f"1..{10 ** 12}"):
+            tracemalloc.start()
+            try:
+                code = cli.main(["assess", "--spec", str(root / "spec.json"),
+                                 "--model", str(root / "out" / "model.json"),
+                                 "--n-range", span,
+                                 "--out", str(tmp_path / "run")])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 2 and peak < 16e6, (span, peak)
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "services load a cluster to 1e+03 p.u." in errors[0]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("key,value", [
+        ("budget", "nan"), ("budget", "inf"), ("budget", "-1"),
+        ("years", "inf"), ("years", "nan"), ("years", "-2"), ("years", "0")])
+    def test_budget_and_years_must_be_finite(self, golden_pipeline, tmp_path,
+                                             capsys, source, key, value):
+        # One rule for the flag and the config file: --years finite and
+        # > 0, --budget finite and >= 0. Each bad value is exit 2 naming
+        # its option, and no table is written.
+        root = golden_pipeline[0][0]
+        extra = [f"--{key}", value]
+        if source == "config":
+            (tmp_path / "cfg.json").write_text(json.dumps({key: float(value)}))
+            extra = ["--config", str(tmp_path / "cfg.json")]
+        assert cli.main(["assess", "--spec", str(root / "spec.json"),
+                         "--model", str(root / "out" / "model.json"),
+                         "--out", str(tmp_path / "run")] + extra) == 2
+        assert key in capsys.readouterr().err
+        assert not list((tmp_path / "run").glob("*.csv"))
+
+    def test_zero_budget_is_allowed(self, golden_pipeline, tmp_path, capsys):
+        root = golden_pipeline[0][0]
+        assert cli.main(["assess", "--spec", str(root / "spec.json"),
+                         "--model", str(root / "out" / "model.json"),
+                         "--budget", "0", "--out", str(tmp_path)]) == 0
+        assert "life-loss budget $0/year: None" in capsys.readouterr().out
 
     @pytest.mark.parametrize("name,code", [("meter.csv", 3), ("query.csv", 3),
                                            ("spec.json", 3), ("model.json", 3),

@@ -14,7 +14,6 @@ from txrisk.estimation import read_query_csv
 from txrisk.errors import (
     DataGapWarning,
     EmptyIntersectionError,
-    GapError,
     ParseError,
 )
 from txrisk.ingest import SynthConfig, load_dataset, synth_dataset
@@ -196,13 +195,6 @@ class TestGapPolicy:
                               paths["calendar"])
         assert ds.records["date"].tolist() == ["2015-01-01", "2015-01-03"]
 
-    def test_gap_error_when_interpolation_disabled(self, tmp_path):
-        paths = gen(tmp_path, seed=4, services=1, days=3)
-        drop_lines(paths[self.FILE], lambda ln: ln.startswith(self.row("2015-01-02", 7)))
-        with pytest.raises(GapError):
-            load_dataset(paths["weather"], paths["meter"], paths["calendar"],
-                         interpolate_gaps=False)
-
     def test_duplicate_hour_keeps_first_and_flags(self, tmp_path):
         paths = gen(tmp_path, seed=4, services=1, days=3)
         lines = paths[self.FILE].read_text().splitlines()
@@ -378,7 +370,7 @@ class TestErrorOrder:
             lines[2:2 + copies] = [list(lines[1]) for _ in range(copies)]
 
         if per_row:
-            monkeypatch.setattr(ingest, "_field_blocks", refuse_blocks)
+            monkeypatch.setattr(ingest, "_block_fields", refuse_blocks)
         assert self.first_error(tmp_path, name, edit) == (
             (3, None) if name == "calendar" else (4, "hour"))
 
@@ -417,15 +409,14 @@ HOURLY_HEADERS = {"weather": ingest.WEATHER_HEADER,
                   "meter": ingest.METER_HOURLY_HEADER}
 
 
-def hourly_outcome(load, path, header, interpolate):
-    """What ``load(path, header, interpolate)`` gives: the kept keys, grid,
-    flags and DataGapWarning texts, or the error's type, text, row and
-    column."""
+def hourly_outcome(load, path, header):
+    """What ``load(path, header)`` gives: the kept keys, grid, flags and
+    DataGapWarning texts, or the error's type, text, row and column."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            keys, grid, flags = load(path, header, interpolate)
-        except (ParseError, GapError) as exc:
+            keys, grid, flags = load(path, header)
+        except ParseError as exc:
             return {"error": (type(exc), str(exc), getattr(exc, "row", None),
                               getattr(exc, "column", None))}
     return {"keys": keys, "grid": grid, "flags": flags.tolist(),
@@ -433,15 +424,15 @@ def hourly_outcome(load, path, header, interpolate):
                          if w.category is DataGapWarning]}
 
 
-def both_paths(path, header, interpolate=True):
+def both_paths(path, header):
     """``_load_hourly`` on a file, as it is and with the block scan refused
     so that the per-row code reads the whole file, and whether the first
     fell back to the per-row code; asserts that the two outcomes agree,
     bit for bit."""
     with per_row_reads() as calls:
-        bulk = hourly_outcome(ingest._load_hourly, path, header, interpolate)
-    with mock.patch.object(ingest, "_field_blocks", refuse_blocks):
-        rows = hourly_outcome(ingest._load_hourly, path, header, interpolate)
+        bulk = hourly_outcome(ingest._load_hourly, path, header)
+    with mock.patch.object(ingest, "_block_fields", refuse_blocks):
+        rows = hourly_outcome(ingest._load_hourly, path, header)
     assert bulk.keys() == rows.keys(), (bulk.get("error"), rows.get("error"))
     if "error" in rows:
         assert bulk["error"] == rows["error"]
@@ -468,7 +459,7 @@ class TestBulkScan:
 
     @pytest.mark.parametrize("name", ["weather", "meter"])
     @pytest.mark.parametrize("case,loads", [
-        ("interpolated", True), ("dropped", True), ("gap error", True),
+        ("interpolated", True), ("dropped", True),
         ("duplicate", True), ("mixed", True), ("triplicate", True),
         ("lone CR line ends", False), ("no final newline", True),
         ("CRLF line ends", True), ("quoted field", False),
@@ -481,7 +472,6 @@ class TestBulkScan:
             return f"{prefix}{date},{hour},"
 
         gone = {"interpolated": [row("2015-01-02", 7)],
-                "gap error": [row("2015-01-02", 7)],
                 "dropped": [row("2015-01-02", h) for h in (7, 8, 9)],
                 "mixed": [row("2015-01-04", 5), row("2015-01-02", 7),
                           *(row("2015-01-03", h) for h in (7, 8, 9))]}
@@ -509,11 +499,10 @@ class TestBulkScan:
                 "CRLF line ends": text.replace("\n", "\r\n"),
                 "no final newline": text[:-1]}.get(case, text)
         paths[name].write_bytes(text.encode())
-        outcome, fell_back = both_paths(paths[name], HOURLY_HEADERS[name],
-                                        interpolate=case != "gap error")
+        outcome, fell_back = both_paths(paths[name], HOURLY_HEADERS[name])
         assert fell_back != loads
         assert ("error" in outcome) == (case in (
-            "gap error", "triplicate", "lone CR in a field"))
+            "triplicate", "lone CR in a field"))
 
     @pytest.mark.parametrize("name", ["weather", "meter"])
     @pytest.mark.parametrize("copies", [1, 2])
@@ -547,7 +536,15 @@ class TestBulkScan:
         def load(weather, meter):
             return load_dataset(weather, meter, data / "calendar.csv")
 
-        with per_row_reads() as calls:
+        headers = []
+        read_header = ingest._header
+
+        def spy(records, candidates, path):
+            headers.append(candidates)
+            return read_header(records, candidates, path)
+
+        with per_row_reads() as calls, mock.patch.object(
+                ingest, "_header", spy):
             reference = load(data / "weather.csv", data / "meter.csv")
             for copy, change in (
                     ("crlf", lambda raw: raw.replace(b"\n", b"\r\n")),
@@ -561,8 +558,8 @@ class TestBulkScan:
                 assert ds.records.dtype == reference.records.dtype
                 assert (ds.services, ds.dates) == (reference.services,
                                                    reference.dates)
-        # Only load_dataset's look at the meter header, once per load.
-        assert [headers for _, headers in calls] == [
+        # No per-row code; load_dataset reads the meter header once per load.
+        assert not calls and headers == [
             [ingest.METER_HOURLY_HEADER, ingest.METER_ENERGY_HEADER]] * 3
 
     @pytest.mark.parametrize("text", [
@@ -661,7 +658,7 @@ class TestBulkScan:
     def test_declined_middle_block_goes_per_row_from_its_first_row(
             self, tmp_path, name):
         # A quoted field, which csv reads, in the second of three or more
-        # blocks: the first block is scanned, the rest read per row.
+        # blocks: that block is read per row, the others scanned.
         paths = gen(tmp_path, seed=4, services=1, days=365)
         header, *rows = QUERY_CSV.splitlines()
         paths["query"] = tmp_path / "query.csv"
@@ -676,6 +673,11 @@ class TestBulkScan:
         lines[second + 9] = ",".join(fields)
         path.write_text("\n".join(lines))
         assert path.stat().st_size > 2 * ingest._BLOCK_BYTES
+        with open(path, "rb") as fh:  # each block's first row
+            fh.readline()
+            starts = [2]
+            for block in ingest._byte_blocks(fh):
+                starts.append(starts[-1] + block.count(b"\n"))
         rules = {"date": ingest.date_rule({}), "hour": ingest._HOUR_RULE,
                  "service_id": ingest._service_rule({}),
                  "weekday": ingest.FLAG_RULE}
@@ -684,9 +686,9 @@ class TestBulkScan:
                 rules.get(column) or ingest.number_rule()
                 for column in header]))
         rows = len(lines) - 2
-        assert len(calls) == 1
-        assert [first for first, _ in chunks] == [2, *range(
-            second, rows + 2, ingest._ROW_CHUNK)]
+        assert len(calls) == 1 and calls[0][3] == second == starts[1]
+        assert [first for first, _ in chunks] == starts[:-1]
+        assert starts[-1] == rows + 2 and len(starts) > 3
         assert sum(len(columns[0]) for _, columns in chunks) == rows
         if name == "query":
             outcome, fell_back = both_query_paths(path)
@@ -742,6 +744,94 @@ class TestBulkScan:
         outcome, fell_back = both_paths(paths[name], HOURLY_HEADERS[name])
         assert fell_back and outcome["error"][2] == 7
 
+    @pytest.mark.parametrize("name", ["weather", "meter"])
+    def test_quoted_line_feed_across_the_first_block_cut(self, tmp_path, name):
+        # The last line of the first block opens a quote on its reading,
+        # closed on a line of its own in the second block: the per-row code
+        # reads on to the end of the second block, then the scan resumes.
+        text = gen(tmp_path, seed=4, services=1, days=365)[name].read_text()
+        cut = text.index("\n") + 1 + ingest._BLOCK_BYTES
+        for pad in range(40):  # zeros before row 2's reading move the lines
+            lines = text.split("\n")
+            number = lines[1].split(",")[-1]
+            sign = "-" * number.startswith("-")
+            lines[1] = lines[1][:-len(number)] + sign + "0" * pad + number[
+                len(sign):]
+            end = "\n".join(lines).rindex("\n", 0, cut)
+            # The quote moves that line end one byte on; the closing line
+            # must end past the cut.
+            if end + 3 >= cut > end + 1:
+                break
+        row = "\n".join(lines).count("\n", 0, end)
+        fields = lines[row].split(",")
+        fields[-1] = '"' + fields[-1]
+        lines[row:row + 1] = [",".join(fields), '"']
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join(lines))
+        with open(path, "rb") as fh:
+            fh.readline()
+            blocks = list(ingest._byte_blocks(fh))
+        assert blocks[0].endswith(f'"{fields[-1][1:]}\n'.encode())
+        assert blocks[1].startswith(b'"\n') and len(blocks) > 2
+        header = HOURLY_HEADERS[name]
+        rules = [ingest._service_rule({}), ingest.date_rule({}),
+                 ingest._HOUR_RULE, ingest.number_rule()][-len(header):]
+        with per_row_reads() as calls:
+            starts = [first for first, _ in ingest.read_columns(path, header,
+                                                                rules)]
+        # The quoted reading's row takes two lines of the file.
+        third = 2 + blocks[0].count(b"\n") + blocks[1].count(b"\n") - 1
+        assert len(calls) == 1 and starts[:2] == [2, third]
+        outcome, fell_back = both_paths(path, header)
+        assert fell_back and len(outcome["keys"]) == 365
+
+    @pytest.mark.parametrize("name", ["weather", "meter"])
+    @pytest.mark.parametrize("earlier", [None, "x"])
+    def test_undecodable_byte_names_its_row(self, tmp_path, name, earlier):
+        # Each line is decoded as the csv reader reaches it, so a byte that
+        # is not UTF-8 is reported at its row, after any fault on an
+        # earlier row of the same 8 KiB.
+        paths = gen(tmp_path, seed=6, services=1, days=2)
+        lines = paths[name].read_text().split("\n")
+        if earlier:
+            lines[5] = lines[5].rsplit(",", 1)[0] + "," + earlier
+        raw = "\n".join(lines).encode()
+        at = raw.index(lines[40].encode()) + 3
+        paths[name].write_bytes(raw[:at] + b"\xff" + raw[at:])
+        outcome, fell_back = both_paths(paths[name], HOURLY_HEADERS[name])
+        assert fell_back
+        _, text, row, column = outcome["error"]
+        if earlier:
+            assert (row, column) == (6, HOURLY_HEADERS[name][-1])
+        else:
+            assert (row, column) == (41, None)
+            assert text.startswith("unreadable CSV text: 'utf-8' codec")
+
+    @pytest.mark.parametrize("declined", [False, True])
+    def test_load_dataset_opens_each_file_once(self, tmp_path, declined):
+        # Meter twice: its header for the energy-file check, then its data.
+        # A declined block is read per row from the bytes in memory.
+        paths = gen(tmp_path, seed=4, services=2, days=365)
+        if declined:
+            for name in ("weather", "meter", "calendar"):
+                lines = paths[name].read_text().split("\n")
+                fields = lines[300].split(",")
+                fields[1] = f'"{fields[1]}"'
+                lines[300] = ",".join(fields)
+                paths[name].write_text("\n".join(lines))
+        opened = []
+
+        def spy(path, *args, **kwargs):
+            opened.append(path)
+            return open(path, *args, **kwargs)
+
+        with per_row_reads() as calls, mock.patch.object(
+                ingest, "open", spy, create=True):
+            load_dataset(paths["weather"], paths["meter"], paths["calendar"])
+        assert len(calls) == (3 if declined else 0)
+        assert opened == [paths["meter"], paths["weather"], paths["meter"],
+                          paths["calendar"]]
+
     @pytest.mark.parametrize("block,lines", [
         (b"a,bc,\n,d,e\n", [[b"a", b"bc", b""], [b"", b"d", b"e"]]),
         (b"a,b,c\r\nd,e,f\n", [[b"a", b"b", b"c"], [b"d", b"e", b"f"]]),
@@ -775,7 +865,7 @@ def both_calendar_paths(path):
     per-row code."""
     with per_row_reads() as calls:
         bulk = calendar_outcome(path)
-    with mock.patch.object(ingest, "_field_blocks", refuse_blocks):
+    with mock.patch.object(ingest, "_block_fields", refuse_blocks):
         assert bulk == calendar_outcome(path)
     return bulk, bool(calls)
 
@@ -795,6 +885,7 @@ class TestCalendarScan:
         ("plain", True, False, None), ("CRLF line ends", True, False, None),
         ("no final newline", True, False, None),
         ("quoted field", True, True, None),
+        ("open quote on an unterminated last line", True, True, None),
         ("holiday on a Saturday", True, False, None),
         ("duplicate date", False, False, 4),
         ("duplicate date, other flags", False, False, 6),
@@ -810,6 +901,9 @@ class TestCalendarScan:
             "CRLF line ends": "\r\n".join(lines),
             "no final newline": "\n".join(lines)[:-1],
             "quoted field": "\n".join(lines).replace(",Y,N", ',"Y",N', 1),
+            # csv reads "N at the end of the file as N.
+            "open quote on an unterminated last line": '"N'.join(
+                "\n".join(lines)[:-1].rsplit("N", 1)),
             "holiday on a Saturday": "\n".join(lines).replace(
                 "2015-01-03,N,N", "2015-01-03,Y,Y"),
             "duplicate date": "\n".join(lines[:3] + lines[1:2] + lines[3:]),
