@@ -288,7 +288,8 @@ def _writing(out):
 
 
 def parse_span(text: str, label: str) -> range:
-    """Parse an inclusive integer span like ``1..40``."""
+    """Parse an inclusive integer span like ``1..40``, of at most
+    ``sys.maxsize`` counts (the most a ``range`` can hold and measure)."""
     parts = str(text).split("..")
     try:
         lo, hi = (int(p) for p in parts)
@@ -296,6 +297,9 @@ def parse_span(text: str, label: str) -> range:
         raise ConfigError(f"{label} must look like A..B, got {text!r}") from None
     if lo < 1 or hi < lo:
         raise ConfigError(f"{label} {text!r} is empty or non-positive")
+    if hi - lo >= sys.maxsize:
+        raise ConfigError(f"{label} {text!r} spans more than {sys.maxsize} "
+                          "counts")
     return range(lo, hi + 1)
 
 

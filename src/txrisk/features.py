@@ -300,11 +300,11 @@ def distance(x, y, schema: FeatureSchema) -> np.ndarray:
     # gap in a row of y skips the feature for that row.
     q_gaps, n_gaps = np.isnan(xq), xn < 0
     q_keep = ~q_gaps if q_gaps.any() else (True,) * len(xq)
-    n_keep = ~n_gaps if n_gaps.any() else (True,) * len(xn)
+    n_keep = ~n_gaps if n_gaps.any() else (None,) * len(xn)
     q_weights, n_weights = schema.quantitative_weights(), schema.nominal_weights()
     n = xq.shape[1]
     d = np.zeros((len(yq), n))
-    diff, term = np.empty(n), np.empty(n)
+    diff, term, mismatch = np.empty(n), np.empty(n), np.empty(n, bool)
     for row, y_quant, y_codes in zip(d, yq.tolist(), yn.tolist()):
         for col, keep, w, v in zip(xq, q_keep, q_weights, y_quant):
             if not math.isnan(v):
@@ -312,7 +312,14 @@ def distance(x, y, schema: FeatureSchema) -> np.ndarray:
                 np.multiply(diff, w, out=term)
                 term *= diff
                 np.add(row, term, out=row, where=keep)
+        # A nominal term is w or +0.0 (weights are finite and >= 0), and
+        # every entry is +0.0 or more, never -0.0, so adding a +0.0 term
+        # leaves its bits as skipping it would: no masked add is needed.
         for col, keep, w, v in zip(xn, n_keep, n_weights, y_codes):
             if v >= 0:
-                np.add(row, w, out=row, where=(col != v) & keep)
+                np.not_equal(col, v, out=mismatch)
+                if keep is not None:
+                    mismatch &= keep
+                np.multiply(mismatch, w, out=term)
+                row += term
     return d.T

@@ -17,7 +17,9 @@ with one ``(scan, parse)`` rule per kind of column: date codes, service-id
 codes, hours, numbers within a range and Y/N flags. It reads a file once,
 as bytes, 64 KiB of whole lines at a time, finds the fields of a block
 from the positions of commas and line feeds, and converts each column
-whole by its rule's scan. A block that holds a quote, a carriage return
+whole by its rule's scan. A number column is read exactly where its
+fields are spelled ``[-]digits[.digits]`` (see :func:`_numbers`), else
+through ``float``. A block that holds a quote, a carriage return
 not before a line feed, a NUL, a byte outside ASCII, a line without the
 header's column count or longer than the csv field limit, or a field that
 a scan declines goes to the per-row code, as does a header line not
@@ -25,6 +27,8 @@ spelled exactly. That code reads the block's rows with the csv module and
 reports every fault with its row and column; the scan takes over again at
 the first block end where a row ends. Checks across rows (a third reading
 of an hour, a calendar date listed twice) run over whole columns.
+:func:`load_dataset` gives each date one code in all three files and
+joins the days on integer codes.
 
 Every CSV table the package writes goes through :func:`write_table`, as
 rows formatted by %-format templates; :func:`synth_dataset` formats all of
@@ -254,17 +258,74 @@ def _hours(buf, starts, lens):
     return None if (hours > 23).any() else hours
 
 
+# 10.0 ** i for the exponents of the exact decimal path: each is a double
+# exactly, as is every integer up to 2 ** 53.
+_POW10 = [float(10 ** i) for i in range(23)]
+
+
 def _numbers(buf, starts, lens):
-    """Each field's value as ``float`` reads it, which is what an
-    ``S``-array's ``astype`` calls; None where one is not a number."""
+    """Each field's value as ``float`` reads it; None where one is not a
+    number.
+
+    Fields of one length spelled ``[-]digits[.digits]``, with the dot (if
+    any) at one place in all of them, are read exactly: the digits give an
+    integer mantissa ``m`` and the dot the power of ten ``10 ** f``; with
+    ``m <= 2 ** 53`` and ``f <= 22`` both are doubles exactly, so the one
+    correctly rounded division ``m / 10 ** f`` is ``float``'s value (the
+    fast path of Clinger's 1990 algorithm). A ``-`` negates it, so ``-0.0``
+    keeps its sign. The fields of any other length go to an ``S``-array's
+    ``astype``, which calls ``float``.
+    """
     if not lens.all():
         return None
     values = np.empty(len(starts))
     try:
         for length, rows in _by_length(lens):
-            values[rows] = _fixed(buf, starts[rows], length).astype(np.float64)
+            at = starts[rows]
+            exact = _decimals(buf, at, length)
+            values[rows] = (_fixed(buf, at, length).astype(np.float64)
+                            if exact is None else exact)
     except ValueError:
         return None
+    return values
+
+
+def _decimals(buf, starts, length):
+    """The ``length``-byte fields at ``starts`` read exactly, as
+    :func:`_numbers` describes, or None unless each is spelled
+    ``[-]digits[.digits]``, with its dot where the first field has it, its
+    mantissa at most ``2 ** 53`` and at most 22 digits after the dot."""
+    first = starts[0]
+    dot = buf[first:first + length].tobytes().find(b".")
+    places = length - (dot >= 0)  # digits, or a sign and digits
+    if not places or (dot >= 0 and length - 1 - dot > 22):
+        return None
+    lead = buf[starts]
+    negative = lead == ord("-")
+    signed = negative.any()
+    if signed and places == 1:  # "-" or "-."
+        return None
+    mantissa = np.zeros(len(starts), np.int64)
+    for j in range(length):
+        if j == dot:
+            if (buf[starts + j] != ord(".")).any():
+                return None
+            continue
+        # Below 2 ** 53, ten times a mantissa and a digit fit an int64.
+        if j >= 16 and mantissa.max() > 1 << 53:
+            return None
+        digits = (lead if j == 0 else buf[starts + j]) - ord("0")
+        if j == 0 and signed:
+            digits[negative] = 0
+        if (digits > 9).any():  # bytes below "0" wrap above 9
+            return None
+        mantissa *= 10
+        mantissa += digits
+    if mantissa.max() > 1 << 53:
+        return None
+    values = mantissa / _POW10[length - 1 - dot if dot >= 0 else 0]
+    if signed:
+        np.negative(values, out=values, where=negative)
     return values
 
 
@@ -466,27 +527,30 @@ _HOURLY_FILES = {
                "temperature {} outside plausible range"),
     "kw": ("meter", 0.0, math.inf, "negative demand {}"),
 }
+# A meter day's code keeps its date code in these bits (see _load_hourly).
+_DATE_MASK = 0xFFFFFFFF
 
 
-def _load_hourly(path, header):
+def _load_hourly(path, header, dates, names):
     """An hourly file (weather or interval meter) with header ``header`` as
-    day keys, a ``(days, 24)`` grid of readings and a per-day flag.
+    day codes, a ``(days, 24)`` grid of readings and a per-day flag.
 
-    A day's key is ``(date,)`` for weather and ``(service, date)`` for a
-    meter; days keep their first-seen order. A second reading for an hour
-    (DST fall-back) is dropped and flags its day; a third is a ParseError.
-    Days missing at most ``MAX_INTERPOLATED_HOURS`` readings are linearly
-    interpolated and flagged, and days missing more are dropped. One
-    DataGapWarning per kind (duplicate readings, interpolated days, dropped
-    days) gives the count and the first day affected.
+    Dates are coded in ``dates`` and, for a meter, service ids in ``names``,
+    as :func:`date_rule` codes them. A day's code is its date code for
+    weather and ``service code << 32 | date code`` for a meter; days keep
+    their first-seen order. A second reading for an hour (DST fall-back) is
+    dropped and flags its day; a third is a ParseError. Days missing at most
+    ``MAX_INTERPOLATED_HOURS`` readings are linearly interpolated and
+    flagged, and days missing more are dropped. One DataGapWarning per kind
+    (duplicate readings, interpolated days, dropped days) gives the count
+    and the first day affected.
     """
     kind, lo, hi, complaint = _HOURLY_FILES[header[-1]]
-    names = {}  # service id -> code (meter only)
-    dates = {}  # date -> code
+    meter = len(header) == 4
     rules = [date_rule(dates), _HOUR_RULE, number_rule(lo, hi, complaint)]
-    if len(header) == 4:
+    if meter:
         rules.insert(0, _service_rule(names))
-    index = {}  # day code (service code << 32 | date code) -> grid row
+    index = {}  # day code -> grid row
     duplicated = []  # the day of each second reading, in file order
     # Grown in place, NaN until its hour is read (readings are finite);
     # numpy writes through a view made per chunk, as a buffer cannot grow
@@ -520,9 +584,7 @@ def _load_hourly(path, header):
         seen[cells[again]] = 2
         del seen
         duplicated += days[again].tolist()
-    day_dates, ids = list(dates), list(names)
-    keys = [(ids[code >> 32], day_dates[code & 0xFFFFFFFF]) if ids
-            else (day_dates[code],) for code in index]
+    codes = np.fromiter(index, np.int64, len(index))
     grid = np.frombuffer(grid).reshape(-1, 24)
     missing = np.isnan(grid)
     counts = missing.sum(axis=1)
@@ -539,25 +601,31 @@ def _load_hourly(path, header):
             (np.flatnonzero(~kept).tolist(), "days missing more than "
              f"{MAX_INTERPOLATED_HOURS} hours dropped")):
         if days:
+            code = int(codes[days[0]])
+            day = str(list(dates)[code & _DATE_MASK])
+            if meter:
+                day = f"{list(names)[code >> 32]} {day}"
             warnings.warn(  # attributed to the caller of load_dataset
-                f"{kind}: {len(days)} {what}; first "
-                f"{' '.join(map(str, keys[days[0]]))}",
+                f"{kind}: {len(days)} {what}; first {day}",
                 DataGapWarning, stacklevel=3)
-    flagged = np.isin(np.arange(len(keys)), duplicated + interpolated)
-    return ([key for key, keep in zip(keys, kept) if keep], grid[kept],
-            flagged[kept])
+    flagged = np.zeros(len(codes), bool)
+    flagged[duplicated + interpolated] = True
+    return codes[kept], grid[kept], flagged[kept]
 
 
-def _load_calendar(path):
-    """date -> effective weekday flag (holidays count as non-weekdays)."""
-    dates = {}  # date -> code
-    seen = np.zeros(0, bool)  # per date code
-    out = {}
+def _load_calendar(path, dates):
+    """The calendar file's dates, coded in ``dates`` as :func:`date_rule`
+    codes them, as two boolean arrays over every code of ``dates``: whether
+    the file lists the date, and whether it is an effective weekday
+    (holidays count as non-weekdays)."""
+    listed = np.zeros(0, bool)  # per date code
+    weekdays = np.zeros(0, bool)
     for first, (codes, weekday, holiday) in read_columns(
             path, CALENDAR_HEADER, [date_rule(dates), FLAG_RULE, FLAG_RULE]):
         days = list(dates)
-        seen = np.concatenate([seen, np.zeros(len(days) - len(seen), bool)])
-        repeated = seen[codes] | (_ranks(codes) > 0)
+        listed = _grown(listed, len(days))
+        weekdays = _grown(weekdays, len(days))
+        repeated = listed[codes] | (_ranks(codes) > 0)
         workday = np.array([day.weekday() < 5 for day in days])[codes]
         bad = repeated | (~holiday & (weekday != workday))
         if bad.any():
@@ -570,10 +638,26 @@ def _load_calendar(path):
                 f"is_weekday={'Y' if weekday[row] else 'N'} inconsistent "
                 f"with {date} ({date.strftime('%A')}) and no holiday override",
                 path=path, row=first + row, column="is_weekday")
-        seen[codes] = True
-        out.update(zip(map(days.__getitem__, codes.tolist()),
-                       (weekday & ~holiday).tolist()))
-    return out
+        listed[codes] = True
+        weekdays[codes] = weekday & ~holiday
+    return _grown(listed, len(dates)), _grown(weekdays, len(dates))
+
+
+def _grown(flags, n):
+    """The boolean array ``flags`` extended with False to length ``n``."""
+    return np.concatenate([flags, np.zeros(n - len(flags), bool)])
+
+
+def _sorted_used(values, codes):
+    """The items of the list ``values`` whose index is among ``codes``,
+    sorted, and an array of each index's place in that list (0 for the
+    others)."""
+    used = np.zeros(len(values), bool)
+    used[codes] = True
+    order = sorted(np.flatnonzero(used).tolist(), key=values.__getitem__)
+    places = np.zeros(len(values), np.int64)
+    places[order] = np.arange(len(order))
+    return [values[i] for i in order], places
 
 
 def _day_stats(hours):
@@ -618,57 +702,60 @@ def load_dataset(weather_path, meter_path, calendar_path) -> Dataset:
         raise MissingProfileError(
             f"{meter_path} has energy-only metering: the meter file holds "
             "daily energy only, no 24-hour profiles to cluster")
-    weather_keys, ambient_days, weather_flags = _load_hourly(
-        weather_path, WEATHER_HEADER)
-    meter_keys, load_days, meter_flags = _load_hourly(
-        meter_path, METER_HOURLY_HEADER)
-    calendar = _load_calendar(calendar_path)
+    dates, names = {}, {}  # date and service id -> code, in every file
+    weather_days, ambient_days, weather_flags = _load_hourly(
+        weather_path, WEATHER_HEADER, dates, {})
+    meter_days, load_days, meter_flags = _load_hourly(
+        meter_path, METER_HOURLY_HEADER, dates, names)
+    listed, workday = _load_calendar(calendar_path, dates)
 
-    weather_row = {date: row for row, (date,) in enumerate(weather_keys)}
-    joined = sorted((key, row) for row, key in enumerate(meter_keys)
-                    if key[1] in weather_row and key[1] in calendar)
-    if not joined:
+    weather_row = np.full(len(dates), -1)  # per date code
+    weather_row[weather_days] = np.arange(len(weather_days))
+    day_dates = meter_days & _DATE_MASK
+    joined = np.flatnonzero((weather_row[day_dates] >= 0) & listed[day_dates])
+    if not len(joined):
         raise EmptyIntersectionError(
             "weather, meter, and calendar files share no (service, date) coverage")
-    keys, meter_rows = zip(*joined)
-    services, days = zip(*keys)
-    meter_rows = np.array(meter_rows)
-    weather_rows = [weather_row[date] for date in days]
-    dates = sorted(set(days))
+    # Rows sorted by service id, then date: each (service, date) is one day.
+    service_codes, date_codes = meter_days[joined] >> 32, day_dates[joined]
+    services, service_place = _sorted_used(list(names), service_codes)
+    days, date_place = _sorted_used(list(dates), date_codes)
+    order = np.lexsort((date_place[date_codes], service_place[service_codes]))
+    meter_rows, date_codes = joined[order], date_codes[order]
+    weather_rows = weather_row[date_codes]
+    isos = [day.isoformat() for day in days]
 
     ambient = ambient_days[weather_rows]
     load = load_days[meter_rows]
     t_sum, t_max, t_min = _day_stats(ambient)
     l_sum, l_max, l_min = _day_stats(load)
     columns = {
-        "service_id": np.array(services),
-        "date": np.array([date.isoformat() for date in days]),
+        # Only ids with records set the field's width.
+        "service_id": np.array(services)[service_place[service_codes[order]]],
+        "date": np.array(isos)[date_place[date_codes]],
         "t_max_c": t_max,
         "t_min_c": t_min,
         "t_avg_c": t_sum / 24.0,
         "l_avg_kva": l_sum / 24.0,
         "l_max_kva": l_max,
         "l_min_kva": l_min,
-        "weekday": np.where([calendar[date] for date in days], "Y", "N"),
+        "weekday": np.where(workday[date_codes], "Y", "N"),
         "load_kva": load,
         "ambient_c": ambient,
         "interpolated": weather_flags[weather_rows] | meter_flags[meter_rows],
     }
-    records = np.empty(len(keys), [(name, column.dtype, column.shape[1:])
-                                   for name, column in columns.items()])
+    records = np.empty(len(meter_rows), [(name, column.dtype, column.shape[1:])
+                                         for name, column in columns.items()])
     for name, column in columns.items():
         records[name] = column
 
-    span_days = (dates[-1] - dates[0]).days + 1
+    span_days = (days[-1] - days[0]).days + 1
     if span_days < 730:
         warnings.warn(
             f"dataset spans only {span_days} days; multiple years of data "
             "are recommended", ShortCoverageWarning, stacklevel=2)
-    return Dataset(
-        records=records,
-        services=tuple(sorted(set(services))),
-        dates=tuple(d.isoformat() for d in dates),
-    )
+    return Dataset(records=records, services=tuple(services),
+                   dates=tuple(isos))
 
 
 @dataclass(frozen=True)

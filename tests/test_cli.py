@@ -2,6 +2,7 @@
 
 import datetime as dt
 import json
+import sys
 import tracemalloc
 import warnings
 
@@ -659,6 +660,29 @@ class TestMalformedInputExitCodes:
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1]
         assert "services load a cluster to 1e+03 p.u." in errors[0]
+
+    @pytest.mark.parametrize("span", [
+        f"1..{sys.maxsize}", f"2..{sys.maxsize + 1}", f"1..{sys.maxsize + 1}",
+        "1..100000000000000000000", f"{10 ** 20}..{10 ** 20}"])
+    def test_n_range_longer_than_a_range_is_usage_error(
+            self, golden_pipeline, tmp_path, capsys, span):
+        # A span of more than sys.maxsize counts is refused by parse_span,
+        # naming its option; one of sys.maxsize counts, or one count past
+        # any float, reaches the load-ceiling check. Either way: exit 2,
+        # no traceback and no table.
+        root = golden_pipeline[0][0]
+        assert cli.main(["assess", "--spec", str(root / "spec.json"),
+                         "--model", str(root / "out" / "model.json"),
+                         "--n-range", span,
+                         "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lo, hi = map(int, span.split(".."))
+        if hi - lo + 1 > sys.maxsize:
+            assert f"--n-range {span!r} spans more than" in err
+        else:
+            assert "load ceiling" in err
+        assert not list((tmp_path / "run").glob("*.csv"))
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("key,value", [

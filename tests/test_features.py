@@ -262,45 +262,58 @@ class TestDistance:
 
 
     @pytest.mark.parametrize(
-        "n, k, x_gaps, y_gaps, zero_weight, order",
-        [(60, 6, False, False, False, "F"),
-         (60, 6, True, False, False, "F"),
-         (60, 6, False, True, False, "F"),
-         (60, 6, True, True, False, "F"),
-         (60, 6, True, True, True, "F"),
-         (60, 1, True, True, False, "F"),
-         (1, 6, True, True, False, "F"),
-         (60, 6, True, True, False, "C"),
-         (60, 6, False, False, False, "C")],
+        "n, k, x_gaps, y_gaps, zeroed, order, kinds",
+        [(60, 6, False, False, (), "F", "mixed"),
+         (60, 6, True, False, (), "F", "mixed"),
+         (60, 6, False, True, (), "F", "mixed"),
+         (60, 6, True, True, (), "F", "mixed"),
+         (60, 6, True, True, ("grade",), "F", "mixed"),
+         (60, 6, True, True, ("flag",), "F", "mixed"),
+         (60, 6, False, False, ("flag", "kind"), "F", "mixed"),
+         (60, 1, True, True, (), "F", "mixed"),
+         (1, 6, True, True, (), "F", "mixed"),
+         (60, 6, True, True, (), "C", "mixed"),
+         (60, 6, False, False, (), "C", "mixed"),
+         (60, 6, False, False, (), "F", "nominal"),
+         (60, 6, True, True, ("kind",), "F", "nominal")],
         ids=["no-gaps", "x-gaps", "y-gaps", "both-gaps", "zero-weight",
-             "k1", "n1", "c-order-gaps", "c-order"])
+             "zero-weight-nominal", "zero-weight-nominals", "k1", "n1",
+             "c-order-gaps", "c-order", "nominal-only",
+             "nominal-only-zero-weight"])
     def test_kernel_equals_python_sum_bit_for_bit(self, n, k, x_gaps, y_gaps,
-                                                  zero_weight, order):
-        # Every entry, compared with ==, is the pair's sum in Python floats
-        # in schema order: quantitative features, then nominal mismatches.
-        rng = np.random.default_rng([n, k, x_gaps, y_gaps, zero_weight])
-        weights = rng.uniform(0, 3, 5)
-        if zero_weight:
-            weights[1] = 0.0
-        schema = ft.FeatureSchema(features=(
-            ft.FeatureDef("a", ft.KIND_NUMERIC, weight=float(weights[0])),
-            ft.FeatureDef("grade", ft.KIND_ORDINAL, statuses=("lo", "hi"),
-                          weight=float(weights[1])),
-            ft.FeatureDef("flag", ft.KIND_NOMINAL, statuses=("Y", "N"),
-                          weight=float(weights[2])),
-            ft.FeatureDef("b", ft.KIND_NUMERIC, weight=float(weights[3])),
-            ft.FeatureDef("kind", ft.KIND_NOMINAL, statuses=("p", "q", "r"),
-                          weight=float(weights[4])),
-        ))
+                                                  zeroed, order, kinds):
+        # Every entry has the bits of the pair's sum in Python floats in
+        # schema order: quantitative features, then nominal mismatches.
+        # Compared as bit patterns, since == would equate 0.0 and -0.0.
+        seed = [n, k, x_gaps, y_gaps, bool(zeroed)]
+        rng = np.random.default_rng(seed + [1] * (kinds == "nominal"))
+        weights = dict(zip(("a", "grade", "flag", "b", "kind"),
+                           rng.uniform(0, 3, 5).tolist()))
+        weights.update(dict.fromkeys(zeroed, 0.0))
+        schema = ft.FeatureSchema(features=tuple(
+            feature for feature in (
+                ft.FeatureDef("a", ft.KIND_NUMERIC, weight=weights["a"]),
+                ft.FeatureDef("grade", ft.KIND_ORDINAL, statuses=("lo", "hi"),
+                              weight=weights["grade"]),
+                ft.FeatureDef("flag", ft.KIND_NOMINAL, statuses=("Y", "N"),
+                              weight=weights["flag"]),
+                ft.FeatureDef("b", ft.KIND_NUMERIC, weight=weights["b"]),
+                ft.FeatureDef("kind", ft.KIND_NOMINAL,
+                              statuses=("p", "q", "r"),
+                              weight=weights["kind"]))
+            if kinds == "mixed" or feature.kind == ft.KIND_NOMINAL))
+        q = len(schema.quantitative_names)
 
         def sample(rows, gaps):
-            quant = rng.uniform(-0.2, 1.2, (rows, 3))
+            quant = rng.uniform(-0.2, 1.2, (rows, q))
             nom = np.stack([rng.integers(0, 2, rows), rng.integers(0, 3, rows)],
                            axis=1)
             if gaps:
-                quant[rng.random((rows, 3)) < 0.2] = np.nan
+                quant[rng.random((rows, q)) < 0.2] = np.nan
                 nom[rng.random((rows, 2)) < 0.2] = -1
-                quant[0, 0], nom[-1, 1] = np.nan, -1
+                if q:
+                    quant[0, 0] = np.nan
+                nom[-1, 1] = -1
             return quant, nom
 
         (xq, xn), y = sample(n, x_gaps), sample(k, y_gaps)
@@ -312,11 +325,11 @@ class TestDistance:
 
         d = ft.distance((xq, xn), y, schema)
         assert d.shape == (n, k)
-        expected = [[reference_distance((xq[i].tolist(), xn[i].tolist()),
-                                        (y[0][j].tolist(), y[1][j].tolist()),
-                                        schema)
-                     for j in range(k)] for i in range(n)]
-        assert d.tolist() == expected
+        expected = np.array([[reference_distance(
+            (xq[i].tolist(), xn[i].tolist()),
+            (y[0][j].tolist(), y[1][j].tolist()), schema)
+            for j in range(k)] for i in range(n)]).reshape(n, k)
+        assert d.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
 class TestEncode:

@@ -405,20 +405,117 @@ class TestCoverage:
         assert ds.services == ("S001", "S002")
 
 
+class TestJoinOrder:
+    """load_dataset joins the three files on integer date and service codes
+    and orders the rows with one lexsort; these cases pin the old join:
+    rows sorted as (service, date) tuples, each field as the files give it."""
+
+    @staticmethod
+    def tuple_join(paths):
+        """The (service, date) keys of the files' common days sorted as
+        tuples, with each key's meter and weather readings, read with csv."""
+        def readings(path):
+            days = {}
+            with open(path, newline="") as fh:
+                for *key, hour, value in list(csv.reader(fh))[1:]:
+                    days.setdefault(tuple(key), [None] * 24)[int(hour)] = (
+                        float(value))
+            return days
+
+        meter, weather = readings(paths["meter"]), readings(paths["weather"])
+        with open(paths["calendar"], newline="") as fh:
+            listed = {row[0] for row in list(csv.reader(fh))[1:]}
+        keys = sorted(key for key in meter
+                      if key[1] in listed and (key[1],) in weather)
+        return keys, meter, weather
+
+    def test_services_and_dates_out_of_order(self, tmp_path):
+        paths = gen(tmp_path, seed=5, services=3, days=6)
+        lines = paths["meter"].read_text().splitlines()
+        head, rows = lines[0], lines[1:]
+        names = {"S001": "S9", "S002": "S10", "S003": "A100"}
+        # Services first appear S9, A100, S10; each one's dates run
+        # backwards, the hours of a day stay together.
+        days = [rows[i:i + 24] for i in range(0, len(rows), 24)]
+        by_service = {}
+        for day in days:
+            by_service.setdefault(day[0].split(",")[0], []).append(day)
+        shuffled = []
+        for service in ("S001", "S003", "S002"):
+            for day in reversed(by_service[service]):
+                shuffled += [names[service] + line[4:] for line in day]
+        paths["meter"].write_text("\n".join([head] + shuffled) + "\n")
+        ds = load_dataset(paths["weather"], paths["meter"], paths["calendar"])
+
+        keys, meter, weather = self.tuple_join(paths)
+        assert list(zip(ds.records["service_id"].tolist(),
+                        ds.records["date"].tolist())) == keys
+        assert ds.records["load_kva"].tolist() == [meter[key] for key in keys]
+        assert ds.records["ambient_c"].tolist() == [
+            weather[key[1:]] for key in keys]
+        assert ds.services == ("A100", "S10", "S9")
+        assert ds.dates == tuple(sorted({date for _, date in keys}))
+        # The same table as from the file in sorted order.
+        paths["meter"].write_text("\n".join(
+            [head] + sorted(shuffled, key=lambda line: (
+                line.split(",")[:2], int(line.split(",")[2])))) + "\n")
+        reference = load_dataset(paths["weather"], paths["meter"],
+                                 paths["calendar"])
+        assert ds.records.dtype == reference.records.dtype
+        assert ds.records.tobytes() == reference.records.tobytes()
+
+    def test_longest_service_id_without_coverage(self, tmp_path):
+        # The longest id's only day lies outside the weather coverage: the
+        # service_id field is as wide as the joined ids, as np.array of
+        # them makes it.
+        paths = gen(tmp_path, seed=7, services=2, days=4)
+        with open(paths["meter"], "a", encoding="utf-8") as fh:
+            fh.writelines(f"S900000000,2020-01-01,{hour},1.000\n"
+                          for hour in range(24))
+        ds = load_dataset(paths["weather"], paths["meter"], paths["calendar"])
+        assert ds.records.dtype["service_id"] == np.dtype("<U4")
+        assert ds.services == ("S001", "S002")
+        keys, _, _ = self.tuple_join(paths)
+        assert np.array_equal(ds.records["service_id"],
+                              np.array([service for service, _ in keys]))
+
+    def test_weather_and_calendar_dates_out_of_order(self, tmp_path):
+        # Date codes are shared by the three files, whatever order each
+        # lists its dates in.
+        paths = gen(tmp_path, seed=5, services=2, days=5)
+        reference = load_dataset(paths["weather"], paths["meter"],
+                                 paths["calendar"])
+        for name, group in (("weather", 24), ("calendar", 1)):
+            head, *rows = paths[name].read_text().splitlines()
+            days = [rows[i:i + group] for i in range(0, len(rows), group)]
+            paths[name].write_text("\n".join(
+                [head] + [row for day in days[::-1] for row in day]) + "\n")
+        ds = load_dataset(paths["weather"], paths["meter"], paths["calendar"])
+        assert ds.records.tobytes() == reference.records.tobytes()
+        assert (ds.services, ds.dates) == (reference.services,
+                                           reference.dates)
+
+
 HOURLY_HEADERS = {"weather": ingest.WEATHER_HEADER,
                   "meter": ingest.METER_HOURLY_HEADER}
 
 
 def hourly_outcome(load, path, header):
-    """What ``load(path, header)`` gives: the kept keys, grid, flags and
-    DataGapWarning texts, or the error's type, text, row and column."""
+    """What ``load(path, header, dates, names)`` gives: the kept days as
+    ``(date,)`` or ``(service, date)`` keys decoded from their codes, the
+    grid, flags and DataGapWarning texts, or the error's type, text, row and
+    column."""
+    dates, names = {}, {}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            keys, grid, flags = load(path, header)
+            days, grid, flags = load(path, header, dates, names)
         except ParseError as exc:
             return {"error": (type(exc), str(exc), getattr(exc, "row", None),
                               getattr(exc, "column", None))}
+    dates, names = list(dates), list(names)
+    keys = [(names[code >> 32], dates[code & ingest._DATE_MASK]) if names
+            else (dates[code],) for code in days.tolist()]
     return {"keys": keys, "grid": grid, "flags": flags.tolist(),
             "warnings": [str(w.message) for w in caught
                          if w.category is DataGapWarning]}
@@ -565,7 +662,10 @@ class TestBulkScan:
     @pytest.mark.parametrize("text", [
         "1_0", " 1.5 ", "\t-2.5\n", "\xa01.5", "1.5\u2028", "١٢", "１",
         "1e400", "nan", "Infinity", "+.5", "-0", "", "x",
-        "-0.0", ".5", "5.", "1e3", " 1.5"])
+        "-0.0", ".5", "5.", "1e3", " 1.5", "-0.000", "-.5",
+        "123456789012.345", "1234567890123.456", "12345678901234.567",
+        "9007199254740993", "0.0000000000000000000001",
+        "0.00000000000000000000001", "000000000000001.5", "-", "-.", "."])
     def test_bulk_numbers_read_as_float_or_refused(self, tmp_path, text):
         # The scan's S-array conversion must give float()'s value or refuse
         # the text where float() reads a number the row loop refuses.
@@ -596,6 +696,61 @@ class TestBulkScan:
                 _, lo, hi, _ = ingest._HOURLY_FILES[HOURLY_HEADERS[name][-1]]
                 assert fell_back == (bulk is None
                                      or not lo <= float(text) <= hi)
+
+    def test_exact_decimals_are_float_bit_for_bit(self):
+        # Seeded [-]digits[.digits] spellings, 1 to 30 digits with leading
+        # zeros, in one column: every value has float()'s bits, and a group
+        # of one length is read exactly unless its dot moves, its mantissa
+        # passes 2 ** 53 or it has more than 22 digits after the dot.
+        rng = np.random.default_rng([SEED, 20])
+        texts = []
+        for _ in range(20000):
+            digits = "".join(map(str, rng.integers(0, 10, rng.integers(1, 31))))
+            if rng.random() < 0.3:
+                digits = "0" * int(rng.integers(1, 12)) + digits
+            if rng.random() < 0.7:
+                cut = int(rng.integers(0, len(digits) + 1))
+                digits = f"{digits[:cut]}.{digits[cut:]}"
+            texts.append("-" * int(rng.random() < 0.4) + digits)
+        raw = "".join(text + "\n" for text in texts).encode()
+        lens = np.array(list(map(len, texts)))
+        starts = np.concatenate(([0], np.cumsum(lens + 1)[:-1]))
+        buf = np.frombuffer(raw, np.uint8)
+        values = ingest._numbers(buf, starts, lens)
+        expected = np.array(list(map(float, texts)))
+        assert values.view(np.uint64).tolist() == expected.view(
+            np.uint64).tolist()
+
+        def exact(text):
+            whole, _, fraction = text.lstrip("-").partition(".")
+            return int(whole + fraction) <= 1 << 53 and len(fraction) <= 22
+
+        taken = 0
+        for length, rows in ingest._by_length(lens):
+            group = [texts[row] for row in rows.tolist()]
+            dots = {text.find(".") for text in group}
+            read = ingest._decimals(buf, starts[rows], length)
+            assert (read is not None) == (len(dots) == 1
+                                          and all(map(exact, group)))
+            taken += 0 if read is None else len(group)
+        assert 0 < taken < len(texts)
+
+    @pytest.mark.parametrize("name", ["weather", "meter"])
+    def test_golden_readings_take_the_exact_decimal_path(
+            self, golden_pipeline, name):
+        # No reading of the golden files reaches the astype fallback.
+        reads = []
+        decimals = ingest._decimals
+
+        def spy(buf, starts, length):
+            reads.append(decimals(buf, starts, length))
+            return reads[-1]
+
+        with mock.patch.object(ingest, "_decimals", spy):
+            hourly_outcome(ingest._load_hourly, golden_pipeline[0][0] / "data"
+                           / f"{name}.csv", HOURLY_HEADERS[name])
+        assert reads and all(read is not None for read in reads)
+        assert sum(map(len, reads)) >= 730 * 24
 
     @pytest.mark.parametrize("name", ["weather", "meter"])
     def test_field_over_the_csv_limit_takes_the_row_loop(self, tmp_path, name):
@@ -851,12 +1006,17 @@ class TestBulkScan:
 
 
 def calendar_outcome(path):
-    """What ``_load_calendar(path)`` gives: its entries in order, or the
+    """What ``_load_calendar(path, dates)`` gives: its entries in order, as
+    (date, effective weekday) pairs decoded from the date codes, or the
     ParseError's text, row and column."""
+    dates = {}
     try:
-        return {"entries": list(ingest._load_calendar(path).items())}
+        listed, weekdays = ingest._load_calendar(path, dates)
     except ParseError as exc:
         return {"error": (str(exc), exc.row, exc.column)}
+    assert len(listed) == len(weekdays) == len(dates)
+    return {"entries": [(date, bool(weekdays[code]))
+                        for date, code in dates.items() if listed[code]]}
 
 
 def both_calendar_paths(path):
