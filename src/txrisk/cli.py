@@ -27,6 +27,10 @@ from . import clustering, estimation, ingest, riskassess, thermal
 from . import features as ft
 from .errors import ConfigError, TxRiskError
 
+# The most k-means restarts ``cluster`` runs: each reruns the whole search,
+# so a count far past any use would keep the command running for ever.
+MAX_RESTARTS = 1000
+
 _EXIT_CODE_DOC = """\
 exit codes:
   0   success
@@ -40,7 +44,6 @@ exit codes:
   11  vector does not match the feature schema
   12  empty dataset
   13  meter file holds daily energy only, no 24-hour profiles
-  14  zero services in energy conversion
   15  ordinal status order out of range
   17  cluster profile with zero peak load (no loading threshold)
   18  temperature or life loss fell as the service count rose
@@ -78,7 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--calendar", help="calendar.csv path")
     p_cluster.add_argument("--k", type=int, help="number of clusters")
     p_cluster.add_argument("--restarts", type=int,
-                           help="seeded restarts, best objective wins")
+                           help="seeded restarts, best objective wins "
+                                f"(1..{MAX_RESTARTS})")
     p_cluster.add_argument("--k-sweep", metavar="A..B",
                            help="also report the objective for each k in the "
                                 "range before training at --k")
@@ -167,14 +171,17 @@ class RunConfig:
             return self._file[key]
         return self._DEFAULTS[key]
 
-    def count(self, key, minimum, *, required=False) -> int:
-        """The integer option ``key``; below ``minimum``, or ``required``
-        and given by neither flag nor config file, it is refused."""
+    def count(self, key, minimum, maximum=None, *, required=False) -> int:
+        """The integer option ``key``; below ``minimum``, above ``maximum``
+        (if given), or ``required`` and given by neither flag nor config
+        file, it is refused."""
         if required and self._args.get(key) is None and self._file.get(key) is None:
             raise ConfigError(f"missing required option: --{key}")
         value = int(self.get(key))
         if value < minimum:
             raise ConfigError(f"--{key} must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise ConfigError(f"--{key} must be <= {maximum}, got {value}")
         return value
 
     def number(self, key, *, positive=True) -> float:
@@ -242,14 +249,16 @@ class RunConfig:
 
 def _check_kind(key, value, default):
     """A config value must be of its default's kind: an integer (an
-    integral float passes), a finite number, true/false, or, for the paths
-    and spans, a string."""
+    integral float of at most 2**53 in size passes), a finite number,
+    true/false, or, for the paths and spans, a string."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if isinstance(default, bool):
         kind, ok = "true or false", isinstance(value, bool)
     elif isinstance(default, int):
         kind = "an integer"
-        ok = number and (isinstance(value, int) or value.is_integer())
+        # Above 2**53 a float cannot tell neighbouring integers apart.
+        ok = number and (isinstance(value, int) or value.is_integer()
+                         and abs(value) <= 2 ** 53)
     elif isinstance(default, float):
         kind = "a finite number"
         ok = number and (isinstance(value, int) or math.isfinite(value))
@@ -340,7 +349,7 @@ def cmd_cluster(cfg: RunConfig) -> int:
     schema = cfg.schema()
     seed = cfg.count("seed", 0)
     k = cfg.count("k", 1)
-    restarts = cfg.count("restarts", 1)
+    restarts = cfg.count("restarts", 1, MAX_RESTARTS)
     sweep = cfg.get("k_sweep")
     sweep_ks = parse_span(sweep, "--k-sweep") if sweep else ()
     dataset = ingest.load_dataset(cfg.require_path("weather"),

@@ -7,6 +7,14 @@ statuses for nominal features; records are encoded by
 :func:`txrisk.features.encode` and every dissimilarity is
 :func:`txrisk.features.distance`. Initialization samples k distinct data
 points with a seeded generator, so training is fully reproducible.
+
+Lloyd's iterations skip most point–centroid evaluations with Hamerly's
+triangle-inequality bounds ("Making k-means even faster", SDM 2010; after
+Elkan, ICML 2003). The square root of the distance is a metric on
+gap-free points, so a point whose upper bound to its own centroid is
+below its lower bound to every other centroid, by a relative margin,
+keeps its label; every other point is evaluated against every centroid.
+The labels are those of full evaluation in every iteration, bit for bit.
 """
 
 from __future__ import annotations
@@ -31,6 +39,10 @@ from .ingest import TEMP_MAX_C, TEMP_MIN_C, iso_date
 
 MAX_ITERATIONS = 300
 FAR_GUARD_PERCENTILE = 95.0
+# Relative slack of Lloyd's bounds (see _lloyd): far above the rounding of
+# a distance, its square root and a sum of bounds, far below any distance
+# gap that decides a label in practice.
+_BOUND_MARGIN = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,9 +143,11 @@ def _update_centroids(quant, nom, labels, counts, member_rows=None):
     """
     k = len(counts)
     if member_rows is None:
+        cent_q = np.empty((k, quant.shape[1]))
+        for j, col in enumerate(quant.T):
+            cent_q[:, j] = np.bincount(labels, weights=col, minlength=k)
         with np.errstate(divide="ignore", invalid="ignore"):
-            cent_q = np.stack([np.bincount(labels, weights=col, minlength=k)
-                               for col in quant.T], axis=1) / counts[:, None]
+            cent_q /= counts[:, None]
     else:
         cent_q = _member_means(quant, member_rows, counts)
     cent_n = np.empty((k, nom.shape[1]), dtype=np.int64)
@@ -158,6 +172,16 @@ def kmeans(records, k: int, schema: ft.FeatureSchema, seed: int,
     member count (see :func:`_update_centroids`) and every dissimilarity
     is elementwise, so the labels, too, do not depend on the numpy build.
 
+    Assignment uses Hamerly's bounds (see :func:`_lloyd`): a point is
+    evaluated against every centroid only when its upper bound to its own
+    centroid is not below ``(1 - 1e-9)`` times the larger of its lower
+    bound to the others and half its centroid's distance to the nearest
+    other centroid. A skipped point would keep its label under full
+    evaluation, so the labels, the restart objective (the row-order sum of
+    the own-centroid distances) and ``objective_trace`` are those of
+    evaluating every point in every iteration. The bounds need gap-free
+    points, so every numeric and ordinal value must be finite.
+
     The returned floats are computed once, from the final memberships:
     each centroid component is ``math.fsum`` of the members' values divided
     by the member count (nominal components are the members' modes); each
@@ -170,6 +194,8 @@ def kmeans(records, k: int, schema: ft.FeatureSchema, seed: int,
 
     Raises:
         TooFewPointsError: fewer records than clusters.
+        ValueError: a numeric or ordinal value is NaN or infinite (see
+            :func:`txrisk.features.fit_normalization`).
     """
     n = len(records)
     if k < 1:
@@ -194,8 +220,8 @@ def kmeans(records, k: int, schema: ft.FeatureSchema, seed: int,
     counts = np.bincount(labels, minlength=k)
     member_rows = np.argsort(labels, kind="stable")
     cent_q, cent_n = _update_centroids(quant, nom, labels, counts, member_rows)
-    member_dists = ft.distance((quant, nom), (cent_q, cent_n),
-                               schema)[np.arange(n), labels].tolist()
+    member_dists = _own_distances((quant, nom), (cent_q, cent_n), labels,
+                                  schema).tolist()
     objective = math.fsum(member_dists)
     far_threshold = _linear_percentile(member_dists, FAR_GUARD_PERCENTILE)
 
@@ -216,72 +242,139 @@ def kmeans(records, k: int, schema: ft.FeatureSchema, seed: int,
 
 
 def _lloyd(quant, nom, schema, init_idx, track_objective):
-    """One k-means run from the given initial data-point indices.
+    """One k-means run from the given initial data-point indices, with
+    Hamerly's bounds ("Making k-means even faster", SDM 2010).
 
-    Returns the final labels, the vectorized objective used to rank
-    restarts, and the objective trace (filled only with
-    ``track_objective``; the caller appends the final objective).
+    Returns the final labels, the objective used to rank restarts (the
+    row-order sum of each point's distance to its own centroid), and the
+    objective trace (filled only with ``track_objective``; the caller
+    appends the final objective).
+
+    The square root of :func:`txrisk.features.distance` is a metric on
+    gap-free points: the l2 combination of a weighted Euclidean distance
+    and the square root of a weighted Hamming distance. Each point keeps
+    an upper bound ``upper`` on that root to its own centroid and a lower
+    bound ``lower`` on it to every other centroid. When the centroids move,
+    ``upper`` grows by its own centroid's move and ``lower`` shrinks by the
+    largest move among the others, each move widened by ``_BOUND_MARGIN``
+    to cover its rounding. A point keeps its label unevaluated while
+    ``upper < max(lower, half[own]) * (1 - _BOUND_MARGIN)``, ``half`` being
+    half of each centroid's distance to its nearest other centroid: every
+    other centroid is then farther by more than the rounding of any of
+    these distances, so a full evaluation would give the same label. Every
+    other point is evaluated against every centroid and labelled by
+    :func:`_nearest`, as a full Lloyd step labels it. An iteration that
+    reseeds an empty cluster evaluates every point and resets the bounds.
     """
     k = len(init_idx)
-    n = quant.shape[0]
-    cent_q = quant[init_idx].copy()
-    cent_n = nom[init_idx].copy()
-    trace = []
     data = (quant, nom)
-
-    dists = ft.distance(data, (cent_q, cent_n), schema)
-    labels = _nearest(dists)
+    cents = (quant[init_idx].copy(), nom[init_idx].copy())
+    labels, upper, lower = _assign(data, cents, schema)
+    trace = []
     if track_objective:
-        trace.append(float(dists[np.arange(n), labels].sum()))
+        trace.append(float(_own_distances(data, cents, labels, schema).sum()))
 
     for _ in range(MAX_ITERATIONS):
         counts = np.bincount(labels, minlength=k)
-        cent_q, cent_n = _update_centroids(quant, nom, labels, counts)
+        old = cents
+        cents = _update_centroids(quant, nom, labels, counts)
         empties = np.flatnonzero(counts == 0)
         if len(empties):
-            cur = ft.distance(data, (cent_q, cent_n), schema)
-            own = cur[np.arange(n), labels]
+            own = _own_distances(data, cents, labels, schema)
             for c in empties.tolist():
                 far = int(own.argmax())
                 warnings.warn(
                     f"cluster {c + 1} became empty; centroid reseeded to the "
                     "point farthest from its own centroid",
                     EmptyClusterWarning, stacklevel=3)
-                cent_q[c] = quant[far]
-                cent_n[c] = nom[far]
+                cents[0][c] = quant[far]
+                cents[1][c] = nom[far]
                 own[far] = -np.inf
+            rows = np.arange(len(labels))
+        else:
+            # Rows 0..k-1 compare the old centroids with the new ones, rows
+            # k..2k-1 the new ones with each other, in one call.
+            roots = np.sqrt(ft.distance(
+                tuple(np.concatenate(pair) for pair in zip(old, cents)),
+                cents, schema))
+            move = roots[:k].diagonal() * (1 + _BOUND_MARGIN)
+            upper += move.take(labels)
+            top = int(move.argmax())
+            drop = np.full(k, move[top])
+            drop[top] = np.delete(move, top).max(initial=0.0)
+            lower -= drop.take(labels)
+            between = roots[k:]
+            np.fill_diagonal(between, np.inf)
+            # max(lower, half of the distance to the nearest other centroid)
+            bound = (between.min(axis=1) / 2).take(labels)
+            np.maximum(bound, lower, out=bound)
+            bound *= 1 - _BOUND_MARGIN
+            rows = np.flatnonzero(~(upper < bound))
         if track_objective:
-            d_upd = ft.distance(data, (cent_q, cent_n), schema)
-            trace.append(float(d_upd[np.arange(n), labels].sum()))
-
-        dists = ft.distance(data, (cent_q, cent_n), schema)
-        new_labels = _nearest(dists)
+            trace.append(float(_own_distances(data, cents, labels,
+                                              schema).sum()))
+        evaluated, upper[rows], lower[rows] = _assign(_take(data, rows),
+                                                      cents, schema)
+        converged = np.array_equal(evaluated, labels[rows])
+        labels[rows] = evaluated
         if track_objective:
-            trace.append(float(dists[np.arange(n), new_labels].sum()))
-        if np.array_equal(new_labels, labels):
+            trace.append(float(_own_distances(data, cents, labels,
+                                              schema).sum()))
+        if converged:
             break
-        labels = new_labels
 
     # Tie-degenerate data (duplicate points) can leave a cluster empty at
     # convergence; hand the farthest point of a multi-member cluster over so
     # the returned model never contains an empty cluster.
     counts = np.bincount(labels, minlength=k)
     for c in np.flatnonzero(counts == 0).tolist():
-        own = dists[np.arange(n), labels].copy()
+        own = _own_distances(data, cents, labels, schema)
         own[counts[labels] <= 1] = -np.inf
         far = int(own.argmax())
         warnings.warn(
             f"cluster {c + 1} empty at convergence; adopted the farthest "
             "point of a multi-member cluster",
             EmptyClusterWarning, stacklevel=3)
-        cent_q[c] = quant[far]
-        cent_n[c] = nom[far]
+        cents[0][c] = quant[far]
+        cents[1][c] = nom[far]
         counts[labels[far]] -= 1
         counts[c] += 1
         labels[far] = c
-        dists = ft.distance(data, (cent_q, cent_n), schema)
 
-    return labels, float(dists[np.arange(n), labels].sum()), trace
+    objective = float(_own_distances(data, cents, labels, schema).sum())
+    return labels, objective, trace
+
+
+def _assign(data, centroids, schema):
+    """Each row's nearest centroid by :func:`_nearest`, with the square
+    roots of its distance to that centroid and to the nearest other one
+    (inf when there is no other)."""
+    dists = ft.distance(data, centroids, schema)
+    labels = _nearest(dists)
+    rows = np.arange(len(labels))
+    own = dists[rows, labels]
+    dists[rows, labels] = np.inf
+    return labels, np.sqrt(own), np.sqrt(dists.min(axis=1))
+
+
+def _own_distances(data, centroids, labels, schema):
+    """Each row's distance to its own centroid, in row order: one
+    :func:`txrisk.features.distance` call per cluster on its members, so
+    each entry has the bits of the full ``(n, k)`` call's entry."""
+    own = np.empty(len(labels))
+    for c in range(len(centroids[0])):
+        rows = np.flatnonzero(labels == c)
+        own[rows] = ft.distance(_take(data, rows), (centroids[0][c:c + 1],
+                                                    centroids[1][c:c + 1]),
+                                schema)[:, 0]
+    return own
+
+
+def _take(data, rows):
+    """The rows ``rows`` of an encoded ``(quant, nom)`` pair, column-major
+    as :func:`txrisk.features.encode` gives them, so that
+    :func:`txrisk.features.distance` reads their columns without a copy."""
+    return tuple(part.T[:, rows].T for part in data)
 
 
 def _nearest(dists):

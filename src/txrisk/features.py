@@ -177,20 +177,33 @@ def _field(records, name: str, kinds: str, allow_missing: bool):
 
 
 def fit_normalization(records, schema: FeatureSchema) -> NormalizationParams:
-    """Observe per-feature Min/Max for the schema's numeric features.
+    """Observe per-feature Min/Max for the schema's numeric features of a
+    training table. Every numeric and ordinal value must be finite: a NaN
+    would make Min/Max NaN, and the triangle-inequality bounds of
+    :func:`txrisk.clustering.kmeans` hold only for gap-free points.
 
     Warns about degenerate (constant) features; their normalized value is
     pinned to 0 so they contribute nothing to distances.
 
     Raises:
         EmptyDatasetError: no records supplied.
-        SchemaMismatchError: the table lacks a schema numeric feature.
+        SchemaMismatchError: the table lacks a schema numeric or ordinal
+            feature.
+        ValueError: a numeric or ordinal value is NaN or infinite; the
+            message names the feature and the first such row.
     """
     if not len(records):
         raise EmptyDatasetError("cannot fit normalization on an empty dataset")
+    for name in schema.quantitative_names:
+        values = _field(records, name, _QUANTITATIVE, allow_missing=False)
+        finite = np.isfinite(values)
+        if not finite.all():
+            row = int(finite.argmin())
+            raise ValueError(f"feature {name!r} is {values[row].item()!r} "
+                             f"at row {row}; training needs finite values")
     bounds = {}
     for name in schema.numeric_names:
-        values = _field(records, name, _QUANTITATIVE, allow_missing=False)
+        values = records[name]
         # The first minimum and maximum, as Python's min and max pick them.
         lo, hi = float(values[values.argmin()]), float(values[values.argmax()])
         if lo == hi:

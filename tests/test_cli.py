@@ -326,6 +326,8 @@ class TestExitCodes:
         assert "\n  16  " not in out and "zero members" not in out
         assert "\n  10  " not in out and "maps disagree" not in out
         assert "\n  4   " not in out and "gap filling" not in out
+        # ZeroServicesError is for library callers; no command raises it.
+        assert "\n  14  " not in out and "zero services" not in out
 
 
 class TestMalformedInputExitCodes:
@@ -825,6 +827,20 @@ class TestConfigFile:
         assert model.schema.numeric_names == ("t_avg_c", "l_avg_kva")
         assert model.schema.weights["l_avg_kva"] == 2.0
 
+    def test_nominal_only_schema_from_config(self, tmp_path):
+        # Lloyd's centroid update once stacked an empty list of
+        # quantitative means here and ended in a traceback (exit 1).
+        data = tmp_path / "data"
+        assert cli.main(synth_args(data, seed=2, services=2, days=12)) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"features": [
+            {"name": "weekday", "kind": "nominal", "statuses": ["Y", "N"]}]}))
+        assert cli.main(cluster_args(data, tmp_path / "run", k=2)
+                        + ["--config", str(cfg)]) == 0
+        rows = (tmp_path / "run" / "composition.csv").read_text().splitlines()
+        assert rows[0] == "cluster_id,member_count,weekday"
+        assert sorted(row[-1] for row in rows[1:]) == ["N", "Y"]
+
     @pytest.mark.parametrize("key,value", [
         ("years", "two"), ("budget", [1]), ("scale_tol", float("nan")),
         ("scale_max", True), ("k", 2.7), ("seed", True), ("restarts", "3"),
@@ -877,6 +893,41 @@ class TestConfigFile:
                       str(tmp_path / "run" / "model.json"),
                       "--out", str(tmp_path / "run")])
         assert cli.main(argv + extra) == 2
+
+    @pytest.mark.parametrize("source,key,value,message", [
+        ("config", "restarts", 1e308,
+         "config key 'restarts' must be an integer, got 1e+308"),
+        ("config", "k", 2.0 ** 53 + 2,
+         "config key 'k' must be an integer, got 9007199254740994.0"),
+        ("config", "restarts", 10 ** 11,
+         "--restarts must be <= 1000, got 100000000000"),
+        ("flag", "restarts", 10 ** 11,
+         "--restarts must be <= 1000, got 100000000000"),
+        ("flag", "restarts", 1001, "--restarts must be <= 1000, got 1001")])
+    def test_count_past_any_use_refused_before_reading(
+            self, tmp_path, capsys, monkeypatch, source, key, value, message):
+        # Each of these once kept cluster running without end: an integral
+        # float above 2**53 is not an exact count, and --restarts has a
+        # ceiling. The refusal is exit 2, before any input is read.
+        data = tmp_path / "data"
+        assert cli.main(synth_args(data)) == 0
+        monkeypatch.setattr(ingest, "load_dataset",
+                            lambda *paths: pytest.fail("inputs were read"))
+        extra = [f"--{key}", str(value)]
+        if source == "config":
+            (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+            extra = ["--config", str(tmp_path / "cfg.json")]
+        args = cluster_args(data, tmp_path / "run")
+        if f"--{key}" in args:  # a flag would win over the config key
+            at = args.index(f"--{key}")
+            del args[at:at + 2]
+        assert cli.main(args + extra) == 2
+        assert message in capsys.readouterr().err
+
+    def test_cluster_help_names_the_restarts_ceiling(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["cluster", "--help"])
+        assert f"(1..{cli.MAX_RESTARTS})" in capsys.readouterr().out
 
     def test_config_values_of_the_right_kind(self, tmp_path):
         # Integral floats pass for int keys, ints for float keys, null for any.

@@ -552,3 +552,235 @@ class TestModelFile:
             stored += list(entry["centroid_raw"].values())
             stored += entry["profile"]["load_kva"] + entry["profile"]["ambient_c"]
         assert all(math.isfinite(v) for v in stored)
+
+
+class TestFiniteFeatures:
+    @pytest.mark.parametrize("name,value,row", [
+        ("t_max_c", math.nan, 3), ("l_avg_kva", math.inf, 0),
+        ("t_min_c", -math.inf, 5), ("level", math.nan, 2),
+        ("level", math.inf, 4)])
+    def test_non_finite_value_refused_naming_feature_and_row(self, name,
+                                                             value, row):
+        # One NaN once gave normalization bounds (nan, nan) and a NaN
+        # centroid that only save_model refused, as JSON it cannot write.
+        schema = ft.FeatureSchema(features=(
+            *ft.default_schema().features,
+            ft.FeatureDef("level", ft.KIND_ORDINAL, statuses=("lo", "hi"))))
+        rng = np.random.default_rng(row)
+        columns = {feature: rng.uniform(0, 10, 8)
+                   for feature in schema.quantitative_names}
+        columns["level"] = rng.choice([0.25, 0.75], 8)
+        columns[name][[row, 7]] = value
+        records = record_table(weekday=["Y", "N"] * 4, **columns)
+        with pytest.raises(ValueError,
+                           match=f"feature '{name}' is .* at row {row};"):
+            kmeans(records, 2, schema, seed=1)
+
+
+def reference_lloyd(quant, nom, schema, init_idx, track_objective):
+    """Lloyd's algorithm evaluating every point against every centroid in
+    every iteration: the full path whose labels, restart objective, trace
+    and warnings :func:`clustering._lloyd` must reproduce bit for bit."""
+    k = len(init_idx)
+    n = quant.shape[0]
+    cent_q = quant[init_idx].copy()
+    cent_n = nom[init_idx].copy()
+    trace = []
+    data = (quant, nom)
+
+    dists = ft.distance(data, (cent_q, cent_n), schema)
+    labels = clustering._nearest(dists)
+    if track_objective:
+        trace.append(float(dists[np.arange(n), labels].sum()))
+
+    for _ in range(clustering.MAX_ITERATIONS):
+        counts = np.bincount(labels, minlength=k)
+        cent_q, cent_n = clustering._update_centroids(quant, nom, labels,
+                                                      counts)
+        empties = np.flatnonzero(counts == 0)
+        if len(empties):
+            cur = ft.distance(data, (cent_q, cent_n), schema)
+            own = cur[np.arange(n), labels]
+            for c in empties.tolist():
+                far = int(own.argmax())
+                warnings.warn(
+                    f"cluster {c + 1} became empty; centroid reseeded to the "
+                    "point farthest from its own centroid",
+                    EmptyClusterWarning, stacklevel=3)
+                cent_q[c] = quant[far]
+                cent_n[c] = nom[far]
+                own[far] = -np.inf
+        if track_objective:
+            d_upd = ft.distance(data, (cent_q, cent_n), schema)
+            trace.append(float(d_upd[np.arange(n), labels].sum()))
+
+        dists = ft.distance(data, (cent_q, cent_n), schema)
+        new_labels = clustering._nearest(dists)
+        if track_objective:
+            trace.append(float(dists[np.arange(n), new_labels].sum()))
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+
+    counts = np.bincount(labels, minlength=k)
+    for c in np.flatnonzero(counts == 0).tolist():
+        own = dists[np.arange(n), labels].copy()
+        own[counts[labels] <= 1] = -np.inf
+        far = int(own.argmax())
+        warnings.warn(
+            f"cluster {c + 1} empty at convergence; adopted the farthest "
+            "point of a multi-member cluster",
+            EmptyClusterWarning, stacklevel=3)
+        cent_q[c] = quant[far]
+        cent_n[c] = nom[far]
+        counts[labels[far]] -= 1
+        counts[c] += 1
+        labels[far] = c
+        dists = ft.distance(data, (cent_q, cent_n), schema)
+
+    return labels, float(dists[np.arange(n), labels].sum()), trace
+
+
+def lloyd_case(seed, n, q, m, k, levels=4, weights=(0.5, 1.0, 2.0),
+               distinct=None):
+    """Encoded data for Lloyd: ``q`` quantitative columns on a grid of
+    ``levels`` steps in [0, 1] (a coarse grid makes exact ties), ``m``
+    nominal columns of 3 statuses, drawn from ``distinct`` points when given
+    (duplicates), features weighted from ``weights``, and ``k`` distinct
+    initial rows."""
+    rng = np.random.default_rng(seed)
+    rows = n if distinct is None else distinct
+    quant = rng.integers(0, levels + 1, (rows, q)) / levels
+    nom = rng.integers(0, 3, (rows, m))
+    if distinct is not None:
+        pick = rng.integers(0, distinct, n)
+        quant, nom = quant[pick], nom[pick]
+    schema = ft.FeatureSchema(features=(
+        *(ft.FeatureDef(f"q{j}", ft.KIND_NUMERIC,
+                        weight=float(rng.choice(weights))) for j in range(q)),
+        *(ft.FeatureDef(f"n{j}", ft.KIND_NOMINAL, statuses=("a", "b", "c"),
+                        weight=float(rng.choice(weights))) for j in range(m))))
+    return (np.asfortranarray(quant), np.asfortranarray(nom), schema,
+            rng.choice(n, k, replace=False))
+
+
+def lloyd_outcome(lloyd, quant, nom, schema, init, track_objective):
+    """Labels, restart objective and trace as bits, and the warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        labels, objective, trace = lloyd(quant, nom, schema, init,
+                                         track_objective)
+    return (labels.tolist(), objective.hex(), [t.hex() for t in trace],
+            [(w.category, str(w.message)) for w in caught])
+
+
+class TestHamerlyBounds:
+    """``clustering._lloyd`` skips a point's evaluation while its bounds
+    prove its label; it must agree with the full path in every bit."""
+
+    CASES = {
+        "mixed": dict(seed=1, n=60, q=2, m=2, k=5),
+        "duplicates": dict(seed=2, n=50, q=2, m=1, k=6, distinct=7),
+        "ties": dict(seed=3, n=60, q=2, m=1, k=6, levels=1),
+        "zero-weights": dict(seed=4, n=60, q=3, m=2, k=4,
+                             weights=(0.0, 0.0, 1.0)),
+        "nominal-only": dict(seed=5, n=60, q=0, m=3, k=5),
+        "quantitative-only": dict(seed=6, n=60, q=3, m=0, k=5, levels=8),
+        "k=1": dict(seed=7, n=30, q=2, m=1, k=1),
+        "k=n": dict(seed=8, n=12, q=1, m=1, k=12, levels=2),
+        "reseed": dict(seed=9, n=40, q=1, m=1, k=8, distinct=4, levels=2),
+    }
+
+    @pytest.mark.parametrize("track_objective", [False, True])
+    @pytest.mark.parametrize("name", CASES)
+    def test_same_outcome_as_the_full_path(self, name, track_objective):
+        case = lloyd_case(**self.CASES[name])
+        full = lloyd_outcome(reference_lloyd, *case, track_objective)
+        assert lloyd_outcome(clustering._lloyd, *case, track_objective) == full
+        if name == "reseed":
+            assert any("became empty" in text for _, text in full[3])
+
+    def test_same_outcome_over_seeded_cases(self):
+        # Small random cases of every shape the named ones cover; between
+        # them they reseed empty clusters and hand points over at
+        # convergence, so every branch of the loop is compared.
+        seen = set()
+        for seed in range(150):
+            rng = np.random.default_rng([21, seed])
+            n = int(rng.integers(2, 40))
+            q, m = (int(v) for v in rng.integers(0, 3, 2))
+            k = int(rng.integers(1, min(n, 8) + 1))
+            case = lloyd_case(
+                seed, n, q or int(not m), m, k,
+                levels=int(rng.choice([1, 2, 4, 8])),
+                weights=(0.0, 0.25, 1.0, 2.0),
+                distinct=int(rng.integers(1, n + 1)) if seed % 3 else None)
+            full = lloyd_outcome(reference_lloyd, *case, True)
+            assert lloyd_outcome(clustering._lloyd, *case, True) == full, seed
+            seen.update(text.split("; ")[0].split(" ", 2)[2]
+                        for _, text in full[3])
+        assert seen == {"became empty", "empty at convergence"}
+
+    @pytest.mark.parametrize("gaps", [False, True])
+    def test_distance_of_a_row_subset_is_those_rows_of_the_full_call(self,
+                                                                     gaps):
+        rng = np.random.default_rng(31)
+        quant, nom, schema, _ = lloyd_case(31, 500, 3, 2, 1)
+        if gaps:
+            quant[rng.random(quant.shape) < 0.1] = np.nan
+            nom[rng.random(nom.shape) < 0.1] = -1
+        cents = (rng.random((5, 3)), rng.integers(0, 3, (5, 2)))
+        full = ft.distance((quant, nom), cents, schema).view(np.uint64)
+        for rows in (np.arange(0), np.arange(500), np.flatnonzero(
+                rng.random(500) < 0.3), np.array([7]), np.array([499, 3])):
+            sub = ft.distance(clustering._take((quant, nom), rows), cents,
+                              schema)
+            assert np.array_equal(sub.view(np.uint64), full[rows])
+
+    def test_a_point_at_an_exact_tie_is_evaluated(self):
+        # x = 0.25 starts in cluster 2 (centroid 0.375). Cluster 2's mean
+        # moves straight away from it to 0.5, so its upper bound
+        # 0.125 + 0.125 = 0.25 is exact, and so is half the distance
+        # between the centroids, (0.5 - 0) / 2 = 0.25: x sits at the
+        # midpoint, tied with cluster 1's centroid 0, which the first-min
+        # rule prefers. A rule that kept a label at equality (u <= s, with
+        # no margin) would leave x in cluster 2 and stop there; the full
+        # path moves x, and then 0.375, tied again between 0.125 and 0.625,
+        # to cluster 1.
+        quant = np.asfortranarray([[0.0], [0.25], [0.375], [0.875]])
+        nom = np.zeros((4, 0), dtype=np.int64)
+        schema = one_d_schema()
+        full = lloyd_outcome(reference_lloyd, quant, nom, schema, [0, 2], True)
+        assert full[0] == [0, 0, 0, 1]
+        assert lloyd_outcome(clustering._lloyd, quant, nom, schema, [0, 2],
+                             True) == full
+
+    def test_few_evaluations_on_the_golden_input(self, golden_pipeline,
+                                                 monkeypatch):
+        # The full path evaluates n * k pairs at the start and in every
+        # iteration; the bounds evaluate a small share of that, counting
+        # every distance call kmeans makes (the subsets whose bounds fail,
+        # the centroid moves, the own-centroid distances).
+        data = golden_pipeline[0][0] / "data"
+        records = ingest.load_dataset(data / "weather.csv", data / "meter.csv",
+                                      data / "calendar.csv").records
+        schema, k, n = ft.default_schema(), 6, len(records)
+        quant, nom = ft.encode(records, schema,
+                               ft.fit_normalization(records, schema))
+        rng = np.random.default_rng(42)
+        full_pairs = 0
+        for _ in range(3):
+            trace = reference_lloyd(quant, nom, schema,
+                                    rng.choice(n, k, replace=False), True)[2]
+            full_pairs += n * k * ((len(trace) - 1) // 2 + 1)
+
+        pairs = []
+        distance = ft.distance
+
+        def counted(x, y, schema):
+            pairs.append(len(x[0]) * len(y[0]))
+            return distance(x, y, schema)
+
+        monkeypatch.setattr(ft, "distance", counted)
+        kmeans(records, k, schema, seed=42, restarts=3)
+        assert sum(pairs) < 0.2 * full_pairs
