@@ -30,6 +30,9 @@ from .errors import ConfigError, TxRiskError
 # The most k-means restarts ``cluster`` runs: each reruns the whole search,
 # so a count far past any use would keep the command running for ever.
 MAX_RESTARTS = 1000
+# The most hourly meter readings (services x days x 24) ``synth`` writes:
+# about a 1.2 GB meter.csv, and as many bytes of arrays while it is made.
+MAX_SYNTH_READINGS = 50_000_000
 
 _EXIT_CODE_DOC = """\
 exit codes:
@@ -70,7 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
     seeded(p_synth)
-    p_synth.add_argument("--services", type=int, help="number of services")
+    p_synth.add_argument("--services", type=int,
+                         help="number of services (services x days x 24 at "
+                              f"most {MAX_SYNTH_READINGS:,})")
     p_synth.add_argument("--days", type=int, help="number of days")
     p_synth.add_argument("--start-date", help="first date, ISO format")
 
@@ -323,6 +328,10 @@ def cmd_synth(cfg: RunConfig) -> int:
     if days > (dt.date.max - start).days + 1:
         raise ConfigError(f"{days} days from --start-date {start} run past "
                           f"{dt.date.max}")
+    if services * days * 24 > MAX_SYNTH_READINGS:
+        raise ConfigError(f"--services {services} x --days {days} x 24 is "
+                          f"{services * days * 24:,} hourly meter readings, "
+                          f"above the {MAX_SYNTH_READINGS:,} synth writes")
     config = cfg.synth_config()
     out = cfg.out_dir()
     with _writing(out) as staging:
@@ -356,8 +365,11 @@ def cmd_cluster(cfg: RunConfig) -> int:
                                   cfg.require_path("meter"),
                                   cfg.require_path("calendar"))
 
+    # Every k is checked before any is fitted.
+    clustering.check_cluster_count(len(dataset.records),
+                                   max(k, sweep_ks[-1]) if sweep_ks else k)
     for sweep_k in sweep_ks:
-        model = clustering.kmeans(dataset.records, sweep_k, schema, seed,
+        model = clustering.kmeans(dataset, sweep_k, schema, seed,
                                   restarts=restarts)
         print(f"k={sweep_k} objective={model.objective:.6f}")
 

@@ -19,13 +19,14 @@ The labels are those of full evaluation in every iteration, bit for bit.
 
 from __future__ import annotations
 
+import datetime as dt
 import json
 import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -54,10 +55,12 @@ class ClusterModel:
     form of :func:`txrisk.features.encode`, ``member_counts`` the ``(k,)``
     member-day counts, and ``profiles`` the ``(load_kva, ambient_c)`` pair
     of ``(k, 24)`` mean member profiles (kVA per service, °C), or None.
-    ``members`` lists every member day as a ``(service_id, ISO date)``
-    pair, cluster 1's first, each cluster's in table order, so
-    ``member_counts`` splits it; ``member_rows`` are their rows in the
-    table :func:`kmeans` read (None for a model read from a file).
+    The member days are two arrays, cluster 1's first, each cluster's in
+    table order, so ``member_counts`` splits them: ``member_services``,
+    each member's code in the sorted id table ``service_ids``, and
+    ``member_days``, each member's date as its day number
+    (``date.toordinal()``). ``member_rows`` are their rows in the table
+    :func:`kmeans` read (None for a model read from a file).
 
     Raises:
         ValueError: ``profiles`` are not two ``(k, 24)`` arrays of finite
@@ -65,7 +68,9 @@ class ClusterModel:
             mean of readings is); the message names the first bad cluster.
     """
 
-    members: tuple[tuple[str, str], ...]
+    service_ids: tuple[str, ...]
+    member_services: np.ndarray
+    member_days: np.ndarray
     centroids: tuple[np.ndarray, np.ndarray]
     member_counts: np.ndarray
     schema: ft.FeatureSchema
@@ -118,12 +123,13 @@ def _linear_percentile(values, q: float) -> float:
 def _member_means(values, member_rows, counts) -> np.ndarray:
     """``(k, d)`` means of ``values[member_rows]`` split by the ``(k,)``
     ``counts``, NaN for an empty cluster: each column's correctly rounded
-    sum (``math.fsum``) over the count, whatever the order or hardware."""
+    sum (``math.fsum``) over the count, whatever the order or hardware.
+    One cluster's column is gathered at a time."""
     means = np.full((len(counts), values.shape[1]), np.nan)
     for c, rows in enumerate(np.split(member_rows, np.cumsum(counts)[:-1])):
         if len(rows):
-            means[c] = [math.fsum(col) / len(rows)
-                        for col in values[rows].T.tolist()]
+            means[c] = [math.fsum(values[rows, j].tolist()) / len(rows)
+                        for j in range(values.shape[1])]
     return means
 
 
@@ -159,10 +165,21 @@ def _update_centroids(quant, nom, labels, counts, member_rows=None):
     return cent_q, cent_n
 
 
-def kmeans(records, k: int, schema: ft.FeatureSchema, seed: int,
+def check_cluster_count(n: int, k: int) -> None:
+    """Refuse ``k`` clusters of ``n`` records where ``n < k``.
+
+    Raises:
+        TooFewPointsError: fewer records than clusters.
+    """
+    if n < k:
+        raise TooFewPointsError(f"{n} records cannot form {k} clusters")
+
+
+def kmeans(dataset, k: int, schema: ft.FeatureSchema, seed: int,
            restarts: int = 1, track_objective: bool = False) -> ClusterModel:
-    """Train the mixed-type weighted k-means model on a record table with
-    ``service_id`` and ``date`` fields besides the schema's features.
+    """Train the mixed-type weighted k-means model on the records of a
+    :class:`txrisk.ingest.Dataset`, whose ``service`` and ``day`` codes
+    become the model's member arrays.
 
     Alternates nearest-centroid assignment and centroid update until
     assignments stop changing (or ``MAX_ITERATIONS``). ``restarts`` reruns
@@ -197,13 +214,13 @@ def kmeans(records, k: int, schema: ft.FeatureSchema, seed: int,
         ValueError: a numeric or ordinal value is NaN or infinite (see
             :func:`txrisk.features.fit_normalization`).
     """
+    records = dataset.records
     n = len(records)
     if k < 1:
         raise ValueError("k must be >= 1")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    if n < k:
-        raise TooFewPointsError(f"{n} records cannot form {k} clusters")
+    check_cluster_count(n, k)
 
     params = ft.fit_normalization(records, schema)
     quant, nom = ft.encode(records, schema, params)
@@ -225,9 +242,12 @@ def kmeans(records, k: int, schema: ft.FeatureSchema, seed: int,
     objective = math.fsum(member_dists)
     far_threshold = _linear_percentile(member_dists, FAR_GUARD_PERCENTILE)
 
+    day_numbers = np.array([iso_date(text).toordinal()
+                            for text in dataset.dates], np.int64)
     return ClusterModel(
-        members=tuple(zip(records["service_id"][member_rows].tolist(),
-                          records["date"][member_rows].tolist())),
+        service_ids=tuple(dataset.services),
+        member_services=_read_only(records["service"][member_rows]),
+        member_days=_read_only(day_numbers[records["day"][member_rows]]),
         centroids=(_read_only(cent_q), _read_only(cent_n)),
         member_counts=_read_only(counts),
         schema=schema,
@@ -420,34 +440,35 @@ def month_cluster_matrix(model: ClusterModel) -> np.ndarray:
     """12 x k member-day counts: rows are calendar months Jan..Dec, columns
     follow cluster id order; each member (service-day) counts once, so
     column sums equal cluster member counts."""
-    dates = [text for _service, text in model.members]
-    # Each distinct ISO date is parsed, and so checked, once.
-    month_of = {text: iso_date(text).month - 1 for text in dict.fromkeys(dates)}
-    months = np.fromiter(map(month_of.__getitem__, dates), np.int64, len(dates))
+    days = model.member_days.tolist()
+    month_of = {day: dt.date.fromordinal(day).month - 1 for day in set(days)}
+    months = np.fromiter(map(month_of.__getitem__, days), np.int64, len(days))
     cells = np.repeat(np.arange(model.k), model.member_counts) * 12 + months
     return np.bincount(cells, minlength=12 * model.k).reshape(model.k, 12).T
 
 
-def extract_profiles(model: ClusterModel, records) -> tuple[np.ndarray, np.ndarray]:
-    """Hourwise mean member profiles per cluster, from the ``load_kva`` and
-    ``ambient_c`` fields of the record table ``model`` was trained on: the
+def extract_profiles(model: ClusterModel, dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Hourwise mean member profiles per cluster, from the
+    :class:`txrisk.ingest.Dataset` ``model`` was trained on: each member's
+    ``load_kva`` field and its date's row of ``dataset.ambient``. The
     ``(load_kva, ambient_c)`` pair of ``(k, 24)`` arrays.
 
     Each hour's mean is ``math.fsum`` of the members' values at that hour
     divided by the member count, so the stored profiles depend on the
     member profiles alone, not on their order or the numpy build.
     """
-    return tuple(_read_only(_member_means(records[name], model.member_rows,
-                                          model.member_counts))
-                 for name in ("load_kva", "ambient_c"))
+    records, rows = dataset.records, model.member_rows
+    return tuple(_read_only(_member_means(values, rows, model.member_counts))
+                 for values, rows in ((records["load_kva"], rows),
+                                      (dataset.ambient, records["day"][rows])))
 
 
 def train_model(dataset, k: int, schema: ft.FeatureSchema, seed: int,
                 restarts: int = 1) -> ClusterModel:
     """Full training pipeline on a :class:`txrisk.ingest.Dataset`: k-means
     plus per-cluster profile extraction."""
-    model = kmeans(dataset.records, k, schema, seed, restarts=restarts)
-    return replace(model, profiles=extract_profiles(model, dataset.records))
+    model = kmeans(dataset, k, schema, seed, restarts=restarts)
+    return replace(model, profiles=extract_profiles(model, dataset))
 
 
 def save_model(model: ClusterModel, path) -> None:
@@ -475,7 +496,6 @@ def save_model(model: ClusterModel, path) -> None:
         "normalization": model.norm_params.to_jsonable(),
         "clusters": [],
     }
-    bounds = [0, *np.cumsum(model.member_counts).tolist()]
     for c, (raw, quant) in enumerate(zip(composition(model),
                                          model.centroids[0].tolist())):
         entry = {
@@ -492,11 +512,20 @@ def save_model(model: ClusterModel, path) -> None:
                                 "ambient_c": ambient[c].tolist()}
         doc["clusters"].append(entry)
     parts = json.dumps(doc, indent=2, allow_nan=False).split(_MEMBERS_SLOT)
+    # Each distinct id and date is quoted once.
+    quote = json.encoder.encode_basestring_ascii
+    ids = [quote(service) for service in model.service_ids]
+    days = model.member_days.tolist()
+    dates = {day: quote(dt.date.fromordinal(day).isoformat())
+             for day in set(days)}
+    # One iterator over all members; each cluster takes its count in turn.
+    members = zip(map(ids.__getitem__, model.member_services.tolist()),
+                  map(dates.__getitem__, days))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(parts[0])
-        for c, part in enumerate(parts[1:]):
-            fh.write(_MEMBERS_KEY + _members_json(
-                model.members[bounds[c]:bounds[c + 1]]) + part)
+        for count, part in zip(model.member_counts.tolist(), parts[1:]):
+            fh.write(_MEMBERS_KEY + _members_json(islice(members, count))
+                     + part)
         fh.write("\n")
 
 
@@ -511,13 +540,10 @@ _MEMBER_JSON = "        [\n          %s,\n          %s\n        ]".__mod__
 
 
 def _members_json(members):
-    """A cluster's member pairs as ``json.dumps(indent=2)`` writes them at
-    a cluster entry's indent."""
-    if not members:
-        return "[]"
-    quote = json.encoder.encode_basestring_ascii
-    return "[\n" + ",\n".join([_MEMBER_JSON((quote(service), quote(date)))
-                               for service, date in members]) + "\n      ]"
+    """A cluster's member pairs, each a quoted id and date, as
+    ``json.dumps(indent=2)`` writes them at a cluster entry's indent."""
+    lines = list(map(_MEMBER_JSON, members))
+    return "[\n" + ",\n".join(lines) + "\n      ]" if lines else "[]"
 
 
 def _profile_error(cluster_id):
@@ -558,21 +584,22 @@ def _checked_cluster(cid, entry, schema: ft.FeatureSchema):
     YYYY-MM-DD) pairs with non-blank service ids, as many as its
     ``member_count``, and whose centroid has every schema feature: finite
     numeric/ordinal components and nominal labels among their statuses.
-    Returns the members and the centroid as a row of each
-    :func:`txrisk.features.encode` array."""
+    Returns the members' service ids and day numbers, two lists, and the
+    centroid as a row of each :func:`txrisk.features.encode` array. Each
+    distinct id and date is checked once."""
     if entry["id"] != cid:
         raise ValueError(f"cluster {cid} has id {entry['id']!r}; ids must run "
                          "1..k in file order")
-    refs = tuple((s, d) for s, d in entry["members"])
-    if entry["member_count"] != len(refs):
+    services = [service for service, _ in entry["members"]]
+    dates = [date for _, date in entry["members"]]
+    if entry["member_count"] != len(services):
         raise ValueError(f"cluster {cid} member_count {entry['member_count']!r}"
-                         f" differs from its {len(refs)} members")
-    for service in {s for s, _ in refs}:
+                         f" differs from its {len(services)} members")
+    for service in dict.fromkeys(services):
         if not isinstance(service, str) or not service.strip():
             raise ValueError(f"cluster {cid} member service id {service!r} is "
                              "not a non-blank string")
-    for text in {d for _, d in refs}:
-        iso_date(text)
+    day_of = {text: iso_date(text).toordinal() for text in dict.fromkeys(dates)}
     numeric = {name: _finite(f"cluster {cid} centroid {name!r}", v)
                for name, v in entry["centroid_normalized"].items()}
     nominal = dict(entry["centroid_nominal"])
@@ -589,7 +616,11 @@ def _checked_cluster(cid, entry, schema: ft.FeatureSchema):
             raise ValueError(f"cluster {cid} centroid {name!r} is "
                              f"{nominal[name]!r}, not one of {list(statuses)}")
         codes.append(statuses.index(nominal[name]))
-    return refs, quant, codes
+    return services, list(map(day_of.__getitem__, dates)), quant, codes
+
+
+# The bits of a day number: date.max.toordinal() is below 2 ** 22.
+_DAY_BITS = 22
 
 
 def load_model(path) -> ClusterModel:
@@ -619,22 +650,36 @@ def load_model(path) -> ClusterModel:
                              "clusters stored")
         if not entries:
             raise ValueError("the model stores no clusters")
-        refs, quant, codes = zip(*(
+        services, days, quant, codes = zip(*(
             _checked_cluster(c + 1, entry, schema)
             for c, entry in enumerate(entries)))
-        members = tuple(chain.from_iterable(refs))
-        if len(set(members)) != len(members):
-            twice = next(m for m, n in Counter(members).items() if n > 1)
-            raise ValueError(f"member {list(twice)} is listed more than once")
+        counts = [len(part) for part in services]
+        ids = sorted(set(chain.from_iterable(services)))
+        code_of = {service: code for code, service in enumerate(ids)}
+        member_services = np.fromiter(
+            map(code_of.__getitem__, chain.from_iterable(services)), np.int64,
+            sum(counts))
+        member_days = np.fromiter(chain.from_iterable(days), np.int64,
+                                  sum(counts))
+        # One key per (service, day); a day number is below 2 ** _DAY_BITS.
+        keys = member_services << _DAY_BITS | member_days
+        if (np.diff(np.sort(keys)) == 0).any():
+            twice = next(key for key, n in Counter(keys.tolist()).items()
+                         if n > 1)
+            member = [ids[twice >> _DAY_BITS], dt.date.fromordinal(
+                twice & (1 << _DAY_BITS) - 1).isoformat()]
+            raise ValueError(f"member {member} is listed more than once")
         profiles = [_profile_lists(c + 1, entry["profile"])
                     for c, entry in enumerate(entries) if "profile" in entry]
         if profiles and len(profiles) != len(entries):
             raise ValueError("some clusters have a profile and some not")
         return ClusterModel(
-            members=members,
+            service_ids=tuple(ids),
+            member_services=_read_only(member_services),
+            member_days=_read_only(member_days),
             centroids=(_read_only(np.array(quant, dtype=np.float64)),
                        _read_only(np.array(codes, dtype=np.int64))),
-            member_counts=_read_only(np.array([len(r) for r in refs])),
+            member_counts=_read_only(np.array(counts)),
             schema=schema,
             norm_params=params,
             seed=int(doc["seed"]),

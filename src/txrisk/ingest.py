@@ -9,7 +9,8 @@ File formats (UTF-8, comma separated, header row mandatory, ISO dates):
 
 Metered kW is treated as kVA at unity power factor. :func:`load_dataset`
 returns the days as one record table: a numpy structured array with a row
-per (service, date) and a field per column.
+per (service, date) and a field per column, the service and the date as
+integer codes into sorted tables; the weather is kept once per date.
 
 Every input table (these three files and the query file of
 :func:`txrisk.estimation.read_query_csv`) is read by :func:`read_columns`,
@@ -70,11 +71,14 @@ MAX_INTERPOLATED_HOURS = 2
 
 @dataclass
 class Dataset:
-    """The record table of :func:`load_dataset`, its services and dates."""
+    """The record table of :func:`load_dataset`: its sorted service ids and
+    ISO dates, which the table's ``service`` and ``day`` fields index, and
+    the ``(len(dates), 24)`` hourly ambient temperatures of each date."""
 
     records: np.ndarray
     services: tuple[str, ...]
     dates: tuple[str, ...]
+    ambient: np.ndarray
 
 
 def iso_date(text: str) -> dt.date:
@@ -610,6 +614,8 @@ def _load_hourly(path, header, dates, names):
                 DataGapWarning, stacklevel=3)
     flagged = np.zeros(len(codes), bool)
     flagged[duplicated + interpolated] = True
+    if kept.all():  # the grid is not copied again
+        return codes, grid, flagged
     return codes[kept], grid[kept], flagged[kept]
 
 
@@ -649,15 +655,15 @@ def _grown(flags, n):
 
 
 def _sorted_used(values, codes):
-    """The items of the list ``values`` whose index is among ``codes``,
-    sorted, and an array of each index's place in that list (0 for the
-    others)."""
+    """The indices into the list ``values`` that are among ``codes``, in the
+    order of their items, and an array of each index's place in that order
+    (0 for the others)."""
     used = np.zeros(len(values), bool)
     used[codes] = True
     order = sorted(np.flatnonzero(used).tolist(), key=values.__getitem__)
     places = np.zeros(len(values), np.int64)
     places[order] = np.arange(len(order))
-    return [values[i] for i in order], places
+    return order, places
 
 
 def _day_stats(hours):
@@ -673,20 +679,56 @@ def _day_stats(hours):
             hours[rows, hours.argmin(axis=1)])
 
 
+# The record table's fields (see load_dataset).
+RECORD_DTYPE = np.dtype([
+    ("service", np.int64), ("day", np.int64),
+    *((name, np.float64) for name in ("t_max_c", "t_min_c", "t_avg_c",
+                                      "l_avg_kva", "l_max_kva", "l_min_kva")),
+    ("weekday", "U1"), ("load_kva", np.float64, (24,)),
+    ("interpolated", bool)])
+# load_dataset gathers the meter days into the table this many rows at a
+# time, so that no second copy of the whole load grid is made.
+_GATHER_ROWS = 1024
+
+
+def _join(meter_days, covered, ids, days):
+    """The meter days (codes as :func:`_load_hourly` gives them) of dates
+    that ``covered`` marks (per date code), in table order: services
+    sorted, then dates. Returns their rows in ``meter_days``, their
+    service and day codes, and the sorted tables these codes index, as
+    indices into the lists ``ids`` and ``days`` of all ids and dates. Its
+    per-day arrays are freed on return, before the table is made."""
+    day_dates = meter_days & _DATE_MASK
+    joined = np.flatnonzero(covered[day_dates])
+    if not len(joined):
+        raise EmptyIntersectionError(
+            "weather, meter, and calendar files share no (service, date) coverage")
+    service_codes, date_codes = meter_days[joined] >> 32, day_dates[joined]
+    id_order, service_place = _sorted_used(ids, service_codes)
+    day_order, date_place = _sorted_used(days, date_codes)
+    service, day = service_place[service_codes], date_place[date_codes]
+    # Each (service, date) is one meter day.
+    order = np.lexsort((day, service))
+    return joined[order], service[order], day[order], id_order, day_order
+
+
 def load_dataset(weather_path, meter_path, calendar_path) -> Dataset:
     """Assemble the per-service per-day record table from the three CSV
     files.
 
     One row is produced per (service, date) in the intersection of
     weather, meter, and calendar coverage, services sorted and then dates.
-    Its fields: ``service_id``; ``date`` (ISO); the daily features
-    ``t_max_c``, ``t_min_c``, ``t_avg_c`` from the weather day and
-    ``l_avg_kva``, ``l_max_kva``, ``l_min_kva`` from the meter day (each
-    mean is the day's sum over 24.0); ``weekday`` "Y"/"N" from the calendar
-    (statutory holidays count as non-weekdays); the raw 24-hour
-    ``load_kva`` and ``ambient_c`` profiles, for cluster-profile
-    extraction; and ``interpolated``, set where the weather or meter day
-    had a gap filled or a duplicate reading.
+    Its fields (:data:`RECORD_DTYPE`): ``service`` and ``day``, the codes
+    of its service id in ``Dataset.services`` and of its date in
+    ``Dataset.dates`` (both sorted, and holding only the ids and dates of
+    records); the daily features ``t_max_c``, ``t_min_c``, ``t_avg_c``
+    from the weather day and ``l_avg_kva``, ``l_max_kva``, ``l_min_kva``
+    from the meter day (each mean is the day's sum over 24.0); ``weekday``
+    "Y"/"N" from the calendar (statutory holidays count as non-weekdays);
+    the raw 24-hour ``load_kva`` profile, for cluster-profile extraction;
+    and ``interpolated``, set where the weather or meter day had a gap
+    filled or a duplicate reading. The 24-hour ambient profiles are kept
+    once per date, as ``Dataset.ambient`` row ``day``.
 
     Raises:
         MissingProfileError: the meter file holds daily energy only
@@ -711,51 +753,38 @@ def load_dataset(weather_path, meter_path, calendar_path) -> Dataset:
 
     weather_row = np.full(len(dates), -1)  # per date code
     weather_row[weather_days] = np.arange(len(weather_days))
-    day_dates = meter_days & _DATE_MASK
-    joined = np.flatnonzero((weather_row[day_dates] >= 0) & listed[day_dates])
-    if not len(joined):
-        raise EmptyIntersectionError(
-            "weather, meter, and calendar files share no (service, date) coverage")
-    # Rows sorted by service id, then date: each (service, date) is one day.
-    service_codes, date_codes = meter_days[joined] >> 32, day_dates[joined]
-    services, service_place = _sorted_used(list(names), service_codes)
-    days, date_place = _sorted_used(list(dates), date_codes)
-    order = np.lexsort((date_place[date_codes], service_place[service_codes]))
-    meter_rows, date_codes = joined[order], date_codes[order]
-    weather_rows = weather_row[date_codes]
-    isos = [day.isoformat() for day in days]
-
+    ids, days = list(names), list(dates)
+    meter_rows, service, day, id_order, day_order = _join(
+        meter_days, (weather_row >= 0) & listed, ids, days)
+    # Per date of the table, in date order.
+    weather_rows = weather_row[day_order]
     ambient = ambient_days[weather_rows]
-    load = load_days[meter_rows]
     t_sum, t_max, t_min = _day_stats(ambient)
-    l_sum, l_max, l_min = _day_stats(load)
-    columns = {
-        # Only ids with records set the field's width.
-        "service_id": np.array(services)[service_place[service_codes[order]]],
-        "date": np.array(isos)[date_place[date_codes]],
-        "t_max_c": t_max,
-        "t_min_c": t_min,
-        "t_avg_c": t_sum / 24.0,
-        "l_avg_kva": l_sum / 24.0,
-        "l_max_kva": l_max,
-        "l_min_kva": l_min,
-        "weekday": np.where(workday[date_codes], "Y", "N"),
-        "load_kva": load,
-        "ambient_c": ambient,
-        "interpolated": weather_flags[weather_rows] | meter_flags[meter_rows],
-    }
-    records = np.empty(len(meter_rows), [(name, column.dtype, column.shape[1:])
-                                         for name, column in columns.items()])
-    for name, column in columns.items():
-        records[name] = column
 
-    span_days = (days[-1] - days[0]).days + 1
+    records = np.empty(len(meter_rows), RECORD_DTYPE)
+    records["service"] = service
+    records["day"] = day
+    records["t_max_c"] = t_max[day]
+    records["t_min_c"] = t_min[day]
+    records["t_avg_c"] = (t_sum / 24.0)[day]
+    records["weekday"] = np.where(workday[day_order], "Y", "N")[day]
+    records["interpolated"] = (weather_flags[weather_rows][day]
+                               | meter_flags[meter_rows])
+    for start in range(0, len(records), _GATHER_ROWS):
+        part = records[start:start + _GATHER_ROWS]
+        part["load_kva"] = load = load_days[meter_rows[start:start + len(part)]]
+        l_sum, part["l_max_kva"], part["l_min_kva"] = _day_stats(load)
+        part["l_avg_kva"] = l_sum / 24.0
+
+    first, last = days[day_order[0]], days[day_order[-1]]
+    span_days = (last - first).days + 1
     if span_days < 730:
         warnings.warn(
             f"dataset spans only {span_days} days; multiple years of data "
             "are recommended", ShortCoverageWarning, stacklevel=2)
-    return Dataset(records=records, services=tuple(services),
-                   dates=tuple(isos))
+    return Dataset(records=records, services=tuple(ids[i] for i in id_order),
+                   dates=tuple(days[i].isoformat() for i in day_order),
+                   ambient=ambient)
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,7 @@ def make_model(centroids, values_schema=None, *, far_threshold=0.0):
         bounds={name: (0.0, 1.0) for name in schema.numeric_names})
     k = len(centroids)
     return ClusterModel(
-        members=tuple((f"s{i}", "2015-01-01") for i in range(k)),
+        **member_fields([(f"s{i}", "2015-01-01") for i in range(k)]),
         centroids=(np.array([[c[name] for name in schema.quantitative_names]
                              for c in centroids], dtype=float).reshape(k, -1),
                    np.zeros((k, 0), dtype=np.int64)),
@@ -89,10 +89,10 @@ def make_model_with_profiles(profiles):
     schema = ft.FeatureSchema(features=(ft.FeatureDef("x", ft.KIND_NUMERIC),))
     k = len(profiles)
     return ClusterModel(
-        members=tuple(("s", (dt.date(2015, 1, 1)
-                             + dt.timedelta(days=30 * i + j)).isoformat())
-                      for i, (_, members) in enumerate(profiles)
-                      for j in range(members)),
+        **member_fields([("s", (dt.date(2015, 1, 1)
+                                + dt.timedelta(days=30 * i + j)).isoformat())
+                         for i, (_, members) in enumerate(profiles)
+                         for j in range(members)]),
         centroids=(np.full((k, 1), 0.5), np.zeros((k, 0), dtype=np.int64)),
         member_counts=np.array([members for _, members in profiles]),
         schema=schema,
@@ -102,11 +102,32 @@ def make_model_with_profiles(profiles):
                        for part in zip(*(p for p, _ in profiles))))
 
 
+def member_fields(pairs):
+    """The member fields of a :class:`ClusterModel` whose members are the
+    ``(service_id, ISO date)`` pairs ``pairs``, cluster 1's first."""
+    ids = sorted({service for service, _ in pairs})
+    return {"service_ids": tuple(ids),
+            "member_services": np.array([ids.index(service)
+                                         for service, _ in pairs], np.int64),
+            "member_days": np.array([dt.date.fromisoformat(date).toordinal()
+                                     for _, date in pairs], np.int64)}
+
+
+def member_pairs(model):
+    """Each member of ``model`` as a ``(service_id, ISO date)`` pair,
+    cluster 1's first: its member arrays decoded."""
+    return tuple((model.service_ids[service],
+                  dt.date.fromordinal(day).isoformat())
+                 for service, day in zip(model.member_services.tolist(),
+                                         model.member_days.tolist()))
+
+
 def clusters_of(model):
-    """Each cluster's members: ``model.members`` split by
+    """Each cluster's members as :func:`member_pairs` gives them, split by
     ``member_counts``, cluster 1's first."""
+    pairs = member_pairs(model)
     bounds = [0, *np.cumsum(model.member_counts).tolist()]
-    return [model.members[a:b] for a, b in zip(bounds, bounds[1:])]
+    return [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def field_end_at_block_cut(text, separator, row=1, column=-1):
@@ -189,24 +210,55 @@ def golden_pipeline(tmp_path_factory):
     return runs
 
 
-def record_table(service_id="s", start=dt.date(2015, 1, 1), **columns):
-    """A record table (numpy structured array) with one field per column:
-    ``service_id`` on every row and ``date`` the consecutive ISO days from
-    ``start`` unless given as columns. A column of strings is a label
-    field; a column of 24-value rows is a profile field."""
-    n = len(next(iter(columns.values())))
-    columns.setdefault("date", [start + dt.timedelta(days=i) for i in range(n)])
-    fields = {"service_id": np.asarray(service_id if isinstance(service_id, list)
-                                       else [service_id] * n),
-              "date": np.array([str(d) for d in columns.pop("date")])}
-    fields.update((name, np.asarray(column)) for name, column in columns.items())
-    table = np.empty(n, [(name, column.dtype, column.shape[1:])
-                         for name, column in fields.items()])
+def _table(**columns):
+    """A numpy structured array with one field per column: a column of
+    strings is a label field, a column of 24-value rows a profile field."""
+    fields = {name: np.asarray(column) for name, column in columns.items()}
+    table = np.empty(len(next(iter(fields.values()))), [
+        (name, column.dtype, column.shape[1:])
+        for name, column in fields.items()])
     for name, column in fields.items():
         table[name] = column
     return table
 
 
+def _days(start, n, dates):
+    """ISO dates: ``dates`` if given, else ``n`` consecutive days from
+    ``start``."""
+    if dates is None:
+        dates = [start + dt.timedelta(days=i) for i in range(n)]
+    return [str(date) for date in dates]
+
+
+def record_table(start=dt.date(2015, 1, 1), **columns):
+    """A query table: a record table (numpy structured array) with one
+    field per column, ``date`` the consecutive ISO days from ``start``
+    unless given as a column."""
+    n = len(next(iter(columns.values())))
+    return _table(date=_days(start, n, columns.pop("date", None)), **columns)
+
+
+def make_dataset(service_id="s", start=dt.date(2015, 1, 1), **columns):
+    """A :class:`ingest.Dataset` with one record per row of ``columns``, in
+    the form :func:`ingest.load_dataset` gives: the ``service`` and ``day``
+    fields are codes into the sorted ids of ``service_id`` (one id, or one
+    per row) and the sorted ISO dates of ``date`` (the consecutive days
+    from ``start`` unless given as a column). An ``ambient_c`` column of
+    24-value rows fills the rows of ``Dataset.ambient`` (20.0 elsewhere);
+    the other columns are fields as in :func:`record_table`."""
+    n = len(next(iter(columns.values())))
+    isos = _days(start, n, columns.pop("date", None))
+    ids = service_id if isinstance(service_id, list) else [service_id] * n
+    services, dates = sorted(set(ids)), sorted(set(isos))
+    days = [dates.index(iso) for iso in isos]
+    ambient = np.full((len(dates), 24), 20.0)
+    if "ambient_c" in columns:
+        ambient[days] = columns.pop("ambient_c")
+    records = _table(service=[services.index(s) for s in ids], day=days,
+                     **columns)
+    return ingest.Dataset(records, tuple(services), tuple(dates), ambient)
+
+
 def make_day(date=dt.date(2015, 7, 1), **values):
     """A one-row record table for estimation-style queries."""
-    return record_table("q", date, **{name: [v] for name, v in values.items()})
+    return record_table(date, **{name: [v] for name, v in values.items()})

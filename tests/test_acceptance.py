@@ -27,6 +27,7 @@ from txrisk.thermal import TransformerSpec, simulate_day
 from conftest import (
     PIPELINE_FILES,
     clusters_of,
+    make_dataset,
     make_model,
     make_model_with_profiles,
     record_table,
@@ -145,7 +146,7 @@ def _planted_blob_records(rng):
     centers = np.array([[0.1, 0.1], [0.5, 0.9], [0.9, 0.1]])
     labels = np.repeat([0, 1, 2], 30)
     points = centers[labels] + rng.normal(0, 0.01, size=(90, 2))
-    records = record_table(start=dt.date(2014, 1, 1), x=points[:, 0],
+    records = make_dataset(start=dt.date(2014, 1, 1), x=points[:, 0],
                            y=points[:, 1])
     return records, labels
 
@@ -162,7 +163,7 @@ def test_criterion_06_kmeans_correctness():
         rng = np.random.default_rng(10_000 + seed)
         x, y = zip(*[(float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
                      for _ in range(60)])
-        records = record_table(start=dt.date(2014, 1, 1), x=x, y=y)
+        records = make_dataset(start=dt.date(2014, 1, 1), x=x, y=y)
         model = kmeans(records, 4, schema2, seed=seed, track_objective=True)
         trace = model.objective_trace
         if all(b <= a + 1e-9 for a, b in zip(trace, trace[1:])):
@@ -194,7 +195,7 @@ def test_criterion_06_kmeans_correctness():
                                         if (mask >> i & 1) == bit)
                               for bit in (0, 1)}
     schema1 = ft.FeatureSchema(features=(ft.FeatureDef("x", ft.KIND_NUMERIC),))
-    model = kmeans(record_table(x=values), 2, schema1, seed=0)
+    model = kmeans(make_dataset(x=values), 2, schema1, seed=0)
     day_idx = {(dt.date(2015, 1, 1) + dt.timedelta(days=i)).isoformat(): i
                for i in range(4)}
     oracle_match = ({frozenset(day_idx[date] for _, date in refs)

@@ -13,7 +13,7 @@ from txrisk import cli, clustering, features as ft, ingest, thermal
 from txrisk.clustering import train_model
 from txrisk.errors import FarQueryWarning
 
-from conftest import record_table, write_spec_file
+from conftest import make_dataset, write_spec_file
 
 
 def synth_args(out, seed=5, services=2, days=8):
@@ -40,6 +40,71 @@ class TestExitCodes:
         data = tmp_path / "data"
         assert cli.main(synth_args(data, services=1, days=3)) == 0
         assert cli.main(cluster_args(data, tmp_path / "run", k=100)) == 6
+
+    @pytest.mark.parametrize("extra,k", [
+        (["--k-sweep", "1..100000"], 100000), (["--k-sweep", "1..61"], 61),
+        (["--k", "61", "--k-sweep", "1..3"], 61), (["--k", "61"], 61)])
+    def test_cluster_count_above_the_records_refused_before_fitting(
+            self, tmp_path, capsys, monkeypatch, extra, k):
+        # 2 services x 30 days make 60 records. A --k-sweep ending above
+        # that once fitted and printed every k up to 61 before kmeans
+        # refused k = 61 (exit 6); up to 100000 it would run for hours.
+        data = tmp_path / "data"
+        assert cli.main(synth_args(data, services=2, days=30)) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(clustering, "kmeans", lambda *args, **kwargs:
+                            pytest.fail("a model was fitted"))
+        assert cli.main(cluster_args(data, tmp_path / "run") + extra) == 6
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"60 records cannot form {k} clusters" in err
+
+    def test_k_sweep_ending_at_the_record_count_runs(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert cli.main(synth_args(data, services=2, days=30)) == 0
+        assert cli.main(cluster_args(data, tmp_path / "run")
+                        + ["--k-sweep", "59..60"]) == 0
+        out = capsys.readouterr().out
+        assert "k=59 objective=" in out and "k=60 objective=" in out
+
+    @pytest.mark.parametrize("services,days,refused", [
+        (10 ** 12, 2, True), (2_083_334, 1, True), (2_083_333, 1, False)])
+    def test_synth_readings_above_the_ceiling_refused_before_any_array(
+            self, tmp_path, capsys, monkeypatch, services, days, refused):
+        # 10**12 services x 2 days once ended in numpy's _ArrayMemoryError
+        # traceback (exit 1). The ceiling is checked on the counts alone:
+        # synth_dataset, which would allocate the arrays, is not reached.
+        assert cli.MAX_SYNTH_READINGS == 50_000_000
+        calls = []
+
+        def synth_dataset(seed, services, start, days, config, out_dir):
+            calls.append((services, days))
+            return {name: out_dir / f"{name}.csv"
+                    for name in ("weather", "meter", "calendar")}
+
+        monkeypatch.setattr(ingest, "synth_dataset", synth_dataset)
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = cli.main(synth_args(out, services=services, days=days))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        if not refused:
+            assert (code, calls) == (0, [(services, days)])
+            return
+        assert (code, calls) == (2, [])
+        assert (f"--services {services} x --days {days} x 24 is "
+                f"{services * days * 24:,} hourly meter readings, above the "
+                "50,000,000 synth writes") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_synth_help_names_the_readings_ceiling(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["synth", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "services x days x 24 at most 50,000,000" in help_text
 
     def test_missing_path_is_usage_error(self, tmp_path):
         assert cli.main(["cluster", "--k", "3", "--out", str(tmp_path)]) == 2
@@ -198,11 +263,10 @@ class TestExitCodes:
             ft.FeatureDef("weekday", ft.KIND_NOMINAL, statuses=("Y", "N")),
         ))
         i = np.arange(12)
-        records = record_table(
+        dataset = make_dataset(
             t_max_c=10.0 + 0.1 * i, t_min_c=0.0 + 0.1 * i, t_avg_c=5.0 + 0.1 * i,
             l_avg_kva=1.0 + 0.01 * i, weekday=["Y"] * 12,
             load_kva=np.ones((12, 24)), ambient_c=np.full((12, 24), 5.0))
-        dataset = ingest.Dataset(records, ("s",), tuple(records["date"].tolist()))
         model = train_model(dataset, 2, schema, seed=1)
         model_path = tmp_path / "model.json"
         clustering.save_model(model, model_path)

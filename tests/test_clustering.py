@@ -4,6 +4,7 @@ accounting, empty-cluster recovery, composition, month matrix, profiles."""
 import datetime as dt
 import json
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -21,11 +22,17 @@ from txrisk.clustering import (
 )
 from txrisk.errors import (
     EmptyClusterWarning,
+    ParseError,
     TooFewPointsError,
 )
 from txrisk import ingest
 
-from conftest import clusters_of, make_model_with_profiles, record_table
+from conftest import (
+    clusters_of,
+    make_dataset,
+    make_model_with_profiles,
+    member_pairs,
+)
 from test_features import reference_distance
 
 
@@ -34,13 +41,16 @@ def one_d_schema(name="x"):
 
 
 def one_d_records(values, start=dt.date(2015, 1, 1), service="s"):
-    return record_table(service, start, x=[float(v) for v in values])
+    return make_dataset(service, start, x=[float(v) for v in values])
 
 
-def rows_of(records, refs):
-    """The row indices of the (service_id, ISO date) refs in a table."""
-    index = {ref: i for i, ref in enumerate(zip(records["service_id"].tolist(),
-                                                records["date"].tolist()))}
+def rows_of(dataset, refs):
+    """The row indices of the (service_id, ISO date) refs in a dataset's
+    record table."""
+    records = dataset.records
+    index = {ref: i for i, ref in enumerate(zip(
+        map(dataset.services.__getitem__, records["service"].tolist()),
+        map(dataset.dates.__getitem__, records["day"].tolist())))}
     return [index[ref] for ref in refs]
 
 
@@ -67,7 +77,7 @@ class TestKmeansOracle:
         model = kmeans(records, 2, one_d_schema(), seed=3)
 
         # Raw values span [0,1] so normalization is the identity here.
-        by_date = {iso: idx for idx, iso in enumerate(records["date"].tolist())}
+        by_date = {iso: idx for idx, iso in enumerate(records.dates)}
         partition = frozenset(
             frozenset(by_date[date] for _, date in refs)
             for refs in clusters_of(model))
@@ -87,7 +97,7 @@ class TestKmeansOracle:
             ft.FeatureDef("x", ft.KIND_NUMERIC),
             ft.FeatureDef("flag", ft.KIND_NOMINAL, statuses=("Y", "N")),
         ))
-        records = record_table(x=[0.0, 0.5, 1.0], flag=["Y", "Y", "N"])
+        records = make_dataset(x=[0.0, 0.5, 1.0], flag=["Y", "Y", "N"])
         model = kmeans(records, 1, schema, seed=0)
         cent_q, cent_n = model.centroids
         assert cent_q[0, 0] == pytest.approx(0.5)
@@ -204,7 +214,7 @@ class TestDeterminismAndObjective:
         x, y, flag = zip(*[(float(rng.uniform(0, 10)), float(rng.uniform(-5, 5)),
                             "Y" if rng.random() < 0.5 else "N")
                            for _ in range(n)])
-        return record_table([f"s{i % 7}" for i in range(n)], dt.date(2014, 1, 1),
+        return make_dataset([f"s{i % 7}" for i in range(n)], dt.date(2014, 1, 1),
                             x=x, y=y, flag=flag)
 
     SCHEMA = ft.FeatureSchema(features=(
@@ -226,7 +236,7 @@ class TestDeterminismAndObjective:
         model = kmeans(records, 4, self.SCHEMA, seed=5)
         total = 0.0
         for col, refs in enumerate(clusters_of(model)):
-            members = records[rows_of(records, refs)]
+            members = records.records[rows_of(records, refs)]
             enc = ft.encode(members, model.schema, model.norm_params)
             total += sum(ft.distance(enc, model.centroids, model.schema)[:, col])
         assert model.objective == pytest.approx(total, rel=1e-9)
@@ -234,15 +244,15 @@ class TestDeterminismAndObjective:
     def test_every_point_assigned_once_and_no_empty_clusters(self):
         records = self.make_records(np.random.default_rng(14))
         model = kmeans(records, 6, self.SCHEMA, seed=8)
-        assert len(model.members) == len(records)
-        assert len(set(model.members)) == len(records)
+        pairs = member_pairs(model)
+        assert len(pairs) == len(set(pairs)) == len(records.records)
         assert all(model.member_counts > 0)
-        assert model.member_counts.sum() == len(records)
+        assert model.member_counts.sum() == len(records.records)
         # The member rows are the rows of the members, each cluster's in
         # table order, and cluster c + 1 is row c of the per-cluster
         # arrays: its members are nearest to centroid c.
-        assert model.member_rows.tolist() == rows_of(records, model.members)
-        enc = ft.encode(records, model.schema, model.norm_params)
+        assert model.member_rows.tolist() == rows_of(records, pairs)
+        enc = ft.encode(records.records, model.schema, model.norm_params)
         nearest = ft.distance(enc, model.centroids, model.schema).argmin(axis=1)
         for c, refs in enumerate(clusters_of(model)):
             rows = rows_of(records, refs)
@@ -296,7 +306,7 @@ class TestPlantedBlobs:
         centers = np.array([[0.1, 0.1], [0.5, 0.9], [0.9, 0.1]])
         labels = np.repeat([0, 1, 2], 30)
         points = centers[labels] + rng.normal(0, 0.01, size=(90, 2))
-        records = record_table(start=dt.date(2014, 1, 1), x=points[:, 0],
+        records = make_dataset(start=dt.date(2014, 1, 1), x=points[:, 0],
                                y=points[:, 1])
         schema = ft.FeatureSchema(features=(
             ft.FeatureDef("x", ft.KIND_NUMERIC),
@@ -320,19 +330,16 @@ class TestPlantedBlobs:
 
 
 def two_cluster_fixture():
-    """Six records with a known 2-group structure and raw profiles."""
+    """A dataset of six records with a known 2-group structure and raw
+    profiles, its schema."""
     schema = one_d_schema("l_avg_kva")
     dates = [dt.date(2015, 1, 10), dt.date(2015, 1, 11), dt.date(2015, 7, 10),
              dt.date(2015, 7, 11), dt.date(2015, 7, 12), dt.date(2015, 1, 12)]
     values = [1.0, 1.1, 5.0, 5.1, 5.2, 0.9]
-    records = record_table(date=dates, l_avg_kva=values,
+    dataset = make_dataset(date=dates, l_avg_kva=values,
                            load_kva=[[v] * 24 for v in values],
                            ambient_c=[[float(i)] * 24 for i in range(6)])
-    return records, schema
-
-
-def as_dataset(records):
-    return ingest.Dataset(records, ("s",), tuple(records["date"].tolist()))
+    return dataset, schema
 
 
 class TestCompositionAndMatrix:
@@ -378,22 +385,26 @@ class TestCompositionAndMatrix:
 
 class TestProfiles:
     def test_single_member_cluster_equals_raw_profile(self):
-        records, schema = two_cluster_fixture()
-        model = kmeans(records[:1], 1, schema, seed=0)
-        load_kva, ambient_c = extract_profiles(model, records[:1])
+        dataset, schema = two_cluster_fixture()
+        one = replace(dataset, records=dataset.records[:1])
+        model = kmeans(one, 1, schema, seed=0)
+        load_kva, ambient_c = extract_profiles(model, one)
+        records = dataset.records
         assert load_kva.tolist() == [records["load_kva"][0].tolist()]
-        assert ambient_c.tolist() == [records["ambient_c"][0].tolist()]
+        assert ambient_c.tolist() == [
+            dataset.ambient[records["day"][0]].tolist()]
 
     def test_two_member_mean(self):
-        records, schema = two_cluster_fixture()
-        model = kmeans(records, 2, schema, seed=4)
-        load_kva, ambient_c = extract_profiles(model, records)
+        dataset, schema = two_cluster_fixture()
+        model = kmeans(dataset, 2, schema, seed=4)
+        load_kva, ambient_c = extract_profiles(model, dataset)
+        records = dataset.records
         for c, refs in enumerate(clusters_of(model)):
             expected_load = np.zeros(24)
             expected_amb = np.zeros(24)
-            for row in rows_of(records, refs):
+            for row in rows_of(dataset, refs):
                 expected_load += records["load_kva"][row]
-                expected_amb += records["ambient_c"][row]
+                expected_amb += dataset.ambient[records["day"][row]]
             expected_load /= len(refs)
             expected_amb /= len(refs)
             assert load_kva[c] == pytest.approx(expected_load)
@@ -424,7 +435,7 @@ class TestProfiles:
 class TestModelFile:
     def test_roundtrip_preserves_model(self, tmp_path):
         records, schema = two_cluster_fixture()
-        model = train_model(as_dataset(records), 2, schema, seed=4, restarts=2)
+        model = train_model(records, 2, schema, seed=4, restarts=2)
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
@@ -434,7 +445,10 @@ class TestModelFile:
         assert loaded.far_threshold == model.far_threshold
         assert loaded.schema == model.schema
         assert loaded.norm_params == model.norm_params
-        assert loaded.members == model.members
+        assert loaded.service_ids == model.service_ids
+        for name in ("member_services", "member_days"):
+            got, want = getattr(loaded, name), getattr(model, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
         assert loaded.member_rows is None
         for name in ("centroids", "profiles"):
             for got, want in zip(getattr(loaded, name), getattr(model, name)):
@@ -443,13 +457,17 @@ class TestModelFile:
         assert not loaded.centroids[0].flags.writeable
 
     def test_loaded_members_are_the_file_lists_in_order(self, golden_pipeline):
-        # ``members`` is every cluster's member list of model.json, cluster
-        # 1's first, and the month matrix counts each member's month once.
+        # The member arrays are every cluster's member list of model.json,
+        # cluster 1's first, the ids coded in their sorted table, and the
+        # month matrix counts each member's month once.
         path = golden_pipeline[0][0] / "out" / "model.json"
         doc = json.loads(path.read_text())
         model = load_model(path)
-        assert model.members == tuple(tuple(ref) for entry in doc["clusters"]
-                                      for ref in entry["members"])
+        assert member_pairs(model) == tuple(
+            tuple(ref) for entry in doc["clusters"] for ref in entry["members"])
+        assert list(model.service_ids) == sorted({
+            service for entry in doc["clusters"]
+            for service, _ in entry["members"]})
         expected = np.zeros((12, model.k), dtype=np.int64)
         for c, entry in enumerate(doc["clusters"]):
             for _, date in entry["members"]:
@@ -460,22 +478,60 @@ class TestModelFile:
 
     def test_rewriting_loaded_model_is_byte_identical(self, tmp_path):
         records, schema = two_cluster_fixture()
-        model = train_model(as_dataset(records), 2, schema, seed=4)
+        model = train_model(records, 2, schema, seed=4)
         p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
         save_model(model, p1)
         save_model(load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("which", ["golden", "200-services"])
+    def test_rewriting_a_trained_model_file_is_byte_identical(
+            self, golden_pipeline, tmp_path, which):
+        # The member lists are written from the id table and the day
+        # numbers, each distinct id and date quoted once; a model read back
+        # holds the same arrays and writes the same bytes.
+        path = golden_pipeline[0][0] / "out" / "model.json"
+        if which != "golden":
+            paths = ingest.synth_dataset(5, 200, dt.date(2015, 12, 20), 20,
+                                         out_dir=tmp_path / "data")
+            dataset = ingest.load_dataset(paths["weather"], paths["meter"],
+                                          paths["calendar"])
+            model = train_model(dataset, 5, ft.default_schema(), seed=1)
+            path = tmp_path / "model.json"
+            save_model(model, path)
+            loaded = load_model(path)
+            assert loaded.service_ids == dataset.services
+            assert len(loaded.service_ids) == 200
+            for name in ("member_services", "member_days"):
+                assert np.array_equal(getattr(loaded, name),
+                                      getattr(model, name))
+        save_model(load_model(path), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    def test_member_listed_twice_named_by_its_first_listing(self, tmp_path):
+        dataset, schema = two_cluster_fixture()
+        path = tmp_path / "model.json"
+        save_model(train_model(dataset, 2, schema, seed=4), path)
+        doc = json.loads(path.read_text())
+        first, second = doc["clusters"][0]["members"][:2]
+        doc["clusters"][1]["members"] += [second, first]
+        doc["clusters"][1]["member_count"] += 2
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=re.escape(
+                f"member {first} is listed more than once")):
+            load_model(path)
+
     def test_file_is_the_json_dumps_text(self, tmp_path):
         # The member lists are written outside json.dumps, in its bytes:
         # non-ASCII ids as \uXXXX escapes, quotes and backslashes escaped.
         records, schema = two_cluster_fixture()
-        model = train_model(as_dataset(records), 2, schema, seed=4)
-        ids = ["S\u00e9", 'q"uote', "back\\slash", "\u2603 \x1f"]
-        members = tuple((ids[i % len(ids)], date)
-                        for i, (_, date) in enumerate(model.members))
+        model = train_model(records, 2, schema, seed=4)
+        ids = sorted(["S\u00e9", 'q"uote', "back\\slash", "\u2603 \x1f"])
+        model = replace(model, service_ids=tuple(ids), member_services=np.arange(
+            len(model.member_days)) % len(ids))
+        members = member_pairs(model)
         path = tmp_path / "model.json"
-        save_model(replace(model, members=members), path)
+        save_model(model, path)
         text = path.read_text(encoding="utf-8")
         doc = json.loads(text)
         assert text == json.dumps(doc, indent=2) + "\n"
@@ -485,7 +541,7 @@ class TestModelFile:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_float_refused_before_writing(self, tmp_path, value):
         records, schema = two_cluster_fixture()
-        model = train_model(as_dataset(records), 2, schema, seed=4)
+        model = train_model(records, 2, schema, seed=4)
         path = tmp_path / "model.json"
         with pytest.raises(ValueError, match="not JSON compliant"):
             save_model(replace(model, far_threshold=value), path)
@@ -513,7 +569,7 @@ class TestModelFile:
             refs = [tuple(ref) for ref in entry["members"]]
             count = entry["member_count"]
             assert count == len(refs)
-            rows = rows_of(dataset.records, refs)
+            rows = rows_of(dataset, refs)
             quant, nom = ft.encode(dataset.records[rows], schema, params)
             for j, name in enumerate(schema.quantitative_names):
                 mean = math.fsum(quant[:, j].tolist()) / count
@@ -527,10 +583,11 @@ class TestModelFile:
                          for code in range(len(statuses))]
                 mode = statuses[votes.index(max(votes))]
                 assert entry["centroid_nominal"][name] == mode
-            for key in ("load_kva", "ambient_c"):
+            days = dataset.records["day"][rows]
+            for key, values in (("load_kva", dataset.records["load_kva"][rows]),
+                                ("ambient_c", dataset.ambient[days])):
                 for hour in range(24):
-                    mean = math.fsum(dataset.records[key][rows, hour].tolist()
-                                     ) / count
+                    mean = math.fsum(values[:, hour].tolist()) / count
                     assert entry["profile"][key][hour] == mean
             centroid = (
                 [entry["centroid_normalized"][name]
@@ -571,7 +628,7 @@ class TestFiniteFeatures:
                    for feature in schema.quantitative_names}
         columns["level"] = rng.choice([0.25, 0.75], 8)
         columns[name][[row, 7]] = value
-        records = record_table(weekday=["Y", "N"] * 4, **columns)
+        records = make_dataset(weekday=["Y", "N"] * 4, **columns)
         with pytest.raises(ValueError,
                            match=f"feature '{name}' is .* at row {row};"):
             kmeans(records, 2, schema, seed=1)
@@ -762,8 +819,9 @@ class TestHamerlyBounds:
         # every distance call kmeans makes (the subsets whose bounds fail,
         # the centroid moves, the own-centroid distances).
         data = golden_pipeline[0][0] / "data"
-        records = ingest.load_dataset(data / "weather.csv", data / "meter.csv",
-                                      data / "calendar.csv").records
+        dataset = ingest.load_dataset(data / "weather.csv", data / "meter.csv",
+                                      data / "calendar.csv")
+        records = dataset.records
         schema, k, n = ft.default_schema(), 6, len(records)
         quant, nom = ft.encode(records, schema,
                                ft.fit_normalization(records, schema))
@@ -782,5 +840,5 @@ class TestHamerlyBounds:
             return distance(x, y, schema)
 
         monkeypatch.setattr(ft, "distance", counted)
-        kmeans(records, k, schema, seed=42, restarts=3)
+        kmeans(dataset, k, schema, seed=42, restarts=3)
         assert sum(pairs) < 0.2 * full_pairs

@@ -3,6 +3,7 @@
 import csv
 import datetime as dt
 import re
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -40,6 +41,24 @@ def gen(tmp_path, seed=1, services=2, days=10, config=None,
     return synth_dataset(seed, services, start, days, config, tmp_path)
 
 
+def row_services(ds):
+    """Each record's service id, decoded from its ``service`` code."""
+    return [ds.services[code] for code in ds.records["service"].tolist()]
+
+
+def row_dates(ds):
+    """Each record's ISO date, decoded from its ``day`` code."""
+    return [ds.dates[code] for code in ds.records["day"].tolist()]
+
+
+def hours(ds, field):
+    """Each record's 24 hourly values: ``load_kva`` from the table,
+    ``ambient_c`` from its date's row of ``Dataset.ambient``."""
+    if field == "ambient_c":
+        return ds.ambient[ds.records["day"]]
+    return ds.records[field]
+
+
 class TestSynth:
     def test_same_seed_byte_identical(self, tmp_path):
         a = gen(tmp_path / "a", seed=9, services=3, days=20)
@@ -58,7 +77,7 @@ class TestSynth:
                              heating_coeff_kw_per_c=0.05)
         paths = gen(tmp_path, seed=3, services=2, days=365, config=config)
         ds = load_dataset(paths["weather"], paths["meter"], paths["calendar"])
-        months = np.array([int(iso[5:7]) for iso in ds.records["date"].tolist()])
+        months = np.array([int(iso[5:7]) for iso in row_dates(ds)])
         load = ds.records["l_avg_kva"]
         assert load[np.isin(months, (12, 1, 2))].mean() \
             > load[np.isin(months, (6, 7, 8))].mean()
@@ -83,20 +102,21 @@ class TestRoundTrip:
                               paths["calendar"])
         rec = ds.records
         assert len(rec) == 3 * 15
+        assert rec.dtype == ingest.RECORD_DTYPE
         assert rec.dtype.names == (
-            "service_id", "date", "t_max_c", "t_min_c", "t_avg_c", "l_avg_kva",
-            "l_max_kva", "l_min_kva", "weekday", "load_kva", "ambient_c",
-            "interpolated")
+            "service", "day", "t_max_c", "t_min_c", "t_avg_c", "l_avg_kva",
+            "l_max_kva", "l_min_kva", "weekday", "load_kva", "interpolated")
         assert ds.services == ("S001", "S002", "S003")
-        assert rec["service_id"].tolist() == [s for s in ds.services
-                                              for _ in range(15)]
-        assert rec["date"].tolist() == list(ds.dates) * 3
+        assert rec["service"].tolist() == [s for s in range(3)
+                                           for _ in range(15)]
+        assert rec["day"].tolist() == list(range(15)) * 3
         assert ds.dates[0] == "2015-01-01" and len(ds.dates) == 15
         assert (rec["t_min_c"] <= rec["t_avg_c"]).all()
         assert (rec["t_avg_c"] <= rec["t_max_c"]).all()
         assert (rec["l_min_kva"] <= rec["l_avg_kva"]).all()
         assert (rec["l_avg_kva"] <= rec["l_max_kva"]).all()
-        assert rec["load_kva"].shape == rec["ambient_c"].shape == (45, 24)
+        assert rec["load_kva"].shape == (45, 24)
+        assert ds.ambient.shape == (15, 24)
         assert not rec["interpolated"].any()
 
     def test_deterministic_load(self, tmp_path):
@@ -128,15 +148,14 @@ class TestRoundTrip:
         loads = days(paths["meter"], "kw")
         expected = {name: [] for name in ("t_max_c", "t_min_c", "t_avg_c",
                                           "l_avg_kva", "l_max_kva", "l_min_kva")}
-        for service, iso in zip(ds.records["service_id"].tolist(),
-                                ds.records["date"].tolist()):
+        for service, iso in zip(row_services(ds), row_dates(ds)):
             t, kw = temps[(None, iso)], loads[(service, iso)]
             for name, value in (("t_max_c", max(t)), ("t_min_c", min(t)),
                                 ("t_avg_c", sum(t) / 24.0),
                                 ("l_avg_kva", sum(kw) / 24.0),
                                 ("l_max_kva", max(kw)), ("l_min_kva", min(kw))):
                 expected[name].append(repr(value))
-        assert ds.records["date"][1] == "2015-01-02"
+        assert row_dates(ds)[1] == "2015-01-02"
         assert ds.records["t_max_c"][1] == ds.records["t_min_c"][1] == 0.0
         for name, values in expected.items():
             assert list(map(repr, ds.records[name].tolist())) == values, name
@@ -150,8 +169,7 @@ class TestRoundTrip:
         # 2015-01-01 is a Thursday and a default holiday.
         paths = gen(tmp_path, seed=2, services=1, days=7)
         ds = load_dataset(paths["weather"], paths["meter"], paths["calendar"])
-        weekday = dict(zip(ds.records["date"].tolist(),
-                           ds.records["weekday"].tolist()))
+        weekday = dict(zip(row_dates(ds), ds.records["weekday"].tolist()))
         assert weekday["2015-01-01"] == "N"
         assert weekday["2015-01-02"] == "Y"
         assert weekday["2015-01-03"] == "N"
@@ -161,6 +179,35 @@ def drop_lines(path, predicate):
     lines = path.read_text().splitlines()
     kept = [lines[0]] + [ln for ln in lines[1:] if not predicate(ln)]
     path.write_text("\n".join(kept) + "\n")
+
+
+class TestMemory:
+    def test_traced_peak_within_three_and_a_half_load_grids(
+            self, golden_pipeline):
+        # load_dataset's peak Python allocation on the golden input, in
+        # units of its records' 24-hour float profiles. When the table held
+        # each record's date text and weather hours and the join copied the
+        # meter grid twice, the peak was 6.7 units.
+        data = golden_pipeline[0][0] / "data"
+        tracemalloc.start()
+        try:
+            ds = load_dataset(data / "weather.csv", data / "meter.csv",
+                              data / "calendar.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ds.records) == 20 * 730
+        assert peak <= 3.5 * len(ds.records) * 24 * 8
+
+    def test_weather_kept_once_per_date(self, tmp_path):
+        paths = gen(tmp_path, seed=3, services=3, days=5)
+        ds = load_dataset(paths["weather"], paths["meter"], paths["calendar"])
+        weather = {}
+        with open(paths["weather"], newline="") as fh:
+            for date, hour, value in list(csv.reader(fh))[1:]:
+                weather.setdefault(date, [None] * 24)[int(hour)] = float(value)
+        assert ds.ambient.shape == (5, 24)
+        assert ds.ambient.tolist() == [weather[date] for date in ds.dates]
 
 
 class TestGapPolicy:
@@ -180,11 +227,10 @@ class TestGapPolicy:
         with pytest.warns(DataGapWarning):
             ds = load_dataset(paths["weather"], paths["meter"],
                               paths["calendar"])
-        assert ds.records["date"].tolist() == ["2015-01-01", "2015-01-02",
-                                               "2015-01-03"]
+        assert row_dates(ds) == ["2015-01-01", "2015-01-02", "2015-01-03"]
         assert ds.records["interpolated"].tolist() == [False, True, False]
-        hours = ds.records[self.FIELD][1]
-        assert min(hours[6], hours[8]) <= hours[7] <= max(hours[6], hours[8])
+        day = hours(ds, self.FIELD)[1]
+        assert min(day[6], day[8]) <= day[7] <= max(day[6], day[8])
 
     def test_three_missing_hours_drops_day(self, tmp_path):
         paths = gen(tmp_path, seed=4, services=1, days=3)
@@ -193,7 +239,7 @@ class TestGapPolicy:
         with pytest.warns(DataGapWarning):
             ds = load_dataset(paths["weather"], paths["meter"],
                               paths["calendar"])
-        assert ds.records["date"].tolist() == ["2015-01-01", "2015-01-03"]
+        assert row_dates(ds) == ["2015-01-01", "2015-01-03"]
 
     def test_duplicate_hour_keeps_first_and_flags(self, tmp_path):
         paths = gen(tmp_path, seed=4, services=1, days=3)
@@ -204,7 +250,7 @@ class TestGapPolicy:
             ds = load_dataset(paths["weather"], paths["meter"],
                               paths["calendar"])
         assert ds.records["interpolated"].tolist() == [False, True, False]
-        assert ds.records[self.FIELD][1, 3] != 42.42
+        assert hours(ds, self.FIELD)[1, 3] != 42.42
 
     def test_triplicate_hour_is_parse_error(self, tmp_path):
         paths = gen(tmp_path, seed=4, services=1, days=3)
@@ -390,7 +436,7 @@ class TestCoverage:
         b = gen(tmp_path / "b", seed=7, services=2, days=6,
                 start=dt.date(2015, 1, 4))
         ds = load_dataset(a["weather"], b["meter"], a["calendar"])
-        assert set(ds.records["date"].tolist()) == {
+        assert set(row_dates(ds)) == {
             "2015-01-04", "2015-01-05", "2015-01-06"}
         assert len(ds.records) == 6  # 2 services x 3 overlapping days
 
@@ -401,7 +447,7 @@ class TestCoverage:
             fh.writelines(f"S900,2020-01-01,{hour},1.000\n"
                           for hour in range(24))
         ds = load_dataset(paths["weather"], paths["meter"], paths["calendar"])
-        assert set(ds.records["service_id"].tolist()) == {"S001", "S002"}
+        assert set(row_services(ds)) == {"S001", "S002"}
         assert ds.services == ("S001", "S002")
 
 
@@ -448,10 +494,9 @@ class TestJoinOrder:
         ds = load_dataset(paths["weather"], paths["meter"], paths["calendar"])
 
         keys, meter, weather = self.tuple_join(paths)
-        assert list(zip(ds.records["service_id"].tolist(),
-                        ds.records["date"].tolist())) == keys
+        assert list(zip(row_services(ds), row_dates(ds))) == keys
         assert ds.records["load_kva"].tolist() == [meter[key] for key in keys]
-        assert ds.records["ambient_c"].tolist() == [
+        assert hours(ds, "ambient_c").tolist() == [
             weather[key[1:]] for key in keys]
         assert ds.services == ("A100", "S10", "S9")
         assert ds.dates == tuple(sorted({date for _, date in keys}))
@@ -463,21 +508,20 @@ class TestJoinOrder:
                                  paths["calendar"])
         assert ds.records.dtype == reference.records.dtype
         assert ds.records.tobytes() == reference.records.tobytes()
+        assert ds.ambient.tobytes() == reference.ambient.tobytes()
 
     def test_longest_service_id_without_coverage(self, tmp_path):
-        # The longest id's only day lies outside the weather coverage: the
-        # service_id field is as wide as the joined ids, as np.array of
-        # them makes it.
+        # The longest id's only day lies outside the weather coverage: it
+        # takes no code, and the codes index the joined ids alone.
         paths = gen(tmp_path, seed=7, services=2, days=4)
         with open(paths["meter"], "a", encoding="utf-8") as fh:
             fh.writelines(f"S900000000,2020-01-01,{hour},1.000\n"
                           for hour in range(24))
         ds = load_dataset(paths["weather"], paths["meter"], paths["calendar"])
-        assert ds.records.dtype["service_id"] == np.dtype("<U4")
         assert ds.services == ("S001", "S002")
+        assert ds.dates == tuple(f"2015-01-0{day}" for day in range(1, 5))
         keys, _, _ = self.tuple_join(paths)
-        assert np.array_equal(ds.records["service_id"],
-                              np.array([service for service, _ in keys]))
+        assert row_services(ds) == [service for service, _ in keys]
 
     def test_weather_and_calendar_dates_out_of_order(self, tmp_path):
         # Date codes are shared by the three files, whatever order each
@@ -494,6 +538,7 @@ class TestJoinOrder:
         assert ds.records.tobytes() == reference.records.tobytes()
         assert (ds.services, ds.dates) == (reference.services,
                                            reference.dates)
+        assert ds.ambient.tobytes() == reference.ambient.tobytes()
 
 
 HOURLY_HEADERS = {"weather": ingest.WEATHER_HEADER,

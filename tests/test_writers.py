@@ -14,6 +14,7 @@ from txrisk import cli, clustering, estimation, ingest, riskassess, thermal
 from txrisk import features as ft
 from txrisk.clustering import ClusterModel
 
+from conftest import member_fields
 from test_estimation import csv_writer_estimates
 
 
@@ -220,7 +221,7 @@ def test_synth_writer_on_edge_values(tmp_path):
 
 def one_cluster_model(schema, quant, nom):
     return ClusterModel(
-        members=(("s", "2015-02-01"),), centroids=(quant, nom),
+        **member_fields([("s", "2015-02-01")]), centroids=(quant, nom),
         member_counts=np.array([1]), schema=schema,
         norm_params=ft.NormalizationParams(bounds={"x": (-1.0, 1.0)}),
         seed=0, objective=0.0)
