@@ -13,6 +13,8 @@ trained cluster model:
 import datetime as dt
 import tempfile
 
+import numpy as np
+
 from txrisk import (
     TransformerSpec,
     cluster_thresholds,
@@ -39,12 +41,13 @@ model = train_model(dataset, k=6, schema=default_schema(), seed=7, restarts=3)
 
 # 1. Thresholds: scale each cluster's day shape until a limit binds.
 print("loading thresholds by cluster (impact 1 = most restrictive)")
-thresholds = cluster_thresholds(spec, model)
-for t in sorted(thresholds, key=lambda t: t.impact_rank):
-    print(f"  impact {t.impact_rank}: cluster {t.cluster_id} tolerates "
-          f"peak {t.max_peak_load_pu:.2f} p.u. "
-          f"(avg {t.max_avg_load_pu:.2f}, {t.binding_limit} binds)")
-fleet_rule = min(t.max_peak_load_pu for t in thresholds)
+thresholds = cluster_thresholds(spec, model)  # (k,) arrays, cluster c + 1 at c
+for c in np.argsort(thresholds.impact_rank).tolist():
+    print(f"  impact {thresholds.impact_rank[c]}: cluster {c + 1} tolerates "
+          f"peak {thresholds.max_peak_load_pu[c]:.2f} p.u. "
+          f"(avg {thresholds.max_avg_load_pu[c]:.2f}, "
+          f"{thresholds.binding_limit[c]} binds)")
+fleet_rule = thresholds.max_peak_load_pu.min()
 print(f"conservative fleet rule: keep daily peaks below {fleet_rule:.2f} p.u.\n")
 
 # Every cluster's day at every service count, simulated once as one batch;

@@ -45,12 +45,11 @@ from .features import (
 from .ingest import Dataset, SynthConfig, load_dataset, synth_dataset
 from .riskassess import (
     ServiceGrid,
-    ThresholdResult,
+    Thresholds,
     cluster_thresholds,
     life_loss_by_n,
     max_services_by_life,
     max_services_by_temperature,
-    rank_impact,
     service_grid,
 )
 from .thermal import (

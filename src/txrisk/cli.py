@@ -39,7 +39,7 @@ exit codes:
   0   success
   1   unexpected internal error
   2   usage or configuration error, or an output that cannot be written
-  3   input file parse error, or a model/spec load above the per-unit ceiling
+  3   input file parse error, or a model/spec past the per-unit load ceiling
   5   no common weather/meter/calendar coverage
   6   more clusters requested than data points
   8   no feasible loading scale (ambient above limit)
@@ -134,8 +134,6 @@ class RunConfig:
         "n_range": "1..40",
         "budget": 500.0,
         "years": 3.0,
-        "scale_max": riskassess.SCALE_MAX_DEFAULT,
-        "scale_tol": riskassess.SCALE_TOL_DEFAULT,
         "svg": False,
         "weather": None,
         "meter": None,
@@ -389,14 +387,12 @@ def cmd_cluster(cfg: RunConfig) -> int:
 def cmd_assess(cfg: RunConfig) -> int:
     n_range = parse_span(cfg.get("n_range"), "--n-range")
     budget, years = cfg.number("budget", positive=False), cfg.number("years")
-    scale_max, scale_tol = cfg.number("scale_max"), cfg.number("scale_tol")
     spec = thermal.load_transformer_spec(cfg.require_path("spec"))
     model = clustering.load_model(cfg.require_path("model"))
     out = cfg.out_dir()
 
     # Both searches run before any write: a refused input leaves no tables.
-    thresholds = riskassess.cluster_thresholds(
-        spec, model, scale_max=scale_max, tolerance=scale_tol)
+    thresholds = riskassess.cluster_thresholds(spec, model)
     grid = riskassess.service_grid(spec, model, n_range)
     losses = riskassess.life_loss_by_n(spec, grid, years)
     with _writing(out) as staging:
@@ -419,7 +415,7 @@ def cmd_assess(cfg: RunConfig) -> int:
             riskassess.write_month_distribution_svg(
                 matrix, thresholds, staging / "month_distribution.svg")
 
-    min_peak = min(t.max_peak_load_pu for t in thresholds)
+    min_peak = thresholds.max_peak_load_pu.min()
     print(f"minimum allowed daily peak loading: {min_peak:.2f} p.u.")
     print(f"max services by temperature limits: {by_temp}")
     print(f"max services by life-loss budget ${budget:g}/year: {by_life}")

@@ -555,18 +555,34 @@ def _profile_error(cluster_id):
 def _profile_lists(cluster_id, doc):
     """A stored profile's ``(load_kva, ambient_c)`` lists of 24 numbers
     each; :class:`ClusterModel` checks their values."""
-    load = [float(v) for v in doc["load_kva"]]
-    ambient = [float(v) for v in doc["ambient_c"]]
-    if len(load) != 24 or len(ambient) != 24:
+    load, ambient = doc["load_kva"], doc["ambient_c"]
+    if (len(load) != 24 or len(ambient) != 24
+            or not all(map(_is_number, chain(load, ambient)))):
         raise _profile_error(cluster_id)
-    return load, ambient
+    return list(map(float, load)), list(map(float, ambient))
+
+
+def _is_number(value) -> bool:
+    """Whether a stored value is a JSON number, not true/false or text."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _finite(field: str, value) -> float:
     """A stored number that must be finite; ``field`` names it on error."""
+    if not _is_number(value):
+        raise ValueError(f"{field} must be a number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{field} must be finite, got {value!r}")
+    return value
+
+
+def _integer(field: str, value, minimum: int = 0) -> int:
+    """A stored integer, as save_model writes it, of at least ``minimum``;
+    ``field`` names it on error."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"{field} must be an integer >= {minimum}, got "
+                         f"{value!r}")
     return value
 
 
@@ -587,12 +603,13 @@ def _checked_cluster(cid, entry, schema: ft.FeatureSchema):
     Returns the members' service ids and day numbers, two lists, and the
     centroid as a row of each :func:`txrisk.features.encode` array. Each
     distinct id and date is checked once."""
-    if entry["id"] != cid:
+    if _integer(f"cluster {cid} id", entry["id"]) != cid:
         raise ValueError(f"cluster {cid} has id {entry['id']!r}; ids must run "
                          "1..k in file order")
     services = [service for service, _ in entry["members"]]
     dates = [date for _, date in entry["members"]]
-    if entry["member_count"] != len(services):
+    if _integer(f"cluster {cid} member_count",
+                entry["member_count"]) != len(services):
         raise ValueError(f"cluster {cid} member_count {entry['member_count']!r}"
                          f" differs from its {len(services)} members")
     for service in dict.fromkeys(services):
@@ -628,7 +645,10 @@ def load_model(path) -> ClusterModel:
 
     Raises:
         ParseError: the file is unreadable or malformed, or holds a
-            non-finite number, a bound with lo > hi, a ``k`` other than the
+            number as text or true/false, a ``k``, ``seed``, ``restarts``,
+            cluster id or ``member_count`` that is not an integer, a
+            negative seed, fewer than 1 restart, a non-finite number, a
+            bound with lo > hi, a ``k`` other than the
             number of clusters, cluster ids other than 1..k in file order,
             a centroid lacking a schema feature or with an unknown label, a
             ``member_count`` other than the number of members, a member
@@ -650,6 +670,7 @@ def load_model(path) -> ClusterModel:
                              "clusters stored")
         if not entries:
             raise ValueError("the model stores no clusters")
+        _integer("k", doc["k"])
         services, days, quant, codes = zip(*(
             _checked_cluster(c + 1, entry, schema)
             for c, entry in enumerate(entries)))
@@ -682,12 +703,12 @@ def load_model(path) -> ClusterModel:
             member_counts=_read_only(np.array(counts)),
             schema=schema,
             norm_params=params,
-            seed=int(doc["seed"]),
+            seed=_integer("seed", doc["seed"]),
             objective=_finite("objective", doc["objective"]),
             profiles=(tuple(_read_only(np.array(part)) for part in zip(*profiles))
                       if profiles else None),
             far_threshold=_finite("far_threshold", doc.get("far_threshold", 0.0)),
-            restarts=int(doc.get("restarts", 1)),
+            restarts=_integer("restarts", doc.get("restarts", 1), 1),
         )
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed cluster model: {exc}", path=path) from exc

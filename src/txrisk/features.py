@@ -121,7 +121,8 @@ class FeatureSchema:
                 name=item["name"],
                 kind=item["kind"],
                 statuses=tuple(item.get("statuses", ())),
-                weight=float(item.get("weight", 1.0)),
+                weight=_json_number(item.get("weight", 1.0),
+                                    f"feature {item['name']!r} weight"),
             ))
         return cls(features=tuple(defs))
 
@@ -147,8 +148,19 @@ class NormalizationParams:
 
     @classmethod
     def from_jsonable(cls, doc) -> "NormalizationParams":
-        return cls(bounds={name: (float(lo), float(hi))
+        def bound(name, value):
+            return _json_number(value, f"normalization bound of {name!r}")
+
+        return cls(bounds={name: (bound(name, lo), bound(name, hi))
                            for name, (lo, hi) in doc.items()})
+
+
+def _json_number(value, what: str) -> float:
+    """``value``, a JSON number (not true/false or text), as a float;
+    ``what`` names it on error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 def encode_ordinal(status_order: int, status_count: int) -> float:

@@ -157,11 +157,13 @@ def _block_fields(block, width):
     """A block of lines as a ``uint8`` array of its bytes and the start and
     length of each field, two ``(width, lines)`` arrays, or None unless the
     csv module would read each line as its split at commas: the block holds
-    a quote, a NUL (csv before Python 3.11 refuses it), a byte outside ASCII
-    or a carriage return not before a line feed, or a line without
-    ``width`` fields or longer than the csv field limit. A line feed ends
-    the last line too; carriage returns before line feeds are dropped."""
-    if b'"' in block or b"\0" in block or not block.isascii():
+    a quote, a NUL (csv before Python 3.11 refuses it) or a carriage return
+    not before a line feed, or a line without ``width`` fields or longer
+    than the csv field limit. A line feed ends the last line too; carriage
+    returns before line feeds are dropped. UTF-8 never places a comma or
+    line-feed byte inside a character, so other text splits the same way;
+    each column rule declines a field that is not UTF-8."""
+    if b'"' in block or b"\0" in block:
         return None
     if not block.endswith(b"\n"):
         block += b"\n"
@@ -424,9 +426,13 @@ def date_rule(dates):
 def _service_rule(names):
     """The rule of a service-id column, codes in ``names`` as
     :func:`date_rule` gives them: any text but an empty or all-blank one
-    (by ``str.strip``, which also strips ``\\x1c``..``\\x1f``)."""
+    (by ``str.strip``, which also strips ``\\x1c``..``\\x1f``), or one
+    that is not UTF-8, which the per-row code reports at its row."""
     def new(text):
-        name = text.decode()
+        try:
+            name = text.decode()
+        except UnicodeDecodeError:
+            return None
         return names.setdefault(name, len(names)) if name.strip() else None
 
     return _code_rule(new, "blank service id {!r}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -32,8 +32,10 @@ from .errors import (
 )
 from .ingest import write_table
 
-SCALE_MAX_DEFAULT = 16.0  # p.u. peak, bisection upper bound
-SCALE_TOL_DEFAULT = 0.005  # p.u.
+# The threshold search's first upper bound (p.u. peak) and its
+# resolution, the one thresholds.csv prints at.
+SCALE_START = 16.0
+SCALE_TOL = 0.005
 # Slack for rounding when checking that grid values never fall with N.
 MONOTONE_SLACK = 1e-9
 
@@ -42,14 +44,17 @@ MONTH_LABELS = ("Jan", "Feb", "Mar", "Apr", "May", "June", "July", "Aug",
 
 
 @dataclass(frozen=True)
-class ThresholdResult:
-    """Largest tolerable loading for one cluster's day shape."""
+class Thresholds:
+    """Each cluster's largest tolerable loading, as ``(k,)`` arrays with
+    cluster ``c + 1`` at index ``c``: the 24-hour peak (p.u.) and average
+    load of its certified day, the limit that a peak ``SCALE_TOL`` higher
+    violates (``"top_oil"`` or ``"hotspot"``), and the impact rank, 1 for
+    the lowest peak (most restrictive), equal peaks ranked by cluster id."""
 
-    cluster_id: int
-    max_avg_load_pu: float
-    max_peak_load_pu: float
-    binding_limit: str  # "top_oil" | "hotspot"
-    impact_rank: int | None = None
+    max_avg_load_pu: np.ndarray
+    max_peak_load_pu: np.ndarray
+    binding_limit: np.ndarray
+    impact_rank: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -78,39 +83,32 @@ class LifeLoss(NamedTuple):
     economic_loss: np.ndarray  # currency per year
 
 
-def rank_impact(results) -> list[ThresholdResult]:
-    """Fill impact ranks: 1 = lowest tolerable peak loading (most
-    restrictive), ties broken by cluster id. Returned in cluster-id order."""
-    by_peak = sorted(results, key=lambda r: (r.max_peak_load_pu, r.cluster_id))
-    ranked = [replace(r, impact_rank=i + 1) for i, r in enumerate(by_peak)]
-    return sorted(ranked, key=lambda r: r.cluster_id)
-
-
-def cluster_thresholds(spec: thermal.TransformerSpec, model: ClusterModel,
-                       *, scale_max: float = SCALE_MAX_DEFAULT,
-                       tolerance: float = SCALE_TOL_DEFAULT) -> list[ThresholdResult]:
+def cluster_thresholds(spec: thermal.TransformerSpec,
+                       model: ClusterModel) -> Thresholds:
     """Largest peak loading (p.u.) of each cluster's day shape whose
     simulated day stays within limits, with impact ranks.
 
     Each profile is reduced to its peak-normalized shape, so the bisection
     scale *is* the 24-hour peak per-unit load; the 24-hour average at the
     binding scale is reported alongside. Bisection is valid because the
-    steady-state temperatures are monotone in the load scale. Every
-    cluster is bisected at once, yet gets exactly the halvings, and so the
-    result, of a bisection of its own: it stops halving once its interval
-    is within ``tolerance``. Each returned scale is certified: it passes
-    the limits while ``scale + tolerance`` violates at least one of them.
+    steady-state temperatures are monotone in the load scale. A cluster is
+    searched below ``SCALE_START``; while its limits still pass at its
+    bound, the bound doubles, up to ``thermal.MAX_LOAD_PU``. Every cluster
+    is bisected at once, yet gets exactly the halvings, and so the result,
+    of a bisection of its own: it stops halving once its interval is within
+    ``SCALE_TOL``. Each returned scale is certified: it passes the limits
+    while ``scale + SCALE_TOL``, or the load ceiling if that is lower,
+    violates at least one of them.
 
-    Raises (for the first failing cluster in model order):
-        ConfigError: the model has no profiles, ``scale_max`` still passes
-            the limits or is above ``thermal.MAX_LOAD_PU``.
+    Raises (for the first failing cluster in model order, the ParseError
+    only after the other checks pass for every cluster):
+        ConfigError: the model has no profiles.
         ZeroPeakProfileError: a profile has no load at any hour.
         NoFeasibleScaleError: ambient alone violates a limit (scale 0 fails).
+        ParseError: the limits still pass at ``thermal.MAX_LOAD_PU``: the
+            spec's limits are implausible.
     """
     _require_profiles(model)
-    if not scale_max <= thermal.MAX_LOAD_PU:
-        raise ConfigError(f"scale_max={scale_max:g} p.u. is above the "
-                          f"{thermal.MAX_LOAD_PU:g} p.u. load ceiling")
     kva, ambient = model.profiles
     peak = kva.max(axis=1)
     shape = kva / np.where(peak > 0, peak, 1.0)[:, None]
@@ -122,7 +120,7 @@ def cluster_thresholds(spec: thermal.TransformerSpec, model: ClusterModel,
                 & (trace.hotspot.max(axis=-1) <= spec.hotspot_limit)), top
 
     lo = np.zeros(model.k)
-    hi = np.full(model.k, float(scale_max))
+    hi = np.full(model.k, SCALE_START)
     at_zero, _ = within(lo)
     at_max, _ = within(hi)
     for i in range(model.k):
@@ -134,12 +132,16 @@ def cluster_thresholds(spec: thermal.TransformerSpec, model: ClusterModel,
             raise NoFeasibleScaleError(
                 f"cluster {i + 1}: ambient profile violates a temperature "
                 "limit even at zero load")
-        if at_max[i]:
-            raise ConfigError(
-                f"cluster {i + 1}: limits not reached at scale_max="
-                f"{scale_max} p.u.; raise the threshold search bound")
+    while at_max.any():
+        stuck = at_max & (hi == thermal.MAX_LOAD_PU)
+        if stuck.any():
+            raise ParseError(
+                f"cluster {int(stuck.argmax()) + 1}: limits not reached at "
+                f"the {thermal.MAX_LOAD_PU:g} p.u. load ceiling")
+        hi = np.where(at_max, np.minimum(2 * hi, thermal.MAX_LOAD_PU), hi)
+        at_max &= within(hi)[0]
 
-    active = hi - lo > tolerance
+    active = hi - lo > SCALE_TOL
     while active.any():
         mid = 0.5 * (lo + hi)
         # Adjacent floats have no midpoint between them, however small
@@ -148,20 +150,19 @@ def cluster_thresholds(spec: thermal.TransformerSpec, model: ClusterModel,
         ok, _ = within(mid)
         lo = np.where(active & ok, mid, lo)
         hi = np.where(active & ~ok, mid, hi)
-        active = hi - lo > tolerance
+        active = hi - lo > SCALE_TOL
 
-    _, probe_top = within(lo + tolerance)
+    _, probe_top = within(np.minimum(lo + SCALE_TOL, thermal.MAX_LOAD_PU))
     shape_sum = sum(shape[:, h] for h in range(thermal.HOURS))
-    avg = lo * shape_sum / 24.0
-    return rank_impact(
-        ThresholdResult(
-            cluster_id=cid,
-            max_avg_load_pu=a,
-            max_peak_load_pu=peak_pu,
-            binding_limit="top_oil" if top > spec.top_oil_limit else "hotspot",
-        )
-        for cid, a, peak_pu, top in zip(range(1, model.k + 1), avg.tolist(),
-                                        lo.tolist(), probe_top.tolist()))
+    rank = np.empty(model.k, np.int64)
+    rank[np.argsort(lo, kind="stable")] = np.arange(1, model.k + 1)
+    return Thresholds(
+        max_avg_load_pu=lo * shape_sum / 24.0,
+        max_peak_load_pu=lo,
+        binding_limit=np.where(probe_top > spec.top_oil_limit, "top_oil",
+                               "hotspot"),
+        impact_rank=rank,
+    )
 
 
 def _require_profiles(model: ClusterModel):
@@ -281,20 +282,15 @@ def max_services_by_life(n_values, economic_loss, annual_budget: float) -> int |
 # Report files
 
 
-def write_thresholds_csv(results, path) -> None:
+def write_thresholds_csv(thresholds: Thresholds, path) -> None:
     """Threshold and impact-ranking table, one row per cluster."""
+    columns = (thresholds.max_avg_load_pu, thresholds.max_peak_load_pu,
+               thresholds.binding_limit, thresholds.impact_rank)
     write_table(path, ["cluster_id", "max_avg_load_pu", "max_peak_load_pu",
-                       "binding_limit", "impact_rank"], ["".join(
-        "%s,%.2f,%.2f,%s,%s\n" % (r.cluster_id, r.max_avg_load_pu,
-                                  r.max_peak_load_pu, r.binding_limit,
-                                  r.impact_rank)
-        for r in sorted(results, key=lambda r: r.cluster_id))])
-
-
-def _rank_order(ranked_results):
-    """Cluster ids ordered by impact rank 1..k."""
-    return [r.cluster_id for r in sorted(ranked_results,
-                                         key=lambda r: r.impact_rank)]
+                       "binding_limit", "impact_rank"],
+                [_table_rows("%s,%.2f,%.2f,%s,%s\n",
+                             range(1, len(thresholds.impact_rank) + 1),
+                             zip(*(column.tolist() for column in columns)))])
 
 
 def _table_rows(row, labels, rows):
@@ -302,18 +298,20 @@ def _table_rows(row, labels, rows):
     return "".join(row % (label, *values) for label, values in zip(labels, rows))
 
 
-def write_month_matrix_csv(matrix, ranked_results, path) -> None:
+def write_month_matrix_csv(matrix, thresholds: Thresholds, path) -> None:
     """Month-by-cluster member-day counts, columns ordered by impact rank.
 
     The first data row maps each impact column back to its cluster id; the
     footer row sums each column (equal to the cluster member counts).
     """
-    order = _rank_order(ranked_results)
-    by_rank = matrix[:, [cid - 1 for cid in order]]
+    # A stable sort, the kernel that ranked the clusters: the default one
+    # pages in another 0.2 MB of numpy's code.
+    order = np.argsort(thresholds.impact_rank, kind="stable")
+    by_rank = matrix[:, order]
     write_table(path, ["month"] + [f"imp_{i + 1}" for i in range(len(order))],
                 [_table_rows("%s" + ",%d" * len(order) + "\n",
                              ("cluster_id", *MONTH_LABELS, "Sum"),
-                             [order, *by_rank.tolist(),
+                             [(order + 1).tolist(), *by_rank.tolist(),
                               by_rank.sum(axis=0).tolist()])])
 
 
@@ -350,12 +348,13 @@ _SVG_PALETTE = ("#4477aa", "#66ccee", "#228833", "#ccbb44", "#ee6677",
                 "#aa3377", "#bbbbbb", "#222255", "#225555", "#552200")
 
 
-def write_month_distribution_svg(matrix, ranked_results, path) -> None:
+def write_month_distribution_svg(matrix, thresholds: Thresholds,
+                                 path) -> None:
     """Grouped bar chart of member days per month per cluster (impact order).
 
     Hand-rolled SVG so repeated runs are byte-identical.
     """
-    order = _rank_order(ranked_results)
+    order = (np.argsort(thresholds.impact_rank, kind="stable") + 1).tolist()
     k = len(order)
     top = max(1, int(matrix.max()))
 

@@ -622,6 +622,47 @@ class TestMalformedInputExitCodes:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc.update(seed=1.5), "seed must be an integer >= 0"),
+        (lambda doc: doc.update(seed=True), "seed must be an integer >= 0"),
+        (lambda doc: doc.update(seed="7"), "seed must be an integer >= 0"),
+        (lambda doc: doc.update(restarts=-3),
+         "restarts must be an integer >= 1, got -3"),
+        (lambda doc: doc.update(objective="1.5"),
+         "objective must be a number, got '1.5'"),
+        (lambda doc: doc.update(far_threshold="0.5"),
+         "far_threshold must be a number"),
+        (lambda doc: doc["clusters"][1]["profile"]["load_kva"].__setitem__(
+            3, "1.25"), "cluster 2 profile needs 24 finite hourly values"),
+        (lambda doc: doc["clusters"][1]["profile"]["ambient_c"].__setitem__(
+            3, True), "cluster 2 profile needs 24 finite hourly values"),
+        (lambda doc: doc["clusters"][2]["centroid_normalized"].__setitem__(
+            "l_avg_kva", "0.5"), "cluster 3 centroid 'l_avg_kva' must be a "
+         "number"),
+        (lambda doc: doc["normalization"]["t_avg_c"].__setitem__(0, "-5"),
+         "normalization bound of 't_avg_c' must be a number"),
+        (lambda doc: doc["clusters"][0].update(id=1.0),
+         "cluster 1 id must be an integer"),
+        (lambda doc: doc["clusters"][0].update(
+            member_count=float(doc["clusters"][0]["member_count"])),
+         "cluster 1 member_count must be an integer"),
+        (lambda doc: doc.update(k=True, clusters=doc["clusters"][:1]),
+         "k must be an integer >= 0, got True"),
+        (lambda doc: doc["schema"][0].update(weight="2"),
+         "feature 't_max_c' weight must be a number, got '2'"),
+    ], ids=["seed_float", "seed_bool", "seed_text", "restarts_negative",
+            "objective_text", "far_threshold_text", "profile_text",
+            "profile_bool", "centroid_text", "bound_text", "id_float",
+            "member_count_float", "k_bool", "weight_text"])
+    def test_model_number_of_the_wrong_type(self, golden_pipeline, tmp_path,
+                                            capsys, edit, message):
+        # Each of these once loaded: ``int(1.5)`` as seed 1, ``float("1.5")``
+        # as an objective, ``1.0 == 1`` as a cluster id.
+        root = golden_pipeline[0][0]
+        assert self.estimate(root, tmp_path,
+                             self.bad_model(root, tmp_path, edit)) == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit,message", [
         (lambda doc: doc.__setitem__("k", 2), "k 2 differs from the 6 clusters"),
         (lambda doc: doc.__setitem__("k", 1e30), "k 1e+30 differs from the 6"),
         (lambda doc: doc.__setitem__("k", 9), "k 9 differs from the 6 clusters"),
@@ -669,41 +710,57 @@ class TestMalformedInputExitCodes:
                            model=self.bad_model(root, tmp_path, edit)) == 3
         assert "Invalid isoformat string" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("case,code,message", [
-        ("profile_load_kva", 3, "cluster 2: one service's peak load is 4e+306"),
-        ("rated_kva", 3, "cluster 1: one service's peak load is"),
-        ("scale_max", 2, "scale_max=1e+308 p.u. is above the 1000 p.u. load "
-                         "ceiling"),
-    ], ids=["profile_load_kva", "rated_kva", "scale_max"])
+    @pytest.mark.parametrize("case,message", [
+        ("profile_load_kva", "cluster 2: one service's peak load is 4e+306"),
+        ("rated_kva", "cluster 1: one service's peak load is"),
+    ], ids=["profile_load_kva", "rated_kva"])
     def test_load_above_the_ceiling(self, golden_pipeline, tmp_path, capsys,
-                                    case, code, message):
+                                    case, message):
         # Each of these once overflowed Python's ``**`` in the thermal model
         # (OverflowError, exit 1).
         root = golden_pipeline[0][0]
-        spec, model, argv = root / "spec.json", root / "out" / "model.json", []
+        spec, model = root / "spec.json", root / "out" / "model.json"
         if case == "profile_load_kva":
             model = self.bad_model(root, tmp_path, lambda doc: doc["clusters"][1]
                                    ["profile"]["load_kva"].__setitem__(10, 1e308))
-        elif case == "rated_kva":
+        else:
             spec = tmp_path / "spec.json"
             spec.write_text((root / "spec.json").read_text().replace(
                 '"rated_kva": 25.0', '"rated_kva": 1e-300'))
-        else:
-            config = tmp_path / "config.json"
-            config.write_text('{"scale_max": 1e308}')
-            argv = ["--config", str(config)]
         assert cli.main(["assess", "--spec", str(spec), "--model", str(model),
-                         "--out", str(tmp_path / "run")] + argv) == code
+                         "--out", str(tmp_path / "run")]) == 3
         err = capsys.readouterr().err
-        assert message in err
+        assert message in err and "rated_kva" in err
         assert not list((tmp_path / "run").glob("*.csv"))
-        if code == 3:
-            assert "rated_kva" in err
-            assert cli.main(["estimate", "--spec", str(spec), "--model",
-                             str(model), "--query", str(root / "query.csv"),
-                             "--services", "18",
-                             "--out", str(tmp_path / "run")]) == code
-            assert message in capsys.readouterr().err
+        assert cli.main(["estimate", "--spec", str(spec), "--model",
+                         str(model), "--query", str(root / "query.csv"),
+                         "--services", "18",
+                         "--out", str(tmp_path / "run")]) == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("top_oil,hotspot,code", [(5000.0, 1e5, 0),
+                                                      (5e8, 1e9, 3)])
+    def test_limits_past_the_first_search_bound(self, golden_pipeline,
+                                                tmp_path, capsys, top_oil,
+                                                hotspot, code):
+        # A top-oil limit of 5000 °C is first reached near 20 p.u., past
+        # the threshold search's first bound of 16 p.u.; limits of 1e9 °C
+        # are not reached at any load the thermal model takes.
+        root = golden_pipeline[0][0]
+        doc = json.loads((root / "spec.json").read_text())
+        doc.update(top_oil_limit_c=top_oil, hotspot_limit_c=hotspot)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        assert self.assess(root, tmp_path / "run", spec=spec) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert ("cluster 1: limits not reached at the 1000 p.u. load "
+                    "ceiling") in err
+            assert not list((tmp_path / "run").glob("*.csv"))
+        else:
+            assert float(out.split("loading: ")[1].split()[0]) > 16
+            rows = (tmp_path / "run" / "thresholds.csv").read_text().split()
+            assert all(float(row.split(",")[2]) > 16 for row in rows[1:])
 
     def test_wide_n_range_refused_before_it_is_built(self, golden_pipeline,
                                                      tmp_path, capsys):
@@ -891,6 +948,15 @@ class TestConfigFile:
         assert model.schema.numeric_names == ("t_avg_c", "l_avg_kva")
         assert model.schema.weights["l_avg_kva"] == 2.0
 
+    def test_schema_weight_as_text_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"features": [
+            {"name": "t_avg_c", "kind": "numeric", "weight": "2"}]}))
+        assert cli.main(cluster_args(tmp_path / "data", tmp_path / "run")
+                        + ["--config", str(cfg)]) == 2
+        assert ("feature 't_avg_c' weight must be a number, got '2'"
+                in capsys.readouterr().err)
+
     def test_nominal_only_schema_from_config(self, tmp_path):
         # Lloyd's centroid update once stacked an empty list of
         # quantitative means here and ended in a traceback (exit 1).
@@ -906,8 +972,8 @@ class TestConfigFile:
         assert sorted(row[-1] for row in rows[1:]) == ["N", "Y"]
 
     @pytest.mark.parametrize("key,value", [
-        ("years", "two"), ("budget", [1]), ("scale_tol", float("nan")),
-        ("scale_max", True), ("k", 2.7), ("seed", True), ("restarts", "3"),
+        ("years", "two"), ("budget", [1]), ("years", float("nan")),
+        ("budget", True), ("k", 2.7), ("seed", True), ("restarts", "3"),
         ("services", 1.5), ("days", {}), ("strict", 1),
         ("svg", "yes"), ("n_range", 40), ("k_sweep", [1, 3]),
         ("start_date", 20140101), ("out", 7), ("model", False)])
@@ -942,8 +1008,8 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("command,extra", [
         ("cluster", ["--k", "0"]), ("cluster", ["--restarts", "0"]),
-        ("assess", ["--years", "0"]), ("assess", {"scale_tol": 0}),
-        ("assess", {"scale_max": -1.0})])
+        ("assess", ["--years", "0"]), ("assess", {"years": 0}),
+        ("assess", {"budget": -1.0})])
     def test_count_or_scale_out_of_range(self, tmp_path, command, extra):
         data = tmp_path / "data"
         assert cli.main(synth_args(data)) == 0

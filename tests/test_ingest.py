@@ -899,27 +899,33 @@ class TestBulkScan:
         assert fell_back
 
     @pytest.mark.parametrize("case,bulk,loads", [
-        ("variable-length ids", True, True), ("non-ASCII id", False, True),
-        ("all-blank id", False, False), ("separator-only id", False, False)])
+        ("variable-length ids", True, True), ("non-ASCII id", True, True),
+        ("all-blank id", False, False), ("separator-only id", False, False),
+        ("id not UTF-8", False, False)])
     def test_service_ids(self, tmp_path, case, bulk, loads):
         paths = gen(tmp_path, seed=6, services=3, days=4)
         header, *rows = paths["meter"].read_text().split("\n")[:-1]
         spelled = {"variable-length ids": ("S1", "S10", "S100"),
-                   "non-ASCII id": ("S001", "Sé02", "S003"),
+                   "non-ASCII id": ("S001", "Sé02", "S\u20ac03"),
                    "all-blank id": ("S001", "   ", "S003"),
                    # str.strip, which the per-row loop uses, strips \x1f.
-                   "separator-only id": ("S001", "\x1f", "S003")}[case]
+                   "separator-only id": ("S001", "\x1f", "S003"),
+                   # A lone byte 0xe9, Latin-1's é, written as it is.
+                   "id not UTF-8": ("S001", "S\udce902", "S003")}[case]
         for old, new in zip(("S001", "S002", "S003"), spelled):
             rows = [new + row[4:] if row.startswith(old) else row
                     for row in rows]
         # Rows of every id in one block, in no order.
         rows = np.random.default_rng(SEED).permutation(rows).tolist()
-        paths["meter"].write_bytes("\n".join([header, *rows, ""]).encode())
+        paths["meter"].write_bytes("\n".join([header, *rows, ""]).encode(
+            errors="surrogateescape"))
         outcome, fell_back = both_paths(paths["meter"], HOURLY_HEADERS["meter"])
         assert fell_back != bulk
         assert ("error" not in outcome) == loads
         if loads:
             assert {key[0] for key in outcome["keys"]} == set(spelled)
+        elif case == "id not UTF-8":
+            assert "unreadable CSV text" in outcome["error"][1]
 
     @pytest.mark.parametrize("name", ["weather", "meter"])
     @pytest.mark.parametrize("separator", ["\n", ","])
@@ -1037,7 +1043,8 @@ class TestBulkScan:
         (b"a,b,c\r\nd,e,f\n", [[b"a", b"b", b"c"], [b"d", b"e", b"f"]]),
         (b"a,b,c,d\ne,f\n", None), (b"a,b\nc,d,e,f\n", None),
         (b"a,b,c\rd,e,f\n", None), (b'a,"b",c\n', None),
-        (b"a,b,\xc3\xa9\n", None), (b"a,b,\0\n", None)])
+        (b"a,b,\xc3\xa9\n", [[b"a", b"b", b"\xc3\xa9"]]),
+        (b"a,b,\0\n", None)])
     def test_block_fields_split_lines_as_csv_or_refuse(self, block, lines):
         # The comma count alone is right in the two blocks whose lines have
         # four and two fields.

@@ -20,15 +20,20 @@ import numpy as np
 import pytest
 
 from txrisk import aging, thermal
-from txrisk.errors import ConfigError, NoFeasibleScaleError, ZeroPeakProfileError
+from txrisk.errors import (
+    ConfigError,
+    NoFeasibleScaleError,
+    ParseError,
+    ZeroPeakProfileError,
+)
 from txrisk.estimation import cluster_max_top_oil
 from txrisk.riskassess import (
-    ThresholdResult,
+    SCALE_START,
+    SCALE_TOL,
     cluster_thresholds,
     life_loss_by_n,
     max_services_by_life,
     max_services_by_temperature,
-    rank_impact,
     service_grid,
 )
 
@@ -47,61 +52,95 @@ def random_profile(rng, load=(0.5, 3.0), ambient=(-25, 30)):
     return tuple(rng.uniform(*load, 24)), tuple(rng.uniform(*ambient, 24))
 
 
-def single_threshold(spec, profile, **options):
-    """The threshold of ``profile`` as the one cluster of a model."""
-    return cluster_thresholds(spec, make_model_with_profiles([(profile, 1)]),
-                              **options)[0]
+def single_threshold(spec, profile):
+    """The thresholds of ``profile`` as the one cluster of a model: each
+    field's one entry."""
+    result = cluster_thresholds(spec, make_model_with_profiles([(profile, 1)]))
+    return {name: column[0] for name, column in vars(result).items()}
+
+
+def within_limits(spec, load_kva, ambient_c, scale):
+    """Whether one profile's day, its peak scaled to ``scale`` p.u., stays
+    within both limits."""
+    peak = max(load_kva)
+    trace = thermal.simulate_day(spec, ambient_c,
+                                 [scale * v / peak for v in load_kva])
+    return (trace.top_oil.max() <= spec.top_oil_limit
+            and trace.hotspot.max() <= spec.hotspot_limit)
 
 
 class TestLoadingThreshold:
     @pytest.mark.parametrize("ambient", [0.0, 10.0, 20.0])
     def test_constant_profile_matches_closed_form(self, default_spec, ambient):
         result = single_threshold(default_spec, flat_profile(ambient=ambient))
-        assert result.max_peak_load_pu == pytest.approx(CLOSED_FORM[ambient],
-                                                        abs=0.01)
+        assert result["max_peak_load_pu"] == pytest.approx(
+            CLOSED_FORM[ambient], abs=0.01)
         # Constant shape: the 24-h average equals the peak.
-        assert result.max_avg_load_pu == pytest.approx(result.max_peak_load_pu)
-        assert result.binding_limit == "top_oil"
+        assert result["max_avg_load_pu"] == pytest.approx(
+            result["max_peak_load_pu"])
+        assert result["binding_limit"] == "top_oil"
 
     def test_certification(self, default_spec):
         rng = np.random.default_rng(61)
         for _ in range(10):
-            load_kva, ambient_c = random_profile(rng)
-            result = single_threshold(default_spec, (load_kva, ambient_c))
-            peak = max(load_kva)
-            shape = [v / peak for v in load_kva]
-            s = result.max_peak_load_pu
+            profile = random_profile(rng)
+            s = single_threshold(default_spec, profile)["max_peak_load_pu"]
+            assert within_limits(default_spec, *profile, s)
+            assert not within_limits(default_spec, *profile, s + SCALE_TOL)
 
-            def within(scale):
-                trace = thermal.simulate_day(default_spec, ambient_c,
-                                             [scale * x for x in shape])
-                return (trace.top_oil.max() <= default_spec.top_oil_limit
-                        and trace.hotspot.max() <= default_spec.hotspot_limit)
+    def test_certified_above_the_first_bound(self, default_spec):
+        # Limits far past any real transformer, so every peak up to the
+        # first search bound passes: the bound doubles until one fails.
+        spec = replace(default_spec, top_oil_limit=5000.0, hotspot_limit=1e5)
+        rng = np.random.default_rng(65)
+        profiles = [random_profile(rng) for _ in range(5)]
+        result = cluster_thresholds(spec, make_model_with_profiles(
+            [(profile, 1) for profile in profiles]))
+        for profile, s in zip(profiles, result.max_peak_load_pu.tolist()):
+            assert s > SCALE_START
+            assert within_limits(spec, *profile, s)
+            assert not within_limits(spec, *profile, s + SCALE_TOL)
 
-            assert within(s)
-            assert not within(s + 0.005)
+    def test_certified_at_the_load_ceiling(self, default_spec):
+        # A top-oil limit that a constant day reaches at 999.999 p.u.: the
+        # search ends within SCALE_TOL below the ceiling, so the probe
+        # above the threshold is taken at the ceiling.
+        limit = 20.0 + 55.0 * ((999.999 ** 2 * 4.0 + 1.0) / 5.0) ** 0.8
+        spec = replace(default_spec, top_oil_limit=limit, hotspot_limit=1e9)
+        result = single_threshold(spec, flat_profile(ambient=20.0))
+        s = result["max_peak_load_pu"]
+        assert thermal.MAX_LOAD_PU - SCALE_TOL < s < 999.999
+        assert result["binding_limit"] == "top_oil"
+        assert within_limits(spec, *flat_profile(ambient=20.0), s)
+        assert not within_limits(spec, *flat_profile(ambient=20.0),
+                                 thermal.MAX_LOAD_PU)
+
+    def test_limits_not_reached_at_the_load_ceiling(self, default_spec):
+        # A day at 1000 p.u. in its last hour only stays below a top-oil
+        # limit of 1e6 °C, which a flat day reaches near 500 p.u.
+        spec = replace(default_spec, top_oil_limit=1e6, hotspot_limit=1e9)
+        peaky = ((0.0,) * 23 + (1.5,), (20.0,) * 24)
+        with pytest.raises(ParseError, match="cluster 2: limits not reached "
+                           "at the 1000 p.u. load ceiling"):
+            cluster_thresholds(spec, make_model_with_profiles(
+                [(flat_profile(), 1), (peaky, 1), (peaky, 2)]))
 
     def test_peak_is_at_least_average(self, default_spec):
         rng = np.random.default_rng(62)
         result = single_threshold(default_spec,
                                   random_profile(rng, ambient=(-10, 25)))
-        assert result.max_peak_load_pu >= result.max_avg_load_pu
+        assert result["max_peak_load_pu"] >= result["max_avg_load_pu"]
 
     def test_cooler_ambient_raises_threshold(self, default_spec):
         warm = single_threshold(default_spec, flat_profile(ambient=20.0))
         cool = single_threshold(default_spec, flat_profile(ambient=10.0))
-        assert cool.max_peak_load_pu > warm.max_peak_load_pu
+        assert cool["max_peak_load_pu"] > warm["max_peak_load_pu"]
 
     def test_ambient_above_limit_is_infeasible(self, default_spec):
         # A profile's ambient lies within the weather range, -60..60 °C.
         spec = replace(default_spec, top_oil_limit=50.0)
         with pytest.raises(NoFeasibleScaleError):
             single_threshold(spec, flat_profile(ambient=55.0))
-
-    def test_unreachable_limit_within_bound_is_config_error(self, default_spec):
-        with pytest.raises(ConfigError):
-            single_threshold(default_spec, flat_profile(ambient=20.0),
-                             scale_max=0.5)
 
     def test_hotspot_can_bind(self):
         # Enormous hotspot differential with a tight hotspot limit makes the
@@ -111,11 +150,11 @@ class TestLoadingThreshold:
             loss_ratio=4.0, oil_time_constant=3.0, winding_time_constant=0.08,
             top_oil_limit=120.0, hotspot_limit=150.0)
         result = single_threshold(spec, flat_profile(ambient=20.0))
-        assert result.binding_limit == "hotspot"
+        assert result["binding_limit"] == "hotspot"
 
 
-def scalar_threshold(spec, load_kva, ambient_c, scale_max, tolerance):
-    """Reference: the one-cluster bisection loop over single simulated days."""
+def scalar_threshold(spec, load_kva, ambient_c):
+    """Reference: the one-cluster search over single simulated days."""
     peak = max(load_kva)
     shape = [v / peak for v in load_kva]
 
@@ -128,36 +167,42 @@ def scalar_threshold(spec, load_kva, ambient_c, scale_max, tolerance):
         return (trace.top_oil.max() <= spec.top_oil_limit
                 and trace.hotspot.max() <= spec.hotspot_limit)
 
-    lo, hi = 0.0, scale_max
-    while hi - lo > tolerance:
+    lo, hi = 0.0, SCALE_START
+    while within(hi):
+        assert hi < thermal.MAX_LOAD_PU
+        hi = min(2 * hi, thermal.MAX_LOAD_PU)
+    while hi - lo > SCALE_TOL:
         mid = 0.5 * (lo + hi)
         if within(mid):
             lo = mid
         else:
             hi = mid
-    probe = day(lo + tolerance)
+    probe = day(min(lo + SCALE_TOL, thermal.MAX_LOAD_PU))
     binding = "top_oil" if probe.top_oil.max() > spec.top_oil_limit else "hotspot"
     return lo * sum(shape) / 24.0, lo, binding
 
 
 class TestClusterThresholds:
-    @pytest.mark.parametrize("scale_max,tolerance", [(16.0, 0.005), (10.3, 0.0031)])
-    def test_batch_equals_scalar_bisection(self, default_spec, scale_max,
-                                           tolerance):
+    # At a top-oil limit of 2400 °C, four of the seven clusters pass at
+    # the first bound, 16 p.u., and three do not.
+    @pytest.mark.parametrize("limits", [{}, {"top_oil_limit": 2400.0,
+                                             "hotspot_limit": 1e5}],
+                             ids=["defaults", "bound doubled for some"])
+    def test_batch_equals_scalar_bisection(self, default_spec, limits):
+        spec = replace(default_spec, **limits)
         rng = np.random.default_rng(64)
         model = make_model_with_profiles([
             (random_profile(rng, load=(0.2, 3.0)), 5) for _ in range(7)])
-        results = cluster_thresholds(default_spec, model, scale_max=scale_max,
-                                     tolerance=tolerance)
+        result = cluster_thresholds(spec, model)
         load_kva, ambient_c = model.profiles
-        for r in results:
-            row = r.cluster_id - 1
-            expected = scalar_threshold(default_spec, load_kva[row].tolist(),
-                                        ambient_c[row].tolist(), scale_max,
-                                        tolerance)
-            assert (r.max_avg_load_pu, r.max_peak_load_pu,
-                    r.binding_limit) == expected
-        assert sorted(r.impact_rank for r in results) == list(range(1, 8))
+        expected = [scalar_threshold(spec, load, ambient) for load, ambient
+                    in zip(load_kva.tolist(), ambient_c.tolist())]
+        assert list(zip(result.max_avg_load_pu.tolist(),
+                        result.max_peak_load_pu.tolist(),
+                        result.binding_limit.tolist())) == expected
+        if limits:
+            assert 0 < (result.max_peak_load_pu > SCALE_START).sum() < 7
+        assert sorted(result.impact_rank.tolist()) == list(range(1, 8))
 
     def test_first_failing_cluster_in_model_order_raises(self, default_spec):
         spec = replace(default_spec, top_oil_limit=50.0)
@@ -173,35 +218,32 @@ class TestClusterThresholds:
 
 
 class TestRankImpact:
-    def test_published_ordering(self):
-        rows = [ThresholdResult(6, 1.62, 2.19, "top_oil"),
-                ThresholdResult(2, 1.70, 2.20, "top_oil"),
-                ThresholdResult(3, 1.72, 2.29, "top_oil")]
-        ranked = {r.cluster_id: r.impact_rank for r in rank_impact(rows)}
-        assert ranked == {6: 1, 2: 2, 3: 3}
+    """Impact ranks from models whose day shapes differ or tie: at a flat
+    load, a warmer day tolerates a lower peak."""
 
-    def test_ties_break_by_cluster_id(self):
-        rows = [ThresholdResult(3, 1.0, 2.0, "top_oil"),
-                ThresholdResult(1, 1.0, 2.0, "top_oil"),
-                ThresholdResult(2, 1.0, 2.0, "top_oil")]
-        ranked = {r.cluster_id: r.impact_rank for r in rank_impact(rows)}
-        assert ranked == {1: 1, 2: 2, 3: 3}
+    def test_published_ordering(self, default_spec):
+        ambients = [0.0, 25.0, 20.0, 5.0, 10.0, 30.0]
+        result = cluster_thresholds(default_spec, make_model_with_profiles(
+            [(flat_profile(ambient=a), 3) for a in ambients]))
+        assert result.impact_rank.tolist() == [6, 2, 3, 5, 4, 1]
 
-    def test_input_order_invariance(self):
-        rows = [ThresholdResult(1, 1.8, 2.52, "top_oil"),
-                ThresholdResult(2, 1.7, 2.20, "top_oil"),
-                ThresholdResult(3, 1.72, 2.29, "top_oil")]
-        forward = rank_impact(rows)
-        backward = rank_impact(list(reversed(rows)))
-        assert forward == backward
-        assert [r.impact_rank for r in forward] == [3, 1, 2]
+    def test_ties_break_by_cluster_id(self, default_spec):
+        warm, cool = flat_profile(ambient=20.0), flat_profile(ambient=10.0)
+        result = cluster_thresholds(default_spec, make_model_with_profiles(
+            [(cool, 3), (warm, 1), (cool, 2), (warm, 5)]))
+        peaks = result.max_peak_load_pu
+        assert peaks[0] == peaks[2] and peaks[1] == peaks[3]
+        assert result.impact_rank.tolist() == [3, 1, 4, 2]
 
-    def test_ranks_are_permutation(self):
+    def test_ranks_are_permutation(self, default_spec):
         rng = np.random.default_rng(63)
-        rows = [ThresholdResult(i + 1, 1.0, float(rng.uniform(1.5, 3.0)), "top_oil")
-                for i in range(8)]
-        ranked = rank_impact(rows)
-        assert sorted(r.impact_rank for r in ranked) == list(range(1, 9))
+        result = cluster_thresholds(default_spec, make_model_with_profiles(
+            [(random_profile(rng), 2) for _ in range(8)]))
+        rank = result.impact_rank.tolist()
+        assert sorted(rank) == list(range(1, 9))
+        by_rank = sorted(range(8), key=rank.__getitem__)
+        peaks = result.max_peak_load_pu[by_rank]
+        assert (np.diff(peaks) >= 0).all()
 
 
 class TestMaxServicesByTemperature:

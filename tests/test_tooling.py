@@ -134,6 +134,22 @@ def test_assess_reaches_the_traced_thermal_day(golden_pipeline, tmp_path,
                 == (root / "out" / name).read_bytes()), name
 
 
+def test_threshold_search_days_on_the_golden_model(golden_pipeline,
+                                                  monkeypatch):
+    # The harness's riskassess.bisection_days counts these calls. Every
+    # golden cluster fails its limits at the search's first bound, 16 p.u.,
+    # so no bound doubles: one batch at zero load, one at the bound, 12
+    # halvings of 16 p.u. to within 0.005 and one probe above the results.
+    from txrisk import clustering, riskassess, thermal
+
+    root, _ = golden_pipeline[0]
+    model = clustering.load_model(root / "out" / "model.json")
+    spec = thermal.load_transformer_spec(root / "spec.json")
+    calls = count_thermal_days(monkeypatch)
+    riskassess.cluster_thresholds(spec, model)
+    assert len(calls) == 15
+
+
 def test_cluster_max_top_oil_on_a_loaded_model(golden_pipeline):
     # The estimate workload's output check calls
     # ``estimation.cluster_max_top_oil(model, spec, n).values()`` on a
@@ -162,3 +178,12 @@ def test_no_module_imports_private_names():
                           if alias.name.startswith("_")
                           and not alias.name.endswith("__")]
     assert not found, f"private names imported across modules: {found}"
+
+
+def test_every_module_parses_as_python_3_10():
+    # pyproject.toml claims Python >= 3.10. This checks syntax only: a
+    # call into a later standard library still passes.
+    for folder in ("src/txrisk", "tests", "demos", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            ast.parse(path.read_text(encoding="utf-8"), str(path),
+                      feature_version=(3, 10))

@@ -63,17 +63,18 @@ def reference_composition(model):
     return csv_text(rows)
 
 
-def reference_thresholds(results):
+def reference_thresholds(thresholds):
     return csv_text([["cluster_id", "max_avg_load_pu", "max_peak_load_pu",
                       "binding_limit", "impact_rank"]]
-                    + [[r.cluster_id, f"{r.max_avg_load_pu:.2f}",
-                        f"{r.max_peak_load_pu:.2f}", r.binding_limit,
-                        r.impact_rank]
-                       for r in sorted(results, key=lambda r: r.cluster_id)])
+                    + [[c + 1, f"{thresholds.max_avg_load_pu[c]:.2f}",
+                        f"{thresholds.max_peak_load_pu[c]:.2f}",
+                        thresholds.binding_limit[c], thresholds.impact_rank[c]]
+                       for c in range(len(thresholds.impact_rank))])
 
 
-def reference_month_matrix(matrix, ranked_results):
-    order = riskassess._rank_order(ranked_results)
+def reference_month_matrix(matrix, thresholds):
+    rank = thresholds.impact_rank.tolist()
+    order = sorted(range(1, len(rank) + 1), key=lambda cid: rank[cid - 1])
     by_rank = matrix[:, [cid - 1 for cid in order]].tolist()
     return csv_text([["month"] + [f"imp_{i + 1}" for i in range(len(order))],
                      ["cluster_id"] + order,
@@ -253,7 +254,8 @@ def test_risk_tables_of_a_one_cluster_grid(tmp_path):
         n_values=n_values, member_counts=np.array([365]), max_top_oil=top,
         max_hotspot=top + 10.0, daily_loss=np.abs(edge_rows((1, 24), 4)))
     losses = riskassess.LifeLoss(*edge_rows((3, 24), 5))
-    thresholds = [riskassess.ThresholdResult(1, 0.005, -0.0, "top_oil", 1)]
+    thresholds = riskassess.Thresholds(np.array([0.005]), np.array([-0.0]),
+                                       np.array(["top_oil"]), np.array([1]))
     matrix = np.arange(12).reshape(12, 1)
     assert_risk_tables(tmp_path, thresholds, matrix, grid, losses, 2.5)
 
