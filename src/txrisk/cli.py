@@ -23,6 +23,8 @@ from contextlib import contextmanager
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
+import numpy as np
+
 from . import clustering, estimation, ingest, riskassess, thermal
 from . import features as ft
 from .errors import ConfigError, TxRiskError
@@ -342,14 +344,17 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 def _write_composition_csv(model, path):
     schema = model.schema
-    row = ("%s,%s" + ",%.2f" * len(schema.numeric_names)
-           + ",%.4f" * len(schema.ordinal_names)
-           + ",%s" * len(schema.nominal_names) + "\n")
-    names = ["cluster_id", "member_count", *schema.numeric_names,
-             *schema.ordinal_names, *schema.nominal_names]
-    ingest.write_table(path, names, ["".join(
-        row % tuple(map(values.__getitem__, names))
-        for values in clustering.composition(model))])
+    rows = clustering.composition(model)
+
+    def block(names):  # a (k, len(names)) column block
+        return [[row[name] for name in names] for row in rows]
+
+    counts = ["cluster_id", "member_count"]
+    ingest.write_table(path, [*counts, *schema.numeric_names,
+                              *schema.ordinal_names, *schema.nominal_names], [[
+        np.array(block(counts)), (np.array(block(schema.numeric_names)), 2),
+        (np.array(block(schema.ordinal_names)), 4),
+        block(schema.nominal_names)]])
 
 
 def cmd_cluster(cfg: RunConfig) -> int:

@@ -14,11 +14,12 @@ queries that lack them, one ``FarQueryWarning`` counting the far queries.
 
 :func:`read_query_csv` reads ``query.csv`` through
 :func:`txrisk.ingest.read_columns`, the one reader of every input table.
-:func:`write_estimates_csv` formats ``estimates.csv`` 2,048 rows per
-chunk of :func:`txrisk.ingest.write_table`."""
+:func:`write_estimates_csv` hands ``estimates.csv`` to
+:func:`txrisk.ingest.write_table` as columns."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -33,7 +34,15 @@ from .errors import (
     SchemaMismatchError,
     ZeroServicesError,
 )
-from .ingest import FLAG_RULE, date_rule, number_rule, read_columns, write_table
+from .ingest import (
+    FLAG_RULE,
+    TEMP_MAX_C,
+    TEMP_MIN_C,
+    date_rule,
+    number_rule,
+    read_columns,
+    write_table,
+)
 
 # Below this dissimilarity a query is treated as sitting exactly on the
 # centroid, sidestepping the 1/d blow-up.
@@ -44,8 +53,11 @@ QUERY_HEADER = ["date", "t_max_c", "t_min_c", "t_avg_c", "l_avg_kva", "weekday"]
 QUERY_DTYPE = np.dtype([("date", "U10")]
                        + [(name, "f8") for name in QUERY_HEADER[1:5]]
                        + [("weekday", "U1")])
-# The rule of a query number: any finite value.
-_FINITE = number_rule()
+# The rules of the query numbers: temperatures in the range the weather
+# file takes and a load that is not negative, as the meter file's.
+_TEMPERATURE = number_rule(TEMP_MIN_C, TEMP_MAX_C,
+                           "temperature {} outside plausible range")
+_LOAD = number_rule(0.0, math.inf, "negative load {}")
 
 
 @dataclass(frozen=True)
@@ -194,13 +206,16 @@ def estimate_day_temperature(day, model: ClusterModel,
 def read_query_csv(path) -> np.ndarray:
     """Read estimation query days (date, daily temperature summary, average
     service load, and weekday flag) into a record table of
-    ``QUERY_DTYPE``, through :func:`txrisk.ingest.read_columns`.
+    ``QUERY_DTYPE``, through :func:`txrisk.ingest.read_columns`. The
+    temperatures must lie in ``[TEMP_MIN_C, TEMP_MAX_C]``, as the weather
+    file's do, and the load must not be negative, as the meter's.
 
     Raises:
-        ParseError: malformed file content (row and column reported).
+        ParseError: malformed file content or a value outside its range
+            (row and column reported).
     """
     dates = {}  # date -> code
-    rules = [date_rule(dates), *[_FINITE] * 4, FLAG_RULE]
+    rules = [date_rule(dates), *[_TEMPERATURE] * 3, _LOAD, FLAG_RULE]
     parts, days = [], []
     for _, (codes, *numbers, weekdays) in read_columns(path, QUERY_HEADER,
                                                        rules):
@@ -219,20 +234,9 @@ def read_query_csv(path) -> np.ndarray:
     return table
 
 
-# An estimates.csv row. A query table's dates and flags hold no comma,
-# quote or line end, so no field needs the csv module's quoting.
-_ESTIMATE_ROW = "%s,%.2f,%.2f,%.2f,%.2f,%s,%.1f,%s\n".__mod__
-# Rows formatted per write: only one slice's text is held at a time.
-_WRITE_ROWS = 2048
-
-
 def write_estimates_csv(queries, result: EstimationResult, path) -> None:
     """One output row per query day with its estimate and far flag."""
-    parts = (slice(start, start + _WRITE_ROWS)
-             for start in range(0, len(queries), _WRITE_ROWS))
-    write_table(path, QUERY_HEADER + ["estimated_max_top_oil_c", "far_flag"], (
-        "".join(map(_ESTIMATE_ROW, zip(
-            *(queries[name][rows].tolist() for name in QUERY_HEADER),
-            result.estimate[rows].tolist(),
-            map(("N", "Y").__getitem__, result.far_flag[rows].tolist()))))
-        for rows in parts))
+    numbers = np.stack([queries[name] for name in QUERY_HEADER[1:5]], axis=1)
+    write_table(path, QUERY_HEADER + ["estimated_max_top_oil_c", "far_flag"],
+                [[queries["date"], (numbers, 2), queries["weekday"],
+                  (result.estimate, 1), np.where(result.far_flag, "Y", "N")]])

@@ -115,14 +115,29 @@ class FeatureSchema:
 
     @classmethod
     def from_jsonable(cls, items) -> "FeatureSchema":
+        """The schema of a JSON list of features: each a ``name`` string,
+        a ``kind``, a list of ``statuses`` strings (categoricals) and a
+        number ``weight`` (1 if absent).
+
+        Raises:
+            TypeError: an entry of the wrong JSON type.
+            KeyError, ValueError: a missing key or a refused feature.
+        """
         defs = []
         for item in items:
+            name, statuses = item["name"], item.get("statuses", [])
+            if not isinstance(name, str):
+                raise TypeError(f"feature name must be a string, got {name!r}")
+            if not (isinstance(statuses, list)
+                    and all(isinstance(s, str) for s in statuses)):
+                raise TypeError(f"feature {name!r} statuses must be a list "
+                                f"of strings, got {statuses!r}")
             defs.append(FeatureDef(
-                name=item["name"],
+                name=name,
                 kind=item["kind"],
-                statuses=tuple(item.get("statuses", ())),
+                statuses=tuple(statuses),
                 weight=_json_number(item.get("weight", 1.0),
-                                    f"feature {item['name']!r} weight"),
+                                    f"feature {name!r} weight"),
             ))
         return cls(features=tuple(defs))
 

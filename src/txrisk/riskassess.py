@@ -284,18 +284,12 @@ def max_services_by_life(n_values, economic_loss, annual_budget: float) -> int |
 
 def write_thresholds_csv(thresholds: Thresholds, path) -> None:
     """Threshold and impact-ranking table, one row per cluster."""
-    columns = (thresholds.max_avg_load_pu, thresholds.max_peak_load_pu,
-               thresholds.binding_limit, thresholds.impact_rank)
     write_table(path, ["cluster_id", "max_avg_load_pu", "max_peak_load_pu",
-                       "binding_limit", "impact_rank"],
-                [_table_rows("%s,%.2f,%.2f,%s,%s\n",
-                             range(1, len(thresholds.impact_rank) + 1),
-                             zip(*(column.tolist() for column in columns)))])
-
-
-def _table_rows(row, labels, rows):
-    """The text of ``row % (label, *values)`` per label and its ``rows`` entry."""
-    return "".join(row % (label, *values) for label, values in zip(labels, rows))
+                       "binding_limit", "impact_rank"], [[
+        np.arange(1, len(thresholds.impact_rank) + 1),
+        (np.stack([thresholds.max_avg_load_pu, thresholds.max_peak_load_pu],
+                  axis=1), 2),
+        thresholds.binding_limit, thresholds.impact_rank]])
 
 
 def write_month_matrix_csv(matrix, thresholds: Thresholds, path) -> None:
@@ -309,21 +303,17 @@ def write_month_matrix_csv(matrix, thresholds: Thresholds, path) -> None:
     order = np.argsort(thresholds.impact_rank, kind="stable")
     by_rank = matrix[:, order]
     write_table(path, ["month"] + [f"imp_{i + 1}" for i in range(len(order))],
-                [_table_rows("%s" + ",%d" * len(order) + "\n",
-                             ("cluster_id", *MONTH_LABELS, "Sum"),
-                             [(order + 1).tolist(), *by_rank.tolist(),
-                              by_rank.sum(axis=0).tolist()])])
+                [[["cluster_id", *MONTH_LABELS, "Sum"],
+                  np.vstack([order + 1, by_rank, by_rank.sum(axis=0)])]])
 
 
 def write_temperature_grid_csv(grid: ServiceGrid, path) -> None:
-    """Max top-oil temperature (°C, rounded) per cluster and service count,
-    with a Max footer row over clusters."""
+    """Max top-oil temperature (°C, rounded half to even) per cluster and
+    service count, with a Max footer row over clusters."""
     top = grid.max_top_oil
+    rounded = np.rint(np.vstack([top, top.max(axis=0)])).astype(np.int64)
     write_table(path, ["cluster_id"] + [f"N={n}" for n in grid.n_values],
-                [_table_rows("%s" + ",%d" * len(grid.n_values) + "\n",
-                             [*range(1, len(top) + 1), "Max"],
-                             [list(map(round, row)) for row
-                              in [*top.tolist(), top.max(axis=0).tolist()]])])
+                [[[*map(str, range(1, len(top) + 1)), "Max"], rounded]])
 
 
 def write_life_loss_csv(grid: ServiceGrid, losses: LifeLoss, years: float,
@@ -331,17 +321,16 @@ def write_life_loss_csv(grid: ServiceGrid, losses: LifeLoss, years: float,
     """Life-loss grid with member-day counts and total/annual/economic
     footer rows; ``losses`` is :func:`life_loss_by_n` of the grid over
     ``years``."""
-    footers = {f"{years:g}-Year Total Loss of Life (Days)": losses.total_days,
-               "Average annual Loss of Life (Days)": losses.annual_days,
-               "Economic Loss ($/year)": losses.economic_loss}
-    rows = [[*row, count] for row, count in zip(grid.daily_loss.tolist(),
-                                                grid.member_counts.tolist())]
-    rows += [[*values.tolist(), "-"] for values in footers.values()]
+    footers = [f"{years:g}-Year Total Loss of Life (Days)",
+               "Average annual Loss of Life (Days)", "Economic Loss ($/year)"]
+    k = len(grid.member_counts)
     write_table(path, ["cluster_id"] + [f"N={n}" for n in grid.n_values]
-                + ["num_days"],
-                [_table_rows("%s" + ",%.1f" * len(grid.n_values) + ",%s\n",
-                             [*range(1, len(grid.member_counts) + 1), *footers],
-                             rows)])
+                + ["num_days"], [[
+                    [*map(str, range(1, k + 1)), *footers],
+                    (np.vstack([grid.daily_loss, losses.total_days,
+                                losses.annual_days, losses.economic_loss]), 1),
+                    [*map(str, grid.member_counts.tolist())]
+                    + ["-"] * len(footers)]])
 
 
 _SVG_PALETTE = ("#4477aa", "#66ccee", "#228833", "#ccbb44", "#ee6677",

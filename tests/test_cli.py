@@ -481,6 +481,34 @@ class TestMalformedInputExitCodes:
         err = capsys.readouterr().err
         assert "row 2" in err and repr(column) in err
 
+    @pytest.mark.parametrize("column,value,message", [
+        ("t_max_c", "1e300", "temperature 1e+300 outside plausible range"),
+        ("t_min_c", "-60.5", "temperature -60.5 outside plausible range"),
+        ("t_avg_c", "61", "temperature 61.0 outside plausible range"),
+        ("l_avg_kva", "-0.001", "negative load -0.001")])
+    def test_query_number_out_of_range(self, golden_pipeline, tmp_path,
+                                       capsys, column, value, message):
+        # Each is refused as the weather and meter files refuse it, not
+        # scored: a 1e300 temperature once printed 300 digits, and a
+        # negative load was given an estimate.
+        root = golden_pipeline[0][0]
+        query = tmp_path / "query.csv"
+        header = "date,t_max_c,t_min_c,t_avg_c,l_avg_kva,weekday"
+        row = dict(zip(header.split(","),
+                       "2016-06-06,60,-60,14.20,0,Y".split(",")))
+        rows = [",".join(row.values())]
+        row[column] = value
+        rows.append(",".join(row.values()))
+        query.write_text("\n".join([header, *rows]) + "\n")
+        code = cli.main(["estimate", "--spec", str(root / "spec.json"),
+                         "--model", str(root / "out" / "model.json"),
+                         "--query", str(query), "--services", "18",
+                         "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "row 3" in err and repr(column) in err and message in err
+        assert not (tmp_path / "out" / "estimates.csv").exists()
+
     def test_zero_peak_cluster_profile(self, golden_pipeline, tmp_path, capsys):
         root = golden_pipeline[0][0]
         doc = json.loads((root / "out" / "model.json").read_text())
@@ -611,9 +639,17 @@ class TestMalformedInputExitCodes:
             + doc["clusters"][0]["members"][:1],
             member_count=doc["clusters"][1]["member_count"] + 1),
          "is listed more than once"),
+        # A text is not a list of statuses, nor a number a name.
+        (lambda doc: doc["schema"][-1].__setitem__("statuses", "YN"),
+         "'weekday' statuses must be a list of strings, got 'YN'"),
+        (lambda doc: doc["schema"][-1].__setitem__("statuses", ["Y", 1]),
+         "'weekday' statuses must be a list of strings, got ['Y', 1]"),
+        (lambda doc: doc["schema"][0].__setitem__("name", 7),
+         "feature name must be a string, got 7"),
     ], ids=["partial_profiles", "member_date", "weight", "label_comma",
             "member_count",
-            "member_service_number", "member_service_blank", "member_twice"])
+            "member_service_number", "member_service_blank", "member_twice",
+            "statuses_text", "statuses_not_text", "name_number"])
     def test_model_structure(self, golden_pipeline, tmp_path, capsys, edit,
                              message):
         root = golden_pipeline[0][0]
@@ -956,6 +992,24 @@ class TestConfigFile:
                         + ["--config", str(cfg)]) == 2
         assert ("feature 't_avg_c' weight must be a number, got '2'"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("feature,message", [
+        ({"name": 7, "kind": "numeric"}, "feature name must be a string, got 7"),
+        ({"name": "weekday", "kind": "nominal", "statuses": "YN"},
+         "'weekday' statuses must be a list of strings, got 'YN'"),
+        ({"name": "weekday", "kind": "nominal", "statuses": ["Y", None]},
+         "'weekday' statuses must be a list of strings, got ['Y', None]"),
+        ({"name": "t_avg_c", "kind": "numeric", "weight": True},
+         "feature 't_avg_c' weight must be a number, got True")],
+        ids=["name_number", "statuses_text", "statuses_not_text",
+             "weight_boolean"])
+    def test_schema_entry_of_wrong_type_from_config(self, tmp_path, capsys,
+                                                     feature, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"features": [feature]}))
+        assert cli.main(cluster_args(tmp_path / "data", tmp_path / "run")
+                        + ["--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_nominal_only_schema_from_config(self, tmp_path):
         # Lloyd's centroid update once stacked an empty list of

@@ -344,8 +344,9 @@ class TestQueryScan:
             "blank weekday": damaged_query(lines, 3, 5, ""),
             "blank line": "\n".join(lines[:3] + [""] + lines[3:]),
             "whitespace-only line": "\n".join(lines[:3] + [" "] + lines[3:]),
-            # Any other case is the text of a date or of a t_avg_c.
-        }.get(case) or damaged_query(lines, 3, 0 if case[:4] == "2015" else 3,
+            # Any other case is the text of a date or of an l_avg_kva
+            # (1e3 is no plausible temperature).
+        }.get(case) or damaged_query(lines, 3, 0 if case[:4] == "2015" else 4,
                                      case)
         path = tmp_path / "query.csv"
         path.write_bytes(text.encode())
@@ -359,27 +360,27 @@ class TestQueryScan:
         (None, None), (1, "nan"), (0, "2016-13-01")])
     def test_fault_in_a_later_block(self, tmp_path, column, fault):
         header, *rows = QUERY_CSV.splitlines()
-        lines = [header] + rows * 700 + [""]  # 4,900 rows
+        lines = [header] + rows * 2800 + [""]  # 19,600 rows
         text = ("\n".join(lines) if fault is None
-                else damaged_query(lines, 4899, column, fault))
+                else damaged_query(lines, 19599, column, fault))
         assert len(text) > 2 * ingest._BLOCK_BYTES
         path = tmp_path / "query.csv"
         path.write_text(text)
         outcome, fell_back = both_query_paths(path)
         assert fell_back == (fault is not None)
         if fault is None:
-            assert outcome["shape"] == (4900,)
+            assert outcome["shape"] == (19600,)
         else:
-            assert outcome["error"][1:] == (4900, QUERY_HEADER[column])
+            assert outcome["error"][1:] == (19600, QUERY_HEADER[column])
 
     @pytest.mark.parametrize("separator", ["\n", ","])
     def test_field_ending_at_a_block_cut(self, tmp_path, separator):
         header, *rows = QUERY_CSV.splitlines()
         path = tmp_path / "query.csv"
         path.write_text(field_end_at_block_cut(
-            "\n".join([header] + rows * 700 + [""]), separator, column=1))
+            "\n".join([header] + rows * 2800 + [""]), separator, column=1))
         outcome, fell_back = both_query_paths(path)
-        assert not fell_back and outcome["shape"] == (4900,)
+        assert not fell_back and outcome["shape"] == (19600,)
 
     def test_header_only_takes_the_bulk_path(self, tmp_path):
         path = tmp_path / "query.csv"

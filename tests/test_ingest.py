@@ -649,7 +649,7 @@ class TestBulkScan:
     @pytest.mark.parametrize("name", ["weather", "meter"])
     @pytest.mark.parametrize("copies", [1, 2])
     def test_repeated_hour_in_a_later_block(self, tmp_path, name, copies):
-        paths = gen(tmp_path, seed=4, services=1, days=365)
+        paths = gen(tmp_path, seed=4, services=1, days=1460)
         lines = paths[name].read_text().split("\n")
         lines[-1:] = [lines[27]] * copies + [""]  # 2015-01-02 hour 2
         text = "\n".join(lines)
@@ -859,10 +859,10 @@ class TestBulkScan:
             self, tmp_path, name):
         # A quoted field, which csv reads, in the second of three or more
         # blocks: that block is read per row, the others scanned.
-        paths = gen(tmp_path, seed=4, services=1, days=365)
+        paths = gen(tmp_path, seed=4, services=1, days=1460)
         header, *rows = QUERY_CSV.splitlines()
         paths["query"] = tmp_path / "query.csv"
-        paths["query"].write_text("\n".join([header] + rows * 700 + [""]))
+        paths["query"].write_text("\n".join([header] + rows * 2800 + [""]))
         path = paths[name]
         with open(path, "rb") as fh:
             header = fh.readline().decode().rstrip("\n").split(",")
@@ -895,7 +895,7 @@ class TestBulkScan:
             assert outcome["shape"] == (rows,)
         else:
             outcome, fell_back = both_paths(path, HOURLY_HEADERS[name])
-            assert len(outcome["keys"]) == 365
+            assert len(outcome["keys"]) == 1460
         assert fell_back
 
     @pytest.mark.parametrize("case,bulk,loads", [
@@ -930,11 +930,11 @@ class TestBulkScan:
     @pytest.mark.parametrize("name", ["weather", "meter"])
     @pytest.mark.parametrize("separator", ["\n", ","])
     def test_field_ending_at_a_block_cut(self, tmp_path, name, separator):
-        paths = gen(tmp_path, seed=4, services=1, days=365)
+        paths = gen(tmp_path, seed=4, services=1, days=1460)
         paths[name].write_text(field_end_at_block_cut(
             paths[name].read_text(), separator))
         outcome, fell_back = both_paths(paths[name], HOURLY_HEADERS[name])
-        assert not fell_back and len(outcome["keys"]) == 365
+        assert not fell_back and len(outcome["keys"]) == 1460
 
     @pytest.mark.parametrize("name", ["weather", "meter"])
     @pytest.mark.parametrize("moved", ["to the next line", "from the next line"])
@@ -955,7 +955,7 @@ class TestBulkScan:
         # The last line of the first block opens a quote on its reading,
         # closed on a line of its own in the second block: the per-row code
         # reads on to the end of the second block, then the scan resumes.
-        text = gen(tmp_path, seed=4, services=1, days=365)[name].read_text()
+        text = gen(tmp_path, seed=4, services=1, days=1460)[name].read_text()
         cut = text.index("\n") + 1 + ingest._BLOCK_BYTES
         for pad in range(40):  # zeros before row 2's reading move the lines
             lines = text.split("\n")
@@ -989,7 +989,7 @@ class TestBulkScan:
         third = 2 + blocks[0].count(b"\n") + blocks[1].count(b"\n") - 1
         assert len(calls) == 1 and starts[:2] == [2, third]
         outcome, fell_back = both_paths(path, header)
-        assert fell_back and len(outcome["keys"]) == 365
+        assert fell_back and len(outcome["keys"]) == 1460
 
     @pytest.mark.parametrize("name", ["weather", "meter"])
     @pytest.mark.parametrize("earlier", [None, "x"])
@@ -1147,21 +1147,21 @@ class TestCalendarScan:
     def test_fault_in_a_later_block(self, tmp_path, fault):
         path = gen(tmp_path, seed=6, services=1, days=1)["calendar"]
         days = [dt.date(1990, 1, 1) + dt.timedelta(days=i)
-                for i in range(9000)]
+                for i in range(40000)]
         lines = [",".join(ingest.CALENDAR_HEADER)] + [
             f"{day},{'Y' if day.weekday() < 5 else 'N'},N" for day in days]
         if fault == "duplicate":
-            lines[8999] = lines[7]
+            lines[39999] = lines[7]
         elif fault == "bad flag":
-            lines[8999] = lines[8999][:-1] + "x"
+            lines[39999] = lines[39999][:-1] + "x"
         path.write_text("\n".join(lines) + "\n")
         assert path.stat().st_size > 2 * ingest._BLOCK_BYTES
         outcome, fell_back = both_calendar_paths(path)
         assert fell_back == (fault == "bad flag")
         if fault is None:
-            assert len(outcome["entries"]) == 9000
+            assert len(outcome["entries"]) == 40000
         else:
-            assert outcome["error"][1] == 9000
+            assert outcome["error"][1] == 40000
 
     def test_header_only_takes_the_bulk_path(self, tmp_path):
         path = tmp_path / "calendar.csv"

@@ -10,7 +10,8 @@ import json
 import numpy as np
 import pytest
 
-from txrisk import cli, clustering, estimation, ingest, riskassess, thermal
+from txrisk import (cli, clustering, estimation, ingest, riskassess, tables,
+                    thermal)
 from txrisk import features as ft
 from txrisk.clustering import ClusterModel
 
@@ -229,10 +230,11 @@ def one_cluster_model(schema, quant, nom):
 
 
 def test_composition_of_a_one_cluster_model(tmp_path):
-    # Labels with a space, a semicolon, a tab and non-ASCII text, and
-    # numbers at the ties of two and four decimals.
+    # Names and labels with a space, a semicolon, a tab and non-ASCII text,
+    # and numbers at the ties of two and four decimals.
     schema = ft.FeatureSchema(features=(
         ft.FeatureDef("x", ft.KIND_NUMERIC),
+        ft.FeatureDef("température ≥", ft.KIND_NOMINAL, statuses=("été", "Y")),
         ft.FeatureDef("grade", ft.KIND_ORDINAL, statuses=("lo", "hi")),
         ft.FeatureDef("kind", ft.KIND_NOMINAL,
                       statuses=("p", "zone 1; é\tü")),
@@ -240,7 +242,7 @@ def test_composition_of_a_one_cluster_model(tmp_path):
     for x, grade, code in ((0.5, 0.00005, 1), (0.5025, -0.0, 0),
                            (0.0, 0.123456, 1)):
         model = one_cluster_model(schema, np.array([[x, grade]]),
-                                  np.array([[code]]))
+                                  np.array([[1 - code, code]]))
         cli._write_composition_csv(model, tmp_path / "composition.csv")
         assert (tmp_path / "composition.csv").read_bytes() == \
             reference_composition(model).encode()
@@ -303,3 +305,123 @@ def test_schema_label_needing_quotes_is_a_usage_error(tmp_path, capsys,
                      *(f"--{name}={path}" for name, path in files.items())]) == 2
     assert "may not hold a comma" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# The array formatter of write_table against %-format
+
+
+def table_bytes(tmp_path, header, parts):
+    """The bytes that ``ingest.write_table`` writes."""
+    path = tmp_path / "table.csv"
+    ingest.write_table(path, header, parts)
+    return path.read_bytes()
+
+
+def percent_table(header, rows):
+    """A table's bytes with each row formatted by a %-format template."""
+    return "".join([",".join(header) + "\n", *rows]).encode()
+
+
+def hard_doubles(places):
+    """Doubles whose ``%.{places}f`` text is easy to get wrong."""
+    rng = np.random.default_rng(places)
+    edge = 2.0 ** (52 - places)  # the first value formatted by %
+    unit = 10.0 ** -places
+    return np.concatenate([
+        rng.normal(0.0, 100.0, 2000), rng.normal(0.0, 10 * unit, 500),
+        # Exact binary ties at ``places`` decimals, and the nearest doubles
+        # to decimal ties k.5 * 10 ** -places.
+        np.arange(-64, 64) / 2.0 ** (places + 1),
+        (np.arange(-64, 64) + 0.5) * unit,
+        # Signed zeros, and values that round to -0.
+        [0.0, -0.0, -0.4 * unit, -0.5 * unit, 0.5 * unit, -1e-300],
+        # Subnormals, the smallest normal, and extremes of the exponent.
+        [5e-324, -5e-324, 2.0 ** -1070 * 3, 2.0 ** -1022, 1e-300],
+        # Both sides of 2 ** (52 - places), and what % alone formats.
+        [edge, -edge, np.nextafter(edge, 0.0), -np.nextafter(edge, 0.0),
+         np.nextafter(edge, np.inf), 1e300, -1e300, np.inf, -np.inf,
+         np.nan, -np.nan, 1.7976931348623157e308]])
+
+
+@pytest.mark.parametrize("places", range(5))
+def test_number_columns_equal_percent_format(tmp_path, places):
+    # One value per row in a 1-D column, and the same values again as a
+    # two-column block.
+    values = hard_doubles(places)
+    if len(values) % 2:
+        values = values[:-1]
+    pairs = values.reshape(-1, 2)
+    rows = [f"%.{places}f,%.{places}f,%.{places}f\n" % (single, *pair)
+            for single, pair in zip(values[::2].tolist(), pairs.tolist())]
+    assert table_bytes(tmp_path, ["x", "a", "b"],
+                       [[(values[::2], places), (pairs, places)]]) == \
+        percent_table(["x", "a", "b"], rows)
+
+
+def test_integer_columns_equal_percent_d(tmp_path):
+    # The temperature grid's column: %d of round(x), which gives 0 for
+    # -0.4 where %.0f gives -0; and int64 at both ends.
+    floats = np.array([-0.4, -0.5, 0.5, 1.5, 2.5, -2.5, -0.0, 59.5, -1e15])
+    ints = np.array([0, -1, 9, 10, -10, 99, 2 ** 63 - 1, -2 ** 63, 7, 123])
+    rows = ["%d,%d\n" % (round(x), n)
+            for x, n in zip(floats.tolist(), ints.tolist())]
+    assert table_bytes(tmp_path, ["t", "n"], [[
+        np.rint(floats).astype(np.int64), ints[:len(floats)]]]) == \
+        percent_table(["t", "n"], rows)
+
+
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_row_counts_around_a_chunk(tmp_path, shift):
+    # Text, integer and number columns over chunk - 1, chunk and chunk + 1
+    # rows, as one part and as two parts.
+    n = tables._WRITE_ROWS + shift
+    rng = np.random.default_rng(n)
+    labels = rng.choice(["a", "bc", "déf", ""], n)
+    counts = rng.integers(-500, 500, n)
+    values = rng.normal(0.0, 50.0, (n, 3))
+    rows = ["%s,%d,%.2f,%.2f,%.2f,%s\n" % (label, count, *row, count % 2)
+            for label, count, row in zip(labels.tolist(), counts.tolist(),
+                                          values.tolist())]
+    header = ["label", "count", "a", "b", "c", "odd"]
+    columns = [labels, counts, (values, 2), list(map(str, counts % 2))]
+    expected = percent_table(header, rows)
+    assert table_bytes(tmp_path, header, [columns]) == expected
+    halves = [[column[:n // 2] for column in columns[:2]]
+              + [(values[:n // 2], 2), columns[3][:n // 2]],
+              [column[n // 2:] for column in columns[:2]]
+              + [(values[n // 2:], 2), columns[3][n // 2:]]]
+    assert table_bytes(tmp_path, header, halves) == expected
+
+
+def test_header_only_table(tmp_path):
+    assert table_bytes(tmp_path, ["date", "x"], [
+        [np.empty(0, "U10"), (np.empty(0), 2)]]) == b"date,x\n"
+    assert table_bytes(tmp_path, ["date", "x"], []) == b"date,x\n"
+
+
+def test_text_cells_keep_their_characters(tmp_path):
+    # Non-ASCII text (an array or a list), an empty field, and an interior
+    # NUL, which only a list can end a field with.
+    texts = ["é", "", "a\0b", "zone 1; \t\u2028", "\U0001f600x"]
+    expected = percent_table(["t", "u"], [f"{t},{t}\n" for t in texts])
+    assert table_bytes(tmp_path, ["t", "u"], [[np.array(texts), texts]]) == \
+        expected
+    assert table_bytes(tmp_path, ["t"], [[["a\0"]]]) == b"t\na\0\n"
+
+
+# ---------------------------------------------------------------------------
+# Every golden CSV output is what the csv module writes
+
+
+@pytest.mark.parametrize("name", [
+    "data/weather.csv", "data/meter.csv", "data/calendar.csv",
+    "out/composition.csv", "out/thresholds.csv", "out/month_matrix.csv",
+    "out/temperature_grid.csv", "out/life_loss.csv", "out/estimates.csv"])
+def test_golden_csv_equals_the_csv_module_rewrite(golden_pipeline, name):
+    # write_table writes fields unquoted; reading each golden table with
+    # csv.reader and writing it back with csv.writer gives its bytes.
+    path = golden_pipeline[0][0] / name
+    with open(path, encoding="utf-8", newline="") as fh:
+        rewritten = csv_text(csv.reader(fh))
+    assert rewritten.encode() == path.read_bytes()
