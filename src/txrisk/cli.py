@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
-import json
 import math
 import os
 import shutil
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import clustering, estimation, ingest, riskassess, thermal
 from . import features as ft
-from .errors import ConfigError, TxRiskError
+from .errors import ConfigError, TxRiskError, json_number, read_json
 
 # The most k-means restarts ``cluster`` runs: each reruns the whole search,
 # so a count far past any use would keep the command running for ever.
@@ -47,9 +46,7 @@ exit codes:
   8   no feasible loading scale (ambient above limit)
   9   strict mode: query far from all clusters
   11  vector does not match the feature schema
-  12  empty dataset
   13  meter file holds daily energy only, no 24-hour profiles
-  15  ordinal status order out of range
   17  cluster profile with zero peak load (no loading threshold)
   18  temperature or life loss fell as the service count rose
 """
@@ -151,11 +148,7 @@ class RunConfig:
     def __init__(self, args: argparse.Namespace):
         file_cfg = {}
         if getattr(args, "config", None):
-            try:
-                with open(args.config, encoding="utf-8") as fh:
-                    file_cfg = json.load(fh)
-            except (OSError, ValueError) as exc:  # also JSON and UTF-8 decoding
-                raise ConfigError(f"cannot read config {args.config}: {exc}")
+            file_cfg = read_json(args.config, ConfigError, "config")
             if not isinstance(file_cfg, dict):
                 raise ConfigError("config file must hold a JSON object")
             unknown = set(file_cfg) - set(self._DEFAULTS)
@@ -253,20 +246,20 @@ class RunConfig:
 
 
 def _check_kind(key, value, default):
-    """A config value must be of its default's kind: an integer (an
-    integral float of at most 2**53 in size passes), a finite number,
-    true/false, or, for the paths and spans, a string."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A config value must be of its default's kind: true/false, a string
+    for the paths and spans, or a number (:func:`json_number`) that is, for
+    an integer, integral (a float of at most 2**53 in size passes)."""
     if isinstance(default, bool):
         kind, ok = "true or false", isinstance(value, bool)
-    elif isinstance(default, int):
-        kind = "an integer"
+    elif isinstance(default, (int, float)):
+        try:
+            number = json_number(value, f"config key {key!r}")
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
         # Above 2**53 a float cannot tell neighbouring integers apart.
-        ok = number and (isinstance(value, int) or value.is_integer()
-                         and abs(value) <= 2 ** 53)
-    elif isinstance(default, float):
-        kind = "a finite number"
-        ok = number and (isinstance(value, int) or math.isfinite(value))
+        kind = "an integer"
+        ok = (isinstance(default, float) or isinstance(value, int)
+              or number.is_integer() and abs(number) <= 2 ** 53)
     else:
         kind, ok = "a string", isinstance(value, str)
     if not ok:
@@ -399,7 +392,13 @@ def cmd_assess(cfg: RunConfig) -> int:
     # Both searches run before any write: a refused input leaves no tables.
     thresholds = riskassess.cluster_thresholds(spec, model)
     grid = riskassess.service_grid(spec, model, n_range)
-    losses = riskassess.life_loss_by_n(spec, grid, years)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        losses = riskassess.life_loss_by_n(spec, grid, years)
+    if not (np.isfinite(losses.annual_days).all()
+            and np.isfinite(losses.economic_loss).all()):
+        raise ConfigError(f"--years {years!r} with the spec's replacement_cost "
+                          f"{spec.replacement_cost!r} gives a yearly life "
+                          "loss past the float range")
     with _writing(out) as staging:
         riskassess.write_thresholds_csv(thresholds,
                                         staging / "thresholds.csv")

@@ -35,6 +35,9 @@ from .errors import (
     EmptyClusterWarning,
     ParseError,
     TooFewPointsError,
+    json_integer,
+    json_number,
+    read_json,
 )
 from .ingest import TEMP_MAX_C, TEMP_MIN_C, iso_date
 
@@ -554,42 +557,21 @@ def _profile_error(cluster_id):
 
 def _profile_lists(cluster_id, doc):
     """A stored profile's ``(load_kva, ambient_c)`` lists of 24 numbers
-    each; :class:`ClusterModel` checks their values."""
+    each (:func:`json_number`); :class:`ClusterModel` checks their values."""
     load, ambient = doc["load_kva"], doc["ambient_c"]
-    if (len(load) != 24 or len(ambient) != 24
-            or not all(map(_is_number, chain(load, ambient)))):
-        raise _profile_error(cluster_id)
-    return list(map(float, load)), list(map(float, ambient))
-
-
-def _is_number(value) -> bool:
-    """Whether a stored value is a JSON number, not true/false or text."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _finite(field: str, value) -> float:
-    """A stored number that must be finite; ``field`` names it on error."""
-    if not _is_number(value):
-        raise ValueError(f"{field} must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{field} must be finite, got {value!r}")
-    return value
-
-
-def _integer(field: str, value, minimum: int = 0) -> int:
-    """A stored integer, as save_model writes it, of at least ``minimum``;
-    ``field`` names it on error."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ValueError(f"{field} must be an integer >= {minimum}, got "
-                         f"{value!r}")
-    return value
+    try:
+        if len(load) == len(ambient) == 24:
+            return ([json_number(v, "load") for v in load],
+                    [json_number(v, "ambient") for v in ambient])
+    except (TypeError, ValueError):
+        pass
+    raise _profile_error(cluster_id)
 
 
 def _checked_bounds(params: ft.NormalizationParams) -> ft.NormalizationParams:
-    """Stored normalization bounds: finite, with lo <= hi."""
+    """Stored normalization bounds (finite once read), with lo <= hi."""
     for name, (lo, hi) in params.bounds.items():
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        if not lo <= hi:
             raise ValueError(f"normalization bounds of {name!r} must be finite "
                              f"with lo <= hi, got [{lo!r}, {hi!r}]")
     return params
@@ -603,13 +585,13 @@ def _checked_cluster(cid, entry, schema: ft.FeatureSchema):
     Returns the members' service ids and day numbers, two lists, and the
     centroid as a row of each :func:`txrisk.features.encode` array. Each
     distinct id and date is checked once."""
-    if _integer(f"cluster {cid} id", entry["id"]) != cid:
+    if json_integer(entry["id"], f"cluster {cid} id") != cid:
         raise ValueError(f"cluster {cid} has id {entry['id']!r}; ids must run "
                          "1..k in file order")
     services = [service for service, _ in entry["members"]]
     dates = [date for _, date in entry["members"]]
-    if _integer(f"cluster {cid} member_count",
-                entry["member_count"]) != len(services):
+    if json_integer(entry["member_count"],
+                    f"cluster {cid} member_count") != len(services):
         raise ValueError(f"cluster {cid} member_count {entry['member_count']!r}"
                          f" differs from its {len(services)} members")
     for service in dict.fromkeys(services):
@@ -617,7 +599,7 @@ def _checked_cluster(cid, entry, schema: ft.FeatureSchema):
             raise ValueError(f"cluster {cid} member service id {service!r} is "
                              "not a non-blank string")
     day_of = {text: iso_date(text).toordinal() for text in dict.fromkeys(dates)}
-    numeric = {name: _finite(f"cluster {cid} centroid {name!r}", v)
+    numeric = {name: json_number(v, f"cluster {cid} centroid {name!r}")
                for name, v in entry["centroid_normalized"].items()}
     nominal = dict(entry["centroid_nominal"])
     for names, part in ((schema.quantitative_names, numeric),
@@ -647,19 +629,15 @@ def load_model(path) -> ClusterModel:
         ParseError: the file is unreadable or malformed, or holds a
             number as text or true/false, a ``k``, ``seed``, ``restarts``,
             cluster id or ``member_count`` that is not an integer, a
-            negative seed, fewer than 1 restart, a non-finite number, a
-            bound with lo > hi, a ``k`` other than the
+            negative seed, fewer than 1 restart, a number not finite within
+            the float range, a bound with lo > hi, a ``k`` other than the
             number of clusters, cluster ids other than 1..k in file order,
             a centroid lacking a schema feature or with an unknown label, a
             ``member_count`` other than the number of members, a member
             with a blank or non-text service id or a date not spelled
             YYYY-MM-DD, a member listed twice, or a bad profile.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:  # also JSON and UTF-8 decoding
-        raise ParseError(f"cannot read cluster model: {exc}", path=path) from exc
+    doc = read_json(path, ParseError, "cluster model")
     try:
         schema = ft.FeatureSchema.from_jsonable(doc["schema"])
         params = _checked_bounds(
@@ -670,7 +648,7 @@ def load_model(path) -> ClusterModel:
                              "clusters stored")
         if not entries:
             raise ValueError("the model stores no clusters")
-        _integer("k", doc["k"])
+        json_integer(doc["k"], "k")
         services, days, quant, codes = zip(*(
             _checked_cluster(c + 1, entry, schema)
             for c, entry in enumerate(entries)))
@@ -703,12 +681,13 @@ def load_model(path) -> ClusterModel:
             member_counts=_read_only(np.array(counts)),
             schema=schema,
             norm_params=params,
-            seed=_integer("seed", doc["seed"]),
-            objective=_finite("objective", doc["objective"]),
+            seed=json_integer(doc["seed"], "seed"),
+            objective=json_number(doc["objective"], "objective"),
             profiles=(tuple(_read_only(np.array(part)) for part in zip(*profiles))
                       if profiles else None),
-            far_threshold=_finite("far_threshold", doc.get("far_threshold", 0.0)),
-            restarts=_integer("restarts", doc.get("restarts", 1), 1),
+            far_threshold=json_number(doc.get("far_threshold", 0.0),
+                                      "far_threshold"),
+            restarts=json_integer(doc.get("restarts", 1), "restarts", 1),
         )
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed cluster model: {exc}", path=path) from exc

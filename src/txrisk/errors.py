@@ -1,8 +1,16 @@
-"""Exception and warning types shared across the package.
+"""Exception and warning types shared across the package, and the one
+reader and value rules of every JSON input (config, feature schema, model
+and spec): :func:`read_json`, :func:`json_number` and :func:`json_integer`.
 
 Every error carries an ``exit_code`` so the command-line layer can map
 failures to distinct process exit codes (documented in ``txrisk --help``).
 """
+
+import json
+import sys
+
+# The largest finite float: a JSON number past it has no float value.
+_FLOAT_MAX = sys.float_info.max
 
 
 class TxRiskError(Exception):
@@ -130,3 +138,40 @@ class MissingFeatureWarning(UserWarning):
 class ShortCoverageWarning(UserWarning):
     """The dataset spans less than two years; results may not be
     statistically representative."""
+
+
+def read_json(path, error, what):
+    """The JSON document in the UTF-8 file ``path``. A file that cannot be
+    opened, decoded or parsed (or nests too deep to parse) raises
+    ``error``, a :class:`TxRiskError` class, with ``what`` naming the
+    file's role and ``path``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, RecursionError, ValueError) as exc:  # also JSON, UTF-8
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def json_number(value, what: str) -> float:
+    """``value``, a JSON number (not true/false or text) finite within the
+    float range, as a float. Anything else raises an error that ``what``
+    names: a TypeError if it is no number, else a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    if not abs(value) <= _FLOAT_MAX:
+        got = (repr(value) if isinstance(value, float)
+               else f"a {value.bit_length()}-bit integer")
+        raise ValueError(f"{what} must be finite and within "
+                         f"±{_FLOAT_MAX:.4g}, got {got}")
+    return float(value)
+
+
+def json_integer(value, what: str, minimum: int = 0) -> int:
+    """``value``, a JSON integer (not a float, true/false or text) of at
+    least ``minimum`` and within the float range; anything else raises a
+    ValueError that ``what`` names."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        json_number(value, what)  # refuses an integer past the float range
+        if value >= minimum:
+            return value
+    raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")

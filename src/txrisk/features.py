@@ -25,6 +25,7 @@ from .errors import (
     EmptyDatasetError,
     OutOfRangeError,
     SchemaMismatchError,
+    json_number,
 )
 
 KIND_NUMERIC = "numeric"
@@ -117,7 +118,8 @@ class FeatureSchema:
     def from_jsonable(cls, items) -> "FeatureSchema":
         """The schema of a JSON list of features: each a ``name`` string,
         a ``kind``, a list of ``statuses`` strings (categoricals) and a
-        number ``weight`` (1 if absent).
+        number ``weight`` (1 if absent; see
+        :func:`txrisk.errors.json_number`).
 
         Raises:
             TypeError: an entry of the wrong JSON type.
@@ -136,8 +138,8 @@ class FeatureSchema:
                 name=name,
                 kind=item["kind"],
                 statuses=tuple(statuses),
-                weight=_json_number(item.get("weight", 1.0),
-                                    f"feature {name!r} weight"),
+                weight=json_number(item.get("weight", 1.0),
+                                   f"feature {name!r} weight"),
             ))
         return cls(features=tuple(defs))
 
@@ -164,18 +166,10 @@ class NormalizationParams:
     @classmethod
     def from_jsonable(cls, doc) -> "NormalizationParams":
         def bound(name, value):
-            return _json_number(value, f"normalization bound of {name!r}")
+            return json_number(value, f"normalization bound of {name!r}")
 
         return cls(bounds={name: (bound(name, lo), bound(name, hi))
                            for name, (lo, hi) in doc.items()})
-
-
-def _json_number(value, what: str) -> float:
-    """``value``, a JSON number (not true/false or text), as a float;
-    ``what`` names it on error."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{what} must be a number, got {value!r}")
-    return float(value)
 
 
 def encode_ordinal(status_order: int, status_count: int) -> float:

@@ -30,7 +30,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, json_number, read_json
 
 HOURS = 24
 
@@ -204,75 +204,46 @@ def simulate_day(spec: TransformerSpec, ambient, load_pu) -> ThermalTrace:
     return ThermalTrace(top_oil, top_oil + hot, oil, hot)
 
 
-# JSON spec-file field names, fixed interchange format.
-_REQUIRED_SPEC_FIELDS = {
-    "rated_kva": "rated_kva",
-    "top_oil_rise_rated_c": "top_oil_rise_rated",
-    "hotspot_differential_c": "hotspot_differential",
-    "loss_ratio": "loss_ratio",
-    "oil_time_constant_h": "oil_time_constant",
-    "winding_time_constant_h": "winding_time_constant",
-    "replacement_cost": "replacement_cost",
-}
-_OPTIONAL_SPEC_FIELDS = {
-    "exponent_n": ("exponent_n", DEFAULT_EXPONENT_N),
-    "exponent_m": ("exponent_m", DEFAULT_EXPONENT_M),
-    "top_oil_limit_c": ("top_oil_limit", DEFAULT_TOP_OIL_LIMIT),
-    "hotspot_limit_c": ("hotspot_limit", DEFAULT_HOTSPOT_LIMIT),
-}
-
-
-def _spec_number(raw, key, path) -> float:
-    """A spec field as a finite float; anything else is a ParseError."""
-    value = raw[key]
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
-    if isinstance(value, bool) or not math.isfinite(number):
-        raise ParseError(f"field {key!r} must be a finite number, got {value!r}",
-                         path=path)
-    return number
+# The spec file's keys in the order they are written, each with its
+# TransformerSpec field and whether the file must give it (the exponents
+# and limits take their defaults when absent).
+_SPEC_KEYS = (
+    ("rated_kva", "rated_kva", True),
+    ("top_oil_rise_rated_c", "top_oil_rise_rated", True),
+    ("hotspot_differential_c", "hotspot_differential", True),
+    ("loss_ratio", "loss_ratio", True),
+    ("oil_time_constant_h", "oil_time_constant", True),
+    ("winding_time_constant_h", "winding_time_constant", True),
+    ("exponent_n", "exponent_n", False),
+    ("exponent_m", "exponent_m", False),
+    ("top_oil_limit_c", "top_oil_limit", False),
+    ("hotspot_limit_c", "hotspot_limit", False),
+    ("replacement_cost", "replacement_cost", True),
+)
 
 
 def load_transformer_spec(path) -> TransformerSpec:
-    """Load a TransformerSpec from its JSON file format."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, ValueError) as exc:  # also JSON and UTF-8 decoding
-        raise ParseError(f"cannot read transformer spec: {exc}", path=path) from exc
+    """Load a TransformerSpec from its JSON file format: an object of the
+    ``_SPEC_KEYS``, each a number (:func:`txrisk.errors.json_number`).
+    Anything else, or a spec :class:`TransformerSpec` refuses, is a
+    ParseError."""
+    raw = read_json(path, ParseError, "transformer spec")
     if not isinstance(raw, dict):
         raise ParseError("transformer spec must be a JSON object", path=path)
-
-    kwargs = {}
-    for key, attr in _REQUIRED_SPEC_FIELDS.items():
-        if key not in raw:
+    for key, _, required in _SPEC_KEYS:
+        if required and key not in raw:
             raise ParseError(f"missing required field {key!r}", path=path)
-        kwargs[attr] = _spec_number(raw, key, path)
-    for key, (attr, default) in _OPTIONAL_SPEC_FIELDS.items():
-        kwargs[attr] = _spec_number(raw, key, path) if key in raw else default
     try:
-        return TransformerSpec(**kwargs)
-    except ValueError as exc:
+        return TransformerSpec(**{
+            attr: json_number(raw[key], f"field {key!r}")
+            for key, attr, _ in _SPEC_KEYS if key in raw})
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"invalid transformer spec: {exc}", path=path) from exc
 
 
 def save_transformer_spec(spec: TransformerSpec, path) -> None:
     """Write a TransformerSpec in its JSON file format."""
-    doc = {
-        "rated_kva": spec.rated_kva,
-        "top_oil_rise_rated_c": spec.top_oil_rise_rated,
-        "hotspot_differential_c": spec.hotspot_differential,
-        "loss_ratio": spec.loss_ratio,
-        "oil_time_constant_h": spec.oil_time_constant,
-        "winding_time_constant_h": spec.winding_time_constant,
-        "exponent_n": spec.exponent_n,
-        "exponent_m": spec.exponent_m,
-        "top_oil_limit_c": spec.top_oil_limit,
-        "hotspot_limit_c": spec.hotspot_limit,
-        "replacement_cost": spec.replacement_cost,
-    }
+    doc = {key: getattr(spec, attr) for key, attr, _ in _SPEC_KEYS}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

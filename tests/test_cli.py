@@ -1,5 +1,7 @@
 """Command-line behavior: exit codes, determinism, file shapes."""
 
+import copy
+import dataclasses
 import datetime as dt
 import json
 import sys
@@ -390,8 +392,12 @@ class TestExitCodes:
         assert "\n  16  " not in out and "zero members" not in out
         assert "\n  10  " not in out and "maps disagree" not in out
         assert "\n  4   " not in out and "gap filling" not in out
-        # ZeroServicesError is for library callers; no command raises it.
+        # ZeroServicesError, EmptyDatasetError and OutOfRangeError are for
+        # library callers: no command raises them (load_dataset and the
+        # cluster-count check refuse an empty dataset first).
         assert "\n  14  " not in out and "zero services" not in out
+        assert "\n  12  " not in out and "empty dataset" not in out
+        assert "\n  15  " not in out and "ordinal status" not in out
 
 
 class TestMalformedInputExitCodes:
@@ -575,7 +581,7 @@ class TestMalformedInputExitCodes:
         err = capsys.readouterr().err
         assert {"objective": "objective must be finite",
                 "far_threshold": "far_threshold must be finite",
-                "bound": "normalization bounds of 't_avg_c' must be finite",
+                "bound": "normalization bound of 't_avg_c' must be finite",
                 "centroid": "cluster 3 centroid 'l_avg_kva' must be finite",
                 }[field] in err
 
@@ -927,6 +933,141 @@ class TestMalformedInputExitCodes:
         monkeypatch.setattr(aging, "aging_acceleration",
                             lambda hotspot: 1.0 / factor(hotspot))
         assert self.assess(golden_pipeline[0][0], tmp_path) == 18
+
+    def test_years_too_small_for_a_finite_life_loss(self, golden_pipeline,
+                                                     tmp_path, capsys):
+        # A yearly loss of the window's loss over 1e-320 years is past the
+        # float range: it once went into life_loss.csv as inf, with exit 0.
+        root = golden_pipeline[0][0]
+        assert cli.main(["assess", "--spec", str(root / "spec.json"),
+                         "--model", str(root / "out" / "model.json"),
+                         "--n-range", "1..5", "--years", "1e-320",
+                         "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "--years 1e-320" in err and "replacement_cost" in err
+        assert list(tmp_path.iterdir()) == []
+
+
+# A number past the float range either way, and one written as text: no
+# JSON number of any input may hold one.
+BAD_NUMBERS = [10 ** 400, -10 ** 400, "25"]
+BAD_IDS = ["huge", "-huge", "text"]
+_NUMERIC = ("t_max_c", "t_min_c", "t_avg_c", "l_avg_kva")
+SPEC_KEYS = ["rated_kva", "top_oil_rise_rated_c", "hotspot_differential_c",
+             "loss_ratio", "oil_time_constant_h", "winding_time_constant_h",
+             "exponent_n", "exponent_m", "top_oil_limit_c", "hotspot_limit_c",
+             "replacement_cost"]
+MODEL_KEYS = [
+    ("k",), ("seed",), ("restarts",), ("objective",), ("far_threshold",),
+    *(("schema", i, "weight") for i in range(5)),
+    *(("normalization", name, i) for name in _NUMERIC for i in (0, 1)),
+    ("clusters", 0, "id"), ("clusters", 0, "member_count"),
+    *(("clusters", 0, "centroid_normalized", name) for name in _NUMERIC),
+    ("clusters", 0, "profile", "load_kva", 0),
+    ("clusters", 0, "profile", "ambient_c", 0)]
+# A model's raw centroid is written for the reader; no command reads it.
+UNREAD_MODEL_KEYS = [("clusters", 0, "centroid_raw", name) for name in _NUMERIC]
+# Each numeric config key with the command that reads it.
+CONFIG_KEYS = [
+    (("seed",), "synth"), (("services",), "synth"), (("days",), "synth"),
+    (("k",), "cluster"), (("restarts",), "cluster"),
+    (("budget",), "assess"), (("years",), "assess"),
+    *((("synth", f.name), "synth")
+      for f in dataclasses.fields(ingest.SynthConfig) if f.name != "holidays"),
+    (("synth", "holidays", 0, 0), "synth"), (("synth", "holidays", 0, 1), "synth"),
+    *((("features", i, "weight"), "cluster") for i in range(5))]
+
+
+def _replaced(doc, path, value):
+    """A copy of the JSON document ``doc`` with the value at ``path``
+    replaced."""
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+class TestJsonNumbers:
+    """Every numeric value of the spec, the model and the config file
+    follows one rule: a JSON number, finite within the float range. A value
+    past that range or written as text is refused with the file's exit
+    code (2 for the config, 3 for the spec and the model), never a
+    traceback."""
+
+    @pytest.fixture(scope="class")
+    def full_config(self, golden_pipeline, tmp_path_factory):
+        """A config file's keys, every one given, for a small dataset, the
+        golden spec and a model trained on that dataset."""
+        root = golden_pipeline[0][0]
+        base = tmp_path_factory.mktemp("json_numbers")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert cli.main(synth_args(base, seed=4, services=2, days=12)) == 0
+            assert cli.main(cluster_args(base, base)) == 0
+        return {
+            "seed": 3, "services": 2, "days": 12, "k": 2, "restarts": 1,
+            "budget": 500.0, "years": 1.0, "n_range": "1..3",
+            "weather": str(base / "weather.csv"),
+            "meter": str(base / "meter.csv"),
+            "calendar": str(base / "calendar.csv"),
+            "spec": str(root / "spec.json"), "model": str(base / "model.json"),
+            "features": ft.default_schema().to_jsonable(),
+            "synth": json.loads(json.dumps(
+                dataclasses.asdict(ingest.SynthConfig())))}
+
+    def run_config(self, doc, command, out):
+        (out / "cfg.json").write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return cli.main([command, "--config", str(out / "cfg.json"),
+                             "--out", str(out / "run")])
+
+    @pytest.mark.parametrize("command", ["synth", "cluster", "assess"])
+    def test_full_config_runs(self, full_config, tmp_path, command):
+        assert self.run_config(full_config, command, tmp_path) == 0
+
+    @pytest.mark.parametrize("value", BAD_NUMBERS, ids=BAD_IDS)
+    @pytest.mark.parametrize("path,command", CONFIG_KEYS,
+                             ids=[".".join(map(str, path))
+                                  for path, _ in CONFIG_KEYS])
+    def test_config_number(self, full_config, tmp_path, capsys, path, command,
+                           value):
+        doc = _replaced(full_config, path, value)
+        assert self.run_config(doc, command, tmp_path) == 2
+        name = next(key for key in reversed(path) if isinstance(key, str))
+        assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", BAD_NUMBERS, ids=BAD_IDS)
+    @pytest.mark.parametrize("key", SPEC_KEYS)
+    def test_spec_number(self, golden_pipeline, tmp_path, capsys, key, value):
+        root = golden_pipeline[0][0]
+        doc = json.loads((root / "spec.json").read_text())
+        (tmp_path / "spec.json").write_text(json.dumps(dict(doc, **{key: value})))
+        assert cli.main(["assess", "--spec", str(tmp_path / "spec.json"),
+                         "--model", str(root / "out" / "model.json"),
+                         "--n-range", "1..3", "--out", str(tmp_path)]) == 3
+        assert repr(key) in capsys.readouterr().err
+
+    @pytest.fixture(scope="class")
+    def golden_model(self, golden_pipeline):
+        root = golden_pipeline[0][0]
+        return json.loads((root / "out" / "model.json").read_text())
+
+    @pytest.mark.parametrize("value", BAD_NUMBERS, ids=BAD_IDS)
+    @pytest.mark.parametrize("path", MODEL_KEYS + UNREAD_MODEL_KEYS,
+                             ids=[".".join(map(str, path)) for path in
+                                  MODEL_KEYS + UNREAD_MODEL_KEYS])
+    def test_model_number(self, golden_pipeline, golden_model, tmp_path, path,
+                          value):
+        root = golden_pipeline[0][0]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(_replaced(golden_model, path, value)))
+        assert cli.main(["assess", "--spec", str(root / "spec.json"),
+                         "--model", str(model), "--n-range", "1..3",
+                         "--out", str(tmp_path)]) == (
+            0 if path in UNREAD_MODEL_KEYS else 3)
 
 
 class TestDeterminism:

@@ -31,7 +31,7 @@ CELLS = ["nan", "inf", "-inf", "-1", "", " ", "x", "1e400", "0", "-0",
 STRAY = [b"\xff", b"\xfe\xff", b"\xc3", b"\x00", b"\r", b"\n", b",", b'"',
          b"\xe2\x82", b";", b"\t", b"{", b"]"]
 JSON_VALUES = [float("nan"), float("inf"), -1, 0, "", "x", None, True, [], {},
-               [1, 2], 1e308, -1e308]
+               [1, 2], 1e308, -1e308, 10 ** 400]
 
 
 @pytest.fixture(scope="module")
