@@ -26,7 +26,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .errors import (
     json_number,
     read_json,
 )
-from .ingest import TEMP_MAX_C, TEMP_MIN_C, iso_date
+from .ingest import TEMP_MAX_C, TEMP_MIN_C, run_heads, iso_date
 
 MAX_ITERATIONS = 300
 FAR_GUARD_PERCENTILE = 95.0
@@ -442,11 +442,12 @@ def composition(model: ClusterModel) -> list[dict]:
 def month_cluster_matrix(model: ClusterModel) -> np.ndarray:
     """12 x k member-day counts: rows are calendar months Jan..Dec, columns
     follow cluster id order; each member (service-day) counts once, so
-    column sums equal cluster member counts."""
-    days = model.member_days.tolist()
-    month_of = {day: dt.date.fromordinal(day).month - 1 for day in set(days)}
-    months = np.fromiter(map(month_of.__getitem__, days), np.int64, len(days))
-    cells = np.repeat(np.arange(model.k), model.member_counts) * 12 + months
+    column sums equal cluster member counts. Each distinct day's month is
+    looked up once, from a sort of the day numbers (:func:`_codes`)."""
+    days, codes = _codes(model.member_days)
+    months = np.array([dt.date.fromordinal(day).month - 1
+                       for day in days.tolist()], np.int64)
+    cells = np.repeat(np.arange(model.k), model.member_counts) * 12 + months[codes]
     return np.bincount(cells, minlength=12 * model.k).reshape(model.k, 12).T
 
 
@@ -536,17 +537,130 @@ def save_model(model: ClusterModel, path) -> None:
 # the pure-Python encoder, which spent most of a model write on the member
 # pairs, so save_model dumps "\0" in their place and writes each list in
 # the bytes json.dumps gives it. No other key sits at this indent with
-# that value.
+# that value. _scan_model reads the lists back by the same definitions.
 _MEMBERS_KEY = '\n      "members": '
 _MEMBERS_SLOT = _MEMBERS_KEY + '"\\u0000"'
 _MEMBER_JSON = "        [\n          %s,\n          %s\n        ]".__mod__
+_MEMBERS_OPEN, _MEMBER_SEP, _MEMBERS_CLOSE = "[\n", ",\n", "\n      ]"
 
 
 def _members_json(members):
     """A cluster's member pairs, each a quoted id and date, as
     ``json.dumps(indent=2)`` writes them at a cluster entry's indent."""
     lines = list(map(_MEMBER_JSON, members))
-    return "[\n" + ",\n".join(lines) + "\n      ]" if lines else "[]"
+    return (_MEMBERS_OPEN + _MEMBER_SEP.join(lines) + _MEMBERS_CLOSE
+            if lines else "[]")
+
+
+def _member_layout(width, date_width):
+    """The bytes of one member and its separator as save_model writes them,
+    for ids of ``width`` and dates of ``date_width`` bytes, with a NUL in
+    place of each byte of the two fields."""
+    return (_MEMBER_JSON(tuple(f'"{chr(0) * n}"' for n in (width, date_width)))
+            + _MEMBER_SEP).encode()
+
+
+def _plain(fields):
+    """Whether the contiguous ``S`` array ``fields`` holds only bytes that
+    ``json`` reads as themselves in a string: printable ASCII but the
+    quote and the backslash."""
+    raw = fields.view(np.uint8)
+    return bool(((raw - np.uint8(0x20)) < 0x5F).all()
+                and not ((raw == ord('"')) | (raw == ord("\\"))).any())
+
+
+def _scan_model(path):
+    """A model file in the layout :func:`save_model` writes, with its
+    member lists read as bytes: ``(doc, ids, dates, counts)``, ``doc`` the
+    JSON document with each cluster's ``"members"`` set to ``"\\0"``,
+    ``ids`` and ``dates`` each member's fields as ``S`` arrays, cluster 1's
+    first, and ``counts`` the list lengths. None (the caller reads the file
+    with ``json``, which reports any fault) unless every list sits at a
+    cluster entry's ``"members"`` key, its ids all of one width and its
+    dates of another, each member byte for byte in the layout, each field
+    of bytes that ``json`` reads as themselves, and the rest of the file,
+    a few percent of it, parses as it would with the lists in place: then
+    ``json`` would give the same document.
+
+    The field widths, and so the member stride, are those of the first
+    member. A list's length is found by stride arithmetic: its last member
+    is the first not followed by a comma. Its members are then one
+    ``(count, stride)`` block of bytes, compared with the layout in one
+    operation, and the next key is searched for from the list's end."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError:
+        return None
+    buf = np.frombuffer(data, np.uint8)
+    key, close = (_MEMBERS_KEY + "[").encode(), _MEMBERS_CLOSE.encode()
+    lead = _member_layout(0, 0).index(b'"') + 1  # the offset of an id
+    layout = None
+    lists = []  # (the list's "[", its first member, its members, its end)
+    at = data.find(key)
+    while at >= 0:
+        start = at + len(key) - 1
+        first = start + len(_MEMBERS_OPEN)
+        if data[start:start + 2] == b"[]":
+            lists.append((start, first, 0, start + 2))
+        elif data[start:first] != _MEMBERS_OPEN.encode():
+            return None
+        else:
+            if layout is None:
+                width = data.find(b'"', first + lead) - first - lead
+                date_at = _member_layout(width, 0).index(
+                    b'"', lead + width + 1) + 1
+                date_width = data.find(b'"', first + date_at) - first - date_at
+                if width < 1 or date_width < 1:
+                    return None
+                layout = np.frombuffer(_member_layout(width, date_width),
+                                       np.uint8)
+                stride, sep = len(layout), len(_MEMBER_SEP)
+            if first + stride > len(data):
+                return None
+            count = int((buf[first + stride - sep::stride] != ord(",")).argmax()) + 1
+            end = first + count * stride - sep
+            if data[end:end + len(close)] != close:
+                return None
+            lists.append((start, first, count, end + len(close)))
+        at = data.find(key, lists[-1][3])
+    if layout is None:
+        return None
+    struct = layout != 0  # a NUL of the layout is a field byte
+    ids, dates = [], []
+    for _, first, count, _ in lists:
+        if not count:
+            continue
+        block = np.ndarray((count, stride), np.uint8, data, first, (stride, 1))
+        wrong = block != layout
+        wrong &= struct
+        wrong[-1:, -sep:] = False  # the last member is followed by the close
+        if wrong.any():
+            return None
+        ids.append(np.ndarray(count, f"S{width}", data, first + lead, (stride,)))
+        dates.append(np.ndarray(count, f"S{date_width}", data, first + date_at,
+                                (stride,)))
+    ids, dates = np.concatenate(ids), np.concatenate(dates)
+    if not (_plain(ids) and _plain(dates)):
+        return None
+    pieces, prev = [], 0
+    for start, _, _, stop in lists:
+        pieces += [data[prev:start], b'"\\u0000"']
+        prev = stop
+    skeleton = b"".join(pieces + [data[prev:]])
+    # A CR would be a line feed to json's text-mode read.
+    if skeleton.count(b"\\u0000") != len(lists) or b"\r" in skeleton:
+        return None
+    try:
+        doc = json.loads(skeleton.decode("utf-8"))
+    except (RecursionError, ValueError):
+        return None
+    entries = doc.get("clusters") if isinstance(doc, dict) else None
+    if not (isinstance(entries, list) and len(entries) == len(lists) and all(
+            isinstance(entry, dict) and entry.get("members") == "\0"
+            for entry in entries)):
+        return None
+    return doc, ids, dates, np.array([count for _, _, count, _ in lists])
 
 
 def _profile_error(cluster_id):
@@ -577,28 +691,14 @@ def _checked_bounds(params: ft.NormalizationParams) -> ft.NormalizationParams:
     return params
 
 
-def _checked_cluster(cid, entry, schema: ft.FeatureSchema):
-    """A stored cluster with id ``cid`` whose members are (service,
-    YYYY-MM-DD) pairs with non-blank service ids, as many as its
-    ``member_count``, and whose centroid has every schema feature: finite
-    numeric/ordinal components and nominal labels among their statuses.
-    Returns the members' service ids and day numbers, two lists, and the
-    centroid as a row of each :func:`txrisk.features.encode` array. Each
-    distinct id and date is checked once."""
+def _checked_centroid(cid, entry, schema: ft.FeatureSchema):
+    """The centroid of a stored cluster with id ``cid``, which must have
+    every schema feature: finite numeric/ordinal components and nominal
+    labels among their statuses. Returns it as a row of each
+    :func:`txrisk.features.encode` array."""
     if json_integer(entry["id"], f"cluster {cid} id") != cid:
         raise ValueError(f"cluster {cid} has id {entry['id']!r}; ids must run "
                          "1..k in file order")
-    services = [service for service, _ in entry["members"]]
-    dates = [date for _, date in entry["members"]]
-    if json_integer(entry["member_count"],
-                    f"cluster {cid} member_count") != len(services):
-        raise ValueError(f"cluster {cid} member_count {entry['member_count']!r}"
-                         f" differs from its {len(services)} members")
-    for service in dict.fromkeys(services):
-        if not isinstance(service, str) or not service.strip():
-            raise ValueError(f"cluster {cid} member service id {service!r} is "
-                             "not a non-blank string")
-    day_of = {text: iso_date(text).toordinal() for text in dict.fromkeys(dates)}
     numeric = {name: json_number(v, f"cluster {cid} centroid {name!r}")
                for name, v in entry["centroid_normalized"].items()}
     nominal = dict(entry["centroid_nominal"])
@@ -615,15 +715,175 @@ def _checked_cluster(cid, entry, schema: ft.FeatureSchema):
             raise ValueError(f"cluster {cid} centroid {name!r} is "
                              f"{nominal[name]!r}, not one of {list(statuses)}")
         codes.append(statuses.index(nominal[name]))
-    return services, list(map(day_of.__getitem__, dates)), quant, codes
+    return quant, codes
+
+
+def _json_members(entries):
+    """The members of parsed cluster entries, as :func:`_scan_model` gives
+    them but with the fields as lists: ``(ids, dates, counts)``. A member
+    that is not a pair or a service id that is not text is refused here,
+    a date that is not text by :func:`_day_numbers`."""
+    services, dates, counts = [], [], []
+    for entry in entries:
+        members = entry["members"]
+        ids = [service for service, _ in members]
+        services += ids
+        dates += [date for _, date in members]
+        counts.append(len(ids))
+    if not set(map(type, services)) <= {str}:
+        for service in dict.fromkeys(services):
+            if not isinstance(service, str):
+                raise ValueError(
+                    f"cluster {_cluster_of(counts, services.index(service))} "
+                    f"member service id {service!r} is not a non-blank string")
+    return services, dates, np.array(counts)
+
+
+def _cluster_of(counts, member):
+    """The id of the cluster that holds member number ``member``."""
+    return int(np.searchsorted(np.cumsum(counts), member, "right")) + 1
+
+
+def _codes(values):
+    """The sorted distinct values of the 1-D array ``values`` and each
+    value's index among them. (``np.unique`` would import ``numpy.ma`` on
+    its first call, 8 ms.)"""
+    if not len(values):
+        return values, np.empty(0, np.int64)
+    ranked = np.sort(values)
+    table = ranked[run_heads(ranked)]
+    return table, np.searchsorted(table, values)
+
+
+def _service_codes(ids):
+    """The sorted distinct service ids of the members' id fields ``ids``
+    (an ``S`` array of ASCII or a list of ``str``), as text, and each
+    member's code among them. An ``S`` array of at most 8 bytes is sorted
+    as the big-endian integers of its bytes, which order as the text does
+    (numpy sorts an ``S`` array several times slower); other ids are coded
+    through a dict."""
+    if isinstance(ids, np.ndarray) and ids.itemsize <= 8:
+        keys = np.zeros(len(ids), np.uint64)
+        for column in ids.view(np.uint8).reshape(len(ids), -1).T:
+            keys <<= 8
+            keys |= column
+        table, codes = _codes(keys)
+        return [key.to_bytes(ids.itemsize, "big").decode()
+                for key in table.tolist()], codes
+    texts = _texts(ids)
+    table = sorted(set(texts))
+    code_of = {service: code for code, service in enumerate(table)}
+    return table, np.fromiter(map(code_of.__getitem__, texts), np.int64,
+                              len(texts))
+
+
+def _texts(fields):
+    """Member fields, an ``S`` array of ASCII or a list of ``str``, as a
+    list of ``str``."""
+    return fields.astype(str).tolist() if isinstance(fields, np.ndarray) else fields
+
+
+# Each month's days and the days before it, in a common year (rows 0..11)
+# and in a leap year (rows 12..23).
+_MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31] * 2)
+_MONTH_DAYS[13] = 29
+_DAYS_BEFORE = np.concatenate([np.cumsum(part) - part for part in
+                               np.split(_MONTH_DAYS, 2)])
+
+
+def _iso_days(text):
+    """The day numbers (``date.toordinal()``) of the ``(n, 10)`` bytes
+    ``text``, each row a date as :func:`txrisk.ingest.iso_date` reads it,
+    and whether each row is one: ``YYYY-MM-DD`` in ASCII digits, year 1 or
+    later, month 1..12 and a day of that month. Each distinct year's first
+    day and leap rule are taken from ``datetime``."""
+    columns = text.T - np.uint8(ord("0"))  # "-" wraps to 253
+    digits = columns[[0, 1, 2, 3, 5, 6, 8, 9]]
+    good = ((digits.max(axis=0) <= 9) & (columns[4] == 253)
+            & (columns[7] == 253))
+    d = digits.astype(np.int64)
+    year = d[0] * 1000 + d[1] * 100 + d[2] * 10 + d[3]
+    month = d[4] * 10 + d[5]
+    day = d[6] * 10 + d[7]
+    good &= (year >= 1) & (month >= 1) & (month <= 12)
+    year[~good] = 0
+    # By year: the days before its January 1, and the offset of its rows in
+    # _MONTH_DAYS (12 in a leap year).
+    before = np.zeros(int(year.max()) + 1, np.int64)
+    leap = np.zeros(len(before), np.int64)
+    for y in np.flatnonzero(np.bincount(year)).tolist():
+        if y:
+            before[y] = dt.date(y, 1, 1).toordinal() - 1
+            leap[y] = 12 * ((dt.date(y, 3, 1) - dt.date(y, 2, 1)).days == 29)
+    row = np.where(good, month - 1, 0) + leap[year]
+    good &= (day >= 1) & (day <= _MONTH_DAYS[row])
+    return before[year] + _DAYS_BEFORE[row] + day, good
+
+
+def _day_numbers(dates):
+    """Each member's day number from its date text, an ``S`` array of
+    ASCII or a list of ``str``; the first date in file order that
+    is not spelled ``YYYY-MM-DD`` raises :func:`txrisk.ingest.iso_date`'s
+    error. ``S10`` dates are read at array speed (:func:`_iso_days`); any
+    others, and any the array rule refuses, are read by ``iso_date``, each
+    distinct spelling once."""
+    if isinstance(dates, np.ndarray) and dates.dtype == "S10":
+        days, good = _iso_days(dates.view(np.uint8).reshape(-1, 10))
+        if good.all():
+            return days
+    texts = _texts(dates)
+    day_of = {text: iso_date(text).toordinal() for text in dict.fromkeys(texts)}
+    return np.fromiter(map(day_of.__getitem__, texts), np.int64, len(texts))
 
 
 # The bits of a day number: date.max.toordinal() is below 2 ** 22.
 _DAY_BITS = 22
 
 
+def _member_arrays(entries, ids, dates, counts):
+    """The checked member arrays of a stored model: ``(service_ids,
+    member_services, member_days)``, from the members' fields ``ids`` and
+    ``dates`` (``S`` arrays or lists of text, cluster 1's first)
+    and the ``(k,)`` list lengths ``counts``. Each cluster's
+    ``member_count`` must be its list length, every service id non-blank,
+    every date spelled ``YYYY-MM-DD`` and no (service, date) listed twice,
+    checked in that order; each check reports its first fault in file
+    order."""
+    for cid, (entry, count) in enumerate(zip(entries, counts.tolist()), 1):
+        if json_integer(entry["member_count"],
+                        f"cluster {cid} member_count") != count:
+            raise ValueError(f"cluster {cid} member_count "
+                             f"{entry['member_count']!r} differs from its "
+                             f"{count} members")
+    service_ids, member_services = _service_codes(ids)
+    blank = np.array([not service.strip() for service in service_ids])
+    if blank.any():
+        member = int(blank[member_services].argmax())
+        raise ValueError(f"cluster {_cluster_of(counts, member)} member "
+                         f"service id {service_ids[member_services[member]]!r}"
+                         " is not a non-blank string")
+    member_days = _day_numbers(dates)
+    # One key per (service, day); a day number is below 2 ** _DAY_BITS.
+    keys = member_services << _DAY_BITS | member_days
+    if (np.diff(np.sort(keys)) == 0).any():
+        twice = next(key for key, n in Counter(keys.tolist()).items() if n > 1)
+        member = [service_ids[twice >> _DAY_BITS], dt.date.fromordinal(
+            twice & (1 << _DAY_BITS) - 1).isoformat()]
+        raise ValueError(f"member {member} is listed more than once")
+    return tuple(service_ids), member_services, member_days
+
+
 def load_model(path) -> ClusterModel:
     """Load a model saved by :func:`save_model`.
+
+    A file in the layout :func:`save_model` writes has its member lists
+    read as bytes (:func:`_scan_model`) and only the rest parsed as JSON;
+    any other file is parsed whole. Both give the same fields to the same
+    checks, so a file loads, or is refused with the same message, either
+    way. The checks run in a fixed order: the top-level fields, each
+    cluster's id and centroid, the member counts, service ids and dates,
+    repeated members, then the profiles; a file with several faults is
+    refused for the first.
 
     Raises:
         ParseError: the file is unreadable or malformed, or holds a
@@ -637,7 +897,8 @@ def load_model(path) -> ClusterModel:
             with a blank or non-text service id or a date not spelled
             YYYY-MM-DD, a member listed twice, or a bad profile.
     """
-    doc = read_json(path, ParseError, "cluster model")
+    scanned = _scan_model(path)
+    doc = scanned[0] if scanned else read_json(path, ParseError, "cluster model")
     try:
         schema = ft.FeatureSchema.from_jsonable(doc["schema"])
         params = _checked_bounds(
@@ -649,36 +910,22 @@ def load_model(path) -> ClusterModel:
         if not entries:
             raise ValueError("the model stores no clusters")
         json_integer(doc["k"], "k")
-        services, days, quant, codes = zip(*(
-            _checked_cluster(c + 1, entry, schema)
-            for c, entry in enumerate(entries)))
-        counts = [len(part) for part in services]
-        ids = sorted(set(chain.from_iterable(services)))
-        code_of = {service: code for code, service in enumerate(ids)}
-        member_services = np.fromiter(
-            map(code_of.__getitem__, chain.from_iterable(services)), np.int64,
-            sum(counts))
-        member_days = np.fromiter(chain.from_iterable(days), np.int64,
-                                  sum(counts))
-        # One key per (service, day); a day number is below 2 ** _DAY_BITS.
-        keys = member_services << _DAY_BITS | member_days
-        if (np.diff(np.sort(keys)) == 0).any():
-            twice = next(key for key, n in Counter(keys.tolist()).items()
-                         if n > 1)
-            member = [ids[twice >> _DAY_BITS], dt.date.fromordinal(
-                twice & (1 << _DAY_BITS) - 1).isoformat()]
-            raise ValueError(f"member {member} is listed more than once")
+        quant, codes = zip(*(_checked_centroid(c + 1, entry, schema)
+                             for c, entry in enumerate(entries)))
+        ids, dates, counts = scanned[1:] if scanned else _json_members(entries)
+        service_ids, member_services, member_days = _member_arrays(
+            entries, ids, dates, counts)
         profiles = [_profile_lists(c + 1, entry["profile"])
                     for c, entry in enumerate(entries) if "profile" in entry]
         if profiles and len(profiles) != len(entries):
             raise ValueError("some clusters have a profile and some not")
         return ClusterModel(
-            service_ids=tuple(ids),
+            service_ids=service_ids,
             member_services=_read_only(member_services),
             member_days=_read_only(member_days),
             centroids=(_read_only(np.array(quant, dtype=np.float64)),
                        _read_only(np.array(codes, dtype=np.int64))),
-            member_counts=_read_only(np.array(counts)),
+            member_counts=_read_only(counts),
             schema=schema,
             norm_params=params,
             seed=json_integer(doc["seed"], "seed"),

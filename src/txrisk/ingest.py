@@ -21,15 +21,15 @@ from the positions of commas and line feeds, and converts each column
 whole by its rule's scan. A number column is read exactly where its
 fields are spelled ``[-]digits[.digits]`` (see :func:`_numbers`), else
 through ``float``. A block that holds a quote, a carriage return
-not before a line feed, a NUL, a byte outside ASCII, a line without the
-header's column count or longer than the csv field limit, or a field that
-a scan declines goes to the per-row code, as does a header line not
-spelled exactly. That code reads the block's rows with the csv module and
-reports every fault with its row and column; the scan takes over again at
-the first block end where a row ends. Checks across rows (a third reading
-of an hour, a calendar date listed twice) run over whole columns.
-:func:`load_dataset` gives each date one code in all three files and
-joins the days on integer codes.
+not before a line feed, a NUL, a line without the header's column count
+or longer than the csv field limit, or a field that a scan declines goes
+to the per-row code, as does a header line not spelled exactly; UTF-8
+text outside ASCII does not. The per-row code reads the block's rows
+with the csv module and reports every fault with its row and column;
+the scan takes over again at the first block end where a row ends.
+Checks across rows (a third reading of an hour, a calendar date listed
+twice) run over whole columns. :func:`load_dataset` gives each date one
+code in all three files and joins the days on integer codes.
 
 Every CSV table the package writes goes through :func:`write_table` (of
 :mod:`txrisk.tables`), which takes columns of numbers and text.
@@ -338,7 +338,7 @@ def _codes(buf, starts, lens, table, code):
     codes = np.empty(len(starts), np.int64)
     for length, rows in _by_length(lens):
         texts = _fixed(buf, starts[rows], length)
-        heads = _run_heads(texts)
+        heads = run_heads(texts)
         runs = texts[heads].tolist()
         run_codes = list(map(table.get, runs))
         if None in run_codes:  # texts not seen before, or refused
@@ -359,7 +359,7 @@ def _flags(buf, starts, lens):
     return codes == ord("Y")
 
 
-def _run_heads(values):
+def run_heads(values):
     """The index of the first value of each run of equal values in the
     non-empty 1-D array ``values``."""
     return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
@@ -369,7 +369,7 @@ def _ranks(keys):
     """Each key's count of equal keys before it in the non-empty 1-D array
     ``keys``: its rank in a stable sort, less its run's first rank."""
     order = np.argsort(keys, kind="stable")
-    heads = _run_heads(keys[order])
+    heads = run_heads(keys[order])
     ranks = np.empty(len(keys), np.int64)
     ranks[order] = np.arange(len(keys)) - np.repeat(
         heads, np.diff(heads, append=len(keys)))
@@ -565,7 +565,7 @@ def _load_hourly(path, header, dates, names):
         if ids:
             days = days | ids[0] << 32
         # Day codes to grid rows, new days numbered as they first appear.
-        heads = _run_heads(days)
+        heads = run_heads(days)
         days = np.repeat([index.setdefault(code, len(index))
                           for code in days[heads].tolist()],
                          np.diff(heads, append=len(days)))

@@ -132,7 +132,8 @@ def _digit_cells(magnitude, sign, places, slow=None, texts=()):
     decimal with ``places`` digits after a point, and a ``-`` where
     ``sign`` (0 or -1 per cell) is -1, as :func:`_cells` gives them,
     right-aligned and laid out a place at a time. The cells that ``slow``
-    marks hold ``texts`` (in the order of ``np.nonzero(slow)``) instead."""
+    marks hold ``texts`` (in the order of ``np.nonzero(slow)``) instead,
+    placed with one masked assignment."""
     figures = max(len(str(int(magnitude.max(initial=0)))), places + 1)
     # Each cell's length: its digits (at least places + 1), the point and
     # the sign. (m - 10 ** d) >> 63 is -1 where m has no digit at place d.
@@ -143,6 +144,10 @@ def _digit_cells(magnitude, sign, places, slow=None, texts=()):
     signed = bool(sign.any())
     texts = [text.encode() for text in texts]
     width = max([figures + (places > 0) + signed, *map(len, texts)])
+    # The slow cells right-aligned, NUL on the left (no % text holds one).
+    slow_cells = np.frombuffer(b"".join(text.rjust(width, b"\0")
+                                        for text in texts),
+                               np.uint8).reshape(len(texts), width)
 
     def fill(text, keep):
         rest, at = magnitude, width - 1
@@ -164,10 +169,8 @@ def _digit_cells(magnitude, sign, places, slow=None, texts=()):
         for left in range(at + 1):
             keep[..., left] = lengths > width - 1 - left
         if texts:
-            for row, column, cell in zip(*np.nonzero(slow), texts):
-                text[row, column, width - len(cell):] = np.frombuffer(
-                    cell, np.uint8)
-                keep[row, column] = np.arange(width) >= width - len(cell)
+            text[slow] = slow_cells
+            keep[slow] = slow_cells != 0
 
     return magnitude.shape[1], width, fill
 

@@ -7,6 +7,7 @@ import math
 import re
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -609,6 +610,218 @@ class TestModelFile:
             stored += list(entry["centroid_raw"].values())
             stored += entry["profile"]["load_kva"] + entry["profile"]["ambient_c"]
         assert all(math.isfinite(v) for v in stored)
+
+
+def model_outcome(path):
+    """What :func:`load_model` makes of ``path``: every field of the model
+    as plain values, or the refusal's exit code and message."""
+    try:
+        model = load_model(path)
+    except ParseError as exc:
+        return ("refused", exc.exit_code, str(exc))
+    arrays = (model.member_services, model.member_days, model.member_counts,
+              *model.centroids, *(model.profiles or ()))
+    return ("loaded", model.service_ids, model.schema, model.norm_params,
+            model.seed, model.objective, model.far_threshold, model.restarts,
+            [(a.dtype.str, a.shape, a.tolist()) for a in arrays])
+
+
+def both_ways(path):
+    """:func:`model_outcome` of ``path`` as it is and with the member scan
+    declined, so that ``json`` reads the whole file, which must agree; and
+    whether the scan read the file."""
+    scanned = clustering._scan_model(path) is not None
+    outcome = model_outcome(path)
+    with mock.patch.object(clustering, "_scan_model", lambda path: None):
+        assert model_outcome(path) == outcome
+    return outcome, scanned
+
+
+def field_span(text, index):
+    """The span of member field ``index`` of model.json text: member
+    ``index // 2``'s id, or its date if ``index`` is odd, cluster 1's
+    members first."""
+    at = text.index('"members": [')
+    for _ in range(index + 1):
+        at = text.index('\n          "', at + 1)
+    start = at + len('\n          "')
+    return start, text.index('"', start)
+
+
+def with_field(text, index, value):
+    start, end = field_span(text, index)
+    return text[:start] + value + text[end:]
+
+
+def member_block(text, member):
+    """The text of member ``member`` with its separator."""
+    start = field_span(text, 2 * member)[0]
+    start = text.rindex("\n        [", 0, start) + 1
+    return text[start:text.index("],\n", start) + 3]
+
+
+def with_member_twice(text, member):
+    block = member_block(text, member)
+    return text.replace(block, block + block, 1)
+
+
+def with_count(text, cluster, change):
+    """The text with cluster ``cluster``'s member_count moved by
+    ``change``."""
+    at = text.index('"id": %d,' % cluster)
+    at = text.index('"member_count": ', at) + len('"member_count": ')
+    end = text.index(",", at)
+    return text[:at] + str(int(text[at:end]) + change) + text[end:]
+
+
+class TestModelScan:
+    """A model file in the layout save_model writes has its member lists
+    read as bytes; every other file goes to json. Each case loads a file
+    both ways and asserts the same fields or the same refusal."""
+
+    def test_every_written_model_takes_the_scan(self, golden_pipeline,
+                                                tmp_path):
+        # A silent decline would keep every result and lose the speed.
+        dataset, schema = two_cluster_fixture()
+        profile = ([1.0] * 24, [20.0] * 24)
+        models = {"k1": train_model(dataset, 1, schema, seed=4),
+                  "one_member": make_model_with_profiles([(profile, 1),
+                                                          (profile, 3)]),
+                  "no_profiles": replace(kmeans(dataset, 2, schema, seed=4),
+                                         member_rows=None)}
+        paths = [golden_pipeline[0][0] / "out" / "model.json"]
+        for name, model in models.items():
+            paths.append(tmp_path / f"{name}.json")
+            save_model(model, paths[-1])
+        counts = []
+        for path in paths:
+            outcome, scanned = both_ways(path)
+            assert scanned and outcome[0] == "loaded"
+            counts.append(outcome[-1][2][2])
+        assert len(counts[0]) == 6 and sum(counts[0]) == 14600
+        assert counts[1:3] == [[6], [1, 3]]
+        assert len(counts[3]) == 2 and sum(counts[3]) == 6
+
+    @pytest.mark.parametrize("edit,scanned,message", [
+        # A field the scan reads and the shared checks refuse.
+        (lambda t: with_field(t, 6, "    "), True,
+         "cluster 1 member service id '    ' is not a non-blank string"),
+        (lambda t: with_field(t, 7, "2015-02-30"), True,
+         "day is out of range for month"),
+        (lambda t: with_field(t, 7, "2015-13-01"), True,
+         "month must be in 1..12"),
+        (lambda t: with_field(t, 7, "2015-1-01"), False,
+         "Invalid isoformat string: '2015-1-01'"),
+        (lambda t: with_field(t, 7, "0000-01-01"), True,
+         "year 0 is out of range"),
+        # A field json reads otherwise than as its bytes.
+        (lambda t: with_field(t, 6, 'S\\"1'), False, None),
+        (lambda t: with_field(t, 6, "S\\u00e9"), False, None),
+        (lambda t: with_field(t, 6, "S\u00e91"), False, None),
+        (lambda t: with_field(t, 6, "S\t01"), False,
+         "Invalid control character"),
+        # Members and counts.
+        (lambda t: with_member_twice(t, 3), True,
+         "cluster 1 member_count"),
+        (lambda t: with_count(with_member_twice(t, 3), 1, 1), True,
+         "is listed more than once"),
+        (lambda t: with_count(t, 2, -1), True, "cluster 2 member_count"),
+        # An id line repeated: the member holds three texts.
+        (lambda t: t.replace(member_block(t, 3), member_block(t, 3)[:32]
+                             + member_block(t, 3)[12:], 1), False,
+         "too many values to unpack (expected 2)"),
+        (lambda t: t.replace(member_block(t, 3), member_block(t, 3)[:-2], 1),
+         False, "cannot read cluster model"),
+        # File layout.
+        (lambda t: t.replace("\n", "\r\n"), False, None),
+        (lambda t: "\ufeff" + t, False, "Unexpected UTF-8 BOM"),
+        (lambda t: t.replace('\n          "S0', '\n           "S0', 1), False,
+         None),
+        (lambda t: t.replace('\n      "members": [', '\n      "members": [],'
+                             '\n      "members": [', 1), False, None),
+        (lambda t: t.replace('"weight": 1.0\n    }', '"weight": 1.0,\n'
+                             '      "members": []\n    }', 1), False, None),
+        (lambda t: t.replace('\n      "members": [', '\n      "members": '
+                             '"\\u0000",\n      "members": [', 1), False,
+         None),
+    ], ids=["blank_id", "date_feb_30", "date_month_13", "date_short",
+            "date_year_0", "escaped_quote_id", "escaped_e_id", "raw_utf8_id",
+            "tab_id", "member_twice", "member_twice_counted",
+            "member_count_minus_one", "duplicated_line", "separator_cut",
+            "crlf", "bom",
+            "extra_space", "second_members_key", "schema_members_key",
+            "slot_text_in_file"])
+    def test_edit_reads_the_same_both_ways(self, golden_pipeline, tmp_path,
+                                           edit, scanned, message):
+        source = golden_pipeline[0][0] / "out" / "model.json"
+        path = tmp_path / "model.json"
+        path.write_bytes(edit(source.read_text(encoding="utf-8"))
+                         .encode("utf-8"))
+        outcome, took_scan = both_ways(path)
+        assert took_scan == scanned
+        if message is None:
+            assert outcome[0] == "loaded"
+        else:
+            assert outcome[:2] == ("refused", 3) and message in outcome[2]
+
+    def test_random_edits_read_the_same_both_ways(self, golden_pipeline,
+                                                  tmp_path):
+        # Seeded damage inside the member lists: bytes replaced, inserted
+        # and deleted, whole lines repeated or dropped, and bytes of member
+        # fields replaced.
+        text = (golden_pipeline[0][0] / "out" / "model.json").read_bytes()
+        lo, hi = text.index(b'"members": ['), text.rindex(b'"profile"')
+        rng = np.random.default_rng(20261020)
+        alphabet = b' \n\r\t"\\,[]{}:-0123456789Sx\x00\xc3\xa9\x7f'
+        scanned = 0
+        for case in range(150):
+            at = int(rng.integers(lo, hi))
+            byte = alphabet[int(rng.integers(len(alphabet)))]
+            kind = case % 5
+            if kind == 4:
+                at = text.index(b'\n          "', at) + 12 + int(rng.integers(4))
+            if kind in (0, 4):
+                damaged = text[:at] + bytes([byte]) + text[at + 1:]
+            elif kind == 1:
+                damaged = text[:at] + bytes([byte]) + text[at:]
+            elif kind == 2:
+                damaged = text[:at] + text[at + 1:]
+            else:
+                start = text.rindex(b"\n", 0, at)
+                end = text.index(b"\n", at)
+                damaged = (text[:end] + text[start:end] + text[end:]
+                           if rng.integers(2) else text[:start] + text[end:])
+            path = tmp_path / f"{case}.json"
+            path.write_bytes(damaged)
+            scanned += both_ways(path)[1]
+        assert scanned  # some edits stay in the layout
+
+
+def test_array_date_rule_is_iso_date():
+    # Every 10-byte text the rule reads must be one that iso_date reads,
+    # to the same day, and every other one refused.
+    texts = [f"{y}-{m}-{d}".encode() for y in (
+        "0000", "0001", "0004", "1600", "1899", "1900", "2000", "2015",
+        "2016", "2100", "9999", "20 5", "2O15", "-015", "+015")
+        for m in ("00", "01", "02", "03", "04", "09", "10", "11", "12", "13",
+                  "1a", "-1", " 1", "1 ")
+        for d in ("00", "01", "28", "29", "30", "31", "32", " 1", "1 ", "3:")]
+    rng = np.random.default_rng(7)
+    alphabet = np.frombuffer(b"0123456789-/ T:", np.uint8)
+    texts += [rng.choice(alphabet, 10).tobytes() for _ in range(3000)]
+    texts += [b"2015/01/01", b"20150101xx", b"2015-0101-", b"2015-W02-1"]
+    texts += [(dt.date(1900, 1, 1) + dt.timedelta(days=i)).isoformat().encode()
+              for i in range(0, 60000, 7)]
+    days, good = clustering._iso_days(
+        np.frombuffer(b"".join(texts), np.uint8).reshape(-1, 10))
+    for text, day, ok in zip(texts, days.tolist(), good.tolist()):
+        try:
+            expected = ingest.iso_date(text.decode()).toordinal()
+        except ValueError:
+            assert not ok, text
+        else:
+            assert ok and day == expected, text
+    assert good.sum() > 8500
 
 
 class TestFiniteFeatures:

@@ -5,8 +5,11 @@ Small valid inputs (a synthetic dataset, a spec, a trained model, a query
 file and a config file) are damaged one at a time: cut short, a column
 dropped or two swapped, a cell replaced by ``nan``/``inf``/``-1``/blank and
 the like, a row duplicated, stray (also non-UTF-8) bytes inserted, a JSON
-value replaced or a key deleted. Each damaged copy is fed to the
-subcommand that reads it. The mutations come from numpy's seeded
+value replaced or a key deleted. The model file is also damaged in place,
+in its member lists, keeping the layout that ``load_model`` reads as bytes:
+a member field respelled, a line repeated or dropped, a member repeated, a
+``member_count`` moved or a stray byte inserted. Each damaged copy is fed
+to the subcommand that reads it. The mutations come from numpy's seeded
 generator, so every run tries the same cases.
 """
 
@@ -72,7 +75,7 @@ def _argv(target, inputs, out):
     estimate = ["estimate", "--spec", data["spec.json"],
                 "--model", data["model.json"], "--query", data["query.csv"],
                 "--services", "5", "--out", str(out)]
-    if target in ("spec.json", "model.json"):
+    if target in ("spec.json", "model.json", IN_PLACE):
         return [assess, estimate]
     if target == "query.csv":
         return [estimate]
@@ -158,25 +161,72 @@ def _json_mutation(rng, text):
     return f"{list(path)} deleted", json.dumps(doc).encode()
 
 
+# Member fields written in place of one: blank, escaped, non-ASCII,
+# misspelled or impossible dates, and valid ones (a member listed twice).
+MEMBER_FIELDS = ["", " ", "    ", 'S\\"1', "S\\u00e9", "S\u00e91", "S\t01",
+                 "2015-02-30", "2015-13-01", "2015-1-01", "0000-01-01",
+                 "2015-01-01", "S001", "x"]
+
+
+def _member_mutation(rng, text):
+    """One random damage to model.json text in place: a member field
+    respelled, a line at a member's indent repeated or dropped, a member
+    repeated, a member_count moved or a stray byte inserted among the
+    clusters; returns (description, new bytes)."""
+    def pick(pattern):
+        spans = [m.span() for m in re.finditer(pattern, text)]
+        return spans[int(rng.integers(len(spans)))]
+
+    kind = int(rng.integers(5))
+    if kind == 0:
+        start, end = pick(r'(?<=\n          ")[^"]*')
+        value = MEMBER_FIELDS[int(rng.integers(len(MEMBER_FIELDS)))]
+        return (f"field {text[start:end]!r} at byte {start} = {value!r}",
+                (text[:start] + value + text[end:]).encode())
+    if kind == 1:
+        start, end = pick(r'\n {8,10}[^\n]*')
+        if rng.integers(2):
+            return (f"line at byte {start} repeated",
+                    (text[:end] + text[start:end] + text[end:]).encode())
+        return f"line at byte {start} dropped", (text[:start] + text[end:]).encode()
+    if kind == 2:
+        start, end = pick(r' {8}\[\n {10}"[^"]*",\n {10}"[^"]*"\n {8}\],\n')
+        return (f"member at byte {start} repeated",
+                (text[:end] + text[start:end] + text[end:]).encode())
+    if kind == 3:
+        start, end = pick(r'(?<="member_count": )\d+')
+        count = int(text[start:end]) + int(rng.choice([-1, 1]))
+        return (f"member_count at byte {start} = {count}",
+                (text[:start] + str(count) + text[end:]).encode())
+    raw = text.encode()
+    at = int(rng.integers(raw.index(b'"members": ['), raw.rindex(b'"profile"')))
+    stray = STRAY[int(rng.integers(len(STRAY)))]
+    return f"{stray!r} inserted at byte {at}", raw[:at] + stray + raw[at:]
+
+
+IN_PLACE = "model.json in place"
 TARGETS = ("weather.csv", "meter.csv", "calendar.csv", "query.csv",
-           "spec.json", "model.json", "config.json")
+           "spec.json", "model.json", "config.json", IN_PLACE)
 
 
 @pytest.mark.parametrize("target", TARGETS)
 def test_damaged_input_ends_in_documented_exit_code(base, tmp_path, target):
     names = ("weather.csv", "meter.csv", "calendar.csv")
     originals = {name: base / "data" / name for name in names}
-    originals.update({name: base / name for name in TARGETS if name not in names})
-    text = originals[target].read_text(encoding="utf-8")
+    originals.update({name: base / name for name in TARGETS
+                      if name not in names and name != IN_PLACE})
+    source = "model.json" if target == IN_PLACE else target
+    text = originals[source].read_text(encoding="utf-8")
     rng = np.random.default_rng([SEED, TARGETS.index(target)])
-    mutate = _json_mutation if target.endswith(".json") else _csv_mutation
+    mutate = (_member_mutation if target == IN_PLACE else _json_mutation
+              if target.endswith(".json") else _csv_mutation)
 
     failures = []
     for case in range(CASES_PER_TARGET):
         what, damaged = mutate(rng, text)
-        path = tmp_path / f"{case}_{target}"
+        path = tmp_path / f"{case}_{source}"
         path.write_bytes(damaged)
-        inputs = dict(originals, **{target: path})
+        inputs = dict(originals, **{source: path})
         out = tmp_path / f"out{case}"
         for argv in _argv(target, inputs, out):
             try:

@@ -359,6 +359,29 @@ def test_number_columns_equal_percent_format(tmp_path, places):
         percent_table(["x", "a", "b"], rows)
 
 
+@pytest.mark.parametrize("places", range(5))
+def test_tables_dense_with_percent_cells(tmp_path, places):
+    # Cells that % formats (nan, +-inf and values of at least
+    # 2 ** (52 - places)) in most rows of a number block over two chunks,
+    # next to ordinary values and an integer column dense with -2 ** 63.
+    n = tables._WRITE_ROWS + 5
+    rng = np.random.default_rng(places)
+    edge = 2.0 ** (52 - places)
+    kind = rng.integers(6, size=(n, 3))
+    huge = edge * rng.uniform(1.0, 1e9, (n, 3))
+    values = np.select([kind == 0, kind == 1, kind == 2, kind == 3, kind == 4],
+                       [np.nan, np.inf, -np.inf, huge, -huge],
+                       rng.normal(0.0, 100.0, (n, 3)))
+    values[:3] = [edge, -edge, 1.7976931348623157e308]
+    ints = np.where(rng.integers(2, size=n) == 1, -2 ** 63,
+                    rng.integers(-10 ** 6, 10 ** 6, n))
+    rows = [f"%d,%.{places}f,%.{places}f,%.{places}f\n" % (i, *row)
+            for i, row in zip(ints.tolist(), values.tolist())]
+    assert table_bytes(tmp_path, ["n", "a", "b", "c"],
+                       [[ints, (values, places)]]) == \
+        percent_table(["n", "a", "b", "c"], rows)
+
+
 def test_integer_columns_equal_percent_d(tmp_path):
     # The temperature grid's column: %d of round(x), which gives 0 for
     # -0.4 where %.0f gives -0; and int64 at both ends.
