@@ -26,7 +26,12 @@ with tempfile.TemporaryDirectory(prefix="txrisk_demo_") as workdir:
     dataset = load_dataset(paths["weather"], paths["meter"], paths["calendar"])
 print(f"{len(dataset.records)} records "
       f"({len(dataset.services)} services x {len(dataset.dates)} days), "
-      f"fields: {', '.join(dataset.records.dtype.names)}\n")
+      f"fields: {', '.join(dataset.records.dtype.names)}")
+# Each meter day's 24 hourly loads are held once, in dataset.load; a
+# record's load_row field is its day's row there.
+first = dataset.records[0]
+print(f"first record's loads, kVA: "
+      f"{' '.join(f'{v:.2f}' for v in dataset.load[first['load_row']])}\n")
 
 model = train_model(dataset, k=6, schema=default_schema(), seed=7, restarts=3)
 print(f"k={model.k}, objective={model.objective:.1f}, "

@@ -6,7 +6,9 @@ Centroids are per-feature means for numeric/ordinal features and modal
 statuses for nominal features; records are encoded by
 :func:`txrisk.features.encode` and every dissimilarity is
 :func:`txrisk.features.distance`. Initialization samples k distinct data
-points with a seeded generator, so training is fully reproducible.
+points with :class:`txrisk.sampling.Sampler`, the seeded draw of numpy's
+``default_rng(seed).choice`` in Python integers, so training is fully
+reproducible whatever the numpy release.
 
 Lloyd's iterations skip most point–centroid evaluations with Hamerly's
 triangle-inequality bounds ("Making k-means even faster", SDM 2010; after
@@ -40,6 +42,7 @@ from .errors import (
     read_json,
 )
 from .ingest import TEMP_MAX_C, TEMP_MIN_C, run_heads, iso_date
+from .sampling import Sampler
 
 MAX_ITERATIONS = 300
 FAR_GUARD_PERCENTILE = 95.0
@@ -47,6 +50,12 @@ FAR_GUARD_PERCENTILE = 95.0
 # a distance, its square root and a sum of bounds, far below any distance
 # gap that decides a label in practice.
 _BOUND_MARGIN = 1e-9
+# Lloyd takes the distances of at most this many points in one
+# features.distance call, so that its temporaries (a copy of the points'
+# features and a few arrays of one value per point and centroid) stay
+# near 1 MB at any record count. kmeans ran no slower than with whole
+# columns on 40 x 730 and 200 x 730 inputs (2-CPU Xeon, numpy 2.4).
+_BLOCK_ROWS = 1 << 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,14 +122,16 @@ def _linear_percentile(values, q: float) -> float:
     statistics (numpy's default "linear" method, written out so that its
     rounding is fixed): with the values sorted as x_0 <= ... <= x_{n-1} and
     h = (n - 1) q / 100 taken exactly, the result is
-    x_i + (h - i) (x_{i+1} - x_i) for i = floor(h)."""
-    xs = sorted(values)
+    x_i + (h - i) (x_{i+1} - x_i) for i = floor(h). ``values`` is a 1-D
+    float array without NaN or -0.0, so its sort orders it as ``sorted``
+    would."""
+    xs = np.sort(values)
     h = (len(xs) - 1) * Fraction(q) / 100
     i = math.floor(h)
     frac = float(h - i)
     if frac == 0.0:
-        return xs[i]
-    return xs[i] + frac * (xs[i + 1] - xs[i])
+        return float(xs[i])
+    return float(xs[i] + frac * (xs[i + 1] - xs[i]))
 
 
 def _member_means(values, member_rows, counts) -> np.ndarray:
@@ -186,8 +197,15 @@ def kmeans(dataset, k: int, schema: ft.FeatureSchema, seed: int,
 
     Alternates nearest-centroid assignment and centroid update until
     assignments stop changing (or ``MAX_ITERATIONS``). ``restarts`` reruns
-    the whole procedure with fresh seeded initial centroids and keeps the
-    lowest-objective result. Output is deterministic for a fixed seed.
+    the whole procedure with fresh initial centroids and keeps the
+    lowest-objective result. Restart ``r``'s initial centroids are the
+    ``k`` distinct records of the ``r``-th ``choice(n, k)`` of one
+    :class:`txrisk.sampling.Sampler` of ``seed``: the records that
+    ``numpy.random.default_rng(seed)`` would pick by ``r`` calls of
+    ``choice(n, size=k, replace=False)``, drawn without importing
+    ``numpy.random``. Output is deterministic for a fixed seed.
+    Lloyd evaluates the points ``_BLOCK_ROWS`` at a time, so its
+    temporaries do not grow with the record count.
     Inside Lloyd each centroid mean is a row-order float sum divided by the
     member count (see :func:`_update_centroids`) and every dissimilarity
     is elementwise, so the labels, too, do not depend on the numpy build.
@@ -227,11 +245,11 @@ def kmeans(dataset, k: int, schema: ft.FeatureSchema, seed: int,
 
     params = ft.fit_normalization(records, schema)
     quant, nom = ft.encode(records, schema, params)
-    rng = np.random.default_rng(seed)
+    sampler = Sampler(seed)
 
     best = None
     for _ in range(restarts):
-        init = rng.choice(n, size=k, replace=False)
+        init = np.array(sampler.choice(n, k), np.int64)
         result = _lloyd(quant, nom, schema, init, track_objective)
         if best is None or result[1] < best[1]:
             best = result
@@ -241,8 +259,8 @@ def kmeans(dataset, k: int, schema: ft.FeatureSchema, seed: int,
     member_rows = np.argsort(labels, kind="stable")
     cent_q, cent_n = _update_centroids(quant, nom, labels, counts, member_rows)
     member_dists = _own_distances((quant, nom), (cent_q, cent_n), labels,
-                                  schema).tolist()
-    objective = math.fsum(member_dists)
+                                  schema)
+    objective = math.fsum(member_dists)  # value by value, with no list
     far_threshold = _linear_percentile(member_dists, FAR_GUARD_PERCENTILE)
 
     day_numbers = np.array([iso_date(text).toordinal()
@@ -292,7 +310,7 @@ def _lloyd(quant, nom, schema, init_idx, track_objective):
     k = len(init_idx)
     data = (quant, nom)
     cents = (quant[init_idx].copy(), nom[init_idx].copy())
-    labels, upper, lower = _assign(data, cents, schema)
+    labels, upper, lower = _assign(data, cents, schema, np.arange(len(quant)))
     trace = []
     if track_objective:
         trace.append(float(_own_distances(data, cents, labels, schema).sum()))
@@ -336,8 +354,8 @@ def _lloyd(quant, nom, schema, init_idx, track_objective):
         if track_objective:
             trace.append(float(_own_distances(data, cents, labels,
                                               schema).sum()))
-        evaluated, upper[rows], lower[rows] = _assign(_take(data, rows),
-                                                      cents, schema)
+        evaluated, upper[rows], lower[rows] = _assign(data, cents, schema,
+                                                      rows)
         converged = np.array_equal(evaluated, labels[rows])
         labels[rows] = evaluated
         if track_objective:
@@ -368,28 +386,34 @@ def _lloyd(quant, nom, schema, init_idx, track_objective):
     return labels, objective, trace
 
 
-def _assign(data, centroids, schema):
-    """Each row's nearest centroid by :func:`_nearest`, with the square
-    roots of its distance to that centroid and to the nearest other one
-    (inf when there is no other)."""
-    dists = ft.distance(data, centroids, schema)
-    labels = _nearest(dists)
-    rows = np.arange(len(labels))
-    own = dists[rows, labels]
-    dists[rows, labels] = np.inf
-    return labels, np.sqrt(own), np.sqrt(dists.min(axis=1))
+def _assign(data, centroids, schema, rows):
+    """Each of the rows ``rows``' nearest centroid by :func:`_nearest`,
+    with the square roots of its distance to that centroid and to the
+    nearest other one (inf when there is no other)."""
+    labels = np.empty(len(rows), np.intp)
+    upper, lower = np.empty(len(rows)), np.empty(len(rows))
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        dists = ft.distance(_take(data, rows[block]), centroids, schema)
+        labels[block] = nearest = _nearest(dists)
+        at = np.arange(len(nearest))
+        upper[block] = np.sqrt(dists[at, nearest])
+        dists[at, nearest] = np.inf
+        lower[block] = np.sqrt(dists.min(axis=1))
+    return labels, upper, lower
 
 
 def _own_distances(data, centroids, labels, schema):
-    """Each row's distance to its own centroid, in row order: one
-    :func:`txrisk.features.distance` call per cluster on its members, so
-    each entry has the bits of the full ``(n, k)`` call's entry."""
+    """Each row's distance to its own centroid, in row order: per cluster,
+    :func:`txrisk.features.distance` calls on its members, so each entry
+    has the bits of the full ``(n, k)`` call's entry."""
     own = np.empty(len(labels))
     for c in range(len(centroids[0])):
-        rows = np.flatnonzero(labels == c)
-        own[rows] = ft.distance(_take(data, rows), (centroids[0][c:c + 1],
-                                                    centroids[1][c:c + 1]),
-                                schema)[:, 0]
+        members = np.flatnonzero(labels == c)
+        for start in range(0, len(members), _BLOCK_ROWS):
+            rows = members[start:start + _BLOCK_ROWS]
+            own[rows] = ft.distance(_take(data, rows), (
+                centroids[0][c:c + 1], centroids[1][c:c + 1]), schema)[:, 0]
     return own
 
 
@@ -454,8 +478,9 @@ def month_cluster_matrix(model: ClusterModel) -> np.ndarray:
 def extract_profiles(model: ClusterModel, dataset) -> tuple[np.ndarray, np.ndarray]:
     """Hourwise mean member profiles per cluster, from the
     :class:`txrisk.ingest.Dataset` ``model`` was trained on: each member's
-    ``load_kva`` field and its date's row of ``dataset.ambient``. The
-    ``(load_kva, ambient_c)`` pair of ``(k, 24)`` arrays.
+    ``load_row`` of ``dataset.load`` and its date's row of
+    ``dataset.ambient``. The ``(load_kva, ambient_c)`` pair of ``(k, 24)``
+    arrays.
 
     Each hour's mean is ``math.fsum`` of the members' values at that hour
     divided by the member count, so the stored profiles depend on the
@@ -463,8 +488,9 @@ def extract_profiles(model: ClusterModel, dataset) -> tuple[np.ndarray, np.ndarr
     """
     records, rows = dataset.records, model.member_rows
     return tuple(_read_only(_member_means(values, rows, model.member_counts))
-                 for values, rows in ((records["load_kva"], rows),
-                                      (dataset.ambient, records["day"][rows])))
+                 for values, rows in (
+                     (dataset.load, records["load_row"][rows]),
+                     (dataset.ambient, records["day"][rows])))
 
 
 def train_model(dataset, k: int, schema: ft.FeatureSchema, seed: int,

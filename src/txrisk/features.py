@@ -278,25 +278,30 @@ def encode(records, schema: FeatureSchema, params: NormalizationParams, *,
     except KeyError as exc:
         raise SchemaMismatchError(
             f"no normalization params for {exc.args[0]!r}") from None
-    lo, hi = bounds[:, 0], bounds[:, 1]
-    raw = quant[:, :p]
-    # A constant feature (Min == Max) is divided by inf, which maps it to 0.
-    x = (raw - lo) / np.where(hi == lo, np.inf, hi - lo)
-    # min(1, max(0, x)) as Python evaluates it, so -0.0 clamps to 0.0.
-    x = np.where(x > 0.0, np.minimum(x, 1.0), 0.0)
-    quant[:, :p] = np.where(np.isnan(raw), math.nan, x)
+    # Each column in place, so that no temporary is wider than a flag.
+    for column, (lo, hi) in zip(quant.T, bounds.tolist()):
+        missing = np.isnan(column)
+        column -= lo
+        # A constant feature (Min == Max) is divided by inf, which maps it
+        # to 0.
+        column /= math.inf if hi == lo else hi - lo
+        # min(1, max(0, x)) as Python evaluates it, so -0.0 clamps to 0.0.
+        np.minimum(column, 1.0, out=column)
+        column[~(column > 0.0)] = 0.0
+        column[missing] = math.nan
 
-    for j, name in enumerate(schema.nominal_names):
+    for column, name in zip(nom.T, schema.nominal_names):
         labels = _field(records, name, _LABELS, allow_missing)
+        column[:] = -1
         if labels is None:
-            nom[:, j] = -1
             continue
-        index = {s: i for i, s in enumerate(schema.feature(name).statuses)}
-        try:
-            nom[:, j] = [index[label] for label in labels.tolist()]
-        except KeyError as exc:
-            raise SchemaMismatchError(f"unknown status {exc.args[0]!r} for "
-                                      f"nominal feature {name!r}") from None
+        for i, status in enumerate(schema.feature(name).statuses):
+            column[labels == status] = i
+        unknown = column < 0
+        if unknown.any():
+            raise SchemaMismatchError(
+                f"unknown status {labels[unknown.argmax()].item()!r} for "
+                f"nominal feature {name!r}")
     return quant, nom
 
 

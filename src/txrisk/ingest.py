@@ -10,7 +10,8 @@ File formats (UTF-8, comma separated, header row mandatory, ISO dates):
 Metered kW is treated as kVA at unity power factor. :func:`load_dataset`
 returns the days as one record table: a numpy structured array with a row
 per (service, date) and a field per column, the service and the date as
-integer codes into sorted tables; the weather is kept once per date.
+integer codes into sorted tables; the weather is kept once per date, and
+each meter day's 24 loads once, as a row of the meter grid.
 
 Every input table (these three files and the query file of
 :func:`txrisk.estimation.read_query_csv`) is read by :func:`read_columns`,
@@ -72,13 +73,16 @@ MAX_INTERPOLATED_HOURS = 2
 @dataclass
 class Dataset:
     """The record table of :func:`load_dataset`: its sorted service ids and
-    ISO dates, which the table's ``service`` and ``day`` fields index, and
-    the ``(len(dates), 24)`` hourly ambient temperatures of each date."""
+    ISO dates, which the table's ``service`` and ``day`` fields index, the
+    ``(len(dates), 24)`` hourly ambient temperatures of each date, and the
+    ``(meter days, 24)`` hourly loads (kVA) of the meter days, which the
+    table's ``load_row`` field indexes."""
 
     records: np.ndarray
     services: tuple[str, ...]
     dates: tuple[str, ...]
     ambient: np.ndarray
+    load: np.ndarray
 
 
 def iso_date(text: str) -> dt.date:
@@ -148,15 +152,16 @@ def _byte_blocks(fh):
 
 def _block_fields(block, width):
     """A block of lines as a ``uint8`` array of its bytes and the start and
-    length of each field, two ``(width, lines)`` arrays, or None unless the
-    csv module would read each line as its split at commas: the block holds
-    a quote, a NUL (csv before Python 3.11 refuses it) or a carriage return
-    not before a line feed, or a line without ``width`` fields or longer
-    than the csv field limit. A line feed ends the last line too; carriage
+    length of each field, two ``(width, lines)`` int32 arrays, or None
+    unless the csv module would read each line as its split at commas: the
+    block holds a quote, a NUL (csv before Python 3.11 refuses it) or a
+    carriage return not before a line feed, or a line without ``width``
+    fields or longer than the csv field limit, or the block is 2 GiB or
+    longer (one long line). A line feed ends the last line too; carriage
     returns before line feeds are dropped. UTF-8 never places a comma or
     line-feed byte inside a character, so other text splits the same way;
     each column rule declines a field that is not UTF-8."""
-    if b'"' in block or b"\0" in block:
+    if b'"' in block or b"\0" in block or len(block) >= 1 << 31:
         return None
     if not block.endswith(b"\n"):
         block += b"\n"
@@ -171,7 +176,7 @@ def _block_fields(block, width):
     if len(commas) != (width - 1) * n:
         return None
     commas = commas.reshape(n, width - 1)
-    starts = np.empty((width, n), np.int64)
+    starts = np.empty((width, n), np.int32)
     starts[0, 0] = 0
     starts[0, 1:] = ends[:-1] + 1
     # Both positions are sorted, so with the count right, a line with its
@@ -482,8 +487,12 @@ def read_columns(path, header, rules):
                                             + next(blocks, b""), blocks)
         for block in blocks:
             fields = _block_fields(block, len(header))
-            columns = fields and [scan(fields[0], starts, lens) for (scan, _),
-                                  starts, lens in zip(rules, *fields[1:])]
+            # A scan indexes the bytes by its column's starts many times:
+            # they are made intp once here, not at each index (an int32
+            # index array is converted at every use).
+            columns = fields and [scan(fields[0], starts.astype(np.intp), lens)
+                                  for (scan, _), starts, lens in zip(
+                                      rules, *fields[1:])]
             if columns and all(column is not None for column in columns):
                 yield first, columns
                 first += len(columns[0])
@@ -534,6 +543,60 @@ _HOURLY_FILES = {
 _DATE_MASK = 0xFFFFFFFF
 
 
+class _DayRows:
+    """Grid rows of day codes, each new code numbered as it first appears.
+
+    The codes seen are held in sorted arrays with their rows, each at
+    least twice as long as the next; a new array that breaks this is
+    merged into the one before. A lookup is a binary search in each of at
+    most ``log2(days)`` arrays, and each code is merged at most that often.
+    (A dict holds a Python int key and value per day: 5.7 MiB at its peak
+    on a 20 x 730 meter file, for a 2.8 MiB grid.)
+    """
+
+    def __init__(self):
+        self.levels = []  # (sorted codes, their rows), longest first
+        self.count = 0
+
+    def rows(self, codes):
+        """The grid row of each of the 1-D array ``codes``, numbering the
+        codes not seen before from ``count`` in order of first appearance."""
+        order = np.argsort(codes, kind="stable")
+        heads = run_heads(codes[order])
+        first = order[heads]  # each distinct code's first index
+        distinct = codes[first]
+        rows = np.full(len(distinct), -1)
+        for known, known_rows in self.levels:
+            at = np.minimum(np.searchsorted(known, distinct), len(known) - 1)
+            hit = known[at] == distinct
+            rows[hit] = known_rows[at[hit]]
+        new = np.flatnonzero(rows < 0)
+        if len(new):
+            rows[new[np.argsort(first[new])]] = np.arange(
+                self.count, self.count + len(new))
+            self.count += len(new)
+            self._add(distinct[new], rows[new])
+        result = np.empty(len(codes), np.int64)
+        result[order] = np.repeat(rows, np.diff(heads, append=len(codes)))
+        return result
+
+    def _add(self, codes, rows):
+        levels = self.levels
+        levels.append((codes, rows))
+        while len(levels) > 1 and 2 * len(levels[-1][0]) > len(levels[-2][0]):
+            (codes_a, rows_a), (codes_b, rows_b) = levels[-2:]
+            at = np.searchsorted(codes_a, codes_b)
+            levels[-2:] = [(np.insert(codes_a, at, codes_b),
+                            np.insert(rows_a, at, rows_b))]
+
+    def codes(self):
+        """The code of each row."""
+        codes = np.empty(self.count, np.int64)
+        for known, known_rows in self.levels:
+            codes[known_rows] = known
+        return codes
+
+
 def _load_hourly(path, header, dates, names):
     """An hourly file (weather or interval meter) with header ``header`` as
     day codes, a ``(days, 24)`` grid of readings and a per-day flag.
@@ -553,7 +616,7 @@ def _load_hourly(path, header, dates, names):
     rules = [date_rule(dates), _HOUR_RULE, number_rule(lo, hi, complaint)]
     if meter:
         rules.insert(0, _service_rule(names))
-    index = {}  # day code -> grid row
+    index = _DayRows()
     duplicated = []  # the day of each second reading, in file order
     # Grown in place, NaN until its hour is read (readings are finite);
     # numpy writes through a view made per chunk, as a buffer cannot grow
@@ -566,10 +629,9 @@ def _load_hourly(path, header, dates, names):
             days = days | ids[0] << 32
         # Day codes to grid rows, new days numbered as they first appear.
         heads = run_heads(days)
-        days = np.repeat([index.setdefault(code, len(index))
-                          for code in days[heads].tolist()],
+        days = np.repeat(index.rows(days[heads]),
                          np.diff(heads, append=len(days)))
-        more = 24 * len(index) - len(grid)
+        more = 24 * index.count - len(grid)
         grid.extend(array("d", [math.nan]) * more)
         reads.extend(bytes(more))
         seen = np.frombuffer(reads, np.uint8)
@@ -587,7 +649,7 @@ def _load_hourly(path, header, dates, names):
         seen[cells[again]] = 2
         del seen
         duplicated += days[again].tolist()
-    codes = np.fromiter(index, np.int64, len(index))
+    codes = index.codes()
     grid = np.frombuffer(grid).reshape(-1, 24)
     missing = np.isnan(grid)
     counts = missing.sum(axis=1)
@@ -683,10 +745,9 @@ RECORD_DTYPE = np.dtype([
     ("service", np.int64), ("day", np.int64),
     *((name, np.float64) for name in ("t_max_c", "t_min_c", "t_avg_c",
                                       "l_avg_kva", "l_max_kva", "l_min_kva")),
-    ("weekday", "U1"), ("load_kva", np.float64, (24,)),
-    ("interpolated", bool)])
-# load_dataset gathers the meter days into the table this many rows at a
-# time, so that no second copy of the whole load grid is made.
+    ("weekday", "U1"), ("load_row", np.int64), ("interpolated", bool)])
+# load_dataset takes the load features from the meter grid this many
+# records at a time, so that no second copy of the whole grid is made.
 _GATHER_ROWS = 1024
 
 
@@ -724,10 +785,12 @@ def load_dataset(weather_path, meter_path, calendar_path) -> Dataset:
     from the weather day and ``l_avg_kva``, ``l_max_kva``, ``l_min_kva``
     from the meter day (each mean is the day's sum over 24.0); ``weekday``
     "Y"/"N" from the calendar (statutory holidays count as non-weekdays);
-    the raw 24-hour ``load_kva`` profile, for cluster-profile extraction;
-    and ``interpolated``, set where the weather or meter day had a gap
-    filled or a duplicate reading. The 24-hour ambient profiles are kept
-    once per date, as ``Dataset.ambient`` row ``day``.
+    ``load_row``, the meter day's row of ``Dataset.load``, its raw 24-hour
+    load profile for cluster-profile extraction; and ``interpolated``, set
+    where the weather or meter day had a gap filled or a duplicate reading.
+    The 24-hour ambient profiles are kept once per date, as
+    ``Dataset.ambient`` row ``day``; the meter grid ``Dataset.load`` holds
+    each meter day read once, joined or not.
 
     Raises:
         MissingProfileError: the meter file holds daily energy only
@@ -769,10 +832,11 @@ def load_dataset(weather_path, meter_path, calendar_path) -> Dataset:
     records["weekday"] = np.where(workday[day_order], "Y", "N")[day]
     records["interpolated"] = (weather_flags[weather_rows][day]
                                | meter_flags[meter_rows])
+    records["load_row"] = meter_rows
     for start in range(0, len(records), _GATHER_ROWS):
         part = records[start:start + _GATHER_ROWS]
-        part["load_kva"] = load = load_days[meter_rows[start:start + len(part)]]
-        l_sum, part["l_max_kva"], part["l_min_kva"] = _day_stats(load)
+        l_sum, part["l_max_kva"], part["l_min_kva"] = _day_stats(
+            load_days[part["load_row"]])
         part["l_avg_kva"] = l_sum / 24.0
 
     first, last = days[day_order[0]], days[day_order[-1]]
@@ -783,7 +847,7 @@ def load_dataset(weather_path, meter_path, calendar_path) -> Dataset:
             "are recommended", ShortCoverageWarning, stacklevel=2)
     return Dataset(records=records, services=tuple(ids[i] for i in id_order),
                    dates=tuple(days[i].isoformat() for i in day_order),
-                   ambient=ambient)
+                   ambient=ambient, load=load_days)
 
 
 @dataclass(frozen=True)

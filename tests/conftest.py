@@ -244,8 +244,10 @@ def make_dataset(service_id="s", start=dt.date(2015, 1, 1), **columns):
     fields are codes into the sorted ids of ``service_id`` (one id, or one
     per row) and the sorted ISO dates of ``date`` (the consecutive days
     from ``start`` unless given as a column). An ``ambient_c`` column of
-    24-value rows fills the rows of ``Dataset.ambient`` (20.0 elsewhere);
-    the other columns are fields as in :func:`record_table`."""
+    24-value rows fills the rows of ``Dataset.ambient`` (20.0 elsewhere),
+    and a ``load_kva`` one ``Dataset.load``, row ``load_row`` = the record's
+    (zeros without one); the other columns are fields as in
+    :func:`record_table`."""
     n = len(next(iter(columns.values())))
     isos = _days(start, n, columns.pop("date", None))
     ids = service_id if isinstance(service_id, list) else [service_id] * n
@@ -254,9 +256,11 @@ def make_dataset(service_id="s", start=dt.date(2015, 1, 1), **columns):
     ambient = np.full((len(dates), 24), 20.0)
     if "ambient_c" in columns:
         ambient[days] = columns.pop("ambient_c")
+    load = np.array(columns.pop("load_kva", np.zeros((n, 24))), float)
     records = _table(service=[services.index(s) for s in ids], day=days,
-                     **columns)
-    return ingest.Dataset(records, tuple(services), tuple(dates), ambient)
+                     load_row=np.arange(n), **columns)
+    return ingest.Dataset(records, tuple(services), tuple(dates), ambient,
+                          load)
 
 
 def make_day(date=dt.date(2015, 7, 1), **values):

@@ -391,7 +391,8 @@ class TestProfiles:
         model = kmeans(one, 1, schema, seed=0)
         load_kva, ambient_c = extract_profiles(model, one)
         records = dataset.records
-        assert load_kva.tolist() == [records["load_kva"][0].tolist()]
+        assert load_kva.tolist() == [
+            dataset.load[records["load_row"][0]].tolist()]
         assert ambient_c.tolist() == [
             dataset.ambient[records["day"][0]].tolist()]
 
@@ -404,7 +405,7 @@ class TestProfiles:
             expected_load = np.zeros(24)
             expected_amb = np.zeros(24)
             for row in rows_of(dataset, refs):
-                expected_load += records["load_kva"][row]
+                expected_load += dataset.load[records["load_row"][row]]
                 expected_amb += dataset.ambient[records["day"][row]]
             expected_load /= len(refs)
             expected_amb /= len(refs)
@@ -585,7 +586,8 @@ class TestModelFile:
                 mode = statuses[votes.index(max(votes))]
                 assert entry["centroid_nominal"][name] == mode
             days = dataset.records["day"][rows]
-            for key, values in (("load_kva", dataset.records["load_kva"][rows]),
+            loads = dataset.load[dataset.records["load_row"][rows]]
+            for key, values in (("load_kva", loads),
                                 ("ambient_c", dataset.ambient[days])):
                 for hour in range(24):
                     mean = math.fsum(values[:, hour].tolist()) / count

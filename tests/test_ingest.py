@@ -52,11 +52,12 @@ def row_dates(ds):
 
 
 def hours(ds, field):
-    """Each record's 24 hourly values: ``load_kva`` from the table,
-    ``ambient_c`` from its date's row of ``Dataset.ambient``."""
+    """Each record's 24 hourly values: ``load_kva`` from its ``load_row``
+    of ``Dataset.load``, ``ambient_c`` from its date's row of
+    ``Dataset.ambient``."""
     if field == "ambient_c":
         return ds.ambient[ds.records["day"]]
-    return ds.records[field]
+    return ds.load[ds.records["load_row"]]
 
 
 class TestSynth:
@@ -105,7 +106,7 @@ class TestRoundTrip:
         assert rec.dtype == ingest.RECORD_DTYPE
         assert rec.dtype.names == (
             "service", "day", "t_max_c", "t_min_c", "t_avg_c", "l_avg_kva",
-            "l_max_kva", "l_min_kva", "weekday", "load_kva", "interpolated")
+            "l_max_kva", "l_min_kva", "weekday", "load_row", "interpolated")
         assert ds.services == ("S001", "S002", "S003")
         assert rec["service"].tolist() == [s for s in range(3)
                                            for _ in range(15)]
@@ -115,7 +116,8 @@ class TestRoundTrip:
         assert (rec["t_avg_c"] <= rec["t_max_c"]).all()
         assert (rec["l_min_kva"] <= rec["l_avg_kva"]).all()
         assert (rec["l_avg_kva"] <= rec["l_max_kva"]).all()
-        assert rec["load_kva"].shape == (45, 24)
+        assert ds.load.shape == (45, 24)
+        assert sorted(rec["load_row"].tolist()) == list(range(45))
         assert ds.ambient.shape == (15, 24)
         assert not rec["interpolated"].any()
 
@@ -182,12 +184,14 @@ def drop_lines(path, predicate):
 
 
 class TestMemory:
-    def test_traced_peak_within_three_and_a_half_load_grids(
+    def test_traced_peak_within_two_and_a_half_load_grids(
             self, golden_pipeline):
         # load_dataset's peak Python allocation on the golden input, in
         # units of its records' 24-hour float profiles. When the table held
         # each record's date text and weather hours and the join copied the
-        # meter grid twice, the peak was 6.7 units.
+        # meter grid twice, the peak was 6.7 units; when the table held a
+        # copy of each record's 24 loads, 3.0 units. It is 2.4 with the
+        # loads held once, in Dataset.load.
         data = golden_pipeline[0][0] / "data"
         tracemalloc.start()
         try:
@@ -197,7 +201,7 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert len(ds.records) == 20 * 730
-        assert peak <= 3.5 * len(ds.records) * 24 * 8
+        assert peak <= 2.5 * len(ds.records) * 24 * 8
 
     def test_weather_kept_once_per_date(self, tmp_path):
         paths = gen(tmp_path, seed=3, services=3, days=5)
@@ -451,6 +455,20 @@ class TestCoverage:
         assert ds.services == ("S001", "S002")
 
 
+def assert_same_days(ds, reference):
+    """The datasets hold the same records, ambient and load hours; only
+    each record's ``load_row``, its meter day's row in the grid that its
+    file's order gave, may differ."""
+    assert ds.records.dtype == reference.records.dtype
+    for name in ds.records.dtype.names:
+        if name != "load_row":
+            assert (ds.records[name].tobytes()
+                    == reference.records[name].tobytes())
+    assert (hours(ds, "load_kva").tobytes()
+            == hours(reference, "load_kva").tobytes())
+    assert ds.ambient.tobytes() == reference.ambient.tobytes()
+
+
 class TestJoinOrder:
     """load_dataset joins the three files on integer date and service codes
     and orders the rows with one lexsort; these cases pin the old join:
@@ -495,7 +513,7 @@ class TestJoinOrder:
 
         keys, meter, weather = self.tuple_join(paths)
         assert list(zip(row_services(ds), row_dates(ds))) == keys
-        assert ds.records["load_kva"].tolist() == [meter[key] for key in keys]
+        assert hours(ds, "load_kva").tolist() == [meter[key] for key in keys]
         assert hours(ds, "ambient_c").tolist() == [
             weather[key[1:]] for key in keys]
         assert ds.services == ("A100", "S10", "S9")
@@ -506,9 +524,40 @@ class TestJoinOrder:
                 line.split(",")[:2], int(line.split(",")[2])))) + "\n")
         reference = load_dataset(paths["weather"], paths["meter"],
                                  paths["calendar"])
-        assert ds.records.dtype == reference.records.dtype
-        assert ds.records.tobytes() == reference.records.tobytes()
-        assert ds.ambient.tobytes() == reference.ambient.tobytes()
+        assert_same_days(ds, reference)
+
+    def test_days_numbered_in_file_order_across_blocks(self, tmp_path):
+        # The first half of each meter day in one seeded order, then the
+        # second halves in another, over several blocks: a day's second
+        # half finds the grid row its first half was given blocks before.
+        paths = gen(tmp_path, seed=5, services=3, days=400)
+        head, *rows = paths["meter"].read_text().splitlines()
+        days = [rows[i:i + 24] for i in range(0, len(rows), 24)]
+        rng = np.random.default_rng([SEED, 28])
+        halves = ([days[i][:12] for i in rng.permutation(len(days))]
+                  + [days[i][12:] for i in rng.permutation(len(days))])
+        # Hour 5 missing on two days: the warning names the one read first.
+        del halves[900][5], halves[300][5]
+        first = " ".join(halves[300][0].split(",")[:2])
+        paths["meter"].write_text("\n".join(
+            [head] + [row for half in halves for row in half]) + "\n")
+        assert paths["meter"].stat().st_size > 2 * ingest._BLOCK_BYTES
+        with pytest.warns(DataGapWarning) as caught:
+            ds = load_dataset(paths["weather"], paths["meter"],
+                              paths["calendar"])
+        assert [str(w.message) for w in caught
+                if w.category is DataGapWarning] == [
+            "meter: 2 days missing at most 2 hours interpolated; first "
+            + first]
+        assert sorted(ds.records["load_row"].tolist()) == list(range(1200))
+        paths["meter"].write_text("\n".join([head] + sorted(
+            (row for half in halves for row in half),
+            key=lambda line: (line.split(",")[:2], int(line.split(",")[2]))))
+            + "\n")
+        with pytest.warns(DataGapWarning):
+            reference = load_dataset(paths["weather"], paths["meter"],
+                                     paths["calendar"])
+        assert_same_days(ds, reference)
 
     def test_longest_service_id_without_coverage(self, tmp_path):
         # The longest id's only day lies outside the weather coverage: it
