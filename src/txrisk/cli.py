@@ -436,19 +436,28 @@ def cmd_assess(cfg: RunConfig) -> int:
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
+    """Score ``query.csv`` into ``estimates.csv`` in one pass a chunk at a
+    time (:func:`txrisk.estimation.estimate_csv`), with the refusals of a
+    run that read the whole file first: a query ParseError anywhere, then
+    the per-cluster temperatures' refusals, then a query with none of the
+    model's features, then, with ``--strict``, a far query."""
     services = cfg.count("services", 1, required=True)
     strict = bool(cfg.get("strict"))
     spec = thermal.load_transformer_spec(cfg.require_path("spec"))
     model = clustering.load_model(cfg.require_path("model"))
-    queries = estimation.read_query_csv(cfg.require_path("query"))
-
-    temps = estimation.cluster_max_top_oil(model, spec, services)
-    result = estimation.estimate(queries, model, temps, strict=strict)
+    query = cfg.require_path("query")
+    try:
+        temps = estimation.cluster_max_top_oil(model, spec, services)
+    except TxRiskError:
+        for _ in estimation.query_tables(query):  # a ParseError comes first
+            pass
+        raise
     out = cfg.out_dir()
     with _writing(out) as staging:
-        estimation.write_estimates_csv(queries, result,
-                                       staging / "estimates.csv")
-    print(f"wrote {out / 'estimates.csv'} ({len(queries)} days)")
+        days = estimation.estimate_csv(query, model, temps,
+                                       staging / "estimates.csv",
+                                       strict=strict)
+    print(f"wrote {out / 'estimates.csv'} ({days} days)")
     return 0
 
 

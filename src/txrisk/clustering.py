@@ -28,7 +28,6 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 
@@ -534,7 +533,7 @@ def save_model(model: ClusterModel, path) -> None:
             "centroid_normalized": dict(zip(schema.quantitative_names, quant)),
             "centroid_raw": {name: raw[name] for name in schema.numeric_names},
             "centroid_nominal": {name: raw[name] for name in schema.nominal_names},
-            "members": "\0",  # the slot of _members_json's text
+            "members": "\0",  # the slot of _write_members' text
         }
         if model.profiles is not None:
             load, ambient = model.profiles
@@ -545,17 +544,18 @@ def save_model(model: ClusterModel, path) -> None:
     # Each distinct id and date is quoted once.
     quote = json.encoder.encode_basestring_ascii
     ids = [quote(service) for service in model.service_ids]
-    days = model.member_days.tolist()
-    dates = {day: quote(dt.date.fromordinal(day).isoformat())
-             for day in set(days)}
-    # One iterator over all members; each cluster takes its count in turn.
-    members = zip(map(ids.__getitem__, model.member_services.tolist()),
-                  map(dates.__getitem__, days))
+    days, day_codes = _codes(model.member_days)
+    dates = [quote(dt.date.fromordinal(day).isoformat())
+             for day in days.tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(parts[0])
+        end = 0
         for count, part in zip(model.member_counts.tolist(), parts[1:]):
-            fh.write(_MEMBERS_KEY + _members_json(islice(members, count))
-                     + part)
+            start, end = end, end + count
+            fh.write(_MEMBERS_KEY)
+            _write_members(fh, ids, dates, model.member_services[start:end],
+                           day_codes[start:end])
+            fh.write(part)
         fh.write("\n")
 
 
@@ -568,14 +568,28 @@ _MEMBERS_KEY = '\n      "members": '
 _MEMBERS_SLOT = _MEMBERS_KEY + '"\\u0000"'
 _MEMBER_JSON = "        [\n          %s,\n          %s\n        ]".__mod__
 _MEMBERS_OPEN, _MEMBER_SEP, _MEMBERS_CLOSE = "[\n", ",\n", "\n      ]"
+# save_model formats this many members at a time: the text of one chunk is
+# held, not that of a whole cluster.
+_MEMBER_ROWS = 8192
 
 
-def _members_json(members):
-    """A cluster's member pairs, each a quoted id and date, as
-    ``json.dumps(indent=2)`` writes them at a cluster entry's indent."""
-    lines = list(map(_MEMBER_JSON, members))
-    return (_MEMBERS_OPEN + _MEMBER_SEP.join(lines) + _MEMBERS_CLOSE
-            if lines else "[]")
+def _write_members(fh, ids, dates, services, days):
+    """Write a cluster's members, the codes ``services`` into the quoted
+    ``ids`` and ``days`` into the quoted ``dates``, to ``fh`` as
+    ``json.dumps(indent=2)`` writes the list at a cluster entry's indent,
+    formatting ``_MEMBER_ROWS`` members at a time."""
+    if not len(services):
+        fh.write("[]")
+        return
+    fh.write(_MEMBERS_OPEN)
+    for start in range(0, len(services), _MEMBER_ROWS):
+        chunk = slice(start, start + _MEMBER_ROWS)
+        if start:
+            fh.write(_MEMBER_SEP)
+        fh.write(_MEMBER_SEP.join(map(_MEMBER_JSON, zip(
+            map(ids.__getitem__, services[chunk].tolist()),
+            map(dates.__getitem__, days[chunk].tolist())))))
+    fh.write(_MEMBERS_CLOSE)
 
 
 def _member_layout(width, date_width):
@@ -930,12 +944,17 @@ def load_model(path) -> ClusterModel:
         params = _checked_bounds(
             ft.NormalizationParams.from_jsonable(doc["normalization"]))
         entries = doc["clusters"]
-        if doc["k"] != len(entries):
-            raise ValueError(f"k {doc['k']!r} differs from the {len(entries)} "
+        k = doc["k"]
+        # An integer past the float range is refused by its bit length,
+        # before the message below would spell out its digits.
+        if isinstance(k, int):
+            json_integer(k, "k")
+        if k != len(entries):
+            raise ValueError(f"k {k!r} differs from the {len(entries)} "
                              "clusters stored")
         if not entries:
             raise ValueError("the model stores no clusters")
-        json_integer(doc["k"], "k")
+        json_integer(k, "k")
         quant, codes = zip(*(_checked_centroid(c + 1, entry, schema)
                              for c, entry in enumerate(entries)))
         ids, dates, counts = scanned[1:] if scanned else _json_members(entries)

@@ -1059,8 +1059,8 @@ class TestJsonNumbers:
     @pytest.mark.parametrize("path", MODEL_KEYS + UNREAD_MODEL_KEYS,
                              ids=[".".join(map(str, path)) for path in
                                   MODEL_KEYS + UNREAD_MODEL_KEYS])
-    def test_model_number(self, golden_pipeline, golden_model, tmp_path, path,
-                          value):
+    def test_model_number(self, golden_pipeline, golden_model, tmp_path,
+                          capsys, path, value):
         root = golden_pipeline[0][0]
         model = tmp_path / "model.json"
         model.write_text(json.dumps(_replaced(golden_model, path, value)))
@@ -1068,6 +1068,12 @@ class TestJsonNumbers:
                          "--model", str(model), "--n-range", "1..3",
                          "--out", str(tmp_path)]) == (
             0 if path in UNREAD_MODEL_KEYS else 3)
+        # No refusal spells a huge number out: a k of 10**400 was once
+        # refused with its 401 digits in the message.
+        err = capsys.readouterr().err
+        assert len(err.replace(str(model), "")) < 200
+        if path == ("k",) and value != "25":
+            assert "k must be finite and within" in err
 
 
 class TestDeterminism:

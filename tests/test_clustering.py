@@ -540,6 +540,23 @@ class TestModelFile:
         assert tuple(tuple(ref) for entry in doc["clusters"]
                      for ref in entry["members"]) == members
 
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_members_written_in_chunks_are_the_json_dumps_text(
+            self, tmp_path, monkeypatch, rows):
+        # Members are formatted _MEMBER_ROWS at a time; clusters of 3 and 3
+        # members cross a chunk's end, fill one exactly or fit in one.
+        monkeypatch.setattr(clustering, "_MEMBER_ROWS", rows)
+        records, schema = two_cluster_fixture()
+        model = train_model(records, 2, schema, seed=4)
+        assert model.member_counts.tolist() == [3, 3]
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        text = path.read_text(encoding="utf-8")
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=2) + "\n"
+        assert tuple(tuple(ref) for entry in doc["clusters"]
+                     for ref in entry["members"]) == member_pairs(model)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_float_refused_before_writing(self, tmp_path, value):
         records, schema = two_cluster_fixture()

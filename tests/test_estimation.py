@@ -4,6 +4,7 @@ import csv
 import datetime as dt
 import io
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -11,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from txrisk import estimation, features as ft, ingest
+from txrisk import cli, clustering, estimation, features as ft, ingest, thermal
 from txrisk.errors import (
     FarFromAllClustersError,
     FarQueryWarning,
@@ -21,10 +22,12 @@ from txrisk.errors import (
     ZeroServicesError,
 )
 from txrisk.estimation import (
+    CHUNK_ROWS,
     QUERY_HEADER,
     avg_load_from_energy,
     cluster_max_top_oil,
     estimate,
+    estimate_csv,
     estimate_day_temperature,
     read_query_csv,
     write_estimates_csv,
@@ -575,3 +578,247 @@ class TestBatch:
         with pytest.raises(ValueError):
             estimate_day_temperature(record_table(l_avg_kva=[0.4, 0.5]),
                                      model, 10, default_spec)
+
+
+def seeded_queries(n, seed):
+    """The lines of a query file, its header first, of ``n`` seeded days
+    over two years of the golden climate. One day in five is atypical, a
+    wider daily swing and a doubled load; the golden model's far guard
+    flags most of those and some of the others."""
+    rng = np.random.default_rng(seed)
+    days = rng.integers(0, 730, n)
+    dates = np.array([(dt.date(2016, 1, 1) + dt.timedelta(days=day))
+                      .isoformat() for day in range(730)])[days]
+    t_avg = (4.0 - 17.0 * np.cos(2.0 * math.pi * (days % 365 - 15) / 365.25)
+             + rng.normal(0.0, 1.8, n))
+    swing = 5.5 + rng.normal(0.0, 1.0, n)
+    load = (1.15 * np.exp(rng.normal(0.0, 0.2, n))
+            + 0.035 * np.maximum(0.0, 14.0 - t_avg))
+    atypical = rng.random(n) < 0.2
+    swing[atypical] += 8.0
+    load[atypical] *= 2.0
+    weekday = np.where(rng.random(n) < 5 / 7, "Y", "N")
+    return [",".join(QUERY_HEADER)] + [
+        f"{date},{t + s:.2f},{t - s:.2f},{t:.2f},{kva:.2f},{flag}"
+        for date, t, s, kva, flag in zip(dates.tolist(), t_avg.tolist(),
+                                         swing.tolist(), load.tolist(),
+                                         weekday.tolist())]
+
+
+def write_lines(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def messages(caught):
+    return [(w.category, str(w.message)) for w in caught]
+
+
+def whole_table(path, model, values, out, **options):
+    """``estimates.csv`` of ``path`` written by the whole-table functions,
+    and the warnings they gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        queries = read_query_csv(path)
+        write_estimates_csv(queries, estimate(queries, model, values,
+                                              **options), out)
+    return out.read_bytes(), messages(caught)
+
+
+def with_profiles(model):
+    """``model`` with two flat cluster profiles, the second the heavier."""
+    return replace(model, profiles=(np.array([[0.8] * 24, [2.4] * 24]),
+                                    np.full((2, 24), 10.0)))
+
+
+@pytest.fixture(scope="module")
+def golden(golden_pipeline):
+    """The golden model and spec files, the model, and its per-cluster
+    temperatures at 18 services."""
+    root = golden_pipeline[0][0]
+    model = clustering.load_model(root / "out" / "model.json")
+    spec = thermal.load_transformer_spec(root / "spec.json")
+    return (root / "spec.json", root / "out" / "model.json", model,
+            cluster_max_top_oil(model, spec, 18))
+
+
+class TestStream:
+    """``estimate_csv`` (and so ``txrisk estimate``) scores the query file
+    CHUNK_ROWS queries at a time: the same bytes, warnings and refusals as
+    the whole-table functions on the whole file."""
+
+    def test_stream_equals_the_whole_table(self, golden, tmp_path):
+        _, _, model, temps = golden
+        lines = seeded_queries(20_000, seed=29)
+        date = lines[9_001].split(",")[0]
+        lines[9_001] = lines[9_001].replace(date, f'"{date}"')
+        path = write_lines(tmp_path / "query.csv", lines)
+        # Several blocks, each cut into chunks, and one block (the second)
+        # that the scan declines for its quoted field.
+        ends = np.cumsum([len(t) for t in estimation.query_tables(path)])
+        assert len(ends) >= 3 and ends[-1] == 20_000
+        assert ends[0] < 9_001 <= ends[1]
+        assert (np.diff(ends, prepend=0) > CHUNK_ROWS).sum() >= 2
+        with per_row_reads() as calls, \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert estimate_csv(path, model, temps,
+                                tmp_path / "estimates.csv") == 20_000
+        assert len(calls) == 1
+        expected, expected_warnings = whole_table(path, model, temps,
+                                                  tmp_path / "whole.csv")
+        assert (tmp_path / "estimates.csv").read_bytes() == expected
+        assert messages(caught) == expected_warnings
+        assert [kind for kind, _ in expected_warnings] == [FarQueryWarning]
+
+    @pytest.fixture(scope="class")
+    def near_first(self, golden):
+        """Seeded query lines whose first 5,000 days are near the golden
+        model, the file's count of far days, and the date of its first far
+        day, day 5,000 (0-based)."""
+        _, _, model, temps = golden
+        lines = seeded_queries(20_000, seed=30)
+        queries = np.empty(len(lines) - 1, estimation.QUERY_DTYPE)
+        for name, column in zip(QUERY_HEADER, zip(*(line.split(",")
+                                                   for line in lines[1:]))):
+            queries[name] = column
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            far = estimate(queries, model, temps).far_flag
+        first = np.r_[np.flatnonzero(~far)[:5_000], np.flatnonzero(far)[:1]]
+        order = np.r_[first, np.delete(np.arange(len(far)), first)]
+        rows = [lines[1 + i] for i in order.tolist()]
+        return [lines[0], *rows], int(far.sum()), rows[5_000].split(",")[0]
+
+    @pytest.mark.parametrize("faults,code,message", [
+        ({"parse", "blind"}, 3, "row 20001"),
+        ({"parse", "far"}, 3, "row 20001"),
+        ({"parse", "ceiling"}, 3, "row 20001"),
+        ({"parse", "label"}, 3, "row 20001"),
+        ({"parse", "ceiling", "blind"}, 3, "row 20001"),
+        ({"ceiling", "blind"}, 2, "100000 services load a cluster"),
+        ({"ceiling", "far"}, 2, "100000 services load a cluster"),
+        ({"ceiling", "label"}, 2, "100000 services load a cluster"),
+        ({"label", "far"}, 11, "unknown status 'N'"),
+        ({"blind"}, 11, "20000 of 20000 queries lack every model feature"),
+        ({"far"}, 9, None),
+    ], ids=["parse-blind", "parse-far", "parse-ceiling", "parse-label",
+            "parse-ceiling-blind", "ceiling-blind", "ceiling-far",
+            "ceiling-label", "label-far", "blind", "far"])
+    def test_refusal_precedence(self, golden, near_first, tmp_path, capsys,
+                                faults, code, message):
+        # Each fault but the parse error sits in the file's first block or
+        # in the options; a file read whole before it was scored reports
+        # them in this order: a query ParseError, the load ceiling, a
+        # weekday label the model does not know (its weekday feature has
+        # status Y alone), a query with no model feature, a far query in
+        # strict mode.
+        spec, model, _, _ = golden
+        lines, far, first_far = near_first
+        if "parse" in faults:
+            lines = [*lines[:-1], damaged_query(lines, -1, 1, "nan")]
+        if "blind" in faults:
+            schema = ft.FeatureSchema(features=(
+                ft.FeatureDef("l_max_kva", ft.KIND_NUMERIC),))
+            model = tmp_path / "blind.json"
+            clustering.save_model(with_profiles(make_model(
+                [{"l_max_kva": 0.2}, {"l_max_kva": 0.8}],
+                values_schema=schema)), model)
+        if "label" in faults:
+            schema = ft.FeatureSchema(features=(
+                ft.FeatureDef("l_avg_kva", ft.KIND_NUMERIC),
+                ft.FeatureDef("weekday", ft.KIND_NOMINAL, statuses=("Y",))))
+            labelled = make_model([{"l_avg_kva": 0.2}, {"l_avg_kva": 0.8}],
+                                  values_schema=schema, far_threshold=0.01)
+            model = tmp_path / "label.json"
+            clustering.save_model(with_profiles(replace(labelled, centroids=(
+                labelled.centroids[0], np.zeros((2, 1), np.int64)))), model)
+        argv = ["estimate", "--spec", str(spec), "--model", str(model),
+                "--query", str(write_lines(tmp_path / "query.csv", lines)),
+                "--services", "100000" if "ceiling" in faults else "18",
+                "--out", str(tmp_path / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert cli.main(argv + ["--strict"] * ("far" in faults)) == code
+        err = capsys.readouterr().err
+        if message is None:
+            message = (f"{far} of 20000 queries are farther than the far-guard"
+                       f" threshold")
+            assert f"the first is query 5000 ({first_far})" in err
+        assert message in err
+        assert not (tmp_path / "out" / "estimates.csv").exists()
+
+    def test_warnings_count_the_whole_file(self, tmp_path):
+        # A model over a feature no query has and with a far guard: one
+        # warning of each kind, in this order, counting every chunk.
+        schema = ft.FeatureSchema(features=tuple(
+            ft.FeatureDef(name, ft.KIND_NUMERIC)
+            for name in ("t_avg_c", "l_avg_kva", "l_max_kva")))
+        model = replace(
+            make_model([{"t_avg_c": 0.3, "l_avg_kva": 0.2, "l_max_kva": 0.5},
+                        {"t_avg_c": 0.7, "l_avg_kva": 0.3, "l_max_kva": 0.5}],
+                       values_schema=schema, far_threshold=0.1),
+            norm_params=ft.NormalizationParams(bounds={
+                "t_avg_c": (-20.0, 25.0), "l_avg_kva": (0.5, 3.0),
+                "l_max_kva": (1.0, 6.0)}))
+        path = write_lines(tmp_path / "query.csv",
+                           seeded_queries(10_000, seed=31))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            estimate_csv(path, model, {1: 60.0, 2: 80.0},
+                         tmp_path / "estimates.csv")
+        expected, expected_warnings = whole_table(
+            path, model, {1: 60.0, 2: 80.0}, tmp_path / "whole.csv")
+        assert (tmp_path / "estimates.csv").read_bytes() == expected
+        assert messages(caught) == expected_warnings
+        (missing, lacking), (far, count) = messages(caught)
+        assert (missing, far) == (MissingFeatureWarning, FarQueryWarning)
+        assert lacking.startswith("10000 of 10000 queries lack features "
+                                  "['l_max_kva']")
+        # Far queries in more than one chunk.
+        assert 4_096 < int(count.split()[0]) < 10_000
+
+    def test_encode_and_distance_once_per_chunk(self, golden, tmp_path):
+        spec, model_path, model, temps = golden
+        path = write_lines(tmp_path / "query.csv",
+                           seeded_queries(10_000, seed=32))
+        expected, _ = whole_table(path, model, temps, tmp_path / "whole.csv")
+        with mock.patch.object(ft, "encode", wraps=ft.encode) as encode, \
+                mock.patch.object(ft, "distance",
+                                  wraps=ft.distance) as distance, \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert cli.main(["estimate", "--spec", str(spec), "--model",
+                             str(model_path), "--query", str(path),
+                             "--services", "18", "--out",
+                             str(tmp_path / "out")]) == 0
+        # Each block is scored in chunks of at most CHUNK_ROWS queries: here
+        # 2 + 1, as many as 10,000 queries fill.
+        chunks = sum(math.ceil(len(table) / CHUNK_ROWS)
+                     for table in estimation.query_tables(path))
+        assert chunks == math.ceil(10_000 / CHUNK_ROWS)
+        assert encode.call_count == distance.call_count == chunks
+        assert (tmp_path / "out" / "estimates.csv").read_bytes() == expected
+
+    def test_traced_peak_does_not_grow_with_the_file(self, golden, tmp_path):
+        # A whole-table run held about 470 bytes per query at its peak:
+        # 11 MB more for the larger file.
+        spec, model, _, _ = golden
+
+        def traced_peak(n):
+            path = write_lines(tmp_path / f"query_{n}.csv",
+                               seeded_queries(n, seed=33))
+            argv = ["estimate", "--spec", str(spec), "--model", str(model),
+                    "--query", str(path), "--services", "18",
+                    "--out", str(tmp_path / f"out_{n}")]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                tracemalloc.start()
+                try:
+                    assert cli.main(argv) == 0
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        traced_peak(1_000)  # first calls' caches
+        assert abs(traced_peak(32_000) - traced_peak(8_000)) < 0.5 * 2 ** 20
