@@ -170,12 +170,18 @@ class RunConfig:
         return self._DEFAULTS[key]
 
     def count(self, key, minimum, maximum=None, *, required=False) -> int:
-        """The integer option ``key``; below ``minimum``, above ``maximum``
-        (if given), or ``required`` and given by neither flag nor config
-        file, it is refused."""
+        """The integer option ``key``; past the float range (the config
+        file's number rule, :func:`json_number`, which a flag follows
+        too), below ``minimum``, above ``maximum`` (if given), or
+        ``required`` and given by neither flag nor config file, it is
+        refused."""
         if required and self._args.get(key) is None and self._file.get(key) is None:
             raise ConfigError(f"missing required option: --{key}")
         value = int(self.get(key))
+        try:
+            json_number(value, f"--{key}")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if value < minimum:
             raise ConfigError(f"--{key} must be >= {minimum}, got {value}")
         if maximum is not None and value > maximum:

@@ -42,6 +42,7 @@ from .errors import (
 )
 from .ingest import TEMP_MAX_C, TEMP_MIN_C, run_heads, iso_date
 from .sampling import Sampler
+from .summation import member_means
 
 MAX_ITERATIONS = 300
 FAR_GUARD_PERCENTILE = 95.0
@@ -133,22 +134,10 @@ def _linear_percentile(values, q: float) -> float:
     return float(xs[i] + frac * (xs[i + 1] - xs[i]))
 
 
-def _member_means(values, member_rows, counts) -> np.ndarray:
-    """``(k, d)`` means of ``values[member_rows]`` split by the ``(k,)``
-    ``counts``, NaN for an empty cluster: each column's correctly rounded
-    sum (``math.fsum``) over the count, whatever the order or hardware.
-    One cluster's column is gathered at a time."""
-    means = np.full((len(counts), values.shape[1]), np.nan)
-    for c, rows in enumerate(np.split(member_rows, np.cumsum(counts)[:-1])):
-        if len(rows):
-            means[c] = [math.fsum(values[rows, j].tolist()) / len(rows)
-                        for j in range(values.shape[1])]
-    return means
-
-
-def _update_centroids(quant, nom, labels, counts, member_rows=None):
-    """Per-cluster quantitative means and nominal modes, for the clusters
-    that ``labels`` assigns and their ``(k,)`` member ``counts``.
+def _update_centroids(quant, nom, labels, k, member_rows=None):
+    """Per-cluster quantitative means and nominal modes of the ``k``
+    clusters that ``labels`` assigns, and their ``(k,)`` member counts:
+    ``(cent_q, cent_n, counts)``.
 
     Inside Lloyd (no ``member_rows``) each mean is
     ``np.bincount(labels, weights=column) / count``: the members' values
@@ -156,26 +145,34 @@ def _update_centroids(quant, nom, labels, counts, member_rows=None):
     the left-to-right float sum over the members divided by the count
     whatever the numpy build. For the stored centroids ``member_rows`` is
     the stable argsort of ``labels`` and the means are correctly rounded
-    (:func:`_member_means`). Each mode is the most frequent status, ties
-    going to the lowest status index, i.e. schema order. Empty clusters
-    keep NaN/-1 placeholders for the caller to repair.
+    (:func:`txrisk.summation.member_means`). Each mode is the most
+    frequent status, ties going to the lowest status index, i.e. schema
+    order. The counts are
+    the first nominal feature's tally summed per cluster (every code of a
+    training table is one of its statuses), or ``np.bincount(labels)``
+    when the schema has no nominal feature. Empty clusters keep NaN/-1
+    placeholders for the caller to repair.
     """
-    k = len(counts)
-    if member_rows is None:
-        cent_q = np.empty((k, quant.shape[1]))
-        for j, col in enumerate(quant.T):
-            cent_q[:, j] = np.bincount(labels, weights=col, minlength=k)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cent_q /= counts[:, None]
-    else:
-        cent_q = _member_means(quant, member_rows, counts)
     cent_n = np.empty((k, nom.shape[1]), dtype=np.int64)
+    counts = None
     for j, codes in enumerate(nom.T):
         statuses = int(codes.max(initial=0)) + 1
-        tally = np.bincount(labels * statuses + codes, minlength=k * statuses)
-        cent_n[:, j] = tally.reshape(k, statuses).argmax(axis=1)
+        tally = np.bincount(labels * statuses + codes,
+                            minlength=k * statuses).reshape(k, statuses)
+        cent_n[:, j] = tally.argmax(axis=1)
+        if counts is None:
+            counts = tally.sum(axis=1)
+    if counts is None:
+        counts = np.bincount(labels, minlength=k)
     cent_n[counts == 0] = -1
-    return cent_q, cent_n
+    if member_rows is not None:
+        return member_means(quant, member_rows, counts), cent_n, counts
+    cent_q = np.empty((k, quant.shape[1]))
+    for j, col in enumerate(quant.T):
+        cent_q[:, j] = np.bincount(labels, weights=col, minlength=k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cent_q /= counts[:, None]
+    return cent_q, cent_n, counts
 
 
 def check_cluster_count(n: int, k: int) -> None:
@@ -220,10 +217,14 @@ def kmeans(dataset, k: int, schema: ft.FeatureSchema, seed: int,
     points, so every numeric and ordinal value must be finite.
 
     The returned floats are computed once, from the final memberships:
-    each centroid component is ``math.fsum`` of the members' values divided
-    by the member count (nominal components are the members' modes); each
-    member's distance to its centroid is :func:`txrisk.features.distance`,
-    summed feature by feature in schema order; ``objective`` is
+    each centroid component is the bits of ``math.fsum`` of the members'
+    values divided by the member count, by error-free extraction (see
+    :func:`txrisk.summation.member_means`; nominal components are the
+    members' modes);
+    each member's distance to its centroid is that of
+    :func:`txrisk.features.distance`, summed feature by feature in schema
+    order, in one pass over the rows (:func:`_own_distances`);
+    ``objective`` is
     ``math.fsum`` of those distances and is also the last entry of
     ``objective_trace``; ``far_threshold`` is their
     ``FAR_GUARD_PERCENTILE``-th percentile by :func:`_linear_percentile`.
@@ -254,9 +255,9 @@ def kmeans(dataset, k: int, schema: ft.FeatureSchema, seed: int,
             best = result
     labels, _, trace = best
 
-    counts = np.bincount(labels, minlength=k)
     member_rows = np.argsort(labels, kind="stable")
-    cent_q, cent_n = _update_centroids(quant, nom, labels, counts, member_rows)
+    cent_q, cent_n, counts = _update_centroids(quant, nom, labels, k,
+                                               member_rows)
     member_dists = _own_distances((quant, nom), (cent_q, cent_n), labels,
                                   schema)
     objective = math.fsum(member_dists)  # value by value, with no list
@@ -315,9 +316,8 @@ def _lloyd(quant, nom, schema, init_idx, track_objective):
         trace.append(float(_own_distances(data, cents, labels, schema).sum()))
 
     for _ in range(MAX_ITERATIONS):
-        counts = np.bincount(labels, minlength=k)
         old = cents
-        cents = _update_centroids(quant, nom, labels, counts)
+        *cents, counts = _update_centroids(quant, nom, labels, k)
         empties = np.flatnonzero(counts == 0)
         if len(empties):
             own = _own_distances(data, cents, labels, schema)
@@ -403,16 +403,42 @@ def _assign(data, centroids, schema, rows):
 
 
 def _own_distances(data, centroids, labels, schema):
-    """Each row's distance to its own centroid, in row order: per cluster,
-    :func:`txrisk.features.distance` calls on its members, so each entry
-    has the bits of the full ``(n, k)`` call's entry."""
-    own = np.empty(len(labels))
-    for c in range(len(centroids[0])):
-        members = np.flatnonzero(labels == c)
-        for start in range(0, len(members), _BLOCK_ROWS):
-            rows = members[start:start + _BLOCK_ROWS]
-            own[rows] = ft.distance(_take(data, rows), (
-                centroids[0][c:c + 1], centroids[1][c:c + 1]), schema)[:, 0]
+    """Each row's distance to its own centroid, in row order: the terms of
+    :func:`txrisk.features.distance` in its order, each against the row's
+    centroid component gathered by label, with its gap rule (a NaN or -1
+    on either side adds nothing; a nominal match adds +0.0, which leaves a
+    sum's bits as skipping it would). Each entry has the bits of the full
+    ``(n, k)`` call's entry. ``_BLOCK_ROWS`` rows at a time, into buffers
+    reused across features and blocks: fresh arrays per feature raised a
+    40 x 730 ``cluster`` run's peak RSS by 0.35-0.7 MB."""
+    (quant, nom), (cent_q, cent_n) = data, centroids
+    own = np.zeros(len(labels))
+    size = min(len(labels), _BLOCK_ROWS)
+    gathered, diff, term = np.empty(size), np.empty(size), np.empty(size)
+    codes = np.empty(size, np.int64)
+    for start in range(0, len(labels), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        rows, out = labels[block], own[block]
+        n = len(rows)
+        v, d, t, c = gathered[:n], diff[:n], term[:n], codes[:n]
+        for col, cent, w in zip(quant.T, cent_q.T,
+                                schema.quantitative_weights()):
+            x = col[block]
+            np.take(cent, rows, out=v)
+            np.subtract(x, v, out=d)
+            np.multiply(d, w, out=t)
+            t *= d
+            if np.isnan(t).any():
+                np.add(out, t, out=out, where=~(np.isnan(x) | np.isnan(v)))
+            else:
+                out += t
+        for col, cent, w in zip(nom.T, cent_n.T, schema.nominal_weights()):
+            x = col[block]
+            np.take(cent, rows, out=c)
+            mismatch = x != c
+            mismatch &= (x >= 0) & (c >= 0)
+            np.multiply(mismatch, w, out=t)
+            out += t
     return own
 
 
@@ -481,12 +507,14 @@ def extract_profiles(model: ClusterModel, dataset) -> tuple[np.ndarray, np.ndarr
     ``dataset.ambient``. The ``(load_kva, ambient_c)`` pair of ``(k, 24)``
     arrays.
 
-    Each hour's mean is ``math.fsum`` of the members' values at that hour
-    divided by the member count, so the stored profiles depend on the
-    member profiles alone, not on their order or the numpy build.
+    Each hour's mean is the bits of ``math.fsum`` of the members' values
+    at that hour divided by the member count, taken by error-free
+    extraction (:func:`txrisk.summation.member_means`) on each grid's
+    gathered rows, so the stored profiles depend on the member profiles
+    alone, not on their order or the numpy build.
     """
     records, rows = dataset.records, model.member_rows
-    return tuple(_read_only(_member_means(values, rows, model.member_counts))
+    return tuple(_read_only(member_means(values, rows, model.member_counts))
                  for values, rows in (
                      (dataset.load, records["load_row"][rows]),
                      (dataset.ambient, records["day"][rows])))
@@ -505,11 +533,14 @@ def save_model(model: ClusterModel, path) -> None:
 
     Floats are written at full precision (shortest round-trip repr). The
     stored values come from :func:`kmeans` and :func:`extract_profiles`,
-    which compute each of them once by order-fixed arithmetic (``fsum``
-    means, fixed-order distances, explicit percentile); ``centroid_raw``
-    maps ``centroid_normalized`` back through
+    which compute each of them once by order-fixed arithmetic (correctly
+    rounded means, fixed-order distances, explicit percentile);
+    ``centroid_raw`` maps ``centroid_normalized`` back through
     :func:`txrisk.features.denormalize` in scalar Python. The file's bytes
-    therefore depend on the inputs and the seed alone.
+    therefore depend on the inputs and the seed alone. The document is
+    ``json.dumps(indent=2)`` text but for the member lists, which
+    :func:`_write_members` writes in the same bytes from byte matrices;
+    the file is written as bytes.
 
     Raises:
         ValueError: a stored float is NaN or infinite; nothing is written.
@@ -542,21 +573,20 @@ def save_model(model: ClusterModel, path) -> None:
         doc["clusters"].append(entry)
     parts = json.dumps(doc, indent=2, allow_nan=False).split(_MEMBERS_SLOT)
     # Each distinct id and date is quoted once.
-    quote = json.encoder.encode_basestring_ascii
-    ids = [quote(service) for service in model.service_ids]
+    ids = _quoted(model.service_ids)
     days, day_codes = _codes(model.member_days)
-    dates = [quote(dt.date.fromordinal(day).isoformat())
-             for day in days.tolist()]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(parts[0])
+    dates = _quoted([dt.date.fromordinal(day).isoformat()
+                     for day in days.tolist()])
+    with open(path, "wb") as fh:
+        fh.write(parts[0].encode())
         end = 0
         for count, part in zip(model.member_counts.tolist(), parts[1:]):
             start, end = end, end + count
-            fh.write(_MEMBERS_KEY)
+            fh.write(_MEMBERS_KEY.encode())
             _write_members(fh, ids, dates, model.member_services[start:end],
                            day_codes[start:end])
-            fh.write(part)
-        fh.write("\n")
+            fh.write(part.encode())
+        fh.write(b"\n")
 
 
 # A cluster's "members" key in model.json. json.dumps with an indent runs
@@ -566,38 +596,66 @@ def save_model(model: ClusterModel, path) -> None:
 # that value. _scan_model reads the lists back by the same definitions.
 _MEMBERS_KEY = '\n      "members": '
 _MEMBERS_SLOT = _MEMBERS_KEY + '"\\u0000"'
-_MEMBER_JSON = "        [\n          %s,\n          %s\n        ]".__mod__
+_MEMBER_JSON = "        [\n          %s,\n          %s\n        ]"
 _MEMBERS_OPEN, _MEMBER_SEP, _MEMBERS_CLOSE = "[\n", ",\n", "\n      ]"
-# save_model formats this many members at a time: the text of one chunk is
-# held, not that of a whole cluster.
+# save_model lays out this many members at a time: the bytes of one chunk
+# are held, not those of a whole cluster.
 _MEMBER_ROWS = 8192
 
 
+def _quoted(texts):
+    """Each of ``texts`` as ``json.dumps`` writes it in a string, escapes
+    and all but without the quotes, as the rows of a ``(len(texts),
+    width)`` byte matrix, NUL after its end (a JSON string's ASCII text
+    holds no NUL: it is escaped)."""
+    quote = json.encoder.encode_basestring_ascii
+    encoded = [quote(text)[1:-1].encode() for text in texts]
+    width = max(map(len, encoded), default=0)
+    return np.frombuffer(b"".join(text.ljust(width, b"\0")
+                                  for text in encoded),
+                         np.uint8).reshape(len(encoded), width)
+
+
 def _write_members(fh, ids, dates, services, days):
-    """Write a cluster's members, the codes ``services`` into the quoted
-    ``ids`` and ``days`` into the quoted ``dates``, to ``fh`` as
-    ``json.dumps(indent=2)`` writes the list at a cluster entry's indent,
-    formatting ``_MEMBER_ROWS`` members at a time."""
+    """Write a cluster's members, the codes ``services`` into the rows of
+    the quoted ``ids`` and ``days`` into those of the quoted ``dates`` (see
+    :func:`_quoted`), to the binary ``fh`` as ``json.dumps(indent=2)``
+    writes the list at a cluster entry's indent.
+
+    ``_MEMBER_ROWS`` members at a time are laid out as one ``(rows,
+    stride)`` byte matrix of :func:`_member_fields`' layout, each field
+    slot as wide as the widest id or date, with the fields' bytes gathered
+    by code. The NULs after a shorter field are the keep mask's gaps: the
+    chunk is written as the matrix's nonzero bytes, with no separator
+    after the cluster's last member."""
     if not len(services):
-        fh.write("[]")
+        fh.write(b"[]")
         return
-    fh.write(_MEMBERS_OPEN)
+    layout, lead, date_at = _member_fields(ids.shape[1], dates.shape[1])
+    fh.write(_MEMBERS_OPEN.encode())
     for start in range(0, len(services), _MEMBER_ROWS):
         chunk = slice(start, start + _MEMBER_ROWS)
-        if start:
-            fh.write(_MEMBER_SEP)
-        fh.write(_MEMBER_SEP.join(map(_MEMBER_JSON, zip(
-            map(ids.__getitem__, services[chunk].tolist()),
-            map(dates.__getitem__, days[chunk].tolist())))))
-    fh.write(_MEMBERS_CLOSE)
+        text = np.empty((len(services[chunk]), len(layout)), np.uint8)
+        text[:] = layout
+        text[:, lead:lead + ids.shape[1]] = ids[services[chunk]]
+        text[:, date_at:date_at + dates.shape[1]] = dates[days[chunk]]
+        text = text[text != 0]
+        if chunk.stop >= len(services):
+            text = text[:-len(_MEMBER_SEP)]
+        fh.write(text)
+    fh.write(_MEMBERS_CLOSE.encode())
 
 
-def _member_layout(width, date_width):
+def _member_fields(width, date_width):
     """The bytes of one member and its separator as save_model writes them,
-    for ids of ``width`` and dates of ``date_width`` bytes, with a NUL in
-    place of each byte of the two fields."""
-    return (_MEMBER_JSON(tuple(f'"{chr(0) * n}"' for n in (width, date_width)))
+    for ids of ``width`` and dates of ``date_width`` bytes, as a ``uint8``
+    array with a NUL in place of each byte of the two fields, and the
+    offsets of the id's and the date's first bytes."""
+    text = (_MEMBER_JSON % tuple(f'"{chr(0) * n}"' for n in (width, date_width))
             + _MEMBER_SEP).encode()
+    lead = text.index(b'"') + 1
+    return (np.frombuffer(text, np.uint8), lead,
+            text.index(b'"', lead + width + 1) + 1)
 
 
 def _plain(fields):
@@ -634,7 +692,7 @@ def _scan_model(path):
         return None
     buf = np.frombuffer(data, np.uint8)
     key, close = (_MEMBERS_KEY + "[").encode(), _MEMBERS_CLOSE.encode()
-    lead = _member_layout(0, 0).index(b'"') + 1  # the offset of an id
+    _, lead, _ = _member_fields(0, 0)  # the offset of an id
     layout = None
     lists = []  # (the list's "[", its first member, its members, its end)
     at = data.find(key)
@@ -648,13 +706,11 @@ def _scan_model(path):
         else:
             if layout is None:
                 width = data.find(b'"', first + lead) - first - lead
-                date_at = _member_layout(width, 0).index(
-                    b'"', lead + width + 1) + 1
+                _, _, date_at = _member_fields(width, 0)
                 date_width = data.find(b'"', first + date_at) - first - date_at
                 if width < 1 or date_width < 1:
                     return None
-                layout = np.frombuffer(_member_layout(width, date_width),
-                                       np.uint8)
+                layout, _, _ = _member_fields(width, date_width)
                 stride, sep = len(layout), len(_MEMBER_SEP)
             if first + stride > len(data):
                 return None

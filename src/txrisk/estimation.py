@@ -23,7 +23,6 @@ hands ``estimates.csv`` to :func:`txrisk.ingest.write_table` as columns."""
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -41,6 +40,7 @@ from .errors import (
 )
 from .ingest import (
     FLAG_RULE,
+    LOAD_MAX_KW,
     TEMP_MAX_C,
     TEMP_MIN_C,
     date_rule,
@@ -63,10 +63,12 @@ QUERY_DTYPE = np.dtype([("date", "U10")]
 # many rows as write_table lays out in one byte matrix.
 CHUNK_ROWS = 4096
 # The rules of the query numbers: temperatures in the range the weather
-# file takes and a load that is not negative, as the meter file's.
+# file takes and a load within the meter file's, not negative and at most
+# LOAD_MAX_KW.
 _TEMPERATURE = number_rule(TEMP_MIN_C, TEMP_MAX_C,
                            "temperature {} outside plausible range")
-_LOAD = number_rule(0.0, math.inf, "negative load {}")
+_LOAD = number_rule(0.0, LOAD_MAX_KW, "negative load {}",
+                    f"load {{}} kVA above the {LOAD_MAX_KW:g} kVA ceiling")
 
 
 @dataclass(frozen=True)
@@ -319,7 +321,7 @@ def query_tables(path):
     summary, average service load, and weekday flag) as record tables of
     ``QUERY_DTYPE``, one per chunk that :func:`txrisk.ingest.read_columns`
     yields. The temperatures must lie in ``[TEMP_MIN_C, TEMP_MAX_C]``, as
-    the weather file's do, and the load must not be negative, as the
+    the weather file's do, and the load in ``[0, LOAD_MAX_KW]``, as the
     meter's.
 
     A file of no rows gives one empty table.

@@ -65,6 +65,10 @@ METER_ENERGY_HEADER = ["service_id", "date", "energy_kwh"]
 CALENDAR_HEADER = ["date", "is_weekday", "is_holiday"]
 
 TEMP_MIN_C, TEMP_MAX_C = -60.0, 60.0
+# The most a meter reading (kW, taken as kVA) or a query's mean load may
+# be: far past any residential service, which draws tens of kW at most,
+# and far inside the float range for any sum or mean of readings.
+LOAD_MAX_KW = 1e6
 # Days missing at most this many hourly readings are linearly interpolated;
 # days missing more are dropped with a warning.
 MAX_INTERPOLATED_HOURS = 2
@@ -436,10 +440,10 @@ def _service_rule(names):
     return _code_rule(new, "blank service id {!r}")
 
 
-def number_rule(lo=-math.inf, hi=math.inf, complaint=""):
+def number_rule(lo=-math.inf, hi=math.inf, complaint="", above=None):
     """The rule of a column of finite numbers, read as ``float`` reads
     them, within ``[lo, hi]``; ``complaint`` (formatted with the value)
-    reports one outside."""
+    reports one outside, or ``above``, if given, one above ``hi``."""
     def scan(buf, starts, lens):
         values = _numbers(buf, starts, lens)
         if values is None or not (np.isfinite(values) & (lo <= values)
@@ -456,7 +460,8 @@ def number_rule(lo=-math.inf, hi=math.inf, complaint=""):
             raise ParseError(f"bad number {text!r}", path=path, row=row,
                              column=column)
         if not lo <= value <= hi:
-            raise ParseError(complaint.format(value), path=path, row=row,
+            text = above if value > hi and above else complaint
+            raise ParseError(text.format(value), path=path, row=row,
                              column=column)
         return value
 
@@ -533,11 +538,14 @@ def _row_columns(path, header, rules, first, data, blocks):
 
 
 # Per reading column: the hourly file, the plausible range of a reading
-# and the complaint about one outside it.
+# and the complaints about one outside it and, if another, one above it
+# (see number_rule).
 _HOURLY_FILES = {
     "temp_c": ("weather", TEMP_MIN_C, TEMP_MAX_C,
-               "temperature {} outside plausible range"),
-    "kw": ("meter", 0.0, math.inf, "negative demand {}"),
+               ("temperature {} outside plausible range",)),
+    "kw": ("meter", 0.0, LOAD_MAX_KW,
+           ("negative demand {}",
+            f"demand {{}} kW above the {LOAD_MAX_KW:g} kW ceiling")),
 }
 # A meter day's code keeps its date code in these bits (see _load_hourly).
 _DATE_MASK = 0xFFFFFFFF
@@ -611,9 +619,9 @@ def _load_hourly(path, header, dates, names):
     (duplicate readings, interpolated days, dropped days) gives the count
     and the first day affected.
     """
-    kind, lo, hi, complaint = _HOURLY_FILES[header[-1]]
+    kind, lo, hi, complaints = _HOURLY_FILES[header[-1]]
     meter = len(header) == 4
-    rules = [date_rule(dates), _HOUR_RULE, number_rule(lo, hi, complaint)]
+    rules = [date_rule(dates), _HOUR_RULE, number_rule(lo, hi, *complaints)]
     if meter:
         rules.insert(0, _service_rule(names))
     index = _DayRows()
@@ -637,7 +645,10 @@ def _load_hourly(path, header, dates, names):
         seen = np.frombuffer(reads, np.uint8)
         # Each row's reading number in its cell, from 0.
         cells = 24 * days + hours
-        numbers = seen[cells] + _ranks(cells)
+        numbers = seen[cells]
+        # Cells that strictly rise (a sorted file) repeat none: ranks 0.
+        if not (cells[1:] > cells[:-1]).all():
+            numbers = numbers + _ranks(cells)
         third = np.flatnonzero(numbers > 1)
         if len(third):
             row = int(third[0])

@@ -456,6 +456,35 @@ class TestMalformedInputExitCodes:
             cells = table.read_text().replace("\n", ",").split(",")
             assert not {"nan", "inf", "-inf"} & set(cells), table.name
 
+    def test_meter_reading_above_the_ceiling(self, tmp_path, capsys):
+        # Hour 3 of every day at 1e306 kW once made each hour-3 profile sum
+        # overflow in cluster, a traceback with exit 1.
+        data = tmp_path / "data"
+        assert cli.main(synth_args(data, services=10, days=60)) == 0
+        rows = (data / "meter.csv").read_text().splitlines()
+        for i, row in enumerate(rows[1:], 1):
+            fields = row.split(",")
+            if fields[2] == "3":
+                rows[i] = ",".join(fields[:3] + ["1e306"])
+        (data / "meter.csv").write_text("\n".join(rows) + "\n")
+        assert cli.main(cluster_args(data, tmp_path / "run")) == 3
+        err = capsys.readouterr().err
+        assert "row 5" in err and "'kw'" in err
+        assert "demand 1e+306 kW above the 1e+06 kW ceiling" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_meter_day_of_the_largest_readings(self, tmp_path, capsys):
+        # A day of 24 readings of 1.7e308 kW once gave an infinite daily
+        # mean, refused by the normalization with a traceback.
+        data = tmp_path / "data"
+        assert cli.main(synth_args(data, services=1, days=2)) == 0
+        date = (data / "calendar.csv").read_text().splitlines()[1][:10]
+        (data / "meter.csv").write_text("service_id,date,hour,kw\n" + "".join(
+            f"S001,{date},{hour},1.7e308\n" for hour in range(24)))
+        assert cli.main(cluster_args(data, tmp_path / "run", k=1)) == 3
+        err = capsys.readouterr().err
+        assert "row 2" in err and "'kw'" in err and "ceiling" in err
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_meter_kw_not_finite(self, tmp_path, capsys, value):
         data = tmp_path / "data"
@@ -491,7 +520,9 @@ class TestMalformedInputExitCodes:
         ("t_max_c", "1e300", "temperature 1e+300 outside plausible range"),
         ("t_min_c", "-60.5", "temperature -60.5 outside plausible range"),
         ("t_avg_c", "61", "temperature 61.0 outside plausible range"),
-        ("l_avg_kva", "-0.001", "negative load -0.001")])
+        ("l_avg_kva", "-0.001", "negative load -0.001"),
+        ("l_avg_kva", "1.7e308", "load 1.7e+308 kVA above the 1e+06 kVA "
+         "ceiling")])
     def test_query_number_out_of_range(self, golden_pipeline, tmp_path,
                                        capsys, column, value, message):
         # Each is refused as the weather and meter files refuse it, not
@@ -1254,6 +1285,36 @@ class TestConfigFile:
             del args[at:at + 2]
         assert cli.main(args + extra) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [10 ** 400, -10 ** 400],
+                             ids=["huge", "-huge"])
+    @pytest.mark.parametrize("key,command", [
+        ("seed", "synth"), ("services", "synth"), ("days", "synth"),
+        ("k", "cluster"), ("restarts", "cluster")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_integer_past_the_float_range(self, tmp_path, capsys, source,
+                                          key, command, value):
+        # A flag follows the config file's number rule: a 401-digit --seed
+        # once made synth write its files and exit 0, while the same seed
+        # in the config file exited 2.
+        data = tmp_path / "data"
+        assert cli.main(synth_args(data)) == 0
+        capsys.readouterr()
+        args = (synth_args(tmp_path / "run", services=1, days=2)
+                if command == "synth" else cluster_args(data, tmp_path / "run"))
+        if f"--{key}" in args:
+            at = args.index(f"--{key}")
+            del args[at:at + 2]
+        if source == "flag":
+            args += [f"--{key}", str(value)]
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+            args += ["--config", str(tmp_path / "cfg.json")]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert "must be finite and within" in err and key in err
+        assert len(err) < 200  # no digits spelled out
+        assert not (tmp_path / "run").exists()
 
     def test_cluster_help_names_the_restarts_ceiling(self, capsys):
         with pytest.raises(SystemExit):

@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from txrisk import clustering, features as ft
+from txrisk import clustering, features as ft, summation
 from txrisk.clustering import (
     extract_profiles,
     kmeans,
@@ -135,10 +135,11 @@ class TestUpdateCentroid:
         quant = np.array([[x] for x, _ in rows], dtype=np.float64).reshape(-1, 1)
         nom = np.array([[flag] for _, flag in rows], dtype=np.int64).reshape(-1, 1)
         labels = np.zeros(len(rows), dtype=np.int64) if labels is None else labels
-        counts = np.bincount(labels, minlength=k)
         member_rows = np.argsort(labels, kind="stable") if exact else None
-        return clustering._update_centroids(quant, nom, labels, counts,
-                                            member_rows)
+        cent_q, cent_n, counts = clustering._update_centroids(
+            quant, nom, labels, k, member_rows)
+        assert counts.tolist() == np.bincount(labels, minlength=k).tolist()
+        return cent_q, cent_n
 
     def test_numeric_mean(self):
         cent_q, _ = self.update([(0.2, 0), (0.4, 0)])
@@ -540,22 +541,27 @@ class TestModelFile:
         assert tuple(tuple(ref) for entry in doc["clusters"]
                      for ref in entry["members"]) == members
 
-    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4])
     def test_members_written_in_chunks_are_the_json_dumps_text(
             self, tmp_path, monkeypatch, rows):
-        # Members are formatted _MEMBER_ROWS at a time; clusters of 3 and 3
-        # members cross a chunk's end, fill one exactly or fit in one.
+        # Members are laid out _MEMBER_ROWS at a time; clusters of 3 and 3
+        # members cross a chunk's end, fill one exactly or fit in one,
+        # with ids of one width and of several, escaped or not.
         monkeypatch.setattr(clustering, "_MEMBER_ROWS", rows)
         records, schema = two_cluster_fixture()
         model = train_model(records, 2, schema, seed=4)
         assert model.member_counts.tolist() == [3, 3]
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        text = path.read_text(encoding="utf-8")
-        doc = json.loads(text)
-        assert text == json.dumps(doc, indent=2) + "\n"
-        assert tuple(tuple(ref) for entry in doc["clusters"]
-                     for ref in entry["members"]) == member_pairs(model)
+        for ids in (None, ["7", "12", "S\u00e9", 'a"b', "S0001"]):
+            if ids is not None:
+                model = replace(model, service_ids=tuple(sorted(ids)),
+                                member_services=np.array([4, 0, 2, 1, 3, 1]))
+            path = tmp_path / "model.json"
+            save_model(model, path)
+            text = path.read_text(encoding="utf-8")
+            doc = json.loads(text)
+            assert text == json.dumps(doc, indent=2) + "\n"
+            assert tuple(tuple(ref) for entry in doc["clusters"]
+                         for ref in entry["members"]) == member_pairs(model)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_float_refused_before_writing(self, tmp_path, value):
@@ -884,8 +890,8 @@ def reference_lloyd(quant, nom, schema, init_idx, track_objective):
 
     for _ in range(clustering.MAX_ITERATIONS):
         counts = np.bincount(labels, minlength=k)
-        cent_q, cent_n = clustering._update_centroids(quant, nom, labels,
-                                                      counts)
+        cent_q, cent_n, _ = clustering._update_centroids(quant, nom, labels,
+                                                         k)
         empties = np.flatnonzero(counts == 0)
         if len(empties):
             cur = ft.distance(data, (cent_q, cent_n), schema)
@@ -1074,3 +1080,109 @@ class TestHamerlyBounds:
         monkeypatch.setattr(ft, "distance", counted)
         kmeans(dataset, k, schema, seed=42, restarts=3)
         assert sum(pairs) < 0.2 * full_pairs
+
+
+def fsum_means(values, member_rows, counts):
+    """The reference of ``summation.member_means``: per cluster and
+    column, ``math.fsum`` of the members' values over their count."""
+    means = np.full((len(counts), values.shape[1]), np.nan)
+    for c, rows in enumerate(np.split(member_rows, np.cumsum(counts)[:-1])):
+        if len(rows):
+            means[c] = [math.fsum(values[rows, j].tolist()) / len(rows)
+                        for j in range(values.shape[1])]
+    return means
+
+
+def means_case(rng):
+    """A random grid of values and a random split of some of its rows into
+    clusters, some empty or of one member: ``(values, member_rows,
+    counts)``."""
+    rows, d = int(rng.integers(1, 60)), int(rng.integers(1, 5))
+    kind = rng.integers(4)
+    if kind == 0:  # magnitudes from 1e-310 to 1e300, either sign
+        values = (rng.choice([-1.0, 1.0], (rows, d))
+                  * 10.0 ** rng.uniform(-310, 300, (rows, d)))
+    elif kind == 1:  # a 2- or 3-decimal grid, as meter files hold
+        places = int(rng.integers(2, 4))
+        values = rng.integers(-10 ** 6, 10 ** 6, (rows, d)) / 10.0 ** places
+    elif kind == 2:  # values near 1 with a few far smaller ones
+        values = 1 + rng.standard_normal((rows, d))
+        values[rng.random((rows, d)) < 0.2] *= 1e-30
+    else:  # zeros of either sign
+        values = rng.choice([0.0, -0.0, 1.5, -2.25], (rows, d),
+                            p=[0.45, 0.45, 0.05, 0.05])
+    values[:, rng.random(d) < 0.2] = rng.choice([0.0, -0.0])  # zero columns
+    k = int(rng.integers(1, 5))
+    labels = rng.integers(0, k + 1, rows)  # label k: not a member
+    members = np.flatnonzero(labels < k)
+    member_rows = members[np.argsort(labels[members], kind="stable")]
+    return values, member_rows, np.bincount(labels[members], minlength=k)
+
+
+class TestExactMeans:
+    """``summation.member_means`` takes each sum by error-free
+    extraction; it must give ``math.fsum``'s mean bit for bit."""
+
+    @staticmethod
+    def assert_same_bits(values, member_rows, counts):
+        got = summation.member_means(values, member_rows, counts)
+        want = fsum_means(values, member_rows, counts)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 3, 1024])
+    def test_seeded_cases_equal_fsum(self, monkeypatch, block):
+        # With blocks of 1 and 3 members, every cluster crosses block ends.
+        monkeypatch.setattr(summation, "_MEAN_ROWS", block)
+        for seed in range(100):
+            self.assert_same_bits(*means_case(np.random.default_rng([30, seed])))
+
+    def test_many_members_across_blocks(self):
+        rng = np.random.default_rng(31)
+        values = np.round(rng.uniform(0, 40, (5000, 24)), 3)
+        values[::7] *= 1e-12
+        labels = rng.integers(0, 3, len(values))
+        self.assert_same_bits(values, np.argsort(labels, kind="stable"),
+                              np.bincount(labels, minlength=3))
+
+    @pytest.mark.parametrize("spoiled", [math.nan, math.inf, 1.7e308])
+    def test_columns_past_the_extraction_range(self, spoiled):
+        # A column with a value that is not finite, or so large that sigma
+        # would overflow, is summed by fsum over its members, here even
+        # where that value is not a member's.
+        values = np.array([[1.0, 2.0], [3.0, 1e-300], [spoiled, 5.0]])
+        self.assert_same_bits(values, np.array([0, 1]), np.array([2]))
+        values[2, 0] = -1.7e308
+        self.assert_same_bits(values, np.array([0, 1, 2]), np.array([1, 2]))
+
+
+def per_cluster_own_distances(data, centroids, labels, schema):
+    """The reference of ``clustering._own_distances``: one
+    ``features.distance`` call per cluster on its members."""
+    own = np.empty(len(labels))
+    for c in range(len(centroids[0])):
+        rows = np.flatnonzero(labels == c)
+        own[rows] = ft.distance(tuple(part[rows] for part in data), (
+            centroids[0][c:c + 1], centroids[1][c:c + 1]), schema)[:, 0]
+    return own
+
+
+class TestOwnDistances:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equal_to_per_cluster_distance_calls(self, monkeypatch, seed):
+        monkeypatch.setattr(clustering, "_BLOCK_ROWS", 7)
+        quant, nom, schema, _ = lloyd_case(seed=seed, n=40, q=3, m=2, k=4)
+        rng = np.random.default_rng([32, seed])
+        k = 4
+        cent_q = rng.random((k, 3))
+        cent_n = rng.integers(-1, 3, (k, 2))
+        cent_q[rng.integers(k), rng.integers(3)] = math.nan  # a gap
+        quant = quant.copy(order="F")
+        quant[rng.random(quant.shape) < 0.1] = math.nan
+        nom = nom.copy(order="F")
+        nom[rng.random(nom.shape) < 0.1] = -1
+        labels = rng.integers(0, k, len(quant))
+        got = clustering._own_distances((quant, nom), (cent_q, cent_n),
+                                        labels, schema)
+        want = per_cluster_own_distances((quant, nom), (cent_q, cent_n),
+                                         labels, schema)
+        assert got.tobytes() == want.tobytes()
