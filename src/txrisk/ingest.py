@@ -15,22 +15,24 @@ each meter day's 24 loads once, as a row of the meter grid.
 
 Every input table (these three files and the query file of
 :func:`txrisk.estimation.read_query_csv`) is read by :func:`read_columns`,
-with one ``(scan, parse)`` rule per kind of column: date codes, service-id
-codes, hours, numbers within a range and Y/N flags. It reads a file once,
-as bytes, 256 KiB of whole lines at a time, finds the fields of a block
-from the positions of commas and line feeds, and converts each column
-whole by its rule's scan. A number column is read exactly where its
-fields are spelled ``[-]digits[.digits]`` (see :func:`_numbers`), else
-through ``float``. A block that holds a quote, a carriage return
-not before a line feed, a NUL, a line without the header's column count
-or longer than the csv field limit, or a field that a scan declines goes
-to the per-row code, as does a header line not spelled exactly; UTF-8
-text outside ASCII does not. The per-row code reads the block's rows
-with the csv module and reports every fault with its row and column;
-the scan takes over again at the first block end where a row ends.
-Checks across rows (a third reading of an hour, a calendar date listed
-twice) run over whole columns. :func:`load_dataset` gives each date one
-code in all three files and joins the days on integer codes.
+with one ``(scan, complaint)`` rule per kind of column: date codes,
+service-id codes, hours, numbers within a range and Y/N flags. The scan,
+the one converter of its kind, reads a column whole and marks the fields
+it refuses, which ``complaint`` words from their text. It reads what
+``int`` (hours) or ``float`` (numbers) reads: common spellings as arrays
+(see :func:`_numbers`), others by the builtin, a field at a time. A file
+is read once, as bytes, 256 KiB of whole lines at a time, and a block's
+fields found from the positions of commas and line feeds. A block that
+holds a quote, a carriage return not before a line feed, a NUL, a line
+without the header's column count or longer than the csv field limit, or a
+field that a scan refuses goes to the per-row code, as does a header line
+not spelled exactly; UTF-8 text outside ASCII does not. The per-row code
+reads the rows with the csv module, lays each column out for the same
+scans, and reports the first fault with its row and column; the scan takes
+over again at the first block end where a row ends. Checks across rows (a
+third reading of an hour, a calendar date listed twice) run over whole
+columns. :func:`load_dataset` gives each date one code in all three files
+and joins the days on integer codes.
 
 Every CSV table the package writes goes through :func:`write_table` (of
 :mod:`txrisk.tables`), which takes columns of numbers and text.
@@ -50,6 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DataGapWarning,
     EmptyIntersectionError,
     MissingProfileError,
@@ -99,25 +102,6 @@ def iso_date(text: str) -> dt.date:
     if len(text) != 10 or text[4] != "-" or text[7] != "-":
         raise ValueError(f"Invalid isoformat string: {text!r}")
     return dt.date.fromisoformat(text)
-
-
-def _parse_hour(text, path, row, column):
-    try:
-        hour = int(text)
-    except ValueError:
-        raise ParseError(f"bad hour {text!r}", path=path, row=row,
-                         column=column) from None
-    if not 0 <= hour <= 23:
-        raise ParseError(f"hour {hour} outside 0..23", path=path, row=row,
-                         column=column)
-    return hour
-
-
-def _parse_flag(text, path, row, column):
-    if text not in ("Y", "N"):
-        raise ParseError(f"flag must be Y or N, got {text!r}", path=path,
-                         row=row, column=column)
-    return text == "Y"
 
 
 # The block scan reads a file this many bytes at a time, cut at a line
@@ -232,9 +216,9 @@ def _header(records, headers, path):
     return header
 
 
-# Column scans of the block scan. Each takes a block's bytes and one
-# column's field starts and lengths, and gives the column's values, or None
-# where the per-row code might read a field otherwise or refuse it.
+# Column scans. Each takes a ``uint8`` array of bytes and one column's
+# field starts and lengths in it, each field followed by a byte, and gives
+# the column's values and a mask of the fields it refuses.
 def _fixed(buf, starts, length):
     """The ``length``-byte fields at ``starts`` as an ``S{length}`` array."""
     return np.ndarray((len(buf) - length + 1,), f"S{length}", buf, 0,
@@ -242,28 +226,44 @@ def _fixed(buf, starts, length):
 
 
 def _by_length(lens):
-    """``(length, rows)`` for each field length in ``lens``. (``np.unique``
-    would import ``numpy.ma`` on its first call, 15 ms.)"""
+    """``(length, rows)`` for each nonzero field length in ``lens``.
+    (``np.unique`` would import ``numpy.ma`` on its first call, 15 ms.)"""
     if lens.min() == lens.max():
-        return [(int(lens[0]), slice(None))]
+        return [(int(lens[0]), slice(None))] if lens[0] else []
     return [(length, np.flatnonzero(lens == length))
-            for length in np.flatnonzero(np.bincount(lens)).tolist()]
+            for length in np.flatnonzero(np.bincount(lens)).tolist() if length]
+
+
+def _builtin(convert, raw, refused):
+    """``convert`` (``int`` or ``float``) of the UTF-8 text of the field
+    bytes ``raw``, or ``refused`` where the decoding or ``convert`` refuses
+    it."""
+    try:
+        return convert(str(raw, "utf-8"))
+    except ValueError:  # UnicodeDecodeError is one
+        return refused
 
 
 def _hours(buf, starts, lens):
-    """Hours spelled with one or two ASCII digits, 0..23: ``0``..``23``
-    and ``00``..``09``. Any other spelling (``005``, `` 5``, ``+5``) takes
-    the per-row code, which reads what ``int`` reads."""
+    """Each field's hour as ``int`` reads it, refused unless in 0..23: one
+    or two ASCII digits as arrays, any other spelling (``005``, `` 5``,
+    ``+5``, ``١``) by ``int``, a field at a time."""
     two = lens == 2
-    if not (two | (lens == 1)).all():
-        return None
-    # Bytes below "0" wrap above 9.
+    # Bytes below "0" wrap above 9; an empty last field has no next byte.
     first = buf[starts] - ord("0")
-    second = buf[starts + 1] - ord("0")
-    if (first > 9).any() or (two & (second > 9)).any():
-        return None
+    second = np.take(buf, starts + 1, mode="clip") - ord("0")
     hours = np.where(two, 10 * first.astype(np.int64) + second, first)
-    return None if (hours > 23).any() else hours
+    for i in np.flatnonzero(~(two | (lens == 1)) | (first > 9)
+                            | (two & (second > 9))).tolist():
+        hour = _builtin(int, buf[starts[i]:starts[i] + lens[i]], -1)
+        hours[i] = hour if 0 <= hour <= 23 else -1
+    return hours, (hours < 0) | (hours > 23)
+
+
+def _hour_complaint(text):
+    hour = _builtin(int, text.encode(), None)
+    return (f"bad hour {text!r}" if hour is None
+            else f"hour {hour} outside 0..23")
 
 
 # 10.0 ** i for the exponents of the exact decimal path: each is a double
@@ -272,8 +272,7 @@ _POW10 = [float(10 ** i) for i in range(23)]
 
 
 def _numbers(buf, starts, lens):
-    """Each field's value as ``float`` reads it; None where one is not a
-    number.
+    """Each field's value as ``float`` reads it, NaN where it refuses one.
 
     Fields of one length spelled ``[-]digits[.digits]``, with the dot (if
     any) at one place in all of them, are read exactly: the digits give an
@@ -282,19 +281,24 @@ def _numbers(buf, starts, lens):
     correctly rounded division ``m / 10 ** f`` is ``float``'s value (the
     fast path of Clinger's 1990 algorithm). A ``-`` negates it, so ``-0.0``
     keeps its sign. The fields of any other length go to an ``S``-array's
-    ``astype``, which calls ``float``.
+    ``astype``, which reads ASCII text as ``float`` does. Where it refuses
+    one of them (``float`` also reads ``١``), or one holds a NUL (which an
+    ``S`` array drops at a field's end), each goes to ``float``.
     """
-    if not lens.all():
-        return None
-    values = np.empty(len(starts))
-    try:
-        for length, rows in _by_length(lens):
-            at = starts[rows]
-            exact = _decimals(buf, at, length)
-            values[rows] = (_fixed(buf, at, length).astype(np.float64)
-                            if exact is None else exact)
-    except ValueError:
-        return None
+    values = np.full(len(starts), math.nan)
+    for length, rows in _by_length(lens):
+        at = starts[rows]
+        exact = _decimals(buf, at, length)
+        if exact is None:
+            texts = _fixed(buf, at, length)
+            try:
+                if not texts.view(np.uint8).all():  # a NUL
+                    raise ValueError
+                exact = texts.astype(np.float64)
+            except ValueError:
+                exact = [_builtin(float, buf[start:start + length], math.nan)
+                         for start in at.tolist()]
+        values[rows] = exact
     return values
 
 
@@ -337,35 +341,11 @@ def _decimals(buf, starts, length):
     return values
 
 
-def _codes(buf, starts, lens, table, code):
-    """Each field's code, or None where ``code`` declines a field:
-    ``code(text)`` gives the code of field bytes ``text`` or None, and
-    ``table`` (field bytes -> code) those of the texts seen before. A run of
-    equal fields is looked up once."""
-    if not lens.all():
-        return None
-    codes = np.empty(len(starts), np.int64)
-    for length, rows in _by_length(lens):
-        texts = _fixed(buf, starts[rows], length)
-        heads = run_heads(texts)
-        runs = texts[heads].tolist()
-        run_codes = list(map(table.get, runs))
-        if None in run_codes:  # texts not seen before, or refused
-            run_codes = [code(text) if value is None else value
-                         for text, value in zip(runs, run_codes)]
-            if None in run_codes:
-                return None
-        codes[rows] = np.repeat(run_codes, np.diff(heads, append=len(texts)))
-    return codes
-
-
 def _flags(buf, starts, lens):
-    """``Y`` or ``N`` flags as a boolean column (``Y`` true)."""
+    """``Y``/``N`` flags as a boolean column (``Y`` true); others refused."""
     codes = buf[starts]
-    if not ((lens == 1).all() and ((codes == ord("Y"))
-                                   | (codes == ord("N"))).all()):
-        return None
-    return codes == ord("Y")
+    flags = codes == ord("Y")
+    return flags, (lens != 1) | ~flags & (codes != ord("N"))
 
 
 def run_heads(values):
@@ -385,31 +365,34 @@ def _ranks(keys):
     return ranks
 
 
-# Column rules: per kind of field, a ``(scan, parse)`` pair. ``scan`` is a
-# column scan as above; ``parse(text, path, row, column)`` reads one field
-# of the per-row code or raises the ParseError that reports it.
+# Column rules: per kind of field, a ``(scan, complaint)`` pair. ``scan``
+# is a column scan as above; ``complaint(text)`` is the message of the
+# ParseError that reports a refused field, from its text.
 def _code_rule(new, complaint):
     """The rule of a column of codes: ``new(text)`` gives the code of field
-    bytes ``text`` not seen before, or None for a field refused with the
-    ParseError ``complaint`` (formatted with the field's text)."""
-    table = {}  # field bytes -> code
-
-    def code(text):
-        if text not in table:
-            table[text] = new(text)
-        return table[text]
-
-    def parse(text, path, row, column):
-        value = code(text.encode())
-        if value is None:
-            raise ParseError(complaint.format(text), path=path, row=row,
-                             column=column)
-        return value
+    bytes ``text`` not seen before, or -1 for a field refused with
+    ``complaint`` (formatted with the field's text). A run of equal fields
+    is looked up once, by its bytes as a ``V`` array, which keeps a NUL at
+    the end that an ``S`` array drops."""
+    table = {}  # field bytes -> code, -1 if refused
 
     def scan(buf, starts, lens):
-        return _codes(buf, starts, lens, table, code)
+        codes = np.full(len(starts), -1, np.int64)
+        for length, rows in _by_length(lens):
+            texts = _fixed(buf, starts[rows], length)
+            heads = run_heads(texts)  # equal as S iff equal as V
+            runs = texts[heads].view(f"V{length}").tolist()
+            run_codes = list(map(table.get, runs))
+            if None in run_codes:  # texts not seen before
+                for text in runs:
+                    if text not in table:
+                        table[text] = new(text)
+                run_codes = list(map(table.get, runs))
+            codes[rows] = np.repeat(run_codes,
+                                    np.diff(heads, append=len(texts)))
+        return codes, codes < 0
 
-    return scan, parse
+    return scan, complaint.format
 
 
 def date_rule(dates):
@@ -420,7 +403,7 @@ def date_rule(dates):
         try:
             return dates.setdefault(iso_date(text.decode()), len(dates))
         except ValueError:
-            return None
+            return -1
 
     return _code_rule(new, "bad date {!r}")
 
@@ -434,8 +417,8 @@ def _service_rule(names):
         try:
             name = text.decode()
         except UnicodeDecodeError:
-            return None
-        return names.setdefault(name, len(names)) if name.strip() else None
+            return -1
+        return names.setdefault(name, len(names)) if name.strip() else -1
 
     return _code_rule(new, "blank service id {!r}")
 
@@ -446,30 +429,19 @@ def number_rule(lo=-math.inf, hi=math.inf, complaint="", above=None):
     reports one outside, or ``above``, if given, one above ``hi``."""
     def scan(buf, starts, lens):
         values = _numbers(buf, starts, lens)
-        if values is None or not (np.isfinite(values) & (lo <= values)
-                                  & (values <= hi)).all():
-            return None
-        return values
+        return values, ~(np.isfinite(values) & (lo <= values) & (values <= hi))
 
-    def parse(text, path, row, column):
-        try:
-            value = float(text)
-        except ValueError:
-            value = math.nan
+    def complain(text):
+        value = _builtin(float, text.encode(), math.nan)
         if not math.isfinite(value):  # nan and inf are bad numbers too
-            raise ParseError(f"bad number {text!r}", path=path, row=row,
-                             column=column)
-        if not lo <= value <= hi:
-            text = above if value > hi and above else complaint
-            raise ParseError(text.format(value), path=path, row=row,
-                             column=column)
-        return value
+            return f"bad number {text!r}"
+        return (above if value > hi and above else complaint).format(value)
 
-    return scan, parse
+    return scan, complain
 
 
-_HOUR_RULE = (_hours, _parse_hour)
-FLAG_RULE = (_flags, _parse_flag)
+_HOUR_RULE = (_hours, _hour_complaint)
+FLAG_RULE = (_flags, "flag must be Y or N, got {!r}".format)
 
 
 def read_columns(path, header, rules):
@@ -478,8 +450,8 @@ def read_columns(path, header, rules):
     column as its entry of ``rules`` reads it.
 
     The file is read once, a block of :func:`_byte_blocks` at a time. A
-    block whose fields :func:`_block_fields` finds and each column's scan
-    accepts is a chunk; any other, and a header line not spelled exactly,
+    block whose fields :func:`_block_fields` finds and no column's scan
+    refuses is a chunk; any other, and a header line not spelled exactly,
     goes to the per-row code, :func:`_row_columns`.
     """
     spelled = ",".join(header).encode()
@@ -492,13 +464,13 @@ def read_columns(path, header, rules):
                                             + next(blocks, b""), blocks)
         for block in blocks:
             fields = _block_fields(block, len(header))
-            # A scan indexes the bytes by its column's starts many times:
-            # they are made intp once here, not at each index (an int32
-            # index array is converted at every use).
+            # Starts made intp once: a scan indexes by them many times, and
+            # an int32 index array is converted at every use.
             columns = fields and [scan(fields[0], starts.astype(np.intp), lens)
                                   for (scan, _), starts, lens in zip(
                                       rules, *fields[1:])]
-            if columns and all(column is not None for column in columns):
+            if columns and not any(refused.any() for _, refused in columns):
+                columns = [values for values, _ in columns]  # masks freed
                 yield first, columns
                 first += len(columns[0])
                 continue
@@ -506,15 +478,23 @@ def read_columns(path, header, rules):
                                             blocks)
 
 
+def _laid_out(texts):
+    """Field texts as a column scan takes them: their UTF-8 bytes, each
+    followed by a line feed, and the start and length of each."""
+    raw = [text.encode() for text in texts]
+    lens = np.fromiter(map(len, raw), np.intp, len(raw))
+    return (np.frombuffer(b"\n".join(raw) + b"\n", np.uint8),
+            np.cumsum(lens + 1) - lens - 1, lens)
+
+
 def _row_columns(path, header, rules, first, data, blocks):
     """The per-row code of :func:`read_columns`: the rows that
     :func:`_records` reads from ``data``, file row ``first`` (1: the header)
-    on, as one chunk, each row's date read before its other fields. It alone
-    reports a malformed field; at one it yields the rows before it, then
+    on, as one chunk, each column read by its rule's scan. It alone reports
+    a malformed row or field: at the first, by row and within a row the
+    date before the other fields, it yields the rows before it, then
     raises, so that a caller's check across rows reports an earlier row
     first. Returns the number of the next row."""
-    parses = [(j, rules[j][1], header[j]) for j in sorted(
-        range(len(header)), key=lambda j: header[j] != "date")]
     records = _records(path, data, blocks, first)
     if first == 1:
         _header(records, [header], path)
@@ -525,16 +505,24 @@ def _row_columns(path, header, rules, first, data, blocks):
             if len(fields) != len(header):
                 raise ParseError(f"expected {len(header)} columns, got "
                                  f"{len(fields)}", path=path, row=i)
-            for j, parse, column in parses:
-                fields[j] = parse(fields[j], path, i, column)
             rows.append(fields)
     except ParseError as exc:
         fault = exc
-    if rows:
-        yield first, list(map(np.array, zip(*rows)))
+    texts = list(zip(*rows))
+    columns = [scan(*_laid_out(column))
+               for (scan, _), column in zip(rules, texts)]
+    refusals = [(int(refused.argmax()), name != "date", j)
+                for j, (name, (_, refused)) in enumerate(zip(header, columns))
+                if refused.any()]
+    end, _, j = min(refusals, default=(len(rows), False, None))
+    if j is not None:
+        fault = ParseError(rules[j][1](texts[j][end]), path=path,
+                           row=first + end, column=header[j])
+    if end:
+        yield first, [values[:end] for values, _ in columns]
     if fault is not None:
         raise fault
-    return first + len(rows)
+    return first + end
 
 
 # Per reading column: the hourly file, the plausible range of a reading
@@ -890,14 +878,14 @@ def synth_dataset(seed: int, services: int, start_date: dt.date, days: int,
     couples a base diurnal shape with heating below ``heating_ref_c``,
     cooling above ``cooling_ref_c``, a weekend/holiday uplift, per-service
     scale variation, and seeded noise. The same seed always yields
-    byte-identical files.
+    byte-identical files. A load that is not finite or is above
+    ``LOAD_MAX_KW``, which the meter file may not hold, is a ConfigError,
+    raised before anything is written.
     """
     if services <= 0 or days <= 0:
         raise ValueError("services and days must be > 0")
     cfg = config or SynthConfig()
     rng = np.random.default_rng(seed)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     dates = [start_date + dt.timedelta(days=i) for i in range(days)]
     hours = np.arange(24)
@@ -928,14 +916,18 @@ def synth_dataset(seed: int, services: int, start_date: dt.date, days: int,
     if cfg.load_noise_sd_kw > 0:
         loads = loads + rng.normal(0.0, cfg.load_noise_sd_kw, size=loads.shape)
     loads = np.maximum(loads, 0.0)
-
-    return _write_synth(out_dir, dates, temps, loads, cfg.holidays)
+    peak = loads.max()
+    if not peak <= LOAD_MAX_KW:  # NaN too
+        raise ConfigError(f"synth config gives loads up to {peak:g} kW; the "
+                          f"meter file takes at most {LOAD_MAX_KW:g} kW")
+    return _write_synth(Path(out_dir), dates, temps, loads, cfg.holidays)
 
 
 def _write_synth(out_dir, dates, temps, loads, holidays) -> dict[str, Path]:
     """Write the files of :func:`synth_dataset` to ``out_dir``: the
     ``(days, 24)`` temperatures ``temps`` and the ``(services, days, 24)``
     loads ``loads`` of the days ``dates``, ``holidays`` month-day pairs."""
+    out_dir.mkdir(parents=True, exist_ok=True)
     isos = np.array([date.isoformat() for date in dates])
     paths = {name: out_dir / f"{name}.csv"
              for name in ("weather", "meter", "calendar")}

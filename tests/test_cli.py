@@ -1227,6 +1227,22 @@ class TestConfigFile:
                          "--days", "2", "--out", str(tmp_path)]) == 2
         assert "'synth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("synth", [
+        {"base_load_kw": 1e308}, {"service_spread": 1e3},
+        {"load_noise_sd_kw": 1e300}])
+    def test_synth_config_of_loads_past_the_ceiling(self, tmp_path, capsys,
+                                                    synth):
+        # Such loads were once written, and cluster then refused the meter
+        # file (exit 3).
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": synth}))
+        out = tmp_path / "out"
+        assert cli.main(["synth", "--config", str(cfg), "--services", "1",
+                         "--days", "2", "--out", str(out)]) == 2
+        assert "the meter file takes at most 1e+06 kW" in (
+            capsys.readouterr().err)
+        assert not out.exists() or not list(out.iterdir())
+
     def test_synth_config_of_the_right_kind(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"synth": {

@@ -13,6 +13,7 @@ import pytest
 from txrisk import ingest
 from txrisk.estimation import read_query_csv
 from txrisk.errors import (
+    ConfigError,
     DataGapWarning,
     EmptyIntersectionError,
     ParseError,
@@ -92,6 +93,17 @@ class TestSynth:
     def test_rejects_nonpositive_counts(self, tmp_path):
         with pytest.raises(ValueError):
             gen(tmp_path, services=0)
+
+    @pytest.mark.parametrize("knobs", [
+        {"base_load_kw": 1e308}, {"service_spread": 1e3},
+        {"load_noise_sd_kw": 1e300}])
+    def test_rejects_loads_past_the_ceiling_before_writing(self, tmp_path,
+                                                           knobs):
+        # The meter file takes readings of at most LOAD_MAX_KW kW.
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="at most 1e\\+06 kW"):
+            gen(out, services=1, days=2, config=SynthConfig(**knobs))
+        assert not out.exists()
 
 
 class TestRoundTrip:
@@ -363,6 +375,24 @@ class TestParseErrors:
         with pytest.raises(ParseError) as err:
             load_dataset(paths["weather"], paths["meter"], paths["calendar"])
         assert (err.value.row, err.value.column) == (31, "date")
+
+    @pytest.mark.parametrize("per_row", [False, True], ids=["bulk", "per-row"])
+    @pytest.mark.parametrize("row,column,message", [
+        (" ,2015-02-30,3,0.5", "date", "bad date '2015-02-30'"),
+        (" ,2015-01-02,3,x", "service_id", "blank service id ' '")])
+    def test_two_faults_in_one_meter_row(self, tmp_path, monkeypatch, row,
+                                         column, message, per_row):
+        # Within a row the date is read first, then the columns in order.
+        paths = gen(tmp_path, seed=6, services=1, days=2)
+        body = paths["meter"].read_text().splitlines()
+        body[30] = row
+        paths["meter"].write_text("\n".join(body) + "\n")
+        if per_row:
+            monkeypatch.setattr(ingest, "_block_fields", refuse_blocks)
+        with pytest.raises(ParseError) as err:
+            load_dataset(paths["weather"], paths["meter"], paths["calendar"])
+        assert (err.value.row, err.value.column) == (31, column)
+        assert str(err.value).startswith(message + " (")
 
     def test_inconsistent_weekday_without_holiday(self, tmp_path):
         paths = gen(tmp_path, seed=6, services=1, days=6)
@@ -681,7 +711,7 @@ class TestBulkScan:
         lines[5] = {"quoted field": f'"{first}",{rest}',
                     "lone CR in a field": f"{first},{last[0]},\r{last[1]}",
                     }.get(case, lines[5])
-        if case == "zero-padded hours":  # 00..09, as the per-row int reads
+        if case == "zero-padded hours":  # 00..09, as int reads them
             lines[1:] = [re.sub(r",(\d),([^,]*)$", r",0\1,\2", line)
                          for line in lines[1:]]
             assert ",00," in lines[1] and ",09," in lines[10]
@@ -761,8 +791,8 @@ class TestBulkScan:
         "9007199254740993", "0.0000000000000000000001",
         "0.00000000000000000000001", "000000000000001.5", "-", "-.", "."])
     def test_bulk_numbers_read_as_float_or_refused(self, tmp_path, text):
-        # The scan's S-array conversion must give float()'s value or refuse
-        # the text where float() reads a number the row loop refuses.
+        # The scan reads what float() reads, and the file falls back to the
+        # per-row code only where the reading is refused.
         def usable(convert):
             try:
                 value = convert(text)
@@ -770,23 +800,20 @@ class TestBulkScan:
                 return None
             return np.float64(value).tobytes() if np.isfinite(value) else None
 
-        def scan(text):
+        def scan(text):  # NaN where refused
             raw = text.encode()
-            values = ingest._numbers(np.frombuffer(raw + b"\n", np.uint8),
-                                     np.array([0]), np.array([len(raw)]))
-            if values is None:
-                raise ValueError(text)
-            return values[0]
+            return ingest._numbers(np.frombuffer(raw + b"\n", np.uint8),
+                                   np.array([0]), np.array([len(raw)]))[0]
 
         bulk = usable(scan)
-        assert bulk is None or bulk == usable(float)
+        assert bulk == usable(float)
         paths = gen(tmp_path, seed=6, services=1, days=2)
         for name in ("weather", "meter"):
             lines = paths[name].read_text().split("\n")
             lines[6] = lines[6].rsplit(",", 1)[0] + "," + text
             paths[name].write_text("\n".join(lines))
             outcome, fell_back = both_paths(paths[name], HOURLY_HEADERS[name])
-            if text.isascii() and "\n" not in text:
+            if "\n" not in text:
                 _, lo, hi, _ = ingest._HOURLY_FILES[HOURLY_HEADERS[name][-1]]
                 assert fell_back == (bulk is None
                                      or not lo <= float(text) <= hi)
@@ -862,6 +889,9 @@ class TestBulkScan:
     @pytest.mark.parametrize("hour", ["005", " 5", "+5", "5.0", "١"])
     def test_hour_spellings_outside_the_table_take_the_row_loop(
             self, tmp_path, name, hour):
+        # Hours spelled other than with one or two ASCII digits are read by
+        # int in the scan, so the block stays on it; int refuses 5.0, which
+        # sends the block to the per-row code to be reported.
         paths = gen(tmp_path, seed=6, services=1, days=2)
         lines = paths[name].read_text().split("\n")
         fields = lines[6].split(",")
@@ -869,8 +899,13 @@ class TestBulkScan:
         lines[6] = ",".join(fields)
         paths[name].write_text("\n".join(lines))
         outcome, fell_back = both_paths(paths[name], HOURLY_HEADERS[name])
-        assert fell_back
-        assert ("error" in outcome) == (hour == "5.0")
+        assert fell_back == (hour == "5.0")
+        if hour == "5.0":
+            assert outcome["error"][1].startswith("bad hour '5.0' (")
+            assert outcome["error"][2:] == (7, "hour")
+        else:  # row 7 holds hour 5 of the first day; ١ is hour 1 again
+            assert len(outcome["keys"]) == 2
+            assert outcome["flags"][0] == (int(hour) != 5)
 
     @pytest.mark.parametrize("name", ["weather", "meter"])
     @pytest.mark.parametrize("hour,bulk", [
@@ -957,7 +992,7 @@ class TestBulkScan:
         spelled = {"variable-length ids": ("S1", "S10", "S100"),
                    "non-ASCII id": ("S001", "Sé02", "S\u20ac03"),
                    "all-blank id": ("S001", "   ", "S003"),
-                   # str.strip, which the per-row loop uses, strips \x1f.
+                   # str.strip, which the service-id rule uses, strips \x1f.
                    "separator-only id": ("S001", "\x1f", "S003"),
                    # A lone byte 0xe9, Latin-1's é, written as it is.
                    "id not UTF-8": ("S001", "S\udce902", "S003")}[case]
@@ -1104,6 +1139,160 @@ class TestBulkScan:
             buf, starts, lens = fields
             assert [[buf[s:s + n].tobytes() for s, n in zip(*line)]
                     for line in zip(starts.T, lens.T)] == lines
+
+
+# Pieces of the seeded field texts of TestScansAgainstBuiltins: ASCII and
+# other Unicode digits (Arabic-Indic, fullwidth), signs, dots, exponents,
+# underscores, blanks that str.strip and float strip or keep, NULs, and
+# words that float reads.
+PIECES = [*"0123456789", *"0123456789", *"0125", "\u0661", "\u0665", "\uff11",
+          "+", "-", ".", ".", "e", "E", "_", " ", "\t", "\xa0", "\x1c", "\x00",
+          "Y", "N", "y", "x", "S", "\u00e9", "nan", "inf", "Infinity", "1e400",
+          "2015-01-02", "2015-02-30", "2016-02-29"]
+
+
+def field_texts(rng, count):
+    """``count`` seeded field texts: each 0 to 5 pieces, or a plain decimal
+    or date with a NUL or a blank before or after it."""
+    texts = []
+    for _ in range(count):
+        if rng.random() < 0.3:
+            plain = rng.choice([f"{rng.uniform(-99, 99):.{rng.integers(4)}f}",
+                                str(rng.integers(0, 30)), "2015-03-04"])
+            extra = str(rng.choice(["", "\x00", " ", "\x00\x00"]))
+            texts.append(extra + plain if rng.random() < 0.5 else plain + extra)
+        else:
+            texts.append("".join(rng.choice(PIECES, rng.integers(0, 6))))
+    return texts
+
+
+def scan_column(rule, texts):
+    """``rule``'s scan of ``texts`` laid out as one column of fields, each
+    followed by a comma, and its complaint about each refused field (None
+    for the others)."""
+    raw = [text.encode() for text in texts]
+    lens = np.array([len(field) for field in raw])
+    starts = np.concatenate(([0], np.cumsum(lens + 1)[:-1]))
+    buf = np.frombuffer(b"".join(field + b"," for field in raw), np.uint8)
+    values, refused = rule[0](buf, starts, lens)
+    return values.tolist(), [rule[1](text) if bad else None
+                             for text, bad in zip(texts, refused.tolist())]
+
+
+class TestScansAgainstBuiltins:
+    """Each column scan reads a field as the Python builtin of its kind
+    does, and refuses it with the message that builtin's outcome gives: the
+    reference now that the scans are the only converters. Columns of 1 to
+    40 seeded texts mix fields of one length that the array paths read
+    with ones that take the builtin, a field at a time; each listed text is
+    also a column of its own."""
+
+    @staticmethod
+    def columns(kind, listed):
+        rng = np.random.default_rng([SEED, 31, kind])
+        return ([field_texts(rng, int(rng.integers(1, 41)))
+                 for _ in range(80)] + [listed] + [[text] for text in listed])
+
+    def test_hours_as_int(self):
+        def reference(text):
+            try:
+                hour = int(text)
+            except ValueError:
+                return None, f"bad hour {text!r}"
+            return (hour, None) if 0 <= hour <= 23 else (
+                None, f"hour {hour} outside 0..23")
+
+        read = 0
+        for texts in self.columns(0, [
+                "5", "05", "005", " 5", "+5", "-0", "1_0", "\u0661\u0662",
+                "5.0", "24", "5\x00", "\x005", ""]):
+            values, complaints = scan_column(ingest._HOUR_RULE, texts)
+            for text, value, complaint in zip(texts, values, complaints):
+                hour, message = reference(text)
+                assert (complaint, value if hour is not None else None) == (
+                    message, hour), text
+                read += hour is not None
+        assert read > 100
+
+    def test_numbers_as_float(self):
+        def reference(text):
+            try:
+                value = float(text)
+            except ValueError:
+                return None, f"bad number {text!r}"
+            if not np.isfinite(value):
+                return None, f"bad number {text!r}"
+            if not -60.0 <= value <= 60.0:
+                return None, ("high {}" if value > 60 else "low {}").format(
+                    value)
+            return np.float64(value).tobytes(), None
+
+        rule = ingest.number_rule(-60.0, 60.0, "low {}", "high {}")
+        read = 0
+        for texts in self.columns(1, [
+                "1.555\x00", "\x001.5", "1.5", "1_0", "1__0", "\u0661.5",
+                "\uff11", " 1e1 ", "-0", "\xa0-0.5", "1e400", "-inf", "nan",
+                "", "-", "."]):
+            values, complaints = scan_column(rule, texts)
+            for text, value, complaint in zip(texts, values, complaints):
+                bits, message = reference(text)
+                assert complaint == message, text
+                if bits is not None:
+                    assert np.float64(value).tobytes() == bits, text
+                    read += 1
+        assert read > 100
+
+    def test_dates_as_iso_date(self):
+        def reference(text):
+            try:
+                return ingest.iso_date(text), None
+            except ValueError:
+                return None, f"bad date {text!r}"
+
+        dates = {}
+        rule = ingest.date_rule(dates)
+        read = 0
+        for texts in self.columns(2, [
+                "2015-01-02\x00", "\x002015-01-02", "2015-01-0\u0662",
+                "20150102", "2015-01-02"]):
+            values, complaints = scan_column(rule, texts)
+            days = list(dates)
+            for text, code, complaint in zip(texts, values, complaints):
+                date, message = reference(text)
+                assert complaint == message, text
+                if date is not None:
+                    assert days[code] == date, text
+                    read += 1
+        assert read > 50 and list(dates.values()) == list(range(len(dates)))
+
+    def test_flags_as_y_or_n(self):
+        read = 0
+        for texts in self.columns(3, ["Y", "N", "y", "Y\x00", "\x00N", "YN",
+                                      ""]):
+            values, complaints = scan_column(ingest.FLAG_RULE, texts)
+            for text, flag, complaint in zip(texts, values, complaints):
+                if text in ("Y", "N"):
+                    assert (flag, complaint) == (text == "Y", None)
+                    read += 1
+                else:
+                    assert complaint == f"flag must be Y or N, got {text!r}"
+        assert read > 5
+
+    def test_service_ids_not_blank_by_strip(self):
+        names = {}
+        rule = ingest._service_rule(names)
+        seen = set()
+        for texts in self.columns(4, ["S001", "S001\x00", "\x00S001", " ",
+                                      "\x1c", "\x00", ""]):
+            values, complaints = scan_column(rule, texts)
+            ids = list(names)
+            for text, code, complaint in zip(texts, values, complaints):
+                if text.strip():
+                    assert (ids[code], complaint) == (text, None)
+                    seen.add(text)
+                else:
+                    assert complaint == f"blank service id {text!r}"
+        assert {"S001", "S001\x00", "\x00S001"} <= seen
 
 
 def calendar_outcome(path):
