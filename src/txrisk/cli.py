@@ -3,8 +3,9 @@
 Subcommands cover the full pipeline: ``synth`` generates a seeded
 synthetic dataset, ``cluster`` trains the mixed-type k-means model,
 ``assess`` writes the threshold/month/temperature/life-loss report tables,
-and ``estimate`` scores query days against a trained model. Options can be
-preloaded from a JSON config file; command-line flags win over the config.
+and ``estimate`` scores query days against a trained model. Each option
+is a row of :data:`OPTIONS`, read from its flag, else from the JSON config
+file, else its default, by one rule whichever gives it.
 
 Every error class maps to a distinct exit code (see ``txrisk --help``).
 """
@@ -18,9 +19,10 @@ import os
 import shutil
 import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,6 +54,166 @@ exit codes:
 """
 
 
+class _Rule(NamedTuple):
+    """``read(value, name, flag)`` reads an option's JSON value, or if
+    ``flag`` its flag's text (a switch's True), or raises a ConfigError
+    (exit 2) naming it ``name``; ``range`` states the values it takes."""
+
+    read: Callable
+    range: str = ""
+
+
+def _of(kind, what, parse=None):
+    """A rule's ``read``: a ``kind`` value, as ``parse`` (if given) reads it
+    without a ValueError, or a refusal saying it must be ``what``."""
+    def read(value, name, flag=False):
+        with suppress(ValueError):
+            if isinstance(value, kind):
+                return parse(value) if parse else value
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return read
+
+
+def _span(text, name, flag=False) -> range:
+    """An inclusive integer span like ``1..40``, of at most ``sys.maxsize``
+    counts (the most a ``range`` can hold and measure)."""
+    try:
+        lo, hi = (int(part) for part in _PATH.read(text, name).split(".."))
+    except ValueError:
+        raise ConfigError(f"{name} must look like A..B, got {text!r}") from None
+    if lo < 1 or hi < lo:
+        raise ConfigError(f"{name} {text!r} is empty or non-positive")
+    if hi - lo >= sys.maxsize:
+        raise ConfigError(f"{name} {text!r} spans more than {sys.maxsize} "
+                          "counts")
+    return range(lo, hi + 1)
+
+
+def _number(lo, hi=math.inf, above=False, integer=False) -> _Rule:
+    """A number (:func:`json_number`) in ``lo``..``hi`` (above ``lo`` if
+    ``above``). An ``integer`` takes no float from a flag's text, and from
+    the config file an integral one of at most 2**53 (above it a float
+    cannot tell neighbouring integers apart)."""
+    sign = ">" if above else ">="
+
+    def read(value, name, flag=False):
+        if flag:  # text: as int reads it, else as float does, else as text
+            spelled = value
+            with suppress(ValueError):
+                value = float(spelled)
+                value = int(spelled)
+        try:
+            number = json_number(value, name)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
+        if not integer:
+            value = number
+        elif not isinstance(value, int):
+            if flag or not (number.is_integer() and abs(number) <= 2 ** 53):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            value = int(number)
+        if value < lo or above and value == lo:
+            raise ConfigError(f"{name} must be {sign} {lo:g}, got {value!r}")
+        if value > hi:
+            raise ConfigError(f"{name} must be <= {hi:g}, got {value!r}")
+        return value
+    return _Rule(read, f"{sign} {lo:g}" if hi == math.inf else f"{lo:g}..{hi:g}")
+
+
+def _holidays(value, name, flag=False):
+    try:
+        days = tuple((_DAY.read(month, name), _DAY.read(day, name))
+                     for month, day in value)
+        for day in days:
+            dt.date(2000, *day)  # a leap year: 29 February is a day
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a list of [month, day] pairs of "
+                          f"calendar days, got {value!r}") from None
+    return days
+
+
+def _schema(value, name, flag=False):
+    try:
+        return ft.FeatureSchema.from_jsonable(value)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad feature schema in config: {exc}") from None
+
+
+class Option(NamedTuple):
+    """An option: its config ``key`` (``synth.<knob>`` in the ``synth``
+    object), the ``commands`` that read it, its ``default`` (or REQUIRED),
+    ``rule``, and the ``help`` of its flag ``--key`` (``-`` for ``_``)."""
+
+    key: str
+    commands: str
+    default: object
+    rule: _Rule
+    help: str | None = None
+
+    @property
+    def flag(self):
+        return self.help and "--" + self.key.replace("_", "-")
+
+
+def _knob(name, lo, hi=math.inf) -> Option:
+    """A synth knob, of its :class:`ingest.SynthConfig` default's kind."""
+    default = getattr(ingest.SynthConfig, name)
+    return Option(f"synth.{name}", "synth", default,
+                  _number(lo, hi, integer=isinstance(default, int)))
+
+
+REQUIRED = "required"
+_PATH, _SWITCH = _Rule(_of(str, "a string")), _Rule(_of(bool, "true or false"))
+_SPAN = _Rule(_span, "A..B, 1 <= A <= B")
+_DATE = _Rule(_of(str, "a date spelled YYYY-MM-DD", ingest.iso_date),
+              "YYYY-MM-DD")
+_COUNT, _DAY = _number(1, integer=True), _number(1, 31, integer=True)
+_TEMP = (ingest.TEMP_MIN_C, ingest.TEMP_MAX_C)
+_SPREAD = (0, ingest.TEMP_MAX_C - ingest.TEMP_MIN_C)
+_ALL = "synth cluster assess estimate"
+
+# Every option, a row each in its commands' flag order: the parser, the
+# config file's keys and every rule of a value come from here alone.
+OPTIONS = (
+    Option("config", _ALL, None, _PATH, "JSON config file; flags override it"),
+    Option("out", _ALL, ".", _PATH, "output directory"),
+    Option("seed", "synth cluster", 42, _number(0, integer=True), "random seed"),
+    Option("services", "synth", 20, _COUNT, "number of services, services x "
+           f"days x 24 at most {MAX_SYNTH_READINGS:,}"),
+    Option("days", "synth", 730, _COUNT, "number of days"),
+    Option("start_date", "synth", "2014-01-01", _DATE, "first date"),
+    Option("weather", "cluster", None, _PATH, "weather.csv path"),
+    Option("meter", "cluster", None, _PATH, "meter.csv path"),
+    Option("calendar", "cluster", None, _PATH, "calendar.csv path"),
+    Option("k", "cluster", 10, _COUNT, "number of clusters"),
+    Option("restarts", "cluster", 1, _number(1, MAX_RESTARTS, integer=True),
+           "seeded restarts, best objective wins"),
+    Option("k_sweep", "cluster", None, _SPAN, "also report the objective for "
+           "each k in the range before training at --k"),
+    Option("features", "cluster", None, _Rule(_schema, "feature list")),
+    Option("spec", "assess estimate", None, _PATH, "transformer spec JSON path"),
+    Option("model", "assess estimate", None, _PATH, "trained model JSON path"),
+    Option("n_range", "assess", "1..40", _SPAN, "service counts to study"),
+    Option("budget", "assess", 500.0, _number(0), "yearly economic-loss budget"),
+    Option("years", "assess", 3.0, _number(0, above=True), "data span in years"),
+    Option("svg", "assess", False, _SWITCH, "also write month_distribution.svg"),
+    Option("query", "estimate", None, _PATH, "query CSV path"),
+    Option("services", "estimate", REQUIRED, _COUNT, "number of services"),
+    Option("strict", "estimate", False, _SWITCH, "refuse far queries (exit 9)"),
+    _knob("temp_mean_c", *_TEMP), _knob("temp_seasonal_amp_c", *_SPREAD),
+    _knob("temp_diurnal_amp_c", *_SPREAD), _knob("temp_noise_sd_c", *_SPREAD),
+    _knob("coldest_day_of_year", 1, 366), _knob("base_load_kw", 0),
+    _knob("diurnal_load_amp", 0), _knob("weekend_uplift", -1),
+    _knob("heating_coeff_kw_per_c", 0), _knob("heating_ref_c", *_TEMP),
+    _knob("cooling_coeff_kw_per_c", 0), _knob("cooling_ref_c", *_TEMP),
+    _knob("load_noise_sd_kw", 0), _knob("service_spread", 0),
+    Option("synth.holidays", "synth", ingest.SynthConfig.holidays,
+           _Rule(_holidays, "[month, day] pairs of calendar days")),
+)
+# The keys a config file may hold; the knobs sit in its "synth" object.
+CONFIG_KEYS = {opt.key.partition(".")[0] for opt in OPTIONS} - {"config"}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="txrisk",
@@ -61,215 +223,82 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--out", help="output directory (default .)")
-
-    def seeded(p):
-        common(p)
-        p.add_argument("--seed", type=int, help="master random seed")
-
-    p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
-    seeded(p_synth)
-    p_synth.add_argument("--services", type=int,
-                         help="number of services (services x days x 24 at "
-                              f"most {MAX_SYNTH_READINGS:,})")
-    p_synth.add_argument("--days", type=int, help="number of days")
-    p_synth.add_argument("--start-date", help="first date, ISO format")
-
-    p_cluster = sub.add_parser("cluster", help="train the cluster model")
-    seeded(p_cluster)
-    p_cluster.add_argument("--weather", help="weather.csv path")
-    p_cluster.add_argument("--meter", help="meter.csv path")
-    p_cluster.add_argument("--calendar", help="calendar.csv path")
-    p_cluster.add_argument("--k", type=int, help="number of clusters")
-    p_cluster.add_argument("--restarts", type=int,
-                           help="seeded restarts, best objective wins "
-                                f"(1..{MAX_RESTARTS})")
-    p_cluster.add_argument("--k-sweep", metavar="A..B",
-                           help="also report the objective for each k in the "
-                                "range before training at --k")
-
-    p_assess = sub.add_parser("assess", help="write the risk report tables")
-    common(p_assess)
-    p_assess.add_argument("--spec", help="transformer spec JSON path")
-    p_assess.add_argument("--model", help="trained cluster model JSON path")
-    p_assess.add_argument("--n-range", metavar="A..B",
-                          help="service counts to study (default 1..40)")
-    p_assess.add_argument("--budget", type=float,
-                          help="yearly economic-loss budget per transformer")
-    p_assess.add_argument("--years", type=float,
-                          help="dataset span in years for annualization")
-    p_assess.add_argument("--svg", action="store_true", default=None,
-                          help="also emit the month-distribution SVG chart")
-
-    p_estimate = sub.add_parser("estimate",
-                                help="estimate temperatures for query days")
-    common(p_estimate)
-    p_estimate.add_argument("--spec", help="transformer spec JSON path")
-    p_estimate.add_argument("--model", help="trained cluster model JSON path")
-    p_estimate.add_argument("--query", help="query CSV path")
-    p_estimate.add_argument("--services", type=int,
-                            help="service count at the target transformer "
-                                 "(required)")
-    p_estimate.add_argument("--strict", action="store_true", default=None,
-                            help="error out on far-from-all-clusters queries")
+    commands = {name: sub.add_parser(name, help=text)
+                for name, (_, text) in _COMMANDS.items()}
+    for opt in filter(lambda opt: opt.flag, OPTIONS):
+        text = opt.help + (f" ({opt.rule.range})" if opt.rule.range else "")
+        if opt.default not in (None, False):
+            text += (", required" if opt.default is REQUIRED
+                     else f", default {opt.default}")
+        kind = ({"action": "store_true", "default": None}
+                if opt.rule is _SWITCH else
+                {"metavar": "A..B"} if opt.rule is _SPAN else {})
+        for command in opt.commands.split():
+            commands[command].add_argument(opt.flag, help=text, **kind)
     return parser
 
 
-class RunConfig:
-    """Merged view of defaults, the JSON config file, and CLI flags."""
+def _config_values(path) -> dict:
+    """The config file's values by :data:`OPTIONS` key, each knob of its
+    ``synth`` object as ``synth.<knob>``; a top-level null is no value."""
+    doc = read_json(path, ConfigError, "config")
+    if not isinstance(doc, dict):
+        raise ConfigError("config file must hold a JSON object")
+    if unknown := set(doc) - CONFIG_KEYS:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    knobs = doc.pop("synth", None) or {}
+    if not isinstance(knobs, dict):
+        raise ConfigError(f"config key 'synth' must be an object, got {knobs!r}")
+    values = {key: value for key, value in doc.items() if value is not None}
+    values.update((f"synth.{knob}", value) for knob, value in knobs.items())
+    if unknown := set(values) - {opt.key for opt in OPTIONS}:
+        raise ConfigError("unknown synth config keys: "
+                          f"{sorted(key[6:] for key in unknown)}")
+    return values
 
-    _DEFAULTS = {
-        "seed": 42,
-        "out": ".",
-        "strict": False,
-        "services": 20,
-        "days": 730,
-        "start_date": "2014-01-01",
-        "k": 10,
-        "restarts": 1,
-        "n_range": "1..40",
-        "budget": 500.0,
-        "years": 3.0,
-        "svg": False,
-        "weather": None,
-        "meter": None,
-        "calendar": None,
-        "spec": None,
-        "model": None,
-        "query": None,
-        "features": None,
-        "synth": None,
-        "k_sweep": None,
-    }
+
+class RunConfig:
+    """A command's options from flag, else config file, else default, each
+    read by its rule; the config file is read whole, before any input."""
 
     def __init__(self, args: argparse.Namespace):
-        file_cfg = {}
-        if getattr(args, "config", None):
-            file_cfg = read_json(args.config, ConfigError, "config")
-            if not isinstance(file_cfg, dict):
-                raise ConfigError("config file must hold a JSON object")
-            unknown = set(file_cfg) - set(self._DEFAULTS)
-            if unknown:
-                raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-            # Their readers take the structures features and synth apart.
-            for key, value in file_cfg.items():
-                if value is not None and key not in ("features", "synth"):
-                    _check_kind(key, value, self._DEFAULTS[key])
-        self._file = file_cfg
-        self._args = vars(args)
+        given = _config_values(args.config) if args.config else {}
+        flags, self._values = vars(args), {}
+        for opt in OPTIONS:
+            name = opt.flag or f"config key {opt.key!r}"
+            value = given[opt.key] if opt.key in given else opt.default
+            if opt.key in given or value not in (None, REQUIRED):
+                value = opt.rule.read(value, name)
+            if args.command not in opt.commands.split():
+                continue
+            if flags.get(opt.key) is not None:
+                value = opt.rule.read(flags[opt.key], name, flag=True)
+            elif value is REQUIRED:
+                raise ConfigError(f"missing required option: {name}")
+            self._values[opt.key] = value
 
-    def get(self, key):
-        flag = self._args.get(key)
-        if flag is not None:
-            return flag
-        if key in self._file and self._file[key] is not None:
-            return self._file[key]
-        return self._DEFAULTS[key]
-
-    def count(self, key, minimum, maximum=None, *, required=False) -> int:
-        """The integer option ``key``; past the float range (the config
-        file's number rule, :func:`json_number`, which a flag follows
-        too), below ``minimum``, above ``maximum`` (if given), or
-        ``required`` and given by neither flag nor config file, it is
-        refused."""
-        if required and self._args.get(key) is None and self._file.get(key) is None:
-            raise ConfigError(f"missing required option: --{key}")
-        value = int(self.get(key))
-        try:
-            json_number(value, f"--{key}")
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        if value < minimum:
-            raise ConfigError(f"--{key} must be >= {minimum}, got {value}")
-        if maximum is not None and value > maximum:
-            raise ConfigError(f"--{key} must be <= {maximum}, got {value}")
-        return value
-
-    def number(self, key, *, positive=True) -> float:
-        """The number option ``key``: finite, and > 0 (>= 0 if not ``positive``)."""
-        value = float(self.get(key))
-        if not (math.isfinite(value) and (value > 0 or value == 0 and not positive)):
-            name = f"--{key}" if key in self._args else key
-            raise ConfigError(f"{name} must be a finite number "
-                              f"{'>' if positive else '>='} 0, got {value!r}")
-        return value
+    def __getitem__(self, key):
+        return self._values[key]
 
     def require_path(self, key) -> Path:
-        value = self.get(key)
-        if not value:
-            raise ConfigError(f"missing required path: --{key.replace('_', '-')}")
-        path = Path(value)
-        if not path.exists():
+        if not self[key]:
+            raise ConfigError(f"missing required path: --{key}")
+        if not (path := Path(self[key])).exists():
             raise ConfigError(f"path does not exist: {path}")
         return path
 
     def out_dir(self) -> Path:
-        out = Path(self.get("out"))
+        out = Path(self["out"])
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory: {exc}") from exc
         return out
 
-    def schema(self) -> ft.FeatureSchema:
-        items = self.get("features")
-        if items is None:
-            return ft.default_schema()
-        try:
-            return ft.FeatureSchema.from_jsonable(items)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad feature schema in config: {exc}")
-
     def synth_config(self) -> ingest.SynthConfig:
-        """The synthetic generator's knobs: each value in the config's
-        ``synth`` object must be of its :class:`ingest.SynthConfig`
-        default's kind, and ``holidays`` a list of [month, day] integers."""
-        overrides = self.get("synth") or {}
-        if not isinstance(overrides, dict):
-            raise ConfigError(f"config key 'synth' must be an object, "
-                              f"got {overrides!r}")
-        defaults = ingest.SynthConfig()
-        unknown = set(overrides) - {f.name for f in dataclass_fields(defaults)}
-        if unknown:
-            raise ConfigError(f"unknown synth config keys: {sorted(unknown)}")
-        values = dict(overrides)
-        for key, value in overrides.items():
-            if key != "holidays":
-                _check_kind(f"synth.{key}", value, getattr(defaults, key))
-                continue
-            try:
-                for pair in value:
-                    for part in pair:
-                        _check_kind("synth.holidays", part, 1)
-                values[key] = tuple((int(m), int(d)) for m, d in value)
-            except (TypeError, ValueError):
-                raise ConfigError("config key 'synth.holidays' must be a list "
-                                  f"of [month, day] integers, got {value!r}")
-        return ingest.SynthConfig(**values)
-
-
-def _check_kind(key, value, default):
-    """A config value must be of its default's kind: true/false, a string
-    for the paths and spans, or a number (:func:`json_number`) that is, for
-    an integer, integral (a float of at most 2**53 in size passes)."""
-    if isinstance(default, bool):
-        kind, ok = "true or false", isinstance(value, bool)
-    elif isinstance(default, (int, float)):
-        try:
-            number = json_number(value, f"config key {key!r}")
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from None
-        # Above 2**53 a float cannot tell neighbouring integers apart.
-        kind = "an integer"
-        ok = (isinstance(default, float) or isinstance(value, int)
-              or number.is_integer() and abs(number) <= 2 ** 53)
-    else:
-        kind, ok = "a string", isinstance(value, str)
-    if not ok:
-        raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
+        return ingest.SynthConfig(**{
+            f.name: self[f"synth.{f.name}"]
+            for f in dataclass_fields(ingest.SynthConfig)})
 
 
 @contextmanager
@@ -300,30 +329,8 @@ def _writing(out):
             shutil.rmtree(staging, ignore_errors=True)
 
 
-def parse_span(text: str, label: str) -> range:
-    """Parse an inclusive integer span like ``1..40``, of at most
-    ``sys.maxsize`` counts (the most a ``range`` can hold and measure)."""
-    parts = str(text).split("..")
-    try:
-        lo, hi = (int(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"{label} must look like A..B, got {text!r}") from None
-    if lo < 1 or hi < lo:
-        raise ConfigError(f"{label} {text!r} is empty or non-positive")
-    if hi - lo >= sys.maxsize:
-        raise ConfigError(f"{label} {text!r} spans more than {sys.maxsize} "
-                          "counts")
-    return range(lo, hi + 1)
-
-
 def cmd_synth(cfg: RunConfig) -> int:
-    seed = cfg.count("seed", 0)
-    try:
-        start = ingest.iso_date(str(cfg.get("start_date")))
-    except ValueError:
-        raise ConfigError(f"bad start date {cfg.get('start_date')!r}")
-    services = cfg.count("services", 1)
-    days = cfg.count("days", 1)
+    start, services, days = cfg["start_date"], cfg["services"], cfg["days"]
     if days > (dt.date.max - start).days + 1:
         raise ConfigError(f"{days} days from --start-date {start} run past "
                           f"{dt.date.max}")
@@ -331,11 +338,10 @@ def cmd_synth(cfg: RunConfig) -> int:
         raise ConfigError(f"--services {services} x --days {days} x 24 is "
                           f"{services * days * 24:,} hourly meter readings, "
                           f"above the {MAX_SYNTH_READINGS:,} synth writes")
-    config = cfg.synth_config()
     out = cfg.out_dir()
     with _writing(out) as staging:
-        paths = ingest.synth_dataset(seed, services, start, days, config,
-                                     staging)
+        paths = ingest.synth_dataset(cfg["seed"], services, start, days,
+                                     cfg.synth_config(), staging)
     for name in ("weather", "meter", "calendar"):
         print(f"wrote {out / paths[name].name}")
     return 0
@@ -357,15 +363,11 @@ def _write_composition_csv(model, path):
 
 
 def cmd_cluster(cfg: RunConfig) -> int:
-    schema = cfg.schema()
-    seed = cfg.count("seed", 0)
-    k = cfg.count("k", 1)
-    restarts = cfg.count("restarts", 1, MAX_RESTARTS)
-    sweep = cfg.get("k_sweep")
-    sweep_ks = parse_span(sweep, "--k-sweep") if sweep else ()
-    dataset = ingest.load_dataset(cfg.require_path("weather"),
-                                  cfg.require_path("meter"),
-                                  cfg.require_path("calendar"))
+    schema = cfg["features"] or ft.default_schema()
+    seed, k, restarts = cfg["seed"], cfg["k"], cfg["restarts"]
+    sweep_ks = cfg["k_sweep"] or ()
+    dataset = ingest.load_dataset(*map(cfg.require_path,
+                                       ("weather", "meter", "calendar")))
 
     # Every k is checked before any is fitted.
     clustering.check_cluster_count(len(dataset.records),
@@ -381,20 +383,18 @@ def cmd_cluster(cfg: RunConfig) -> int:
     # (196 MB at 1000 x 730) are freed before the model is written.
     del dataset
     out = cfg.out_dir()
-    model_path = out / "model.json"
     with _writing(out) as staging:
         clustering.save_model(model, staging / "model.json")
         _write_composition_csv(model, staging / "composition.csv")
     print(f"trained k={k} on {records} records, "
           f"objective={model.objective:.6f}")
-    print(f"wrote {model_path}")
-    print(f"wrote {out / 'composition.csv'}")
+    for name in ("model.json", "composition.csv"):
+        print(f"wrote {out / name}")
     return 0
 
 
 def cmd_assess(cfg: RunConfig) -> int:
-    n_range = parse_span(cfg.get("n_range"), "--n-range")
-    budget, years = cfg.number("budget", positive=False), cfg.number("years")
+    n_range, budget, years = cfg["n_range"], cfg["budget"], cfg["years"]
     spec = thermal.load_transformer_spec(cfg.require_path("spec"))
     model = clustering.load_model(cfg.require_path("model"))
     out = cfg.out_dir()
@@ -425,7 +425,7 @@ def cmd_assess(cfg: RunConfig) -> int:
         by_life = riskassess.max_services_by_life(grid.n_values,
                                                   losses.economic_loss, budget)
 
-        if cfg.get("svg"):
+        if cfg["svg"]:
             riskassess.write_month_distribution_svg(
                 matrix, thresholds, staging / "month_distribution.svg")
 
@@ -436,7 +436,7 @@ def cmd_assess(cfg: RunConfig) -> int:
     for name in ("thresholds.csv", "month_matrix.csv", "temperature_grid.csv",
                  "life_loss.csv"):
         print(f"wrote {out / name}")
-    if cfg.get("svg"):
+    if cfg["svg"]:
         print(f"wrote {out / 'month_distribution.svg'}")
     return 0
 
@@ -447,13 +447,11 @@ def cmd_estimate(cfg: RunConfig) -> int:
     run that read the whole file first: a query ParseError anywhere, then
     the per-cluster temperatures' refusals, then a query with none of the
     model's features, then, with ``--strict``, a far query."""
-    services = cfg.count("services", 1, required=True)
-    strict = bool(cfg.get("strict"))
     spec = thermal.load_transformer_spec(cfg.require_path("spec"))
     model = clustering.load_model(cfg.require_path("model"))
     query = cfg.require_path("query")
     try:
-        temps = estimation.cluster_max_top_oil(model, spec, services)
+        temps = estimation.cluster_max_top_oil(model, spec, cfg["services"])
     except TxRiskError:
         for _ in estimation.query_tables(query):  # a ParseError comes first
             pass
@@ -462,16 +460,16 @@ def cmd_estimate(cfg: RunConfig) -> int:
     with _writing(out) as staging:
         days = estimation.estimate_csv(query, model, temps,
                                        staging / "estimates.csv",
-                                       strict=strict)
+                                       strict=cfg["strict"])
     print(f"wrote {out / 'estimates.csv'} ({days} days)")
     return 0
 
 
 _COMMANDS = {
-    "synth": cmd_synth,
-    "cluster": cmd_cluster,
-    "assess": cmd_assess,
-    "estimate": cmd_estimate,
+    "synth": (cmd_synth, "generate a synthetic dataset"),
+    "cluster": (cmd_cluster, "train the cluster model"),
+    "assess": (cmd_assess, "write the risk report tables"),
+    "estimate": (cmd_estimate, "estimate temperatures for query days"),
 }
 
 
@@ -479,7 +477,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = RunConfig(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except TxRiskError as exc:
         print(f"txrisk: error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -281,25 +281,39 @@ def _numbers(buf, starts, lens):
     correctly rounded division ``m / 10 ** f`` is ``float``'s value (the
     fast path of Clinger's 1990 algorithm). A ``-`` negates it, so ``-0.0``
     keeps its sign. The fields of any other length go to an ``S``-array's
-    ``astype``, which reads ASCII text as ``float`` does. Where it refuses
-    one of them (``float`` also reads ``١``), or one holds a NUL (which an
-    ``S`` array drops at a field's end), each goes to ``float``.
+    ``astype``, which reads ASCII text as ``float`` does. A field that
+    ``astype`` cannot read, one with a byte outside ASCII (``float`` also
+    reads ``١``) or a NUL (which an ``S`` array drops at a field's end),
+    goes to ``float`` alone, and the rest of its length are read as above;
+    where ``astype`` refuses one of those, each goes to ``float``.
     """
     values = np.full(len(starts), math.nan)
     for length, rows in _by_length(lens):
-        at = starts[rows]
-        exact = _decimals(buf, at, length)
-        if exact is None:
-            texts = _fixed(buf, at, length)
-            try:
-                if not texts.view(np.uint8).all():  # a NUL
-                    raise ValueError
-                exact = texts.astype(np.float64)
-            except ValueError:
-                exact = [_builtin(float, buf[start:start + length], math.nan)
-                         for start in at.tolist()]
-        values[rows] = exact
+        values[rows] = _of_length(buf, starts[rows], length)
     return values
+
+
+def _of_length(buf, starts, length):
+    """The values of :func:`_numbers` for the ``length``-byte fields at
+    ``starts``."""
+    exact = _decimals(buf, starts, length)
+    if exact is not None:
+        return exact
+    texts = _fixed(buf, starts, length)
+    codes = texts.view(np.uint8).reshape(len(starts), length)
+    odd = ((codes == 0) | (codes > 127)).any(axis=1)
+    if odd.any() and not odd.all():  # each part read on its own
+        exact = np.empty(len(starts))
+        for part in (odd, ~odd):
+            exact[part] = _of_length(buf, starts[part], length)
+        return exact
+    if not odd.any():
+        try:
+            return texts.astype(np.float64)
+        except ValueError:
+            pass
+    return [_builtin(float, buf[start:start + length], math.nan)
+            for start in starts.tolist()]
 
 
 def _decimals(buf, starts, length):
@@ -851,7 +865,16 @@ def load_dataset(weather_path, meter_path, calendar_path) -> Dataset:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Knobs for the deterministic synthetic dataset generator."""
+    """Knobs for the deterministic synthetic dataset generator.
+
+    The command line (``cli.OPTIONS``) takes each in a range where it means
+    what it says: ``temp_mean_c``, ``heating_ref_c`` and ``cooling_ref_c``
+    in ``TEMP_MIN_C``..``TEMP_MAX_C`` (-60..60); the temperature amplitudes
+    and ``temp_noise_sd_c`` in 0..120; ``coldest_day_of_year`` in 1..366;
+    ``weekend_uplift`` at least -1 and the other load knobs at least 0;
+    ``holidays`` as days of the calendar (29 February included). The loads
+    they give are checked whole by :func:`synth_dataset`.
+    """
 
     temp_mean_c: float = 4.0
     temp_seasonal_amp_c: float = 17.0

@@ -3,10 +3,12 @@
 import copy
 import dataclasses
 import datetime as dt
+import itertools
 import json
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1214,7 +1216,8 @@ class TestConfigFile:
         cfg.write_text(json.dumps({key: value}))
         assert cli.main(["synth", "--config", str(cfg),
                          "--out", str(tmp_path)]) == 2
-        assert repr(key) in capsys.readouterr().err
+        # Named by its flag, as the same fault given by the flag is.
+        assert f"--{key.replace('_', '-')} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("synth", [
         {"holidays": 5}, {"base_load_kw": "x"}, {"holidays": [[1]]},
@@ -1274,9 +1277,9 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("source,key,value,message", [
         ("config", "restarts", 1e308,
-         "config key 'restarts' must be an integer, got 1e+308"),
+         "--restarts must be an integer, got 1e+308"),
         ("config", "k", 2.0 ** 53 + 2,
-         "config key 'k' must be an integer, got 9007199254740994.0"),
+         "--k must be an integer, got 9007199254740994.0"),
         ("config", "restarts", 10 ** 11,
          "--restarts must be <= 1000, got 100000000000"),
         ("flag", "restarts", 10 ** 11,
@@ -1388,3 +1391,189 @@ class TestCompositionReport:
         assert lines[0] == ("cluster_id,member_count,t_max_c,t_min_c,t_avg_c,"
                             "l_avg_kva,weekday")
         assert len(lines) == 3
+
+
+# The flags of each subcommand and the config file's keys, pinned so that
+# no option is added or lost unnoticed.
+COMMAND_FLAGS = {
+    "synth": ["--config", "--out", "--seed", "--services", "--days",
+              "--start-date"],
+    "cluster": ["--config", "--out", "--seed", "--weather", "--meter",
+                "--calendar", "--k", "--restarts", "--k-sweep"],
+    "assess": ["--config", "--out", "--spec", "--model", "--n-range",
+               "--budget", "--years", "--svg"],
+    "estimate": ["--config", "--out", "--spec", "--model", "--query",
+                 "--services", "--strict"],
+}
+CONFIG_FILE_KEYS = {
+    "seed", "out", "strict", "services", "days", "start_date", "k", "restarts",
+    "n_range", "budget", "years", "svg", "weather", "meter", "calendar",
+    "spec", "model", "query", "features", "synth", "k_sweep"}
+# Values an option may be refused, each spelled the same as a flag's text
+# and as a config value: numbers for the number rules, text for all.
+NUMBER_VALUES = [1.5, -1, 0, 367, 1001, float("nan"), float("inf"),
+                 float("-inf"), 10 ** 400, -10 ** 400, "x", "", "1..2"]
+TEXT_VALUES = {cli._SPAN: ["x", "", "5..3", "0..2", "1..2..3", "1.5"],
+               cli._DATE: ["x", "", "2014-13-01", "2014-02-30", "20140101"],
+               cli._PATH: [], cli._SWITCH: []}  # any text is a path
+
+
+def _refused(opt):
+    """The values of NUMBER_VALUES or TEXT_VALUES that ``opt``'s rule
+    refuses in a config file; a rule of a kind this test does not know
+    counts as a number rule, so its values are tried too."""
+    refused = []
+    for value in TEXT_VALUES.get(opt.rule, NUMBER_VALUES):
+        try:
+            opt.rule.read(value, opt.flag)
+        except cli.ConfigError:
+            refused.append(value)
+    return refused
+
+
+FLAG_CASES = [(opt, value) for opt in cli.OPTIONS
+              if opt.flag and opt.key != "config" for value in _refused(opt)]
+
+
+class TestOptionTable:
+    def test_each_command_keeps_its_flags_and_the_config_keys(self):
+        parser = cli._build_parser()
+        commands = parser._subparsers._group_actions[0].choices
+        assert set(commands) == set(COMMAND_FLAGS)
+        for command, flags in COMMAND_FLAGS.items():
+            assert sorted(commands[command]._option_string_actions) == sorted(
+                ["-h", "--help", *flags]), command
+        assert cli.CONFIG_KEYS == CONFIG_FILE_KEYS
+
+    @pytest.mark.parametrize("opt,value", FLAG_CASES, ids=[
+        f"{opt.key}-{opt.commands.split()[0]}-{str(value)[:12]}"
+        for opt, value in FLAG_CASES])
+    def test_flag_and_config_refuse_alike(self, tmp_path, capsys, opt, value):
+        # One fault, one message and exit 2, from the flag or the config
+        # file: `--k 1.5` was once argparse's usage error and `{"k": 1.5}`
+        # exit 2, and `--budget nan` and `{"budget": NaN}` had two texts.
+        command = opt.commands.split()[0]
+        (tmp_path / "cfg.json").write_text(json.dumps({opt.key: value}))
+        errors = []
+        for extra in ([f"{opt.flag}={value}"],
+                      ["--config", str(tmp_path / "cfg.json")]):
+            assert cli.main([command, "--out", str(tmp_path / "out")]
+                            + extra) == 2, extra
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"txrisk: error: {opt.flag} ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["--seed=7.0", "--k=2.0",
+                                      "--restarts=1e0", "--k=inf"])
+    def test_integer_flag_takes_no_float_text(self, tmp_path, capsys, flag):
+        # Only the config file takes an integral float for an integer.
+        assert cli.main(["cluster", flag, "--out", str(tmp_path / "o")]) == 2
+        assert f"{flag.partition('=')[0]} must be" in capsys.readouterr().err
+
+    def test_integer_flag_spellings_int_reads(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["synth", "--seed=007", "--services=+1", "--days= 2",
+                         "--out", str(out)]) == 0
+        assert len((out / "calendar.csv").read_text().splitlines()) == 3
+
+    def test_every_flag_has_refusals_under_test(self):
+        # Each value-taking flag but a path is covered by the test above.
+        covered = {opt.key for opt, _ in FLAG_CASES}
+        assert covered == {opt.key for opt in cli.OPTIONS if opt.flag
+                           and opt.rule not in (cli._PATH, cli._SWITCH)}
+        assert ("k", 1.5) in {(opt.key, value) for opt, value in FLAG_CASES}
+
+    @pytest.mark.parametrize("synth", [
+        {"temp_noise_sd_c": -0.1}, {"load_noise_sd_kw": -1e-9},
+        {"service_spread": -0.5}, {"coldest_day_of_year": 0},
+        {"coldest_day_of_year": 367}, {"holidays": [[13, 40]]},
+        {"holidays": [[2, 30]]}, {"holidays": [[0, 1]]},
+        {"temp_mean_c": 60.5}, {"temp_seasonal_amp_c": -17},
+        {"weekend_uplift": -1.5}, {"heating_ref_c": -61},
+        {"base_load_kw": -0.9}],
+        ids=lambda synth: "-".join(f"{k}={v}" for k, v in synth.items()))
+    def test_synth_knob_out_of_range(self, tmp_path, capsys, synth):
+        # Each was once taken: a negative spread or noise as 0, a coldest
+        # day outside the year and a holiday no calendar holds as written.
+        (tmp_path / "cfg.json").write_text(json.dumps({"synth": synth}))
+        out = tmp_path / "out"
+        assert cli.main(synth_args(out) + ["--config",
+                                           str(tmp_path / "cfg.json")]) == 2
+        (knob,) = synth
+        assert f"config key 'synth.{knob}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("synth", [
+        {"holidays": [[2, 29], [12, 31]]}, {"coldest_day_of_year": 366},
+        {"coldest_day_of_year": 1}, {"temp_noise_sd_c": 0},
+        {"service_spread": 0, "load_noise_sd_kw": 0}, {"weekend_uplift": -1},
+        {"temp_mean_c": -60, "temp_seasonal_amp_c": 120}, {"holidays": []}],
+        ids=lambda synth: "-".join(f"{k}={v}" for k, v in synth.items()))
+    def test_synth_knob_at_its_bounds(self, tmp_path, synth):
+        (tmp_path / "cfg.json").write_text(json.dumps({"synth": synth}))
+        assert cli.main(synth_args(tmp_path / "out") + [
+            "--config", str(tmp_path / "cfg.json")]) == 0
+
+    def test_config_file_is_read_whole(self, tmp_path, capsys):
+        # A config file shared by the commands is checked whole: a key that
+        # synth does not read is still refused by its rule.
+        (tmp_path / "cfg.json").write_text(json.dumps({"k": 0}))
+        assert cli.main(synth_args(tmp_path / "out") + [
+            "--config", str(tmp_path / "cfg.json")]) == 2
+        assert "--k must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_random_accepted_synth_configs_cluster(self, tmp_path):
+        # Every config the table accepts writes files that cluster reads.
+        rng = np.random.default_rng(20261022)
+        knobs = {opt.key.removeprefix("synth."): opt for opt in cli.OPTIONS
+                 if opt.key.startswith("synth.")}
+        for case in range(30):
+            synth = {}
+            for name, opt in knobs.items():
+                if name == "holidays":
+                    synth[name] = [[int(month), int(rng.integers(1, 29))]
+                                   for month in rng.integers(1, 13, 3)]
+                    continue
+                lo, _, hi = opt.rule.range.partition("..")
+                lo = float(lo.removeprefix(">= "))
+                # Open ranges are drawn up to a few times their default.
+                top = float(hi) if hi else 3 * max(abs(opt.default), 1.0)
+                value = rng.uniform(lo, top) if rng.integers(4) else lo
+                synth[name] = (int(value) if isinstance(opt.default, int)
+                               else float(value))
+            doc = {"seed": int(rng.integers(1000)), "synth": synth,
+                   "services": int(rng.integers(1, 4)),
+                   "days": int(rng.integers(8, 40)),
+                   "start_date": str(dt.date(1990, 1, 1) + dt.timedelta(
+                       days=int(rng.integers(40 * 365))))}
+            cfg = tmp_path / f"cfg{case}.json"
+            cfg.write_text(json.dumps(doc))
+            data, run = tmp_path / f"data{case}", tmp_path / f"run{case}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert cli.main(["synth", "--config", str(cfg),
+                                 "--out", str(data)]) == 0, doc
+                assert cli.main(cluster_args(data, run) + [
+                    "--config", str(cfg)]) == 0, doc
+
+
+def _readme_row(opt):
+    """``opt`` as a row of the README's option table."""
+    def code(text):
+        return f"`{text}`" if text else "—"
+    default = ("required" if opt.default is cli.REQUIRED else
+               code(None if opt.default is None else json.dumps(opt.default)))
+    key = None if opt.key == "config" else opt.key
+    return (f"| {code(opt.flag)} | {code(key)} | "
+            f"{opt.commands.replace(' ', ', ')} | {default} | "
+            f"{code(opt.rule.range)} |")
+
+
+def test_readme_option_table_is_the_cli_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    start = readme.index("| flag | config key | commands | default | range |")
+    rows = list(itertools.takewhile(lambda line: line.startswith("|"),
+                                    readme[start + 2:]))
+    assert rows == [_readme_row(opt) for opt in cli.OPTIONS]

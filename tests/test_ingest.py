@@ -2,6 +2,7 @@
 
 import csv
 import datetime as dt
+import math
 import re
 import tracemalloc
 import warnings
@@ -887,7 +888,7 @@ class TestBulkScan:
 
     @pytest.mark.parametrize("name", ["weather", "meter"])
     @pytest.mark.parametrize("hour", ["005", " 5", "+5", "5.0", "١"])
-    def test_hour_spellings_outside_the_table_take_the_row_loop(
+    def test_hour_spellings_outside_the_table_read_by_int(
             self, tmp_path, name, hour):
         # Hours spelled other than with one or two ASCII digits are read by
         # int in the scan, so the block stays on it; int refuses 5.0, which
@@ -1241,6 +1242,34 @@ class TestScansAgainstBuiltins:
                     assert np.float64(value).tobytes() == bits, text
                     read += 1
         assert read > 100
+
+    def test_numbers_send_only_what_astype_cannot_read_to_float(
+            self, monkeypatch):
+        # One field outside ASCII (or with a NUL) once sent every field of
+        # its length through float; now it goes alone, and the others of
+        # its length are read as arrays, to the same bits.
+        rng = np.random.default_rng([SEED, 32])
+        plain = [f"{value:.3f}" for value in rng.uniform(0, 9.999, 1000)]
+        odd = ["\u0661.\u0665", "0.9\x003", "\u0661.5e3"]
+        texts = plain + ["1.25e3"] * 50 + odd
+        texts = [texts[i] for i in rng.permutation(len(texts))]
+        raw = [text.encode() for text in texts]
+        lens = np.array([len(field) for field in raw])
+        assert set(lens.tolist()) == {5, 6}
+        starts = np.concatenate(([0], np.cumsum(lens + 1)[:-1]))
+        buf = np.frombuffer(b"".join(field + b"," for field in raw), np.uint8)
+        calls, builtin = [], ingest._builtin
+        monkeypatch.setattr(ingest, "_builtin", lambda convert, field, refused: (
+            calls.append(field.tobytes()) or builtin(convert, field, refused)))
+        values = ingest._numbers(buf, starts, lens)
+        assert sorted(calls) == sorted(text.encode() for text in odd)
+        for text, value in zip(texts, values.tolist()):
+            try:
+                expected = float(text)
+            except ValueError:
+                expected = math.nan
+            assert np.float64(value).tobytes() == np.float64(
+                expected).tobytes(), text
 
     def test_dates_as_iso_date(self):
         def reference(text):

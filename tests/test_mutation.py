@@ -1,5 +1,5 @@
-"""Seeded mutation test of the command line: damaged input files end in a
-documented exit code, never in a traceback.
+"""Seeded mutation test of the command line: damaged input files, and
+stray option values, end in a documented exit code, never in a traceback.
 
 Small valid inputs (a synthetic dataset, a spec, a trained model, a query
 file and a config file) are damaged one at a time: cut short, a column
@@ -11,6 +11,11 @@ a member field respelled, a line repeated or dropped, a member repeated, a
 ``member_count`` moved or a stray byte inserted. Each damaged copy is fed
 to the subcommand that reads it. The mutations come from numpy's seeded
 generator, so every run tries the same cases.
+
+The ``flags`` target gives each command's options stray values: a text
+of ``CELLS`` to a flag, or a value of ``JSON_VALUES`` to its config key
+(a synth knob inside the config's ``synth`` object), one at a time, in
+place of the valid value.
 """
 
 import json
@@ -239,5 +244,66 @@ def test_damaged_input_ends_in_documented_exit_code(base, tmp_path, target):
                 continue
             if code not in DOCUMENTED_CODES or code == 1:
                 failures.append(f"{argv[0]} with {what}: exit {code}")
+        shutil.rmtree(out, ignore_errors=True)
+    assert not failures, "\n".join(failures)
+
+
+def _run(argv):
+    """``cli.main(argv)``'s exit code, an argparse refusal's included."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return cli.main(argv)
+    except SystemExit as exc:  # argparse: a switch given a value
+        return exc.code
+
+
+def _without(argv, flag):
+    """``argv`` without ``flag`` and its value."""
+    if flag not in argv:
+        return argv
+    at = argv.index(flag)
+    return argv[:at] + argv[at + 2:]
+
+
+@pytest.mark.parametrize("command", ["synth", "cluster", "assess", "estimate"])
+def test_flags_stray_option_value_ends_in_documented_exit_code(
+        base, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)  # an --out of "" writes here
+    inputs = {name: base / "data" / name
+              for name in ("weather.csv", "meter.csv", "calendar.csv")}
+    inputs.update({name: base / name
+                   for name in ("spec.json", "model.json", "query.csv")})
+    options = [opt for opt in cli.OPTIONS
+               if command in opt.commands.split() and opt.key != "config"]
+    rng = np.random.default_rng([SEED, len(TARGETS), len(options)])
+    failures = []
+    for case in range(CASES_PER_TARGET):
+        out = tmp_path / f"out{case}"
+        argv = {"synth": ["synth", "--services", "2", "--days", "12",
+                          "--out", str(out)],
+                "cluster": _argv("meter.csv", inputs, out)[0],
+                "assess": _argv("spec.json", inputs, out)[0],
+                "estimate": _argv("spec.json", inputs, out)[1]}[command]
+        opt = options[int(rng.integers(len(options)))]
+        if opt.flag and rng.integers(2):
+            cell = CELLS[int(rng.integers(len(CELLS)))]
+            what, argv = (f"{opt.flag}={cell!r}",
+                          _without(argv, opt.flag) + [f"{opt.flag}={cell}"])
+        else:
+            value = JSON_VALUES[int(rng.integers(len(JSON_VALUES)))]
+            knob = opt.key.removeprefix("synth.")
+            doc = {"synth": {knob: value}} if knob != opt.key else {
+                opt.key: value}
+            (tmp_path / f"{case}.json").write_text(json.dumps(doc))
+            what, argv = f"config {doc!r}", _without(argv, opt.flag) + [
+                "--config", str(tmp_path / f"{case}.json")]
+        try:
+            code = _run(argv)
+        except Exception as exc:  # the failure this test looks for
+            failures.append(f"{what}: {type(exc).__name__}: {str(exc)[:120]}")
+            continue
+        if code not in DOCUMENTED_CODES or code == 1:
+            failures.append(f"{what}: exit {code}")
         shutil.rmtree(out, ignore_errors=True)
     assert not failures, "\n".join(failures)
